@@ -1,7 +1,8 @@
 // The client package's wire types must be the server's wire types: every
 // golden job-spec fixture the server decodes (nested fault group, harden
-// list, legacy flat spellings) must decode as a client.JobSpec, survive an
-// encode/decode round trip, and resolve to the identical campaign point.
+// list) must decode as a client.JobSpec, survive an encode/decode round
+// trip, and resolve to the identical campaign point — and the flat pre-v1
+// fixture the server rejects, the client type must reject too.
 package client_test
 
 import (
@@ -29,7 +30,14 @@ func TestJobSpecGoldenRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			var sp client.JobSpec
-			if err := json.Unmarshal(data, &sp); err != nil {
+			err = json.Unmarshal(data, &sp)
+			if filepath.Base(path) == "jobspec_legacy.json" {
+				if err == nil {
+					t.Fatalf("flat fixture decoded to %+v; only the nested spelling is accepted", sp)
+				}
+				return
+			}
+			if err != nil {
 				t.Fatalf("client decode: %v", err)
 			}
 			if err := sp.Validate(); err != nil {
@@ -51,8 +59,7 @@ func TestJobSpecGoldenRoundTrip(t *testing.T) {
 			if !reflect.DeepEqual(p, srvPoint) {
 				t.Fatalf("client and server decode diverge:\nclient %+v\nserver %+v", p, srvPoint)
 			}
-			// Encode/decode round trip: the re-emitted wire form (always the
-			// v1 nested schema, even for legacy flat fixtures) must resolve
+			// Encode/decode round trip: the re-emitted wire form must resolve
 			// to the same point.
 			out, err := json.Marshal(sp)
 			if err != nil {

@@ -73,9 +73,6 @@ func main() {
 		fmApps  = flag.String("faultmodels-apps", "", "comma-separated app subset for -faultmodels (empty = all 11 benchmarks)")
 	)
 	prof := cliutil.Profiling(flag.CommandLine)
-	cliutil.Alias(flag.CommandLine, "snap-stride", "checkpoint")
-	cliutil.Alias(flag.CommandLine, "snap-mb", "checkpoint-mb")
-	cliutil.HideDeprecated(flag.CommandLine)
 	flag.Parse()
 	stopProf, err := prof.Start()
 	if err != nil {

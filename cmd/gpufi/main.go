@@ -11,8 +11,9 @@
 //	                        # adaptive sampling: stop each campaign at ±2.35%,
 //	                        # skip provably-dead RF sites via the liveness map
 //	gpufi -app VA -structure RF -n 3000 -static-prune
-//	                        # like -prune, but the dead set comes from static
-//	                        # dataflow analysis — no golden liveness trace
+//	                        # like -prune, but the dead intervals come from
+//	                        # static dataflow analysis — no golden liveness
+//	                        # trace — and shared memory is covered too
 //	gpufi -app VA -structure RF -n 3000 -snap-stride -1 -converge
 //	                        # checkpointed fork-and-join: faulty runs resume
 //	                        # from golden snapshots and rejoin golden early,
@@ -29,8 +30,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"strings"
@@ -50,43 +53,57 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its process state made explicit: the campaign for args,
+// the report on stdout, diagnostics on stderr, and the exit status returned.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("gpufi", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		appName     = flag.String("app", "VA", "benchmark application (see -list)")
-		kernel      = flag.String("kernel", "", "kernel name (K1..Kn); empty = whole application")
-		structure   = flag.String("structure", "RF", "RF, SMEM, L1D, L1T, L2 or all")
-		n           = flag.Int("n", 3000, "injections per campaign (paper: 3000 → ±2.35% at 99% confidence)")
-		seed        = flag.Int64("seed", 1, "campaign seed")
-		workers     = flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
-		tmr         = flag.Bool("tmr", false, "harden the application with thread-level TMR first")
-		burst       = flag.Int("burst", 1, "adjacent multi-bit burst width (1 = single-bit)")
-		model       = flag.String("model", "", "fault model: transient (default), stuck, mbu or control (implied by control structures)")
-		stuck       = flag.Int("stuck", -1, "stuck-at polarity 0 or 1 for -model stuck, or forced-latch polarity for control faults")
-		lines       = flag.Int("lines", 1, "adjacent rows/lines an MBU cluster spans (-model mbu)")
-		adaptiveOn  = flag.Bool("adaptive", false, "stop each campaign early once the Wilson-score 99% CI half-width reaches the target margin")
-		margin      = flag.Float64("margin", 0, "target 99% CI half-width for -adaptive (0 = the paper's ±2.35%); implies -adaptive")
-		prune       = flag.Bool("prune", false, "classify provably-dead RF injection sites as Masked from the golden run's liveness map, without simulating")
-		staticPrune = flag.Bool("static-prune", false, "classify RF/SMEM injections landing in statically-dead cycle intervals as Masked (no liveness trace needed); ignored when -prune is set")
-		ckStride    = flag.Int64("snap-stride", 0, "golden-run snapshot stride in cycles for fork-and-join injection (0 = off, -1 = auto)")
-		ckMB        = flag.Int64("snap-mb", 0, "snapshot memory budget in MiB (0 = default 256, negative = unlimited)")
-		converge    = flag.Bool("converge", false, "join faulty runs back to golden at the first matching checkpoint; implies -snap-stride -1 if unset")
-		list        = flag.Bool("list", false, "list benchmarks and kernels")
+		appName     = fs.String("app", "VA", "benchmark application (see -list)")
+		kernel      = fs.String("kernel", "", "kernel name (K1..Kn); empty = whole application")
+		structure   = fs.String("structure", "RF", "RF, SMEM, L1D, L1T, L2 or all")
+		n           = fs.Int("n", 3000, "injections per campaign (paper: 3000 → ±2.35% at 99% confidence)")
+		seed        = fs.Int64("seed", 1, "campaign seed")
+		workers     = fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
+		tmr         = fs.Bool("tmr", false, "harden the application with thread-level TMR first")
+		burst       = fs.Int("burst", 1, "adjacent multi-bit burst width (1 = single-bit)")
+		model       = fs.String("model", "", "fault model: transient (default), stuck, mbu or control (implied by control structures)")
+		stuck       = fs.Int("stuck", -1, "stuck-at polarity 0 or 1 for -model stuck, or forced-latch polarity for control faults")
+		lines       = fs.Int("lines", 1, "adjacent rows/lines an MBU cluster spans (-model mbu)")
+		adaptiveOn  = fs.Bool("adaptive", false, "stop each campaign early once the Wilson-score 99% CI half-width reaches the target margin")
+		margin      = fs.Float64("margin", 0, "target 99% CI half-width for -adaptive (0 = the paper's ±2.35%); implies -adaptive")
+		prune       = fs.Bool("prune", false, "classify provably-dead RF injection sites as Masked from the golden run's liveness map, without simulating")
+		staticPrune = fs.Bool("static-prune", false, "classify RF/SMEM injections landing in statically-dead cycle intervals as Masked (no liveness trace needed); with -prune, RF keeps the liveness map and SMEM uses the intervals")
+		ckStride    = fs.Int64("snap-stride", 0, "golden-run snapshot stride in cycles for fork-and-join injection (0 = off, -1 = auto)")
+		ckMB        = fs.Int64("snap-mb", 0, "snapshot memory budget in MiB (0 = default 256, negative = unlimited)")
+		converge    = fs.Bool("converge", false, "join faulty runs back to golden at the first matching checkpoint; implies -snap-stride -1 if unset")
+		list        = fs.Bool("list", false, "list benchmarks and kernels")
 	)
-	prof := cliutil.Profiling(flag.CommandLine)
-	cliutil.Alias(flag.CommandLine, "snap-stride", "checkpoint")
-	cliutil.Alias(flag.CommandLine, "snap-mb", "checkpoint-mb")
-	cliutil.HideDeprecated(flag.CommandLine)
-	flag.Parse()
+	prof := cliutil.Profiling(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fatal := func(err error) int {
+		fmt.Fprintln(stderr, "gpufi:", err)
+		return 1
+	}
 	stopProf, err := prof.Start()
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	defer stopProf()
 
 	if *list {
 		for _, a := range kernels.All() {
-			fmt.Printf("%-12s %s\n", a.Name, strings.Join(a.Kernels, " "))
+			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, strings.Join(a.Kernels, " "))
 		}
-		return
+		return 0
 	}
 
 	target := *margin
@@ -96,7 +113,7 @@ func main() {
 
 	app, err := kernels.ByName(*appName)
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	job := app.Build()
 	if *tmr {
@@ -109,20 +126,20 @@ func main() {
 	ckSpec := microfi.CheckpointSpec{Stride: *ckStride, BudgetBytes: *ckMB << 20, Converge: *converge}
 	g, err := microfi.GoldenCheckpointed(job, cfg, ckSpec)
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
-	fmt.Printf("golden run: %d cycles, %d launches\n", g.Res.Cycles, len(g.Res.Spans))
+	fmt.Fprintf(stdout, "golden run: %d cycles, %d launches\n", g.Res.Cycles, len(g.Res.Spans))
 
 	var lv *ace.Liveness
 	if *prune {
 		if lv, err = ace.TraceRF(job, cfg); err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 	}
 	var static *microfi.StaticIntervals
-	if *staticPrune && lv == nil {
+	if *staticPrune {
 		if static, err = microfi.TraceStatic(job, cfg); err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 	}
 
@@ -147,7 +164,7 @@ func main() {
 			}
 		}
 		if !found {
-			fatal(fmt.Errorf("unknown structure %q", *structure))
+			return fatal(fmt.Errorf("unknown structure %q", *structure))
 		}
 	}
 
@@ -173,27 +190,22 @@ func main() {
 	var structAVFs []metrics.StructAVF
 	for _, st := range structures {
 		if err := fspec.ValidateFor(st); err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 		mdl, err := fspec.Build()
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
-		tgt := microfi.Target{Structure: st, Kernel: *kernel, IncludeVote: *tmr}
-		var exp campaign.Experiment
-		if lv != nil && st == gpu.RF {
-			exp = counters.Instrument(func(run int, rng *rand.Rand) (faults.Result, bool) {
-				return microfi.InjectPrunedModel(job, g, lv, tgt, mdl, rng)
-			})
-		} else if static != nil && (st == gpu.RF || st == gpu.SMEM) {
-			exp = counters.Instrument(func(run int, rng *rand.Rand) (faults.Result, bool) {
-				return microfi.InjectStaticModel(job, g, static, tgt, mdl, rng)
-			})
-		} else {
-			exp = counters.Count(func(run int, rng *rand.Rand) faults.Result {
-				return microfi.InjectModel(job, g, tgt, mdl, rng)
-			})
-		}
+		tgt := microfi.Target{Structure: st, Kernel: *kernel, IncludeVote: *tmr, Model: mdl}
+		// Prune with whatever evidence covers this structure: the liveness
+		// map prunes more of the RF, only the intervals reach SMEM, and with
+		// neither InjectStatic is exactly Inject.
+		exp := counters.Instrument(func(run int, rng *rand.Rand) (faults.Result, bool) {
+			if lv != nil && st == gpu.RF {
+				return microfi.InjectPruned(job, g, lv, tgt, rng)
+			}
+			return microfi.InjectStatic(job, g, static, tgt, rng)
+		})
 		opts := campaign.Options{Runs: *n, Seed: *seed, Workers: *workers}
 		var tl campaign.Tally
 		if target > 0 {
@@ -218,9 +230,14 @@ func main() {
 		tbl.AddFooter("full-chip AVF (size-weighted): %s  [SDC %s, Timeout %s, DUE %s]",
 			report.Pct(chip.Total()), report.Pct(chip.SDC), report.Pct(chip.Timeout), report.Pct(chip.DUE))
 	}
-	if target > 0 || *prune || static != nil {
-		how := "liveness"
-		if static != nil {
+	if target > 0 || lv != nil || static != nil {
+		how := "none"
+		switch {
+		case lv != nil && static != nil:
+			how = "liveness on RF, static on SMEM"
+		case lv != nil:
+			how = "liveness"
+		case static != nil:
 			how = "static"
 		}
 		tbl.AddFooter("adaptive sampling: %d simulated, %d pruned (%s), %d saved (early stop, target ±%.2f%%)",
@@ -232,10 +249,6 @@ func main() {
 			ck.Snapshots, float64(ck.SnapshotBytes)/(1<<20), ck.Evictions,
 			ck.ForkResumes, ck.ForkCyclesSaved, ck.ConvergeHits, ck.ConvergeCyclesSaved)
 	}
-	fmt.Print(tbl.String())
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "gpufi:", err)
-	os.Exit(1)
+	fmt.Fprint(stdout, tbl.String())
+	return 0
 }

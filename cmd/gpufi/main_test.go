@@ -1,0 +1,86 @@
+package main
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+)
+
+// anchorRow is the VA/K1/RF n=300 seed=1 tally — Counts [254,29,0,17], the
+// determinism anchor the daemon, the fleet and the benchmark all assert —
+// as gpufi prints it.
+const anchorRow = "RF         300   84.67%    9.67%    0.00%    5.67%   15.33%  ±5.35%   0.2188    3.35%"
+
+// TestAnchorGolden: the anchor campaign prints the same table row whichever
+// evidence accelerates it, and each acceleration reports itself in the
+// footer.
+func TestAnchorGolden(t *testing.T) {
+	base := []string{"-app", "VA", "-kernel", "K1", "-structure", "RF", "-n", "300", "-seed", "1"}
+	cases := []struct {
+		name   string
+		flags  []string
+		footer string
+	}{
+		{"brute", nil, ""},
+		{"prune", []string{"-prune"}, "pruned (liveness)"},
+		{"static-prune", []string{"-static-prune"}, "pruned (static)"},
+		{"fork-join", []string{"-snap-stride", "-1", "-converge"}, "checkpointing: 24 snapshots"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := run(append(base[:len(base):len(base)], tc.flags...), &stdout, &stderr); code != 0 {
+				t.Fatalf("exit %d, stderr: %s", code, stderr.String())
+			}
+			out := stdout.String()
+			if !strings.Contains(out, "\n"+anchorRow+"\n") {
+				t.Errorf("anchor row missing or moved:\n%s", out)
+			}
+			if !strings.Contains(out, tc.footer) {
+				t.Errorf("footer %q missing:\n%s", tc.footer, out)
+			}
+		})
+	}
+}
+
+// TestBothPrunersCoverSmem: with -prune and -static-prune together the
+// liveness map cannot reach shared memory, so SMEM must still be pruned from
+// the intervals — and the tally must not move.
+func TestBothPrunersCoverSmem(t *testing.T) {
+	base := []string{"-app", "BackProp", "-structure", "SMEM", "-n", "40", "-seed", "1"}
+	row := func(flags ...string) (string, string) {
+		var stdout, stderr bytes.Buffer
+		if code := run(append(base[:len(base):len(base)], flags...), &stdout, &stderr); code != 0 {
+			t.Fatalf("exit %d, stderr: %s", code, stderr.String())
+		}
+		for _, line := range strings.Split(stdout.String(), "\n") {
+			if strings.HasPrefix(line, "SMEM ") {
+				return line, stdout.String()
+			}
+		}
+		t.Fatalf("no SMEM row:\n%s", stdout.String())
+		return "", ""
+	}
+	want, _ := row()
+	got, out := row("-prune", "-static-prune")
+	if got != want {
+		t.Errorf("pruned row %q != brute-force row %q", got, want)
+	}
+	if strings.Contains(out, " 0 pruned") || !strings.Contains(out, "static on SMEM") {
+		t.Errorf("SMEM was not pruned from the intervals:\n%s", out)
+	}
+}
+
+// TestOldSnapshotFlagsRejected: -snap-stride / -snap-mb are the only
+// spellings; the pre-rename names are a usage error.
+func TestOldSnapshotFlagsRejected(t *testing.T) {
+	for _, old := range []string{"-checkpoint", "-checkpoint-mb"} {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{old, "-1"}, &stdout, &stderr); code != 2 {
+			t.Errorf("%s: exit %d, want 2", old, code)
+		}
+		if !strings.Contains(stderr.String(), "flag provided but not defined") {
+			t.Errorf("%s: stderr %q", old, stderr.String())
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 
 	"gpurel/internal/ace"
 	"gpurel/internal/campaign"
+	"gpurel/internal/faultmodel"
 	"gpurel/internal/faults"
 	"gpurel/internal/funcsim"
 	"gpurel/internal/gpu"
@@ -834,7 +835,7 @@ func (s *Study) ECCAblation(appName, kernel string, burst int) (string, error) {
 		g := &microfi.GoldenRun{Res: e.MicroG.Res, Cfg: cfg}
 		var structs []metrics.StructAVF
 		for _, st := range gpu.Structures {
-			tgt := microfi.Target{Structure: st, Kernel: kernel, Burst: burst}
+			tgt := microfi.Target{Structure: st, Kernel: kernel, Model: faultmodel.Transient{Width: burst}}
 			seed := s.Seed + int64(hashKey(fmt.Sprintf("ecc|%s|%s|%d|%s|%d", appName, kernel, st, sc.name, burst)))
 			tl := campaign.Run(campaign.Options{Runs: s.Runs, Seed: seed, Workers: s.Workers},
 				func(run int, rng *rand.Rand) faults.Result {
@@ -862,7 +863,7 @@ func (s *Study) MultiBitAblation(appName, kernel string, st gpu.Structure, width
 		Header: []string{"Burst width", "SDC", "Timeout", "DUE", "FR×DF"},
 	}
 	for _, w := range widths {
-		tgt := microfi.Target{Structure: st, Kernel: kernel, Burst: w}
+		tgt := microfi.Target{Structure: st, Kernel: kernel, Model: faultmodel.Transient{Width: w}}
 		seed := s.Seed + int64(hashKey(fmt.Sprintf("burst|%s|%s|%d|%d", appName, kernel, st, w)))
 		tl := campaignRun(s, e, tgt, seed)
 		b := metrics.FromTally(tl).Scale(tgt.DF(e.MicroG))

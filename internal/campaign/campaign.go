@@ -107,7 +107,9 @@ func WilsonCI99(k, n int) (lo, hi float64) {
 	denom := 1 + z2/nf
 	center := (p + z2/(2*nf)) / denom
 	half := z99 * math.Sqrt(p*(1-p)/nf+z2/(4*nf*nf)) / denom
-	lo, hi = center-half, center+half
+	// The interval contains the point estimate analytically; at k = 0 and
+	// k = n rounding can leave a bound an ulp inside it.
+	lo, hi = min(center-half, p), max(center+half, p)
 	if lo < 0 {
 		lo = 0
 	}

@@ -1,6 +1,7 @@
-// Profiling flags shared by the CLIs: the hot-loop work in this repo is
-// driven by pprof evidence (see docs/perf.md), so every binary that runs
-// campaigns can capture profiles of real workloads without a rebuild.
+// Package cliutil carries the small shared pieces of the command-line
+// tools. Its one job today: the profiling flags — the hot-loop work in this
+// repo is driven by pprof evidence (see docs/perf.md), so every binary that
+// runs campaigns can capture profiles of real workloads without a rebuild.
 package cliutil
 
 import (

@@ -47,6 +47,14 @@ func (t Transient) Arm(m *sim.Machine, s gpu.Structure, rng *rand.Rand) (Applier
 	return nil, true
 }
 
+// FlipAt applies the strike to an RF or SMEM entry that was already drawn:
+// the pruned injectors resolve (sm, idx, bit) by replaying Arm's draws
+// against a recorded allocation timeline, then corrupt the machine here
+// exactly as Arm would have.
+func (t Transient) FlipAt(m *sim.Machine, s gpu.Structure, sm, idx int, bit uint) {
+	storageSite{structure: s, sm: m.SMs[sm], idx: idx, bit: bit}.flip(t.WordBits(), 1)
+}
+
 // StuckAt is a permanent defect: one cell forced to V (0 or 1) every cycle
 // from the injection cycle to the end of the run. Re-assertion happens at
 // cycle granularity — a write lands, then the top of the next cycle forces

@@ -380,14 +380,10 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	c.bumpLocked()
 	c.mu.Unlock()
 	c.dirty.Store(true)
-	ls := service.Lease{
+	writeJSON(w, http.StatusOK, service.Lease{
 		ID: l.id, JobID: wa.JobID, Spec: wa.Spec,
 		From: wa.From, To: wa.To, TTLSec: c.cfg.LeaseTTL.Seconds(),
-	}
-	if req.LegacyFlat() {
-		ls.Deprecation = service.LeaseDeprecationNote
-	}
-	writeJSON(w, http.StatusOK, ls)
+	})
 }
 
 // handleReport: POST /v1/leases/{id}/report — merge one completed
@@ -434,9 +430,6 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 		c.stats.DupReports++
 	}
 	ack := service.LeaseAck{Accepted: merged, TTLSec: c.cfg.LeaseTTL.Seconds()}
-	if rep.LegacyFlat() {
-		ack.Deprecation = service.LeaseDeprecationNote
-	}
 	if l, ok := c.leases[id]; ok {
 		if rep.To > l.from {
 			l.from = rep.To

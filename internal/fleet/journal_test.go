@@ -18,6 +18,7 @@ import (
 	"gpurel/client"
 	"gpurel/internal/adaptive"
 	"gpurel/internal/campaign"
+	"gpurel/internal/faultmodel"
 	"gpurel/internal/faults"
 	"gpurel/internal/fleet"
 	"gpurel/internal/service"
@@ -48,30 +49,32 @@ func killResumeSource(perRun time.Duration) service.SourceFunc {
 	}
 }
 
-// TestCoordinatorKillResumeBitIdentical is the tentpole acceptance test:
-// a journaled coordinator driving a two-tenant campaign (one fixed job, one
-// adaptive early-stopping job) over two workers is killed mid-flight — no
-// drain, workers severed — and a fresh coordinator restored from the same
-// journal finishes both jobs with tallies bit-identical to uninterrupted
-// local runs.
-func TestCoordinatorKillResumeBitIdentical(t *testing.T) {
-	dir := t.TempDir()
-	schedCkpt := filepath.Join(dir, "sched.ckpt.json")
-	fleetCkpt := filepath.Join(dir, "fleet.journal.json")
-	const fixedRuns, fixedSeed = 1500, 11
-	const adRuns, adSeed, adMargin = 3000, 42, 0.0235
+// The kill-and-resume campaign: one fixed job carrying every nested spec
+// group, one adaptive early-stopping job, two tenants.
+const (
+	krFixedRuns, krFixedSeed       = 1500, 11
+	krAdRuns, krAdSeed, krAdMargin = 3000, 42, 0.0235
+	krSchedFile, krFleetFile       = "sched.ckpt.json", "fleet.journal.json"
+)
 
-	schedCfg := service.Config{
-		Source:             killResumeSource(300 * time.Microsecond),
-		DisableLocalExec:   true,
-		CheckpointPath:     schedCkpt,
-		CheckpointInterval: 10 * time.Millisecond,
-	}
-	coordCfg := fleet.CoordinatorConfig{
-		LeaseRuns: 200, LeaseTTL: 400 * time.Millisecond, Sweep: 20 * time.Millisecond,
-		JournalPath: fleetCkpt, FlushInterval: 10 * time.Millisecond,
-	}
+func killResumeConfigs(dir string, perRun time.Duration) (service.Config, fleet.CoordinatorConfig) {
+	return service.Config{
+			Source:             killResumeSource(perRun),
+			DisableLocalExec:   true,
+			CheckpointPath:     filepath.Join(dir, krSchedFile),
+			CheckpointInterval: 10 * time.Millisecond,
+		}, fleet.CoordinatorConfig{
+			LeaseRuns: 200, LeaseTTL: 400 * time.Millisecond, Sweep: 20 * time.Millisecond,
+			JournalPath: filepath.Join(dir, krFleetFile), FlushInterval: 10 * time.Millisecond,
+		}
+}
 
+// killMidCampaign drives the campaign over two workers and crashes the
+// coordinator mid-flight — workers severed (no drain, no lease return), no
+// final flush — leaving the scheduler checkpoint and the fleet journal in
+// dir.
+func killMidCampaign(t *testing.T, dir string) {
+	schedCfg, coordCfg := killResumeConfigs(dir, 300*time.Microsecond)
 	sched1, err := service.NewScheduler(schedCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -83,16 +86,18 @@ func TestCoordinatorKillResumeBitIdentical(t *testing.T) {
 	srv1 := httptest.NewServer(service.NewServer(sched1).Handler(coord1.Mount))
 
 	fixed, err := sched1.Submit(service.JobSpec{
-		Layer: "micro", App: "fixed", Kernel: "K1", Runs: fixedRuns, Seed: fixedSeed,
-		Tenant: "alice",
+		Layer: "micro", App: "fixed", Kernel: "K1", Runs: krFixedRuns, Seed: krFixedSeed,
+		Tenant:     "alice",
+		Checkpoint: &service.SnapshotSpec{Stride: -1, Converge: true},
+		Fault:      &service.FaultSpec{Model: "stuck", Stuck: faultmodel.Ptr(0)},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	adapt, err := sched1.Submit(service.JobSpec{
-		Layer: "micro", App: "adaptive", Kernel: "K1", Runs: adRuns, Seed: adSeed,
+		Layer: "micro", App: "adaptive", Kernel: "K1", Runs: krAdRuns, Seed: krAdSeed,
 		Tenant: "bob", Priority: 2,
-		Sampling: &service.SamplingSpec{Margin99: adMargin},
+		Sampling: &service.SamplingSpec{Margin99: krAdMargin},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -105,9 +110,8 @@ func TestCoordinatorKillResumeBitIdentical(t *testing.T) {
 		})
 	}
 
-	// Let both jobs make real progress, then crash the coordinator: sever
-	// the workers (no drain, no lease return), skip the final flush — the
-	// journal holds whatever the last periodic flush captured.
+	// Let both jobs make real progress before the crash; the journal then
+	// holds whatever the last periodic flush captured.
 	deadline := time.Now().Add(20 * time.Second)
 	for {
 		f, _ := sched1.Get(fixed.ID)
@@ -131,9 +135,15 @@ func TestCoordinatorKillResumeBitIdentical(t *testing.T) {
 	if err := sched1.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
 
+// resumeAndVerify restarts both halves from the journals in dir, lets two
+// fresh workers finish the campaign — the dead workers' reclaimed leases
+// expire and requeue; everything re-executes deterministically — and checks
+// both tallies against uninterrupted local runs.
+func resumeAndVerify(t *testing.T, dir string) {
 	// The journal must hold outstanding leases and both workers.
-	raw, err := os.ReadFile(fleetCkpt)
+	raw, err := os.ReadFile(filepath.Join(dir, krFleetFile))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,10 +167,7 @@ func TestCoordinatorKillResumeBitIdentical(t *testing.T) {
 		t.Fatal("journal holds no outstanding leases; the kill missed the mid-lease window")
 	}
 
-	// Restart both halves from their journals and let two fresh workers
-	// finish the campaign. The dead workers' reclaimed leases expire and
-	// requeue; everything re-executes deterministically.
-	schedCfg.Source = killResumeSource(0)
+	schedCfg, coordCfg := killResumeConfigs(dir, 0)
 	sched2, err := service.NewScheduler(schedCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -174,8 +181,28 @@ func TestCoordinatorKillResumeBitIdentical(t *testing.T) {
 	srv2 := httptest.NewServer(service.NewServer(sched2).Handler(coord2.Mount))
 	t.Cleanup(srv2.Close)
 
-	// Restored state: counters carried over, both workers remembered, the
-	// journaled leases re-pinned as open.
+	// Restored state: both jobs with every spec group intact, counters
+	// carried over, both workers remembered, the journaled leases re-pinned
+	// as open.
+	var fixedID, adaptID string
+	for _, st := range sched2.List() {
+		switch st.Spec.App {
+		case "fixed":
+			fixedID = st.ID
+			if c, f := st.Spec.Checkpoint, st.Spec.Fault; c == nil || c.Stride != -1 || !c.Converge ||
+				f == nil || f.Model != "stuck" || f.Stuck == nil || *f.Stuck != 0 {
+				t.Errorf("fixed job's nested groups not restored: %+v", st.Spec)
+			}
+		case "adaptive":
+			adaptID = st.ID
+			if sm := st.Spec.Sampling; sm == nil || sm.Margin99 != krAdMargin {
+				t.Errorf("adaptive job's sampling group not restored: %+v", st.Spec)
+			}
+		}
+	}
+	if fixedID == "" || adaptID == "" {
+		t.Fatalf("checkpoint did not restore both jobs: %+v", sched2.List())
+	}
 	if st := coord2.Stats(); st.Granted < jf.Stats.Granted {
 		t.Errorf("restored Granted %d < journaled %d", st.Granted, jf.Stats.Granted)
 	}
@@ -194,16 +221,16 @@ func TestCoordinatorKillResumeBitIdentical(t *testing.T) {
 		})
 	}
 
-	finalFixed := waitTerminal(t, sched2, fixed.ID, 60*time.Second)
-	finalAdapt := waitTerminal(t, sched2, adapt.ID, 60*time.Second)
+	finalFixed := waitTerminal(t, sched2, fixedID, 60*time.Second)
+	finalAdapt := waitTerminal(t, sched2, adaptID, 60*time.Second)
 
-	wantFixed := campaign.Run(campaign.Options{Runs: fixedRuns, Seed: fixedSeed},
+	wantFixed := campaign.Run(campaign.Options{Runs: krFixedRuns, Seed: krFixedSeed},
 		func(run int, rng *rand.Rand) faults.Result { return outcome(rng) })
 	if finalFixed.State != service.StateDone || finalFixed.Tally != wantFixed {
 		t.Errorf("fixed job after kill+resume %+v, want tally %+v", finalFixed, wantFixed)
 	}
 
-	wantAdapt := adaptive.Run(campaign.Options{Runs: adRuns, Seed: adSeed}, adaptive.Policy{Margin: adMargin}, lowFR)
+	wantAdapt := adaptive.Run(campaign.Options{Runs: krAdRuns, Seed: krAdSeed}, adaptive.Policy{Margin: krAdMargin}, lowFR)
 	if !wantAdapt.EarlyStopped {
 		t.Fatal("test premise broken: local adaptive run did not stop early")
 	}
@@ -214,6 +241,36 @@ func TestCoordinatorKillResumeBitIdentical(t *testing.T) {
 	if !finalAdapt.EarlyStopped {
 		t.Errorf("adaptive job lost its early stop: %+v", finalAdapt)
 	}
+}
+
+// TestCoordinatorKillResumeBitIdentical is the tentpole acceptance test:
+// a journaled coordinator driving a two-tenant campaign (one fixed job, one
+// adaptive early-stopping job) over two workers is killed mid-flight — no
+// drain, workers severed — and a fresh coordinator restored from the same
+// journals finishes both jobs with tallies bit-identical to uninterrupted
+// local runs. The second input is the same crash as the commit before the
+// flat wire spellings were removed left it on disk (testdata/pre-removal,
+// written by killMidCampaign at that commit): old journals must keep
+// loading.
+func TestCoordinatorKillResumeBitIdentical(t *testing.T) {
+	t.Run("fresh", func(t *testing.T) {
+		dir := t.TempDir()
+		killMidCampaign(t, dir)
+		resumeAndVerify(t, dir)
+	})
+	t.Run("pre-removal journals", func(t *testing.T) {
+		dir := t.TempDir()
+		for _, name := range []string{krSchedFile, krFleetFile} {
+			data, err := os.ReadFile(filepath.Join("testdata", "pre-removal", name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		resumeAndVerify(t, dir)
+	})
 }
 
 // TestJournalDropsSettledJobs: restoring a journal whose leases point at

@@ -10,6 +10,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -252,6 +253,24 @@ func TestFleetErrorEnvelope(t *testing.T) {
 	}
 	check(data, service.ErrCodeBadRequest)
 
+	// The bare pre-v1 bodies are negative fixtures: the envelope is
+	// mandatory on requests and reports alike.
+	bare, err := os.ReadFile("../service/testdata/leasespec_legacy.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, data = post("/v1/leases", string(bare))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("bare lease request: status %d, want 400", resp.StatusCode)
+	}
+	check(data, service.ErrCodeBadRequest)
+
+	resp, data = post("/v1/leases/nosuch/report", `{"worker":"w","from":0,"to":1,"tally":{"N":1}}`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("bare lease report: status %d, want 400", resp.StatusCode)
+	}
+	check(data, service.ErrCodeBadRequest)
+
 	resp, data = post("/v1/leases", `{"lease":{"max_runs":-5}}`)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("invalid lease: status %d, want 400", resp.StatusCode)
@@ -286,41 +305,5 @@ func TestFleetErrorEnvelope(t *testing.T) {
 	_, err = client.New(srv.URL).GetWorker(context.Background(), "nosuch")
 	if err == nil || !strings.Contains(err.Error(), service.ErrCodeNotFound) {
 		t.Errorf("client error %v, want the envelope code surfaced", err)
-	}
-}
-
-// TestLegacyLeaseDeprecationNote: the deprecated bare lease request still
-// works end to end and the response carries the deprecation note; the
-// enveloped spelling gets no note.
-func TestLegacyLeaseDeprecationNote(t *testing.T) {
-	clk := newFakeClock()
-	sched, _, srv := clockHarness(t, clk, fleet.CoordinatorConfig{LeaseRuns: 50, LeaseTTL: time.Hour})
-	if _, err := sched.Submit(service.JobSpec{Layer: "micro", App: "fake", Kernel: "K1", Runs: 500, Seed: 1}); err != nil {
-		t.Fatal(err)
-	}
-
-	lease := func(body string) service.Lease {
-		t.Helper()
-		resp, err := http.Post(srv.URL+"/v1/leases", "application/json", bytes.NewBufferString(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			data, _ := io.ReadAll(resp.Body)
-			t.Fatalf("lease: %d %s", resp.StatusCode, data)
-		}
-		var ls service.Lease
-		if err := json.NewDecoder(resp.Body).Decode(&ls); err != nil {
-			t.Fatal(err)
-		}
-		return ls
-	}
-
-	if ls := lease(`{"worker":"legacy"}`); ls.Deprecation == "" {
-		t.Error("bare lease request got no deprecation note")
-	}
-	if ls := lease(`{"lease":{"worker":"modern"}}`); ls.Deprecation != "" {
-		t.Errorf("enveloped request flagged deprecated: %q", ls.Deprecation)
 	}
 }

@@ -2,9 +2,9 @@
 // block control-flow graphs, dominator and post-dominator trees, backward
 // liveness, reaching definitions with def-use chains, and a thread-variance
 // (divergence) analysis. On top of these it provides a kernel linter (Lint)
-// and statically-provable dead-register sets (AlwaysDead) that let the
-// fault-injection layers classify injections into never-again-read registers
-// as Masked without tracing a golden run.
+// and the cycle-interval ACE engine (Intervals) that lets the fault-injection
+// layer classify injections into provably dead intervals as Masked without
+// simulating them.
 //
 // All analyses are pure functions of the instruction stream; they tolerate
 // malformed programs (out-of-range branches, bad register indices) so the

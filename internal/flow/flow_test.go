@@ -142,25 +142,6 @@ func TestPredicatedWriteDoesNotKill(t *testing.T) {
 	}
 }
 
-func TestAlwaysDead(t *testing.T) {
-	// R3 is written but never read anywhere -> statically dead. R1, R2 are
-	// used. R0 is never mentioned -> dead.
-	p := prog(4,
-		movi(1, 1),
-		movi(3, 99),
-		mov(2, 1),
-		isa.Instr{Op: isa.OpSTG, SrcA: 1, SrcB: 2},
-		exit(),
-	)
-	dead := flow.AlwaysDead(p)
-	want := []bool{true, false, false, true}
-	for r, w := range want {
-		if dead[r] != w {
-			t.Errorf("dead[R%d] = %v, want %v", r, dead[r], w)
-		}
-	}
-}
-
 func TestDefUseChains(t *testing.T) {
 	p := diamond()
 	du := flow.Build(p).DefUse()
@@ -494,13 +475,6 @@ func TestLoopLiveness(t *testing.T) {
 	}
 	if diags := flow.Lint(p); len(diags) != 0 {
 		t.Errorf("well-formed loop flagged: %v", diags)
-	}
-	dead := flow.AlwaysDead(p)
-	if dead[1] {
-		t.Error("loop counter cannot be statically dead")
-	}
-	if !dead[0] {
-		t.Error("R0 is unmentioned and must be statically dead")
 	}
 }
 

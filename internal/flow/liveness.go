@@ -158,30 +158,3 @@ func (l *Liveness) In(pc int) RegSet { return l.in[pc] }
 
 // Out returns the registers live immediately after pc.
 func (l *Liveness) Out(pc int) RegSet { return l.out[pc] }
-
-// AlwaysDead returns, per architectural register R0..NumRegs-1, whether the
-// register is statically dead at every program point: no instruction
-// anywhere (reachable or not — deliberately conservative) can observe a
-// value stored in it. A bit flip in such a register can never change
-// architecturally correct execution, so an injection there is provably
-// Masked — the static counterpart of the dynamic liveness map in
-// internal/ace, and always a subset of it.
-func (l *Liveness) AlwaysDead() []bool {
-	dead := make([]bool, l.g.Prog.NumRegs)
-	for i := range dead {
-		dead[i] = true
-	}
-	for pc := range l.in {
-		for _, r := range l.in[pc].Regs() {
-			if int(r) < len(dead) {
-				dead[r] = false
-			}
-		}
-	}
-	return dead
-}
-
-// AlwaysDead is the convenience form: CFG + liveness + dead-set in one call.
-func AlwaysDead(p *isa.Program) []bool {
-	return Build(p).Liveness().AlwaysDead()
-}

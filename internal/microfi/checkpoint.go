@@ -154,21 +154,17 @@ func goldenCycleBudget(job *device.Job) int64 {
 // the injection cycle (the hook fires at the top of a cycle, snapshots
 // capture its end), converge probing when enabled, and machine-state reuse
 // through the run pool. No-op on a plain Golden run.
-func (g *GoldenRun) accelerate(opts *sim.Options, cycle int64) {
-	g.accelerateModel(opts, cycle, false)
-}
-
-// accelerateModel is accelerate with the armed model's persistence made
-// explicit. Fork-resume stays sound for persistent faults (the skipped
-// prefix is fault-free in both runs), but convergence joins are not: the
-// probe compares post-fault state to fault-free golden checkpoints, and
-// while the fault remains armed an exact state match does not imply an
-// identical continuation — the defect corrupts the joined suffix too. The
-// join probe is therefore withheld for persistent models even when the spec
-// requests it, and each such auto-disable is counted in
+//
+// Fork-resume stays sound for persistent faults (the skipped prefix is
+// fault-free in both runs), but convergence joins are not: the probe
+// compares post-fault state to fault-free golden checkpoints, and while the
+// fault remains armed an exact state match does not imply an identical
+// continuation — the defect corrupts the joined suffix too. The join probe
+// is therefore withheld for persistent models even when the spec requests
+// it, and each such auto-disable is counted in
 // CheckpointCounts.ConvergeDisabled so operators can see the spec was
 // overridden and why throughput dropped.
-func (g *GoldenRun) accelerateModel(opts *sim.Options, cycle int64, persistent bool) {
+func (g *GoldenRun) accelerate(opts *sim.Options, cycle int64, persistent bool) {
 	if g.Snaps == nil {
 		return
 	}

@@ -12,7 +12,6 @@ import (
 	"math/rand"
 	"sync/atomic"
 
-	"gpurel/internal/ace"
 	"gpurel/internal/device"
 	"gpurel/internal/faultmodel"
 	"gpurel/internal/faults"
@@ -67,8 +66,9 @@ type Target struct {
 	// IncludeVote additionally includes the TMR voting kernel's windows —
 	// the vote is part of the hardened kernel's workflow (Fig. 6 step 3).
 	IncludeVote bool
-	// Burst widens the flip to an adjacent multi-bit upset (0/1 = single).
-	Burst int
+	// Model is the fault planted (nil = faultmodel.Transient{}, the paper's
+	// transient single-bit flip).
+	Model faultmodel.Model
 }
 
 // VoteKernelName is the kernel name the TMR transform gives vote launches.
@@ -135,67 +135,48 @@ func (t Target) pickCycle(g *GoldenRun, rng *rand.Rand) (int64, bool) {
 	return 0, false
 }
 
-// Inject performs one transient single-bit (or Burst-wide) injection
-// experiment and classifies the outcome. It is exactly InjectModel with the
-// legacy transient model.
-func Inject(job *device.Job, g *GoldenRun, t Target, rng *rand.Rand) faults.Result {
-	return InjectModel(job, g, t, faultmodel.Transient{Width: t.Burst}, rng)
+// model resolves the target's fault model; the zero Target is the paper's
+// transient single-bit flip.
+func (t Target) model() faultmodel.Model {
+	if t.Model == nil {
+		return faultmodel.Transient{}
+	}
+	return t.Model
 }
 
-// InjectModel performs one injection experiment under an arbitrary fault
-// model and classifies the outcome. The rand stream is consumed in the same
-// order for every model (cycle draw, then the model's site draws), and for
-// the transient model the experiment is bit-identical to the historical
-// Inject for every (seed, run) pair.
-func InjectModel(job *device.Job, g *GoldenRun, t Target, mdl faultmodel.Model, rng *rand.Rand) faults.Result {
-	cycle, r, done := t.preflightModel(g, mdl, rng)
+// Inject performs one injection experiment under the target's fault model
+// and classifies the outcome. The rand stream is consumed in the same order
+// for every model (cycle draw, then the model's site draws), so a (seed,
+// run) pair names one experiment regardless of how it is accelerated.
+func Inject(job *device.Job, g *GoldenRun, t Target, rng *rand.Rand) faults.Result {
+	mdl := t.model()
+	cycle, r, done := t.preflight(g, mdl, rng)
 	if done {
 		return r
 	}
-	return injectRunModel(job, g, t, cycle, mdl, rng)
+	return injectRun(job, g, cycle, mdl.Persistent(), func(m *sim.Machine) (faultmodel.Applier, bool) {
+		return mdl.Arm(m, t.Structure, rng)
+	})
 }
 
-// preflight runs the simulation-free prefix shared by Inject and
-// InjectPruned: cycle selection within the target windows and the ECC
-// screen. done=true means the experiment classifies without a faulty run.
-func (t Target) preflight(g *GoldenRun, rng *rand.Rand) (cycle int64, width int, r faults.Result, done bool) {
+// preflight runs the simulation-free prefix of every experiment: cycle
+// selection within the target windows and the ECC screen. done=true means
+// the experiment classifies without a faulty run. The screen keys on the
+// model's per-word footprint, and control structures (which sit outside the
+// ECC-indexed storage arrays and carry no code word) bypass it.
+func (t Target) preflight(g *GoldenRun, mdl faultmodel.Model, rng *rand.Rand) (cycle int64, r faults.Result, done bool) {
 	cycle, ok := t.pickCycle(g, rng)
 	if !ok {
 		// kernel never ran (e.g. zero shared memory usage): nothing to hit
-		return 0, 0, faults.Result{Outcome: faults.Masked, Detail: "empty injection window"}, true
-	}
-	width = t.Burst
-	if width < 1 {
-		width = 1
-	}
-	// SEC-DED ECC on the target structure: single-bit upsets are corrected,
-	// double-bit upsets are detected but uncorrectable. Wider bursts escape
-	// the code and strike the array below.
-	if g.Cfg.ECC[t.Structure] {
-		switch width {
-		case 1:
-			return 0, 0, faults.Result{Outcome: faults.Masked, Detail: "corrected by ECC"}, true
-		case 2:
-			return 0, 0, faults.Result{Outcome: faults.DUE, Detail: "detected uncorrectable (ECC)"}, true
-		}
-	}
-	return cycle, width, faults.Result{}, false
-}
-
-// preflightModel is preflight generalized over fault models: the ECC screen
-// keys on the model's per-word footprint, and control structures (which sit
-// outside the ECC-indexed storage arrays and carry no code word) bypass it.
-// For the transient model it is bit-identical to preflight.
-func (t Target) preflightModel(g *GoldenRun, mdl faultmodel.Model, rng *rand.Rand) (cycle int64, r faults.Result, done bool) {
-	cycle, ok := t.pickCycle(g, rng)
-	if !ok {
 		return 0, faults.Result{Outcome: faults.Masked, Detail: "empty injection window"}, true
 	}
+	// SEC-DED ECC on the target structure: a single defective bit per word
+	// is corrected on every read (whether a transient upset or a permanent
+	// stuck cell), two are detected but uncorrectable. Wider footprints
+	// escape the code and strike the array below.
 	if wb := mdl.WordBits(); wb > 0 && !t.Structure.IsControl() && g.Cfg.ECC[t.Structure] {
 		switch wb {
 		case 1:
-			// SEC-DED corrects a single defective bit per word on every read,
-			// whether the upset is transient or a permanent stuck cell.
 			return 0, faults.Result{Outcome: faults.Masked, Detail: "corrected by ECC"}, true
 		case 2:
 			return 0, faults.Result{Outcome: faults.DUE, Detail: "detected uncorrectable (ECC)"}, true
@@ -204,12 +185,15 @@ func (t Target) preflightModel(g *GoldenRun, mdl faultmodel.Model, rng *rand.Ran
 	return cycle, faults.Result{}, false
 }
 
-// injectRunModel executes the faulty simulation under the model and
-// classifies it against golden. One-shot models corrupt state in the
-// AtCycle hook exactly like injectRun; persistent models additionally
-// re-assert their applier at the top of every subsequent cycle, and
-// convergence joins are withheld (see accelerateModel).
-func injectRunModel(job *device.Job, g *GoldenRun, t Target, cycle int64, mdl faultmodel.Model, rng *rand.Rand) faults.Result {
+// injectRun executes the faulty simulation and classifies it against
+// golden. arm corrupts the machine at the injection cycle and reports
+// whether any site was hit; a persistent fault additionally re-asserts the
+// applier arm returned at the top of every subsequent cycle, and
+// convergence joins are withheld (see accelerate). On a checkpointed golden
+// run the faulty simulation forks from the nearest snapshot below the
+// injection cycle and may join back to golden early — both bit-identical to
+// simulating from cycle 0 (see checkpoint.go).
+func injectRun(job *device.Job, g *GoldenRun, cycle int64, persistent bool, arm func(*sim.Machine) (faultmodel.Applier, bool)) faults.Result {
 	hit := false
 	var applier faultmodel.Applier
 	opts := sim.Options{
@@ -217,116 +201,22 @@ func injectRunModel(job *device.Job, g *GoldenRun, t Target, cycle int64, mdl fa
 		AtCycle:   cycle,
 		Legacy:    g.Legacy,
 		OnCycle: func(m *sim.Machine) {
-			applier, hit = mdl.Arm(m, t.Structure, rng)
+			applier, hit = arm(m)
 		},
 	}
-	if mdl.Persistent() {
+	if persistent {
 		opts.EachCycle = func(m *sim.Machine) {
 			if applier != nil {
 				applier(m)
 			}
 		}
 	}
-	g.accelerateModel(&opts, cycle, mdl.Persistent())
+	g.accelerate(&opts, cycle, persistent)
 	res := sim.Run(job, g.Cfg, opts)
 	if res.Converged {
 		return g.classifyConverged(res, hit)
 	}
 	return Classify(g, res, hit)
-}
-
-// injectRun executes the faulty simulation with the given corruption hook
-// and classifies it against golden. On a checkpointed golden run the faulty
-// simulation forks from the nearest snapshot below the injection cycle and
-// may join back to golden early — both bit-identical to simulating from
-// cycle 0 (see checkpoint.go).
-func injectRun(job *device.Job, g *GoldenRun, cycle int64, corrupt func(*sim.Machine) bool) faults.Result {
-	hit := false
-	opts := sim.Options{
-		MaxCycles: g.Res.Cycles * int64(g.Cfg.TimeoutFactor),
-		AtCycle:   cycle,
-		Legacy:    g.Legacy,
-		OnCycle: func(m *sim.Machine) {
-			hit = corrupt(m)
-		},
-	}
-	g.accelerate(&opts, cycle)
-	res := sim.Run(job, g.Cfg, opts)
-	if res.Converged {
-		return g.classifyConverged(res, hit)
-	}
-	return Classify(g, res, hit)
-}
-
-// InjectPruned performs the same experiment as Inject — bit-identically for
-// any (seed, run) pair — but classifies provably-dead register-file sites as
-// Masked without simulating them, using the liveness map of the golden run.
-// The second return value reports whether the run was pruned (classified
-// analytically). Structures other than RF, and ECC-screened or empty-window
-// runs, fall through to the exact Inject behaviour with pruned=false.
-//
-// The equivalence argument: the faulty run is deterministic and identical to
-// golden up to the injection cycle, so the allocated-block list the injector
-// would enumerate at that cycle is exactly the liveness map's reconstruction,
-// and the RNG draws (cycle, entry, bit) replay in the same order with the
-// same bounds. A flip confined to one register whose stored value is never
-// read again before overwrite/deallocation cannot change any future
-// architectural event — output and cycle count match golden, which is
-// precisely the Masked/not-control-affected classification the brute-force
-// run would produce.
-func InjectPruned(job *device.Job, g *GoldenRun, lv *ace.Liveness, t Target, rng *rand.Rand) (faults.Result, bool) {
-	if t.Structure != gpu.RF || lv == nil {
-		return Inject(job, g, t, rng), false
-	}
-	cycle, width, r, done := t.preflight(g, rng)
-	if done {
-		return r, false
-	}
-	// Replay the transient model's site selection from the recorded
-	// allocation timeline: SMs in index order, blocks in CTA placement order
-	// (the faultmodel.pickAllocated enumeration).
-	var (
-		scratch [8]sim.RFBlock
-		smOf    []int
-		total   int
-	)
-	blocks := scratch[:0]
-	for sm := 0; sm < lv.NumSMs(); sm++ {
-		n := len(blocks)
-		blocks = lv.RFBlocksAt(sm, cycle, blocks)
-		for range blocks[n:] {
-			smOf = append(smOf, sm)
-		}
-	}
-	for _, b := range blocks {
-		total += b.Size
-	}
-	if total == 0 {
-		// The brute-force run would simulate, find nothing allocated, and
-		// classify the unperturbed (hence golden-identical) run as Masked.
-		return faults.Result{Outcome: faults.Masked, Detail: "no allocated entry at injection cycle"}, true
-	}
-	k := rng.Intn(total)
-	bit := uint(rng.Intn(32))
-	for i, b := range blocks {
-		if k < b.Size {
-			sm, phys := smOf[i], b.Base+k
-			if !lv.Live(sm, phys, cycle) {
-				// Provably dead: the corrupted value is never consumed.
-				return faults.Result{Outcome: faults.Masked}, true
-			}
-			return injectRun(job, g, cycle, func(m *sim.Machine) bool {
-				for w := 0; w < width; w++ {
-					m.SMs[sm].RF[phys] ^= 1 << ((bit + uint(w)) % 32)
-				}
-				m.SMs[sm].MarkRF(phys)
-				return true
-			}), false
-		}
-		k -= b.Size
-	}
-	// Unreachable: k < total = Σ sizes.
-	panic("microfi: site selection overran the allocation timeline")
 }
 
 // Classify compares a (possibly faulty) run against the golden run.
@@ -359,31 +249,4 @@ func bytesEqual(a, b []byte) bool {
 		}
 	}
 	return true
-}
-
-// InjectPrunedModel is InjectPruned generalized over fault models. Liveness
-// pruning's equivalence argument — a flipped value never read again cannot
-// change any future architectural event — holds only for one-shot faults
-// confined to the drawn register, so every family except the plain
-// transient takes the exact unpruned InjectModel path with pruned=false.
-// The transient model delegates to InjectPruned (which replays its draws
-// against the liveness timeline) and remains bit-identical to brute force.
-func InjectPrunedModel(job *device.Job, g *GoldenRun, lv *ace.Liveness, t Target, mdl faultmodel.Model, rng *rand.Rand) (faults.Result, bool) {
-	if tr, ok := mdl.(faultmodel.Transient); ok {
-		t.Burst = tr.Width
-		return InjectPruned(job, g, lv, t, rng)
-	}
-	return InjectModel(job, g, t, mdl, rng), false
-}
-
-// InjectStaticModel is InjectStatic generalized over fault models, with the
-// same restriction as InjectPrunedModel: static dead-interval pruning is
-// only sound for one-shot single-site faults, so non-transient models run
-// unpruned.
-func InjectStaticModel(job *device.Job, g *GoldenRun, si *StaticIntervals, t Target, mdl faultmodel.Model, rng *rand.Rand) (faults.Result, bool) {
-	if tr, ok := mdl.(faultmodel.Transient); ok {
-		t.Burst = tr.Width
-		return InjectStatic(job, g, si, t, rng)
-	}
-	return InjectModel(job, g, t, mdl, rng), false
 }

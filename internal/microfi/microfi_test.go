@@ -7,6 +7,7 @@ import (
 
 	"gpurel/internal/ace"
 	"gpurel/internal/device"
+	"gpurel/internal/faultmodel"
 	"gpurel/internal/faults"
 	"gpurel/internal/gpu"
 	"gpurel/internal/isa"
@@ -217,7 +218,7 @@ func TestInjectPrunedEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, burst := range []int{1, 2} {
-		tgt := Target{Structure: gpu.RF, Kernel: "K1", Burst: burst}
+		tgt := Target{Structure: gpu.RF, Kernel: "K1", Model: faultmodel.Transient{Width: burst}}
 		pruned, simulated := 0, 0
 		for seed := int64(0); seed < 150; seed++ {
 			want := Inject(job, g, tgt, rand.New(rand.NewSource(seed)))
@@ -280,7 +281,7 @@ func TestInjectPrunedNonRF(t *testing.T) {
 func TestMultiBitBurst(t *testing.T) {
 	job := saxpyJob(256)
 	g, _ := Golden(job, gpu.Volta())
-	tgt := Target{Structure: gpu.RF, Kernel: "K1", Burst: 3}
+	tgt := Target{Structure: gpu.RF, Kernel: "K1", Model: faultmodel.Transient{Width: 3}}
 	r := Inject(job, g, tgt, rand.New(rand.NewSource(5)))
 	if r.Outcome >= faults.NumOutcomes {
 		t.Errorf("burst injection produced bad outcome %v", r.Outcome)
@@ -296,9 +297,9 @@ func TestECCProtection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single := Target{Structure: gpu.RF, Kernel: "K1", Burst: 1}
-	double := Target{Structure: gpu.RF, Kernel: "K1", Burst: 2}
-	triple := Target{Structure: gpu.RF, Kernel: "K1", Burst: 3}
+	single := Target{Structure: gpu.RF, Kernel: "K1", Model: faultmodel.Transient{Width: 1}}
+	double := Target{Structure: gpu.RF, Kernel: "K1", Model: faultmodel.Transient{Width: 2}}
+	triple := Target{Structure: gpu.RF, Kernel: "K1", Model: faultmodel.Transient{Width: 3}}
 	for seed := int64(0); seed < 20; seed++ {
 		if r := Inject(job, g, single, rand.New(rand.NewSource(seed))); r.Outcome != faults.Masked {
 			t.Fatalf("ECC must correct single-bit faults, got %v", r.Outcome)
@@ -320,7 +321,7 @@ func TestECCProtection(t *testing.T) {
 		t.Log("no triple-burst corruption observed at this sample size (acceptable)")
 	}
 	// unprotected structures unaffected by the RF ECC flag
-	l2 := Target{Structure: gpu.L2, Kernel: "K1", Burst: 1}
+	l2 := Target{Structure: gpu.L2, Kernel: "K1", Model: faultmodel.Transient{Width: 1}}
 	sawNonMasked := false
 	for seed := int64(0); seed < 60; seed++ {
 		if r := Inject(job, g, l2, rand.New(rand.NewSource(seed))); r.Outcome != faults.Masked {

@@ -77,14 +77,14 @@ func TestModelCheckpointEquivalence(t *testing.T) {
 			for name, mdl := range cs.models {
 				before := ck.CheckpointCounts()
 				for _, st := range cs.structures {
-					tgt := Target{Structure: st}
+					tgt := Target{Structure: st, Model: mdl}
 					for seed := int64(1); seed <= 3; seed++ {
 						opts := campaign.Options{Runs: 2, Seed: seed}
 						want := campaign.Run(opts, func(run int, rng *rand.Rand) faults.Result {
-							return InjectModel(job, brute, tgt, mdl, rng)
+							return Inject(job, brute, tgt, rng)
 						})
 						got := campaign.Run(opts, func(run int, rng *rand.Rand) faults.Result {
-							return InjectModel(job, ck, tgt, mdl, rng)
+							return Inject(job, ck, tgt, rng)
 						})
 						if got != want {
 							t.Errorf("%s %s seed %d: checkpointed tally %+v != brute-force %+v",
@@ -111,12 +111,13 @@ func TestModelCheckpointEquivalence(t *testing.T) {
 	}
 }
 
-// misjoinInject is injectRunModel with the converge guard deliberately
+// misjoinInject is Inject with the converge guard deliberately
 // removed: it arms convergence probing even for persistent models — the
 // exact bug the guard exists to prevent. Kept test-only as the oracle that
 // proves the guard is load-bearing.
-func misjoinInject(job *device.Job, g *GoldenRun, tgt Target, mdl faultmodel.Model, rng *rand.Rand) (faults.Result, bool) {
-	cycle, r, done := tgt.preflightModel(g, mdl, rng)
+func misjoinInject(job *device.Job, g *GoldenRun, tgt Target, rng *rand.Rand) (faults.Result, bool) {
+	mdl := tgt.model()
+	cycle, r, done := tgt.preflight(g, mdl, rng)
 	if done {
 		return r, false
 	}
@@ -169,18 +170,17 @@ func TestConvergeGuardCatchesMisjoins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mdl := faultmodel.StuckAt{V: 0}
-	tgt := Target{Structure: gpu.RF}
+	tgt := Target{Structure: gpu.RF, Model: faultmodel.StuckAt{V: 0}}
 
 	misjoined, diverged := 0, 0
 	const seeds = 400
 	for seed := int64(0); seed < seeds; seed++ {
-		want := InjectModel(job, brute, tgt, mdl, rand.New(rand.NewSource(seed)))
-		got := InjectModel(job, ck, tgt, mdl, rand.New(rand.NewSource(seed)))
+		want := Inject(job, brute, tgt, rand.New(rand.NewSource(seed)))
+		got := Inject(job, ck, tgt, rand.New(rand.NewSource(seed)))
 		if got != want {
 			t.Fatalf("seed %d: guarded checkpointed result %+v != brute-force %+v", seed, got, want)
 		}
-		buggy, joined := misjoinInject(job, ck, tgt, mdl, rand.New(rand.NewSource(seed)))
+		buggy, joined := misjoinInject(job, ck, tgt, rand.New(rand.NewSource(seed)))
 		if joined {
 			misjoined++
 			if buggy.Outcome != want.Outcome {
@@ -204,9 +204,11 @@ func TestConvergeGuardCatchesMisjoins(t *testing.T) {
 // injector must not care which model runs underneath. For each model:
 // adaptive early-stopping tallies a bit-identical prefix of brute force,
 // stratified allocation keeps every stratum a prefix of its own run space,
-// and the liveness/static pruners fall through to exact unpruned injection
-// for every non-transient family (pruning is only sound for one-shot
-// single-register faults).
+// and — the one property every entry point shares — each pruner on each
+// golden (brute-force or checkpointed with converge joins) classifies every
+// seed exactly as brute-force Inject does. Pruning is only sound for
+// one-shot single-entry faults, so non-transient families must come back
+// with pruned=false.
 func TestModelAgnosticCampaignAlgebra(t *testing.T) {
 	cfg := gpu.Volta()
 	app, err := kernels.ByName("VA")
@@ -218,20 +220,11 @@ func TestModelAgnosticCampaignAlgebra(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lv, err := ace.TraceRF(job, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	static, err := TraceStatic(job, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tgt := Target{Structure: gpu.RF}
 
 	for name, mdl := range storageModels() {
-		mdl := mdl
+		tgt := Target{Structure: gpu.RF, Model: mdl}
 		exp := func(run int, rng *rand.Rand) faults.Result {
-			return InjectModel(job, g, tgt, mdl, rng)
+			return Inject(job, g, tgt, rng)
 		}
 
 		// Adaptive early stopping = a batch-boundary prefix of brute force.
@@ -248,14 +241,13 @@ func TestModelAgnosticCampaignAlgebra(t *testing.T) {
 		// deterministic run space.
 		strata := []adaptive.Stratum{}
 		for _, st := range []gpu.Structure{gpu.RF, gpu.SMEM} {
-			st := st
-			stTgt := Target{Structure: st}
+			stTgt := Target{Structure: st, Model: mdl}
 			strata = append(strata, adaptive.Stratum{
 				Name:   st.String(),
 				Weight: float64(cfg.StructBits(st)),
 				Opts:   campaign.Options{Runs: 20, Seed: 7},
 				Fn: func(run int, rng *rand.Rand) faults.Result {
-					return InjectModel(job, g, stTgt, mdl, rng)
+					return Inject(job, g, stTgt, rng)
 				},
 			})
 		}
@@ -266,26 +258,98 @@ func TestModelAgnosticCampaignAlgebra(t *testing.T) {
 				t.Errorf("%s stratum %s: tally %+v != prefix %+v", name, sr.Name, sr.Tally, want)
 			}
 		}
+	}
 
-		// Pruning: transient models prune bit-identically (covered by the
-		// pre-existing microfi tests); every other family must fall through
-		// to the exact unpruned experiment with pruned=false.
-		if _, transient := mdl.(faultmodel.Transient); transient {
-			continue
-		}
-		for seed := int64(0); seed < 25; seed++ {
-			want := InjectModel(job, g, tgt, mdl, rand.New(rand.NewSource(seed)))
-			got, pruned := InjectPrunedModel(job, g, lv, tgt, mdl, rand.New(rand.NewSource(seed)))
-			if pruned || got != want {
-				t.Fatalf("%s seed %d: liveness pruner altered the experiment: %+v/%v != %+v",
-					name, seed, got, pruned, want)
+	// pruner × model × checkpoint ≡ brute-force Inject, per seed. VA has no
+	// shared memory; LUD and PathFinder give the SMEM legs real sites, and
+	// LUD's barriers and divergence give the control leg real latches.
+	models := []struct {
+		name       string
+		mdl        faultmodel.Model
+		structures []gpu.Structure
+	}{
+		{"transient", nil, []gpu.Structure{gpu.RF, gpu.SMEM}},
+		{"transient:w3", faultmodel.Transient{Width: 3}, []gpu.Structure{gpu.RF, gpu.SMEM}},
+		{"stuck0", faultmodel.StuckAt{V: 0}, []gpu.Structure{gpu.RF, gpu.SMEM}},
+		{"mbu:w2:l2", faultmodel.SpatialMBU{Width: 2, Lines: 2}, []gpu.Structure{gpu.RF, gpu.SMEM}},
+		{"control", faultmodel.ControlFault{}, []gpu.Structure{gpu.Stack}},
+	}
+	for _, appName := range []string{"VA", "LUD", "PathFinder"} {
+		t.Run(appName, func(t *testing.T) {
+			app, err := kernels.ByName(appName)
+			if err != nil {
+				t.Fatal(err)
 			}
-			got, pruned = InjectStaticModel(job, g, static, tgt, mdl, rand.New(rand.NewSource(seed)))
-			if pruned || got != want {
-				t.Fatalf("%s seed %d: static pruner altered the experiment: %+v/%v != %+v",
-					name, seed, got, pruned, want)
+			job := app.Build()
+			brute, err := Golden(job, cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			ck, err := GoldenCheckpointed(job, cfg, CheckpointSpec{Stride: AutoStride, Converge: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			lv, err := ace.TraceRF(job, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			static, err := TraceStatic(job, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pruners := []struct {
+				name   string
+				covers func(gpu.Structure) bool
+				inject func(*GoldenRun, Target, *rand.Rand) (faults.Result, bool)
+			}{
+				{"none", func(gpu.Structure) bool { return false },
+					func(g *GoldenRun, tgt Target, rng *rand.Rand) (faults.Result, bool) {
+						return Inject(job, g, tgt, rng), false
+					}},
+				{"liveness", func(st gpu.Structure) bool { return st == gpu.RF },
+					func(g *GoldenRun, tgt Target, rng *rand.Rand) (faults.Result, bool) {
+						return InjectPruned(job, g, lv, tgt, rng)
+					}},
+				{"intervals", func(st gpu.Structure) bool { return st == gpu.RF || st == gpu.SMEM },
+					func(g *GoldenRun, tgt Target, rng *rand.Rand) (faults.Result, bool) {
+						return InjectStatic(job, g, static, tgt, rng)
+					}},
+			}
+			prunedBy := map[string]int{}
+			for _, m := range models {
+				_, prunable := Target{Model: m.mdl}.model().(faultmodel.Transient)
+				for _, st := range m.structures {
+					tgt := Target{Structure: st, Model: m.mdl}
+					for seed := int64(0); seed < 8; seed++ {
+						want := Inject(job, brute, tgt, rand.New(rand.NewSource(seed)))
+						for _, pr := range pruners {
+							for gi, g := range []*GoldenRun{brute, ck} {
+								got, pruned := pr.inject(g, tgt, rand.New(rand.NewSource(seed)))
+								if got != want {
+									t.Fatalf("%s %s %s checkpointed=%v seed %d: %+v (pruned=%v) != brute-force %+v",
+										m.name, st, pr.name, gi == 1, seed, got, pruned, want)
+								}
+								if pruned && !(prunable && pr.covers(st)) {
+									t.Fatalf("%s %s %s seed %d: pruned a run the pruner has no evidence for",
+										m.name, st, pr.name, seed)
+								}
+								if pruned {
+									prunedBy[pr.name]++
+								}
+							}
+						}
+					}
+				}
+			}
+			// Every axis must have been exercised: both pruners pruned, the
+			// persistent leg tripped the converge guard, one-shot legs joined.
+			if prunedBy["liveness"] == 0 || prunedBy["intervals"] == 0 {
+				t.Errorf("pruner axis not exercised: %v", prunedBy)
+			}
+			if c := ck.CheckpointCounts(); c.ConvergeDisabled == 0 || c.ConvergeHits == 0 {
+				t.Errorf("checkpoint axis not exercised: %+v", c)
+			}
+		})
 	}
 }
 
@@ -305,11 +369,11 @@ func TestControlFaultsEndToEnd(t *testing.T) {
 		}
 		for name, mdl := range controlModels() {
 			for _, st := range gpu.ControlStructures {
-				tgt := Target{Structure: st}
+				tgt := Target{Structure: st, Model: mdl}
 				opts := campaign.Options{Runs: 6, Seed: 5}
 				run := func() campaign.Tally {
 					return campaign.Run(opts, func(run int, rng *rand.Rand) faults.Result {
-						return InjectModel(job, g, tgt, mdl, rng)
+						return Inject(job, g, tgt, rng)
 					})
 				}
 				a, b := run(), run()

@@ -20,7 +20,7 @@ import (
 // faulty runs included, where the cores execute corrupted programs whose
 // trajectories never appeared in any golden run.
 
-// TestLegacyParityBruteForce: brute-force InjectModel campaigns across
+// TestLegacyParityBruteForce: brute-force Inject campaigns across
 // structures × fault models must tally identically on both cores. VA covers
 // the storage arrays; LUD (real barriers and divergence) the control sites.
 func TestLegacyParityBruteForce(t *testing.T) {
@@ -52,14 +52,14 @@ func TestLegacyParityBruteForce(t *testing.T) {
 			slow.Legacy = true
 			for name, mdl := range cs.models {
 				for _, st := range cs.structures {
-					tgt := Target{Structure: st}
+					tgt := Target{Structure: st, Model: mdl}
 					for seed := int64(1); seed <= 2; seed++ {
 						opts := campaign.Options{Runs: 2, Seed: seed}
 						want := campaign.Run(opts, func(run int, rng *rand.Rand) faults.Result {
-							return InjectModel(job, slow, tgt, mdl, rng)
+							return Inject(job, slow, tgt, rng)
 						})
 						got := campaign.Run(opts, func(run int, rng *rand.Rand) faults.Result {
-							return InjectModel(job, fast, tgt, mdl, rng)
+							return Inject(job, fast, tgt, rng)
 						})
 						if got != want {
 							t.Errorf("%s %s seed %d: µop tally %+v != reference %+v",
@@ -110,13 +110,13 @@ func TestLegacyParityCheckpointed(t *testing.T) {
 			}
 			for name, mdl := range cs.models {
 				for _, st := range cs.structures {
-					tgt := Target{Structure: st}
+					tgt := Target{Structure: st, Model: mdl}
 					opts := campaign.Options{Runs: 2, Seed: 3}
 					want := campaign.Run(opts, func(run int, rng *rand.Rand) faults.Result {
-						return InjectModel(job, slow, tgt, mdl, rng)
+						return Inject(job, slow, tgt, rng)
 					})
 					got := campaign.Run(opts, func(run int, rng *rand.Rand) faults.Result {
-						return InjectModel(job, fast, tgt, mdl, rng)
+						return Inject(job, fast, tgt, rng)
 					})
 					if got != want {
 						t.Errorf("%s %s: µop tally %+v != reference %+v", name, st, got, want)

@@ -1,0 +1,162 @@
+package microfi
+
+import (
+	"math/rand"
+
+	"gpurel/internal/ace"
+	"gpurel/internal/device"
+	"gpurel/internal/faultmodel"
+	"gpurel/internal/faults"
+	"gpurel/internal/flow"
+	"gpurel/internal/gpu"
+	"gpurel/internal/sim"
+)
+
+// Pruned injection: the same experiment as Inject — bit-identically for any
+// (seed, run) pair — with injections into provably dead sites classified as
+// Masked without simulating them. The caller holds the evidence (a dynamic
+// liveness map or the static interval map); the injector replays its own
+// site selection against that evidence's allocation timeline.
+//
+// The equivalence argument: the faulty run is deterministic and identical to
+// golden up to the injection cycle, so the allocated-block list the injector
+// would enumerate at that cycle is exactly the timeline's reconstruction,
+// and the RNG draws (cycle, entry, bit) replay in the same order with the
+// same bounds. A flip confined to one entry whose stored value is never read
+// again before overwrite/deallocation cannot change any future architectural
+// event — output and cycle count match golden, which is precisely the
+// Masked/not-control-affected classification the brute-force run would
+// produce. That argument holds only for a one-shot fault confined to the
+// drawn entry, so every model except faultmodel.Transient takes the exact
+// unpruned Inject path with pruned=false.
+
+// timeline is what a pruner knows about one allocated storage array of the
+// golden run: the blocks an injection at a cycle would find allocated on
+// each SM, in the injector's enumeration order, and whether a value stored
+// in an entry at that cycle can still reach a read.
+type timeline interface {
+	numSMs() int
+	blocksAt(sm int, cycle int64, dst []sim.RFBlock) []sim.RFBlock
+	live(sm, idx int, cycle int64) bool
+}
+
+// livenessTimeline is the register file as traced by ace.TraceRF.
+type livenessTimeline struct{ lv *ace.Liveness }
+
+func (l livenessTimeline) numSMs() int { return l.lv.NumSMs() }
+func (l livenessTimeline) blocksAt(sm int, cycle int64, dst []sim.RFBlock) []sim.RFBlock {
+	return l.lv.RFBlocksAt(sm, cycle, dst)
+}
+func (l livenessTimeline) live(sm, idx int, cycle int64) bool { return l.lv.Live(sm, idx, cycle) }
+
+// intervalTimeline is the register file, or shared memory when smem is set,
+// as recorded by the static interval engine.
+type intervalTimeline struct {
+	iv   *flow.Intervals
+	smem bool
+}
+
+func (s intervalTimeline) numSMs() int { return s.iv.NumSMs() }
+func (s intervalTimeline) blocksAt(sm int, cycle int64, dst []sim.RFBlock) []sim.RFBlock {
+	var scratch [8]flow.Blk
+	blocks := scratch[:0]
+	if s.smem {
+		blocks = s.iv.SmemBlocksAt(sm, cycle, blocks)
+	} else {
+		blocks = s.iv.RFBlocksAt(sm, cycle, blocks)
+	}
+	for _, b := range blocks {
+		dst = append(dst, sim.RFBlock(b))
+	}
+	return dst
+}
+func (s intervalTimeline) live(sm, idx int, cycle int64) bool {
+	if s.smem {
+		return s.iv.LiveSmem(sm, idx, cycle)
+	}
+	return s.iv.LiveRF(sm, idx, cycle)
+}
+
+// InjectPruned is Inject with register-file sites pruned against the golden
+// run's dynamic liveness map. The second return value reports whether the
+// run was pruned (classified analytically). Structures other than RF, a nil
+// map, non-transient models, and ECC-screened or empty-window runs fall
+// through to the exact Inject behaviour with pruned=false.
+func InjectPruned(job *device.Job, g *GoldenRun, lv *ace.Liveness, t Target, rng *rand.Rand) (faults.Result, bool) {
+	if lv == nil || t.Structure != gpu.RF {
+		return Inject(job, g, t, rng), false
+	}
+	return injectPruned(job, g, livenessTimeline{lv}, t, rng)
+}
+
+// InjectStatic is Inject with register-file and shared-memory sites pruned
+// against the static interval map, with the same fall-through rules as
+// InjectPruned. The map is computed from *static* instruction effects along
+// the scheduled trace, so it over-approximates dynamic liveness: a site
+// outside every live interval is provably never consumed. It needs no
+// reference-core liveness trace and is the only pruner that covers shared
+// memory.
+func InjectStatic(job *device.Job, g *GoldenRun, si *StaticIntervals, t Target, rng *rand.Rand) (faults.Result, bool) {
+	if si == nil || (t.Structure != gpu.RF && t.Structure != gpu.SMEM) {
+		return Inject(job, g, t, rng), false
+	}
+	return injectPruned(job, g, intervalTimeline{iv: si.IV, smem: t.Structure == gpu.SMEM}, t, rng)
+}
+
+// injectPruned replays the transient model's site selection from the
+// recorded allocation timeline — SMs in index order, blocks in CTA placement
+// order, then the (entry, bit) draws: the faultmodel.pickAllocated
+// enumeration — and simulates only when the drawn entry is live.
+func injectPruned(job *device.Job, g *GoldenRun, tl timeline, t Target, rng *rand.Rand) (faults.Result, bool) {
+	tr, ok := t.model().(faultmodel.Transient)
+	if !ok {
+		return Inject(job, g, t, rng), false
+	}
+	cycle, r, done := t.preflight(g, tr, rng)
+	if done {
+		return r, false
+	}
+	var (
+		blockScratch [8]sim.RFBlock
+		smScratch    [8]int
+		total        int
+	)
+	blocks, smOf := blockScratch[:0], smScratch[:0]
+	for sm := 0; sm < tl.numSMs(); sm++ {
+		n := len(blocks)
+		blocks = tl.blocksAt(sm, cycle, blocks)
+		for _, b := range blocks[n:] {
+			smOf = append(smOf, sm)
+			total += b.Size
+		}
+	}
+	if total == 0 {
+		// The brute-force run would simulate, find nothing allocated, and
+		// classify the unperturbed (hence golden-identical) run as Masked.
+		return faults.Result{Outcome: faults.Masked, Detail: "no allocated entry at injection cycle"}, true
+	}
+	// RF entries are 32-bit registers, SMEM entries are bytes.
+	bits := 32
+	if t.Structure == gpu.SMEM {
+		bits = 8
+	}
+	k := rng.Intn(total)
+	bit := uint(rng.Intn(bits))
+	for i, b := range blocks {
+		if k >= b.Size {
+			k -= b.Size
+			continue
+		}
+		sm, idx := smOf[i], b.Base+k
+		if !tl.live(sm, idx, cycle) {
+			// Provably dead: the corrupted value is never consumed.
+			return faults.Result{Outcome: faults.Masked}, true
+		}
+		return injectRun(job, g, cycle, false, func(m *sim.Machine) (faultmodel.Applier, bool) {
+			tr.FlipAt(m, t.Structure, sm, idx, bit)
+			return nil, true
+		}), false
+	}
+	// Unreachable: k < total = Σ sizes.
+	panic("microfi: site selection overran the allocation timeline")
+}

@@ -2,13 +2,10 @@ package microfi
 
 import (
 	"fmt"
-	"math/rand"
 
 	"gpurel/internal/device"
-	"gpurel/internal/faults"
 	"gpurel/internal/flow"
 	"gpurel/internal/gpu"
-	"gpurel/internal/isa"
 	"gpurel/internal/sim"
 )
 
@@ -16,25 +13,6 @@ import (
 // simulator exports; flow cannot import sim, so the structural contract is
 // pinned here.
 var _ sim.SchedTracer = (*flow.Recorder)(nil)
-
-// StaticDead maps each kernel program to its statically-dead register map
-// (per architectural register, true when flow analysis proves no execution
-// can ever read a value stored there). Unlike the ace.Liveness map it needs
-// no golden-run trace — it is a pure function of the instruction stream.
-type StaticDead map[*isa.Program][]bool
-
-// StaticDeadRegs computes flow.AlwaysDead for every kernel the job launches.
-func StaticDeadRegs(job *device.Job) StaticDead {
-	dead := StaticDead{}
-	for i := range job.Steps {
-		if l := job.Steps[i].Launch; l != nil && l.Kernel != nil {
-			if _, done := dead[l.Kernel]; !done {
-				dead[l.Kernel] = flow.AlwaysDead(l.Kernel)
-			}
-		}
-	}
-	return dead
-}
 
 // StaticIntervals is the static ACE-interval map of one job: the flow
 // interval engine's per-site dead/live intervals over the deterministic
@@ -80,181 +58,4 @@ func (si *StaticIntervals) Bounds(st gpu.Structure, kernel string) flow.Bounds {
 		return si.IV.SmemBounds(ws)
 	}
 	return flow.Bounds{Supported: false, Lower: 0, Upper: 1}
-}
-
-// InjectStatic performs the same experiment as Inject — bit-identically for
-// any (seed, run) pair — but classifies injections landing in a statically
-// dead interval as Masked without simulating them. The second return value
-// reports whether the run was pruned (classified analytically). Structures
-// other than RF and SMEM, and ECC-screened or empty-window runs, fall
-// through to the exact Inject behaviour with pruned=false.
-//
-// The equivalence argument mirrors InjectPruned's: the faulty run is
-// deterministic and identical to golden up to the injection cycle, the
-// static allocation timeline replays the injector's enumeration (SMs in
-// index order, blocks in CTA placement order) bit-compatibly, and the RNG
-// draws (cycle, entry, bit) happen in the same order with the same bounds.
-// The interval map is computed from *static* instruction effects along the
-// scheduled trace, so it over-approximates dynamic liveness: a site outside
-// every live interval is provably never consumed before overwrite or
-// deallocation, and the brute-force run would classify Masked with no
-// control-flow effect. Unlike the boolean InjectStaticDead prune this is
-// cycle-aware — a register (or shared-memory word) that is live somewhere
-// is still pruned at the cycles where it provably is not — and it covers
-// shared memory, which the always-dead prune cannot touch at all.
-func InjectStatic(job *device.Job, g *GoldenRun, si *StaticIntervals, t Target, rng *rand.Rand) (faults.Result, bool) {
-	if si == nil || (t.Structure != gpu.RF && t.Structure != gpu.SMEM) {
-		return Inject(job, g, t, rng), false
-	}
-	cycle, width, r, done := t.preflight(g, rng)
-	if done {
-		return r, false
-	}
-	// Replay the transient model's site selection from the static
-	// allocation timeline (the faultmodel.pickAllocated enumeration).
-	var (
-		scratch [8]flow.Blk
-		smOf    []int
-		total   int
-	)
-	blocksAt, bits := si.IV.RFBlocksAt, 32
-	if t.Structure == gpu.SMEM {
-		blocksAt, bits = si.IV.SmemBlocksAt, 8
-	}
-	blocks := scratch[:0]
-	for sm := 0; sm < si.IV.NumSMs(); sm++ {
-		n := len(blocks)
-		blocks = blocksAt(sm, cycle, blocks)
-		for range blocks[n:] {
-			smOf = append(smOf, sm)
-		}
-	}
-	for _, b := range blocks {
-		total += b.Size
-	}
-	if total == 0 {
-		// The brute-force run would simulate, find nothing allocated, and
-		// classify the unperturbed (hence golden-identical) run as Masked.
-		return faults.Result{Outcome: faults.Masked, Detail: "no allocated entry at injection cycle"}, true
-	}
-	k := rng.Intn(total)
-	bit := uint(rng.Intn(bits))
-	for i, b := range blocks {
-		if k < b.Size {
-			sm, idx := smOf[i], b.Base+k
-			live := si.IV.LiveRF(sm, idx, cycle)
-			if t.Structure == gpu.SMEM {
-				live = si.IV.LiveSmem(sm, idx, cycle)
-			}
-			if !live {
-				// Provably dead interval: the corrupted value is never consumed.
-				return faults.Result{Outcome: faults.Masked}, true
-			}
-			return injectRun(job, g, cycle, func(m *sim.Machine) bool {
-				for w := 0; w < width; w++ {
-					if t.Structure == gpu.SMEM {
-						m.SMs[sm].Smem[idx] ^= 1 << ((bit + uint(w)) % 8)
-					} else {
-						m.SMs[sm].RF[idx] ^= 1 << ((bit + uint(w)) % 32)
-					}
-				}
-				if t.Structure == gpu.SMEM {
-					m.SMs[sm].MarkSmem(idx)
-				} else {
-					m.SMs[sm].MarkRF(idx)
-				}
-				return true
-			}), false
-		}
-		k -= b.Size
-	}
-	// Unreachable: k < total = Σ sizes.
-	panic("microfi: site selection overran the static allocation timeline")
-}
-
-// ctaBlock pairs an allocated RF region with its SM, additionally carrying
-// the owning program.
-type ctaBlock struct {
-	sm  *sim.SM
-	blk sim.CTABlock
-}
-
-// InjectStaticDead is the boolean predecessor of InjectStatic: it performs
-// the same experiment as Inject — bit-identically for any (seed, run) pair
-// — but classifies hits on statically always-dead architectural registers
-// as Masked without finishing the faulty simulation. The second return
-// value reports whether the run was pruned. It is kept as the baseline the
-// interval prune is property-tested against (every run it prunes, the
-// interval prune must also prune).
-//
-// Unlike InjectPruned and InjectStatic it needs no golden-run trace at all:
-// the simulation runs up to the injection cycle (that prefix is fault-free,
-// hence identical to golden), the injector replays the transient model's
-// RNG draws against the machine's resident CTA blocks, and maps the chosen
-// physical register back to its architectural index (offset % NumRegs
-// within the owning CTA's per-thread frame). If flow analysis proved that
-// register can never be read, the value is unobservable: the rest of the
-// run would replay golden exactly, so the brute-force outcome is Masked
-// with no control-flow effect, and the simulation is abandoned via
-// Machine.StopRun. Otherwise the bit flips and the run completes and
-// classifies as usual.
-func InjectStaticDead(job *device.Job, g *GoldenRun, dead StaticDead, t Target, rng *rand.Rand) (faults.Result, bool) {
-	if t.Structure != gpu.RF || dead == nil {
-		return Inject(job, g, t, rng), false
-	}
-	cycle, width, r, done := t.preflight(g, rng)
-	if done {
-		return r, false
-	}
-	hit := false
-	pruned := false
-	opts := sim.Options{
-		MaxCycles: g.Res.Cycles * int64(g.Cfg.TimeoutFactor),
-		AtCycle:   cycle,
-		Legacy:    g.Legacy,
-		OnCycle: func(m *sim.Machine) {
-			// Replay the transient model's site selection exactly: SMs in
-			// index order, blocks in CTA placement order, then (entry, bit)
-			// draws (the faultmodel.pickAllocated enumeration).
-			var blocks []ctaBlock
-			total := 0
-			for _, sm := range m.SMs {
-				for _, b := range sm.ResidentRF() {
-					blocks = append(blocks, ctaBlock{sm, b})
-					total += b.Size
-				}
-			}
-			if total == 0 {
-				return // flip would return false having drawn nothing
-			}
-			k := rng.Intn(total)
-			bit := uint(rng.Intn(32))
-			for _, cb := range blocks {
-				if k < cb.blk.Size {
-					arch := k % cb.blk.Prog.NumRegs
-					if d := dead[cb.blk.Prog]; arch < len(d) && d[arch] {
-						pruned = true
-						m.StopRun()
-						return
-					}
-					for w := 0; w < width; w++ {
-						cb.sm.RF[cb.blk.Base+k] ^= 1 << ((bit + uint(w)) % 32)
-					}
-					cb.sm.MarkRF(cb.blk.Base + k)
-					hit = true
-					return
-				}
-				k -= cb.blk.Size
-			}
-		},
-	}
-	g.accelerate(&opts, cycle)
-	res := sim.Run(job, g.Cfg, opts)
-	if pruned {
-		return faults.Result{Outcome: faults.Masked}, true
-	}
-	if res.Converged {
-		return g.classifyConverged(res, hit), false
-	}
-	return Classify(g, res, hit), false
 }

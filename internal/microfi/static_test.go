@@ -4,263 +4,14 @@ import (
 	"math/rand"
 	"testing"
 
-	"gpurel/internal/ace"
-	"gpurel/internal/device"
 	"gpurel/internal/faults"
-	"gpurel/internal/flow"
 	"gpurel/internal/gpu"
-	"gpurel/internal/isa"
 	"gpurel/internal/kernels"
-	"gpurel/internal/sim"
 )
-
-// overAllocJob is saxpy with four padding registers per thread: allocated in
-// the RF but never touched by any instruction, so statically provably dead.
-// Real kernels carry such over-allocation too (allocation granularity), which
-// is exactly what static pruning harvests without a trace.
-func overAllocJob(n int) *device.Job {
-	job := saxpyJob(n)
-	job.Steps[0].Launch.Kernel.NumRegs += 4
-	return job
-}
-
-func TestStaticDeadRegs(t *testing.T) {
-	job := overAllocJob(256)
-	dead := StaticDeadRegs(job)
-	prog := job.Steps[0].Launch.Kernel
-	d := dead[prog]
-	if len(d) != prog.NumRegs {
-		t.Fatalf("dead map has %d entries, want %d", len(d), prog.NumRegs)
-	}
-	for r := prog.NumRegs - 4; r < prog.NumRegs; r++ {
-		if !d[r] {
-			t.Errorf("padding register R%d must be statically dead", r)
-		}
-	}
-	nDead := 0
-	for _, v := range d {
-		if v {
-			nDead++
-		}
-	}
-	if nDead == prog.NumRegs {
-		t.Error("every register statically dead — analysis is broken")
-	}
-}
-
-// TestInjectStaticDeadEquivalence is the property behind boolean static
-// pruning: for every seed, InjectStaticDead classifies bit-identically to
-// the brute-force Inject, with provably-dead hits short-circuited.
-func TestInjectStaticDeadEquivalence(t *testing.T) {
-	job := overAllocJob(256)
-	cfg := gpu.Volta()
-	g, err := Golden(job, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dead := StaticDeadRegs(job)
-	for _, burst := range []int{1, 3} {
-		tgt := Target{Structure: gpu.RF, Kernel: "K1", Burst: burst}
-		pruned, simulated := 0, 0
-		for seed := int64(0); seed < 120; seed++ {
-			want := Inject(job, g, tgt, rand.New(rand.NewSource(seed)))
-			got, wasPruned := InjectStaticDead(job, g, dead, tgt, rand.New(rand.NewSource(seed)))
-			if got != want {
-				t.Fatalf("burst %d seed %d: static %+v != brute-force %+v (pruned=%v)",
-					burst, seed, got, want, wasPruned)
-			}
-			if wasPruned {
-				pruned++
-				if got.Outcome != faults.Masked {
-					t.Fatalf("burst %d seed %d: pruned a non-masked outcome %+v", burst, seed, got)
-				}
-			} else {
-				simulated++
-			}
-		}
-		t.Logf("burst %d: %d pruned, %d simulated", burst, pruned, simulated)
-		if pruned == 0 {
-			t.Errorf("burst %d: no runs pruned — static dead set finds no sites", burst)
-		}
-		if simulated == 0 {
-			t.Errorf("burst %d: all runs pruned — suspiciously aggressive", burst)
-		}
-	}
-}
-
-// TestInjectStaticDeadCampaignTally: aggregated campaign tallies are
-// bit-identical between brute force and boolean static pruning (same seeds
-// → same per-run results → same counts).
-func TestInjectStaticDeadCampaignTally(t *testing.T) {
-	job := overAllocJob(128)
-	cfg := gpu.Volta()
-	g, err := Golden(job, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dead := StaticDeadRegs(job)
-	tgt := Target{Structure: gpu.RF, Kernel: "K1"}
-	var brute, static [faults.NumOutcomes]int
-	for seed := int64(0); seed < 80; seed++ {
-		brute[Inject(job, g, tgt, rand.New(rand.NewSource(seed))).Outcome]++
-		r, _ := InjectStaticDead(job, g, dead, tgt, rand.New(rand.NewSource(seed)))
-		static[r.Outcome]++
-	}
-	if brute != static {
-		t.Fatalf("campaign tallies differ: brute=%v static=%v", brute, static)
-	}
-}
-
-// TestInjectStaticDeadNonRF: other structures and a nil dead set fall
-// through to Inject verbatim.
-func TestInjectStaticDeadNonRF(t *testing.T) {
-	job := overAllocJob(128)
-	cfg := gpu.Volta()
-	g, _ := Golden(job, cfg)
-	dead := StaticDeadRegs(job)
-	for _, st := range []gpu.Structure{gpu.SMEM, gpu.L2} {
-		tgt := Target{Structure: st, Kernel: "K1"}
-		for seed := int64(0); seed < 15; seed++ {
-			want := Inject(job, g, tgt, rand.New(rand.NewSource(seed)))
-			got, wasPruned := InjectStaticDead(job, g, dead, tgt, rand.New(rand.NewSource(seed)))
-			if wasPruned {
-				t.Fatalf("%s: non-RF run must never be statically pruned", st)
-			}
-			if got != want {
-				t.Fatalf("%s seed %d: %+v != %+v", st, seed, got, want)
-			}
-		}
-	}
-	want := Inject(job, g, Target{Structure: gpu.RF, Kernel: "K1"}, rand.New(rand.NewSource(7)))
-	got, wasPruned := InjectStaticDead(job, g, nil, Target{Structure: gpu.RF, Kernel: "K1"}, rand.New(rand.NewSource(7)))
-	if wasPruned || got != want {
-		t.Errorf("nil dead set must behave as Inject: %+v vs %+v", got, want)
-	}
-}
-
-// TestStaticSubsetOfDynamic proves the soundness property on every built-in
-// kernel of all 11 apps: a statically-dead architectural register is
-// dynamically dead at every allocated site and cycle of the traced run
-// (static-dead ⊆ ace-dead). The converse is of course false — the dynamic
-// map also knows about last-read-to-overwrite windows.
-func TestStaticSubsetOfDynamic(t *testing.T) {
-	cfg := gpu.Volta()
-	for _, app := range kernels.All() {
-		app := app
-		t.Run(app.Name, func(t *testing.T) {
-			job := app.Build()
-			dead := StaticDeadRegs(job)
-			progByName := map[string]*deadProg{}
-			for i := range job.Steps {
-				if l := job.Steps[i].Launch; l != nil {
-					progByName[l.Name()] = &deadProg{numRegs: l.Kernel.NumRegs, dead: dead[l.Kernel]}
-				}
-			}
-			g, err := Golden(job, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lv, err := ace.TraceRF(job, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checked, deadSites := 0, 0
-			for _, span := range g.Res.Spans {
-				dp := progByName[span.Kernel]
-				if dp == nil {
-					t.Fatalf("span kernel %q has no launch", span.Kernel)
-				}
-				// Sample cycles across the span; launches are sequential, so
-				// every block allocated in this window belongs to this kernel.
-				for s := 0; s < 8; s++ {
-					cycle := span.Start + 1 + (span.End-span.Start-1)*int64(s)/8
-					for sm := 0; sm < lv.NumSMs(); sm++ {
-						for _, blk := range lv.RFBlocksAt(sm, cycle, nil) {
-							for k := 0; k < blk.Size; k++ {
-								if !dp.dead[k%dp.numRegs] {
-									continue
-								}
-								deadSites++
-								if lv.Live(sm, blk.Base+k, cycle) {
-									t.Fatalf("kernel %s: statically-dead R%d live at sm=%d phys=%d cycle=%d",
-										span.Kernel, k%dp.numRegs, sm, blk.Base+k, cycle)
-								}
-							}
-							checked += blk.Size
-						}
-					}
-				}
-			}
-			t.Logf("%s: %d sites checked, %d statically dead", app.Name, checked, deadSites)
-		})
-	}
-}
-
-type deadProg struct {
-	numRegs int
-	dead    []bool
-}
-
-// progAt maps an injection cycle back to the program of the kernel whose
-// launch span covers it (launches are sequential).
-func progAt(job *device.Job, spans []sim.LaunchSpan, cycle int64) *isa.Program {
-	for _, s := range spans {
-		if s.Start < cycle && cycle <= s.End {
-			for i := range job.Steps {
-				if l := job.Steps[i].Launch; l != nil && l.Name() == s.Kernel {
-					return l.Kernel
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// drawStatic replays the transient injector's RNG draw sequence against the
-// static allocation timeline without simulating anything, returning the
-// drawn site. ok is false when the run never draws one (empty window, ECC
-// screen, or nothing allocated at the cycle).
-func drawStatic(g *GoldenRun, si *StaticIntervals, t Target, rng *rand.Rand) (sm, idx int, cycle int64, ok bool) {
-	cycle, _, _, done := t.preflight(g, rng)
-	if done {
-		return 0, 0, 0, false
-	}
-	blocksAt, bits := si.IV.RFBlocksAt, 32
-	if t.Structure == gpu.SMEM {
-		blocksAt, bits = si.IV.SmemBlocksAt, 8
-	}
-	var blocks []flow.Blk
-	var smOf []int
-	total := 0
-	for s := 0; s < si.IV.NumSMs(); s++ {
-		n := len(blocks)
-		blocks = blocksAt(s, cycle, blocks)
-		for range blocks[n:] {
-			smOf = append(smOf, s)
-		}
-	}
-	for _, b := range blocks {
-		total += b.Size
-	}
-	if total == 0 {
-		return 0, 0, 0, false
-	}
-	k := rng.Intn(total)
-	_ = rng.Intn(bits) // bit draw, irrelevant to deadness
-	for i, b := range blocks {
-		if k < b.Size {
-			return smOf[i], b.Base + k, cycle, true
-		}
-		k -= b.Size
-	}
-	panic("drawStatic: overran the allocation timeline")
-}
 
 // TestStaticIntervalPruneProperty is the property-test satellite: on every
 // shipped app × seed, the interval-based InjectStatic classifies
-// bit-identically to brute-force Inject (RF and SMEM), and its prune set is
-// a superset of the boolean AlwaysDead prune — any run InjectStaticDead
-// short-circuits, InjectStatic must short-circuit too.
+// bit-identically to brute-force Inject (RF and SMEM).
 func TestStaticIntervalPruneProperty(t *testing.T) {
 	cfg := gpu.Volta()
 	for _, app := range kernels.All() {
@@ -271,7 +22,6 @@ func TestStaticIntervalPruneProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dead := StaticDeadRegs(job)
 			g, err := Golden(job, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -279,7 +29,7 @@ func TestStaticIntervalPruneProperty(t *testing.T) {
 			for _, st := range []gpu.Structure{gpu.RF, gpu.SMEM} {
 				tgt := Target{Structure: st}
 				var brute, static [faults.NumOutcomes]int
-				intervalPruned, deadPruned := 0, 0
+				intervalPruned := 0
 				seeds := int64(10)
 				if st == gpu.SMEM {
 					seeds = 6
@@ -296,120 +46,12 @@ func TestStaticIntervalPruneProperty(t *testing.T) {
 					if pruned {
 						intervalPruned++
 					}
-					if st == gpu.RF {
-						_, dp := InjectStaticDead(job, g, dead, tgt, rand.New(rand.NewSource(seed)))
-						if dp {
-							deadPruned++
-							if !pruned {
-								t.Fatalf("seed %d: AlwaysDead pruned but the interval prune did not — superset violated", seed)
-							}
-						}
-					}
 				}
 				if brute != static {
 					t.Fatalf("%s: campaign tallies differ: brute=%v static=%v", st, brute, static)
 				}
-				t.Logf("%s: interval pruned %d/%d (always-dead %d)", st, intervalPruned, seeds, deadPruned)
+				t.Logf("%s: interval pruned %d/%d", st, intervalPruned, seeds)
 			}
 		})
-	}
-}
-
-// BenchmarkStaticPrune measures the static pre-classification and asserts
-// the acceptance criterion: interval pruning pre-classifies a strictly
-// larger run fraction than the AlwaysDead prune on at least 8 of the 11
-// apps (it can only tie where a kernel leaves nothing dead to harvest), the
-// interval prune set is a per-draw superset of the AlwaysDead set, and a
-// simulated campaign's final tallies are bit-identical to brute force.
-func BenchmarkStaticPrune(b *testing.B) {
-	cfg := gpu.Volta()
-	type appState struct {
-		app  kernels.App
-		job  *device.Job
-		g    *GoldenRun
-		si   *StaticIntervals
-		dead StaticDead
-	}
-	var apps []appState
-	for _, app := range kernels.All() {
-		job := app.Build()
-		g, err := Golden(job, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		si, err := TraceStatic(job, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		apps = append(apps, appState{app, job, g, si, StaticDeadRegs(job)})
-	}
-	const drawSeeds = 400
-	tgt := Target{Structure: gpu.RF}
-	intervalHits := make([]int, len(apps))
-	deadHits := make([]int, len(apps))
-	draws := make([]int, len(apps))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for ai := range apps {
-			a := &apps[ai]
-			intervalHits[ai], deadHits[ai], draws[ai] = 0, 0, 0
-			for seed := int64(0); seed < drawSeeds; seed++ {
-				sm, idx, cycle, ok := drawStatic(a.g, a.si, tgt, rand.New(rand.NewSource(seed)))
-				if !ok {
-					continue
-				}
-				draws[ai]++
-				ivDead := !a.si.IV.LiveRF(sm, idx, cycle)
-				adDead := false
-				if p := progAt(a.job, a.si.Spans, cycle); p != nil {
-					if d := a.dead[p]; d != nil {
-						adDead = d[idx%p.NumRegs]
-					}
-				}
-				if adDead && !ivDead {
-					b.Fatalf("%s seed %d: AlwaysDead site not interval-dead (sm=%d idx=%d cycle=%d)",
-						a.app.Name, seed, sm, idx, cycle)
-				}
-				if ivDead {
-					intervalHits[ai]++
-				}
-				if adDead {
-					deadHits[ai]++
-				}
-			}
-		}
-	}
-	b.StopTimer()
-
-	strictlyLarger := 0
-	var sumIv, sumDead float64
-	for ai := range apps {
-		ivFrac := float64(intervalHits[ai]) / float64(drawSeeds)
-		dFrac := float64(deadHits[ai]) / float64(drawSeeds)
-		sumIv += ivFrac
-		sumDead += dFrac
-		if intervalHits[ai] > deadHits[ai] {
-			strictlyLarger++
-		}
-		b.Logf("%-10s interval prune %5.1f%%  always-dead %5.1f%%  (%d draws)",
-			apps[ai].app.Name, 100*ivFrac, 100*dFrac, draws[ai])
-	}
-	if strictlyLarger < 8 {
-		b.Fatalf("interval pruning beats AlwaysDead on only %d of %d apps, want >= 8", strictlyLarger, len(apps))
-	}
-	b.ReportMetric(100*sumIv/float64(len(apps)), "%interval-pruned")
-	b.ReportMetric(100*sumDead/float64(len(apps)), "%alwaysdead-pruned")
-
-	// Bit-identity of the end-to-end campaign, small seed set per app.
-	for _, a := range apps {
-		var brute, static [faults.NumOutcomes]int
-		for seed := int64(0); seed < 5; seed++ {
-			brute[Inject(a.job, a.g, tgt, rand.New(rand.NewSource(seed))).Outcome]++
-			r, _ := InjectStatic(a.job, a.g, a.si, tgt, rand.New(rand.NewSource(seed)))
-			static[r.Outcome]++
-		}
-		if brute != static {
-			b.Fatalf("%s: tallies differ: brute=%v static=%v", a.app.Name, brute, static)
-		}
 	}
 }

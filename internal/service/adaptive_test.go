@@ -6,7 +6,6 @@ package service_test
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -215,8 +214,10 @@ func TestSubmitHTTPValidation(t *testing.T) {
 		`{"layer":"micro","app":"fake","kernel":"K1","runs":10,"sampling":{"margin99":1.5}}`,
 		`{"layer":"micro","app":"fake","kernel":"K1","runs":10,"sampling":{"batch":-2}}`,
 		`{"layer":"micro","app":"fake","kernel":"K1","runs":10,"sampling":{"bogus":1}}`,
-		// …and mixing flat and nested spellings of one group is an error,
-		// never a silent pick.
+		// …and the flat pre-v1 spellings are unknown fields, valid values or
+		// not, alone or beside the nested group.
+		`{"layer":"micro","app":"fake","kernel":"K1","runs":10,"seed":1,"margin99":0.05,"batch":5,"prune":true}`,
+		`{"layer":"micro","app":"fake","kernel":"K1","runs":10,"snap_stride":-1,"converge":true}`,
 		`{"layer":"micro","app":"fake","kernel":"K1","runs":10,"margin99":0.05,"sampling":{"margin99":0.05}}`,
 		`{"layer":"micro","app":"fake","kernel":"K1","runs":10,"converge":true,"checkpoint":{"converge":true}}`,
 	}
@@ -225,44 +226,8 @@ func TestSubmitHTTPValidation(t *testing.T) {
 			t.Errorf("POST %s -> %d, want 400", body, code)
 		}
 	}
-	// The deprecated flat spelling still submits fine (with a deprecation
-	// note in the response); the nested spelling is the clean path.
-	if code := post(`{"layer":"micro","app":"fake","kernel":"K1","runs":10,"seed":1,"margin99":0.05,"batch":5,"prune":true}`); code != http.StatusAccepted {
-		t.Errorf("valid legacy-flat adaptive spec -> %d, want 202", code)
-	}
 	if code := post(`{"layer":"micro","app":"fake","kernel":"K1","runs":10,"seed":1,"sampling":{"margin99":0.05,"batch":5,"prune":true},"checkpoint":{"stride":-1,"converge":true}}`); code != http.StatusAccepted {
 		t.Errorf("valid nested adaptive spec -> %d, want 202", code)
-	}
-}
-
-// TestSubmitDeprecationNote: flat-spec submissions are flagged in the
-// response; nested submissions are not.
-func TestSubmitDeprecationNote(t *testing.T) {
-	_, srv := newTestServer(t, service.Config{Source: fakeSource(0)})
-
-	submit := func(body string) service.JobStatus {
-		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", bytes.NewBufferString(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("POST %s -> %d", body, resp.StatusCode)
-		}
-		var st service.JobStatus
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
-
-	flat := submit(`{"layer":"micro","app":"fake","kernel":"K1","runs":10,"seed":1,"margin99":0.05}`)
-	if !strings.Contains(flat.Deprecation, "deprecated") {
-		t.Errorf("flat submission missing deprecation note: %+v", flat)
-	}
-	nested := submit(`{"layer":"micro","app":"fake","kernel":"K1","runs":10,"seed":1,"sampling":{"margin99":0.05}}`)
-	if nested.Deprecation != "" {
-		t.Errorf("nested submission carries deprecation note: %q", nested.Deprecation)
 	}
 }
 

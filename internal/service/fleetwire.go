@@ -1,8 +1,6 @@
 package service
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"sort"
 
@@ -51,36 +49,19 @@ type WorkerSpec struct {
 	Caps WorkerCaps `json:"caps"`
 }
 
-// workerSpecBody is the inner object of the registration envelope.
-type workerSpecBody struct {
-	Name string     `json:"name"`
-	Caps WorkerCaps `json:"caps"`
-}
+// workerSpecBody mirrors WorkerSpec without its methods, so the custom
+// Marshal/Unmarshal cannot recurse.
+type workerSpecBody WorkerSpec
 
-type workerSpecWire struct {
-	Worker *workerSpecBody `json:"worker"`
-}
-
-// UnmarshalJSON decodes the v1 registration envelope. Unlike the lease
-// request there is no legacy flat spelling: the endpoint is new, so the
-// envelope is mandatory.
+// UnmarshalJSON decodes the v1 registration envelope, rejecting unknown
+// fields.
 func (sp *WorkerSpec) UnmarshalJSON(data []byte) error {
-	var w workerSpecWire
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&w); err != nil {
-		return err
-	}
-	if w.Worker == nil {
-		return fmt.Errorf(`worker registration must nest the spec under "worker"`)
-	}
-	*sp = WorkerSpec{Name: w.Worker.Name, Caps: w.Worker.Caps}
-	return nil
+	return decodeEnvelope(data, "worker", (*workerSpecBody)(sp), true)
 }
 
-// MarshalJSON always emits the v1 envelope.
+// MarshalJSON emits the v1 envelope.
 func (sp WorkerSpec) MarshalJSON() ([]byte, error) {
-	return json.Marshal(workerSpecWire{Worker: &workerSpecBody{Name: sp.Name, Caps: sp.Caps}})
+	return encodeEnvelope("worker", workerSpecBody(sp))
 }
 
 // Validate rejects malformed registrations.

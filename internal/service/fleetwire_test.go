@@ -1,8 +1,7 @@
-// Golden wire tests for the fleet control-plane schema: the deprecated bare
-// lease request and the nested v1 spelling in testdata/ decode to the same
-// request (only the bare one flagged deprecated), encoding always emits the
-// envelope, mixing the spellings is rejected, and the worker registration
-// envelope is mandatory.
+// Golden wire tests for the fleet control-plane schema: the nested v1 lease
+// request in testdata/ decodes and re-encodes as the envelope, the bare
+// pre-v1 spelling is a negative fixture, and every message's envelope is
+// mandatory.
 package service_test
 
 import (
@@ -28,97 +27,83 @@ func loadFixture(t *testing.T, name string, v any) {
 	}
 }
 
-// TestLeaseRequestGoldenFixtures: both spellings decode to the same request;
-// only the bare legacy form is flagged deprecated; re-encoding emits the
-// envelope.
+// TestLeaseRequestGoldenFixtures: the nested fixture decodes, validates and
+// re-encodes as the envelope; the bare fixture is rejected.
 func TestLeaseRequestGoldenFixtures(t *testing.T) {
-	var legacy, nested service.LeaseRequest
-	loadFixture(t, "leasespec_legacy.json", &legacy)
+	var nested service.LeaseRequest
 	loadFixture(t, "leasespec_nested.json", &nested)
-
-	if !legacy.LegacyFlat() {
-		t.Error("legacy fixture not flagged as flat")
+	if nested.Worker != "w1" || nested.MaxRuns != 256 || nested.RunsPerSec != 42.5 {
+		t.Errorf("decoded request %+v, want worker=w1 max_runs=256 runs_per_sec=42.5", nested)
 	}
-	if nested.LegacyFlat() {
-		t.Error("nested fixture flagged as flat")
+	if err := nested.Validate(); err != nil {
+		t.Errorf("nested fixture invalid: %v", err)
 	}
-	if legacy.Worker != nested.Worker || legacy.MaxRuns != nested.MaxRuns || legacy.RunsPerSec != nested.RunsPerSec {
-		t.Errorf("fixtures decode differently: legacy %+v, nested %+v", legacy, nested)
-	}
-	if legacy.Worker != "w1" || legacy.MaxRuns != 256 || legacy.RunsPerSec != 42.5 {
-		t.Errorf("decoded request %+v, want worker=w1 max_runs=256 runs_per_sec=42.5", legacy)
-	}
-	for name, req := range map[string]service.LeaseRequest{"legacy": legacy, "nested": nested} {
-		if err := req.Validate(); err != nil {
-			t.Errorf("%s fixture invalid: %v", name, err)
-		}
-		out, err := json.Marshal(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(string(out), `"lease"`) {
-			t.Errorf("%s re-encode lost the envelope: %s", name, out)
-		}
-		var back service.LeaseRequest
-		if err := json.Unmarshal(out, &back); err != nil {
-			t.Fatalf("%s re-decode: %v", name, err)
-		}
-		if back.LegacyFlat() {
-			t.Errorf("%s round trip re-flagged deprecated: %s", name, out)
-		}
-	}
-}
-
-// TestLeaseRequestMixedSpellingRejected: a request that nests a "lease"
-// envelope AND carries bare fields is ambiguous and rejected.
-func TestLeaseRequestMixedSpellingRejected(t *testing.T) {
-	var req service.LeaseRequest
-	err := json.Unmarshal([]byte(`{"lease":{"worker":"w1"},"worker":"w2"}`), &req)
-	if err == nil || !strings.Contains(err.Error(), "mixes") {
-		t.Fatalf("mixed spelling err = %v, want a mixing rejection", err)
-	}
-	if err := json.Unmarshal([]byte(`{"lease":{"worker":"w1"},"bogus":1}`), &req); err == nil {
-		t.Fatal("unknown field accepted")
-	}
-}
-
-// TestLeaseReportBothSpellings: the report decoder accepts both forms,
-// rejects mixing, and always re-encodes the envelope.
-func TestLeaseReportBothSpellings(t *testing.T) {
-	tl := campaign.Tally{N: 100}
-	raw, _ := json.Marshal(tl)
-	legacyJSON := `{"worker":"w1","from":0,"to":100,"tally":` + string(raw) + `,"done":true}`
-	nestedJSON := `{"report":{"worker":"w1","from":0,"to":100,"tally":` + string(raw) + `,"done":true}}`
-
-	var legacy, nested service.LeaseReport
-	if err := json.Unmarshal([]byte(legacyJSON), &legacy); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal([]byte(nestedJSON), &nested); err != nil {
-		t.Fatal(err)
-	}
-	if !legacy.LegacyFlat() || nested.LegacyFlat() {
-		t.Errorf("deprecation flags wrong: legacy %v, nested %v", legacy.LegacyFlat(), nested.LegacyFlat())
-	}
-	if legacy.Worker != nested.Worker || legacy.From != nested.From || legacy.To != nested.To ||
-		legacy.Tally != nested.Tally || legacy.Done != nested.Done {
-		t.Errorf("spellings decode differently: %+v vs %+v", legacy, nested)
-	}
-	out, err := json.Marshal(legacy)
+	out, err := json.Marshal(nested)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(out), `"report"`) {
+	if !strings.HasPrefix(string(out), `{"lease":`) {
 		t.Errorf("re-encode lost the envelope: %s", out)
 	}
-	var mixed service.LeaseReport
-	if err := json.Unmarshal([]byte(`{"report":{"worker":"w1"},"done":true}`), &mixed); err == nil {
-		t.Error("mixed report spelling accepted")
+
+	raw, err := os.ReadFile(filepath.Join("testdata", "leasespec_legacy.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bare service.LeaseRequest
+	if err := json.Unmarshal(raw, &bare); err == nil {
+		t.Errorf("bare fixture decoded to %+v; the envelope is mandatory", bare)
 	}
 }
 
-// TestLeaseEnvelopeRoundTrip: Lease and LeaseAck emit the v1 envelope and
-// decode both the envelope and the bare legacy body.
+// TestLeaseRequestMixedSpellingRejected: anything beside the "lease"
+// envelope — a bare field or an unknown one — is rejected, as is an unknown
+// field inside it.
+func TestLeaseRequestMixedSpellingRejected(t *testing.T) {
+	var req service.LeaseRequest
+	for _, body := range []string{
+		`{"lease":{"worker":"w1"},"worker":"w2"}`,
+		`{"lease":{"worker":"w1"},"bogus":1}`,
+		`{"lease":{"worker":"w1","bogus":1}}`,
+		`{}`,
+	} {
+		if err := json.Unmarshal([]byte(body), &req); err == nil {
+			t.Errorf("%s accepted", body)
+		}
+	}
+}
+
+// TestLeaseReportBothSpellings: the report decoder accepts the envelope,
+// rejects the bare body and anything beside the envelope, and re-encodes
+// the envelope.
+func TestLeaseReportBothSpellings(t *testing.T) {
+	tl := campaign.Tally{N: 100}
+	raw, _ := json.Marshal(tl)
+	body := `{"worker":"w1","from":0,"to":100,"tally":` + string(raw) + `,"done":true}`
+
+	var rep service.LeaseReport
+	if err := json.Unmarshal([]byte(`{"report":`+body+`}`), &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Worker != "w1" || rep.From != 0 || rep.To != 100 || rep.Tally != tl || !rep.Done {
+		t.Errorf("decoded report %+v", rep)
+	}
+	out, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(out), `{"report":`) {
+		t.Errorf("re-encode lost the envelope: %s", out)
+	}
+	for _, bad := range []string{body, `{"report":{"worker":"w1"},"done":true}`} {
+		if err := json.Unmarshal([]byte(bad), &rep); err == nil {
+			t.Errorf("%s accepted", bad)
+		}
+	}
+}
+
+// TestLeaseEnvelopeRoundTrip: Lease and LeaseAck emit the v1 envelope,
+// round-trip through it, and do not decode from a bare body.
 func TestLeaseEnvelopeRoundTrip(t *testing.T) {
 	ls := service.Lease{
 		ID: "l1", JobID: "j1",
@@ -139,13 +124,8 @@ func TestLeaseEnvelopeRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(back, ls) {
 		t.Errorf("lease round trip drifted:\nbefore %+v\nafter  %+v", ls, back)
 	}
-	// The bare legacy body still decodes (old coordinators on the wire).
-	var bare service.Lease
-	if err := json.Unmarshal([]byte(`{"id":"l2","job_id":"j2","spec":{"layer":"micro","app":"VA","kernel":"K1","runs":5},"from":0,"to":5,"ttl_sec":10}`), &bare); err != nil {
-		t.Fatal(err)
-	}
-	if bare.ID != "l2" || bare.To != 5 {
-		t.Errorf("bare lease decode = %+v", bare)
+	if err := json.Unmarshal([]byte(`{"id":"l2","job_id":"j2","spec":{"layer":"micro","app":"VA","kernel":"K1","runs":5},"from":0,"to":5,"ttl_sec":10}`), &back); err == nil {
+		t.Error("bare lease decoded; the envelope is mandatory")
 	}
 
 	ack := service.LeaseAck{Accepted: true, TTLSec: 15}
@@ -163,18 +143,13 @@ func TestLeaseEnvelopeRoundTrip(t *testing.T) {
 	if aback != ack {
 		t.Errorf("ack round trip drifted: %+v -> %+v", ack, aback)
 	}
-	var abare service.LeaseAck
-	if err := json.Unmarshal([]byte(`{"accepted":true,"ttl_sec":10}`), &abare); err != nil {
-		t.Fatal(err)
-	}
-	if !abare.Accepted || abare.TTLSec != 10 {
-		t.Errorf("bare ack decode = %+v", abare)
+	if err := json.Unmarshal([]byte(`{"accepted":true,"ttl_sec":10}`), &aback); err == nil {
+		t.Error("bare ack decoded; the envelope is mandatory")
 	}
 }
 
 // TestWorkerSpecGoldenFixture: the registration envelope decodes, validates,
-// and round-trips; the envelope is mandatory (no legacy spelling for a new
-// endpoint).
+// and round-trips; the envelope is mandatory.
 func TestWorkerSpecGoldenFixture(t *testing.T) {
 	var spec service.WorkerSpec
 	loadFixture(t, "workerspec.json", &spec)

@@ -69,8 +69,7 @@ func FuzzJobSpecDecode(f *testing.F) {
 
 // FuzzLeaseSpecDecode: the /v1/leases request decoder never panics, and
 // every request that decodes and validates survives an encode/decode round
-// trip with the deprecation flag cleared (encoding always emits the v1
-// envelope).
+// trip.
 func FuzzLeaseSpecDecode(f *testing.F) {
 	seeds := []string{
 		`{"lease":{"worker":"w1","max_runs":256,"runs_per_sec":42.5}}`,
@@ -101,9 +100,6 @@ func FuzzLeaseSpecDecode(f *testing.F) {
 		var back service.LeaseRequest
 		if err := json.Unmarshal(out, &back); err != nil {
 			t.Fatalf("re-decode failed: %v (%s)", err, out)
-		}
-		if back.LegacyFlat() {
-			t.Fatalf("re-encode emitted the deprecated bare form: %s", out)
 		}
 		if back.Worker != req.Worker || back.MaxRuns != req.MaxRuns || back.RunsPerSec != req.RunsPerSec {
 			t.Fatalf("round trip changed the request:\nbefore %+v\nafter  %+v\nwire %s", req, back, out)

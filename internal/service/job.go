@@ -78,11 +78,8 @@ type SnapshotSpec struct {
 // clients that want parity with a local Study derive it with
 // gpurel.PointSeed(baseSeed, point).
 //
-// The v1 schema groups execution knobs into the nested "sampling" and
-// "checkpoint" objects. The flat spellings that predated the grouping
-// (margin99, batch, prune, snap_stride, snap_mb, converge at the top level)
-// are still accepted on decode — see UnmarshalJSON — but are deprecated and
-// never emitted.
+// The v1 schema groups execution knobs into the nested "sampling",
+// "checkpoint" and "fault" objects; any other field is rejected on decode.
 type JobSpec struct {
 	Layer     string `json:"layer"`               // "micro" | "soft"
 	App       string `json:"app"`                 // benchmark name, e.g. "VA"
@@ -115,111 +112,21 @@ type JobSpec struct {
 	// Micro layer only; control structures (SCHED/STACK/BARRIER) require
 	// fault.model "control".
 	Fault *FaultSpec `json:"fault,omitempty"`
-
-	// legacyFlat records that the spec was decoded from the deprecated flat
-	// fields; Submit surfaces a deprecation note in the response.
-	legacyFlat bool
 }
 
-// jobSpecWire is the superset decode target: the v1 nested groups plus every
-// deprecated flat spelling.
-type jobSpecWire struct {
-	Layer     string   `json:"layer"`
-	App       string   `json:"app"`
-	Kernel    string   `json:"kernel"`
-	Structure string   `json:"structure"`
-	Mode      string   `json:"mode"`
-	Hardened  bool     `json:"hardened"`
-	Harden    []string `json:"harden"`
-	Runs      int      `json:"runs"`
-	Seed      int64    `json:"seed"`
-	Deadline  float64  `json:"deadline_sec"`
-	Tenant    string   `json:"tenant"`
-	Priority  int      `json:"priority"`
-
-	Sampling   *SamplingSpec `json:"sampling"`
-	Checkpoint *SnapshotSpec `json:"checkpoint"`
-	Fault      *FaultSpec    `json:"fault"`
-
-	// Deprecated flat spellings (pre-v1 bolt-ons). Pointers distinguish
-	// "absent" from zero so mixing flat and nested forms of the same group
-	// can be rejected instead of silently resolved.
-	Margin99   *float64 `json:"margin99"`
-	Batch      *int     `json:"batch"`
-	Prune      *bool    `json:"prune"`
-	SnapStride *int64   `json:"snap_stride"`
-	SnapMB     *int     `json:"snap_mb"`
-	Converge   *bool    `json:"converge"`
-}
-
-// UnmarshalJSON decodes both the v1 nested schema and the deprecated flat
-// one. Unknown fields are rejected; mixing the flat and nested spellings of
-// the same group is an error rather than a guess.
+// UnmarshalJSON decodes the v1 schema, rejecting unknown fields — a typo in
+// a knob name must not silently run the default campaign.
 func (sp *JobSpec) UnmarshalJSON(data []byte) error {
-	var w jobSpecWire
+	type plain JobSpec // no methods, so Decode cannot recurse
+	var w plain
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&w); err != nil {
 		return err
 	}
-	*sp = JobSpec{
-		Layer: w.Layer, App: w.App, Kernel: w.Kernel,
-		Structure: w.Structure, Mode: w.Mode, Hardened: w.Hardened, Harden: w.Harden,
-		Runs: w.Runs, Seed: w.Seed, Deadline: w.Deadline,
-		Tenant: w.Tenant, Priority: w.Priority,
-		Sampling: w.Sampling, Checkpoint: w.Checkpoint, Fault: w.Fault,
-	}
-	flatSampling := w.Margin99 != nil || w.Batch != nil || w.Prune != nil
-	flatSnapshot := w.SnapStride != nil || w.SnapMB != nil || w.Converge != nil
-	if flatSampling {
-		if w.Sampling != nil {
-			return fmt.Errorf("job spec mixes the nested \"sampling\" object with deprecated flat fields (margin99/batch/prune)")
-		}
-		s := SamplingSpec{}
-		if w.Margin99 != nil {
-			s.Margin99 = *w.Margin99
-		}
-		if w.Batch != nil {
-			s.Batch = *w.Batch
-		}
-		if w.Prune != nil {
-			s.Prune = *w.Prune
-		}
-		if s != (SamplingSpec{}) {
-			sp.Sampling = &s
-		}
-		sp.legacyFlat = true
-	}
-	if flatSnapshot {
-		if w.Checkpoint != nil {
-			return fmt.Errorf("job spec mixes the nested \"checkpoint\" object with deprecated flat fields (snap_stride/snap_mb/converge)")
-		}
-		c := SnapshotSpec{}
-		if w.SnapStride != nil {
-			c.Stride = *w.SnapStride
-		}
-		if w.SnapMB != nil {
-			c.BudgetMB = *w.SnapMB
-		}
-		if w.Converge != nil {
-			c.Converge = *w.Converge
-		}
-		if c != (SnapshotSpec{}) {
-			sp.Checkpoint = &c
-		}
-		sp.legacyFlat = true
-	}
+	*sp = JobSpec(w)
 	return nil
 }
-
-// LegacyFlat reports whether the spec was decoded from the deprecated flat
-// wire fields (the pre-v1 schema).
-func (sp JobSpec) LegacyFlat() bool { return sp.legacyFlat }
-
-// DeprecationNote is the response annotation attached to jobs submitted with
-// the deprecated flat spec fields.
-const DeprecationNote = "flat spec fields (margin99/batch/prune/snap_stride/snap_mb/converge) are deprecated; " +
-	"use the nested \"sampling\" and \"checkpoint\" objects (docs/service.md)"
 
 // sampling returns the adaptive group, nil-safe.
 func (sp JobSpec) sampling() SamplingSpec {
@@ -442,12 +349,9 @@ type JobStatus struct {
 	ForkResumes  int64  `json:"fork_resumes,omitempty"`
 	ConvergeHits int64  `json:"converge_hits,omitempty"`
 	Error        string `json:"error,omitempty"`
-	// Deprecation carries a note when the job was submitted with the
-	// deprecated flat spec fields.
-	Deprecation string `json:"deprecation,omitempty"`
-	Created     int64  `json:"created_unix"`
-	Started     int64  `json:"started_unix,omitempty"`
-	Finished    int64  `json:"finished_unix,omitempty"`
+	Created      int64  `json:"created_unix"`
+	Started      int64  `json:"started_unix,omitempty"`
+	Finished     int64  `json:"finished_unix,omitempty"`
 }
 
 // Event is one NDJSON line of a job's progress stream.
@@ -512,9 +416,6 @@ func (j *job) snapshotLocked() JobStatus {
 	}
 	if done > 0 {
 		st.DoneRanges = []Range{{From: 0, To: done}}
-	}
-	if j.spec.legacyFlat {
-		st.Deprecation = DeprecationNote
 	}
 	if j.early {
 		st.EarlyStopped = true

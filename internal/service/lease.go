@@ -27,11 +27,37 @@ import (
 // worker merges idempotently by run-range — deterministic seeding makes the
 // re-run bit-identical, so double execution can never double-count.
 //
-// The v1 schema nests requests under envelope keys — {"lease":{...}} for
-// requests, {"report":{...}} for reports — matching the job spec's grouped
-// style. The pre-v1 bare spellings are still accepted on decode but are
-// deprecated and never emitted; responses carry a deprecation note when the
-// request used them.
+// The v1 schema nests every message under an envelope key — {"lease":{...}}
+// for requests and grants, {"report":{...}} for reports, {"ack":{...}} for
+// acknowledgements — matching the job spec's grouped style. The envelope is
+// mandatory: a bare body is rejected like any other unknown field.
+
+// encodeEnvelope marshals body nested under key.
+func encodeEnvelope(key string, body any) ([]byte, error) {
+	return json.Marshal(map[string]any{key: body})
+}
+
+// decodeEnvelope decodes the object nested under key into body. strict is
+// for requests, where any other field — at either level — is an error;
+// responses stay lenient so an older worker tolerates a newer coordinator.
+func decodeEnvelope(data []byte, key string, body any, strict bool) error {
+	var env map[string]json.RawMessage
+	if err := json.Unmarshal(data, &env); err != nil {
+		return err
+	}
+	raw, ok := env[key]
+	if !ok {
+		return fmt.Errorf("message must nest its fields under %q", key)
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	if strict {
+		if len(env) != 1 {
+			return fmt.Errorf("message has fields outside the %q envelope", key)
+		}
+		dec.DisallowUnknownFields()
+	}
+	return dec.Decode(body)
+}
 
 // LeaseRequest asks the coordinator for a run-range to execute. v1 wire
 // form nests it under "lease":
@@ -47,71 +73,26 @@ type LeaseRequest struct {
 	// coordinator folds it into the registry's capability record and sizes
 	// the grant from it; 0 = unknown.
 	RunsPerSec float64 `json:"runs_per_sec,omitempty"`
-
-	// legacyFlat records that the request was decoded from the deprecated
-	// bare (un-enveloped) form; the coordinator surfaces a deprecation note
-	// in the granted lease.
-	legacyFlat bool
 }
 
-// leaseRequestBody is the inner object of the request envelope.
-type leaseRequestBody struct {
-	Worker     string  `json:"worker"`
-	MaxRuns    int     `json:"max_runs,omitempty"`
-	RunsPerSec float64 `json:"runs_per_sec,omitempty"`
-}
+// The *Body types mirror their message without its methods, so the custom
+// Marshal/Unmarshal cannot recurse.
+type (
+	leaseRequestBody LeaseRequest
+	leaseBody        Lease
+	leaseReportBody  LeaseReport
+	leaseAckBody     LeaseAck
+)
 
-// leaseRequestWire is the superset decode target: the v1 envelope plus the
-// deprecated bare spelling. Pointers distinguish "absent" from zero so
-// mixing the two forms can be rejected instead of silently resolved.
-type leaseRequestWire struct {
-	Lease *leaseRequestBody `json:"lease"`
-
-	Worker     *string  `json:"worker"`
-	MaxRuns    *int     `json:"max_runs"`
-	RunsPerSec *float64 `json:"runs_per_sec"`
-}
-
-// UnmarshalJSON decodes both the v1 envelope and the deprecated bare form.
-// Unknown fields are rejected; mixing the two spellings is an error.
+// UnmarshalJSON decodes the v1 envelope, rejecting unknown fields.
 func (lr *LeaseRequest) UnmarshalJSON(data []byte) error {
-	var w leaseRequestWire
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&w); err != nil {
-		return err
-	}
-	flat := w.Worker != nil || w.MaxRuns != nil || w.RunsPerSec != nil
-	if w.Lease != nil {
-		if flat {
-			return fmt.Errorf(`lease request mixes the nested "lease" envelope with deprecated bare fields (worker/max_runs)`)
-		}
-		*lr = LeaseRequest{Worker: w.Lease.Worker, MaxRuns: w.Lease.MaxRuns, RunsPerSec: w.Lease.RunsPerSec}
-		return nil
-	}
-	*lr = LeaseRequest{legacyFlat: true}
-	if w.Worker != nil {
-		lr.Worker = *w.Worker
-	}
-	if w.MaxRuns != nil {
-		lr.MaxRuns = *w.MaxRuns
-	}
-	if w.RunsPerSec != nil {
-		lr.RunsPerSec = *w.RunsPerSec
-	}
-	return nil
+	return decodeEnvelope(data, "lease", (*leaseRequestBody)(lr), true)
 }
 
-// MarshalJSON always emits the v1 envelope.
+// MarshalJSON emits the v1 envelope.
 func (lr LeaseRequest) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		Lease leaseRequestBody `json:"lease"`
-	}{leaseRequestBody{Worker: lr.Worker, MaxRuns: lr.MaxRuns, RunsPerSec: lr.RunsPerSec}})
+	return encodeEnvelope("lease", leaseRequestBody(lr))
 }
-
-// LegacyFlat reports whether the request was decoded from the deprecated
-// bare wire form (the pre-v1 schema).
-func (lr LeaseRequest) LegacyFlat() bool { return lr.legacyFlat }
 
 // Validate rejects malformed lease requests.
 func (lr LeaseRequest) Validate() error {
@@ -124,16 +105,11 @@ func (lr LeaseRequest) Validate() error {
 	return nil
 }
 
-// LeaseDeprecationNote is the response annotation attached to leases granted
-// from the deprecated bare request form.
-const LeaseDeprecationNote = `bare lease requests are deprecated; nest the fields under "lease" (docs/fleet.md)`
-
 // Lease is a granted run-range with everything a worker needs to execute it:
 // the job's full spec (the worker resolves its own experiment from it) and
 // the half-open run interval. The worker must report or heartbeat before
 // TTLSec elapses or the coordinator requeues the remainder. On the wire it
-// is nested under "lease" (symmetric with the request envelope); the bare
-// form is still accepted on decode for older coordinators.
+// is nested under "lease" (symmetric with the request envelope).
 type Lease struct {
 	ID     string  `json:"id"`
 	JobID  string  `json:"job_id"`
@@ -141,47 +117,14 @@ type Lease struct {
 	From   int     `json:"from"`
 	To     int     `json:"to"`
 	TTLSec float64 `json:"ttl_sec"`
-	// Deprecation carries a note when the request used the deprecated bare
-	// wire form.
-	Deprecation string `json:"deprecation,omitempty"`
-}
-
-// leaseBody mirrors Lease for the envelope round-trip (no methods, so the
-// custom Marshal/Unmarshal cannot recurse).
-type leaseBody struct {
-	ID          string  `json:"id"`
-	JobID       string  `json:"job_id"`
-	Spec        JobSpec `json:"spec"`
-	From        int     `json:"from"`
-	To          int     `json:"to"`
-	TTLSec      float64 `json:"ttl_sec"`
-	Deprecation string  `json:"deprecation,omitempty"`
-}
-
-type leaseWire struct {
-	Lease *leaseBody `json:"lease,omitempty"`
-	leaseBody
 }
 
 // MarshalJSON emits the v1 envelope.
-func (l Lease) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		Lease leaseBody `json:"lease"`
-	}{leaseBody(l)})
-}
+func (l Lease) MarshalJSON() ([]byte, error) { return encodeEnvelope("lease", leaseBody(l)) }
 
-// UnmarshalJSON accepts the v1 envelope and the bare legacy form.
+// UnmarshalJSON decodes the v1 envelope.
 func (l *Lease) UnmarshalJSON(data []byte) error {
-	var w leaseWire
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	if w.Lease != nil {
-		*l = Lease(*w.Lease)
-		return nil
-	}
-	*l = Lease(w.leaseBody)
-	return nil
+	return decodeEnvelope(data, "lease", (*leaseBody)(l), false)
 }
 
 // LeaseReport carries the tally of one completed prefix sub-range of the
@@ -195,79 +138,19 @@ type LeaseReport struct {
 	To     int            `json:"to"`
 	Tally  campaign.Tally `json:"tally"`
 	Done   bool           `json:"done,omitempty"`
-
-	// legacyFlat records a deprecated bare-form decode (see LeaseRequest).
-	legacyFlat bool
 }
 
-type leaseReportBody struct {
-	Worker string         `json:"worker"`
-	From   int            `json:"from"`
-	To     int            `json:"to"`
-	Tally  campaign.Tally `json:"tally"`
-	Done   bool           `json:"done,omitempty"`
-}
-
-type leaseReportWire struct {
-	Report *leaseReportBody `json:"report"`
-
-	Worker *string         `json:"worker"`
-	From   *int            `json:"from"`
-	To     *int            `json:"to"`
-	Tally  *campaign.Tally `json:"tally"`
-	Done   *bool           `json:"done"`
-}
-
-// UnmarshalJSON decodes both the v1 envelope and the deprecated bare form;
-// mixing the two spellings is an error.
+// UnmarshalJSON decodes the v1 envelope, rejecting unknown fields.
 func (rep *LeaseReport) UnmarshalJSON(data []byte) error {
-	var w leaseReportWire
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&w); err != nil {
-		return err
-	}
-	flat := w.Worker != nil || w.From != nil || w.To != nil || w.Tally != nil || w.Done != nil
-	if w.Report != nil {
-		if flat {
-			return fmt.Errorf(`lease report mixes the nested "report" envelope with deprecated bare fields`)
-		}
-		*rep = LeaseReport{Worker: w.Report.Worker, From: w.Report.From, To: w.Report.To,
-			Tally: w.Report.Tally, Done: w.Report.Done}
-		return nil
-	}
-	*rep = LeaseReport{legacyFlat: true}
-	if w.Worker != nil {
-		rep.Worker = *w.Worker
-	}
-	if w.From != nil {
-		rep.From = *w.From
-	}
-	if w.To != nil {
-		rep.To = *w.To
-	}
-	if w.Tally != nil {
-		rep.Tally = *w.Tally
-	}
-	if w.Done != nil {
-		rep.Done = *w.Done
-	}
-	return nil
+	return decodeEnvelope(data, "report", (*leaseReportBody)(rep), true)
 }
 
-// MarshalJSON always emits the v1 envelope.
+// MarshalJSON emits the v1 envelope.
 func (rep LeaseReport) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		Report leaseReportBody `json:"report"`
-	}{leaseReportBody{Worker: rep.Worker, From: rep.From, To: rep.To, Tally: rep.Tally, Done: rep.Done}})
+	return encodeEnvelope("report", leaseReportBody(rep))
 }
 
-// LegacyFlat reports whether the report was decoded from the deprecated
-// bare wire form.
-func (rep LeaseReport) LegacyFlat() bool { return rep.legacyFlat }
-
-// LeaseAck answers a report. On the wire it is nested under "ack"; the bare
-// form is accepted on decode for older coordinators.
+// LeaseAck answers a report. On the wire it is nested under "ack".
 type LeaseAck struct {
 	// Accepted is false when the runs were already covered (idempotent
 	// duplicate) — harmless, the worker continues.
@@ -278,40 +161,12 @@ type LeaseAck struct {
 	Canceled bool `json:"canceled,omitempty"`
 	// TTLSec refreshes the lease deadline.
 	TTLSec float64 `json:"ttl_sec,omitempty"`
-	// Deprecation carries a note when the report used the deprecated bare
-	// wire form.
-	Deprecation string `json:"deprecation,omitempty"`
-}
-
-type leaseAckBody struct {
-	Accepted    bool    `json:"accepted"`
-	Canceled    bool    `json:"canceled,omitempty"`
-	TTLSec      float64 `json:"ttl_sec,omitempty"`
-	Deprecation string  `json:"deprecation,omitempty"`
-}
-
-type leaseAckWire struct {
-	Ack *leaseAckBody `json:"ack,omitempty"`
-	leaseAckBody
 }
 
 // MarshalJSON emits the v1 envelope.
-func (a LeaseAck) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		Ack leaseAckBody `json:"ack"`
-	}{leaseAckBody(a)})
-}
+func (a LeaseAck) MarshalJSON() ([]byte, error) { return encodeEnvelope("ack", leaseAckBody(a)) }
 
-// UnmarshalJSON accepts the v1 envelope and the bare legacy form.
+// UnmarshalJSON decodes the v1 envelope.
 func (a *LeaseAck) UnmarshalJSON(data []byte) error {
-	var w leaseAckWire
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	if w.Ack != nil {
-		*a = LeaseAck(*w.Ack)
-		return nil
-	}
-	*a = LeaseAck(w.leaseAckBody)
-	return nil
+	return decodeEnvelope(data, "ack", (*leaseAckBody)(a), false)
 }

@@ -1,14 +1,16 @@
-// Golden wire-format tests: the deprecated flat job spec and the nested v1
-// spec in testdata/ must decode to the same campaign point, and encoding
-// always emits the nested schema — the flat spelling exists only on the way
-// in.
+// Golden wire-format tests: the nested v1 job spec in testdata/ decodes to
+// the expected campaign point and re-encodes byte-identically; the flat
+// pre-v1 spelling is a negative fixture — rejected like any unknown field.
 package service_test
 
 import (
+	"bytes"
 	"encoding/json"
+	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"gpurel/internal/service"
@@ -27,96 +29,110 @@ func loadSpec(t *testing.T, name string) service.JobSpec {
 	return sp
 }
 
-// TestGoldenWireFixtures: both fixture spellings validate, decode to the
-// same nested groups and bit-identical campaign points, and only the legacy
-// one is flagged deprecated.
-func TestGoldenWireFixtures(t *testing.T) {
-	legacy := loadSpec(t, "jobspec_legacy.json")
-	nested := loadSpec(t, "jobspec_nested.json")
-
-	if !legacy.LegacyFlat() {
-		t.Error("legacy fixture not flagged as flat")
+// postFixture submits a testdata file to path and returns the status code
+// and the decoded error envelope (zero on 2xx).
+func postFixture(t *testing.T, url, name string) (int, service.ErrorEnvelope) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if nested.LegacyFlat() {
-		t.Error("nested fixture flagged as flat")
+	resp, err := http.Post(url, "application/json", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, sp := range map[string]service.JobSpec{"legacy": legacy, "nested": nested} {
-		if err := sp.Validate(); err != nil {
-			t.Errorf("%s fixture invalid: %v", name, err)
+	defer resp.Body.Close()
+	var env service.ErrorEnvelope
+	if resp.StatusCode >= 300 {
+		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+			t.Fatalf("%s: undecodable error body: %v", name, err)
 		}
 	}
+	return resp.StatusCode, env
+}
 
-	// The decoded groups are identical…
-	if !reflect.DeepEqual(legacy.Sampling, nested.Sampling) {
-		t.Errorf("sampling differs: legacy %+v, nested %+v", legacy.Sampling, nested.Sampling)
+// TestGoldenWireFixtures: the nested fixture validates and resolves to the
+// expected campaign point; the flat fixture does not decode, and submitting
+// it is a 400 bad_request naming the offending field.
+func TestGoldenWireFixtures(t *testing.T) {
+	nested := loadSpec(t, "jobspec_nested.json")
+	if err := nested.Validate(); err != nil {
+		t.Errorf("nested fixture invalid: %v", err)
 	}
-	if !reflect.DeepEqual(legacy.Checkpoint, nested.Checkpoint) {
-		t.Errorf("checkpoint differs: legacy %+v, nested %+v", legacy.Checkpoint, nested.Checkpoint)
-	}
-
-	// …and so are the campaign points they resolve to.
-	lp, err := legacy.Point()
+	p, err := nested.Point()
 	if err != nil {
 		t.Fatal(err)
 	}
-	np, err := nested.Point()
+	if p.Sampling == nil || p.Sampling.Margin != 0.025 || p.Sampling.Batch != 250 || !p.Sampling.Prune {
+		t.Errorf("sampling policy lost in decode: %+v", p.Sampling)
+	}
+	if p.Checkpoint == nil || p.Checkpoint.Stride != 500 || p.Checkpoint.BudgetBytes != 64<<20 || !p.Checkpoint.Converge {
+		t.Errorf("checkpoint spec lost in decode: %+v", p.Checkpoint)
+	}
+
+	raw, err := os.ReadFile(filepath.Join("testdata", "jobspec_legacy.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(lp, np) {
-		t.Errorf("points differ:\nlegacy %+v\nnested %+v", lp, np)
+	var flat service.JobSpec
+	if err := json.Unmarshal(raw, &flat); err == nil || !strings.Contains(err.Error(), "unknown field") {
+		t.Errorf("flat fixture decode err = %v, want an unknown-field rejection", err)
 	}
-	if lp.Sampling == nil || lp.Sampling.Margin != 0.025 || lp.Sampling.Batch != 250 || !lp.Sampling.Prune {
-		t.Errorf("sampling policy lost in decode: %+v", lp.Sampling)
+	_, srv := newTestServer(t, service.Config{Source: fakeSource(0)})
+	code, env := postFixture(t, srv.URL+"/v1/jobs", "jobspec_legacy.json")
+	if code != http.StatusBadRequest || env.Error.Code != service.ErrCodeBadRequest {
+		t.Errorf("flat fixture -> %d %+v, want 400 %s", code, env, service.ErrCodeBadRequest)
 	}
-	if lp.Checkpoint == nil || lp.Checkpoint.Stride != 500 || lp.Checkpoint.BudgetBytes != 64<<20 || !lp.Checkpoint.Converge {
-		t.Errorf("checkpoint spec lost in decode: %+v", lp.Checkpoint)
+	if !strings.Contains(env.Error.Message, "margin99") {
+		t.Errorf("rejection does not name the flat field: %q", env.Error.Message)
 	}
 }
 
-// TestWireRoundTripEncodesNested: re-encoding any decoded spec — even one
-// that arrived flat — emits only the nested v1 schema, and the re-decoded
-// spec is no longer flagged deprecated.
+// TestWireRoundTripEncodesNested: every accepted fixture re-encodes to the
+// document it was read from — one spelling in, the same spelling out, no
+// field dropped or invented — and encoding is a byte-stable fixed point.
 func TestWireRoundTripEncodesNested(t *testing.T) {
-	for _, name := range []string{"jobspec_legacy.json", "jobspec_nested.json"} {
-		sp := loadSpec(t, name)
-		out, err := json.Marshal(sp)
+	fixtures := map[string]func() any{
+		"jobspec_nested.json":        func() any { return new(service.JobSpec) },
+		"jobspec_fault.json":         func() any { return new(service.JobSpec) },
+		"jobspec_fault_control.json": func() any { return new(service.JobSpec) },
+		"jobspec_harden.json":        func() any { return new(service.JobSpec) },
+		"leasespec_nested.json":      func() any { return new(service.LeaseRequest) },
+		"workerspec.json":            func() any { return new(service.WorkerSpec) },
+	}
+	for name, alloc := range fixtures {
+		raw, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			t.Fatal(err)
 		}
-
-		var top map[string]json.RawMessage
-		if err := json.Unmarshal(out, &top); err != nil {
-			t.Fatal(err)
+		v := alloc()
+		if err := json.Unmarshal(raw, v); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		for _, flat := range []string{"margin99", "batch", "prune", "snap_stride", "snap_mb", "converge"} {
-			if _, ok := top[flat]; ok {
-				t.Errorf("%s round-trip leaked flat key %q: %s", name, flat, out)
-			}
-		}
-		for _, group := range []string{"sampling", "checkpoint"} {
-			if _, ok := top[group]; !ok {
-				t.Errorf("%s round-trip missing nested group %q: %s", name, group, out)
-			}
-		}
-
-		var back service.JobSpec
-		if err := json.Unmarshal(out, &back); err != nil {
-			t.Fatal(err)
-		}
-		if back.LegacyFlat() {
-			t.Errorf("%s re-decoded round-trip still flagged flat", name)
-		}
-		bp, err := back.Point()
+		out, err := json.Marshal(v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		op, err := sp.Point()
+		var want, got any
+		if err := json.Unmarshal(raw, &want); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(out, &got); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s re-encodes to a different document: %s", name, out)
+		}
+		back := alloc()
+		if err := json.Unmarshal(out, back); err != nil {
+			t.Fatalf("%s re-decode: %v", name, err)
+		}
+		again, err := json.Marshal(back)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(bp, op) {
-			t.Errorf("%s round-trip changed the campaign point:\nbefore %+v\nafter  %+v", name, op, bp)
+		if !bytes.Equal(again, out) {
+			t.Errorf("%s encoding is not a fixed point:\nfirst  %s\nsecond %s", name, out, again)
 		}
 	}
 }

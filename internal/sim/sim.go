@@ -232,46 +232,12 @@ func (s *SM) AllocatedSmem() []RFBlock {
 // RFBlock is a contiguous allocated region of a storage array.
 type RFBlock struct{ Base, Size int }
 
-// CTABlock is an allocated register-file region annotated with the program
-// of the CTA that owns it, letting injectors map a physical offset back to
-// the architectural register it holds (offset % Prog.NumRegs).
-type CTABlock struct {
-	Base, Size int
-	Prog       *isa.Program
-}
-
-// ResidentRF returns the allocated register blocks with their owning
-// programs. The enumeration order and rfSize>0 filter match AllocatedRF
-// exactly, so an injector drawing the k-th register sees the same site
-// through either view.
-func (s *SM) ResidentRF() []CTABlock {
-	var out []CTABlock
-	for _, c := range s.ctas {
-		if c.rfSize > 0 {
-			out = append(out, CTABlock{Base: c.rfBase, Size: c.rfSize, Prog: c.prog})
-		}
-	}
-	return out
-}
-
 // Machine is the injectable hardware state handed to the OnCycle hook.
 type Machine struct {
 	Cfg gpu.Config
 	SMs []*SM
 	L2  *mem.Cache
 	Mem *device.Memory
-
-	stop *bool
-}
-
-// StopRun asks the simulator to abandon the run as soon as the hook returns.
-// The Result comes back with Aborted set and no output. Injectors use it
-// when static analysis already proves the outcome, making the remaining
-// simulation pure waste.
-func (m *Machine) StopRun() {
-	if m.stop != nil {
-		*m.stop = true
-	}
 }
 
 // warpMeta is the scoreboard state of one warp.
@@ -357,7 +323,6 @@ func (s LaunchSpan) SmemDeratingFactor(cfg gpu.Config) float64 {
 type Result struct {
 	Err       error // non-nil = DUE
 	TimedOut  bool
-	Aborted   bool // run abandoned via Machine.StopRun
 	Output    []byte
 	Cycles    int64
 	Spans     []LaunchSpan
@@ -466,12 +431,11 @@ type runner struct {
 	cfg  gpu.Config
 	opts Options
 
-	mem     *device.Memory
-	sms     []*SM
-	l2      *mem.Cache
-	cycle   int64
-	fired   bool
-	stopped bool
+	mem   *device.Memory
+	sms   []*SM
+	l2    *mem.Cache
+	cycle int64
+	fired bool
 
 	// Schedule position: step index, steps consumed against the budget, and
 	// the in-flight launch (nil between steps). Held as fields rather than
@@ -617,7 +581,7 @@ func (r *runner) machine() *Machine {
 	// Memoized: EachCycle hooks call this every cycle, and the referenced
 	// state (SM slice, caches, memory image) is fixed for the runner's life.
 	if r.mach == nil {
-		r.mach = &Machine{Cfg: r.cfg, SMs: r.sms, L2: r.l2, Mem: r.mem, stop: &r.stopped}
+		r.mach = &Machine{Cfg: r.cfg, SMs: r.sms, L2: r.l2, Mem: r.mem}
 	}
 	return r.mach
 }
@@ -649,7 +613,6 @@ func (r *runner) finalizeStats() {
 
 var (
 	errSimTimeout   = fmt.Errorf("cycle budget exceeded")
-	errSimAborted   = fmt.Errorf("run aborted by injector")
 	errSimConverged = fmt.Errorf("state converged with reference run")
 )
 
@@ -700,8 +663,6 @@ func (r *runner) runSteps() *Result {
 			switch err {
 			case errSimTimeout:
 				r.res.TimedOut = true
-			case errSimAborted:
-				r.res.Aborted = true
 			case errSimConverged:
 				r.res.Converged = true
 				r.res.ConvergedAt = r.cycle
@@ -817,16 +778,10 @@ func (r *runner) runLaunch() error {
 				r.opts.OnCycle(r.machine())
 				r.wakeSMs()
 			}
-			if r.stopped {
-				return errSimAborted
-			}
 		}
 		if r.fired && r.opts.EachCycle != nil {
 			r.opts.EachCycle(r.machine())
 			r.wakeSMs()
-			if r.stopped {
-				return errSimAborted
-			}
 		}
 		if r.opts.MaxCycles > 0 && r.cycle > r.opts.MaxCycles {
 			return errSimTimeout

@@ -295,7 +295,6 @@ func (r *runner) restore(s *Snapshot) {
 	r.steps = s.steps
 	r.schedNext = s.schedNext
 	r.fired = false
-	r.stopped = false
 	r.dramRead = s.dramRead
 	r.dramWrite = s.dramWrite
 	var dmemBase *device.PagedState

@@ -13,7 +13,7 @@ import (
 func resultsEqual(t *testing.T, label string, got, want *Result) {
 	t.Helper()
 	if (got.Err == nil) != (want.Err == nil) || got.TimedOut != want.TimedOut ||
-		got.DUEFlag != want.DUEFlag || got.Aborted != want.Aborted {
+		got.DUEFlag != want.DUEFlag {
 		t.Fatalf("%s: flags diverge: got %+v, want %+v", label, got, want)
 	}
 	if got.Cycles != want.Cycles {

@@ -358,18 +358,18 @@ func (s *Study) PointExperiment(spec PointSpec) (campaign.Experiment, error) {
 		case spec.Hardened:
 			job, g = e.JobTMR, e.MicroGTMR
 		}
-		t := microfi.Target{Structure: spec.Structure, Kernel: spec.Kernel, IncludeVote: includeVote}
+		t := microfi.Target{Structure: spec.Structure, Kernel: spec.Kernel, IncludeVote: includeVote, Model: mdl}
+		// The liveness map is the only evidence a study point can hold; with
+		// none, InjectPruned is exactly Inject and every run counts as
+		// simulated.
+		var lv *ace.Liveness
 		if spec.Sampling != nil && spec.Sampling.Prune && spec.Structure == gpu.RF {
-			lv, err := liveness()
-			if err != nil {
+			if lv, err = liveness(); err != nil {
 				return nil, fmt.Errorf("%s: %w", spec.App, err)
 			}
-			return s.Counters.Instrument(func(run int, rng *rand.Rand) (faults.Result, bool) {
-				return microfi.InjectPrunedModel(job, g, lv, t, mdl, rng)
-			}), nil
 		}
-		return s.Counters.Count(func(run int, rng *rand.Rand) faults.Result {
-			return microfi.InjectModel(job, g, t, mdl, rng)
+		return s.Counters.Instrument(func(run int, rng *rand.Rand) (faults.Result, bool) {
+			return microfi.InjectPruned(job, g, lv, t, rng)
 		}), nil
 	case LayerSoft:
 		if !spec.faultSpec().IsDefault() {
