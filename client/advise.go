@@ -4,13 +4,8 @@
 package client
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
 	"net/http"
-	"time"
 )
 
 // SubmitAdvise enqueues a selective-hardening advise job.
@@ -47,72 +42,20 @@ func (c *Client) CancelAdvise(ctx context.Context, id string) (AdviseStatus, err
 // fn per event until the job reaches a terminal state, fn returns an error,
 // or ctx ends.
 func (c *Client) WatchAdviseEvents(ctx context.Context, id string, fn func(AdviseEvent) error) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/advise/"+id+"/events", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("advise events %s: HTTP %d", id, resp.StatusCode)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var ev AdviseEvent
-		if err := json.Unmarshal(line, &ev); err != nil {
-			return fmt.Errorf("advise events %s: bad line: %w", id, err)
-		}
-		if err := fn(ev); err != nil {
-			return err
-		}
-		if ev.Job.State.Terminal() {
-			return nil
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	return fmt.Errorf("advise events %s: stream ended before advise finished", id)
+	return watch(ctx, c, "/v1/advise/"+id+"/events", "advise events "+id, func(ev AdviseEvent) (bool, error) {
+		return ev.Job.State.Terminal(), fn(ev)
+	})
 }
 
 // WaitAdvise blocks until the advise job is terminal, preferring the event
 // stream and falling back to polling if streaming fails (e.g. across a
 // daemon restart — journaled advises resume on the new process).
 func (c *Client) WaitAdvise(ctx context.Context, id string) (AdviseStatus, error) {
-	poll := c.PollInterval
-	if poll <= 0 {
-		poll = 500 * time.Millisecond
-	}
-	for {
-		var last AdviseStatus
-		err := c.WatchAdviseEvents(ctx, id, func(ev AdviseEvent) error {
-			last = ev.Job
-			return nil
-		})
-		if err == nil && last.State.Terminal() {
-			return last, nil
-		}
-		if ctx.Err() != nil {
-			return last, ctx.Err()
-		}
-		select {
-		case <-ctx.Done():
-			return last, ctx.Err()
-		case <-time.After(poll):
-		}
-		st, gerr := c.GetAdvise(ctx, id)
-		if gerr == nil && st.State.Terminal() {
-			return st, nil
-		}
-	}
+	return wait(ctx, c, func(st AdviseStatus) bool { return st.State.Terminal() },
+		func(keep func(AdviseStatus)) error {
+			return c.WatchAdviseEvents(ctx, id, func(ev AdviseEvent) error { keep(ev.Job); return nil })
+		},
+		func() (AdviseStatus, error) { return c.GetAdvise(ctx, id) })
 }
 
 // RunAdvise submits an advise spec and waits for its plan and verification —

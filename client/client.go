@@ -140,10 +140,17 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 	return string(data), err
 }
 
-// WatchEvents consumes a job's NDJSON event stream, invoking fn per event
-// until the job reaches a terminal state, fn returns an error, or ctx ends.
-func (c *Client) WatchEvents(ctx context.Context, id string, fn func(service.Event) error) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/jobs/"+id+"/events", nil)
+// errStreamEnded marks an event stream the daemon closed (drain, restart,
+// proxy hiccup) before the watcher chose to stop.
+var errStreamEnded = errors.New("stream ended before a terminal event")
+
+// watch is the one NDJSON reader behind WatchEvents, WatchAdviseEvents and
+// WatchFleet: it GETs path and hands each decoded line to fn until fn
+// reports it has seen enough (nil), fn fails, or ctx ends. A stream that
+// ends first returns an error wrapping errStreamEnded. what names the stream
+// in errors.
+func watch[E any](ctx context.Context, c *Client, path, what string, fn func(E) (done bool, err error)) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
 	if err != nil {
 		return err
 	}
@@ -153,7 +160,7 @@ func (c *Client) WatchEvents(ctx context.Context, id string, fn func(service.Eve
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("events %s: HTTP %d", id, resp.StatusCode)
+		return fmt.Errorf("%s: HTTP %d", what, resp.StatusCode)
 	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
@@ -162,38 +169,34 @@ func (c *Client) WatchEvents(ctx context.Context, id string, fn func(service.Eve
 		if len(line) == 0 {
 			continue
 		}
-		var ev service.Event
+		var ev E
 		if err := json.Unmarshal(line, &ev); err != nil {
-			return fmt.Errorf("events %s: bad line: %w", id, err)
+			return fmt.Errorf("%s: bad line: %w", what, err)
 		}
-		if err := fn(ev); err != nil {
+		if done, err := fn(ev); done || err != nil {
 			return err
-		}
-		if ev.Job.State.Terminal() {
-			return nil
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return err
 	}
-	return fmt.Errorf("events %s: stream ended before job finished", id)
+	return fmt.Errorf("%s: %w", what, errStreamEnded)
 }
 
-// WaitJob blocks until the job is terminal, preferring the event stream and
-// falling back to polling if streaming fails (e.g. across a daemon
-// restart).
-func (c *Client) WaitJob(ctx context.Context, id string) (service.JobStatus, error) {
+// wait is the one loop behind WaitJob and WaitAdvise: it blocks until a
+// status is terminal, preferring the event stream (stream hands every status
+// it sees to its argument) and falling back to polling get whenever the
+// stream breaks, e.g. across a daemon restart.
+func wait[S any](ctx context.Context, c *Client, terminal func(S) bool,
+	stream func(keep func(S)) error, get func() (S, error)) (S, error) {
 	poll := c.PollInterval
 	if poll <= 0 {
 		poll = 500 * time.Millisecond
 	}
 	for {
-		var last service.JobStatus
-		err := c.WatchEvents(ctx, id, func(ev service.Event) error {
-			last = ev.Job
-			return nil
-		})
-		if err == nil && last.State.Terminal() {
+		var last S
+		err := stream(func(st S) { last = st })
+		if err == nil && terminal(last) {
 			return last, nil
 		}
 		if ctx.Err() != nil {
@@ -205,11 +208,29 @@ func (c *Client) WaitJob(ctx context.Context, id string) (service.JobStatus, err
 			return last, ctx.Err()
 		case <-time.After(poll):
 		}
-		st, gerr := c.GetJob(ctx, id)
-		if gerr == nil && st.State.Terminal() {
+		if st, gerr := get(); gerr == nil && terminal(st) {
 			return st, nil
 		}
 	}
+}
+
+// WatchEvents consumes a job's NDJSON event stream, invoking fn per event
+// until the job reaches a terminal state, fn returns an error, or ctx ends.
+func (c *Client) WatchEvents(ctx context.Context, id string, fn func(service.Event) error) error {
+	return watch(ctx, c, "/v1/jobs/"+id+"/events", "events "+id, func(ev service.Event) (bool, error) {
+		return ev.Job.State.Terminal(), fn(ev)
+	})
+}
+
+// WaitJob blocks until the job is terminal, preferring the event stream and
+// falling back to polling if streaming fails (e.g. across a daemon
+// restart).
+func (c *Client) WaitJob(ctx context.Context, id string) (service.JobStatus, error) {
+	return wait(ctx, c, func(st service.JobStatus) bool { return st.State.Terminal() },
+		func(keep func(service.JobStatus)) error {
+			return c.WatchEvents(ctx, id, func(ev service.Event) error { keep(ev.Job); return nil })
+		},
+		func() (service.JobStatus, error) { return c.GetJob(ctx, id) })
 }
 
 // RunJob submits a spec and waits for its final tally — the one-call remote

@@ -1,11 +1,8 @@
 package client
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
+	"errors"
 	"net/http"
 
 	"gpurel/internal/service"
@@ -78,32 +75,11 @@ func (c *Client) FleetStatus(ctx context.Context) (service.FleetStatus, error) {
 // snapshot (one immediately, then one per control-plane change) until fn
 // returns an error, the stream ends, or ctx ends.
 func (c *Client) WatchFleet(ctx context.Context, fn func(service.FleetStatus) error) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/fleet/events", nil)
-	if err != nil {
-		return err
+	err := watch(ctx, c, "/v1/fleet/events", "fleet events", func(fs service.FleetStatus) (bool, error) {
+		return false, fn(fs)
+	})
+	if errors.Is(err, errStreamEnded) {
+		return nil // the fleet stream has no terminal event; the coordinator stopping ends it
 	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("fleet events: HTTP %d", resp.StatusCode)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var fs service.FleetStatus
-		if err := json.Unmarshal(line, &fs); err != nil {
-			return fmt.Errorf("fleet events: bad line: %w", err)
-		}
-		if err := fn(fs); err != nil {
-			return err
-		}
-	}
-	return sc.Err()
+	return err
 }

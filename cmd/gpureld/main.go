@@ -44,7 +44,7 @@
 // workloads schedule exactly as before.
 //
 // The coordinator journals its lease ledger and worker registry to
-// -fleet-checkpoint with the same atomic write-rename discipline as the job
+// -fleet-checkpoint through the same internal/journal as the job
 // checkpoint, so a killed coordinator resumes mid-campaign with
 // bit-identical final tallies.
 //
@@ -74,6 +74,15 @@ import (
 	"gpurel/internal/fleet"
 	"gpurel/internal/microfi"
 	"gpurel/internal/service"
+)
+
+// Front-door timeouts: a client gets readHeaderTimeout to send its request
+// headers and an idle keep-alive connection is closed after idleTimeout.
+// There is deliberately no WriteTimeout — the NDJSON event streams are
+// long-lived responses. Request bodies are capped by service.MaxBodyBytes.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
 )
 
 func main() {
@@ -165,10 +174,17 @@ func main() {
 		Metrics:     sched.Metrics(),
 	})
 	if err != nil {
+		coord.Close()
+		sched.Close()
 		log.Fatalf("gpureld: %v", err)
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: service.NewServer(sched).Handler(coord.Mount, adv.Mount)}
+	srv := &http.Server{
+		Addr:              *addr,
+		Handler:           service.NewServer(sched).Handler(coord.Mount, adv.Mount),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -49,11 +49,12 @@ import (
 // which journals and resumes campaigns; its clock is injected via
 // Config.Now; the harden transforms, whose output participates in point
 // identity; and the advisor, whose journaled search must resume to a
-// bit-identical plan). The fleet layer, the ACE liveness tracer, the shared
+// bit-identical plan). The fleet layer, the journal (saved_unix is the
+// caller's injected clock, never its own), the ACE liveness tracer, the shared
 // CLI plumbing and the wire client ride along: their outputs feed the same
 // deterministic pipelines, so wallclock or map-order dependence there is
 // just as much a replay hazard.
-const defaultPkgs = "internal/sim,internal/exec,internal/microfi,internal/faultmodel,internal/adaptive,internal/campaign,internal/flow,internal/service,internal/harden,internal/advisor,internal/fleet,internal/ace,internal/cliutil,internal/uop,client"
+const defaultPkgs = "internal/sim,internal/exec,internal/microfi,internal/faultmodel,internal/adaptive,internal/campaign,internal/flow,internal/service,internal/harden,internal/advisor,internal/fleet,internal/journal,internal/ace,internal/cliutil,internal/uop,client"
 
 func main() {
 	pkgsFlag := flag.String("pkgs", defaultPkgs,

@@ -15,9 +15,6 @@
 package fleet
 
 import (
-	"crypto/rand"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -28,6 +25,7 @@ import (
 
 	"gpurel/internal/campaign"
 	"gpurel/internal/faultmodel"
+	"gpurel/internal/journal"
 	"gpurel/internal/service"
 )
 
@@ -68,9 +66,9 @@ type CoordinatorConfig struct {
 	// past which a worker reads as degraded (default 2×LeaseTTL).
 	DegradedAfter time.Duration
 	// JournalPath, when set, makes the control plane crash-recoverable:
-	// leases, registry, and counters persist there (atomic write-rename,
-	// like the scheduler checkpoint) and are restored by the next
-	// NewCoordinator with the same path.
+	// leases, registry, and counters persist there (internal/journal, like
+	// the scheduler checkpoint) and are restored by the next NewCoordinator
+	// with the same path.
 	JournalPath string
 	// FlushInterval is the journal flush cadence (default 2s).
 	FlushInterval time.Duration
@@ -131,8 +129,9 @@ type Coordinator struct {
 	leases  map[string]*lease
 	workers map[string]*workerEntry
 	stats   Stats
-	subs    map[int]chan struct{}
-	nextSub int
+	// changed wakes the /v1/fleet/events streams; one pending wake-up per
+	// subscriber is enough, each renders a fresh snapshot.
+	changed *service.Hub[struct{}]
 
 	dirty  atomic.Bool
 	done   chan struct{}
@@ -149,24 +148,24 @@ func NewCoordinator(b Backlog, cfg CoordinatorConfig) (*Coordinator, error) {
 		backlog: b,
 		leases:  map[string]*lease{},
 		workers: map[string]*workerEntry{},
-		subs:    map[int]chan struct{}{},
+		changed: service.NewHub[struct{}](1),
 		done:    make(chan struct{}),
 	}
 	if c.cfg.JournalPath != "" {
-		jf, err := loadJournal(c.cfg.JournalPath)
-		if err != nil {
+		var jf journalFile
+		if err := journal.Load(c.cfg.JournalPath, journalVersion, &jf); err != nil {
 			return nil, err
 		}
-		if jf != nil {
-			c.restore(jf, c.cfg.Now())
-		}
+		c.restore(&jf, c.cfg.Now())
+		// The coordinator's flush policy: on a ticker, while dirty.
+		c.wg.Add(1)
+		go func() {
+			defer c.wg.Done()
+			journal.FlushLoop(c.done, c.cfg.FlushInterval, &c.dirty, c.Flush)
+		}()
 	}
 	c.wg.Add(1)
 	go c.sweepLoop()
-	if c.cfg.JournalPath != "" {
-		c.wg.Add(1)
-		go c.flushLoop()
-	}
 	return c, nil
 }
 
@@ -223,17 +222,6 @@ func (c *Coordinator) Stats() Stats {
 	return c.stats
 }
 
-// bump wakes the fleet-event subscribers (non-blocking: a subscriber that
-// already has a pending wakeup needs no second one).
-func (c *Coordinator) bumpLocked() {
-	for _, ch := range c.subs {
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
-	}
-}
-
 // sweepLoop expires leases whose heartbeat deadline passed. Deleting the
 // lease before requeueing makes the requeue exactly-once: a second sweep —
 // or a late report from the presumed-dead worker — finds no lease, and the
@@ -277,7 +265,7 @@ func (c *Coordinator) Sweep() {
 	}
 	c.stats.Expired += int64(len(expired))
 	if len(expired) > 0 {
-		c.bumpLocked()
+		c.changed.Publish(struct{}{})
 	}
 	c.mu.Unlock()
 	if len(expired) > 0 {
@@ -303,12 +291,6 @@ func (c *Coordinator) Mount(mux *http.ServeMux) {
 	mux.HandleFunc("GET /v1/fleet/events", c.handleFleetEvents)
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
-}
-
 // jobModel resolves a job spec's fault-model name (the registry's
 // capability vocabulary).
 func jobModel(spec service.JobSpec) string {
@@ -325,8 +307,7 @@ func jobModel(spec service.JobSpec) string {
 // default.
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req service.LeaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		service.WriteError(w, http.StatusBadRequest, service.ErrCodeBadRequest, "bad lease request: "+err.Error())
+	if !service.DecodeBody(w, r, "lease request", &req) {
 		return
 	}
 	if err := req.Validate(); err != nil {
@@ -368,7 +349,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	l := &lease{
-		id:       newLeaseID(),
+		id:       service.NewID("l"),
 		jobID:    wa.JobID,
 		worker:   e.spec.Name,
 		from:     wa.From,
@@ -377,10 +358,10 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	}
 	c.leases[l.id] = l
 	c.stats.Granted++
-	c.bumpLocked()
+	c.changed.Publish(struct{}{})
 	c.mu.Unlock()
 	c.dirty.Store(true)
-	writeJSON(w, http.StatusOK, service.Lease{
+	service.WriteJSON(w, http.StatusOK, service.Lease{
 		ID: l.id, JobID: wa.JobID, Spec: wa.Spec,
 		From: wa.From, To: wa.To, TTLSec: c.cfg.LeaseTTL.Seconds(),
 	})
@@ -391,8 +372,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 // expired and its remainder was already requeued, so the worker abandons.
 func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 	var rep service.LeaseReport
-	if err := json.NewDecoder(r.Body).Decode(&rep); err != nil {
-		service.WriteError(w, http.StatusBadRequest, service.ErrCodeBadRequest, "bad lease report: "+err.Error())
+	if !service.DecodeBody(w, r, "lease report", &rep) {
 		return
 	}
 	id := r.PathValue("id")
@@ -444,10 +424,10 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 		// abandon whatever is left of the lease.
 		ack.Canceled = true
 	}
-	c.bumpLocked()
+	c.changed.Publish(struct{}{})
 	c.mu.Unlock()
 	c.dirty.Store(true)
-	writeJSON(w, http.StatusOK, ack)
+	service.WriteJSON(w, http.StatusOK, ack)
 }
 
 // handleHeartbeat: POST /v1/leases/{id}/heartbeat — extend the deadline.
@@ -480,7 +460,7 @@ func (c *Coordinator) handleReturn(w http.ResponseWriter, r *http.Request) {
 		delete(c.leases, id)
 		c.stats.Returned++
 		c.touchWorkerLocked(l.worker, now)
-		c.bumpLocked()
+		c.changed.Publish(struct{}{})
 	}
 	c.mu.Unlock()
 	if !ok {
@@ -497,8 +477,7 @@ func (c *Coordinator) handleReturn(w http.ResponseWriter, r *http.Request) {
 // so a restarted worker process under the same name rejoins cleanly.
 func (c *Coordinator) handleRegisterWorker(w http.ResponseWriter, r *http.Request) {
 	var spec service.WorkerSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		service.WriteError(w, http.StatusBadRequest, service.ErrCodeBadRequest, "bad worker spec: "+err.Error())
+	if !service.DecodeBody(w, r, "worker spec", &spec) {
 		return
 	}
 	if err := spec.Validate(); err != nil {
@@ -516,10 +495,10 @@ func (c *Coordinator) handleRegisterWorker(w http.ResponseWriter, r *http.Reques
 	e.spec.Caps.SnapMB = spec.Caps.SnapMB
 	e.spec.Caps.FaultModels = append([]string(nil), spec.Caps.FaultModels...)
 	st := c.workerStatusLocked(e, now)
-	c.bumpLocked()
+	c.changed.Publish(struct{}{})
 	c.mu.Unlock()
 	c.dirty.Store(true)
-	writeJSON(w, http.StatusOK, st)
+	service.WriteJSON(w, http.StatusOK, st)
 }
 
 // handleListWorkers: GET /v1/workers — the registry, sorted by name.
@@ -528,7 +507,7 @@ func (c *Coordinator) handleListWorkers(w http.ResponseWriter, r *http.Request) 
 	c.mu.Lock()
 	out := c.workerStatusesLocked(now)
 	c.mu.Unlock()
-	writeJSON(w, http.StatusOK, out)
+	service.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleGetWorker: GET /v1/workers/{name}.
@@ -546,7 +525,7 @@ func (c *Coordinator) handleGetWorker(w http.ResponseWriter, r *http.Request) {
 		service.WriteError(w, http.StatusNotFound, service.ErrCodeNotFound, "no such worker")
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	service.WriteJSON(w, http.StatusOK, st)
 }
 
 // handleDrainWorker: DELETE /v1/workers/{name} — mark a worker draining: it
@@ -561,7 +540,7 @@ func (c *Coordinator) handleDrainWorker(w http.ResponseWriter, r *http.Request) 
 	if ok {
 		e.draining = true
 		st = c.workerStatusLocked(e, now)
-		c.bumpLocked()
+		c.changed.Publish(struct{}{})
 	}
 	c.mu.Unlock()
 	if !ok {
@@ -569,7 +548,7 @@ func (c *Coordinator) handleDrainWorker(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	c.dirty.Store(true)
-	writeJSON(w, http.StatusOK, st)
+	service.WriteJSON(w, http.StatusOK, st)
 }
 
 // FleetStatus assembles the control-plane summary document.
@@ -590,22 +569,7 @@ func (c *Coordinator) FleetStatus() service.FleetStatus {
 
 // handleFleet: GET /v1/fleet.
 func (c *Coordinator) handleFleet(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.FleetStatus())
-}
-
-// subscribe registers a fleet-event wakeup channel.
-func (c *Coordinator) subscribe() (<-chan struct{}, func()) {
-	c.mu.Lock()
-	id := c.nextSub
-	c.nextSub++
-	ch := make(chan struct{}, 1)
-	c.subs[id] = ch
-	c.mu.Unlock()
-	return ch, func() {
-		c.mu.Lock()
-		delete(c.subs, id)
-		c.mu.Unlock()
-	}
+	service.WriteJSON(w, http.StatusOK, c.FleetStatus())
 }
 
 // handleFleetEvents: GET /v1/fleet/events — NDJSON stream of FleetStatus
@@ -613,37 +577,9 @@ func (c *Coordinator) subscribe() (<-chan struct{}, func()) {
 // reports, registrations, expiries) until the client hangs up or the
 // coordinator stops.
 func (c *Coordinator) handleFleetEvents(w http.ResponseWriter, r *http.Request) {
-	ch, unsub := c.subscribe()
-	defer unsub()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("Cache-Control", "no-store")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	send := func() bool {
-		if err := enc.Encode(c.FleetStatus()); err != nil {
-			return false
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return true
-	}
-	if !send() {
-		return
-	}
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case <-c.done:
-			return
-		case <-ch:
-			if !send() {
-				return
-			}
-		}
-	}
+	snapshot := func() (any, bool) { return c.FleetStatus(), true }
+	service.StreamNDJSON(w, r, c.done, c.changed, snapshot,
+		func(struct{}) (any, bool) { return snapshot() })
 }
 
 // WriteMetrics renders the coordinator's exposition section — registered
@@ -689,13 +625,4 @@ func (c *Coordinator) WriteMetrics(w io.Writer) {
 	for _, ws := range byWorker {
 		fmt.Fprintf(w, "gpureld_fleet_worker_lease_size{worker=%q} %d\n", ws.Name, ws.LeaseSize)
 	}
-}
-
-// newLeaseID returns a random 12-hex-char lease ID.
-func newLeaseID() string {
-	var b [6]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic(fmt.Sprintf("fleet: rand.Read: %v", err))
-	}
-	return "l" + hex.EncodeToString(b[:])
 }

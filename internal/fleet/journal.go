@@ -1,23 +1,22 @@
 package fleet
 
 import (
-	"encoding/json"
-	"fmt"
 	"sort"
 	"time"
 
+	"gpurel/internal/journal"
 	"gpurel/internal/service"
 )
 
 // The coordinator journal: the lease ledger and worker registry persisted
-// with the same atomic write-rename idiom as the scheduler's job checkpoint
-// (service.WriteFileAtomic), so a coordinator crash mid-campaign loses no
-// accounting. On restart the journal's live leases are re-pinned in the
-// scheduler ledger via Backlog.ReclaimWork — the runs a surviving worker
-// still holds are not handed out twice — and given a fresh TTL of grace to
-// report; leases whose workers died with the coordinator simply expire and
-// requeue. Deterministic seeding (run i draws from rand.NewSource(Seed+i))
-// makes every recovery path tally bit-identically to an uninterrupted run.
+// through internal/journal like the scheduler's job checkpoint, so a
+// coordinator crash mid-campaign loses no accounting. On restart the
+// journal's live leases are re-pinned in the scheduler ledger via
+// Backlog.ReclaimWork — the runs a surviving worker still holds are not
+// handed out twice — and given a fresh TTL of grace to report; leases whose
+// workers died with the coordinator simply expire and requeue. Deterministic
+// seeding (run i draws from rand.NewSource(Seed+i)) makes every recovery
+// path tally bit-identically to an uninterrupted run.
 
 // journalVersion guards the on-disk format. Bump on incompatible change.
 const journalVersion = 1
@@ -49,17 +48,13 @@ type workerRecord struct {
 	LastSeenUnix   int64              `json:"last_seen_unix,omitempty"`
 }
 
+// journalFile is the coordinator's journal payload.
 type journalFile struct {
-	Version   int                `json:"version"`
-	SavedUnix int64              `json:"saved_unix"`
-	Leases    []leaseRecord      `json:"leases"`
-	Workers   []workerRecord     `json:"workers"`
-	Stats     service.LeaseStats `json:"stats"`
+	journal.Header
+	Leases  []leaseRecord      `json:"leases"`
+	Workers []workerRecord     `json:"workers"`
+	Stats   service.LeaseStats `json:"stats"`
 }
-
-// Journaled reports whether the coordinator persists its control-plane
-// state.
-func (c *Coordinator) Journaled() bool { return c.cfg.JournalPath != "" }
 
 // Flush writes the journal now (no-op without a JournalPath).
 func (c *Coordinator) Flush() error {
@@ -68,7 +63,7 @@ func (c *Coordinator) Flush() error {
 	}
 	now := c.cfg.Now()
 	c.mu.Lock()
-	jf := journalFile{Version: journalVersion, SavedUnix: now.Unix(), Stats: c.stats}
+	jf := journalFile{Stats: c.stats}
 	for _, l := range c.leases { //relint:allow map-order: sorted immediately below
 		jf.Leases = append(jf.Leases, leaseRecord{
 			ID: l.id, JobID: l.jobID, Worker: l.worker,
@@ -92,27 +87,7 @@ func (c *Coordinator) Flush() error {
 	c.mu.Unlock()
 	sort.Slice(jf.Leases, func(i, k int) bool { return jf.Leases[i].ID < jf.Leases[k].ID })
 	sort.Slice(jf.Workers, func(i, k int) bool { return jf.Workers[i].Name < jf.Workers[k].Name })
-	data, err := json.MarshalIndent(jf, "", " ")
-	if err != nil {
-		return err
-	}
-	return service.WriteFileAtomic(c.cfg.JournalPath, data)
-}
-
-// loadJournal reads a journal; a missing file is an empty journal.
-func loadJournal(path string) (*journalFile, error) {
-	data, err := service.ReadFileMissingOK(path)
-	if data == nil || err != nil {
-		return nil, err
-	}
-	var jf journalFile
-	if err := json.Unmarshal(data, &jf); err != nil {
-		return nil, fmt.Errorf("fleet journal %s: %w", path, err)
-	}
-	if jf.Version != journalVersion {
-		return nil, fmt.Errorf("fleet journal %s: version %d, want %d", path, jf.Version, journalVersion)
-	}
-	return &jf, nil
+	return journal.Save(c.cfg.JournalPath, journalVersion, now.Unix(), &jf)
 }
 
 // restore rebuilds the registry and lease table from a journal (called from
@@ -146,23 +121,6 @@ func (c *Coordinator) restore(jf *journalFile, now time.Time) {
 			id: lr.ID, jobID: lr.JobID, worker: lr.Worker,
 			from: lr.From, to: lr.To,
 			deadline: now.Add(c.cfg.LeaseTTL),
-		}
-	}
-}
-
-// flushLoop periodically writes the journal while dirty.
-func (c *Coordinator) flushLoop() {
-	defer c.wg.Done()
-	t := time.NewTicker(c.cfg.FlushInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-c.done:
-			return
-		case <-t.C:
-			if c.dirty.Swap(false) {
-				c.Flush() //nolint:errcheck — periodic flush retries next tick
-			}
 		}
 	}
 }

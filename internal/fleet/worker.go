@@ -2,8 +2,6 @@ package fleet
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
@@ -52,11 +50,7 @@ type WorkerConfig struct {
 
 func (c WorkerConfig) withDefaults() WorkerConfig {
 	if c.ID == "" {
-		var b [4]byte
-		if _, err := rand.Read(b[:]); err != nil {
-			panic(fmt.Sprintf("fleet: rand.Read: %v", err))
-		}
-		c.ID = "w" + hex.EncodeToString(b[:])
+		c.ID = service.NewID("w")
 	}
 	if c.Chunk <= 0 {
 		c.Chunk = 100

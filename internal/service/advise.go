@@ -14,8 +14,6 @@ package service
 import (
 	"bytes"
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -26,6 +24,7 @@ import (
 	"time"
 
 	"gpurel/internal/advisor"
+	"gpurel/internal/journal"
 )
 
 // AdviseGroup is the nested "advise" group of the v1 advise spec: what to
@@ -48,23 +47,17 @@ type AdviseSpec struct {
 	Seed   int64       `json:"seed"`
 }
 
-// adviseSpecWire is the strict decode target for AdviseSpec.
-type adviseSpecWire struct {
-	Advise AdviseGroup `json:"advise"`
-	Runs   int         `json:"runs"`
-	Seed   int64       `json:"seed"`
-}
-
-// UnmarshalJSON decodes the v1 advise schema, rejecting unknown fields —
-// the advise group is new enough to have no legacy flat spellings.
+// UnmarshalJSON decodes the v1 advise schema, rejecting unknown fields like
+// JobSpec does.
 func (sp *AdviseSpec) UnmarshalJSON(data []byte) error {
-	var w adviseSpecWire
+	type plain AdviseSpec // no methods, so Decode cannot recurse
+	var w plain
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&w); err != nil {
 		return err
 	}
-	*sp = AdviseSpec{Advise: w.Advise, Runs: w.Runs, Seed: w.Seed}
+	*sp = AdviseSpec(w)
 	return nil
 }
 
@@ -170,8 +163,12 @@ type adviseJob struct {
 	errmsg     string
 	started    time.Time
 	finished   time.Time
-	subs       map[int]chan AdviseEvent
-	nextSub    int
+	events     *Hub[AdviseEvent]
+}
+
+// newAdviseJob builds a queued advise job with nothing measured yet.
+func newAdviseJob(id string, spec AdviseSpec, created time.Time) *adviseJob {
+	return &adviseJob{id: id, spec: spec, created: created, state: StateQueued, events: NewHub[AdviseEvent](eventBuffer)}
 }
 
 // adviseCheckpoint is the durable state of one advise job: its spec plus the
@@ -188,10 +185,14 @@ type adviseCheckpoint struct {
 	Finished int64          `json:"finished_unix,omitempty"`
 }
 
+// adviseCheckpointVersion guards the advise journal format.
+const adviseCheckpointVersion = 1
+
+// adviseCheckpointFile is the advisor's journal payload (see
+// internal/journal for the envelope and the durability discipline).
 type adviseCheckpointFile struct {
-	Version   int                `json:"version"`
-	SavedUnix int64              `json:"saved_unix"`
-	Jobs      []adviseCheckpoint `json:"jobs"`
+	journal.Header
+	Jobs []adviseCheckpoint `json:"jobs"`
 }
 
 // NewAdvisor builds the advise subsystem, resumes any incomplete advise
@@ -210,13 +211,14 @@ func NewAdvisor(cfg AdvisorConfig) (*Advisor, error) {
 	}
 
 	if cfg.JournalPath != "" {
-		saved, err := loadAdviseCheckpoint(cfg.JournalPath)
-		if err != nil {
+		var saved adviseCheckpointFile
+		if err := journal.Load(cfg.JournalPath, adviseCheckpointVersion, &saved); err != nil {
 			cancel()
 			return nil, err
 		}
-		for _, jc := range saved {
-			j := &adviseJob{id: jc.ID, spec: jc.Spec, created: time.Unix(jc.Created, 0), state: jc.State, st: jc.Advisor, errmsg: jc.Error}
+		for _, jc := range saved.Jobs {
+			j := newAdviseJob(jc.ID, jc.Spec, time.Unix(jc.Created, 0))
+			j.state, j.st, j.errmsg = jc.State, jc.Advisor, jc.Error
 			if jc.Started != 0 {
 				j.started = time.Unix(jc.Started, 0)
 			}
@@ -254,7 +256,7 @@ func (a *Advisor) Submit(spec AdviseSpec) (AdviseStatus, error) {
 	if err := spec.Validate(); err != nil {
 		return AdviseStatus{}, err
 	}
-	j := &adviseJob{id: newAdviseID(), spec: spec, created: a.cfg.Now(), state: StateQueued}
+	j := newAdviseJob(NewID("a"), spec, a.cfg.Now())
 	a.mu.Lock()
 	a.jobs[j.id] = j
 	a.order = append(a.order, j.id)
@@ -414,7 +416,8 @@ func (a *Advisor) finish(j *adviseJob, st JobState, errmsg string) {
 	a.flush()
 }
 
-// flush persists every advise job to the journal (atomic temp + rename).
+// flush persists every advise job to the journal. The advisor's flush policy
+// is synchronous: every completed unit of work calls it before moving on.
 func (a *Advisor) flush() error {
 	if a.cfg.JournalPath == "" {
 		return nil
@@ -425,7 +428,7 @@ func (a *Advisor) flush() error {
 		jobs = append(jobs, a.jobs[id].checkpoint())
 	}
 	a.mu.Unlock()
-	return saveAdviseCheckpoint(a.cfg.JournalPath, jobs, a.cfg.Now().Unix())
+	return journal.Save(a.cfg.JournalPath, adviseCheckpointVersion, a.cfg.Now().Unix(), &adviseCheckpointFile{Jobs: jobs})
 }
 
 // writeMetrics is the /metrics exposition section for the advise subsystem.
@@ -445,10 +448,7 @@ func (a *Advisor) writeMetrics(w io.Writer) {
 
 func (a *Advisor) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec AdviseSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		WriteError(w, http.StatusBadRequest, ErrCodeBadRequest, "bad advise spec: "+err.Error())
+	if !DecodeBody(w, r, "advise spec", &spec) {
 		return
 	}
 	st, err := a.Submit(spec)
@@ -460,11 +460,11 @@ func (a *Advisor) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, status, code, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusAccepted, st)
+	WriteJSON(w, http.StatusAccepted, st)
 }
 
 func (a *Advisor) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, a.List())
+	WriteJSON(w, http.StatusOK, a.List())
 }
 
 func (a *Advisor) handleGet(w http.ResponseWriter, r *http.Request) {
@@ -473,7 +473,7 @@ func (a *Advisor) handleGet(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusNotFound, ErrCodeNotFound, "no such advise job")
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
 
 func (a *Advisor) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -482,7 +482,7 @@ func (a *Advisor) handleCancel(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusNotFound, ErrCodeNotFound, "no such advise job")
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
 
 // handleEvents streams one NDJSON event per line: an initial "status"
@@ -496,45 +496,12 @@ func (a *Advisor) handleEvents(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusNotFound, ErrCodeNotFound, "no such advise job")
 		return
 	}
-	ch, unsub := j.subscribe()
-	defer unsub()
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("Cache-Control", "no-store")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-
-	write := func(ev AdviseEvent) bool {
-		if err := enc.Encode(ev); err != nil {
-			return false
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return !ev.Job.State.Terminal()
-	}
-
-	st := j.snapshot()
-	typ := "status"
-	if st.State.Terminal() {
-		typ = string(st.State)
-	}
-	if !write(AdviseEvent{Type: typ, Job: st}) {
-		return
-	}
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case <-a.ctx.Done():
-			return
-		case ev := <-ch:
-			if !write(ev) {
-				return
-			}
-		}
-	}
+	StreamNDJSON(w, r, a.ctx.Done(), j.events,
+		func() (any, bool) {
+			st := j.snapshot()
+			return AdviseEvent{Type: st.State.snapshotType(), Job: st}, !st.State.Terminal()
+		},
+		func(ev AdviseEvent) (any, bool) { return ev, !ev.Job.State.Terminal() })
 }
 
 func (j *adviseJob) snapshotLocked() AdviseStatus {
@@ -583,72 +550,10 @@ func (j *adviseJob) checkpoint() adviseCheckpoint {
 	return jc
 }
 
-// publishLocked fans an event out to subscribers, dropping the oldest
-// buffered event against slow consumers (see job.publishLocked).
+// publishLocked fans an event with the job's current status out to its
+// stream subscribers (j.mu held, so events leave in state order).
 func (j *adviseJob) publishLocked(typ string) {
-	ev := AdviseEvent{Type: typ, Job: j.snapshotLocked()}
-	for _, ch := range j.subs {
-		select {
-		case ch <- ev:
-		default:
-			select {
-			case <-ch:
-			default:
-			}
-			select {
-			case ch <- ev:
-			default:
-			}
-		}
-	}
-}
-
-func (j *adviseJob) subscribe() (<-chan AdviseEvent, func()) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.subs == nil {
-		j.subs = map[int]chan AdviseEvent{}
-	}
-	id := j.nextSub
-	j.nextSub++
-	ch := make(chan AdviseEvent, 64)
-	j.subs[id] = ch
-	return ch, func() {
-		j.mu.Lock()
-		delete(j.subs, id)
-		j.mu.Unlock()
-	}
-}
-
-// adviseCheckpointVersion guards the advise journal format.
-const adviseCheckpointVersion = 1
-
-// saveAdviseCheckpoint writes the advise journal atomically (temp + rename),
-// mirroring the scheduler's checkpoint discipline.
-func saveAdviseCheckpoint(path string, jobs []adviseCheckpoint, savedUnix int64) error {
-	cf := adviseCheckpointFile{Version: adviseCheckpointVersion, SavedUnix: savedUnix, Jobs: jobs}
-	data, err := json.MarshalIndent(cf, "", " ")
-	if err != nil {
-		return err
-	}
-	return writeFileAtomic(path, data)
-}
-
-// loadAdviseCheckpoint reads the advise journal; a missing file is an empty
-// journal, not an error.
-func loadAdviseCheckpoint(path string) ([]adviseCheckpoint, error) {
-	data, err := readFileMissingOK(path)
-	if data == nil || err != nil {
-		return nil, err
-	}
-	var cf adviseCheckpointFile
-	if err := json.Unmarshal(data, &cf); err != nil {
-		return nil, fmt.Errorf("advise checkpoint %s: %w", path, err)
-	}
-	if cf.Version != adviseCheckpointVersion {
-		return nil, fmt.Errorf("advise checkpoint %s: version %d, want %d", path, cf.Version, adviseCheckpointVersion)
-	}
-	return cf.Jobs, nil
+	j.events.Publish(AdviseEvent{Type: typ, Job: j.snapshotLocked()})
 }
 
 // cloneAdvisorState deep-copies a journaled advisor state (JSON round-trip:
@@ -666,14 +571,4 @@ func cloneAdvisorState(st *advisor.State) *advisor.State {
 		panic(fmt.Sprintf("service: unmarshal advisor state: %v", err))
 	}
 	return &cp
-}
-
-// newAdviseID returns a random 12-hex-char advise job ID ("a" prefix keeps
-// it visually distinct from campaign job IDs).
-func newAdviseID() string {
-	var b [6]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic(fmt.Sprintf("service: rand.Read: %v", err))
-	}
-	return "a" + hex.EncodeToString(b[:])
 }

@@ -1,12 +1,8 @@
 package service
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"path/filepath"
-
 	"gpurel/internal/campaign"
+	"gpurel/internal/journal"
 )
 
 // checkpointVersion guards the on-disk format. Bump on incompatible change.
@@ -27,78 +23,9 @@ type jobCheckpoint struct {
 	Created      int64          `json:"created_unix"`
 }
 
+// checkpointFile is the scheduler's journal payload (see internal/journal
+// for the envelope and the durability discipline).
 type checkpointFile struct {
-	Version   int             `json:"version"`
-	SavedUnix int64           `json:"saved_unix"`
-	Jobs      []jobCheckpoint `json:"jobs"`
-}
-
-// saveCheckpoint writes the journal atomically (temp file + rename in the
-// same directory), so a crash mid-write never corrupts the previous
-// checkpoint. savedUnix is the caller's clock reading (Config.Now).
-func saveCheckpoint(path string, jobs []jobCheckpoint, savedUnix int64) error {
-	cf := checkpointFile{Version: checkpointVersion, SavedUnix: savedUnix, Jobs: jobs}
-	data, err := json.MarshalIndent(cf, "", " ")
-	if err != nil {
-		return err
-	}
-	return writeFileAtomic(path, data)
-}
-
-// writeFileAtomic writes data via a temp file + rename in the target's
-// directory, so a crash mid-write never corrupts the previous contents.
-func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".gpureld-ckpt-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
-// WriteFileAtomic is the exported journal-write primitive: subsystems with
-// their own durable state (the fleet coordinator's lease journal) share the
-// scheduler checkpoint's crash-safety idiom.
-func WriteFileAtomic(path string, data []byte) error { return writeFileAtomic(path, data) }
-
-// ReadFileMissingOK is the matching read primitive: a missing journal is an
-// empty journal, not an error.
-func ReadFileMissingOK(path string) ([]byte, error) { return readFileMissingOK(path) }
-
-// readFileMissingOK reads a file, mapping "does not exist" to (nil, nil).
-func readFileMissingOK(path string) ([]byte, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	return data, err
-}
-
-// loadCheckpoint reads a journal; a missing file is an empty journal, not
-// an error.
-func loadCheckpoint(path string) ([]jobCheckpoint, error) {
-	data, err := readFileMissingOK(path)
-	if data == nil || err != nil {
-		return nil, err
-	}
-	var cf checkpointFile
-	if err := json.Unmarshal(data, &cf); err != nil {
-		return nil, fmt.Errorf("checkpoint %s: %w", path, err)
-	}
-	if cf.Version != checkpointVersion {
-		return nil, fmt.Errorf("checkpoint %s: version %d, want %d", path, cf.Version, checkpointVersion)
-	}
-	return cf.Jobs, nil
+	journal.Header
+	Jobs []jobCheckpoint `json:"jobs"`
 }

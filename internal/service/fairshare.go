@@ -187,9 +187,7 @@ func (s *Scheduler) chargeClaim(tenant string, weight, runs int) {
 // when the job is unknown or terminal: the caller should drop the lease
 // instead of restoring it.
 func (s *Scheduler) ReclaimWork(jobID string, from, to int) bool {
-	s.mu.Lock()
-	j, ok := s.jobs[jobID]
-	s.mu.Unlock()
+	j, ok := s.job(jobID)
 	if !ok {
 		return false
 	}
@@ -215,13 +213,7 @@ func (s *Scheduler) ReclaimWork(jobID string, from, to int) bool {
 // the fleet status document's "tenants" section and the per-tenant /metrics
 // gauges.
 func (s *Scheduler) Tenants() []TenantStatus {
-	s.mu.Lock()
-	ids := append([]string(nil), s.order...)
-	js := make([]*job, 0, len(ids))
-	for _, id := range ids {
-		js = append(js, s.jobs[id])
-	}
-	s.mu.Unlock()
+	js := s.jobsInOrder()
 
 	byName := map[string]*TenantStatus{}
 	var names []string

@@ -318,6 +318,16 @@ func (s JobState) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCanceled
 }
 
+// snapshotType is the event type of a stream's opening snapshot: "status",
+// or the state's own name once terminal (the snapshot is then also the
+// stream's terminal event).
+func (s JobState) snapshotType() string {
+	if s.Terminal() {
+		return string(s)
+	}
+	return "status"
+}
+
 // JobStatus is the API view of a job: its spec, lifecycle state, and the
 // partial (or final) tally with the live 99%-confidence error margin of the
 // paper's methodology.
@@ -382,8 +392,7 @@ type job struct {
 	started   time.Time
 	finished  time.Time
 	canceled  bool
-	subs      map[int]chan Event
-	nextSub   int
+	events    *Hub[Event]
 }
 
 // newJob builds a fresh job with its full run budget pending.
@@ -393,6 +402,7 @@ func newJob(id string, spec JobSpec, created time.Time) *job {
 		state:   StateQueued,
 		merger:  campaign.NewPrefixMerger(),
 		pending: []Range{{From: 0, To: spec.Runs}},
+		events:  NewHub[Event](eventBuffer),
 	}
 }
 
@@ -438,43 +448,8 @@ func (j *job) snapshot() JobStatus {
 	return j.snapshotLocked()
 }
 
-// publishLocked fans an event out to subscribers. Slow consumers lose the
-// oldest buffered event rather than stalling the scheduler; terminal events
-// therefore always land (the buffer never stays full against them).
+// publishLocked fans an event with the job's current status out to its
+// stream subscribers (j.mu held, so events leave in state order).
 func (j *job) publishLocked(typ string) {
-	ev := Event{Type: typ, Job: j.snapshotLocked()}
-	for _, ch := range j.subs {
-		select {
-		case ch <- ev:
-		default:
-			// Buffer full: drop the oldest event to make room. Only the job
-			// owner's lock holder publishes, so the retry cannot race
-			// another producer and always succeeds.
-			select {
-			case <-ch:
-			default:
-			}
-			select {
-			case ch <- ev:
-			default:
-			}
-		}
-	}
-}
-
-func (j *job) subscribe() (<-chan Event, func()) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.subs == nil {
-		j.subs = map[int]chan Event{}
-	}
-	id := j.nextSub
-	j.nextSub++
-	ch := make(chan Event, 64)
-	j.subs[id] = ch
-	return ch, func() {
-		j.mu.Lock()
-		delete(j.subs, id)
-		j.mu.Unlock()
-	}
+	j.events.Publish(Event{Type: typ, Job: j.snapshotLocked()})
 }

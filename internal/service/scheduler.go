@@ -2,8 +2,6 @@ package service
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -14,6 +12,7 @@ import (
 
 	"gpurel/internal/adaptive"
 	"gpurel/internal/campaign"
+	"gpurel/internal/journal"
 	"gpurel/internal/microfi"
 )
 
@@ -137,12 +136,12 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 	}
 
 	if cfg.CheckpointPath != "" {
-		saved, err := loadCheckpoint(cfg.CheckpointPath)
-		if err != nil {
+		var saved checkpointFile
+		if err := journal.Load(cfg.CheckpointPath, checkpointVersion, &saved); err != nil {
 			cancel()
 			return nil, err
 		}
-		for _, jc := range saved {
+		for _, jc := range saved.Jobs {
 			j := newJob(jc.ID, jc.Spec, time.Unix(jc.Created, 0))
 			j.state = jc.State
 			j.early = jc.EarlyStopped
@@ -169,6 +168,12 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 			s.jobs[j.id] = j
 			s.order = append(s.order, j.id)
 		}
+		// The scheduler's flush policy: on a ticker, while dirty.
+		s.wg.Add(1)
+		go func() {
+			defer s.wg.Done()
+			journal.FlushLoop(ctx.Done(), cfg.CheckpointInterval, &s.dirty, s.Flush)
+		}()
 	}
 
 	s.metrics.AddCollector(s.writeTenantMetrics)
@@ -176,18 +181,11 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 		s.wg.Add(1)
 		go s.shardLoop(s.queues[i])
 	}
-	s.wg.Add(1)
-	go s.flushLoop()
 	return s, nil
 }
 
 // Metrics exposes the daemon counters.
 func (s *Scheduler) Metrics() *Metrics { return s.metrics }
-
-// Done is closed when the scheduler starts draining; long-lived streams
-// (GET /v1/jobs/{id}/events) use it to end promptly so HTTP shutdown does
-// not wait out their clients.
-func (s *Scheduler) Done() <-chan struct{} { return s.ctx.Done() }
 
 // enqueue places a job on its lane. Must only be called with the job
 // already in (or being added to) the table.
@@ -211,7 +209,7 @@ func (s *Scheduler) Submit(spec JobSpec) (JobStatus, error) {
 	if err := spec.Validate(); err != nil {
 		return JobStatus{}, err
 	}
-	j := newJob(newJobID(), spec, s.cfg.Now())
+	j := newJob(NewID("j"), spec, s.cfg.Now())
 	s.mu.Lock()
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
@@ -230,9 +228,7 @@ func (s *Scheduler) Submit(spec JobSpec) (JobStatus, error) {
 
 // Get returns a job's status.
 func (s *Scheduler) Get(id string) (JobStatus, bool) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
+	j, ok := s.job(id)
 	if !ok {
 		return JobStatus{}, false
 	}
@@ -241,13 +237,7 @@ func (s *Scheduler) Get(id string) (JobStatus, bool) {
 
 // List returns all jobs in submission order.
 func (s *Scheduler) List() []JobStatus {
-	s.mu.Lock()
-	ids := append([]string(nil), s.order...)
-	js := make([]*job, 0, len(ids))
-	for _, id := range ids {
-		js = append(js, s.jobs[id])
-	}
-	s.mu.Unlock()
+	js := s.jobsInOrder()
 	out := make([]JobStatus, 0, len(js))
 	for _, j := range js {
 		out = append(out, j.snapshot())
@@ -258,9 +248,7 @@ func (s *Scheduler) List() []JobStatus {
 // Cancel requests a job stop at the next chunk boundary; queued jobs are
 // canceled immediately.
 func (s *Scheduler) Cancel(id string) (JobStatus, bool) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
+	j, ok := s.job(id)
 	if !ok {
 		return JobStatus{}, false
 	}
@@ -279,16 +267,23 @@ func (s *Scheduler) Cancel(id string) (JobStatus, bool) {
 	return st, true
 }
 
-// Subscribe attaches a progress-event listener to a job.
-func (s *Scheduler) Subscribe(id string) (<-chan Event, func(), bool) {
+// job looks a job up by ID.
+func (s *Scheduler) job(id string) (*job, bool) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
-		return nil, nil, false
+	return j, ok
+}
+
+// jobsInOrder copies the job table out in submission order.
+func (s *Scheduler) jobsInOrder() []*job {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	js := make([]*job, 0, len(s.order))
+	for _, id := range s.order {
+		js = append(js, s.jobs[id])
 	}
-	ch, cancel := j.subscribe()
-	return ch, cancel, true
+	return js
 }
 
 // stateGauges counts current jobs per state for /metrics.
@@ -451,26 +446,6 @@ func (s *Scheduler) finishLocked(j *job, st JobState, errmsg string) {
 	j.publishLocked(string(st))
 }
 
-// flushLoop periodically writes the checkpoint journal while dirty.
-func (s *Scheduler) flushLoop() {
-	defer s.wg.Done()
-	if s.cfg.CheckpointPath == "" {
-		return
-	}
-	t := time.NewTicker(s.cfg.CheckpointInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.ctx.Done():
-			return
-		case <-t.C:
-			if s.dirty.Swap(false) {
-				s.Flush() //nolint:errcheck — periodic flush retries next tick
-			}
-		}
-	}
-}
-
 // Flush writes the checkpoint journal now. Only the merged contiguous
 // prefix is durable: stashed out-of-order partials and claimed-but-unproven
 // work are recomputed on resume (deterministic seeding makes that safe).
@@ -478,13 +453,7 @@ func (s *Scheduler) Flush() error {
 	if s.cfg.CheckpointPath == "" {
 		return nil
 	}
-	s.mu.Lock()
-	ids := append([]string(nil), s.order...)
-	js := make([]*job, 0, len(ids))
-	for _, id := range ids {
-		js = append(js, s.jobs[id])
-	}
-	s.mu.Unlock()
+	js := s.jobsInOrder()
 	cps := make([]jobCheckpoint, 0, len(js))
 	for _, j := range js {
 		j.mu.Lock()
@@ -504,7 +473,7 @@ func (s *Scheduler) Flush() error {
 		})
 		j.mu.Unlock()
 	}
-	return saveCheckpoint(s.cfg.CheckpointPath, cps, s.cfg.Now().Unix())
+	return journal.Save(s.cfg.CheckpointPath, checkpointVersion, s.cfg.Now().Unix(), &checkpointFile{Jobs: cps})
 }
 
 // Close drains the scheduler: no new submissions, in-flight chunks finish,
@@ -517,14 +486,4 @@ func (s *Scheduler) Close() error {
 	s.cancel()
 	s.wg.Wait()
 	return s.Flush()
-}
-
-// newJobID returns a random 12-hex-char job ID.
-func newJobID() string {
-	var b [6]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		// crypto/rand failure is unrecoverable enough to surface loudly.
-		panic(fmt.Sprintf("service: rand.Read: %v", err))
-	}
-	return "j" + hex.EncodeToString(b[:])
 }

@@ -1,8 +1,11 @@
 package service
 
 import (
+	"crypto/rand"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 )
 
@@ -59,30 +62,65 @@ type ErrorEnvelope struct {
 
 // Stable error codes of the v1 envelope.
 const (
-	ErrCodeBadRequest  = "bad_request"  // malformed or invalid request body (400)
-	ErrCodeNotFound    = "not_found"    // no such job/advise/worker (404)
-	ErrCodeGone        = "gone"         // lease expired and requeued (410)
-	ErrCodeUnavailable = "unavailable"  // daemon draining (503)
-	ErrCodeQueueFull   = "queue_full"   // lane backlog full (429)
+	ErrCodeBadRequest  = "bad_request" // malformed or invalid request body (400; 413 over MaxBodyBytes)
+	ErrCodeNotFound    = "not_found"   // no such job/advise/worker (404)
+	ErrCodeGone        = "gone"        // lease expired and requeued (410)
+	ErrCodeUnavailable = "unavailable" // daemon draining (503)
+	ErrCodeQueueFull   = "queue_full"  // lane backlog full (429)
 )
 
 // WriteError answers with the unified v1 error envelope.
 func WriteError(w http.ResponseWriter, status int, code, msg string) {
-	writeJSON(w, status, ErrorEnvelope{Error: ErrorDetail{Code: code, Message: msg}})
+	WriteJSON(w, status, ErrorEnvelope{Error: ErrorDetail{Code: code, Message: msg}})
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON answers with v as the JSON body — the one response writer of
+// every /v1/* handler, in this package and in internal/fleet.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(v)
 }
 
+// MaxBodyBytes caps the request body of every /v1/* POST. The largest
+// legitimate body is a lease report (one tally), far under it.
+const MaxBodyBytes = 1 << 20
+
+// DecodeBody is the one request decoder of every /v1/* POST: the body is
+// size-capped and decoded strictly (unknown fields are an error) into v.
+// On failure it answers with the v1 error envelope — 413 for an oversize
+// body, 400 otherwise, the message prefixed "bad <what>: " — and returns
+// false.
+func DecodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	WriteError(w, status, ErrCodeBadRequest, "bad "+what+": "+err.Error())
+	return false
+}
+
+// NewID returns prefix plus 12 random hex characters: job ("j"), advise
+// ("a"), lease ("l") and default worker ("w") identifiers all come from here.
+func NewID(prefix string) string {
+	var b [6]byte
+	if _, err := rand.Read(b[:]); err != nil {
+		// crypto/rand failure is unrecoverable enough to surface loudly.
+		panic(fmt.Sprintf("service: rand.Read: %v", err))
+	}
+	return prefix + hex.EncodeToString(b[:])
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		WriteError(w, http.StatusBadRequest, ErrCodeBadRequest, "bad job spec: "+err.Error())
+	if !DecodeBody(w, r, "job spec", &spec) {
 		return
 	}
 	st, err := s.sched.Submit(spec)
@@ -96,11 +134,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, status, code, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusAccepted, st)
+	WriteJSON(w, http.StatusAccepted, st)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.sched.List())
+	WriteJSON(w, http.StatusOK, s.sched.List())
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
@@ -109,7 +147,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusNotFound, ErrCodeNotFound, "no such job")
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -118,61 +156,25 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusNotFound, ErrCodeNotFound, "no such job")
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
 
 // handleEvents streams one NDJSON event per line: an initial "status"
 // snapshot, then "progress" per completed chunk, ending with the terminal
-// state ("done" | "failed" | "canceled").
+// state ("done" | "failed" | "canceled"). A job already terminal ends the
+// stream with its snapshot.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	ch, unsub, ok := s.sched.Subscribe(id)
+	j, ok := s.sched.job(r.PathValue("id"))
 	if !ok {
 		WriteError(w, http.StatusNotFound, ErrCodeNotFound, "no such job")
 		return
 	}
-	defer unsub()
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("Cache-Control", "no-store")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-
-	write := func(ev Event) bool {
-		if err := enc.Encode(ev); err != nil {
-			return false
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return !ev.Job.State.Terminal()
-	}
-
-	// Snapshot first so late subscribers see where the job stands; a job
-	// already terminal ends the stream immediately.
-	st, _ := s.sched.Get(id)
-	typ := "status"
-	if st.State.Terminal() {
-		typ = string(st.State)
-	}
-	if !write(Event{Type: typ, Job: st}) {
-		return
-	}
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case <-s.sched.Done():
-			// Draining: end the stream without a terminal event; clients
-			// reconnect or poll after the daemon restarts.
-			return
-		case ev := <-ch:
-			if !write(ev) {
-				return
-			}
-		}
-	}
+	StreamNDJSON(w, r, s.sched.ctx.Done(), j.events,
+		func() (any, bool) {
+			st := j.snapshot()
+			return Event{Type: st.State.snapshotType(), Job: st}, !st.State.Terminal()
+		},
+		func(ev Event) (any, bool) { return ev, !ev.Job.State.Terminal() })
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
