@@ -11,8 +11,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"strings"
@@ -27,38 +29,42 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its process state made explicit: the campaign for args,
+// the report on stdout, diagnostics on stderr, and the exit status returned.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("nvbitfi", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		appName = flag.String("app", "VA", "benchmark application (see -list)")
-		kernel  = flag.String("kernel", "", "kernel name (K1..Kn); empty = whole application")
-		mode    = flag.String("mode", "svf", "svf, svf-ld or svf-use")
-		n       = flag.Int("n", 3000, "injections per campaign")
-		seed    = flag.Int64("seed", 1, "campaign seed")
-		workers = flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
-		tmr     = flag.Bool("tmr", false, "harden the application with thread-level TMR first")
-		adapt   = flag.Bool("adaptive", false, "stop the campaign early once the Wilson-score 99% CI half-width reaches the target margin")
-		margin  = flag.Float64("margin", 0, "target 99% CI half-width for -adaptive (0 = the paper's ±2.35%); implies -adaptive")
-		list    = flag.Bool("list", false, "list benchmarks and kernels")
+		appName = fs.String("app", "VA", "benchmark application (see -list)")
+		kernel  = fs.String("kernel", "", "kernel name (K1..Kn); empty = whole application")
+		mode    = fs.String("mode", "svf", "svf, svf-ld or svf-use")
+		n       = fs.Int("n", 3000, "injections per campaign")
+		seed    = fs.Int64("seed", 1, "campaign seed")
+		workers = fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
+		tmr     = fs.Bool("tmr", false, "harden the application with thread-level TMR first")
+		adapt   = fs.Bool("adaptive", false, "stop the campaign early once the Wilson-score 99% CI half-width reaches the target margin")
+		margin  = fs.Float64("margin", 0, "target 99% CI half-width for -adaptive (0 = the paper's ±2.35%); implies -adaptive")
+		list    = fs.Bool("list", false, "list benchmarks and kernels")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fatal := func(err error) int {
+		fmt.Fprintln(stderr, "nvbitfi:", err)
+		return 1
+	}
 
 	if *list {
 		for _, a := range kernels.All() {
-			fmt.Printf("%-12s %s\n", a.Name, strings.Join(a.Kernels, " "))
+			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, strings.Join(a.Kernels, " "))
 		}
-		return
-	}
-
-	app, err := kernels.ByName(*appName)
-	if err != nil {
-		fatal(err)
-	}
-	job := app.Build()
-	if *tmr {
-		job = harden.TMR(job)
-	}
-	g, err := softfi.Golden(job)
-	if err != nil {
-		fatal(err)
+		return 0
 	}
 
 	var m softfi.Mode
@@ -70,11 +76,25 @@ func main() {
 	case "svf-use":
 		m = softfi.SVFUse
 	default:
-		fatal(fmt.Errorf("unknown mode %q", *mode))
+		fmt.Fprintf(stderr, "nvbitfi: unknown mode %q (want svf, svf-ld or svf-use)\n", *mode)
+		return 2
+	}
+
+	app, err := kernels.ByName(*appName)
+	if err != nil {
+		return fatal(err)
+	}
+	job := app.Build()
+	if *tmr {
+		job = harden.TMR(job)
+	}
+	g, err := softfi.Golden(job)
+	if err != nil {
+		return fatal(err)
 	}
 
 	tgt := softfi.Target{Kernel: *kernel, Mode: m, IncludeVote: *tmr}
-	fmt.Printf("golden run: %d dynamic instructions, %d injection candidates\n",
+	fmt.Fprintf(stdout, "golden run: %d dynamic instructions, %d injection candidates\n",
 		g.Res.DynInstrs, tgt.Candidates(g))
 
 	target := *margin
@@ -106,10 +126,10 @@ func main() {
 	if target > 0 {
 		tbl.AddFooter("adaptive sampling: %d runs saved (early stop, target ±%.2f%%)", saved, 100*target)
 	}
-	fmt.Print(tbl.String())
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "nvbitfi:", err)
-	os.Exit(1)
+	ck := g.CheckpointCounts()
+	tbl.AddFooter("checkpointing: %d boundaries (%.1f KiB of deltas), %d fork resumes (%d thread-instructions skipped), %d joins (%d thread-instructions skipped)",
+		ck.Boundaries, float64(ck.DeltaBytes)/(1<<10),
+		ck.Forks, ck.ForkInstrsSkipped, ck.Joins, ck.JoinInstrsSkipped)
+	fmt.Fprint(stdout, tbl.String())
+	return 0
 }

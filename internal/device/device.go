@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"gpurel/internal/isa"
 )
@@ -119,13 +120,35 @@ func (m *Memory) Size() int { return len(m.data) }
 func (m *Memory) Used() uint32 { return m.next }
 
 // Clone returns a deep copy, used to reset state between injection runs.
-func (m *Memory) Clone() *Memory {
-	c := &Memory{data: make([]byte, len(m.data)), next: m.next}
-	copy(c.data, m.data)
+func (m *Memory) Clone() *Memory { return m.clonePrefix(len(m.data)) }
+
+// CloneUsed returns a deep copy trimmed to the allocation high-water mark.
+// Every checked access above Used() is rejected by the allocation table and
+// host steps stay inside allocations, so a run never touches the bytes
+// dropped; the functional executor sizes each run's memory this way. The
+// copy cannot take further allocations.
+func (m *Memory) CloneUsed() *Memory { return m.clonePrefix(int(m.next)) }
+
+func (m *Memory) clonePrefix(n int) *Memory {
+	c := &Memory{data: bytes.Clone(m.data[:n]), next: m.next}
 	c.allocs = append([]Alloc(nil), m.allocs...)
 	c.pdirty = make([]uint64, (c.numPages()+63)/64)
 	c.markAllPages()
 	return c
+}
+
+// DirtyPages calls fn with the byte range [lo, hi) of every page written
+// since the last ClearPageDirty, in address order.
+func (m *Memory) DirtyPages(fn func(lo, hi uint32)) {
+	for w, word := range m.pdirty {
+		for ; word != 0; word &= word - 1 {
+			lo := (w<<6 | bits.TrailingZeros64(word)) * pageBytes
+			if lo >= len(m.data) {
+				return
+			}
+			fn(uint32(lo), uint32(min(lo+pageBytes, len(m.data))))
+		}
+	}
 }
 
 // CloneInto deep-copies m into dst, reusing dst's backing array when the

@@ -118,6 +118,66 @@ func TestClone(t *testing.T) {
 	}
 }
 
+func TestCloneUsed(t *testing.T) {
+	m := NewMemory(1 << 16)
+	a := m.Alloc("x", 8)
+	b := m.Alloc("y", 5000) // the high-water mark lands mid-page
+	m.PokeU32(a, 1)
+	m.PokeU32(b+4996, 7)
+	c := m.CloneUsed()
+	if c.Size() != int(m.Used()) || c.Used() != m.Used() {
+		t.Fatalf("trimmed clone holds %d bytes, used %d, want %d", c.Size(), c.Used(), m.Used())
+	}
+	if c.PeekU32(a) != 1 || c.PeekU32(b+4996) != 7 {
+		t.Error("trimmed clone lost data")
+	}
+	c.PokeU32(a, 2)
+	if m.PeekU32(a) != 1 {
+		t.Error("trimmed clone must not share storage")
+	}
+	// the same accesses fault on both: nothing above the mark is reachable
+	for _, addr := range []uint32{0, a, b + 4996, b + 5000, m.Used() + 256, 1 << 15} {
+		_, e1 := m.Load4(addr)
+		_, e2 := c.Load4(addr)
+		if (e1 == nil) != (e2 == nil) {
+			t.Errorf("load at 0x%x: full image err %v, trimmed err %v", addr, e1, e2)
+		}
+		if (m.Store4(addr, 9) == nil) != (c.Store4(addr, 9) == nil) {
+			t.Errorf("store at 0x%x: full and trimmed images disagree", addr)
+		}
+	}
+}
+
+func TestDirtyPages(t *testing.T) {
+	m := NewMemory(1 << 16)
+	a := m.Alloc("x", 3*pageBytes+100)
+	c := m.CloneUsed()
+	pages := func() (out [][2]uint32) {
+		c.DirtyPages(func(lo, hi uint32) { out = append(out, [2]uint32{lo, hi}) })
+		return out
+	}
+	if got := pages(); len(got) != c.numPages() || got[len(got)-1][1] != c.Used() {
+		t.Fatalf("a fresh clone is dirty everywhere, up to the last partial page: %v", got)
+	}
+	c.ClearPageDirty()
+	if got := pages(); got != nil {
+		t.Fatalf("after ClearPageDirty: %v", got)
+	}
+	last := c.Used() - 4
+	c.PokeU32(a, 1)
+	if err := c.Store4(last, 2); err != nil {
+		t.Fatal(err)
+	}
+	want := [][2]uint32{
+		{a / pageBytes * pageBytes, a/pageBytes*pageBytes + pageBytes},
+		{last / pageBytes * pageBytes, c.Used()},
+	}
+	got := pages()
+	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+		t.Errorf("dirty pages %v, want %v", got, want)
+	}
+}
+
 func TestReplicate(t *testing.T) {
 	m := NewMemory(1 << 14)
 	a := m.Alloc("x", 8)

@@ -10,7 +10,9 @@
 package funcsim
 
 import (
+	"bytes"
 	"fmt"
+	"math/bits"
 
 	"gpurel/internal/device"
 	"gpurel/internal/exec"
@@ -66,8 +68,19 @@ type Result struct {
 	DstCands  int64
 	LoadCands int64
 	UseCands  int64
+	// PerKernel counts what this run executed: a resumed run starts them at
+	// its resume boundary, a joined run stops them at the join.
 	PerKernel map[string]*KernelCounts
 	DUEFlag   bool // application-signalled DUE (TMR voter disagreement)
+
+	// Checkpoints is the boundary log of a run made with Options.Record.
+	Checkpoints *Checkpoints
+	// Joined reports that a resumed injection run met the recorded run's
+	// state at a later boundary and took its suffix from the record:
+	// Output and DUEFlag are the recorded run's, DynInstrs is extended by
+	// the JoinSkipped thread-instructions the recorded suffix executed.
+	Joined      bool
+	JoinSkipped int64
 }
 
 // RegTracer observes architectural register liveness for PVF analysis
@@ -91,46 +104,112 @@ type Options struct {
 	CollectWindows bool
 	// RegTrace, when set, receives architectural register liveness events.
 	RegTrace RegTracer
+	// Record logs a checkpoint at every CTA start and host step into
+	// Result.Checkpoints; it implies CollectWindows, because fork points are
+	// looked up by candidate counter.
+	Record bool
+	// Resume starts the run at boundary ResumeAt of a log recorded on the
+	// same job instead of at the beginning. With Inject set the run also
+	// joins: once the fault has fired, every later boundary is compared with
+	// the record and the first match ends the run (Result.Joined).
+	Resume   *Checkpoints
+	ResumeAt int
 }
 
-// Run executes the job functionally. The job's memory image is cloned, so a
-// Job can be reused across runs.
+// position is the executor's place in the schedule between two CTAs.
+type position struct {
+	si    int // schedule step
+	steps int // steps entered so far, counted against the schedule budget
+	cta   int // next CTA of the launch at si, replicas outermost, then y, x
+}
+
+// Run executes the job functionally. The job's memory image is cloned (up to
+// its allocation high-water mark), so a Job can be reused across runs.
+//
+// CTAs run one after another, so between two of them the whole executor
+// state is the schedule position, the counters in Result and device memory:
+// registers, predicates, shared memory and warps live and die inside runCTA.
+// Record, Resume and the join all rest on that.
 func Run(job *device.Job, opts Options) *Result {
-	mem := job.Mem.Clone()
+	if opts.Record {
+		opts.CollectWindows = true
+	}
 	res := &Result{PerKernel: map[string]*KernelCounts{}}
-	r := &runner{mem: mem, opts: opts, res: res}
+	r := &runner{opts: opts, res: res}
+	var pos position
+	if cps := opts.Resume; cps != nil {
+		pos = r.resume(job, cps, opts.ResumeAt)
+	} else {
+		r.mem = job.Mem.CloneUsed()
+	}
+	if opts.Record {
+		res.Checkpoints = &Checkpoints{}
+		r.shadow = bytes.Clone(r.mem.PeekBytes(0, r.mem.Used()))
+		r.mem.ClearPageDirty()
+	}
 
 	maxSteps := job.MaxScheduleSteps()
-	stepCount := 0
-	for si := 0; si < len(job.Steps); {
-		if stepCount >= maxSteps {
-			res.TimedOut = true
-			return res
+	for ord := opts.ResumeAt; pos.si < len(job.Steps); ord++ {
+		switch {
+		case opts.Record:
+			r.record(pos)
+		case r.shadow != nil && ord > opts.ResumeAt:
+			if r.join(ord, pos) {
+				return res
+			}
 		}
-		stepCount++
-		st := &job.Steps[si]
+		st := &job.Steps[pos.si]
+		if pos.cta == 0 {
+			if pos.steps >= maxSteps {
+				res.TimedOut = true
+				return res
+			}
+			pos.steps++
+		}
 		if st.Host != nil {
-			next := st.Host(mem, 0)
-			if next >= 0 {
-				si = next
+			if next := st.Host(r.mem, 0); next >= 0 {
+				pos.si = next
 			} else {
-				si++
+				pos.si++
 			}
 			continue
 		}
-		if err := r.launch(st.Launch); err != nil {
-			if err == errTimeout {
-				res.TimedOut = true
-			} else {
-				res.Err = err
+		l := st.Launch
+		if pos.cta == 0 {
+			if l.ThreadsPerCTA() == 0 || l.Kernel == nil {
+				res.Err = fmt.Errorf("launch %s: empty configuration", l.Name())
+				return res
 			}
-			return res
+			r.winStart = [3]int64{res.DstCands, res.LoadCands, res.UseCands}
 		}
-		si++
+		if pos.cta < l.NumCTAs() {
+			if err := r.runCTA(l, pos.cta); err != nil {
+				if err == errTimeout {
+					res.TimedOut = true
+				} else {
+					res.Err = err
+				}
+				return res
+			}
+			pos.cta++
+		}
+		if pos.cta >= l.NumCTAs() {
+			if opts.CollectWindows {
+				kc := r.kernelCounts(l.Name())
+				kc.DstWindows = append(kc.DstWindows, Window{r.winStart[0], res.DstCands})
+				kc.LoadWindows = append(kc.LoadWindows, Window{r.winStart[1], res.LoadCands})
+				kc.UseWindows = append(kc.UseWindows, Window{r.winStart[2], res.UseCands})
+			}
+			pos.si++
+			pos.cta = 0
+		}
 	}
-	res.Output = job.ReadOutputs(mem)
-	if job.DUEFlag != 0 && mem.PeekU32(job.DUEFlag) != 0 {
+	res.Output = job.ReadOutputs(r.mem)
+	if job.DUEFlag != 0 && r.mem.PeekU32(job.DUEFlag) != 0 {
 		res.DUEFlag = true
+	}
+	if opts.Record {
+		res.Checkpoints.end = res
 	}
 	return res
 }
@@ -141,6 +220,13 @@ type runner struct {
 	mem  *device.Memory
 	opts Options
 	res  *Result
+	// winStart holds the candidate counters at the entry of the current
+	// launch (or at the resume boundary inside it).
+	winStart [3]int64
+	// shadow is the recorded run's memory at the current boundary: what a
+	// recording run diffs against, and what a resumed injection run compares
+	// with to join. nil when neither applies (or the schedule diverged).
+	shadow []byte
 }
 
 func (r *runner) kernelCounts(name string) *KernelCounts {
@@ -287,36 +373,13 @@ func putLE32(b []byte, v uint32) {
 	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
 }
 
-// launch executes one kernel launch: every CTA of every replica, each CTA's
-// warps stepped round-robin to honour barriers.
-func (r *runner) launch(l *device.Launch) error {
+// runCTA executes CTA number cta of the launch (replicas outermost, then
+// grid y, then grid x), its warps stepped round-robin to honour barriers.
+func (r *runner) runCTA(l *device.Launch, cta int) error {
 	prog := l.Kernel
-	kc := r.kernelCounts(l.Name())
-	dstStart, loadStart, useStart := r.res.DstCands, r.res.LoadCands, r.res.UseCands
-
-	threads := l.ThreadsPerCTA()
-	if threads == 0 || prog == nil {
-		return fmt.Errorf("launch %s: empty configuration", l.Name())
-	}
-	for rep := 0; rep < l.NumReplicas(); rep++ {
-		params := l.ParamsFor(rep)
-		for cy := 0; cy < l.GridY; cy++ {
-			for cx := 0; cx < l.GridX; cx++ {
-				if err := r.runCTA(l, prog, params, cx, cy); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	if r.opts.CollectWindows {
-		kc.DstWindows = append(kc.DstWindows, Window{dstStart, r.res.DstCands})
-		kc.LoadWindows = append(kc.LoadWindows, Window{loadStart, r.res.LoadCands})
-		kc.UseWindows = append(kc.UseWindows, Window{useStart, r.res.UseCands})
-	}
-	return nil
-}
-
-func (r *runner) runCTA(l *device.Launch, prog *isa.Program, params []uint32, cx, cy int) error {
+	perGrid := l.GridX * l.GridY
+	params := l.ParamsFor(cta / perGrid)
+	cy, cx := cta%perGrid/l.GridX, cta%l.GridX
 	threads := l.ThreadsPerCTA()
 	if tr := r.opts.RegTrace; tr != nil {
 		tr.OnCTAStart(threads, prog.NumRegs, r.res.DynInstrs)
@@ -359,7 +422,7 @@ func (r *runner) runCTA(l *device.Launch, prog *isa.Program, params []uint32, cx
 				env.curInstr = warps[w].PeekInstr(prog)
 				info := exec.Step(warps[w], prog, env)
 				if info.Kind == exec.StepOK || info.Kind == exec.StepExit || info.Kind == exec.StepBarrier {
-					n := int64(popcount(info.ActiveMask))
+					n := int64(bits.OnesCount32(info.ActiveMask))
 					r.res.DynInstrs += n
 					kc.DynInstrs += n
 					if r.opts.MaxDynInstrs > 0 && r.res.DynInstrs > r.opts.MaxDynInstrs {
@@ -407,13 +470,4 @@ func (r *runner) runCTA(l *device.Launch, prog *isa.Program, params []uint32, cx
 		}
 	}
 	return nil
-}
-
-func popcount(m uint32) int {
-	n := 0
-	for m != 0 {
-		m &= m - 1
-		n++
-	}
-	return n
 }

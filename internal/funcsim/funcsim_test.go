@@ -156,7 +156,9 @@ func TestInjectUseDoesNotPersist(t *testing.T) {
 	}
 }
 
-func TestHostStepJump(t *testing.T) {
+// loopJob increments a counter once per launch; the host step loops back
+// until it reads 5.
+func loopJob() *device.Job {
 	m := device.NewMemory(1 << 14)
 	cnt := m.Alloc("cnt", 4)
 	prog := func() *isa.Program {
@@ -170,7 +172,7 @@ func TestHostStepJump(t *testing.T) {
 		b.FreeP(p)
 		return b.MustBuild()
 	}()
-	job := &device.Job{
+	return &device.Job{
 		Name: "loop", Mem: m,
 		Steps: []device.Step{
 			{Launch: &device.Launch{Kernel: prog, GridX: 1, GridY: 1, BlockX: 32, BlockY: 1,
@@ -184,6 +186,10 @@ func TestHostStepJump(t *testing.T) {
 		},
 		Outputs: []device.Output{{Name: "cnt", Addr: cnt, Size: 4}},
 	}
+}
+
+func TestHostStepJump(t *testing.T) {
+	job := loopJob()
 	r := Run(job, Options{})
 	if r.Err != nil {
 		t.Fatal(r.Err)
@@ -191,19 +197,49 @@ func TestHostStepJump(t *testing.T) {
 	if r.Output[0] != 5 {
 		t.Errorf("host loop ran kernel %d times, want 5", r.Output[0])
 	}
+
+	// resumed: the counter lives in memory, so a run picked up at any launch
+	// or host step of the loop still stops at 5
+	g := Run(job, Options{Record: true})
+	if g.Checkpoints.Len() != 10 {
+		t.Fatalf("%d boundaries, want 5 launches + 5 host steps", g.Checkpoints.Len())
+	}
+	for k := 0; k < g.Checkpoints.Len(); k++ {
+		r := Run(job, Options{Resume: g.Checkpoints, ResumeAt: k})
+		if r.Err != nil || r.TimedOut || r.Output[0] != 5 || r.DynInstrs != g.DynInstrs {
+			t.Errorf("resumed at %d: count %d, %d thread-instructions (golden %d), err %v",
+				k, r.Output[0], r.DynInstrs, g.DynInstrs, r.Err)
+		}
+	}
 }
 
 func TestScheduleBudgetTimeout(t *testing.T) {
 	m := device.NewMemory(1 << 14)
+	calls := 0
 	job := &device.Job{
 		Name: "spin", Mem: m,
 		Steps: []device.Step{
-			{Host: func(mm *device.Memory, off uint32) int { return 0 }}, // infinite loop
+			{Host: func(mm *device.Memory, off uint32) int { calls++; return 0 }}, // infinite loop
 		},
 	}
 	r := Run(job, Options{})
 	if !r.TimedOut {
 		t.Error("runaway host loop must time out via the schedule budget")
+	}
+
+	// resumed: the step count is part of the position, so a run picked up
+	// after k steps has only the rest of the budget left
+	g := Run(job, Options{Record: true})
+	budget := job.MaxScheduleSteps()
+	if !g.TimedOut || g.Checkpoints.Len() != budget+1 {
+		t.Fatalf("recorded run: timed out %v, %d boundaries, budget %d", g.TimedOut, g.Checkpoints.Len(), budget)
+	}
+	for _, k := range []int{0, 1, budget / 2, budget} {
+		calls = 0
+		r := Run(job, Options{Resume: g.Checkpoints, ResumeAt: k})
+		if !r.TimedOut || calls != budget-k {
+			t.Errorf("resumed at %d: timed out %v after %d host steps, want %d", k, r.TimedOut, calls, budget-k)
+		}
 	}
 }
 
@@ -212,5 +248,20 @@ func TestDynInstrBudget(t *testing.T) {
 	r := Run(job, Options{MaxDynInstrs: 10})
 	if !r.TimedOut {
 		t.Error("tiny instruction budget must time out")
+	}
+
+	// resumed: thread-instructions executed before the boundary count
+	// against the budget exactly as if the run had executed them
+	g := Run(job, Options{Record: true})
+	for k := 0; k < g.Checkpoints.Len(); k++ {
+		if r := Run(job, Options{MaxDynInstrs: 10, Resume: g.Checkpoints, ResumeAt: k}); !r.TimedOut {
+			t.Errorf("resumed at %d: tiny instruction budget must time out", k)
+		}
+		if r := Run(job, Options{MaxDynInstrs: g.DynInstrs - 1, Resume: g.Checkpoints, ResumeAt: k}); !r.TimedOut {
+			t.Errorf("resumed at %d: a budget one short of the run must time out", k)
+		}
+		if r := Run(job, Options{MaxDynInstrs: g.DynInstrs, Resume: g.Checkpoints, ResumeAt: k}); r.TimedOut || !bytes.Equal(r.Output, g.Output) {
+			t.Errorf("resumed at %d: the exact budget must suffice", k)
+		}
 	}
 }

@@ -8,13 +8,14 @@
 package softfi
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"sort"
+	"sync/atomic"
 
 	"gpurel/internal/device"
 	"gpurel/internal/faults"
-	"sort"
-
 	"gpurel/internal/funcsim"
 )
 
@@ -46,14 +47,21 @@ func (m Mode) String() string {
 // VoteKernelName mirrors microfi's constant.
 const VoteKernelName = "vote"
 
-// GoldenRun caches the fault-free functional execution.
+// GoldenRun caches the fault-free functional execution and its CTA-boundary
+// checkpoints (Res.Checkpoints), which every Inject forks from and joins
+// back to. The checkpoints are read-only; the counters are atomic, so one
+// GoldenRun serves any number of concurrent campaigns.
 type GoldenRun struct {
 	Res *funcsim.Result
+
+	forks, forkSkipped atomic.Int64
+	joins, joinSkipped atomic.Int64
 }
 
-// Golden runs the job fault-free, collecting per-kernel candidate windows.
+// Golden runs the job fault-free, collecting per-kernel candidate windows
+// and recording the checkpoints.
 func Golden(job *device.Job) (*GoldenRun, error) {
-	res := funcsim.Run(job, funcsim.Options{CollectWindows: true})
+	res := funcsim.Run(job, funcsim.Options{Record: true})
 	if res.Err != nil {
 		return nil, fmt.Errorf("golden run failed: %w", res.Err)
 	}
@@ -64,6 +72,46 @@ func Golden(job *device.Job) (*GoldenRun, error) {
 		return nil, fmt.Errorf("golden run raised the DUE flag")
 	}
 	return &GoldenRun{Res: res}, nil
+}
+
+// CheckpointCounts reports a golden run's checkpoint inventory and the work
+// fork-and-join has saved the injections made against it so far.
+type CheckpointCounts struct {
+	// Boundaries counts recorded checkpoints (CTA starts and host steps);
+	// DeltaBytes is the memory log they share.
+	Boundaries int64 `json:"boundaries"`
+	DeltaBytes int64 `json:"delta_bytes"`
+	// Forks counts runs resumed past the start of the job, ForkInstrsSkipped
+	// the golden-prefix thread-instructions they did not execute.
+	Forks             int64 `json:"forks"`
+	ForkInstrsSkipped int64 `json:"fork_instrs_skipped"`
+	// Joins counts runs that met golden memory at a later boundary,
+	// JoinInstrsSkipped the golden-suffix thread-instructions not executed.
+	Joins             int64 `json:"joins"`
+	JoinInstrsSkipped int64 `json:"join_instrs_skipped"`
+}
+
+// Add accumulates o into c (aggregation across apps/goldens).
+func (c *CheckpointCounts) Add(o CheckpointCounts) {
+	c.Boundaries += o.Boundaries
+	c.DeltaBytes += o.DeltaBytes
+	c.Forks += o.Forks
+	c.ForkInstrsSkipped += o.ForkInstrsSkipped
+	c.Joins += o.Joins
+	c.JoinInstrsSkipped += o.JoinInstrsSkipped
+}
+
+// CheckpointCounts is safe to call concurrently with injections.
+func (g *GoldenRun) CheckpointCounts() CheckpointCounts {
+	cps := g.Res.Checkpoints
+	return CheckpointCounts{
+		Boundaries:        int64(cps.Len()),
+		DeltaBytes:        cps.DeltaBytes(),
+		Forks:             g.forks.Load(),
+		ForkInstrsSkipped: g.forkSkipped.Load(),
+		Joins:             g.joins.Load(),
+		JoinInstrsSkipped: g.joinSkipped.Load(),
+	}
 }
 
 // Target selects the kernel and candidate set of an experiment.
@@ -100,50 +148,78 @@ func (t Target) windows(g *GoldenRun) []funcsim.Window {
 
 // Candidates returns the number of injectable dynamic events for the target.
 func (t Target) Candidates(g *GoldenRun) int64 {
-	var total int64
-	for _, w := range t.windows(g) {
-		total += w.Len()
-	}
-	return total
+	return total(t.windows(g))
 }
 
-func (t Target) pickIndex(g *GoldenRun, rng *rand.Rand) (int64, bool) {
-	total := t.Candidates(g)
-	if total <= 0 {
-		return 0, false
+func total(ws []funcsim.Window) int64 {
+	var n int64
+	for _, w := range ws {
+		n += w.Len()
 	}
-	k := rng.Int63n(total)
-	for _, w := range t.windows(g) {
+	return n
+}
+
+// draw picks the injection site: a uniform candidate index of the target,
+// then the bit.
+func (t Target) draw(g *GoldenRun, rng *rand.Rand) (funcsim.Injection, bool) {
+	ws := t.windows(g)
+	n := total(ws)
+	if n <= 0 {
+		return funcsim.Injection{}, false
+	}
+	inj := funcsim.Injection{Mode: funcsim.InjectDst}
+	switch t.Mode {
+	case SVFLD:
+		inj.Mode = funcsim.InjectDstLoad
+	case SVFUse:
+		inj.Mode = funcsim.InjectUse
+	}
+	k := rng.Int63n(n)
+	for _, w := range ws {
 		if k < w.Len() {
-			return w.Start + k, true
+			inj.Index = w.Start + k
+			break
 		}
 		k -= w.Len()
 	}
-	return 0, false
+	inj.Bit = uint8(rng.Intn(32))
+	return inj, true
 }
 
-// Inject performs one software-level injection experiment.
+// budget is the timeout of a faulty run in thread-instructions.
+func (g *GoldenRun) budget() int64 { return g.Res.DynInstrs * 10 }
+
+// run executes one faulty run: forked from the last golden checkpoint before
+// the site, joined to golden at the first later boundary where memory
+// matches.
+func (g *GoldenRun) run(job *device.Job, inj funcsim.Injection) *funcsim.Result {
+	cps := g.Res.Checkpoints
+	fork := cps.ForkPoint(inj)
+	res := funcsim.Run(job, funcsim.Options{
+		MaxDynInstrs: g.budget(),
+		Inject:       &inj,
+		Resume:       cps,
+		ResumeAt:     fork,
+	})
+	if fork > 0 {
+		g.forks.Add(1)
+		g.forkSkipped.Add(cps.DynInstrsAt(fork))
+	}
+	if res.Joined {
+		g.joins.Add(1)
+		g.joinSkipped.Add(res.JoinSkipped)
+	}
+	return res
+}
+
+// Inject performs one software-level injection experiment. The result is
+// the one a replay of the whole job with the same fault classifies to.
 func Inject(job *device.Job, g *GoldenRun, t Target, rng *rand.Rand) faults.Result {
-	idx, ok := t.pickIndex(g, rng)
+	inj, ok := t.draw(g, rng)
 	if !ok {
 		return faults.Result{Outcome: faults.Masked, Detail: "no injection candidates"}
 	}
-	mode := funcsim.InjectDst
-	switch t.Mode {
-	case SVFLD:
-		mode = funcsim.InjectDstLoad
-	case SVFUse:
-		mode = funcsim.InjectUse
-	}
-	res := funcsim.Run(job, funcsim.Options{
-		MaxDynInstrs: g.Res.DynInstrs * 10,
-		Inject: &funcsim.Injection{
-			Mode:  mode,
-			Index: idx,
-			Bit:   uint8(rng.Intn(32)),
-		},
-	})
-	return Classify(g, res)
+	return Classify(g, g.run(job, inj))
 }
 
 // Classify compares a run against the golden functional run. The
@@ -157,21 +233,9 @@ func Classify(g *GoldenRun, res *funcsim.Result) faults.Result {
 		return faults.Result{Outcome: faults.DUE, Detail: res.Err.Error()}
 	case res.DUEFlag:
 		return faults.Result{Outcome: faults.DUE, Detail: "application-detected (TMR vote disagreement)"}
-	case !bytesEqual(res.Output, g.Res.Output):
+	case !bytes.Equal(res.Output, g.Res.Output):
 		return faults.Result{Outcome: faults.SDC}
 	default:
 		return faults.Result{Outcome: faults.Masked, CtrlAffected: res.DynInstrs != g.Res.DynInstrs}
 	}
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -482,6 +482,21 @@ func (s *Study) CheckpointCounts() microfi.CheckpointCounts {
 	return c
 }
 
+// SoftCheckpointCounts is CheckpointCounts for the software level: the
+// CTA-boundary checkpoints of every cached functional golden run and the
+// work fork-and-join saved the soft campaigns. Kept apart from
+// CheckpointCounts, which reports the cycle simulator alone.
+func (s *Study) SoftCheckpointCounts() softfi.CheckpointCounts {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var c softfi.CheckpointCounts
+	for _, e := range s.apps {
+		c.Add(e.SoftG.CheckpointCounts())
+		c.Add(e.SoftGTMR.CheckpointCounts())
+	}
+	return c
+}
+
 // MicroTally runs (or recalls) the microarchitecture-level campaign for one
 // (app, kernel, structure) point and returns the tally plus the derating
 // factor of the target.

@@ -55,6 +55,31 @@ func TestTMREliminatesSDCsAtSVF(t *testing.T) {
 	}
 }
 
+// TestSoftCheckpointCounts: soft campaigns report their fork-and-join work
+// through SoftCheckpointCounts and leave the cycle simulator's ledger alone.
+func TestSoftCheckpointCounts(t *testing.T) {
+	s := NewStudy(40, 3)
+	if c := s.SoftCheckpointCounts(); c != (softfi.CheckpointCounts{}) {
+		t.Fatalf("empty study: %+v", c)
+	}
+	for _, hardened := range []bool{false, true} {
+		if _, err := s.SoftTally("VA", "K1", softfi.SVF, hardened); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := s.SoftCheckpointCounts()
+	// VA is 8 CTAs; TMR triples them and adds the voter's 16
+	if c.Boundaries != 8+40 || c.DeltaBytes == 0 {
+		t.Errorf("inventory: %+v", c)
+	}
+	if c.Forks == 0 || c.Forks > 80 || c.ForkInstrsSkipped == 0 || c.Joins == 0 || c.JoinInstrsSkipped == 0 {
+		t.Errorf("80 injections over 8 and 40 CTAs must fork and join: %+v", c)
+	}
+	if m := s.CheckpointCounts(); m.ForkResumes != 0 || m.ConvergeHits != 0 || m.Snapshots != 0 {
+		t.Errorf("soft campaigns moved the micro ledger: %+v", m)
+	}
+}
+
 // TestDeterministicCampaigns: identical seeds must reproduce tallies.
 func TestDeterministicCampaigns(t *testing.T) {
 	a := NewStudy(25, 7)
