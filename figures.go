@@ -1,6 +1,7 @@
 package gpurel
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strings"
@@ -761,7 +762,7 @@ func (s *Study) RunPropagationStudy(appName string, n int) (*PropagationStudy, s
 			ps.Crashes++
 			continue
 		}
-		actual := !bytesEq(run.Output, g.Output)
+		actual := !bytes.Equal(run.Output, g.Output)
 		switch {
 		case pred.OutputTainted && actual:
 			ps.TruePos++
@@ -791,18 +792,6 @@ func (s *Study) RunPropagationStudy(appName string, n int) (*PropagationStudy, s
 	t.AddFooter("taint run predicts the SDC class; false positives are logical masking (e.g. a")
 	t.AddFooter("flipped bit that does not change the stored result), which reachability cannot see.")
 	return ps, t.String(), nil
-}
-
-func bytesEq(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // ECCAblation measures a kernel's chip AVF under different protection

@@ -363,21 +363,6 @@ func (m *Memory) Valid(addr uint32, n uint32) bool {
 	return false
 }
 
-// ValidUncached is Valid without the last-hit memo: a plain scan over the
-// allocation table. The simulator's reference (legacy) core uses it so its
-// per-access cost matches the pre-memoization baseline.
-func (m *Memory) ValidUncached(addr uint32, n uint32) bool {
-	if addr%n != 0 {
-		return false
-	}
-	for i := range m.allocs {
-		if a := &m.allocs[i]; addr >= a.Addr && addr+n <= a.Addr+a.Size {
-			return true
-		}
-	}
-	return false
-}
-
 // Load4 reads a 4-byte word, checking validity.
 func (m *Memory) Load4(addr uint32) (uint32, error) {
 	if !m.Valid(addr, 4) {

@@ -428,9 +428,15 @@ func execLane[E Env](env E, lane int, ins *isa.Instr) error {
 			return err
 		}
 	default:
-		return fmt.Errorf("unimplemented opcode %v", ins.Op)
+		return ErrUnimplemented(ins.Op)
 	}
 	return nil
+}
+
+// ErrUnimplemented is the fault raised when a lane executes an opcode
+// outside the ISA. Shared with the µop executor.
+func ErrUnimplemented(op isa.Op) error {
+	return fmt.Errorf("unimplemented opcode %v", op)
 }
 
 // ICmp evaluates an integer comparison. Shared with the µop executor.

@@ -49,14 +49,12 @@ type Cache struct {
 	fills    []inflight
 	lruTick  int64
 
-	// MemoLookup enables a memoized last-hit way in lookup. Coalesced warp
-	// accesses hit the same line 32 times in a row, so remembering the last
-	// matching way skips the set scan on all but the first. The memo is a
-	// pure cache (re-validated against tag and valid bit on every use) and
-	// is never saved, restored or compared. Off by default so the
-	// simulator's legacy core keeps the baseline per-access cost.
-	MemoLookup bool
-	lastWay    int
+	// lastWay memoizes the last way lookup matched. Coalesced warp accesses
+	// hit the same line 32 times in a row, so remembering it skips the set
+	// scan on all but the first. The memo is a pure cache (re-validated
+	// against tag and valid bit on every use) and is never saved, restored
+	// or compared.
+	lastWay int
 
 	Stats Stats
 }
@@ -119,10 +117,8 @@ func (c *Cache) setOf(lineAddr uint32) int {
 // hold a given line address, so serving from the memoized last hit is
 // identical to the set scan.
 func (c *Cache) lookup(lineAddr uint32) *Line {
-	if c.MemoLookup {
-		if ln := &c.lines[c.lastWay]; ln.Valid && ln.Addr == lineAddr {
-			return ln
-		}
+	if ln := &c.lines[c.lastWay]; ln.Valid && ln.Addr == lineAddr {
+		return ln
 	}
 	set := c.setOf(lineAddr)
 	for w := 0; w < c.ways; w++ {

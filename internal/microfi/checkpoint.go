@@ -43,12 +43,6 @@ type CheckpointSpec struct {
 	BudgetBytes int64 `json:"budget_bytes,omitempty"`
 	// Converge enables early convergence detection on faulty runs.
 	Converge bool `json:"converge,omitempty"`
-	// Legacy runs the golden capture and every faulty run on the reference
-	// (pre-µop) core. Snapshots captured by the reference core do not share
-	// pages copy-on-write, so a BudgetBytes limit widens the checkpoint grid
-	// to the density the pre-overhaul engine could afford — the honest
-	// baseline for differential benchmarks.
-	Legacy bool `json:"legacy,omitempty"`
 }
 
 // Enabled reports whether the spec turns checkpointing on.
@@ -116,11 +110,11 @@ func GoldenCheckpointed(job *device.Job, cfg gpu.Config, spec CheckpointSpec) (*
 		budget = 0 // sim.SnapshotSet: <=0 = unlimited
 	}
 	snaps := sim.NewSnapshotSet(stride, budget)
-	res := sim.Run(job, cfg, sim.Options{MaxCycles: goldenCycleBudget(job), Checkpoint: snaps, Legacy: spec.Legacy})
+	res := sim.Run(job, cfg, sim.Options{MaxCycles: goldenCycleBudget(job), Checkpoint: snaps})
 	if err := vetGolden(res); err != nil {
 		return nil, err
 	}
-	return &GoldenRun{Res: res, Cfg: cfg, Snaps: snaps, Ckpt: spec, Legacy: spec.Legacy, pool: sim.NewRunPool()}, nil
+	return &GoldenRun{Res: res, Cfg: cfg, Snaps: snaps, Ckpt: spec, pool: sim.NewRunPool()}, nil
 }
 
 // vetGolden rejects a reference run that is not usable as golden.

@@ -9,6 +9,7 @@
 package microfi
 
 import (
+	"bytes"
 	"math/rand"
 	"sync/atomic"
 
@@ -29,12 +30,6 @@ type GoldenRun struct {
 	// with. Read-only once the golden run completes.
 	Snaps *sim.SnapshotSet
 	Ckpt  CheckpointSpec
-
-	// Legacy forces every faulty run spawned from this golden run onto the
-	// reference interpreter with full-copy snapshot restores. Differential
-	// tests and benchmarks flip it to compare the fast core against the
-	// reference implementation; must be set before injections start.
-	Legacy bool
 
 	pool *sim.RunPool
 
@@ -199,7 +194,6 @@ func injectRun(job *device.Job, g *GoldenRun, cycle int64, persistent bool, arm 
 	opts := sim.Options{
 		MaxCycles: g.Res.Cycles * int64(g.Cfg.TimeoutFactor),
 		AtCycle:   cycle,
-		Legacy:    g.Legacy,
 		OnCycle: func(m *sim.Machine) {
 			applier, hit = arm(m)
 		},
@@ -228,7 +222,7 @@ func Classify(g *GoldenRun, res *sim.Result, injected bool) faults.Result {
 		return faults.Result{Outcome: faults.DUE, Detail: res.Err.Error()}
 	case res.DUEFlag:
 		return faults.Result{Outcome: faults.DUE, Detail: "application-detected (TMR vote disagreement)"}
-	case !bytesEqual(res.Output, g.Res.Output):
+	case !bytes.Equal(res.Output, g.Res.Output):
 		return faults.Result{Outcome: faults.SDC}
 	default:
 		r := faults.Result{Outcome: faults.Masked, CtrlAffected: res.Cycles != g.Res.Cycles}
@@ -237,16 +231,4 @@ func Classify(g *GoldenRun, res *sim.Result, injected bool) faults.Result {
 		}
 		return r
 	}
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

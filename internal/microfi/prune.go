@@ -94,8 +94,7 @@ func InjectPruned(job *device.Job, g *GoldenRun, lv *ace.Liveness, t Target, rng
 // InjectPruned. The map is computed from *static* instruction effects along
 // the scheduled trace, so it over-approximates dynamic liveness: a site
 // outside every live interval is provably never consumed. It needs no
-// reference-core liveness trace and is the only pruner that covers shared
-// memory.
+// register-traced run and is the only pruner that covers shared memory.
 func InjectStatic(job *device.Job, g *GoldenRun, si *StaticIntervals, t Target, rng *rand.Rand) (faults.Result, bool) {
 	if si == nil || (t.Structure != gpu.RF && t.Structure != gpu.SMEM) {
 		return Inject(job, g, t, rng), false

@@ -1,16 +1,17 @@
-// Pre-decoded µop interpreter: the simulator's fast execution core. It
-// mirrors exec.Step bit for bit — same stack normalization, same guard
-// evaluation, same lane order (ascending, so coalescing and mid-instruction
-// fault aborts are identical) — but executes uop.Program records through a
-// compact handler table instead of re-decoding isa.Instr every warp-cycle.
-// Scalar semantics (saturating F2I, comparisons, fused FFMA) are shared with
-// the reference interpreter via exec's exported helpers so they are defined
-// exactly once.
+// Pre-decoded µop interpreter: the simulator's execution core. It follows
+// exec.Step bit for bit — same stack normalization, same guard evaluation,
+// same lane order (ascending, so coalescing and mid-instruction fault aborts
+// are identical) — but executes uop.Program records through a compact
+// handler table instead of re-decoding isa.Instr every warp-cycle. Scalar
+// semantics (saturating F2I, comparisons, fused FFMA) are shared with
+// exec.Step via exec's exported helpers so they are defined exactly once.
 //
-// The fast path is taken when the CTA's program compiled (uop.Cached) and
-// the run needs neither the reference core (Options.Legacy) nor per-access
-// register tracing (Options.RFTrace); otherwise cycleSM falls back to
-// exec.Step on the architectural program.
+// Every run executes here. A run with Options.RFTrace set issues each data
+// µop one lane at a time through the same handlers so the tracer sees the
+// per-lane read → effect → write order exec.Step produces. exec.Step itself
+// drives the functional simulator (internal/funcsim) and, from this
+// package's tests only, the reference core the µop core is checked against
+// (reference_test.go).
 package sim
 
 import (
@@ -22,11 +23,10 @@ import (
 )
 
 // stepFast executes one instruction of w from the compiled program. It is
-// the concrete-counterpart of exec.Step[*simEnv]; StepInfo still reports the
-// architectural *isa.Instr so stats and traces are unchanged. The second
-// return value is the executed µop for data ops (nil for control ops and
-// faults), letting cycleSM classify latency and instruction mix without
-// dereferencing the architectural instruction.
+// the concrete counterpart of exec.Step; StepInfo still reports the
+// architectural *isa.Instr for the schedule trace. The second return value
+// is the executed µop (nil on a fault or an already-exited warp), from which
+// cycleSM classifies latency and instruction mix.
 func (r *runner) stepFast(w *exec.Warp, cp *uop.Program, e *simEnv) (exec.StepInfo, *uop.Op) {
 	w.Normalize()
 	if len(w.Stack) == 0 {
@@ -83,7 +83,7 @@ func (r *runner) stepFast(w *exec.Warp, cp *uop.Program, e *simEnv) (exec.StepIn
 				exec.Ent{Mask: taken, PC: u.Target, RPC: u.Reconv},
 			)
 		}
-		return info, nil
+		return info, u
 
 	case uop.KExit:
 		w.Exited |= execMask
@@ -92,7 +92,7 @@ func (r *runner) stepFast(w *exec.Warp, cp *uop.Program, e *simEnv) (exec.StepIn
 		if w.Done() {
 			info.Kind = exec.StepExit
 		}
-		return info, nil
+		return info, u
 
 	case uop.KBar:
 		if execMask != w.FullMask&^w.Exited {
@@ -101,20 +101,73 @@ func (r *runner) stepFast(w *exec.Warp, cp *uop.Program, e *simEnv) (exec.StepIn
 			return info, nil
 		}
 		info.Kind = exec.StepBarrier
-		return info, nil
+		return info, u
 
 	case uop.KNop, uop.KDrop:
-		top.PC = pc + 1
-		return info, u
+		// A dropped op has no effect to execute, but its instruction still
+		// reads its operands: a traced run reports those below.
+		if u.Kind == uop.KNop || r.opts.RFTrace == nil {
+			top.PC = pc + 1
+			return info, u
+		}
 	}
 
-	if err := uopFns[u.Kind](e, u, execMask); err != nil {
+	var err error
+	if tr := r.opts.RFTrace; tr != nil {
+		err = traceLanes(tr, r.cycle, e, u, info.Instr, execMask)
+	} else {
+		err = uopFns[u.Kind](e, u, execMask)
+	}
+	if err != nil {
 		info.Kind = exec.StepFault
 		info.Fault = err
 		return info, nil
 	}
 	top.PC = pc + 1
 	return info, u
+}
+
+// traceLanes executes one data µop for a traced run: one lane at a time
+// through the ordinary handler, reporting around each lane the register
+// reads and the write exec.Step performs for it — sources, then the effect,
+// then the destination, so a lane that faults has reported its reads but no
+// write and later lanes report nothing. The source list comes from the
+// architectural instruction because a KDrop µop has no handler but its
+// instruction still reads its operands; SEL reads only the operand its
+// predicate selects.
+func traceLanes(tr RFTracer, cycle int64, e *simEnv, u *uop.Op, ins *isa.Instr, mask uint32) error {
+	var buf [3]isa.Reg
+	srcs := ins.SrcRegs(buf[:0])
+	fn := uopFns[u.Kind] // nil for KDrop
+	writes := ins.Writing()
+	for lane, lb, m := 0, e.rbase, mask; m != 0; lane, lb, m = lane+1, lb+e.nregs, m>>1 {
+		if m&1 == 0 {
+			continue
+		}
+		read := srcs
+		if ins.Op == isa.OpSEL {
+			v := u.SelBit == 0 || e.cta.preds[e.warpBase+lane]&u.SelBit != 0
+			if v != u.SelNeg {
+				read = srcs[:1]
+			} else {
+				read = srcs[1:]
+			}
+		}
+		for _, s := range read {
+			if s != isa.RZ {
+				tr.OnRegRead(e.sm.ID, lb+int(s), cycle)
+			}
+		}
+		if fn != nil {
+			if err := fn(e, u, 1<<lane); err != nil {
+				return err
+			}
+		}
+		if writes {
+			tr.OnRegWrite(e.sm.ID, lb+int(u.Dst), cycle)
+		}
+	}
+	return nil
 }
 
 // uopFn executes one data µop for the lanes in mask. The simEnv carries the
@@ -178,6 +231,7 @@ func init() {
 	uopFns[uop.KStg] = uStg
 	uopFns[uop.KLds] = uLds
 	uopFns[uop.KSts] = uSts
+	uopFns[uop.KBadOp] = uBadOp
 }
 
 // src reads a resolved source operand: -1 is RZ.
@@ -555,8 +609,8 @@ func uFFmaImm(e *simEnv, u *uop.Op, mask uint32) error {
 	return nil
 }
 
-// fminVal/fmaxVal reproduce the reference interpreter's NaN handling: the
-// second operand wins only when it is ordered and beats the first.
+// fminVal/fmaxVal reproduce exec.Step's NaN handling: the second operand
+// wins only when it is ordered and beats the first.
 func fminVal(a, b float32) float32 {
 	if a < b || b != b {
 		return a
@@ -832,4 +886,13 @@ func uSts(e *simEnv, u *uop.Op, mask uint32) error {
 		}
 	}
 	return nil
+}
+
+// uBadOp faults as soon as one lane executes it; with every lane guarded
+// off it is a no-op and the PC advances, as in exec.Step.
+func uBadOp(e *simEnv, u *uop.Op, mask uint32) error {
+	if mask == 0 {
+		return nil
+	}
+	return exec.ErrUnimplemented(isa.Op(u.Imm))
 }

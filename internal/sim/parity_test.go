@@ -1,53 +1,364 @@
-package sim
+package sim_test
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
+	"gpurel/internal/adaptive"
+	"gpurel/internal/campaign"
+	"gpurel/internal/device"
+	"gpurel/internal/faultmodel"
+	"gpurel/internal/faults"
 	"gpurel/internal/gpu"
+	"gpurel/internal/harden"
+	"gpurel/internal/isa"
 	"gpurel/internal/kernels"
+	"gpurel/internal/microfi"
+	"gpurel/internal/sim"
 )
 
-// TestLegacyParityAllApps is the core bit-identity property of the hot-loop
-// overhaul: for every shipped application, the pre-decoded µop core and the
-// reference decode-and-switch interpreter (Options.Legacy) must produce the
-// same Result in full — outputs, cycle count, launch spans, and per-kernel
-// statistics. Every downstream equivalence (checkpoint forks, convergence
-// joins, campaign tallies) leans on this property.
-func TestLegacyParityAllApps(t *testing.T) {
-	cfg := gpu.Volta()
+// Reference parity: the µop core (cycleSM → stepFast → the handler table)
+// against the reference core of reference_test.go. These tests live here,
+// not next to the injectors they drive, because the reference core exists
+// only in this package's test binary: an external test that imports microfi
+// is linked against the test-augmented sim, so sim.OnReference switches the
+// core underneath microfi.Inject and adaptive.Run too.
+
+// sameResult fails the test unless two runs agree in full: status, cycle
+// count, output bytes, launch spans and per-kernel statistics.
+func sameResult(t *testing.T, aName string, a *sim.Result, bName string, b *sim.Result) {
+	t.Helper()
+	errText := func(err error) string {
+		if err == nil {
+			return ""
+		}
+		return err.Error()
+	}
+	if errText(a.Err) != errText(b.Err) || a.TimedOut != b.TimedOut || a.DUEFlag != b.DUEFlag {
+		t.Fatalf("status diverges: %s err=%v timeout=%v due=%v, %s err=%v timeout=%v due=%v",
+			aName, a.Err, a.TimedOut, a.DUEFlag, bName, b.Err, b.TimedOut, b.DUEFlag)
+	}
+	if a.Cycles != b.Cycles {
+		t.Errorf("cycles: %s %d, %s %d", aName, a.Cycles, bName, b.Cycles)
+	}
+	if !bytes.Equal(a.Output, b.Output) {
+		t.Error("outputs differ")
+	}
+	if len(a.Spans) != len(b.Spans) {
+		t.Fatalf("spans: %s %d, %s %d", aName, len(a.Spans), bName, len(b.Spans))
+	}
+	for i := range a.Spans {
+		if a.Spans[i] != b.Spans[i] {
+			t.Errorf("span %d: %s %+v, %s %+v", i, aName, a.Spans[i], bName, b.Spans[i])
+		}
+	}
+	if len(a.PerKernel) != len(b.PerKernel) {
+		t.Fatalf("kernel stats: %s %d, %s %d", aName, len(a.PerKernel), bName, len(b.PerKernel))
+	}
+	for name, ks := range a.PerKernel {
+		ref := b.PerKernel[name]
+		if ref == nil || *ks != *ref {
+			t.Errorf("kernel %s stats diverge:\n%s %+v\n%s %+v", name, aName, ks, bName, ref)
+		}
+	}
+}
+
+// parityJob is one workload both cores must agree on.
+type parityJob struct {
+	name  string
+	build func() *device.Job
+}
+
+// parityJobs returns every shipped application plain and under harden.TMR
+// (vote kernels, replica launches, the DUEFlag read-out), plus one
+// harden.Selective proper subset (hardened and plain kernels in one job).
+func parityJobs(t *testing.T) []parityJob {
+	var jobs []parityJob
 	for _, app := range kernels.All() {
-		app := app
-		t.Run(app.Name, func(t *testing.T) {
-			fast := Run(app.Build(), cfg, Options{})
-			slow := Run(app.Build(), cfg, Options{Legacy: true})
-			if (fast.Err == nil) != (slow.Err == nil) || fast.TimedOut != slow.TimedOut || fast.DUEFlag != slow.DUEFlag {
-				t.Fatalf("status diverges: fast err=%v timeout=%v due=%v, legacy err=%v timeout=%v due=%v",
-					fast.Err, fast.TimedOut, fast.DUEFlag, slow.Err, slow.TimedOut, slow.DUEFlag)
+		jobs = append(jobs,
+			parityJob{app.Name, app.Build},
+			parityJob{app.Name + "-TMR", func() *device.Job { return harden.TMR(app.Build()) }})
+	}
+	app, err := kernels.ByName("SRADv1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := harden.NewSet(app.Kernels[0], app.Kernels[2])
+	if probe := app.Build(); set.Covers(probe) || set.Empty() {
+		t.Fatalf("selective set %s is not a proper subset of %v", set.Canonical(), app.Kernels)
+	}
+	return append(jobs, parityJob{app.Name + "-Selective", func() *device.Job { return harden.Selective(app.Build(), set) }})
+}
+
+// TestReferenceParityAllApps is the core bit-identity property: on every
+// parity job the µop core and the reference core produce the same Result in
+// full. Every downstream equivalence (checkpoint forks, convergence joins,
+// campaign tallies) leans on it.
+func TestReferenceParityAllApps(t *testing.T) {
+	cfg := gpu.Volta()
+	for _, pj := range parityJobs(t) {
+		t.Run(pj.name, func(t *testing.T) {
+			fast := sim.Run(pj.build(), cfg, sim.Options{})
+			var slow *sim.Result
+			before := sim.ReferenceCycles()
+			sim.OnReference(func() { slow = sim.Run(pj.build(), cfg, sim.Options{}) })
+			if sim.ReferenceCycles() == before {
+				t.Fatal("the reference run did not execute on the reference core")
 			}
-			if fast.Cycles != slow.Cycles {
-				t.Errorf("cycles: fast %d, legacy %d", fast.Cycles, slow.Cycles)
+			if fast.Err != nil || fast.TimedOut {
+				t.Fatalf("µop run failed: %v timeout=%v", fast.Err, fast.TimedOut)
 			}
-			if !bytes.Equal(fast.Output, slow.Output) {
-				t.Error("outputs differ")
+			sameResult(t, "µop", fast, "reference", slow)
+		})
+	}
+}
+
+// TestOneCoreOutsideTests pins where the reference core can run: only inside
+// sim.OnReference. A plain run — traced or not, direct or through microfi —
+// never touches it, so the µop core is what feeds the RF tracer; inside
+// OnReference a golden run built by microfi does execute on it, which is
+// what lets the campaign tests below reach it across the package boundary.
+func TestOneCoreOutsideTests(t *testing.T) {
+	cfg := gpu.Volta()
+	app, err := kernels.ByName("VA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := app.Build()
+	before := sim.ReferenceCycles()
+	sim.Run(job, cfg, sim.Options{})
+	sim.Run(job, cfg, sim.Options{RFTrace: nopTracer{}})
+	if _, err := microfi.Golden(job, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if n := sim.ReferenceCycles() - before; n != 0 {
+		t.Fatalf("%d reference-core cycles outside OnReference", n)
+	}
+	sim.OnReference(func() { _, err = microfi.Golden(job, cfg) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sim.ReferenceCycles() == before {
+		t.Fatal("OnReference did not reach a run started by microfi")
+	}
+}
+
+// TestOutOfISAOpcode: isa.Program.Validate rejects opcodes the ISA does not
+// define, so only a hand-built program can carry one. Both cores fault with
+// the same error when — and only when — a lane executes it; with every lane
+// guarded off (predicates start false) it is skipped and the run completes.
+func TestOutOfISAOpcode(t *testing.T) {
+	cfg := gpu.Volta()
+	for _, c := range []struct {
+		name    string
+		guard   isa.Pred
+		wantErr string
+	}{
+		{"executed", isa.PT, "unimplemented opcode OP(200)"},
+		{"guarded-off", p0, ""},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			prog := &isa.Program{Name: "bad", NumRegs: 2, Code: []isa.Instr{
+				{Op: isa.OpMOVI, Dst: 0, Imm: 1},
+				{Op: isa.Op(200), Dst: 1, SrcA: 0, Pred: c.guard},
+				{Op: isa.OpEXIT},
+			}}
+			build := func() *device.Job { return oneWarpJob(prog, 256) }
+			fast, slow := onBothCores(func() *sim.Result { return sim.Run(build(), cfg, sim.Options{}) })
+			sameResult(t, "µop", fast, "reference", slow)
+			got := ""
+			if fast.Err != nil {
+				got = fast.Err.Error()
 			}
-			if len(fast.Spans) != len(slow.Spans) {
-				t.Fatalf("spans: fast %d, legacy %d", len(fast.Spans), len(slow.Spans))
+			if got != c.wantErr {
+				t.Errorf("Result.Err = %q, want %q", got, c.wantErr)
 			}
-			for i := range fast.Spans {
-				if fast.Spans[i] != slow.Spans[i] {
-					t.Errorf("span %d: fast %+v, legacy %+v", i, fast.Spans[i], slow.Spans[i])
-				}
+			checkTraceParity(t, build, 0, true)
+		})
+	}
+}
+
+type nopTracer struct{}
+
+func (nopTracer) OnRegWrite(sm, phys int, cycle int64)         {}
+func (nopTracer) OnRegRead(sm, phys int, cycle int64)          {}
+func (nopTracer) OnRegAlloc(sm, base, size int, cycle int64)   {}
+func (nopTracer) OnRegRelease(sm, base, size int, cycle int64) {}
+
+// The injection-layer property that makes one production core safe: every
+// injection path must tally bit-identically on both cores — faulty runs
+// included, where the cores execute corrupted programs whose trajectories
+// never appeared in any golden run.
+
+func storageModels() map[string]faultmodel.Model {
+	return map[string]faultmodel.Model{
+		"transient":    faultmodel.Transient{Width: 1},
+		"transient:w2": faultmodel.Transient{Width: 2},
+		"stuck0":       faultmodel.StuckAt{V: 0},
+		"stuck1":       faultmodel.StuckAt{V: 1},
+		"mbu:w2:l2":    faultmodel.SpatialMBU{Width: 2, Lines: 2},
+	}
+}
+
+func controlModels() map[string]faultmodel.Model {
+	return map[string]faultmodel.Model{
+		"control":        faultmodel.ControlFault{},
+		"control:stuck0": faultmodel.ControlFault{Stuck: faultmodel.Ptr(0)},
+		"control:stuck1": faultmodel.ControlFault{Stuck: faultmodel.Ptr(1)},
+	}
+}
+
+// campaignCases: VA covers the storage arrays; LUD (real barriers and
+// divergence) the control sites.
+var campaignCases = []struct {
+	app        string
+	structures []gpu.Structure
+	models     func() map[string]faultmodel.Model
+}{
+	{"VA", gpu.Structures[:], storageModels},
+	{"LUD", gpu.ControlStructures[:], controlModels},
+}
+
+func buildApp(t *testing.T, name string) *device.Job {
+	t.Helper()
+	app, err := kernels.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return app.Build()
+}
+
+// onBothCores runs f once per core and returns what each produced.
+func onBothCores[T any](f func() T) (uop, reference T) {
+	sim.OnReference(func() { reference = f() })
+	return f(), reference
+}
+
+// TestReferenceParityBruteForce: brute-force Inject campaigns across
+// structures × fault models must tally identically on both cores.
+func TestReferenceParityBruteForce(t *testing.T) {
+	cfg := gpu.Volta()
+	for _, cs := range campaignCases {
+		t.Run(cs.app, func(t *testing.T) {
+			job := buildApp(t, cs.app)
+			g, err := microfi.Golden(job, cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if len(fast.PerKernel) != len(slow.PerKernel) {
-				t.Fatalf("kernel stats: fast %d, legacy %d", len(fast.PerKernel), len(slow.PerKernel))
-			}
-			for name, ks := range fast.PerKernel {
-				ref := slow.PerKernel[name]
-				if ref == nil || *ks != *ref {
-					t.Errorf("kernel %s stats diverge:\nfast   %+v\nlegacy %+v", name, ks, ref)
+			for name, mdl := range cs.models() {
+				for _, st := range cs.structures {
+					tgt := microfi.Target{Structure: st, Model: mdl}
+					for seed := int64(1); seed <= 2; seed++ {
+						got, want := onBothCores(func() campaign.Tally {
+							return campaign.Run(campaign.Options{Runs: 2, Seed: seed}, func(run int, rng *rand.Rand) faults.Result {
+								return microfi.Inject(job, g, tgt, rng)
+							})
+						})
+						if got != want {
+							t.Errorf("%s %s seed %d: µop tally %+v != reference %+v", name, st, seed, got, want)
+						}
+					}
 				}
 			}
 		})
+	}
+}
+
+// TestReferenceParityCheckpointed: the checkpointed fork-and-join path, with
+// the golden run and its snapshots captured by the core that then resumes,
+// restores, compares and joins on them, must tally identically across
+// structures × fault models.
+func TestReferenceParityCheckpointed(t *testing.T) {
+	cfg := gpu.Volta()
+	for _, cs := range campaignCases {
+		t.Run(cs.app, func(t *testing.T) {
+			job := buildApp(t, cs.app)
+			probe, err := microfi.Golden(job, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec := microfi.CheckpointSpec{Stride: probe.Res.Cycles/6 + 1, Converge: true}
+			fast, slow := onBothCores(func() *microfi.GoldenRun {
+				g, err := microfi.GoldenCheckpointed(job, cfg, spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return g
+			})
+			for name, mdl := range cs.models() {
+				for _, st := range cs.structures {
+					tgt := microfi.Target{Structure: st, Model: mdl}
+					tally := func(g *microfi.GoldenRun) campaign.Tally {
+						return campaign.Run(campaign.Options{Runs: 2, Seed: 3}, func(run int, rng *rand.Rand) faults.Result {
+							return microfi.Inject(job, g, tgt, rng)
+						})
+					}
+					got := tally(fast)
+					var want campaign.Tally
+					sim.OnReference(func() { want = tally(slow) })
+					if got != want {
+						t.Errorf("%s %s: µop tally %+v != reference %+v", name, st, got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestReferenceParityStaticPrune: the static-interval pruning injector must
+// agree on both cores — same prune decisions (the intervals come from a
+// schedule trace, identical by the sim-level parity) and same outcomes for
+// the runs that do simulate.
+func TestReferenceParityStaticPrune(t *testing.T) {
+	cfg := gpu.Volta()
+	job := buildApp(t, "PathFinder")
+	type traced struct {
+		static *microfi.StaticIntervals
+		g      *microfi.GoldenRun
+	}
+	fast, slow := onBothCores(func() traced {
+		static, err := microfi.TraceStatic(job, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := microfi.Golden(job, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return traced{static, g}
+	})
+	tgt := microfi.Target{Structure: gpu.RF}
+	for seed := int64(0); seed < 25; seed++ {
+		got, gotPruned := microfi.InjectStatic(job, fast.g, fast.static, tgt, rand.New(rand.NewSource(seed)))
+		var want faults.Result
+		var wantPruned bool
+		sim.OnReference(func() {
+			want, wantPruned = microfi.InjectStatic(job, slow.g, slow.static, tgt, rand.New(rand.NewSource(seed)))
+		})
+		if got != want || gotPruned != wantPruned {
+			t.Fatalf("seed %d: µop %+v/%v != reference %+v/%v", seed, got, gotPruned, want, wantPruned)
+		}
+	}
+}
+
+// TestReferenceParityAdaptive: the sequential early-stopping engine must make
+// the same stop decisions and produce the same tally on both cores — batch
+// tallies feed the Wilson-score margin, so a single diverging outcome would
+// change where the campaign stops.
+func TestReferenceParityAdaptive(t *testing.T) {
+	cfg := gpu.Volta()
+	job := buildApp(t, "VA")
+	g, err := microfi.Golden(job, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tgt := microfi.Target{Structure: gpu.RF}
+	got, want := onBothCores(func() adaptive.Result {
+		return adaptive.Run(campaign.Options{Runs: 120, Seed: 5}, adaptive.Policy{Margin: 0.25, Batch: 20},
+			func(run int, rng *rand.Rand) faults.Result { return microfi.Inject(job, g, tgt, rng) })
+	})
+	if got != want {
+		t.Fatalf("adaptive result diverges:\nµop       %+v\nreference %+v", got, want)
 	}
 }

@@ -1,0 +1,168 @@
+package sim
+
+import (
+	"sync/atomic"
+
+	"gpurel/internal/exec"
+	"gpurel/internal/isa"
+)
+
+// The reference core: the straightforward scheduler (modulo scan, per-slot
+// CTA walk, no idle-skip) dispatching the generic interpreter exec.Step
+// through simEnv's per-access register and predicate accessors, with
+// instruction mix and latency classified from the architectural instruction.
+// It shares no issue-loop, decode or operand code with cycleSM / stepFast /
+// the µop handlers, which is what makes agreement between the two evidence.
+// It exists in this package's test binary only, installed through
+// cycleOracle by onReference; a reference has to be right, not slow, so it
+// runs on the same snapshots, caches and memory as the µop core.
+
+// referenceCycles counts SM-cycles executed by the reference core, so tests
+// can assert which core a run went through.
+var referenceCycles atomic.Int64
+
+// onReference runs f with every sim.Run in the process — including ones
+// reached through importing packages (microfi, adaptive) and their worker
+// goroutines — executing on the reference core. Tests using it must not run
+// in parallel with tests that expect the µop core.
+func onReference(f func()) {
+	cycleOracle = cycleSMReference
+	defer func() { cycleOracle = nil }()
+	f()
+}
+
+func cycleSMReference(r *runner, sm *SM, ks *KernelStats) (int, error) {
+	referenceCycles.Add(1)
+	// Flatten warp slots for round-robin issue.
+	total := 0
+	for _, c := range sm.ctas {
+		total += len(c.warps)
+	}
+	issued := 0
+	finished := 0
+	for scan := 0; scan < total && issued < r.cfg.IssuePerCycle; scan++ {
+		slot := (sm.issuePtr + scan) % total
+		// locate (cta, warp) for slot
+		var cta *ctaRT
+		w := slot
+		for _, c := range sm.ctas {
+			if w < len(c.warps) {
+				cta = c
+				break
+			}
+			w -= len(c.warps)
+		}
+		m := &cta.meta[w]
+		if m.done || m.atBar || m.ready > r.cycle {
+			continue
+		}
+		issued++
+		sm.issuePtr = (slot + 1) % total
+
+		e := &r.env
+		e.sm = sm
+		e.cta = cta
+		e.warpBase = w * 32
+		e.nregs = cta.prog.NumRegs
+		e.rbase = cta.rfBase + e.warpBase*e.nregs
+		e.lat = 0
+		e.lines = e.lines[:0]
+
+		info := exec.Step(cta.warps[w], cta.prog, e)
+		if tr := r.opts.SchedTrace; tr != nil && info.Kind != exec.StepFault && info.Instr != nil {
+			tr.OnIssue(cta.schedID, w, int(info.PC), info.ActiveMask, r.cycle)
+		}
+		switch info.Kind {
+		case exec.StepFault:
+			return finished, info.Fault
+		case exec.StepExit:
+			n := popcount(info.ActiveMask)
+			ks.DynInstrs += int64(n)
+			m.done = true
+			cta.live--
+			if cta.live == 0 {
+				r.retireCTA(sm, cta)
+				finished++
+				// slot indices shifted; restart issue scan next cycle
+				return finished, nil
+			}
+			r.releaseBarrierIfReady(cta)
+		case exec.StepBarrier:
+			n := popcount(info.ActiveMask)
+			ks.DynInstrs += int64(n)
+			m.ready = r.cycle + int64(r.cfg.ALULat)
+			m.atBar = true
+			r.releaseBarrierIfReady(cta)
+		default:
+			r.countInstr(ks, info)
+			m.ready = r.cycle + r.instrLatency(info)
+		}
+	}
+	return finished, nil
+}
+
+func (r *runner) countInstr(ks *KernelStats, info exec.StepInfo) {
+	n := int64(popcount(info.ActiveMask))
+	ks.DynInstrs += n
+	switch info.Instr.Op {
+	case isa.OpLDG, isa.OpLDT:
+		ks.LoadInstrs += n
+	case isa.OpSTG:
+		ks.StoreInstrs += n
+	case isa.OpLDS, isa.OpSTS:
+		ks.SmemInstrs += n
+	}
+}
+
+func (r *runner) instrLatency(info exec.StepInfo) int64 {
+	switch info.Instr.Op {
+	case isa.OpMUFU:
+		return int64(r.cfg.SFULat)
+	case isa.OpLDS, isa.OpSTS:
+		return int64(r.cfg.SMemLat)
+	case isa.OpLDG, isa.OpSTG, isa.OpLDT:
+		lat := r.env.lat
+		if lat < int64(r.cfg.ALULat) {
+			lat = int64(r.cfg.ALULat)
+		}
+		return lat
+	default:
+		return int64(r.cfg.ALULat)
+	}
+}
+
+// The exec.Env register and predicate accessors. The µop handlers index the
+// same arrays directly; only exec.Step needs them, so simEnv implements
+// exec.Env in this test binary alone.
+
+func (e *simEnv) regIndex(lane int, reg isa.Reg) int {
+	return e.cta.rfBase + (e.warpBase+lane)*e.cta.prog.NumRegs + int(reg)
+}
+
+func (e *simEnv) ReadReg(lane int, reg isa.Reg) uint32 {
+	idx := e.regIndex(lane, reg)
+	if tr := e.r.opts.RFTrace; tr != nil {
+		tr.OnRegRead(e.sm.ID, idx, e.r.cycle)
+	}
+	return e.sm.RF[idx]
+}
+
+func (e *simEnv) WriteReg(lane int, reg isa.Reg, v uint32) {
+	idx := e.regIndex(lane, reg)
+	if tr := e.r.opts.RFTrace; tr != nil {
+		tr.OnRegWrite(e.sm.ID, idx, e.r.cycle)
+	}
+	e.sm.RF[idx] = v
+}
+
+func (e *simEnv) ReadPred(lane int, p isa.Pred) bool {
+	return e.cta.preds[e.thread(lane)]&(1<<(p-1)) != 0
+}
+
+func (e *simEnv) WritePred(lane int, p isa.Pred, v bool) {
+	if v {
+		e.cta.preds[e.thread(lane)] |= 1 << (p - 1)
+	} else {
+		e.cta.preds[e.thread(lane)] &^= 1 << (p - 1)
+	}
+}

@@ -251,7 +251,7 @@ type warpMeta struct {
 type ctaRT struct {
 	launch *device.Launch
 	prog   *isa.Program
-	uprog  *uop.Program // pre-decoded form; nil = use the reference interpreter
+	uprog  *uop.Program // prog, pre-decoded
 	params []uint32
 	cx, cy int
 
@@ -391,13 +391,6 @@ type Options struct {
 	// cycle on — OnCTAPlace for already-resident CTAs does not replay.
 	SchedTrace SchedTracer
 
-	// Legacy forces the reference decode-and-switch interpreter and
-	// full-copy snapshot restores, disabling the pre-decoded µop core and
-	// copy-on-write page sharing. It exists so differential tests and
-	// benchmarks can compare the fast core against the reference
-	// implementation inside one binary.
-	Legacy bool
-
 	// Checkpoint, when set, captures a machine snapshot into the set at
 	// every cycle divisible by its stride (reference/golden runs).
 	Checkpoint *SnapshotSet
@@ -457,9 +450,6 @@ type runner struct {
 	knames []string
 	kstats []KernelStats
 
-	// fast selects the pre-decoded µop core (no Legacy, no RFTrace).
-	fast bool
-
 	// baseSnap is the provenance base for copy-on-write pages: every RF,
 	// SMEM and device-memory page whose dirty bit is clear is bit-identical
 	// to (and for capture, shareable with) the corresponding page of this
@@ -501,7 +491,6 @@ func newRunner(job *device.Job, cfg gpu.Config, opts Options) *runner {
 		job:  job,
 		cfg:  cfg,
 		opts: opts,
-		fast: !opts.Legacy && opts.RFTrace == nil,
 		res:  &Result{},
 	}
 	var pm *pooledMachine
@@ -545,13 +534,8 @@ func newRunner(job *device.Job, cfg gpu.Config, opts Options) *runner {
 		}
 	}
 	// The hierarchy holds pointers to this runner's DRAM counters, so it is
-	// rewired even when the SM arrays come from the pool. The lookup memo
-	// is re-gated per run: pooled caches may move between fast and legacy
-	// runners.
-	r.l2.MemoLookup = r.fast
+	// rewired even when the SM arrays come from the pool.
 	for _, sm := range r.sms {
-		sm.L1D.MemoLookup = r.fast
-		sm.L1T.MemoLookup = r.fast
 		sm.hier = mem.Hierarchy{
 			L1D: sm.L1D, L1T: sm.L1T, L2: r.l2,
 			DRAMRead: &r.dramRead, DRAMWrite: &r.dramWrite,
@@ -794,8 +778,8 @@ func (r *runner) runLaunch() error {
 			}
 			var finished int
 			var err error
-			if r.opts.Legacy {
-				finished, err = r.cycleSMLegacy(sm, ks)
+			if cycleOracle != nil {
+				finished, err = cycleOracle(r, sm, ks)
 			} else {
 				finished, err = r.cycleSM(sm, ks)
 			}
@@ -829,8 +813,8 @@ func (r *runner) runLaunch() error {
 // wakeSMs discards every SM's cached idle-skip bound. Injection hooks can
 // mutate scheduler state behind the scan's back — a flipped ready-timestamp
 // bit or a cleared done/barrier latch makes a warp issueable earlier than
-// the cached floor — and the reference scheduler, which rescans every
-// cycle, would react immediately; the fast core must too.
+// the cached floor — and a scheduler that rescans every cycle (the reference
+// core in reference_test.go) reacts immediately; this one must too.
 func (r *runner) wakeSMs() {
 	for _, sm := range r.sms {
 		sm.nextReady = 0
@@ -896,6 +880,7 @@ func (r *runner) tryPlace(sm *SM, l *device.Launch, prog *isa.Program, p *pendin
 	cta := &ctaRT{
 		launch: l,
 		prog:   prog,
+		uprog:  uop.Cached(prog),
 		params: l.ParamsFor(p.rep),
 		cx:     p.cx, cy: p.cy,
 		preds:   make([]uint8, threads),
@@ -907,9 +892,6 @@ func (r *runner) tryPlace(sm *SM, l *device.Launch, prog *isa.Program, p *pendin
 		schedID: r.schedNext,
 	}
 	r.schedNext++
-	if r.fast {
-		cta.uprog = uop.Cached(prog)
-	}
 	nWarps := (threads + 31) / 32
 	for w := 0; w < nWarps; w++ {
 		lanes := threads - w*32
@@ -936,6 +918,12 @@ func (r *runner) tryPlace(sm *SM, l *device.Launch, prog *isa.Program, p *pendin
 	}
 	return true
 }
+
+// cycleOracle is nil in every binary except this package's own test binary,
+// where reference_test.go can point it at the reference core (the
+// straightforward scheduler driving exec.Step) that the µop core is checked
+// against. Nothing outside _test files assigns it.
+var cycleOracle func(r *runner, sm *SM, ks *KernelStats) (int, error)
 
 // cycleSM issues up to IssuePerCycle warp instructions on one SM and returns
 // the number of CTAs that completed this cycle.
@@ -984,13 +972,7 @@ func (r *runner) cycleSM(sm *SM, ks *KernelStats) (int, error) {
 		e.lat = 0
 		e.lines = e.lines[:0]
 
-		var info exec.StepInfo
-		var u *uop.Op
-		if up := cta.uprog; up != nil {
-			info, u = r.stepFast(cta.warps[w], up, e)
-		} else {
-			info = exec.Step(cta.warps[w], cta.prog, e)
-		}
+		info, u := r.stepFast(cta.warps[w], cta.uprog, e)
 		if tr := r.opts.SchedTrace; tr != nil && info.Kind != exec.StepFault && info.Instr != nil {
 			tr.OnIssue(cta.schedID, w, int(info.PC), info.ActiveMask, r.cycle)
 		}
@@ -1016,24 +998,19 @@ func (r *runner) cycleSM(sm *SM, ks *KernelStats) (int, error) {
 			m.atBar = true
 			r.releaseBarrierIfReady(cta)
 		default:
-			if u != nil {
-				// Fast path: class and counts come straight off the µop, no
-				// architectural-instruction dereference.
-				n := int64(popcount(info.ActiveMask))
-				ks.DynInstrs += n
-				switch u.Kind {
-				case uop.KLdg, uop.KLdt:
-					ks.LoadInstrs += n
-				case uop.KStg:
-					ks.StoreInstrs += n
-				case uop.KLds, uop.KSts:
-					ks.SmemInstrs += n
-				}
-				m.ready = r.cycle + r.uopLatency(u)
-			} else {
-				r.countInstr(ks, info)
-				m.ready = r.cycle + r.instrLatency(info)
+			// Class and counts come straight off the µop, no
+			// architectural-instruction dereference.
+			n := int64(popcount(info.ActiveMask))
+			ks.DynInstrs += n
+			switch u.Kind {
+			case uop.KLdg, uop.KLdt:
+				ks.LoadInstrs += n
+			case uop.KStg:
+				ks.StoreInstrs += n
+			case uop.KLds, uop.KSts:
+				ks.SmemInstrs += n
 			}
+			m.ready = r.cycle + r.uopLatency(u)
 		}
 	}
 	if issued == 0 {
@@ -1055,118 +1032,8 @@ func (r *runner) cycleSM(sm *SM, ks *KernelStats) (int, error) {
 	return finished, nil
 }
 
-// cycleSMLegacy is the pre-µop scheduling loop, kept verbatim (modulo scan,
-// per-slot CTA walk, software popcount, no idle-skip) so Options.Legacy is
-// an honest reference baseline for differential tests and the throughput
-// benchmark. It always dispatches through the generic interpreter.
-func (r *runner) cycleSMLegacy(sm *SM, ks *KernelStats) (int, error) {
-	// Flatten warp slots for round-robin issue.
-	total := 0
-	for _, c := range sm.ctas {
-		total += len(c.warps)
-	}
-	issued := 0
-	finished := 0
-	for scan := 0; scan < total && issued < r.cfg.IssuePerCycle; scan++ {
-		slot := (sm.issuePtr + scan) % total
-		// locate (cta, warp) for slot
-		var cta *ctaRT
-		w := slot
-		for _, c := range sm.ctas {
-			if w < len(c.warps) {
-				cta = c
-				break
-			}
-			w -= len(c.warps)
-		}
-		m := &cta.meta[w]
-		if m.done || m.atBar || m.ready > r.cycle {
-			continue
-		}
-		issued++
-		sm.issuePtr = (slot + 1) % total
-
-		e := &r.env
-		e.sm = sm
-		e.cta = cta
-		e.warpBase = w * 32
-		e.nregs = cta.prog.NumRegs
-		e.rbase = cta.rfBase + e.warpBase*e.nregs
-		e.lat = 0
-		e.lines = e.lines[:0]
-
-		info := exec.Step(cta.warps[w], cta.prog, e)
-		if tr := r.opts.SchedTrace; tr != nil && info.Kind != exec.StepFault && info.Instr != nil {
-			tr.OnIssue(cta.schedID, w, int(info.PC), info.ActiveMask, r.cycle)
-		}
-		switch info.Kind {
-		case exec.StepFault:
-			return finished, info.Fault
-		case exec.StepExit:
-			n := popcountLegacy(info.ActiveMask)
-			ks.DynInstrs += int64(n)
-			m.done = true
-			cta.live--
-			if cta.live == 0 {
-				r.retireCTA(sm, cta)
-				finished++
-				// slot indices shifted; restart issue scan next cycle
-				return finished, nil
-			}
-			r.releaseBarrierIfReady(cta)
-		case exec.StepBarrier:
-			n := popcountLegacy(info.ActiveMask)
-			ks.DynInstrs += int64(n)
-			m.ready = r.cycle + int64(r.cfg.ALULat)
-			m.atBar = true
-			r.releaseBarrierIfReady(cta)
-		default:
-			r.countInstrLegacy(ks, info)
-			m.ready = r.cycle + r.instrLatency(info)
-		}
-	}
-	return finished, nil
-}
-
-// countInstrLegacy is countInstr with the pre-overhaul software popcount,
-// so the Legacy baseline pays the same per-issue cost the reference core
-// did.
-func (r *runner) countInstrLegacy(ks *KernelStats, info exec.StepInfo) {
-	n := int64(popcountLegacy(info.ActiveMask))
-	ks.DynInstrs += n
-	switch info.Instr.Op {
-	case isa.OpLDG, isa.OpLDT:
-		ks.LoadInstrs += n
-	case isa.OpSTG:
-		ks.StoreInstrs += n
-	case isa.OpLDS, isa.OpSTS:
-		ks.SmemInstrs += n
-	}
-}
-
-func popcountLegacy(m uint32) int {
-	n := 0
-	for m != 0 {
-		m &= m - 1
-		n++
-	}
-	return n
-}
-
-func (r *runner) countInstr(ks *KernelStats, info exec.StepInfo) {
-	n := int64(popcount(info.ActiveMask))
-	ks.DynInstrs += n
-	switch info.Instr.Op {
-	case isa.OpLDG, isa.OpLDT:
-		ks.LoadInstrs += n
-	case isa.OpSTG:
-		ks.StoreInstrs += n
-	case isa.OpLDS, isa.OpSTS:
-		ks.SmemInstrs += n
-	}
-}
-
-// uopLatency mirrors instrLatency keyed on the µop's pre-resolved class.
+// uopLatency is the issue-to-ready latency of u, keyed on its pre-resolved
+// class.
 func (r *runner) uopLatency(u *uop.Op) int64 {
 	switch u.Class {
 	case uop.ClassSFU:
@@ -1174,23 +1041,6 @@ func (r *runner) uopLatency(u *uop.Op) int64 {
 	case uop.ClassSMem:
 		return int64(r.cfg.SMemLat)
 	case uop.ClassGMem:
-		lat := r.env.lat
-		if lat < int64(r.cfg.ALULat) {
-			lat = int64(r.cfg.ALULat)
-		}
-		return lat
-	default:
-		return int64(r.cfg.ALULat)
-	}
-}
-
-func (r *runner) instrLatency(info exec.StepInfo) int64 {
-	switch info.Instr.Op {
-	case isa.OpMUFU:
-		return int64(r.cfg.SFULat)
-	case isa.OpLDS, isa.OpSTS:
-		return int64(r.cfg.SMemLat)
-	case isa.OpLDG, isa.OpSTG, isa.OpLDT:
 		lat := r.env.lat
 		if lat < int64(r.cfg.ALULat) {
 			lat = int64(r.cfg.ALULat)
@@ -1243,9 +1093,10 @@ func (r *runner) retireCTA(sm *SM, cta *ctaRT) {
 
 func popcount(m uint32) int { return bits.OnesCount32(m) }
 
-// simEnv implements exec.Env against the SM's physical storage. The µop
-// handler table in fastexec.go indexes the same state directly through the
-// precomputed per-warp register base.
+// simEnv is the issuing warp's view of the SM's physical storage. The µop
+// handlers in fastexec.go index registers and predicates directly through
+// the precomputed per-warp register base and reach memory, special registers
+// and parameters through the methods below.
 type simEnv struct {
 	r        *runner
 	sm       *SM
@@ -1263,43 +1114,6 @@ type simEnv struct {
 }
 
 func (e *simEnv) thread(lane int) int { return e.warpBase + lane }
-
-func (e *simEnv) regIndex(lane int, reg isa.Reg) int {
-	if e.r.fast {
-		return e.rbase + lane*e.nregs + int(reg)
-	}
-	// Pre-overhaul address computation, kept for the legacy core so the
-	// reference interpreter's per-access cost stays an honest baseline.
-	return e.cta.rfBase + (e.warpBase+lane)*e.cta.prog.NumRegs + int(reg)
-}
-
-func (e *simEnv) ReadReg(lane int, reg isa.Reg) uint32 {
-	idx := e.regIndex(lane, reg)
-	if tr := e.r.opts.RFTrace; tr != nil {
-		tr.OnRegRead(e.sm.ID, idx, e.r.cycle)
-	}
-	return e.sm.RF[idx]
-}
-
-func (e *simEnv) WriteReg(lane int, reg isa.Reg, v uint32) {
-	idx := e.regIndex(lane, reg)
-	if tr := e.r.opts.RFTrace; tr != nil {
-		tr.OnRegWrite(e.sm.ID, idx, e.r.cycle)
-	}
-	e.sm.RF[idx] = v
-}
-
-func (e *simEnv) ReadPred(lane int, p isa.Pred) bool {
-	return e.cta.preds[e.thread(lane)]&(1<<(p-1)) != 0
-}
-
-func (e *simEnv) WritePred(lane int, p isa.Pred, v bool) {
-	if v {
-		e.cta.preds[e.thread(lane)] |= 1 << (p - 1)
-	} else {
-		e.cta.preds[e.thread(lane)] &^= 1 << (p - 1)
-	}
-}
 
 func (e *simEnv) Special(lane int, s isa.SReg) uint32 {
 	t := e.thread(lane)
@@ -1346,7 +1160,7 @@ func (e *simEnv) firstLine(addr uint32) bool {
 }
 
 func (e *simEnv) LoadGlobal(lane int, addr uint32, tex bool) (uint32, error) {
-	if !e.validGlobal(addr) {
+	if !e.r.mem.Valid(addr, 4) {
 		return 0, &device.AccessError{Addr: addr}
 	}
 	v, lat := e.sm.hier.Load(e.r.mem, addr, tex, e.firstLine(addr), e.r.cycle)
@@ -1356,18 +1170,8 @@ func (e *simEnv) LoadGlobal(lane int, addr uint32, tex bool) (uint32, error) {
 	return v, nil
 }
 
-// validGlobal routes address validation: the fast core may use the
-// memoized allocation lookup; the legacy core keeps the pre-overhaul
-// linear scan so its per-access cost stays an honest baseline.
-func (e *simEnv) validGlobal(addr uint32) bool {
-	if e.r.fast {
-		return e.r.mem.Valid(addr, 4)
-	}
-	return e.r.mem.ValidUncached(addr, 4)
-}
-
 func (e *simEnv) StoreGlobal(lane int, addr uint32, v uint32) error {
-	if !e.validGlobal(addr) {
+	if !e.r.mem.Valid(addr, 4) {
 		return &device.AccessError{Addr: addr, Write: true}
 	}
 	lat := e.sm.hier.Store(e.r.mem, addr, v, e.firstLine(addr), e.r.cycle)

@@ -211,9 +211,7 @@ func (r *runner) capture() *Snapshot {
 	s.kstats = slices.Clone(r.kstats)
 	s.fixed = s.footprint()
 	s.bytes = s.fixed + s.pageBytes()
-	if !r.opts.Legacy {
-		r.syncDirty(s)
-	}
+	r.syncDirty(s)
 	return s
 }
 
@@ -277,19 +275,15 @@ func (r *runner) syncDirty(s *Snapshot) {
 
 // restore overwrites the runner's state from the snapshot, skipping storage
 // pages that the provenance base proves are already identical, and re-bases
-// the provenance on s. Legacy runners take the full-copy path and carry no
-// provenance (keeping the reference core an honest baseline). The runner
-// must have been built for the same job and configuration; the injection
-// hook is re-armed (snapshots are taken on fault-free reference runs,
-// strictly before any resumed run's injection cycle).
+// the provenance on s. The runner must have been built for the same job and
+// configuration; the injection hook is re-armed (snapshots are taken on
+// fault-free reference runs, strictly before any resumed run's injection
+// cycle).
 func (r *runner) restore(s *Snapshot) {
 	if len(r.sms) != len(s.sms) {
 		panic("sim: restore onto a machine with a different SM count")
 	}
 	base := r.baseSnap
-	if r.opts.Legacy {
-		base = nil
-	}
 	r.cycle = s.cycle
 	r.si = s.si
 	r.steps = s.steps
@@ -321,11 +315,7 @@ func (r *runner) restore(s *Snapshot) {
 	r.res.Spans = append(r.res.Spans[:0], s.spans...)
 	r.knames = append(r.knames[:0], s.knames...)
 	r.kstats = append(r.kstats[:0], s.kstats...)
-	if r.opts.Legacy {
-		r.baseSnap = nil
-	} else {
-		r.syncDirty(s)
-	}
+	r.syncDirty(s)
 }
 
 func (r *runner) restoreSM(sm *SM, src *smSnap, base *smSnap) {
@@ -357,6 +347,7 @@ func (r *runner) restoreCTA(src *ctaSnap) *ctaRT {
 	c := &ctaRT{
 		launch:  src.launch,
 		prog:    src.prog,
+		uprog:   uop.Cached(src.prog),
 		params:  src.params,
 		cx:      src.cx,
 		cy:      src.cy,
@@ -369,9 +360,6 @@ func (r *runner) restoreCTA(src *ctaSnap) *ctaRT {
 		smSize:  src.smSize,
 		threads: src.threads,
 		schedID: src.schedID,
-	}
-	if r.fast {
-		c.uprog = uop.Cached(src.prog)
 	}
 	for i := range src.warps {
 		ws := &src.warps[i]
@@ -417,7 +405,7 @@ func (r *runner) matches(s *Snapshot) bool {
 	// persists until overwritten), so checking that one page first turns the
 	// common failing compare into a single-page memcmp. Purely derived state:
 	// a stale probe just falls through to the full compare.
-	if d := r.lastDiff; r.fast && d.valid && d.sm < len(r.sms) {
+	if d := r.lastDiff; d.valid && d.sm < len(r.sms) {
 		sm, ss := r.sms[d.sm], &s.sms[d.sm]
 		if d.smem {
 			if d.page < len(ss.smPages) {

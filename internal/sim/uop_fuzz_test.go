@@ -11,7 +11,7 @@ import (
 
 // FuzzUOpParity feeds randomly generated (but structurally valid) programs
 // through both execution cores: the pre-decoded µop interpreter and the
-// reference decode-and-switch interpreter must agree on the complete
+// reference core of reference_test.go must agree on the complete
 // Result — outputs, cycle count, fault status, timeout — for any program
 // the ISA admits, including ones that fault on wild addresses, deadlock a
 // divergent barrier into the timeout, or drop every write into RZ. The
@@ -28,7 +28,8 @@ func FuzzUOpParity(f *testing.F) {
 			t.Fatalf("generator emitted an invalid program: %v", err)
 		}
 		fast := Run(fuzzJob(prog), gpu.Volta(), Options{MaxCycles: 20000})
-		slow := Run(fuzzJob(prog), gpu.Volta(), Options{MaxCycles: 20000, Legacy: true})
+		var slow *Result
+		onReference(func() { slow = Run(fuzzJob(prog), gpu.Volta(), Options{MaxCycles: 20000}) })
 		if (fast.Err == nil) != (slow.Err == nil) {
 			t.Fatalf("fault status diverges: µop err=%v, reference err=%v", fast.Err, slow.Err)
 		}

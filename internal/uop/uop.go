@@ -1,5 +1,5 @@
-// Package uop lowers isa programs into pre-decoded µop records for the
-// simulator's fast interpreter. The decode-and-switch in exec.Step pays for
+// Package uop lowers isa programs into the pre-decoded µop records the cycle
+// simulator executes. The decode-and-switch in exec.Step pays for
 // operand resolution (BImm vs register, RZ special-casing, guard predicate
 // lookup, latency classification) on every warp-cycle; Compile pays it once
 // per static instruction and emits a flat record whose Kind is a dense
@@ -8,13 +8,12 @@
 // Compiled programs carry a pointer back to the source program so the
 // executor can keep reporting *isa.Instr in StepInfo (the stats and trace
 // layers key off the architectural instruction, not the µop). Compilation is
-// total over the ISA: an unknown opcode makes Compile fail, and Cached then
-// records the program as uncompilable so callers fall back to the reference
-// interpreter, which reproduces the exact "unimplemented opcode" fault.
+// total: an opcode outside the ISA (isa.Program.Validate rejects those, so
+// only hand-built programs carry one) lowers to KBadOp, which faults when a
+// lane executes it — the same point exec.Step reports the opcode.
 package uop
 
 import (
-	"fmt"
 	"sync"
 
 	"gpurel/internal/isa"
@@ -95,6 +94,11 @@ const (
 	KStg
 	KLds
 	KSts
+
+	// KBadOp is an opcode outside the ISA: it faults with exec's
+	// "unimplemented opcode" error if any lane executes it. Imm holds the
+	// opcode.
+	KBadOp
 
 	NumKinds
 )
@@ -190,9 +194,8 @@ func immKind(k Kind, bimm bool) Kind {
 	return k + 1 // *Imm kinds immediately follow their register variant
 }
 
-// Compile lowers p into a µop program. It fails on opcodes the executor does
-// not implement; callers must then fall back to the reference interpreter.
-func Compile(p *isa.Program) (*Program, error) {
+// Compile lowers p into a µop program, one µop per instruction.
+func Compile(p *isa.Program) *Program {
 	cp := &Program{Src: p, Ops: make([]Op, len(p.Code))}
 	for pc := range p.Code {
 		ins := &p.Code[pc]
@@ -237,8 +240,7 @@ func Compile(p *isa.Program) (*Program, error) {
 		case isa.OpIMAD:
 			u.Kind = immKind(KIMad, ins.BImm)
 		case isa.OpISCADD:
-			// reads SrcB as a register regardless of BImm, like the
-			// reference interpreter
+			// reads SrcB as a register regardless of BImm, like exec.Step
 			u.Kind = KIScAdd
 			u.Sh = ins.Imm2 & 31
 		case isa.OpIMIN:
@@ -306,7 +308,8 @@ func Compile(p *isa.Program) (*Program, error) {
 			u.Kind = KSts
 
 		default:
-			return nil, fmt.Errorf("uop: unimplemented opcode %v at pc %d", ins.Op, pc)
+			u.Kind = KBadOp
+			u.Imm = uint32(ins.Op)
 		}
 
 		// Architectural no-ops: pure register ops writing RZ and SETPs
@@ -328,25 +331,20 @@ func Compile(p *isa.Program) (*Program, error) {
 			}
 		}
 	}
-	return cp, nil
+	return cp
 }
 
-// cache maps *isa.Program to its compiled form; a stored nil marks the
-// program as uncompilable. Keying on the pointer is sound because programs
-// are immutable after construction and shared across all replicas of a job.
+// cache maps *isa.Program to its compiled form. Keying on the pointer is
+// sound because programs are immutable after construction and shared across
+// all replicas of a job.
 var cache sync.Map
 
 // Cached returns the compiled form of p, compiling and memoizing on first
-// use. It returns nil when p cannot be compiled; callers must then use the
-// reference interpreter.
+// use.
 func Cached(p *isa.Program) *Program {
 	if v, ok := cache.Load(p); ok {
 		return v.(*Program)
 	}
-	cp, err := Compile(p)
-	if err != nil {
-		cp = nil
-	}
-	v, _ := cache.LoadOrStore(p, cp)
+	v, _ := cache.LoadOrStore(p, Compile(p))
 	return v.(*Program)
 }

@@ -21,11 +21,7 @@ func TestCompileAllKernels(t *testing.T) {
 			}
 			prog := step.Launch.Kernel
 			seen[prog] = true
-			cp, err := uop.Compile(prog)
-			if err != nil {
-				t.Errorf("%s/%s: %v", app.Name, prog.Name, err)
-				continue
-			}
+			cp := uop.Compile(prog)
 			if cp.Src != prog {
 				t.Errorf("%s/%s: compiled program lost its source pointer", app.Name, prog.Name)
 			}
@@ -33,8 +29,8 @@ func TestCompileAllKernels(t *testing.T) {
 				t.Errorf("%s/%s: %d µops for %d instructions", app.Name, prog.Name, len(cp.Ops), len(prog.Code))
 			}
 			for pc := range cp.Ops {
-				if cp.Ops[pc].Kind >= uop.NumKinds {
-					t.Errorf("%s/%s: pc %d: bad kind %d", app.Name, prog.Name, pc, cp.Ops[pc].Kind)
+				if k := cp.Ops[pc].Kind; k >= uop.NumKinds || k == uop.KBadOp {
+					t.Errorf("%s/%s: pc %d: bad kind %d", app.Name, prog.Name, pc, k)
 				}
 			}
 		}
@@ -56,29 +52,30 @@ func TestCachedMemoizes(t *testing.T) {
 		},
 	}
 	first := uop.Cached(p)
-	if first == nil {
-		t.Fatal("compilable program cached as nil")
-	}
 	if again := uop.Cached(p); again != first {
 		t.Error("second lookup returned a different compiled program")
 	}
 }
 
-// TestCachedUncompilable: a program with an opcode outside the ISA is
-// memoized as nil so every caller falls back to the reference interpreter.
+// TestCachedUncompilable: there is no uncompilable program. An opcode
+// outside the ISA lowers to a KBadOp µop carrying the opcode (it faults only
+// if a lane executes it — internal/sim's TestOutOfISAOpcode runs that on
+// both cores), so Cached always has a program to hand back.
 func TestCachedUncompilable(t *testing.T) {
 	p := &isa.Program{
 		Name:    "bad",
 		NumRegs: 1,
-		Code:    []isa.Instr{{Op: isa.Op(200)}, {Op: isa.OpEXIT}},
+		Code:    []isa.Instr{{Op: isa.Op(200), Pred: isa.PT + 1}, {Op: isa.OpEXIT}},
 	}
-	if _, err := uop.Compile(p); err == nil {
-		t.Fatal("unknown opcode compiled")
+	cp := uop.Cached(p)
+	if cp == nil || len(cp.Ops) != 2 {
+		t.Fatalf("out-of-ISA program cached as %+v", cp)
 	}
-	for i := 0; i < 2; i++ {
-		if uop.Cached(p) != nil {
-			t.Fatalf("lookup %d: uncompilable program not cached as nil", i)
-		}
+	if u := cp.Ops[0]; u.Kind != uop.KBadOp || isa.Op(u.Imm) != isa.Op(200) || u.GuardBit == 0 {
+		t.Errorf("opcode 200 lowered to %+v, want a guarded KBadOp carrying the opcode", u)
+	}
+	if uop.Cached(p) != cp {
+		t.Error("second lookup returned a different compiled program")
 	}
 }
 
@@ -102,11 +99,7 @@ func TestDropLowering(t *testing.T) {
 	}
 	for _, c := range cases {
 		p := &isa.Program{Name: c.name, NumRegs: 2, Code: []isa.Instr{c.ins, {Op: isa.OpEXIT}}}
-		cp, err := uop.Compile(p)
-		if err != nil {
-			t.Errorf("%s: %v", c.name, err)
-			continue
-		}
+		cp := uop.Compile(p)
 		if cp.Ops[0].Kind != c.want {
 			t.Errorf("%s: kind %d, want %d", c.name, cp.Ops[0].Kind, c.want)
 		}
