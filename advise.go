@@ -11,7 +11,6 @@ import (
 	"gpurel/internal/advisor"
 	"gpurel/internal/flow"
 	"gpurel/internal/gpu"
-	"gpurel/internal/metrics"
 )
 
 // StudyBackend implements advisor.Backend on top of a Study: every
@@ -80,8 +79,7 @@ func (b *StudyBackend) Measure(ctx context.Context, app, kernel string) (advisor
 	if err != nil {
 		return advisor.KernelMeasure{}, err
 	}
-	w := kernelCycles(e.MicroG, kernel)
-	wh := kernelCycles(e.MicroGTMR, kernel)
+	w, wh := e.plain.cycles(kernel), e.tmr.cycles(kernel)
 	mult := 1.0
 	if w > 0 && wh > 0 {
 		mult = wh / w
@@ -148,29 +146,14 @@ func (b *StudyBackend) Verify(ctx context.Context, app string, protect []string)
 	if err != nil {
 		return advisor.Verification{}, err
 	}
-	_, g, err := s.SelectiveEval(app, protect)
+	total, parts, runs, err := s.appAVF(PointSpec{Layer: LayerMicro, App: app, Harden: protect}, gpu.Structures[:])
 	if err != nil {
-		return advisor.Verification{}, err
+		return advisor.Verification{}, fmt.Errorf("verify %s: %w", app, err)
 	}
-	v := advisor.Verification{PerKernel: map[string]float64{}}
-	var parts []metrics.Breakdown
-	var weights []float64
-	for _, k := range e.App.Kernels {
-		var structs []metrics.StructAVF
-		for _, st := range gpu.Structures {
-			tl, df, err := s.MicroTallySelective(app, k, st, protect)
-			if err != nil {
-				return advisor.Verification{}, fmt.Errorf("verify %s/%s/%s: %w", app, k, st, err)
-			}
-			structs = append(structs, metrics.NewStructAVF(st, tl, df))
-			v.TotalRuns += tl.N
-		}
-		chip := metrics.ChipAVF(s.Cfg, structs)
-		v.PerKernel[k] = chip.SDC
-		parts = append(parts, chip)
-		weights = append(weights, kernelCycles(g, k))
+	v := advisor.Verification{SDC: total.SDC, TotalRuns: runs, PerKernel: map[string]float64{}}
+	for i, k := range e.App.Kernels {
+		v.PerKernel[k] = parts[i].SDC
 	}
-	v.SDC = metrics.Weighted(parts, weights).SDC
-	v.Overhead = float64(g.Res.Cycles) / float64(e.MicroG.Res.Cycles)
-	return v, nil
+	v.Overhead, err = s.SelectiveOverhead(app, protect)
+	return v, err
 }

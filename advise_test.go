@@ -46,11 +46,18 @@ func TestSelectiveBoundaryIdentity(t *testing.T) {
 		all := e.App.Kernels
 		for _, k := range all {
 			for _, c := range cases {
-				full, _, err := sel.MicroTallySelectiveModel(app, k, c.st, c.fault, all)
+				// The empty protection set is spelled nil, as the advisor
+				// spells it: the same spec as the plain point.
+				plain := PointSpec{Layer: LayerMicro, App: app, Kernel: k, Structure: c.st, Fault: &c.fault}
+				tmr, fullSet := plain, plain
+				tmr.Hardened = true
+				fullSet.Harden = all
+
+				full, err := sel.Tally(fullSet)
 				if err != nil {
 					t.Fatalf("%s/%s full-set: %v", app, k, err)
 				}
-				wantFull, err := ref.MicroTallyModelHardened(app, k, c.st, c.fault)
+				wantFull, err := ref.Tally(tmr)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -59,11 +66,11 @@ func TestSelectiveBoundaryIdentity(t *testing.T) {
 						app, k, c.st, c.fault.Label(), full, wantFull)
 				}
 
-				empty, _, err := sel.MicroTallySelectiveModel(app, k, c.st, c.fault, nil)
+				empty, err := sel.Tally(plain)
 				if err != nil {
 					t.Fatalf("%s/%s empty-set: %v", app, k, err)
 				}
-				wantEmpty, err := ref.MicroTallyModel(app, k, c.st, c.fault)
+				wantEmpty, err := ref.Tally(plain)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -33,6 +33,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -45,7 +46,6 @@ import (
 	"gpurel/internal/campaign"
 	"gpurel/internal/cliutil"
 	"gpurel/internal/gpu"
-	"gpurel/internal/microfi"
 )
 
 // emitJSON writes one NDJSON figure record with the campaign sizing fields
@@ -55,29 +55,43 @@ func emitJSON(w io.Writer, name string, n int, data any) error {
 }
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its process state made explicit: the figures for args on
+// stdout, diagnostics on stderr, and the exit status returned.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("avfsvf", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		n       = flag.Int("n", 300, "injections per campaign point (paper: 3000)")
-		seed    = flag.Int64("seed", 1, "base seed")
-		fig     = flag.Int("fig", 0, "regenerate one figure (1-12); 0 = all")
-		table   = flag.Int("table", 0, "regenerate one table (1); 0 with -fig 0 = all")
-		speed   = flag.Bool("speed", false, "measure the AVF vs SVF assessment speed gap")
-		jsonOut = flag.Bool("json", false, "emit machine-readable NDJSON figure results")
-		daemon  = flag.String("daemon", "", "submit campaigns to a running gpureld at this base URL instead of computing locally")
-		adapt   = flag.Bool("adaptive", false, "adaptive sampling: stop each campaign point early once its Wilson 99% CI half-width reaches the target margin")
-		margin  = flag.Float64("margin", 0, "target 99% CI half-width for -adaptive (0 = the worst-case margin of -n); implies -adaptive")
-		prune   = flag.Bool("prune", false, "liveness-guided pruning of RF injections (bit-identical to brute force)")
-		ckpt    = flag.Int64("snap-stride", 0, "golden-run snapshot stride in cycles for fork-and-join injection (0 = off, -1 = auto)")
-		ckMB    = flag.Int64("snap-mb", 0, "snapshot memory budget in MiB per golden run (0 = default 256, negative = unlimited)")
-		conv    = flag.Bool("converge", false, "join faulty runs back to golden at the first matching checkpoint; implies -snap-stride -1 if unset")
-		fmodels = flag.Bool("faultmodels", false, "emit the cross-model outcome table: transient vs stuck-at vs MBU per storage structure, flip vs forced latch per control-state site (heavy: ~29 campaign sets; pair with a small -n)")
-		fmApps  = flag.String("faultmodels-apps", "", "comma-separated app subset for -faultmodels (empty = all 11 benchmarks)")
+		n       = fs.Int("n", 300, "injections per campaign point (paper: 3000)")
+		seed    = fs.Int64("seed", 1, "base seed")
+		fig     = fs.Int("fig", 0, "regenerate one figure (1-12); 0 = all")
+		table   = fs.Int("table", 0, "regenerate one table (1); 0 with -fig 0 = all")
+		speed   = fs.Bool("speed", false, "measure the AVF vs SVF assessment speed gap")
+		jsonOut = fs.Bool("json", false, "emit machine-readable NDJSON figure results")
+		daemon  = fs.String("daemon", "", "submit campaigns to a running gpureld at this base URL instead of computing locally")
+		adapt   = fs.Bool("adaptive", false, "adaptive sampling: stop each campaign point early once its Wilson 99% CI half-width reaches the target margin")
+		margin  = fs.Float64("margin", 0, "target 99% CI half-width for -adaptive (0 = the worst-case margin of -n); implies -adaptive")
+		prune   = fs.Bool("prune", false, "liveness-guided pruning of RF injections (bit-identical to brute force)")
+		fmodels = fs.Bool("faultmodels", false, "emit the cross-model outcome table: transient vs stuck-at vs MBU per storage structure, flip vs forced latch per control-state site (heavy: ~29 campaign sets; pair with a small -n)")
+		fmApps  = fs.String("faultmodels-apps", "", "comma-separated app subset for -faultmodels (empty = all 11 benchmarks)")
 	)
-	prof := cliutil.Profiling(flag.CommandLine)
-	flag.Parse()
+	snap := cliutil.Snapshots(fs)
+	prof := cliutil.Profiling(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "avfsvf:", err)
+		return 1
+	}
 	stopProf, err := prof.Start()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "avfsvf:", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	defer stopProf()
 
@@ -93,107 +107,76 @@ func main() {
 		s.Sampling = &gpurel.SamplingPolicy{Margin: target, Prune: *prune}
 		s.Counters = &adaptive.Counters{}
 	}
-	if *conv && *ckpt == 0 {
-		*ckpt = microfi.AutoStride
-	}
-	if *ckpt != 0 {
-		s.Checkpoint = microfi.CheckpointSpec{Stride: *ckpt, BudgetBytes: *ckMB << 20, Converge: *conv}
-	}
+	s.Checkpoint = snap.Spec()
 	all := *fig == 0 && *table == 0 && !*speed && !*fmodels
 
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, "avfsvf:", err)
-		os.Exit(1)
-	}
-	// emit prints one figure either as the paper-style table or as one
-	// NDJSON line carrying the library result structs.
-	emit := func(name string, data any, text string, err error) {
-		if err != nil {
-			fail(err)
-		}
-		if *jsonOut {
-			if err := emitJSON(os.Stdout, name, *n, data); err != nil {
-				fail(err)
+	// Figures 7-11 are views over the same hardened campaigns, which the
+	// study memoises: each view asks for them again and pays once.
+	hardened := func(render func([]gpurel.HardenedPoint) string) func() (any, string, error) {
+		return func() (any, string, error) {
+			pts, err := s.Hardened()
+			if err != nil {
+				return nil, "", err
 			}
-			return
+			return pts, render(pts), nil
 		}
-		fmt.Println(text)
 	}
-
-	if all || *fig == 1 {
-		pts, txt, err := s.Figure1()
-		emit("fig1", pts, txt, err)
+	figures := []struct {
+		on   bool
+		name string
+		make func() (data any, text string, err error)
+	}{
+		{all || *fig == 1, "fig1", func() (any, string, error) { return s.Figure1() }},
+		{all || *fig == 2, "fig2", func() (any, string, error) { return s.Figure2() }},
+		{all || *table == 1, "table1", func() (any, string, error) { return s.TableI() }},
+		{all || *fig == 3, "fig3", func() (any, string, error) { return s.Figure3() }},
+		{all || *fig == 4, "fig4", func() (any, string, error) { return s.Figure4() }},
+		{all || *fig == 5, "fig5", func() (any, string, error) { return s.Figure5() }},
+		{*fig == 6, "fig6", func() (any, string, error) {
+			return nil, "Figure 6 is the TMR workflow diagram; see internal/harden (no data to regenerate).", nil
+		}},
+		{all || *fig == 7, "fig7", hardened(gpurel.Figure7)},
+		{all || *fig == 8, "fig8", hardened(gpurel.Figure8)},
+		{all || *fig == 9, "fig9", hardened(gpurel.Figure9)},
+		{all || *fig == 10, "fig10", hardened(gpurel.Figure10)},
+		{all || *fig == 11, "fig11", hardened(gpurel.Figure11)},
+		{all || *fig == 12, "fig12", func() (any, string, error) {
+			a, txt := gpurel.Figure12()
+			return a, txt, nil
+		}},
+		{*fmodels, "faultmodels", func() (any, string, error) {
+			var apps []string
+			if *fmApps != "" {
+				apps = strings.Split(*fmApps, ",")
+			}
+			return s.FaultModelFigure(apps)
+		}},
+		{all || *speed, "speed", func() (any, string, error) {
+			micro, soft, err := s.SpeedComparison("SRADv1", 5)
+			return map[string]any{"micro_ns_per_run": micro.Nanoseconds(), "soft_ns_per_run": soft.Nanoseconds()},
+				fmt.Sprintf("Assessment speed (SRADv1): cross-layer %v/run, software-level %v/run → %.0f× gap\n"+
+					"(the paper's footnote 1: 1258 vs 10 machine-days at full scale)",
+					micro, soft, float64(micro)/float64(soft)), err
+		}},
+		{all, "multibit", func() (any, string, error) { return s.MultiBitAblation("VA", "K1", gpu.RF, []int{1, 2, 4}) }},
 	}
-	if all || *fig == 2 {
-		pts, txt, err := s.Figure2()
-		emit("fig2", pts, txt, err)
-	}
-	if all || *table == 1 {
-		rows, txt, err := s.TableI()
-		emit("table1", rows, txt, err)
-	}
-	if all || *fig == 3 {
-		pts, txt, err := s.Figure3()
-		emit("fig3", pts, txt, err)
-	}
-	if all || *fig == 4 {
-		pts, txt, err := s.Figure4()
-		emit("fig4", pts, txt, err)
-	}
-	if all || *fig == 5 {
-		pts, txt, err := s.Figure5()
-		emit("fig5", pts, txt, err)
-	}
-	if *fig == 6 {
-		emit("fig6", nil, "Figure 6 is the TMR workflow diagram; see internal/harden (no data to regenerate).", nil)
-	}
-	if all || (*fig >= 7 && *fig <= 11) {
-		pts, err := s.Hardened()
+	// Each requested figure prints either as the paper-style table or as
+	// one NDJSON line carrying the library result structs.
+	for _, f := range figures {
+		if !f.on {
+			continue
+		}
+		data, text, err := f.make()
+		switch {
+		case err != nil:
+		case *jsonOut:
+			err = emitJSON(stdout, f.name, *n, data)
+		default:
+			_, err = fmt.Fprintln(stdout, text)
+		}
 		if err != nil {
-			fail(err)
-		}
-		if all || *fig == 7 {
-			emit("fig7", pts, gpurel.Figure7(pts), nil)
-		}
-		if all || *fig == 8 {
-			emit("fig8", pts, gpurel.Figure8(pts), nil)
-		}
-		if all || *fig == 9 {
-			emit("fig9", pts, gpurel.Figure9(pts), nil)
-		}
-		if all || *fig == 10 {
-			emit("fig10", pts, gpurel.Figure10(pts), nil)
-		}
-		if all || *fig == 11 {
-			emit("fig11", pts, gpurel.Figure11(pts), nil)
+			return fail(err)
 		}
 	}
-	if all || *fig == 12 {
-		a, txt := gpurel.Figure12()
-		emit("fig12", a, txt, nil)
-	}
-	if *fmodels {
-		var apps []string
-		if *fmApps != "" {
-			apps = strings.Split(*fmApps, ",")
-		}
-		rows, txt, err := s.FaultModelFigure(apps)
-		emit("faultmodels", rows, txt, err)
-	}
-	if all || *speed {
-		micro, soft, err := s.SpeedComparison("SRADv1", 5)
-		if err != nil {
-			fail(err)
-		}
-		emit("speed",
-			map[string]any{"micro_ns_per_run": micro.Nanoseconds(), "soft_ns_per_run": soft.Nanoseconds()},
-			fmt.Sprintf("Assessment speed (SRADv1): cross-layer %v/run, software-level %v/run → %.0f× gap\n"+
-				"(the paper's footnote 1: 1258 vs 10 machine-days at full scale)",
-				micro, soft, float64(micro)/float64(soft)),
-			nil)
-	}
-	if all {
-		ab, txt, err := s.MultiBitAblation("VA", "K1", gpu.RF, []int{1, 2, 4})
-		emit("multibit", ab, txt, err)
-	}
+	return 0
 }

@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"gpurel/internal/campaign"
@@ -65,5 +67,53 @@ func TestEmitJSONRecord(t *testing.T) {
 	}
 	if sc.Scan() {
 		t.Errorf("unexpected extra line: %s", sc.Bytes())
+	}
+}
+
+// TestAvfsvfGolden pins whole figures end to end: flags → study → campaigns
+// → consolidation → table. The files under testdata are the stdout of the
+// same commands at commit 430927f, before the study had one tally entry, so
+// a byte that moves here is a number the paper's figures would print
+// differently.
+func TestAvfsvfGolden(t *testing.T) {
+	cases := []struct {
+		golden string
+		args   []string
+	}{
+		{"fig1_n10.txt", []string{"-fig", "1", "-n", "10"}},
+		{"fig4_n10.txt", []string{"-fig", "4", "-n", "10"}},
+		{"fig5_n10.txt", []string{"-fig", "5", "-n", "10"}},
+		{"fig7_n10.txt", []string{"-fig", "7", "-n", "10"}},
+		{"table1_n10.txt", []string{"-table", "1", "-n", "10"}},
+		{"faultmodels_VA_NW_n6.txt", []string{"-faultmodels", "-faultmodels-apps", "VA,NW", "-n", "6"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.golden, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var stdout, stderr bytes.Buffer
+			if code := run(tc.args, &stdout, &stderr); code != 0 || stderr.Len() != 0 {
+				t.Fatalf("exit %d, stderr: %s", code, stderr.String())
+			}
+			if !bytes.Equal(stdout.Bytes(), want) {
+				t.Errorf("avfsvf %v moved:\n%s\nwant:\n%s", tc.args, stdout.String(), want)
+			}
+		})
+	}
+}
+
+// TestUsageErrors: an unknown flag is a usage error (exit 2) with nothing on
+// stdout; a figure that fails (here: an app that does not exist) exits 1.
+func TestUsageErrors(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-no-such-flag"}, &stdout, &stderr); code != 2 || stdout.Len() != 0 || stderr.Len() == 0 {
+		t.Errorf("unknown flag: exit %d, stdout %q, stderr %q", code, stdout.String(), stderr.String())
+	}
+	stdout.Reset()
+	stderr.Reset()
+	if code := run([]string{"-faultmodels", "-faultmodels-apps", "NoSuchApp", "-n", "1"}, &stdout, &stderr); code != 1 || stdout.Len() != 0 {
+		t.Errorf("unknown app: exit %d, stdout %q, stderr %q", code, stdout.String(), stderr.String())
 	}
 }

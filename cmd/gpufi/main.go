@@ -77,11 +77,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		margin      = fs.Float64("margin", 0, "target 99% CI half-width for -adaptive (0 = the paper's ±2.35%); implies -adaptive")
 		prune       = fs.Bool("prune", false, "classify provably-dead RF injection sites as Masked from the golden run's liveness map, without simulating")
 		staticPrune = fs.Bool("static-prune", false, "classify RF/SMEM injections landing in statically-dead cycle intervals as Masked (no liveness trace needed); with -prune, RF keeps the liveness map and SMEM uses the intervals")
-		ckStride    = fs.Int64("snap-stride", 0, "golden-run snapshot stride in cycles for fork-and-join injection (0 = off, -1 = auto)")
-		ckMB        = fs.Int64("snap-mb", 0, "snapshot memory budget in MiB (0 = default 256, negative = unlimited)")
-		converge    = fs.Bool("converge", false, "join faulty runs back to golden at the first matching checkpoint; implies -snap-stride -1 if unset")
 		list        = fs.Bool("list", false, "list benchmarks and kernels")
 	)
+	snap := cliutil.Snapshots(fs)
 	prof := cliutil.Profiling(fs)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -120,10 +118,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		job = harden.TMR(job)
 	}
 	cfg := gpu.Volta()
-	if *converge && *ckStride == 0 {
-		*ckStride = microfi.AutoStride
-	}
-	ckSpec := microfi.CheckpointSpec{Stride: *ckStride, BudgetBytes: *ckMB << 20, Converge: *converge}
+	ckSpec := snap.Spec()
 	g, err := microfi.GoldenCheckpointed(job, cfg, ckSpec)
 	if err != nil {
 		return fatal(err)
@@ -150,22 +145,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "ctrl":
 		structures = gpu.ControlStructures[:]
 	default:
-		found := false
-		for _, s := range gpu.Structures {
-			if s.String() == *structure {
-				structures = append(structures, s)
-				found = true
-			}
+		st, err := gpu.ParseStructure(*structure)
+		if err != nil {
+			return fatal(fmt.Errorf("%w, all or ctrl", err))
 		}
-		for _, s := range gpu.ControlStructures {
-			if s.String() == *structure {
-				structures = append(structures, s)
-				found = true
-			}
-		}
-		if !found {
-			return fatal(fmt.Errorf("unknown structure %q", *structure))
-		}
+		structures = []gpu.Structure{st}
 	}
 
 	fspec := faultmodel.Spec{Model: *model, Width: *burst, Lines: *lines}

@@ -25,6 +25,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"sort"
@@ -36,39 +37,52 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its process state made explicit: the plan for args on
+// stdout, progress and diagnostics on stderr, and the exit status returned.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("gpuharden", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		appName = flag.String("app", "", "benchmark application (required; see -list)")
-		budget  = flag.Float64("sdc-budget", 0.005, "SDC AVF ceiling the plan must verifiably meet")
-		n       = flag.Int("n", 3000, "injections per campaign point (paper: 3000 → ±2.35% at 99% confidence)")
-		seed    = flag.Int64("seed", 1, "base study seed (campaign points derive their own seeds)")
-		jsonOut = flag.Bool("json", false, "emit the final advisor state as JSON on stdout")
-		journal = flag.String("journal", "", "journal path: state persists after every unit of work; re-running resumes from it")
-		list    = flag.Bool("list", false, "list benchmarks and kernels")
+		appName = fs.String("app", "", "benchmark application (required; see -list)")
+		budget  = fs.Float64("sdc-budget", 0.005, "SDC AVF ceiling the plan must verifiably meet")
+		n       = fs.Int("n", 3000, "injections per campaign point (paper: 3000 → ±2.35% at 99% confidence)")
+		seed    = fs.Int64("seed", 1, "base study seed (campaign points derive their own seeds)")
+		jsonOut = fs.Bool("json", false, "emit the final advisor state as JSON on stdout")
+		journal = fs.String("journal", "", "journal path: state persists after every unit of work; re-running resumes from it")
+		list    = fs.Bool("list", false, "list benchmarks and kernels")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *list {
 		for _, a := range kernels.All() {
-			fmt.Printf("%-8s %d kernel(s)\n", a.Name, len(a.Kernels))
+			fmt.Fprintf(stdout, "%-8s %d kernel(s)\n", a.Name, len(a.Kernels))
 		}
-		return
+		return 0
 	}
 	if *appName == "" {
-		fmt.Fprintln(os.Stderr, "gpuharden: -app is required (try -list)")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "gpuharden: -app is required (try -list)")
+		return 2
 	}
 	if *budget < 0 || *budget >= 1 {
-		fmt.Fprintf(os.Stderr, "gpuharden: -sdc-budget must be an SDC AVF in [0, 1), got %g\n", *budget)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "gpuharden: -sdc-budget must be an SDC AVF in [0, 1), got %g\n", *budget)
+		return 2
 	}
 
 	resume, err := loadJournal(*journal)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "gpuharden: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "gpuharden: %v\n", err)
+		return 1
 	}
 	if resume != nil {
-		fmt.Fprintf(os.Stderr, "gpuharden: resuming from %s (%d kernels measured, %d priced)\n",
+		fmt.Fprintf(stderr, "gpuharden: resuming from %s (%d kernels measured, %d priced)\n",
 			*journal, len(resume.Measures), len(resume.Costs))
 	}
 
@@ -85,77 +99,78 @@ func main() {
 		OnState: func(st *advisor.State) {
 			if *journal != "" {
 				if err := saveJournal(*journal, st); err != nil {
-					fmt.Fprintf(os.Stderr, "gpuharden: journal: %v\n", err)
+					fmt.Fprintf(stderr, "gpuharden: journal: %v\n", err)
 				}
 			}
 			if st.Phase != lastPhase {
-				fmt.Fprintf(os.Stderr, "gpuharden: phase %s\n", st.Phase)
+				fmt.Fprintf(stderr, "gpuharden: phase %s\n", st.Phase)
 				lastPhase = st.Phase
 			}
 			if st.Phase == advisor.PhaseMeasure {
-				fmt.Fprintf(os.Stderr, "gpuharden:   %d measured, %d priced\n", len(st.Measures), len(st.Costs))
+				fmt.Fprintf(stderr, "gpuharden:   %d measured, %d priced\n", len(st.Measures), len(st.Costs))
 			}
 		},
 	}
 	st, err := r.Run(ctx)
 	if *journal != "" && st != nil {
 		if jerr := saveJournal(*journal, st); jerr != nil {
-			fmt.Fprintf(os.Stderr, "gpuharden: journal: %v\n", jerr)
+			fmt.Fprintf(stderr, "gpuharden: journal: %v\n", jerr)
 		}
 	}
 	if errors.Is(err, context.Canceled) {
-		fmt.Fprintln(os.Stderr, "gpuharden: interrupted; re-run with the same flags to resume")
-		os.Exit(1)
+		fmt.Fprintln(stderr, "gpuharden: interrupted; re-run with the same flags to resume")
+		return 1
 	}
 
 	if *jsonOut {
 		out, merr := json.MarshalIndent(st, "", "  ")
 		if merr != nil {
-			fmt.Fprintf(os.Stderr, "gpuharden: %v\n", merr)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "gpuharden: %v\n", merr)
+			return 1
 		}
-		fmt.Println(string(out))
+		fmt.Fprintln(stdout, string(out))
 	} else if st != nil {
-		printReport(st)
+		printReport(stdout, st)
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "gpuharden: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "gpuharden: %v\n", err)
+		return 1
 	}
+	return 0
 }
 
 // printReport renders the plan and verification as a human-readable table.
-func printReport(st *advisor.State) {
-	fmt.Printf("app %s, SDC budget %.5f\n", st.App, st.Budget)
+func printReport(w io.Writer, st *advisor.State) {
+	fmt.Fprintf(w, "app %s, SDC budget %.5f\n", st.App, st.Budget)
 	kernels := make([]string, 0, len(st.Measures))
 	for k := range st.Measures { //relint:allow map-order: sorted immediately below
 		kernels = append(kernels, k)
 	}
 	sort.Strings(kernels)
-	fmt.Printf("%-6s %10s %10s %10s %10s %8s\n", "kernel", "weight", "SDC", "SDC(TMR)", "cost", "hint")
+	fmt.Fprintf(w, "%-6s %10s %10s %10s %10s %8s\n", "kernel", "weight", "SDC", "SDC(TMR)", "cost", "hint")
 	for _, k := range kernels {
 		m := st.Measures[k]
-		fmt.Printf("%-6s %10.0f %10.5f %10.5f %10.4f %8.2f\n",
+		fmt.Fprintf(w, "%-6s %10.0f %10.5f %10.5f %10.4f %8.2f\n",
 			k, m.Weight, m.SDC, m.SDCHardened, st.Costs[k], m.Hint)
 	}
 	if st.Plan == nil {
-		fmt.Println("no plan (search did not complete)")
+		fmt.Fprintln(w, "no plan (search did not complete)")
 		return
 	}
 	p := st.Plan
-	fmt.Printf("\nplan: protect %v\n", p.Protect)
+	fmt.Fprintf(w, "\nplan: protect %v\n", p.Protect)
 	for _, s := range p.Steps {
-		fmt.Printf("  +%-5s predicted SDC %.5f, overhead %.4f (gain %.5f / cost %.4f)\n",
+		fmt.Fprintf(w, "  +%-5s predicted SDC %.5f, overhead %.4f (gain %.5f / cost %.4f)\n",
 			s.Add, s.PredictedSDC, s.PredictedOverhead, s.Gain, s.Cost)
 	}
-	fmt.Printf("predicted: SDC %.5f, overhead %.4f (full TMR %.4f)\n",
+	fmt.Fprintf(w, "predicted: SDC %.5f, overhead %.4f (full TMR %.4f)\n",
 		p.PredictedSDC, p.PredictedOverhead, p.FullOverhead)
 	if v := st.Verification; v != nil {
 		verdict := "PASS"
 		if !v.Pass {
 			verdict = "REFUSED"
 		}
-		fmt.Printf("verified:  SDC %.5f, overhead %.4f (full TMR %.4f), %d runs — %s\n",
+		fmt.Fprintf(w, "verified:  SDC %.5f, overhead %.4f (full TMR %.4f), %d runs — %s\n",
 			v.SDC, v.Overhead, v.FullOverhead, v.TotalRuns, verdict)
 	}
 }

@@ -72,7 +72,6 @@ import (
 	"gpurel/internal/adaptive"
 	"gpurel/internal/cliutil"
 	"gpurel/internal/fleet"
-	"gpurel/internal/microfi"
 	"gpurel/internal/service"
 )
 
@@ -94,11 +93,6 @@ func main() {
 		workers  = flag.Int("workers", 0, "campaign workers per lane (0 = GOMAXPROCS)")
 		chunk    = flag.Int("chunk", 100, "runs per checkpointable chunk")
 		seed     = flag.Int64("seed", 1, "base seed of the shared study (golden-run cache)")
-		// Machine-snapshot knobs (fork-and-join injection); named snap-* to
-		// stay clear of -checkpoint, the job-journal path above.
-		snapStride = flag.Int64("snap-stride", 0, "default golden-run snapshot stride in cycles for jobs that don't set checkpoint.stride (0 = off, -1 = auto)")
-		snapMB     = flag.Int64("snap-mb", 0, "snapshot memory budget in MiB per golden run (0 = default 256, negative = unlimited)")
-		converge   = flag.Bool("converge", false, "default convergence joining for jobs that don't set checkpoint.converge; implies -snap-stride -1 if unset")
 		// Fleet knobs.
 		workerMode = flag.Bool("worker", false, "run as a fleet worker: pull run-range leases from -join instead of serving HTTP")
 		join       = flag.String("join", "", "coordinator base URL for -worker, e.g. http://coord:8080")
@@ -112,6 +106,10 @@ func main() {
 		snapBudget = flag.Int("worker-snap-mb", 0, "worker capability report: snapshot memory budget in MiB")
 		adviseCkpt = flag.String("advise-checkpoint", "gpureld.advise.json", "selective-hardening advise journal path ('' disables persistence)")
 	)
+	// Machine-snapshot knobs (fork-and-join injection): the default for jobs
+	// that carry no "checkpoint" group; named snap-* to stay clear of
+	// -checkpoint, the job-journal path above.
+	snap := cliutil.Snapshots(flag.CommandLine)
 	prof := cliutil.Profiling(flag.CommandLine)
 	flag.Parse()
 	stopProf, err := prof.Start()
@@ -127,12 +125,7 @@ func main() {
 	counters := &adaptive.Counters{}
 	study := gpurel.NewStudy(0, *seed)
 	study.Counters = counters
-	if *converge && *snapStride == 0 {
-		*snapStride = microfi.AutoStride
-	}
-	if *snapStride != 0 {
-		study.Checkpoint = microfi.CheckpointSpec{Stride: *snapStride, BudgetBytes: *snapMB << 20, Converge: *converge}
-	}
+	study.Checkpoint = snap.Spec()
 	source := service.NewStudySource(study)
 
 	if *workerMode {

@@ -66,31 +66,43 @@ type AppPoint struct {
 	AVF, SVF metrics.Breakdown
 }
 
-// Figure1 measures the application-level AVF and SVF of all 11 benchmarks.
-func (s *Study) Figure1() ([]AppPoint, string, error) {
+// appFigure measures one AVF-side and one SVF-side quantity per application
+// and renders the bar pairs into t, SVF columns first: the body Figures 1, 4
+// and 5 share. t arrives with its title, header and any footers.
+func (s *Study) appFigure(t report.Table, avf, svf func(app string) (metrics.Breakdown, error)) ([]AppPoint, string, error) {
 	var pts []AppPoint
 	for _, a := range s.Apps() {
-		avf, err := s.AppAVF(a.Name, false)
-		if err != nil {
+		p := AppPoint{App: a.Name}
+		var err error
+		if p.AVF, err = avf(a.Name); err != nil {
 			return nil, "", err
 		}
-		svf, err := s.AppSVF(a.Name, false)
-		if err != nil {
+		if p.SVF, err = svf(a.Name); err != nil {
 			return nil, "", err
 		}
-		pts = append(pts, AppPoint{App: a.Name, AVF: avf, SVF: svf})
+		pts = append(pts, p)
+		addPair(&t, p.App, p.SVF, p.AVF)
 	}
-	t := report.Table{
-		Title:  "Figure 1: application-level AVF (cross-layer) vs SVF (software-only)",
-		Header: []string{"App", "SVF.SDC", "SVF.Timeout", "SVF.DUE", "SVF", "AVF.SDC", "AVF.Timeout", "AVF.DUE", "AVF"},
-	}
-	for _, p := range pts {
-		t.AddRow(p.App,
-			report.Pct(p.SVF.SDC), report.Pct(p.SVF.Timeout), report.Pct(p.SVF.DUE), report.Pct(p.SVF.Total()),
-			report.Pct(p.AVF.SDC), report.Pct(p.AVF.Timeout), report.Pct(p.AVF.DUE), report.Pct(p.AVF.Total()))
-	}
-	t.AddFooter("note the scale separation: full-system AVF includes all hardware masking (§III-A)")
 	return pts, t.String(), nil
+}
+
+// addPair appends one row of Figure 1/2/4/5: a label, then the SVF and AVF
+// breakdowns with their totals.
+func addPair(t *report.Table, label string, svf, avf metrics.Breakdown) {
+	t.AddRow(label,
+		report.Pct(svf.SDC), report.Pct(svf.Timeout), report.Pct(svf.DUE), report.Pct(svf.Total()),
+		report.Pct(avf.SDC), report.Pct(avf.Timeout), report.Pct(avf.DUE), report.Pct(avf.Total()))
+}
+
+// Figure1 measures the application-level AVF and SVF of all 11 benchmarks.
+func (s *Study) Figure1() ([]AppPoint, string, error) {
+	return s.appFigure(report.Table{
+		Title:   "Figure 1: application-level AVF (cross-layer) vs SVF (software-only)",
+		Header:  []string{"App", "SVF.SDC", "SVF.Timeout", "SVF.DUE", "SVF", "AVF.SDC", "AVF.Timeout", "AVF.DUE", "AVF"},
+		Footers: []string{"note the scale separation: full-system AVF includes all hardware masking (§III-A)"},
+	},
+		func(app string) (metrics.Breakdown, error) { return s.AppAVF(app, false) },
+		func(app string) (metrics.Breakdown, error) { return s.AppSVF(app, false) })
 }
 
 // KernelPoint is one kernel's AVF and SVF (one bar pair of Figure 2 / 7).
@@ -118,9 +130,7 @@ func (s *Study) Figure2() ([]KernelPoint, string, error) {
 		Header: []string{"Kernel", "SVF.SDC", "SVF.Timeout", "SVF.DUE", "SVF", "AVF.SDC", "AVF.Timeout", "AVF.DUE", "AVF"},
 	}
 	for _, p := range pts {
-		t.AddRow(p.ID.Label(),
-			report.Pct(p.SVF.SDC), report.Pct(p.SVF.Timeout), report.Pct(p.SVF.DUE), report.Pct(p.SVF.Total()),
-			report.Pct(p.AVF.SDC), report.Pct(p.AVF.Timeout), report.Pct(p.AVF.DUE), report.Pct(p.AVF.Total()))
+		addPair(&t, p.ID.Label(), p.SVF, p.AVF)
 	}
 	return pts, t.String(), nil
 }
@@ -314,54 +324,18 @@ func (s *Study) Figure3() ([]PairMetrics, string, error) {
 
 // Figure4 compares AVF-RF (register-file-only AVF) against SVF per app.
 func (s *Study) Figure4() ([]AppPoint, string, error) {
-	var pts []AppPoint
-	for _, a := range s.Apps() {
-		rf, err := s.AppAVFRF(a.Name)
-		if err != nil {
-			return nil, "", err
-		}
-		svf, err := s.AppSVF(a.Name, false)
-		if err != nil {
-			return nil, "", err
-		}
-		pts = append(pts, AppPoint{App: a.Name, AVF: rf, SVF: svf})
-	}
-	t := report.Table{
+	return s.appFigure(report.Table{
 		Title:  "Figure 4: AVF-RF (register file only) vs SVF",
 		Header: []string{"App", "SVF.SDC", "SVF.Timeout", "SVF.DUE", "SVF", "AVF-RF.SDC", "AVF-RF.Timeout", "AVF-RF.DUE", "AVF-RF"},
-	}
-	for _, p := range pts {
-		t.AddRow(p.App,
-			report.Pct(p.SVF.SDC), report.Pct(p.SVF.Timeout), report.Pct(p.SVF.DUE), report.Pct(p.SVF.Total()),
-			report.Pct(p.AVF.SDC), report.Pct(p.AVF.Timeout), report.Pct(p.AVF.DUE), report.Pct(p.AVF.Total()))
-	}
-	return pts, t.String(), nil
+	}, s.AppAVFRF, func(app string) (metrics.Breakdown, error) { return s.AppSVF(app, false) })
 }
 
 // Figure5 compares AVF-Cache (L1D+L1T+L2) against SVF-LD (loads only).
 func (s *Study) Figure5() ([]AppPoint, string, error) {
-	var pts []AppPoint
-	for _, a := range s.Apps() {
-		cache, err := s.AppAVFCache(a.Name)
-		if err != nil {
-			return nil, "", err
-		}
-		ld, err := s.AppSVFLD(a.Name)
-		if err != nil {
-			return nil, "", err
-		}
-		pts = append(pts, AppPoint{App: a.Name, AVF: cache, SVF: ld})
-	}
-	t := report.Table{
+	return s.appFigure(report.Table{
 		Title:  "Figure 5: AVF-Cache (L1D+L1T+L2) vs SVF-LD (load instructions)",
 		Header: []string{"App", "SVF-LD.SDC", "SVF-LD.Timeout", "SVF-LD.DUE", "SVF-LD", "AVF-C.SDC", "AVF-C.Timeout", "AVF-C.DUE", "AVF-Cache"},
-	}
-	for _, p := range pts {
-		t.AddRow(p.App,
-			report.Pct(p.SVF.SDC), report.Pct(p.SVF.Timeout), report.Pct(p.SVF.DUE), report.Pct(p.SVF.Total()),
-			report.Pct(p.AVF.SDC), report.Pct(p.AVF.Timeout), report.Pct(p.AVF.DUE), report.Pct(p.AVF.Total()))
-	}
-	return pts, t.String(), nil
+	}, s.AppAVFCache, s.AppSVFLD)
 }
 
 // HardenedPoint carries one kernel's vulnerability with and without TMR.

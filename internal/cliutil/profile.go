@@ -1,7 +1,8 @@
 // Package cliutil carries the small shared pieces of the command-line
-// tools. Its one job today: the profiling flags — the hot-loop work in this
-// repo is driven by pprof evidence (see docs/perf.md), so every binary that
-// runs campaigns can capture profiles of real workloads without a rebuild.
+// tools: the profiling flags — the hot-loop work in this repo is driven by
+// pprof evidence (see docs/perf.md), so every binary that runs campaigns can
+// capture profiles of real workloads without a rebuild — and the snapshot
+// flags of checkpointed fork-and-join injection.
 package cliutil
 
 import (

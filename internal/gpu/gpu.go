@@ -9,6 +9,8 @@
 // comparatively small (see DESIGN.md §2).
 package gpu
 
+import "fmt"
+
 // Structure identifies one of the five fault-injection target hardware
 // structures studied by the paper (§II-B).
 type Structure int
@@ -65,6 +67,26 @@ func (s Structure) String() string {
 		return "BARRIER"
 	}
 	return "?"
+}
+
+// ParseStructure maps the name of a hardware structure as String spells it
+// ("" = RF), accepting the storage arrays and the control-state sites — the
+// one spelling the wire and the CLIs share.
+func ParseStructure(name string) (Structure, error) {
+	if name == "" {
+		return RF, nil
+	}
+	for _, st := range Structures {
+		if st.String() == name {
+			return st, nil
+		}
+	}
+	for _, st := range ControlStructures {
+		if st.String() == name {
+			return st, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown structure %q (want RF|SMEM|L1D|L1T|L2|SCHED|STACK|BARRIER)", name)
 }
 
 // Config describes the simulated chip.

@@ -48,6 +48,16 @@ type CheckpointSpec struct {
 // Enabled reports whether the spec turns checkpointing on.
 func (c CheckpointSpec) Enabled() bool { return c.Stride != 0 }
 
+// NewCheckpointSpec builds a spec from the three values users set — the
+// -snap-stride/-snap-mb/-converge flags and the wire's "checkpoint" group:
+// the budget arrives in MiB, and converge alone implies AutoStride.
+func NewCheckpointSpec(stride, budgetMB int64, converge bool) CheckpointSpec {
+	if converge && stride == 0 {
+		stride = AutoStride
+	}
+	return CheckpointSpec{Stride: stride, BudgetBytes: budgetMB << 20, Converge: converge}
+}
+
 // CheckpointCounts reports the work a golden run's checkpoints saved.
 type CheckpointCounts struct {
 	// ForkResumes counts faulty runs resumed from a checkpoint;

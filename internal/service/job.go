@@ -182,66 +182,38 @@ func (sp JobSpec) weight() int {
 }
 
 // Point resolves the spec to the study-level campaign point, validating the
-// enum fields.
+// enum fields and the point rules (gpurel.PointSpec.Validate). The model /
+// structure pairing is checked with the effective fault spec even when the
+// group is absent: a control structure with no fault group would otherwise
+// surface only when the job starts.
 func (sp JobSpec) Point() (gpurel.PointSpec, error) {
-	p := gpurel.PointSpec{App: sp.App, Kernel: sp.Kernel, Hardened: sp.Hardened}
-	switch sp.Layer {
-	case string(gpurel.LayerMicro):
-		p.Layer = gpurel.LayerMicro
-		if len(sp.Harden) > 0 {
-			if sp.Hardened {
-				return p, fmt.Errorf("harden: mutually exclusive with hardened")
-			}
-			p.Harden = append([]string(nil), sp.Harden...)
-		}
-		st, err := ParseStructure(sp.Structure)
-		if err != nil {
-			return p, err
-		}
-		p.Structure = st
-		// Validate the model/structure pairing with the effective spec even
-		// when the group is absent: a control structure with no fault group
-		// would otherwise surface only when the job starts.
-		f := faultmodel.Spec{}
-		if sp.Fault != nil {
-			f = *sp.Fault
-		}
-		if err := f.ValidateFor(st); err != nil {
-			return p, fmt.Errorf("fault: %w", err)
-		}
-		if sp.Fault != nil {
-			fc := *sp.Fault
-			p.Fault = &fc
-		}
-	case string(gpurel.LayerSoft):
-		p.Layer = gpurel.LayerSoft
-		if sp.Fault != nil && !sp.Fault.IsDefault() {
-			return p, fmt.Errorf("fault: models apply to the micro layer only")
-		}
-		if len(sp.Harden) > 0 {
-			return p, fmt.Errorf("harden: selective hardening applies to the micro layer only")
-		}
-		m, err := ParseMode(sp.Mode)
-		if err != nil {
-			return p, err
-		}
-		p.Mode = m
-	default:
-		return p, fmt.Errorf("layer must be %q or %q, got %q", gpurel.LayerMicro, gpurel.LayerSoft, sp.Layer)
+	p := gpurel.PointSpec{Layer: gpurel.Layer(sp.Layer), App: sp.App, Kernel: sp.Kernel, Hardened: sp.Hardened}
+	if len(sp.Harden) > 0 {
+		p.Harden = append([]string(nil), sp.Harden...)
+	}
+	if sp.Fault != nil {
+		fc := *sp.Fault
+		p.Fault = &fc
+	}
+	var err error
+	switch p.Layer {
+	case gpurel.LayerMicro:
+		p.Structure, err = gpu.ParseStructure(sp.Structure)
+	case gpurel.LayerSoft:
+		p.Mode, err = ParseMode(sp.Mode)
+	}
+	if err == nil {
+		err = p.Validate()
+	}
+	if err != nil {
+		return p, err
 	}
 	if s := sp.sampling(); s.Margin99 > 0 || s.Prune {
 		p.Sampling = &gpurel.SamplingPolicy{Margin: s.Margin99, Batch: s.Batch, Prune: s.Prune}
 	}
-	if c := sp.snapshot(); c.Stride != 0 || c.Converge {
-		stride := c.Stride
-		if stride == 0 {
-			stride = microfi.AutoStride
-		}
-		p.Checkpoint = &microfi.CheckpointSpec{
-			Stride:      stride,
-			BudgetBytes: int64(c.BudgetMB) << 20,
-			Converge:    c.Converge,
-		}
+	c := sp.snapshot()
+	if ck := microfi.NewCheckpointSpec(c.Stride, int64(c.BudgetMB), c.Converge); ck.Enabled() {
+		p.Checkpoint = &ck
 	}
 	return p, nil
 }
@@ -268,25 +240,6 @@ func (sp JobSpec) Validate() error {
 	}
 	_, err := sp.Point()
 	return err
-}
-
-// ParseStructure maps the wire name of a hardware structure ("" = RF),
-// accepting the storage arrays and the control-state sites.
-func ParseStructure(name string) (gpu.Structure, error) {
-	if name == "" {
-		return gpu.RF, nil
-	}
-	for _, st := range gpu.Structures {
-		if st.String() == name {
-			return st, nil
-		}
-	}
-	for _, st := range gpu.ControlStructures {
-		if st.String() == name {
-			return st, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown structure %q (want RF|SMEM|L1D|L1T|L2|SCHED|STACK|BARRIER)", name)
 }
 
 // ParseMode maps the wire name of a software injection mode ("" = SVF).

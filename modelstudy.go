@@ -41,43 +41,6 @@ func ControlFaultSpecs() []faultmodel.Spec {
 	}
 }
 
-// MicroTallyModel runs (or recalls) the microarchitecture-level campaign for
-// one (app, kernel, structure) point under an explicit fault model. With the
-// default spec it shares its memo entry — and its seed — with MicroTally.
-func (s *Study) MicroTallyModel(appName, kernel string, st gpu.Structure, fault faultmodel.Spec) (campaign.Tally, error) {
-	return s.microTallyModel(appName, kernel, st, fault, false)
-}
-
-// MicroTallyModelHardened is MicroTallyModel on the TMR-hardened variant of
-// the application — the protection-effectiveness side of the cross-model
-// table.
-func (s *Study) MicroTallyModelHardened(appName, kernel string, st gpu.Structure, fault faultmodel.Spec) (campaign.Tally, error) {
-	return s.microTallyModel(appName, kernel, st, fault, true)
-}
-
-func (s *Study) microTallyModel(appName, kernel string, st gpu.Structure, fault faultmodel.Spec, hardened bool) (campaign.Tally, error) {
-	if _, err := s.Eval(appName); err != nil {
-		return campaign.Tally{}, err
-	}
-	key := microKey{app: appName, kernel: kernel, structure: st, hardened: hardened, fault: fault.Canonical()}
-
-	s.mu.Lock()
-	tl, ok := s.micro[key]
-	s.mu.Unlock()
-	if !ok {
-		f := fault
-		var err error
-		tl, err = s.runPoint(PointSpec{Layer: LayerMicro, App: appName, Kernel: kernel, Structure: st, Hardened: hardened, Fault: &f})
-		if err != nil {
-			return campaign.Tally{}, err
-		}
-		s.mu.Lock()
-		s.micro[key] = tl
-		s.mu.Unlock()
-	}
-	return tl, nil
-}
-
 // ModelOutcomeRow is one (structure, model) cell of the cross-model table:
 // the outcome distributions pooled over the selected applications' kernels,
 // on the unhardened (Tally) and TMR-hardened (Hardened) variants side by
@@ -108,26 +71,27 @@ func (s *Study) FaultModelTable(appNames []string) ([]ModelOutcomeRow, error) {
 	}
 	var rows []ModelOutcomeRow
 	pool := func(st gpu.Structure, fault faultmodel.Spec) error {
-		var pooled, hardened campaign.Tally
+		row := ModelOutcomeRow{Structure: st.String(), Model: fault.Label()}
 		for _, app := range appNames {
 			e, err := s.Eval(app)
 			if err != nil {
 				return err
 			}
 			for _, k := range e.App.Kernels {
-				tl, err := s.MicroTallyModel(app, k, st, fault)
+				spec := PointSpec{Layer: LayerMicro, App: app, Kernel: k, Structure: st, Fault: &fault}
+				tl, err := s.Tally(spec)
 				if err != nil {
 					return fmt.Errorf("%s/%s %v %s: %w", app, k, st, fault.Label(), err)
 				}
-				pooled.Merge(tl)
-				th, err := s.MicroTallyModelHardened(app, k, st, fault)
-				if err != nil {
+				row.Tally.Merge(tl)
+				spec.Hardened = true
+				if tl, err = s.Tally(spec); err != nil {
 					return fmt.Errorf("%s/%s %v %s (TMR): %w", app, k, st, fault.Label(), err)
 				}
-				hardened.Merge(th)
+				row.Hardened.Merge(tl)
 			}
 		}
-		rows = append(rows, ModelOutcomeRow{Structure: st.String(), Model: fault.Label(), Tally: pooled, Hardened: hardened})
+		rows = append(rows, row)
 		return nil
 	}
 	for _, st := range gpu.Structures {

@@ -63,21 +63,21 @@ func TestPointSeedFaultIdentity(t *testing.T) {
 	}
 }
 
-// TestMicroTallyModelDefaultParity: the model-aware entry point with the
-// default spec is the legacy MicroTally — same seed, same memo slot, same
-// tally.
+// TestMicroTallyModelDefaultParity: a point spelled with an explicit
+// default fault spec is the legacy MicroTally — same seed, same memo slot,
+// same tally.
 func TestMicroTallyModelDefaultParity(t *testing.T) {
 	s := NewStudy(20, 1)
 	want, _, err := s.MicroTally("VA", "K1", gpu.RF, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.MicroTallyModel("VA", "K1", gpu.RF, faultmodel.Spec{})
+	got, err := s.Tally(PointSpec{Layer: LayerMicro, App: "VA", Kernel: "K1", Structure: gpu.RF, Fault: &faultmodel.Spec{}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
-		t.Errorf("MicroTallyModel(default) %+v != MicroTally %+v", got, want)
+		t.Errorf("Tally(default fault) %+v != MicroTally %+v", got, want)
 	}
 }
 

@@ -1,121 +1,27 @@
 // Selective-hardening measurement entry points: the study-level API over
-// harden.Selective that the advisor (internal/advisor) drives. The boundary
-// sets normalize onto the legacy campaigns — an empty protection set is the
-// plain job and a set covering every kernel is Hardened=true — so boundary
-// points share seeds and memo entries with MicroTally, which is what makes
-// the harden.Selective bit-identity property observable at the tally level.
+// harden.Selective that the advisor (internal/advisor) drives. A protection
+// set is an ordinary PointSpec.Harden; AppEval.resolve canonicalises it, so
+// the boundary sets are the plain and TMR campaigns — same seeds, same memo
+// slots, same golden runs.
 package gpurel
 
 import (
-	"gpurel/internal/campaign"
 	"gpurel/internal/device"
-	"gpurel/internal/faultmodel"
 	"gpurel/internal/gpu"
-	"gpurel/internal/harden"
 	"gpurel/internal/metrics"
 	"gpurel/internal/microfi"
 )
 
-// normalizeSelective canonicalizes a selective point against the app's
-// kernel set: the empty set drops to the plain point and a covering set
-// becomes the legacy Hardened point, so the boundary cases reuse legacy
-// seeds and memo slots bit for bit.
-func normalizeSelective(e *AppEval, spec PointSpec) PointSpec {
-	if len(spec.Harden) == 0 {
-		return spec
-	}
-	set := harden.NewSet(spec.Harden...)
-	switch {
-	case set.Empty():
-		spec.Harden = nil
-	case set.Covers(e.Job):
-		spec.Harden = nil
-		spec.Hardened = true
-	default:
-		spec.Harden = set.Names()
-	}
-	return spec
-}
-
-// MicroTallySelectiveModel runs (or recalls) the microarchitecture-level
-// campaign for one (app, kernel, structure) point on the selectively
-// hardened variant of the application, under an explicit fault model. The
-// returned derating factor is measured on the selective golden run. The
-// empty protection set is the plain campaign and a covering set the legacy
-// Hardened campaign — same seeds, same memo slots, same tallies.
-func (s *Study) MicroTallySelectiveModel(appName, kernel string, st gpu.Structure, fault faultmodel.Spec, protect []string) (campaign.Tally, float64, error) {
-	e, err := s.Eval(appName)
-	if err != nil {
-		return campaign.Tally{}, 0, err
-	}
-	spec := normalizeSelective(e, PointSpec{
-		Layer: LayerMicro, App: appName, Kernel: kernel, Structure: st, Harden: protect,
-	})
-	if !fault.IsDefault() {
-		f := fault
-		spec.Fault = &f
-	}
-
-	_, g, err := s.selectiveState(e, spec)
-	if err != nil {
-		return campaign.Tally{}, 0, err
-	}
-	includeVote := spec.Hardened || spec.hardenSet().Has(kernel)
-	t := microfi.Target{Structure: st, Kernel: kernel, IncludeVote: includeVote}
-
-	key := microKey{
-		app: appName, kernel: kernel, structure: st,
-		hardened: spec.Hardened, fault: fault.Canonical(), harden: spec.hardenSet().Canonical(),
-	}
-	s.mu.Lock()
-	tl, ok := s.micro[key]
-	s.mu.Unlock()
-	if !ok {
-		tl, err = s.runPoint(spec)
-		if err != nil {
-			return campaign.Tally{}, 0, err
-		}
-		s.mu.Lock()
-		s.micro[key] = tl
-		s.mu.Unlock()
-	}
-	return tl, t.DF(g), nil
-}
-
-// MicroTallySelective is MicroTallySelectiveModel under the default
-// transient single-bit model.
-func (s *Study) MicroTallySelective(appName, kernel string, st gpu.Structure, protect []string) (campaign.Tally, float64, error) {
-	return s.MicroTallySelectiveModel(appName, kernel, st, faultmodel.Spec{}, protect)
-}
-
-// selectiveState resolves a normalized selective point to its job and
-// golden run (plain / TMR / cached selective variant).
-func (s *Study) selectiveState(e *AppEval, spec PointSpec) (*device.Job, *microfi.GoldenRun, error) {
-	switch {
-	case len(spec.Harden) > 0:
-		se, err := e.selective(s.Cfg, s.Checkpoint, spec.hardenSet())
-		if err != nil {
-			return nil, nil, err
-		}
-		return se.Job, se.G, nil
-	case spec.Hardened:
-		return e.JobTMR, e.MicroGTMR, nil
-	default:
-		return e.Job, e.MicroG, nil
-	}
-}
-
 // SelectiveEval returns (building and caching on first use) the selectively
-// hardened job and its golden run for a protection set, normalized at the
+// hardened job and its golden run for a protection set, canonicalised at the
 // boundaries: the empty set yields the plain state and a covering set the
 // TMR state of the app's evaluation.
 func (s *Study) SelectiveEval(appName string, protect []string) (*device.Job, *microfi.GoldenRun, error) {
-	e, err := s.Eval(appName)
+	_, v, err := s.resolve(PointSpec{Layer: LayerMicro, App: appName, Harden: protect})
 	if err != nil {
 		return nil, nil, err
 	}
-	spec := normalizeSelective(e, PointSpec{Layer: LayerMicro, App: appName, Harden: protect})
-	return s.selectiveState(e, spec)
+	return v.Job, v.MicroG, nil
 }
 
 // SelectiveOverhead measures the golden-run cycle overhead of protecting
@@ -134,44 +40,11 @@ func (s *Study) SelectiveOverhead(appName string, protect []string) (float64, er
 	return float64(g.Res.Cycles) / float64(e.MicroG.Res.Cycles), nil
 }
 
-// KernelAVFSelective measures the full-chip AVF of one kernel on the
-// selectively hardened variant: one campaign per hardware structure,
-// derated against the selective golden run, consolidated by structure bit
-// counts — KernelAVF generalized over protection sets.
-func (s *Study) KernelAVFSelective(appName, kernel string, protect []string) (metrics.Breakdown, error) {
-	var structs []metrics.StructAVF
-	for _, st := range gpu.Structures {
-		tl, df, err := s.MicroTallySelective(appName, kernel, st, protect)
-		if err != nil {
-			return metrics.Breakdown{}, err
-		}
-		structs = append(structs, metrics.NewStructAVF(st, tl, df))
-	}
-	return metrics.ChipAVF(s.Cfg, structs), nil
-}
-
 // AppAVFSelective measures the application AVF of the selectively hardened
 // variant: per-kernel chip AVFs weighted by the kernels' cycle shares of
 // the selective golden run — the quantity the advisor verifies against the
 // SDC budget (its SDC component).
 func (s *Study) AppAVFSelective(appName string, protect []string) (metrics.Breakdown, error) {
-	e, err := s.Eval(appName)
-	if err != nil {
-		return metrics.Breakdown{}, err
-	}
-	_, g, err := s.SelectiveEval(appName, protect)
-	if err != nil {
-		return metrics.Breakdown{}, err
-	}
-	var parts []metrics.Breakdown
-	var weights []float64
-	for _, k := range e.App.Kernels {
-		b, err := s.KernelAVFSelective(appName, k, protect)
-		if err != nil {
-			return metrics.Breakdown{}, err
-		}
-		parts = append(parts, b)
-		weights = append(weights, kernelCycles(g, k))
-	}
-	return metrics.Weighted(parts, weights), nil
+	b, _, _, err := s.appAVF(PointSpec{Layer: LayerMicro, App: appName, Harden: protect}, gpu.Structures[:])
+	return b, err
 }

@@ -67,21 +67,19 @@ type Study struct {
 	// either way (microfi.GoldenCheckpointed).
 	Checkpoint microfi.CheckpointSpec
 
-	mu    sync.Mutex
-	apps  map[string]*AppEval
-	micro map[microKey]campaign.Tally
-	soft  map[softKey]campaign.Tally
+	mu      sync.Mutex
+	apps    map[string]*AppEval
+	tallies map[string]campaign.Tally // keyed by PointSpec.identity()
 }
 
 // NewStudy returns a study over the default scaled-Volta chip.
 func NewStudy(runs int, seed int64) *Study {
 	return &Study{
-		Cfg:   gpu.Volta(),
-		Runs:  runs,
-		Seed:  seed,
-		apps:  map[string]*AppEval{},
-		micro: map[microKey]campaign.Tally{},
-		soft:  map[softKey]campaign.Tally{},
+		Cfg:     gpu.Volta(),
+		Runs:    runs,
+		Seed:    seed,
+		apps:    map[string]*AppEval{},
+		tallies: map[string]campaign.Tally{},
 	}
 }
 
@@ -89,8 +87,9 @@ func NewStudy(runs int, seed int64) *Study {
 func (s *Study) Apps() []kernels.App { return kernels.All() }
 
 // AppEval is the cached per-application state: plain and hardened jobs with
-// their golden runs on both simulators, plus (built on first pruned campaign)
-// the register-file liveness maps of the golden runs.
+// their golden runs on both simulators, plus the selectively hardened
+// variants campaigns have asked for. The golden runs are built once, by the
+// first evaluation of the app; concurrent first evaluations wait on it.
 type AppEval struct {
 	App kernels.App
 
@@ -101,26 +100,34 @@ type AppEval struct {
 	MicroGTMR *microfi.GoldenRun
 	SoftGTMR  *softfi.GoldenRun
 
-	liveOnce [2]sync.Once // [plain, hardened]
-	live     [2]*ace.Liveness
-	liveErr  [2]error
+	once  sync.Once // runs build; every evaluation of the app waits on it
+	err   error     // build's verdict, read after once
+	built bool      // guarded by Study.mu: the exported fields above are final
+
+	plain, tmr variant // the fields above in the form resolve hands out
 
 	staticOnce sync.Once
 	static     *microfi.StaticIntervals
 	staticErr  error
 
 	selMu sync.Mutex
-	sel   map[string]*selEval // selective variants, keyed by Set.Canonical()
+	sel   map[string]*variant // proper protection subsets, keyed by Set.Canonical()
 }
 
-// selEval is one cached selectively-hardened variant of an application:
-// the harden.Selective job, its micro golden run, and (on first pruned
-// campaign) its RF liveness map. Proper subsets only — the empty and full
-// protection sets normalize to the plain and TMR states of AppEval.
-type selEval struct {
-	once sync.Once
-	Job  *device.Job
-	G    *microfi.GoldenRun
+// variant is one protection variant of an application — the plain job, the
+// fully TMR-hardened one, or a proper selective subset — with everything a
+// campaign point needs from it: the job, its golden runs, which kernels'
+// campaigns include the vote, and (traced on the first pruned campaign) the
+// RF liveness map of the golden run.
+type variant struct {
+	Job    *device.Job
+	MicroG *microfi.GoldenRun
+	SoftG  *softfi.GoldenRun // nil on proper subsets: selective hardening is micro-only
+
+	all     bool       // every kernel is protected (TMR)
+	protect harden.Set // the protected kernels of a proper subset
+
+	once sync.Once // builds a proper subset's job and golden run
 	err  error
 
 	liveOnce sync.Once
@@ -128,49 +135,105 @@ type selEval struct {
 	liveErr  error
 }
 
-// selective returns (building and caching on first use) the selectively
-// hardened variant of the application for a canonical protection set.
-func (e *AppEval) selective(cfg gpu.Config, ck microfi.CheckpointSpec, set harden.Set) (*selEval, error) {
-	key := set.Canonical()
-	e.selMu.Lock()
-	if e.sel == nil {
-		e.sel = map[string]*selEval{}
+// build runs the four golden runs of the application. ck is the checkpoint
+// spec of the evaluation that got here first; selective variants reuse it.
+func (e *AppEval) build(cfg gpu.Config, ck microfi.CheckpointSpec) (err error) {
+	name := e.App.Name
+	e.Job = e.App.Build()
+	if e.MicroG, err = microfi.GoldenCheckpointed(e.Job, cfg, ck); err != nil {
+		return fmt.Errorf("%s: %w", name, err)
 	}
-	se, ok := e.sel[key]
-	if !ok {
-		se = &selEval{}
-		e.sel[key] = se
+	if e.SoftG, err = softfi.Golden(e.Job); err != nil {
+		return fmt.Errorf("%s: %w", name, err)
 	}
-	e.selMu.Unlock()
-	se.once.Do(func() {
-		se.Job = harden.Selective(e.Job, set)
-		se.G, se.err = microfi.GoldenCheckpointed(se.Job, cfg, ck)
-	})
-	if se.err != nil {
-		return nil, fmt.Errorf("%s+SEL(%s): %w", e.App.Name, key, se.err)
+	e.JobTMR = harden.TMR(e.Job)
+	if e.MicroGTMR, err = microfi.GoldenCheckpointed(e.JobTMR, cfg, ck); err != nil {
+		return fmt.Errorf("%s+TMR: %w", name, err)
 	}
-	return se, nil
+	if e.SoftGTMR, err = softfi.Golden(e.JobTMR); err != nil {
+		return fmt.Errorf("%s+TMR: %w", name, err)
+	}
+	e.plain = variant{Job: e.Job, MicroG: e.MicroG, SoftG: e.SoftG}
+	e.tmr = variant{Job: e.JobTMR, MicroG: e.MicroGTMR, SoftG: e.SoftGTMR, all: true}
+	return nil
 }
 
-// liveness traces (once) the RF liveness map of the selective golden run.
-func (se *selEval) liveness(cfg gpu.Config) (*ace.Liveness, error) {
-	se.liveOnce.Do(func() {
-		se.live, se.liveErr = ace.TraceRF(se.Job, cfg)
-	})
-	return se.live, se.liveErr
+// resolve canonicalises a point's protection against the application's
+// kernels and returns the canonical spec with the variant it injects into:
+// an empty protection set is the plain job, a set covering every kernel is
+// Hardened, anything else becomes its sorted kernel names. The boundary sets
+// thereby share seeds, memo slots and golden runs with the plain and TMR
+// campaigns, which is what makes the harden.Selective bit-identity property
+// observable at the tally level. A proper subset's job and golden run are
+// built on first use and cached, on the chip and with the checkpoint spec of
+// the app's own golden runs.
+func (e *AppEval) resolve(spec PointSpec) (PointSpec, *variant, error) {
+	if len(spec.Harden) > 0 {
+		set := spec.hardenSet()
+		switch {
+		case set.Empty():
+			spec.Harden = nil
+		case set.Covers(e.Job):
+			// Full-set selective = TMR, bit for bit; share its golden.
+			spec.Harden, spec.Hardened = nil, true
+		default:
+			spec.Harden = set.Names()
+			key := set.Canonical()
+			e.selMu.Lock()
+			if e.sel == nil {
+				e.sel = map[string]*variant{}
+			}
+			v, ok := e.sel[key]
+			if !ok {
+				v = &variant{protect: set}
+				e.sel[key] = v
+			}
+			e.selMu.Unlock()
+			v.once.Do(func() {
+				v.Job = harden.Selective(e.Job, set)
+				v.MicroG, v.err = microfi.GoldenCheckpointed(v.Job, e.MicroG.Cfg, e.MicroG.Ckpt)
+			})
+			if v.err != nil {
+				return spec, nil, fmt.Errorf("%s+SEL(%s): %w", e.App.Name, key, v.err)
+			}
+			return spec, v, nil
+		}
+	}
+	if spec.Hardened {
+		return spec, &e.tmr, nil
+	}
+	return spec, &e.plain, nil
 }
 
-// liveness returns (tracing on first use) the RF liveness map of the plain or
-// hardened golden run.
-func (e *AppEval) liveness(cfg gpu.Config, hardened bool) (*ace.Liveness, error) {
-	i, job := 0, e.Job
-	if hardened {
-		i, job = 1, e.JobTMR
+// votes reports whether a kernel's campaigns on this variant include the
+// vote. The vote belongs to the protected kernels' workflow: its windows
+// count toward a kernel exactly when that kernel is protected.
+func (v *variant) votes(kernel string) bool { return v.all || v.protect.Has(kernel) }
+
+// target returns the micro-level injection target of a point on this
+// variant under the given fault model (nil = the default, which is all a
+// derating factor needs).
+func (v *variant) target(spec PointSpec, mdl faultmodel.Model) microfi.Target {
+	return microfi.Target{Structure: spec.Structure, Kernel: spec.Kernel, IncludeVote: v.votes(spec.Kernel), Model: mdl}
+}
+
+// cycles returns the golden-run cycle weight of one kernel on this variant.
+func (v *variant) cycles(kernel string) float64 {
+	var c int64
+	for _, sp := range v.MicroG.Res.Spans {
+		if sp.Kernel == kernel {
+			c += sp.End - sp.Start
+		}
 	}
-	e.liveOnce[i].Do(func() {
-		e.live[i], e.liveErr[i] = ace.TraceRF(job, cfg)
+	return float64(c)
+}
+
+// liveness traces (once) the RF liveness map of the variant's golden run.
+func (v *variant) liveness() (*ace.Liveness, error) {
+	v.liveOnce.Do(func() {
+		v.live, v.liveErr = ace.TraceRF(v.Job, v.MicroG.Cfg)
 	})
-	return e.live[i], e.liveErr[i]
+	return v.live, v.liveErr
 }
 
 // staticIntervals traces (once) the static ACE-interval map of the plain
@@ -181,20 +244,6 @@ func (e *AppEval) staticIntervals(cfg gpu.Config) (*microfi.StaticIntervals, err
 		e.static, e.staticErr = microfi.TraceStatic(e.Job, cfg)
 	})
 	return e.static, e.staticErr
-}
-
-type microKey struct {
-	app, kernel string
-	structure   gpu.Structure
-	hardened    bool
-	fault       string // faultmodel.Spec.Canonical(); "" = transient single-bit
-	harden      string // harden.Set.Canonical(); "" = no selective protection
-}
-
-type softKey struct {
-	app, kernel string
-	mode        softfi.Mode
-	hardened    bool
 }
 
 // Layer selects which injector a campaign point runs on.
@@ -263,10 +312,10 @@ type PointSpec struct {
 	// point (LayerMicro): the campaign injects into harden.Selective(job,
 	// set) instead of the plain or fully-TMR'd job. Mutually exclusive with
 	// Hardened. Like Fault it changes what the point measures, so a
-	// non-empty set feeds PointSeed; study entry points normalize the empty
-	// set to the plain job and a set covering every kernel to Hardened=true,
-	// so those boundary points share seeds and memo entries with the legacy
-	// campaigns (the harden.Selective bit-identity property).
+	// non-empty set feeds PointSeed; the study canonicalises the empty set
+	// to the plain job and a set covering every kernel to Hardened=true
+	// before seeding (AppEval.resolve), so those boundary points share seeds
+	// and memo entries with the plain and TMR campaigns.
 	Harden []string
 }
 
@@ -281,31 +330,84 @@ func (p PointSpec) faultSpec() faultmodel.Spec {
 	return *p.Fault
 }
 
+// Validate checks the rules a point must meet whatever application it
+// names: a known layer, Hardened and Harden not both set, fault models and
+// selective hardening on the micro layer only, and a fault model that suits
+// the structure. The texts are the wire's (service.JobSpec.Point calls this
+// at submission), hence the field-name prefixes.
+func (p PointSpec) Validate() error {
+	switch p.Layer {
+	case LayerMicro:
+		if p.Hardened && len(p.Harden) > 0 {
+			return fmt.Errorf("harden: mutually exclusive with hardened")
+		}
+		if err := p.faultSpec().ValidateFor(p.Structure); err != nil {
+			return fmt.Errorf("fault: %w", err)
+		}
+	case LayerSoft:
+		if !p.faultSpec().IsDefault() {
+			return fmt.Errorf("fault: models apply to the micro layer only")
+		}
+		if len(p.Harden) > 0 {
+			return fmt.Errorf("harden: selective hardening applies to the micro layer only")
+		}
+	default:
+		return fmt.Errorf("layer must be %q or %q, got %q", LayerMicro, LayerSoft, p.Layer)
+	}
+	return nil
+}
+
+// identity renders what the point measures as a string: layer, app, kernel,
+// structure or mode, protection and fault model — never Sampling or
+// Checkpoint, which tune how it is measured. It is both what PointSeed
+// hashes and the study's memo key, so two specs share a memo slot exactly
+// when they share a seed.
+func (p PointSpec) identity() string {
+	if p.Layer == LayerSoft {
+		return fmt.Sprintf("soft|%s|%s|%d|%v", p.App, p.Kernel, p.Mode, p.Hardened)
+	}
+	id := fmt.Sprintf("micro|%s|%s|%d|%v", p.App, p.Kernel, p.Structure, p.Hardened)
+	// The fault model is part of the point's identity — it changes what
+	// is measured — but the default (transient single-bit) is appended as
+	// nothing at all, so seeds of every pre-fault-model campaign are
+	// unchanged and historical tallies remain reproducible.
+	if c := p.faultSpec().Canonical(); c != "" {
+		id += "|fault=" + c
+	}
+	// Likewise for selective hardening: a proper protection subset is a
+	// new point identity, while the boundary sets are canonicalised away
+	// before seeding and so contribute nothing here.
+	if c := p.hardenSet().Canonical(); c != "" {
+		id += "|harden=" + c
+	}
+	return id
+}
+
 // PointSeed derives the campaign seed of a point from a base seed, exactly
 // as Study's memoised tallies always have: base + FNV-1a of the point's
 // identity string. Run i of the point then uses rand.NewSource(seed+i)
 // (campaign.RunRange), which is what makes points resumable anywhere.
 func PointSeed(base int64, spec PointSpec) int64 {
-	switch spec.Layer {
-	case LayerSoft:
-		return base + int64(hashKey(fmt.Sprintf("soft|%s|%s|%d|%v", spec.App, spec.Kernel, spec.Mode, spec.Hardened)))
-	default:
-		id := fmt.Sprintf("micro|%s|%s|%d|%v", spec.App, spec.Kernel, spec.Structure, spec.Hardened)
-		// The fault model is part of the point's identity — it changes what
-		// is measured — but the default (transient single-bit) is appended as
-		// nothing at all, so seeds of every pre-fault-model campaign are
-		// unchanged and historical tallies remain reproducible.
-		if c := spec.faultSpec().Canonical(); c != "" {
-			id += "|fault=" + c
-		}
-		// Likewise for selective hardening: a proper protection subset is a
-		// new point identity, while the boundary sets are normalized away
-		// before seeding and so contribute nothing here.
-		if c := spec.hardenSet().Canonical(); c != "" {
-			id += "|harden=" + c
-		}
-		return base + int64(hashKey(id))
+	return base + int64(hashKey(spec.identity()))
+}
+
+// resolve validates a point, evaluates its application (building the golden
+// runs on first use, checkpointed per the point's spec or the study's
+// default) and resolves its protection: the canonical spec and the variant
+// it injects into.
+func (s *Study) resolve(spec PointSpec) (PointSpec, *variant, error) {
+	if err := spec.Validate(); err != nil {
+		return spec, nil, err
 	}
+	ck := s.Checkpoint
+	if spec.Checkpoint != nil {
+		ck = *spec.Checkpoint
+	}
+	e, err := s.evalWith(spec.App, ck)
+	if err != nil {
+		return spec, nil, err
+	}
+	return e.resolve(spec)
 }
 
 // PointExperiment builds (caching golden runs on first use) the injection
@@ -313,82 +415,34 @@ func PointSeed(base int64, spec PointSpec) int64 {
 // concurrent calls and deterministic per (run, rng) — the entry point the
 // campaign service schedules run-ranges against.
 func (s *Study) PointExperiment(spec PointSpec) (campaign.Experiment, error) {
-	ck := s.Checkpoint
-	if spec.Checkpoint != nil {
-		ck = *spec.Checkpoint
-	}
-	e, err := s.evalWith(spec.App, ck)
+	spec, v, err := s.resolve(spec)
 	if err != nil {
 		return nil, err
 	}
-	switch spec.Layer {
-	case LayerMicro:
-		fspec := spec.faultSpec()
-		if err := fspec.ValidateFor(spec.Structure); err != nil {
-			return nil, err
-		}
-		mdl, err := fspec.Build()
-		if err != nil {
-			return nil, err
-		}
-		job, g := e.Job, e.MicroG
-		includeVote := spec.Hardened
-		liveness := func() (*ace.Liveness, error) { return e.liveness(s.Cfg, spec.Hardened) }
-		switch {
-		case len(spec.Harden) > 0:
-			if spec.Hardened {
-				return nil, fmt.Errorf("point mixes hardened with a selective protection set")
-			}
-			set := spec.hardenSet()
-			if set.Covers(e.Job) {
-				// Full-set selective = TMR, bit for bit; share its golden.
-				job, g, includeVote = e.JobTMR, e.MicroGTMR, true
-				liveness = func() (*ace.Liveness, error) { return e.liveness(s.Cfg, true) }
-				break
-			}
-			se, err := e.selective(s.Cfg, ck, set)
-			if err != nil {
-				return nil, err
-			}
-			// The vote belongs to the protected kernels' workflow: its
-			// windows count toward a kernel exactly when that kernel is in
-			// the protection set.
-			job, g, includeVote = se.Job, se.G, set.Has(spec.Kernel)
-			liveness = func() (*ace.Liveness, error) { return se.liveness(s.Cfg) }
-		case spec.Hardened:
-			job, g = e.JobTMR, e.MicroGTMR
-		}
-		t := microfi.Target{Structure: spec.Structure, Kernel: spec.Kernel, IncludeVote: includeVote, Model: mdl}
-		// The liveness map is the only evidence a study point can hold; with
-		// none, InjectPruned is exactly Inject and every run counts as
-		// simulated.
-		var lv *ace.Liveness
-		if spec.Sampling != nil && spec.Sampling.Prune && spec.Structure == gpu.RF {
-			if lv, err = liveness(); err != nil {
-				return nil, fmt.Errorf("%s: %w", spec.App, err)
-			}
-		}
-		return s.Counters.Instrument(func(run int, rng *rand.Rand) (faults.Result, bool) {
-			return microfi.InjectPruned(job, g, lv, t, rng)
-		}), nil
-	case LayerSoft:
-		if !spec.faultSpec().IsDefault() {
-			return nil, fmt.Errorf("fault models apply to the micro layer only")
-		}
-		if len(spec.Harden) > 0 {
-			return nil, fmt.Errorf("selective hardening applies to the micro layer only")
-		}
-		job, g := e.Job, e.SoftG
-		if spec.Hardened {
-			job, g = e.JobTMR, e.SoftGTMR
-		}
-		t := softfi.Target{Kernel: spec.Kernel, Mode: spec.Mode, IncludeVote: spec.Hardened}
+	if spec.Layer == LayerSoft {
+		job, g := v.Job, v.SoftG
+		t := softfi.Target{Kernel: spec.Kernel, Mode: spec.Mode, IncludeVote: v.votes(spec.Kernel)}
 		return s.Counters.Count(func(run int, rng *rand.Rand) faults.Result {
 			return softfi.Inject(job, g, t, rng)
 		}), nil
-	default:
-		return nil, fmt.Errorf("unknown campaign layer %q", spec.Layer)
 	}
+	mdl, err := spec.faultSpec().Build()
+	if err != nil {
+		return nil, err
+	}
+	job, g, t := v.Job, v.MicroG, v.target(spec, mdl)
+	// The liveness map is the only evidence a study point can hold; with
+	// none, InjectPruned is exactly Inject and every run counts as
+	// simulated.
+	var lv *ace.Liveness
+	if spec.Sampling != nil && spec.Sampling.Prune && spec.Structure == gpu.RF {
+		if lv, err = v.liveness(); err != nil {
+			return nil, fmt.Errorf("%s: %w", spec.App, err)
+		}
+	}
+	return s.Counters.Instrument(func(run int, rng *rand.Rand) (faults.Result, bool) {
+		return microfi.InjectPruned(job, g, lv, t, rng)
+	}), nil
 }
 
 // runPoint executes (locally or through the RunPoint hook) one campaign
@@ -429,53 +483,46 @@ func (s *Study) Eval(appName string) (*AppEval, error) {
 }
 
 // evalWith is Eval with an explicit checkpoint spec for the micro-level
-// golden runs. Evaluations are cached per app, so the spec only matters the
-// first time an app is evaluated.
+// golden runs. An app is built once — the spec only matters the first time
+// it is evaluated — and concurrent first evaluations all wait on that one
+// build and see its error. Unknown names are refused before anything is
+// inserted, so names from the wire cannot grow the map.
 func (s *Study) evalWith(appName string, ck microfi.CheckpointSpec) (*AppEval, error) {
 	s.mu.Lock()
-	if e, ok := s.apps[appName]; ok {
-		s.mu.Unlock()
-		return e, nil
+	e, ok := s.apps[appName]
+	if !ok {
+		app, err := kernels.ByName(appName)
+		if err != nil {
+			s.mu.Unlock()
+			return nil, err
+		}
+		e = &AppEval{App: app}
+		s.apps[appName] = e
 	}
 	s.mu.Unlock()
-
-	app, err := kernels.ByName(appName)
-	if err != nil {
-		return nil, err
+	e.once.Do(func() {
+		if e.err = e.build(s.Cfg, ck); e.err == nil {
+			s.mu.Lock()
+			e.built = true
+			s.mu.Unlock()
+		}
+	})
+	if e.err != nil {
+		return nil, e.err
 	}
-	e := &AppEval{App: app, Job: app.Build()}
-	if e.MicroG, err = microfi.GoldenCheckpointed(e.Job, s.Cfg, ck); err != nil {
-		return nil, fmt.Errorf("%s: %w", appName, err)
-	}
-	if e.SoftG, err = softfi.Golden(e.Job); err != nil {
-		return nil, fmt.Errorf("%s: %w", appName, err)
-	}
-	e.JobTMR = harden.TMR(e.Job)
-	if e.MicroGTMR, err = microfi.GoldenCheckpointed(e.JobTMR, s.Cfg, ck); err != nil {
-		return nil, fmt.Errorf("%s+TMR: %w", appName, err)
-	}
-	if e.SoftGTMR, err = softfi.Golden(e.JobTMR); err != nil {
-		return nil, fmt.Errorf("%s+TMR: %w", appName, err)
-	}
-
-	s.mu.Lock()
-	s.apps[appName] = e
-	s.mu.Unlock()
 	return e, nil
 }
 
 // CheckpointCounts aggregates fork/converge statistics and the snapshot
 // inventory across every cached golden run (plain and TMR-hardened). Safe to
-// call concurrently with running campaigns.
+// call concurrently with running campaigns; apps still building are skipped.
 func (s *Study) CheckpointCounts() microfi.CheckpointCounts {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var c microfi.CheckpointCounts
 	for _, e := range s.apps {
-		if e.MicroG != nil {
+		if e.built {
 			c.Add(e.MicroG.CheckpointCounts())
-		}
-		if e.MicroGTMR != nil {
 			c.Add(e.MicroGTMR.CheckpointCounts())
 		}
 	}
@@ -491,64 +538,61 @@ func (s *Study) SoftCheckpointCounts() softfi.CheckpointCounts {
 	defer s.mu.Unlock()
 	var c softfi.CheckpointCounts
 	for _, e := range s.apps {
-		c.Add(e.SoftG.CheckpointCounts())
-		c.Add(e.SoftGTMR.CheckpointCounts())
+		if e.built {
+			c.Add(e.SoftG.CheckpointCounts())
+			c.Add(e.SoftGTMR.CheckpointCounts())
+		}
 	}
 	return c
+}
+
+// Tally runs (or recalls) the campaign of one point: any layer, structure or
+// mode, protection (plain, Hardened, or a Harden subset) and fault model.
+// It is the study's one memoised body; the memo key is the identity of the
+// point after its protection is canonicalised, so every spelling of a point
+// — and every figure that needs it — shares one campaign.
+func (s *Study) Tally(spec PointSpec) (campaign.Tally, error) {
+	spec, _, err := s.resolve(spec)
+	if err != nil {
+		return campaign.Tally{}, err
+	}
+	key := spec.identity()
+	s.mu.Lock()
+	tl, ok := s.tallies[key]
+	s.mu.Unlock()
+	if !ok {
+		if tl, err = s.runPoint(spec); err != nil {
+			return campaign.Tally{}, err
+		}
+		s.mu.Lock()
+		s.tallies[key] = tl
+		s.mu.Unlock()
+	}
+	return tl, nil
+}
+
+// derated is Tally for a micro-level point plus the derating factor of its
+// target, measured on the golden run of the variant it injects into.
+func (s *Study) derated(spec PointSpec) (campaign.Tally, float64, error) {
+	spec, v, err := s.resolve(spec)
+	if err != nil {
+		return campaign.Tally{}, 0, err
+	}
+	tl, err := s.Tally(spec)
+	return tl, v.target(spec, nil).DF(v.MicroG), err
 }
 
 // MicroTally runs (or recalls) the microarchitecture-level campaign for one
 // (app, kernel, structure) point and returns the tally plus the derating
 // factor of the target.
 func (s *Study) MicroTally(appName, kernel string, st gpu.Structure, hardened bool) (campaign.Tally, float64, error) {
-	e, err := s.Eval(appName)
-	if err != nil {
-		return campaign.Tally{}, 0, err
-	}
-	g := e.MicroG
-	if hardened {
-		g = e.MicroGTMR
-	}
-	t := microfi.Target{Structure: st, Kernel: kernel, IncludeVote: hardened}
-	key := microKey{app: appName, kernel: kernel, structure: st, hardened: hardened}
-
-	s.mu.Lock()
-	tl, ok := s.micro[key]
-	s.mu.Unlock()
-	if !ok {
-		tl, err = s.runPoint(PointSpec{Layer: LayerMicro, App: appName, Kernel: kernel, Structure: st, Hardened: hardened})
-		if err != nil {
-			return campaign.Tally{}, 0, err
-		}
-		s.mu.Lock()
-		s.micro[key] = tl
-		s.mu.Unlock()
-	}
-	return tl, t.DF(g), nil
+	return s.derated(PointSpec{Layer: LayerMicro, App: appName, Kernel: kernel, Structure: st, Hardened: hardened})
 }
 
 // SoftTally runs (or recalls) the software-level campaign for one
 // (app, kernel, mode) point.
 func (s *Study) SoftTally(appName, kernel string, mode softfi.Mode, hardened bool) (campaign.Tally, error) {
-	if _, err := s.Eval(appName); err != nil {
-		return campaign.Tally{}, err
-	}
-	key := softKey{appName, kernel, mode, hardened}
-
-	s.mu.Lock()
-	tl, ok := s.soft[key]
-	s.mu.Unlock()
-	if !ok {
-		var err error
-		tl, err = s.runPoint(PointSpec{Layer: LayerSoft, App: appName, Kernel: kernel, Mode: mode, Hardened: hardened})
-		if err != nil {
-			return campaign.Tally{}, err
-		}
-		s.mu.Lock()
-		s.soft[key] = tl
-		s.mu.Unlock()
-	}
-	return tl, nil
+	return s.Tally(PointSpec{Layer: LayerSoft, App: appName, Kernel: kernel, Mode: mode, Hardened: hardened})
 }
 
 func hashKey(s string) uint32 {
@@ -559,19 +603,61 @@ func hashKey(s string) uint32 {
 	return h
 }
 
+// kernelStructs runs one campaign per listed structure for the kernel and
+// protection spec names, derates each on the variant's golden run, and
+// returns the per-structure AVFs with the number of runs behind them.
+func (s *Study) kernelStructs(spec PointSpec, sts []gpu.Structure) ([]metrics.StructAVF, int, error) {
+	var structs []metrics.StructAVF
+	runs := 0
+	for _, st := range sts {
+		spec.Structure = st
+		tl, df, err := s.derated(spec)
+		if err != nil {
+			return nil, 0, err
+		}
+		structs = append(structs, metrics.NewStructAVF(st, tl, df))
+		runs += tl.N
+	}
+	return structs, runs, nil
+}
+
+// appAVF measures an application's AVF over the listed structures on the
+// variant spec names: per kernel, the structures' AVFs consolidated by bit
+// counts within the list (over all five that is exactly metrics.ChipAVF),
+// then weighted by the kernels' cycle shares of the variant's golden run
+// (§II-B). It also returns the per-kernel parts, in App.Kernels order, and
+// the number of runs behind them.
+func (s *Study) appAVF(spec PointSpec, sts []gpu.Structure) (metrics.Breakdown, []metrics.Breakdown, int, error) {
+	e, err := s.Eval(spec.App)
+	if err != nil {
+		return metrics.Breakdown{}, nil, 0, err
+	}
+	_, v, err := e.resolve(spec)
+	if err != nil {
+		return metrics.Breakdown{}, nil, 0, err
+	}
+	var parts []metrics.Breakdown
+	var weights []float64
+	runs := 0
+	for _, k := range e.App.Kernels {
+		spec.Kernel = k
+		structs, n, err := s.kernelStructs(spec, sts)
+		if err != nil {
+			return metrics.Breakdown{}, nil, 0, err
+		}
+		parts = append(parts, metrics.SubsetAVF(s.Cfg, structs))
+		weights = append(weights, v.cycles(k))
+		runs += n
+	}
+	return metrics.Weighted(parts, weights), parts, runs, nil
+}
+
 // KernelAVF measures the full-chip cross-layer AVF of one kernel: one
 // campaign per hardware structure, derated, consolidated by structure bit
 // counts (§II-B).
 func (s *Study) KernelAVF(appName, kernel string, hardened bool) (metrics.Breakdown, []metrics.StructAVF, error) {
-	var structs []metrics.StructAVF
-	for _, st := range gpu.Structures {
-		tl, df, err := s.MicroTally(appName, kernel, st, hardened)
-		if err != nil {
-			return metrics.Breakdown{}, nil, err
-		}
-		structs = append(structs, metrics.NewStructAVF(st, tl, df))
-	}
-	return metrics.ChipAVF(s.Cfg, structs), structs, nil
+	structs, _, err := s.kernelStructs(PointSpec{Layer: LayerMicro, App: appName, Kernel: kernel, Hardened: hardened}, gpu.Structures[:])
+	return metrics.ChipAVF(s.Cfg, structs), structs, err
 }
 
 // KernelAVFStratified measures the same full-chip AVF as KernelAVF but
@@ -581,25 +667,22 @@ func (s *Study) KernelAVF(appName, kernel string, hardened bool) (metrics.Breakd
 // the structures' shares of the chip's storage bits — the same weights
 // metrics.ChipAVF recombines with, so precision is spent where it moves the
 // chip AVF most). Per-structure tallies are deterministic prefixes of the
-// corresponding fixed-n campaigns and are cached, so later MicroTally calls
-// for these points reuse them. Liveness pruning of RF runs follows the
+// corresponding fixed-n campaigns and are stored in the memo, so later Tally
+// calls for these points reuse them. Liveness pruning of RF runs follows the
 // study's Sampling policy.
 func (s *Study) KernelAVFStratified(appName, kernel string, hardened bool, pol adaptive.StratifiedPolicy) (metrics.Breakdown, []metrics.StructAVF, []adaptive.StratumResult, error) {
-	e, err := s.Eval(appName)
+	spec := PointSpec{Layer: LayerMicro, App: appName, Kernel: kernel, Hardened: hardened,
+		Sampling: &SamplingPolicy{Margin: pol.Margin, Batch: pol.Batch}}
+	if s.Sampling != nil {
+		spec.Sampling.Prune = s.Sampling.Prune
+	}
+	_, v, err := s.resolve(spec)
 	if err != nil {
 		return metrics.Breakdown{}, nil, nil, err
 	}
-	g := e.MicroG
-	if hardened {
-		g = e.MicroGTMR
-	}
-	sampling := &SamplingPolicy{Margin: pol.Margin, Batch: pol.Batch}
-	if s.Sampling != nil {
-		sampling.Prune = s.Sampling.Prune
-	}
 	var strata []adaptive.Stratum
 	for _, st := range gpu.Structures {
-		spec := PointSpec{Layer: LayerMicro, App: appName, Kernel: kernel, Structure: st, Hardened: hardened, Sampling: sampling}
+		spec.Structure = st
 		fn, err := s.PointExperiment(spec)
 		if err != nil {
 			return metrics.Breakdown{}, nil, nil, err
@@ -616,10 +699,10 @@ func (s *Study) KernelAVFStratified(appName, kernel string, hardened bool, pol a
 	var structs []metrics.StructAVF
 	s.mu.Lock()
 	for i, st := range gpu.Structures {
+		spec.Structure = st
 		tl := results[i].Tally
-		s.micro[microKey{app: appName, kernel: kernel, structure: st, hardened: hardened}] = tl
-		t := microfi.Target{Structure: st, Kernel: kernel, IncludeVote: hardened}
-		structs = append(structs, metrics.NewStructAVF(st, tl, t.DF(g)))
+		s.tallies[spec.identity()] = tl
+		structs = append(structs, metrics.NewStructAVF(st, tl, v.target(spec, nil).DF(v.MicroG)))
 		if s.Counters != nil {
 			s.Counters.Saved.Add(int64(s.Runs - tl.N))
 		}
@@ -631,129 +714,66 @@ func (s *Study) KernelAVFStratified(appName, kernel string, hardened bool, pol a
 // KernelSVF measures the SVF of one kernel.
 func (s *Study) KernelSVF(appName, kernel string, hardened bool) (metrics.Breakdown, error) {
 	tl, err := s.SoftTally(appName, kernel, softfi.SVF, hardened)
-	if err != nil {
-		return metrics.Breakdown{}, err
-	}
-	return metrics.FromTally(tl), nil
-}
-
-// kernelCycles returns the cycle weight of each kernel of an app (golden).
-func kernelCycles(g *microfi.GoldenRun, kernel string) float64 {
-	var c int64
-	for _, sp := range g.Res.Spans {
-		if sp.Kernel == kernel {
-			c += sp.End - sp.Start
-		}
-	}
-	return float64(c)
+	return metrics.FromTally(tl), err
 }
 
 // AppAVF measures the application AVF: per-kernel AVFs weighted by kernel
 // cycles (§II-B).
 func (s *Study) AppAVF(appName string, hardened bool) (metrics.Breakdown, error) {
-	e, err := s.Eval(appName)
-	if err != nil {
-		return metrics.Breakdown{}, err
-	}
-	g := e.MicroG
-	if hardened {
-		g = e.MicroGTMR
-	}
-	var parts []metrics.Breakdown
-	var weights []float64
-	for _, k := range e.App.Kernels {
-		b, _, err := s.KernelAVF(appName, k, hardened)
-		if err != nil {
-			return metrics.Breakdown{}, err
-		}
-		parts = append(parts, b)
-		weights = append(weights, kernelCycles(g, k))
-	}
-	return metrics.Weighted(parts, weights), nil
-}
-
-// AppSVF measures the application SVF: per-kernel SVFs weighted by executed
-// instruction counts (§II-C).
-func (s *Study) AppSVF(appName string, hardened bool) (metrics.Breakdown, error) {
-	e, err := s.Eval(appName)
-	if err != nil {
-		return metrics.Breakdown{}, err
-	}
-	g := e.SoftG
-	if hardened {
-		g = e.SoftGTMR
-	}
-	var parts []metrics.Breakdown
-	var weights []float64
-	for _, k := range e.App.Kernels {
-		b, err := s.KernelSVF(appName, k, hardened)
-		if err != nil {
-			return metrics.Breakdown{}, err
-		}
-		parts = append(parts, b)
-		kc := g.Res.PerKernel[k]
-		var w float64
-		if kc != nil {
-			w = float64(kc.DynInstrs)
-		}
-		parts[len(parts)-1] = b
-		weights = append(weights, w)
-	}
-	return metrics.Weighted(parts, weights), nil
+	b, _, _, err := s.appAVF(PointSpec{Layer: LayerMicro, App: appName, Hardened: hardened}, gpu.Structures[:])
+	return b, err
 }
 
 // AppAVFRF measures the application AVF restricted to the register file
 // (AVF-RF, Figure 4), cycle-weighted over kernels.
 func (s *Study) AppAVFRF(appName string) (metrics.Breakdown, error) {
-	return s.appStructAVF(appName, []gpu.Structure{gpu.RF})
+	b, _, _, err := s.appAVF(PointSpec{Layer: LayerMicro, App: appName}, []gpu.Structure{gpu.RF})
+	return b, err
 }
 
 // AppAVFCache measures AVF over the cache structures only (AVF-Cache,
 // Figure 5: L1D + L1T + L2), cycle-weighted over kernels and size-weighted
 // within the subset.
 func (s *Study) AppAVFCache(appName string) (metrics.Breakdown, error) {
-	return s.appStructAVF(appName, []gpu.Structure{gpu.L1D, gpu.L1T, gpu.L2})
+	b, _, _, err := s.appAVF(PointSpec{Layer: LayerMicro, App: appName}, []gpu.Structure{gpu.L1D, gpu.L1T, gpu.L2})
+	return b, err
 }
 
-func (s *Study) appStructAVF(appName string, sts []gpu.Structure) (metrics.Breakdown, error) {
-	e, err := s.Eval(appName)
-	if err != nil {
-		return metrics.Breakdown{}, err
-	}
-	var parts []metrics.Breakdown
-	var weights []float64
-	for _, k := range e.App.Kernels {
-		var structs []metrics.StructAVF
-		for _, st := range sts {
-			tl, df, err := s.MicroTally(appName, k, st, false)
-			if err != nil {
-				return metrics.Breakdown{}, err
-			}
-			structs = append(structs, metrics.NewStructAVF(st, tl, df))
-		}
-		parts = append(parts, metrics.SubsetAVF(s.Cfg, structs))
-		weights = append(weights, kernelCycles(e.MicroG, k))
-	}
-	return metrics.Weighted(parts, weights), nil
+// AppSVF measures the application SVF: per-kernel SVFs weighted by executed
+// instruction counts (§II-C).
+func (s *Study) AppSVF(appName string, hardened bool) (metrics.Breakdown, error) {
+	return s.appSVF(appName, softfi.SVF, hardened)
 }
 
 // AppSVFLD measures the application's load-only SVF (SVF-LD, Figure 5).
 func (s *Study) AppSVFLD(appName string) (metrics.Breakdown, error) {
+	return s.appSVF(appName, softfi.SVFLD, false)
+}
+
+// appSVF measures an application's software-level vulnerability in one
+// injection mode: per-kernel failure rates weighted by the kernels' dynamic
+// instruction counts in the variant's functional golden run.
+func (s *Study) appSVF(appName string, mode softfi.Mode, hardened bool) (metrics.Breakdown, error) {
 	e, err := s.Eval(appName)
+	if err != nil {
+		return metrics.Breakdown{}, err
+	}
+	spec := PointSpec{Layer: LayerSoft, App: appName, Mode: mode, Hardened: hardened}
+	_, v, err := e.resolve(spec)
 	if err != nil {
 		return metrics.Breakdown{}, err
 	}
 	var parts []metrics.Breakdown
 	var weights []float64
 	for _, k := range e.App.Kernels {
-		tl, err := s.SoftTally(appName, k, softfi.SVFLD, false)
+		spec.Kernel = k
+		tl, err := s.Tally(spec)
 		if err != nil {
 			return metrics.Breakdown{}, err
 		}
 		parts = append(parts, metrics.FromTally(tl))
-		kc := e.SoftG.Res.PerKernel[k]
 		var w float64
-		if kc != nil {
+		if kc := v.SoftG.Res.PerKernel[k]; kc != nil {
 			w = float64(kc.DynInstrs)
 		}
 		weights = append(weights, w)

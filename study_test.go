@@ -1,10 +1,14 @@
 package gpurel
 
 import (
+	"sync"
 	"testing"
+	"time"
 
+	"gpurel/internal/campaign"
 	"gpurel/internal/faults"
 	"gpurel/internal/gpu"
+	"gpurel/internal/microfi"
 	"gpurel/internal/softfi"
 )
 
@@ -94,5 +98,123 @@ func TestDeterministicCampaigns(t *testing.T) {
 	}
 	if ta != tb {
 		t.Errorf("campaign not deterministic: %+v vs %+v", ta, tb)
+	}
+}
+
+// TestConcurrentEvalBuildsOnce: concurrent first evaluations of one app
+// share a single build — every caller gets the same AppEval, so every run
+// forks from golden runs the study still counts. The expected fork total is
+// the same 80 runs executed sequentially on a fresh study (fork decisions
+// are a function of (seed, run) alone); an evaluation that built its own
+// private goldens would leave its forks out of CheckpointCounts.
+func TestConcurrentEvalBuildsOnce(t *testing.T) {
+	const lanes, each = 4, 20
+	spec := PointSpec{Layer: LayerMicro, App: "VA", Kernel: "K1", Structure: gpu.RF}
+	ck := microfi.CheckpointSpec{Stride: microfi.AutoStride}
+	opts := campaign.Options{Runs: lanes * each, Seed: PointSeed(1, spec), Workers: 1}
+
+	ref := NewStudy(0, 1)
+	ref.Checkpoint = ck
+	fn, err := ref.PointExperiment(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantTally := campaign.RunRange(opts, 0, lanes*each, fn)
+	want := ref.CheckpointCounts()
+	if want.ForkResumes == 0 || want.Snapshots == 0 {
+		t.Fatalf("reference study did not fork: %+v", want)
+	}
+
+	s := NewStudy(0, 1)
+	s.Checkpoint = ck
+	evals := make([]*AppEval, lanes)
+	tallies := make([]campaign.Tally, lanes)
+	stop := make(chan struct{})
+	polled := make(chan struct{})
+	go func() { // the /metrics reader: must not race with a build in flight
+		defer close(polled)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				s.CheckpointCounts()
+				s.SoftCheckpointCounts()
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for i := 0; i < lanes; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			e, err := s.Eval("VA")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			evals[i] = e
+			fn, err := s.PointExperiment(spec)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			tallies[i] = campaign.RunRange(opts, i*each, (i+1)*each, fn)
+		}(i)
+	}
+	wg.Wait()
+	close(stop)
+	<-polled
+
+	var got campaign.Tally
+	for i := range evals {
+		if evals[i] != evals[0] {
+			t.Errorf("lane %d got its own AppEval (%p, lane 0 has %p)", i, evals[i], evals[0])
+		}
+		got.Merge(tallies[i])
+	}
+	if got != wantTally {
+		t.Errorf("tally %+v, sequential %+v", got, wantTally)
+	}
+	if c := s.CheckpointCounts(); c != want {
+		t.Errorf("checkpoint counts %+v, sequential study %+v", c, want)
+	}
+}
+
+// TestEvalFailureAndUnknownApp: a golden run that cannot be built surfaces
+// the same error to every caller, concurrent or later, and an unknown app
+// name leaves the study's maps as they were.
+func TestEvalFailureAndUnknownApp(t *testing.T) {
+	s := NewStudy(10, 1)
+	if _, err := s.Eval("no-such-app"); err == nil {
+		t.Fatal("unknown app evaluated")
+	}
+	if _, err := s.Tally(PointSpec{Layer: LayerMicro, App: "no-such-app", Kernel: "K1"}); err == nil {
+		t.Fatal("unknown app tallied")
+	}
+	if len(s.apps) != 0 || len(s.tallies) != 0 {
+		t.Errorf("unknown app grew the maps: %d apps, %d tallies", len(s.apps), len(s.tallies))
+	}
+
+	s.Cfg.RFRegsPerSM = 8 // no CTA fits: the golden run fails
+	errs := make([]error, 4)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = s.Eval("VA")
+		}(i)
+	}
+	wg.Wait()
+	_, later := s.Eval("VA")
+	for i, err := range append(errs, later) {
+		if err == nil || err != errs[0] {
+			t.Errorf("caller %d: error %v, first caller's %v", i, err, errs[0])
+		}
+	}
+	if c := s.CheckpointCounts(); c != (microfi.CheckpointCounts{}) {
+		t.Errorf("a failed build is counted: %+v", c)
 	}
 }
