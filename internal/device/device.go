@@ -349,18 +349,25 @@ func (m *Memory) Valid(addr uint32, n uint32) bool {
 	if addr%n != 0 {
 		return false
 	}
-	if i := m.lastHit; i < len(m.allocs) {
-		if a := &m.allocs[i]; addr >= a.Addr && addr+n <= a.Addr+a.Size {
-			return true
-		}
+	if i := m.lastHit; i < len(m.allocs) && m.allocs[i].holds(addr, n) {
+		return true
 	}
 	for i := range m.allocs {
-		if a := &m.allocs[i]; addr >= a.Addr && addr+n <= a.Addr+a.Size {
+		if m.allocs[i].holds(addr, n) {
 			m.lastHit = i
 			return true
 		}
 	}
 	return false
+}
+
+// holds reports whether [addr, addr+n) lies inside the allocation. The test
+// is on the offset, never on addr+n, which wraps to the bottom of the
+// address space for the top word and would pass for every allocation; an
+// addr below a.Addr wraps the offset past any Size instead.
+func (a *Alloc) holds(addr, n uint32) bool {
+	off := addr - a.Addr
+	return off < a.Size && a.Size-off >= n
 }
 
 // Load4 reads a 4-byte word, checking validity.

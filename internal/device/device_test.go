@@ -2,6 +2,7 @@ package device
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -65,6 +66,46 @@ func TestLoadStoreValidity(t *testing.T) {
 		if !ok || !ae.Write {
 			t.Errorf("store error should be a write AccessError, got %v", err)
 		}
+	}
+}
+
+// TestValidAtTheEdges: the range test must not wrap. addr+n computed in
+// uint32 turns the top word of the address space into [0xFFFFFFFC, 0), which
+// lies "below the end" of every allocation; a wild address there has to be
+// an AccessError like any other, not an index past the backing array. The
+// other edge is the last byte of the last allocation.
+func TestValidAtTheEdges(t *testing.T) {
+	m := NewMemory(1 << 14)
+	m.Alloc("a", 64)
+	last := m.Alloc("last", 6)
+	tiny := m.Alloc("tiny", 2)
+	for _, c := range []struct {
+		addr, n uint32
+		want    bool
+	}{
+		{0xFFFFFFFC, 4, false},
+		{0xFFFFFFFE, 2, false},
+		{0xFFFFFFFF, 1, false},
+		{last, 4, true},
+		{last + 4, 2, true},
+		{last + 5, 1, true},
+		{last + 4, 4, false}, // starts inside, ends past the end
+		{last + 6, 1, false},
+		{last + 8, 4, false},
+		{tiny, 2, true},
+		{tiny, 4, false}, // an allocation smaller than the access
+		{tiny - 4, 4, false},
+	} {
+		if got := m.Valid(c.addr, c.n); got != c.want {
+			t.Errorf("Valid(%#x, %d) = %v, want %v", c.addr, c.n, got, c.want)
+		}
+	}
+	var ae *AccessError
+	if _, err := m.Load4(0xFFFFFFFC); !errors.As(err, &ae) || ae.Addr != 0xFFFFFFFC || ae.Write {
+		t.Errorf("load of the top word: %v", err)
+	}
+	if err := m.Store4(0xFFFFFFFC, 1); !errors.As(err, &ae) || ae.Addr != 0xFFFFFFFC || !ae.Write {
+		t.Errorf("store to the top word: %v", err)
 	}
 }
 

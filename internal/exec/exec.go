@@ -1,11 +1,25 @@
-// Package exec implements the shared SIMT execution semantics used by both
-// the cycle-level microarchitecture simulator (internal/sim) and the fast
-// functional executor (internal/funcsim). A Warp carries the divergence
-// stack; Step executes one instruction for the warp against an Env that
-// supplies register, predicate and memory state.
+// Package exec holds what every executor of the ISA shares, and the ISA's
+// independent statement.
 //
-// Step is generic over the Env implementation so that both simulators get a
-// devirtualised, allocation-free inner loop.
+// Shared, and linked into every binary: Warp, the SIMT reconvergence stack
+// with its normalisation rule, the step outcome types and fault values, and
+// the scalar helpers (saturating F2I, integer and float comparisons) that the
+// µop handlers of internal/uop call so those corner cases are defined once.
+//
+// Independent, and reached by neither simulator outside its tests: Step, a
+// plain decode-and-switch interpreter — one instruction for one warp, one lane at
+// a time, every register, predicate and memory access through an Env. Both
+// simulators execute compiled µops instead; Step is the oracle they are
+// checked against (internal/sim/reference_test.go,
+// internal/funcsim/reference_test.go), which is worth something only as long
+// as it shares no opcode code with them: do not "deduplicate" execLane into
+// the µop handlers. TestStepCallersOutsideTests keeps production code off it;
+// the one production caller left (internal/propagate's taint tracker) is
+// listed there with its reason.
+//
+// Step is generic over the Env implementation. That does not devirtualise
+// the accessor calls — Go stencils generics by GC shape, so a pointer Env
+// goes through the dictionary — and is one reason the interpreter is slow.
 package exec
 
 import (
@@ -68,8 +82,9 @@ func (w *Warp) Reset() {
 func (w *Warp) Done() bool { return w.Exited == w.FullMask }
 
 // Normalize pops entries that have reached their reconvergence point or
-// whose lanes have all exited. Exported for the pre-decoded µop executor in
-// internal/sim, which mirrors Step's control flow on compiled programs.
+// whose lanes have all exited. Exported for the µop executors in
+// internal/sim and internal/funcsim, which mirror Step's control flow on
+// compiled programs.
 func (w *Warp) Normalize() { w.normalize() }
 
 // normalize pops entries that have reached their reconvergence point or
@@ -138,8 +153,7 @@ func (w *Warp) PeekInstr(prog *isa.Program) *isa.Instr {
 	return &prog.Code[pc]
 }
 
-// Step executes one instruction for the warp. The Env is a type parameter so
-// the compiler can devirtualise the accessor calls for each simulator.
+// Step executes one instruction for the warp.
 func Step[E Env](w *Warp, prog *isa.Program, env E) StepInfo {
 	w.normalize()
 	if len(w.Stack) == 0 {

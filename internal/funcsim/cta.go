@@ -1,0 +1,549 @@
+package funcsim
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math/bits"
+
+	"gpurel/internal/device"
+	"gpurel/internal/exec"
+	"gpurel/internal/isa"
+	"gpurel/internal/uop"
+)
+
+// The CTA executor: one loop for every kind of run. It executes the kernel's
+// compiled µops (uop.Cached) over the CTA's own register, predicate and
+// shared-memory arrays. The register-only kinds go through uop.Fns, the
+// handler table shared with the cycle simulator; the control half (stack
+// normalisation, guard, BRA / EXIT / BAR) and the eight kinds that reach
+// outside the register file are this package's own, as they are sim's.
+
+// ctaState is the one CTA in flight: its registers, predicates and shared
+// memory, the warps' SIMT stacks, and what the environment µops need of the
+// launch. It lives on the runner and is cleared, not reallocated, per CTA.
+type ctaState struct {
+	// f spans the whole CTA's registers (threads × stride) and predicate
+	// bytes; RBase and TBase select the warp being stepped.
+	f      uop.Frame
+	smem   []byte
+	warps  []exec.Warp
+	params []uint32
+	l      *device.Launch
+	cx, cy int
+}
+
+// cleared returns s[:n] zeroed, reallocating only to grow.
+func cleared[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// ctaOracle is nil in every binary except this package's own test binary,
+// where reference_test.go can point it at the reference executor (exec.Step
+// over per-access register accessors) that runCTA is checked against.
+// Nothing outside _test files assigns it.
+var ctaOracle func(r *runner, l *device.Launch, cta int) error
+
+// runCTA executes CTA number cta of the launch (replicas outermost, then
+// grid y, then grid x) on the kernel's compiled µops. Warps run one after
+// another, each until it exits or arrives at a barrier; when every live warp
+// has arrived the barrier opens and they go round again.
+func (r *runner) runCTA(l *device.Launch, cta int) error {
+	if ctaOracle != nil {
+		return ctaOracle(r, l, cta)
+	}
+	cp := uop.Cached(l.Kernel)
+	threads, stride := l.ThreadsPerCTA(), l.Kernel.NumRegs
+	perGrid := l.GridX * l.GridY
+	c := &r.cta
+	c.l, c.params = l, l.ParamsFor(cta/perGrid)
+	c.cy, c.cx = cta%perGrid/l.GridX, cta%l.GridX
+	c.f.Regs = cleared(c.f.Regs, threads*stride)
+	c.f.Preds = cleared(c.f.Preds, threads)
+	c.f.Stride = stride
+	c.smem = cleared(c.smem, l.SmemBytes)
+	nWarps := (threads + 31) / 32
+	if cap(c.warps) < nWarps {
+		c.warps = make([]exec.Warp, nWarps)
+	}
+	c.warps = c.warps[:nWarps]
+	for w := range c.warps {
+		c.warps[w].FullMask = uint32(uint64(1)<<min(threads-w*32, 32) - 1)
+		c.warps[w].Reset()
+	}
+	if tr := r.opts.RegTrace; tr != nil {
+		tr.OnCTAStart(threads, stride, r.res.DynInstrs)
+		defer func() { tr.OnCTAEnd(r.res.DynInstrs) }()
+	}
+	kc := r.kernelCounts(l.Name())
+
+	for live := nWarps; live > 0; {
+		for w := range c.warps {
+			wp := &c.warps[w]
+			if wp.Done() {
+				continue
+			}
+			c.f.TBase, c.f.RBase = w*32, w*32*stride
+			if err := r.runWarp(wp, cp, kc); err != nil {
+				return err
+			}
+			if wp.Done() {
+				live--
+			}
+		}
+		// Every warp still alive is now waiting at the barrier.
+		for w := range c.warps {
+			if wp := &c.warps[w]; !wp.Done() {
+				wp.AdvancePastBarrier()
+			}
+		}
+	}
+	return nil
+}
+
+// runWarp steps w until it exits or arrives at a barrier (nil) or faults.
+// The control half follows exec.Step as sim's stepFast does: same stack
+// normalisation, same guard evaluation, same lane order.
+func (r *runner) runWarp(w *exec.Warp, cp *uop.Program, kc *KernelCounts) error {
+	f, res := &r.cta.f, r.res
+	for {
+		w.Normalize()
+		if len(w.Stack) == 0 {
+			if w.Done() {
+				return nil
+			}
+			return &exec.ErrBadPC{PC: -1}
+		}
+		top := &w.Stack[len(w.Stack)-1]
+		pc := top.PC
+		if pc < 0 || int(pc) >= len(cp.Ops) {
+			return &exec.ErrBadPC{PC: pc}
+		}
+		u := &cp.Ops[pc]
+		effective := top.Mask &^ w.Exited
+
+		execMask := effective
+		if gb := u.GuardBit; gb != 0 {
+			execMask = 0
+			for lane, m := 0, effective; m != 0; lane, m = lane+1, m>>1 {
+				if m&1 != 0 && (f.Preds[f.TBase+lane]&gb != 0) != u.GuardNeg {
+					execMask |= 1 << lane
+				}
+			}
+		} else if u.GuardNeg {
+			execMask = 0 // "@!PT": constant-false guard
+		}
+		n := int64(bits.OnesCount32(execMask))
+
+		stop := false
+		switch u.Kind {
+		case uop.KBra:
+			taken, notTaken := execMask, effective&^execMask
+			switch {
+			case taken == 0:
+				top.PC = pc + 1
+			case notTaken == 0:
+				top.PC = u.Target
+			default:
+				top.PC = u.Reconv
+				w.Stack = append(w.Stack,
+					exec.Ent{Mask: notTaken, PC: pc + 1, RPC: u.Reconv},
+					exec.Ent{Mask: taken, PC: u.Target, RPC: u.Reconv},
+				)
+			}
+		case uop.KExit:
+			w.Exited |= execMask
+			top.PC = pc + 1
+			w.Normalize()
+			stop = w.Done()
+		case uop.KBar:
+			if execMask != w.FullMask&^w.Exited {
+				return exec.ErrBarrierDivergence
+			}
+			stop = true
+		case uop.KNop:
+			top.PC = pc + 1
+		default:
+			if err := r.data(cp, pc, execMask, n); err != nil {
+				return err
+			}
+			top.PC = pc + 1
+		}
+
+		res.DynInstrs += n
+		kc.DynInstrs += n
+		if r.opts.MaxDynInstrs > 0 && res.DynInstrs > r.opts.MaxDynInstrs {
+			return errTimeout
+		}
+		if stop {
+			return nil
+		}
+	}
+}
+
+// data executes one data µop for the lanes in mask (n of them) and does the
+// injector's bookkeeping as arithmetic on the µop: a register-writing µop is
+// n destination candidates (and n load candidates if it is a load), and its
+// lanes read n × NSrc registers. A destination site inside this µop's span
+// is served after the handler by flipping the bit in the register of the
+// site's lane — what flipping the value on its way into the register did,
+// because lanes own disjoint registers and a later lane that faults makes
+// the run a DUE either way. A run that ends in Err leaves the counters
+// wherever the faulting µop found them.
+func (r *runner) data(cp *uop.Program, pc int32, mask uint32, n int64) error {
+	res, f, u := r.res, &r.cta.f, &cp.Ops[pc]
+	uses := n * int64(u.NSrc)
+	sel := u.Kind == uop.KSel || u.Kind == uop.KSelImm ||
+		u.Kind == uop.KDrop && cp.Src.Code[pc].Op == isa.OpSEL
+	if sel {
+		uses = r.selUses(u, cp.Src.Code[pc].BImm, mask)
+	}
+
+	var err error
+	if r.opts.RegTrace != nil || uint64(r.siteUse-res.UseCands) < uint64(uses) {
+		err = r.laneByLane(u, &cp.Src.Code[pc], mask)
+	} else if fn := uop.Fns[u.Kind]; fn != nil { // r.exec, spelled out: it is too big to inline
+		fn(f, u, mask)
+	} else if fn := envFns[u.Kind]; fn != nil {
+		err = fn(r, f, u, mask)
+	}
+	if err != nil {
+		return err
+	}
+
+	if u.WritesReg {
+		if k := r.siteDst - res.DstCands; uint64(k) < uint64(n) {
+			r.flipDst(u, mask, int(k))
+		}
+		res.DstCands += n
+		if u.Load {
+			if k := r.siteLoad - res.LoadCands; uint64(k) < uint64(n) {
+				r.flipDst(u, mask, int(k))
+			}
+			res.LoadCands += n
+		}
+	}
+	res.UseCands += uses
+	return nil
+}
+
+// selUses counts the register reads of a SEL: each lane reads only the side
+// its predicate selects, and RZ or an immediate on that side is no read.
+func (r *runner) selUses(u *uop.Op, bimm bool, mask uint32) int64 {
+	f := &r.cta.f
+	var a uint32 // lanes that select A
+	for lane, m := 0, mask; m != 0; lane, m = lane+1, m>>1 {
+		if m&1 != 0 && u.SelectsA(f.Preds[f.TBase+lane]) {
+			a |= 1 << lane
+		}
+	}
+	uses := 0
+	if u.A >= 0 {
+		uses += bits.OnesCount32(a)
+	}
+	if !bimm && u.B >= 0 {
+		uses += bits.OnesCount32(mask &^ a)
+	}
+	return int64(uses)
+}
+
+// flipDst flips the injection bit in the destination register of the k-th
+// (from 0) lane of mask.
+func (r *runner) flipDst(u *uop.Op, mask uint32, k int) {
+	for ; k > 0; k-- {
+		mask &= mask - 1
+	}
+	f := &r.cta.f
+	f.Regs[f.RBase+bits.TrailingZeros32(mask)*f.Stride+int(u.Dst)] ^= r.flip
+}
+
+// exec runs one data µop on a frame: the register-only kinds through the
+// table shared with the cycle simulator, the environment kinds through this
+// package's own. A KDrop µop has neither: nothing to execute.
+func (r *runner) exec(f *uop.Frame, u *uop.Op, mask uint32) error {
+	if fn := uop.Fns[u.Kind]; fn != nil {
+		fn(f, u, mask)
+		return nil
+	}
+	if fn := envFns[u.Kind]; fn != nil {
+		return fn(r, f, u, mask)
+	}
+	return nil
+}
+
+// Operand selectors; also each operand's slot in execFlipped's scratch registers.
+const (
+	opA = iota
+	opB
+	opC
+	opDst
+)
+
+// The orders exec.Step reads register operands in, which is the order use
+// candidates are numbered in: A, B, C as isa.Instr.SrcRegs lists them (an
+// immediate B is not in the list), except that FFMA reads its addend first.
+var (
+	readsABC = []uint8{opA, opB, opC}
+	readsAC  = []uint8{opA, opC}
+	readsCAB = []uint8{opC, opA, opB}
+)
+
+// readOrder returns the operands ins reads, in order. RZ operands are in
+// the list and are skipped by the caller.
+func readOrder(ins *isa.Instr) []uint8 {
+	var buf [3]isa.Reg
+	n := len(ins.SrcRegs(buf[:0]))
+	switch {
+	case ins.Op == isa.OpFFMA:
+		return readsCAB[:n]
+	case ins.Op == isa.OpIMAD && n == 2:
+		return readsAC
+	}
+	return readsABC[:n]
+}
+
+// operand returns the source-register field of u that sel names.
+func operand(u *uop.Op, sel uint8) *int16 {
+	switch sel {
+	case opA:
+		return &u.A
+	case opB:
+		return &u.B
+	}
+	return &u.C
+}
+
+// laneByLane executes one data µop a lane at a time through the same
+// handlers, for the two kinds of run that look at single register accesses:
+// a RegTrace run (every instruction) and an InjectUse run (the one
+// instruction holding the site). Per lane it goes in exec.Step's order —
+// the reads, then the effect, then the write — so a lane that faults has
+// reported its reads but no write, and later lanes nothing. SEL reads only
+// the side its predicate selects; a KDrop µop has no effect but its
+// instruction still reads its operands.
+func (r *runner) laneByLane(u *uop.Op, ins *isa.Instr, mask uint32) error {
+	f := &r.cta.f
+	tr, at := r.opts.RegTrace, r.res.DynInstrs
+	order := readOrder(ins)
+	use := r.res.UseCands
+	for lane, lb, m := 0, f.RBase, mask; m != 0; lane, lb, m = lane+1, lb+f.Stride, m>>1 {
+		if m&1 == 0 {
+			continue
+		}
+		read := order
+		if ins.Op == isa.OpSEL {
+			if u.SelectsA(f.Preds[f.TBase+lane]) {
+				read = order[:1]
+			} else {
+				read = order[1:]
+			}
+		}
+		hit := -1 // the operand the use site falls on, if it is in this lane
+		for _, sel := range read {
+			reg := *operand(u, sel)
+			if reg < 0 {
+				continue
+			}
+			if tr != nil {
+				tr.OnRegRead(lb+int(reg), at)
+			}
+			if use == r.siteUse {
+				hit = int(sel)
+			}
+			use++
+		}
+		var err error
+		if hit >= 0 {
+			err = r.execFlipped(u, lane, lb, read, hit)
+		} else {
+			err = r.exec(f, u, 1<<lane)
+		}
+		if err != nil {
+			return err
+		}
+		if tr != nil && u.WritesReg {
+			tr.OnRegWrite(lb+int(u.Dst), at)
+		}
+	}
+	return nil
+}
+
+// execFlipped runs u for one lane with the injection bit flipped in the
+// value one operand read sees and nowhere else: the lane's operands are
+// copied into scratch registers, one slot per operand, so the flip reaches
+// exactly that read even when the instruction names the register twice, and
+// stored state is untouched. The handler runs on a stride-0 frame over the
+// scratch with the real lane bit, so predicates, special registers and
+// memory see the real thread; the destination is copied back.
+func (r *runner) execFlipped(u *uop.Op, lane, lb int, read []uint8, hit int) error {
+	f := &r.cta.f
+	var scratch [4]uint32
+	su := *u
+	for _, sel := range read {
+		if reg := operand(&su, sel); *reg >= 0 {
+			scratch[sel] = f.Regs[lb+int(*reg)]
+			*reg = int16(sel)
+		}
+	}
+	scratch[hit] ^= r.flip
+	if u.WritesReg {
+		su.Dst = opDst
+	}
+	sf := uop.Frame{Regs: scratch[:], Preds: f.Preds, TBase: f.TBase}
+	if err := r.exec(&sf, &su, 1<<lane); err != nil {
+		return err
+	}
+	if u.WritesReg {
+		f.Regs[lb+int(u.Dst)] = scratch[opDst]
+	}
+	return nil
+}
+
+// envFn executes one environment µop — one that reaches outside the register
+// file — for the lanes in mask, reading and writing registers through f.
+// These are the kinds funcsim does not share with the cycle simulator:
+// memory here is a flat device.Memory with no hierarchy and no timing.
+type envFn func(r *runner, f *uop.Frame, u *uop.Op, mask uint32) error
+
+var envFns = [uop.NumKinds]envFn{
+	uop.KS2R:   uS2R,
+	uop.KLdc:   uLdc,
+	uop.KLdg:   uLdg,
+	uop.KLdt:   uLdg,
+	uop.KStg:   uStg,
+	uop.KLds:   uLds,
+	uop.KSts:   uSts,
+	uop.KBadOp: uBadOp,
+}
+
+// Compile lowers S2R and LDC into RZ to KDrop, so both index Dst unchecked;
+// loads keep their kind (they can fault) and check it.
+
+func uS2R(r *runner, f *uop.Frame, u *uop.Op, mask uint32) error {
+	c := &r.cta
+	for lane, lb, m := 0, f.RBase, mask; m != 0; lane, lb, m = lane+1, lb+f.Stride, m>>1 {
+		if m&1 != 0 {
+			f.Regs[lb+int(u.Dst)] = c.special(f.TBase+lane, lane, u.Special)
+		}
+	}
+	return nil
+}
+
+func (c *ctaState) special(t, lane int, s isa.SReg) uint32 {
+	switch s {
+	case isa.SRTidX:
+		return uint32(t % c.l.BlockX)
+	case isa.SRTidY:
+		return uint32(t / c.l.BlockX)
+	case isa.SRCtaIDX:
+		return uint32(c.cx)
+	case isa.SRCtaIDY:
+		return uint32(c.cy)
+	case isa.SRNTidX:
+		return uint32(c.l.BlockX)
+	case isa.SRNTidY:
+		return uint32(c.l.BlockY)
+	case isa.SRNCtaX:
+		return uint32(c.l.GridX)
+	case isa.SRNCtaY:
+		return uint32(c.l.GridY)
+	case isa.SRLaneID:
+		return uint32(lane)
+	}
+	return 0
+}
+
+func uLdc(r *runner, f *uop.Frame, u *uop.Op, mask uint32) error {
+	var v uint32 // a parameter index out of range reads 0
+	if int(u.Imm) < len(r.cta.params) {
+		v = r.cta.params[u.Imm]
+	}
+	for lb, m := f.RBase, mask; m != 0; lb, m = lb+f.Stride, m>>1 {
+		if m&1 != 0 {
+			f.Regs[lb+int(u.Dst)] = v
+		}
+	}
+	return nil
+}
+
+func uLdg(r *runner, f *uop.Frame, u *uop.Op, mask uint32) error {
+	for lb, m := f.RBase, mask; m != 0; lb, m = lb+f.Stride, m>>1 {
+		if m&1 == 0 {
+			continue
+		}
+		v, err := r.mem.Load4(uop.Src(f.Regs, lb, u.A) + u.Imm)
+		if err != nil {
+			return err
+		}
+		if u.Dst >= 0 {
+			f.Regs[lb+int(u.Dst)] = v
+		}
+	}
+	return nil
+}
+
+func uStg(r *runner, f *uop.Frame, u *uop.Op, mask uint32) error {
+	for lb, m := f.RBase, mask; m != 0; lb, m = lb+f.Stride, m>>1 {
+		if m&1 == 0 {
+			continue
+		}
+		if err := r.mem.Store4(uop.Src(f.Regs, lb, u.A)+u.Imm, uop.Src(f.Regs, lb, u.B)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// sharedWord returns the four bytes of shared memory at addr, or nil if the
+// access is misaligned or out of bounds.
+func (c *ctaState) sharedWord(addr uint32) []byte {
+	if addr%4 != 0 || int(addr)+4 > len(c.smem) {
+		return nil
+	}
+	return c.smem[addr : addr+4]
+}
+
+func uLds(r *runner, f *uop.Frame, u *uop.Op, mask uint32) error {
+	for lb, m := f.RBase, mask; m != 0; lb, m = lb+f.Stride, m>>1 {
+		if m&1 == 0 {
+			continue
+		}
+		addr := uop.Src(f.Regs, lb, u.A) + u.Imm
+		b := r.cta.sharedWord(addr)
+		if b == nil {
+			return fmt.Errorf("illegal shared memory read at 0x%x", addr)
+		}
+		if u.Dst >= 0 {
+			f.Regs[lb+int(u.Dst)] = binary.LittleEndian.Uint32(b)
+		}
+	}
+	return nil
+}
+
+func uSts(r *runner, f *uop.Frame, u *uop.Op, mask uint32) error {
+	for lb, m := f.RBase, mask; m != 0; lb, m = lb+f.Stride, m>>1 {
+		if m&1 == 0 {
+			continue
+		}
+		addr := uop.Src(f.Regs, lb, u.A) + u.Imm
+		b := r.cta.sharedWord(addr)
+		if b == nil {
+			return fmt.Errorf("illegal shared memory write at 0x%x", addr)
+		}
+		binary.LittleEndian.PutUint32(b, uop.Src(f.Regs, lb, u.B))
+	}
+	return nil
+}
+
+// uBadOp faults as soon as one lane executes it; with every lane guarded
+// off it is a no-op and the PC advances, as in exec.Step.
+func uBadOp(r *runner, f *uop.Frame, u *uop.Op, mask uint32) error {
+	if mask == 0 {
+		return nil
+	}
+	return exec.ErrUnimplemented(isa.Op(u.Imm))
+}

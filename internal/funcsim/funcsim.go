@@ -5,6 +5,18 @@
 // configurable injection flips one bit of a destination-register value (or,
 // in the operand-transient ablation mode, the value seen by one source read).
 //
+// It executes the same compiled µops as the cycle-level simulator
+// (internal/uop) and shares with it the handlers of every register-only
+// kind, so an opcode's arithmetic is written once for both. It shares
+// nothing else: memory here is a flat device.Memory (no hierarchy, no
+// coalescing, no latency), CTAs run one after another and warps run to their
+// next barrier (no scheduler, no cycles), and the control half — SIMT stack,
+// guard, BRA / EXIT / BAR — is its own copy of some sixty lines, as is the
+// simulator's (cta.go; docs/perf.md has the measurement behind that). What
+// the injector counts and corrupts is arithmetic on the µop, not a test per
+// register access. The independent statement of the ISA both are checked
+// against, exec.Step, runs from test binaries only (reference_test.go).
+//
 // The speed gap between this executor and the cycle-level simulator is the
 // very speed gap the paper attributes to software-level methods (§I fn. 1).
 package funcsim
@@ -12,11 +24,8 @@ package funcsim
 import (
 	"bytes"
 	"fmt"
-	"math/bits"
 
 	"gpurel/internal/device"
-	"gpurel/internal/exec"
-	"gpurel/internal/isa"
 )
 
 // InjectMode selects what the injection corrupts.
@@ -60,6 +69,13 @@ type KernelCounts struct {
 }
 
 // Result reports one functional run.
+//
+// DynInstrs and the three candidate counters count whole warp-instructions:
+// a run that completes, times out or joins has counted every lane of every
+// instruction it retired, in every mode. A run that ends in Err stopped with
+// a lane faulting inside an instruction; its DynInstrs excludes that
+// instruction, and its candidate counters are not part of the contract
+// (softfi.Classify returns DUE before reading them).
 type Result struct {
 	Err       error // non-nil = DUE
 	TimedOut  bool
@@ -128,14 +144,15 @@ type position struct {
 //
 // CTAs run one after another, so between two of them the whole executor
 // state is the schedule position, the counters in Result and device memory:
-// registers, predicates, shared memory and warps live and die inside runCTA.
-// Record, Resume and the join all rest on that.
+// registers, predicates, shared memory and warps are cleared at the start of
+// every runCTA. Record, Resume and the join all rest on that.
 func Run(job *device.Job, opts Options) *Result {
 	if opts.Record {
 		opts.CollectWindows = true
 	}
 	res := &Result{PerKernel: map[string]*KernelCounts{}}
 	r := &runner{opts: opts, res: res}
+	r.setInjection(opts.Inject)
 	var pos position
 	if cps := opts.Resume; cps != nil {
 		pos = r.resume(job, cps, opts.ResumeAt)
@@ -227,6 +244,32 @@ type runner struct {
 	// recording run diffs against, and what a resumed injection run compares
 	// with to join. nil when neither applies (or the schedule diverged).
 	shadow []byte
+
+	// The injection site as the value its mode's candidate counter has when
+	// the fault fires; the other two (all three without Options.Inject) hold
+	// -1, which no counter reaches, so every µop tests its counters against
+	// their sites without asking for the mode. flip is the bit to XOR.
+	siteDst, siteLoad, siteUse int64
+	flip                       uint32
+
+	cta ctaState
+}
+
+// setInjection resolves Options.Inject into the three sites.
+func (r *runner) setInjection(inj *Injection) {
+	r.siteDst, r.siteLoad, r.siteUse = -1, -1, -1
+	if inj == nil {
+		return
+	}
+	r.flip = 1 << (inj.Bit & 31)
+	switch inj.Mode {
+	case InjectDst:
+		r.siteDst = inj.Index
+	case InjectDstLoad:
+		r.siteLoad = inj.Index
+	case InjectUse:
+		r.siteUse = inj.Index
+	}
 }
 
 func (r *runner) kernelCounts(name string) *KernelCounts {
@@ -236,238 +279,4 @@ func (r *runner) kernelCounts(name string) *KernelCounts {
 		r.res.PerKernel[name] = kc
 	}
 	return kc
-}
-
-// ctaEnv is the exec.Env of one CTA during functional execution.
-type ctaEnv struct {
-	r       *runner
-	params  []uint32
-	regs    []uint32 // threads × NumRegs
-	preds   []uint8  // threads × 1 bitfield of 7 predicates
-	numRegs int
-	smem    []byte
-
-	blockX, blockY int
-	ctaX, ctaY     int
-	gridX, gridY   int
-	warpBase       int // thread index of lane 0 of the current warp
-	curInstr       *isa.Instr
-}
-
-func (e *ctaEnv) thread(lane int) int { return e.warpBase + lane }
-
-func (e *ctaEnv) ReadReg(lane int, reg isa.Reg) uint32 {
-	slot := e.thread(lane)*e.numRegs + int(reg)
-	if tr := e.r.opts.RegTrace; tr != nil {
-		tr.OnRegRead(slot, e.r.res.DynInstrs)
-	}
-	v := e.regs[slot]
-	if inj := e.r.opts.Inject; inj != nil && inj.Mode == InjectUse {
-		if e.r.res.UseCands == inj.Index {
-			v ^= 1 << (inj.Bit & 31)
-		}
-		e.r.res.UseCands++
-	} else if e.r.opts.CollectWindows {
-		e.r.res.UseCands++
-	}
-	return v
-}
-
-func (e *ctaEnv) WriteReg(lane int, reg isa.Reg, v uint32) {
-	inj := e.r.opts.Inject
-	if inj != nil {
-		switch inj.Mode {
-		case InjectDst:
-			if e.r.res.DstCands == inj.Index {
-				v ^= 1 << (inj.Bit & 31)
-			}
-		case InjectDstLoad:
-			if e.curInstr != nil && e.curInstr.IsLoad() && e.r.res.LoadCands == inj.Index {
-				v ^= 1 << (inj.Bit & 31)
-			}
-		}
-	}
-	e.r.res.DstCands++
-	if e.curInstr != nil && e.curInstr.IsLoad() {
-		e.r.res.LoadCands++
-	}
-	slot := e.thread(lane)*e.numRegs + int(reg)
-	if tr := e.r.opts.RegTrace; tr != nil {
-		tr.OnRegWrite(slot, e.r.res.DynInstrs)
-	}
-	e.regs[slot] = v
-}
-
-func (e *ctaEnv) ReadPred(lane int, p isa.Pred) bool {
-	return e.preds[e.thread(lane)]&(1<<(p-1)) != 0
-}
-
-func (e *ctaEnv) WritePred(lane int, p isa.Pred, v bool) {
-	if v {
-		e.preds[e.thread(lane)] |= 1 << (p - 1)
-	} else {
-		e.preds[e.thread(lane)] &^= 1 << (p - 1)
-	}
-}
-
-func (e *ctaEnv) Special(lane int, s isa.SReg) uint32 {
-	t := e.thread(lane)
-	switch s {
-	case isa.SRTidX:
-		return uint32(t % e.blockX)
-	case isa.SRTidY:
-		return uint32(t / e.blockX)
-	case isa.SRCtaIDX:
-		return uint32(e.ctaX)
-	case isa.SRCtaIDY:
-		return uint32(e.ctaY)
-	case isa.SRNTidX:
-		return uint32(e.blockX)
-	case isa.SRNTidY:
-		return uint32(e.blockY)
-	case isa.SRNCtaX:
-		return uint32(e.gridX)
-	case isa.SRNCtaY:
-		return uint32(e.gridY)
-	case isa.SRLaneID:
-		return uint32(lane)
-	}
-	return 0
-}
-
-func (e *ctaEnv) Param(idx int) uint32 {
-	if idx < 0 || idx >= len(e.params) {
-		return 0
-	}
-	return e.params[idx]
-}
-
-func (e *ctaEnv) LoadGlobal(lane int, addr uint32, tex bool) (uint32, error) {
-	return e.r.mem.Load4(addr)
-}
-
-func (e *ctaEnv) StoreGlobal(lane int, addr uint32, v uint32) error {
-	return e.r.mem.Store4(addr, v)
-}
-
-func (e *ctaEnv) LoadShared(lane int, addr uint32) (uint32, error) {
-	if addr%4 != 0 || int(addr)+4 > len(e.smem) {
-		return 0, fmt.Errorf("illegal shared memory read at 0x%x", addr)
-	}
-	return le32(e.smem[addr:]), nil
-}
-
-func (e *ctaEnv) StoreShared(lane int, addr uint32, v uint32) error {
-	if addr%4 != 0 || int(addr)+4 > len(e.smem) {
-		return fmt.Errorf("illegal shared memory write at 0x%x", addr)
-	}
-	putLE32(e.smem[addr:], v)
-	return nil
-}
-
-func le32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func putLE32(b []byte, v uint32) {
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-}
-
-// runCTA executes CTA number cta of the launch (replicas outermost, then
-// grid y, then grid x), its warps stepped round-robin to honour barriers.
-func (r *runner) runCTA(l *device.Launch, cta int) error {
-	prog := l.Kernel
-	perGrid := l.GridX * l.GridY
-	params := l.ParamsFor(cta / perGrid)
-	cy, cx := cta%perGrid/l.GridX, cta%l.GridX
-	threads := l.ThreadsPerCTA()
-	if tr := r.opts.RegTrace; tr != nil {
-		tr.OnCTAStart(threads, prog.NumRegs, r.res.DynInstrs)
-		defer func() { tr.OnCTAEnd(r.res.DynInstrs) }()
-	}
-	env := &ctaEnv{
-		r:       r,
-		params:  params,
-		regs:    make([]uint32, threads*prog.NumRegs),
-		preds:   make([]uint8, threads),
-		numRegs: prog.NumRegs,
-		smem:    make([]byte, l.SmemBytes),
-		blockX:  l.BlockX, blockY: l.BlockY,
-		ctaX: cx, ctaY: cy,
-		gridX: l.GridX, gridY: l.GridY,
-	}
-	nWarps := (threads + 31) / 32
-	warps := make([]*exec.Warp, nWarps)
-	atBar := make([]bool, nWarps)
-	done := make([]bool, nWarps)
-	for w := range warps {
-		lanes := threads - w*32
-		if lanes > 32 {
-			lanes = 32
-		}
-		warps[w] = exec.NewWarp(lanes)
-	}
-	kc := r.kernelCounts(l.Name())
-
-	remaining := nWarps
-	for remaining > 0 {
-		progress := false
-		for w := 0; w < nWarps; w++ {
-			if done[w] || atBar[w] {
-				continue
-			}
-			env.warpBase = w * 32
-			// Run the warp until it exits, faults, or hits a barrier.
-			for {
-				env.curInstr = warps[w].PeekInstr(prog)
-				info := exec.Step(warps[w], prog, env)
-				if info.Kind == exec.StepOK || info.Kind == exec.StepExit || info.Kind == exec.StepBarrier {
-					n := int64(bits.OnesCount32(info.ActiveMask))
-					r.res.DynInstrs += n
-					kc.DynInstrs += n
-					if r.opts.MaxDynInstrs > 0 && r.res.DynInstrs > r.opts.MaxDynInstrs {
-						return errTimeout
-					}
-				}
-				switch info.Kind {
-				case exec.StepFault:
-					return info.Fault
-				case exec.StepExit:
-					done[w] = true
-					remaining--
-					progress = true
-				case exec.StepBarrier:
-					atBar[w] = true
-					progress = true
-				default:
-					progress = true
-					continue
-				}
-				break
-			}
-		}
-		// Release the barrier when every live warp has arrived.
-		if remaining > 0 {
-			all := true
-			for w := 0; w < nWarps; w++ {
-				if !done[w] && !atBar[w] {
-					all = false
-					break
-				}
-			}
-			if all {
-				for w := 0; w < nWarps; w++ {
-					if !done[w] {
-						atBar[w] = false
-						warps[w].AdvancePastBarrier()
-					}
-				}
-				progress = true
-			}
-		}
-		if !progress {
-			return fmt.Errorf("CTA (%d,%d) deadlocked", cx, cy)
-		}
-	}
-	return nil
 }

@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"gpurel/internal/device"
+	"gpurel/internal/gpu"
 	"gpurel/internal/isa"
 	"gpurel/internal/kasm"
+	"gpurel/internal/sim"
 )
 
 // square builds out[i] = in[i]*in[i].
@@ -263,5 +265,34 @@ func TestDynInstrBudget(t *testing.T) {
 		if r := Run(job, Options{MaxDynInstrs: g.DynInstrs, Resume: g.Checkpoints, ResumeAt: k}); r.TimedOut || !bytes.Equal(r.Output, g.Output) {
 			t.Errorf("resumed at %d: the exact budget must suffice", k)
 		}
+	}
+}
+
+// TestWildAddressAtTheTopIsDUE: a load whose address register holds 0 under
+// a negative offset — what a corrupted base under a [R-4] stencil offset
+// looks like — lands on the top word of the address space. Both simulators
+// must classify it as a DUE with the usual access error; before
+// device.Memory.Valid stopped computing addr+n it passed the range test by
+// wrapping and indexed 4 GiB past the memory image.
+func TestWildAddressAtTheTopIsDUE(t *testing.T) {
+	b := kasm.New("wild")
+	b.Stg(b.Param(0), 0, b.Ldg(isa.RZ, -4))
+	prog := b.MustBuild()
+	m := device.NewMemory(1 << 14)
+	out := m.Alloc("out", 64)
+	job := &device.Job{
+		Name: "wild", Mem: m,
+		Steps: []device.Step{{Launch: &device.Launch{
+			Kernel: prog, GridX: 1, GridY: 1, BlockX: 32, BlockY: 1,
+			Params: []uint32{out}, ParamIsPtr: []bool{true},
+		}}},
+		Outputs: []device.Output{{Name: "out", Addr: out, Size: 64}},
+	}
+	const want = "illegal global memory read at 0xfffffffc"
+	if r := Run(job, Options{}); r.Err == nil || r.Err.Error() != want {
+		t.Errorf("funcsim: err %v, want %q", r.Err, want)
+	}
+	if r := sim.Run(job, gpu.Volta(), sim.Options{}); r.Err == nil || r.Err.Error() != want {
+		t.Errorf("sim: err %v, want %q", r.Err, want)
 	}
 }

@@ -4,48 +4,70 @@ import (
 	"bytes"
 	"testing"
 
+	"gpurel/internal/device"
 	"gpurel/internal/funcsim"
 	"gpurel/internal/gpu"
+	"gpurel/internal/harden"
 	"gpurel/internal/sim"
 )
 
-// runBoth executes an app on both simulators and cross-checks the outputs.
+// runBoth executes an app on both simulators, plain and TMR-hardened, and
+// cross-checks them: equal outputs, and per kernel equal thread-instruction
+// counts — two engines with nothing in common between register file and
+// memory must still have executed the same dynamic instructions. It returns
+// the plain run's results.
 func runBoth(t *testing.T, app App) ([]byte, *sim.Result) {
 	t.Helper()
-	job := app.Build()
+	out, sr := runBothOn(t, app, app.Build())
+	runBothOn(t, app, harden.TMR(app.Build()))
+	return out, sr
+}
 
+func runBothOn(t *testing.T, app App, job *device.Job) ([]byte, *sim.Result) {
+	t.Helper()
 	fr := funcsim.Run(job, funcsim.Options{CollectWindows: true})
 	if fr.Err != nil {
-		t.Fatalf("%s funcsim error: %v", app.Name, fr.Err)
+		t.Fatalf("%s funcsim error: %v", job.Name, fr.Err)
 	}
 	if fr.TimedOut {
-		t.Fatalf("%s funcsim timed out", app.Name)
+		t.Fatalf("%s funcsim timed out", job.Name)
 	}
 	if err := app.Check(fr.Output); err != nil {
-		t.Fatalf("%s funcsim output check: %v", app.Name, err)
+		t.Fatalf("%s funcsim output check: %v", job.Name, err)
 	}
 
 	sr := sim.Run(job, gpu.Volta(), sim.Options{})
 	if sr.Err != nil {
-		t.Fatalf("%s sim error: %v", app.Name, sr.Err)
+		t.Fatalf("%s sim error: %v", job.Name, sr.Err)
 	}
 	if sr.TimedOut {
-		t.Fatalf("%s sim timed out", app.Name)
+		t.Fatalf("%s sim timed out", job.Name)
 	}
 	if err := app.Check(sr.Output); err != nil {
-		t.Fatalf("%s sim output check: %v", app.Name, err)
+		t.Fatalf("%s sim output check: %v", job.Name, err)
 	}
 	if !bytes.Equal(fr.Output, sr.Output) {
-		t.Errorf("%s: functional and microarchitectural outputs differ", app.Name)
+		t.Errorf("%s: functional and microarchitectural outputs differ", job.Name)
+	}
+	if fr.DUEFlag || sr.DUEFlag {
+		t.Errorf("%s: fault-free run raised the DUE flag (funcsim %v, sim %v)", job.Name, fr.DUEFlag, sr.DUEFlag)
 	}
 
-	// every declared kernel must actually have run
+	// every declared kernel must actually have run, the same on both
 	for _, k := range app.Kernels {
 		if fr.PerKernel[k] == nil || fr.PerKernel[k].DynInstrs == 0 {
-			t.Errorf("%s: kernel %s executed no instructions (funcsim)", app.Name, k)
+			t.Errorf("%s: kernel %s executed no instructions (funcsim)", job.Name, k)
 		}
 		if sr.PerKernel[k] == nil || sr.PerKernel[k].DynInstrs == 0 {
-			t.Errorf("%s: kernel %s executed no instructions (sim)", app.Name, k)
+			t.Errorf("%s: kernel %s executed no instructions (sim)", job.Name, k)
+		}
+	}
+	if len(fr.PerKernel) != len(sr.PerKernel) {
+		t.Errorf("%s: funcsim ran %d kernels, sim %d", job.Name, len(fr.PerKernel), len(sr.PerKernel))
+	}
+	for k, fk := range fr.PerKernel {
+		if sk := sr.PerKernel[k]; sk == nil || sk.DynInstrs != fk.DynInstrs {
+			t.Errorf("%s: kernel %s executed %d thread-instructions on funcsim, %+v on sim", job.Name, k, fk.DynInstrs, sk)
 		}
 	}
 	return fr.Output, sr

@@ -9,9 +9,3 @@ var OnReference = onReference
 // ReferenceCycles returns how many SM-cycles the reference core has executed
 // in this process.
 func ReferenceCycles() int64 { return referenceCycles.Load() }
-
-// The FuzzUOpParity program generator, for the trace-parity fuzz seeds.
-var (
-	GenProgram = genProgram
-	FuzzJob    = fuzzJob
-)

@@ -1,22 +1,20 @@
 // Pre-decoded µop interpreter: the simulator's execution core. It follows
 // exec.Step bit for bit — same stack normalization, same guard evaluation,
 // same lane order (ascending, so coalescing and mid-instruction fault aborts
-// are identical) — but executes uop.Program records through a compact
-// handler table instead of re-decoding isa.Instr every warp-cycle. Scalar
-// semantics (saturating F2I, comparisons, fused FFMA) are shared with
-// exec.Step via exec's exported helpers so they are defined exactly once.
+// are identical) — but executes uop.Program records through handler tables
+// instead of re-decoding isa.Instr every warp-cycle. This file holds the
+// control half (normalise, guard, BRA / EXIT / BAR) and the eight handlers
+// that reach outside the register file; the register-only kinds are
+// uop.Fns, one table shared with the functional simulator.
 //
 // Every run executes here. A run with Options.RFTrace set issues each data
 // µop one lane at a time through the same handlers so the tracer sees the
 // per-lane read → effect → write order exec.Step produces. exec.Step itself
-// drives the functional simulator (internal/funcsim) and, from this
-// package's tests only, the reference core the µop core is checked against
-// (reference_test.go).
+// runs in test binaries only: from this package's tests it drives the
+// reference core the µop core is checked against (reference_test.go).
 package sim
 
 import (
-	"math"
-
 	"gpurel/internal/exec"
 	"gpurel/internal/isa"
 	"gpurel/internal/uop"
@@ -46,13 +44,13 @@ func (r *runner) stepFast(w *exec.Warp, cp *uop.Program, e *simEnv) (exec.StepIn
 	execMask := effective
 	if u.GuardBit != 0 {
 		execMask = 0
-		preds := e.cta.preds
+		preds := e.f.Preds
 		gb := u.GuardBit
 		for lane, m := 0, effective; m != 0; lane, m = lane+1, m>>1 {
 			if m&1 == 0 {
 				continue
 			}
-			v := preds[e.warpBase+lane]&gb != 0
+			v := preds[e.f.TBase+lane]&gb != 0
 			if u.GuardNeg {
 				v = !v
 			}
@@ -115,8 +113,10 @@ func (r *runner) stepFast(w *exec.Warp, cp *uop.Program, e *simEnv) (exec.StepIn
 	var err error
 	if tr := r.opts.RFTrace; tr != nil {
 		err = traceLanes(tr, r.cycle, e, u, info.Instr, execMask)
+	} else if fn := uop.Fns[u.Kind]; fn != nil { // e.exec, spelled out: it is too big to inline
+		fn(&e.f, u, execMask)
 	} else {
-		err = uopFns[u.Kind](e, u, execMask)
+		err = envFns[u.Kind](e, u, execMask) // KDrop returned above
 	}
 	if err != nil {
 		info.Kind = exec.StepFault
@@ -138,16 +138,13 @@ func (r *runner) stepFast(w *exec.Warp, cp *uop.Program, e *simEnv) (exec.StepIn
 func traceLanes(tr RFTracer, cycle int64, e *simEnv, u *uop.Op, ins *isa.Instr, mask uint32) error {
 	var buf [3]isa.Reg
 	srcs := ins.SrcRegs(buf[:0])
-	fn := uopFns[u.Kind] // nil for KDrop
-	writes := ins.Writing()
-	for lane, lb, m := 0, e.rbase, mask; m != 0; lane, lb, m = lane+1, lb+e.nregs, m>>1 {
+	for lane, lb, m := 0, e.f.RBase, mask; m != 0; lane, lb, m = lane+1, lb+e.f.Stride, m>>1 {
 		if m&1 == 0 {
 			continue
 		}
 		read := srcs
 		if ins.Op == isa.OpSEL {
-			v := u.SelBit == 0 || e.cta.preds[e.warpBase+lane]&u.SelBit != 0
-			if v != u.SelNeg {
+			if u.SelectsA(e.f.Preds[e.f.TBase+lane]) {
 				read = srcs[:1]
 			} else {
 				read = srcs[1:]
@@ -158,101 +155,53 @@ func traceLanes(tr RFTracer, cycle int64, e *simEnv, u *uop.Op, ins *isa.Instr, 
 				tr.OnRegRead(e.sm.ID, lb+int(s), cycle)
 			}
 		}
-		if fn != nil {
-			if err := fn(e, u, 1<<lane); err != nil {
-				return err
-			}
+		if err := e.exec(u, 1<<lane); err != nil {
+			return err
 		}
-		if writes {
+		if u.WritesReg {
 			tr.OnRegWrite(e.sm.ID, lb+int(u.Dst), cycle)
 		}
 	}
 	return nil
 }
 
-// uopFn executes one data µop for the lanes in mask. The simEnv carries the
-// precomputed warp register base (rbase) and per-thread register stride
-// (nregs), so handlers index the SM's register file directly.
-type uopFn func(e *simEnv, u *uop.Op, mask uint32) error
+// envFn executes one environment µop — one that reaches outside the register
+// file — for the lanes in mask. The register-only kinds are uop.Fns, shared
+// with the functional simulator; these eight stay here because special
+// registers, parameters and above all memory (cache hierarchy, coalescing,
+// latency) are this simulator's own.
+type envFn func(e *simEnv, u *uop.Op, mask uint32) error
 
-var uopFns [uop.NumKinds]uopFn
-
-func init() {
-	uopFns[uop.KS2R] = uS2R
-	uopFns[uop.KMov] = uMov
-	uopFns[uop.KMovImm] = uMovImm
-	uopFns[uop.KLdc] = uLdc
-	uopFns[uop.KIAdd] = uIAdd
-	uopFns[uop.KIAddImm] = uIAddImm
-	uopFns[uop.KISub] = uISub
-	uopFns[uop.KISubImm] = uISubImm
-	uopFns[uop.KIMul] = uIMul
-	uopFns[uop.KIMulImm] = uIMulImm
-	uopFns[uop.KIMad] = uIMad
-	uopFns[uop.KIMadImm] = uIMadImm
-	uopFns[uop.KIScAdd] = uIScAdd
-	uopFns[uop.KIMin] = uIMin
-	uopFns[uop.KIMinImm] = uIMinImm
-	uopFns[uop.KIMax] = uIMax
-	uopFns[uop.KIMaxImm] = uIMaxImm
-	uopFns[uop.KShl] = uShl
-	uopFns[uop.KShlImm] = uShlImm
-	uopFns[uop.KShr] = uShr
-	uopFns[uop.KShrImm] = uShrImm
-	uopFns[uop.KAnd] = uAnd
-	uopFns[uop.KAndImm] = uAndImm
-	uopFns[uop.KOr] = uOr
-	uopFns[uop.KOrImm] = uOrImm
-	uopFns[uop.KXor] = uXor
-	uopFns[uop.KXorImm] = uXorImm
-	uopFns[uop.KFAdd] = uFAdd
-	uopFns[uop.KFAddImm] = uFAddImm
-	uopFns[uop.KFSub] = uFSub
-	uopFns[uop.KFSubImm] = uFSubImm
-	uopFns[uop.KFMul] = uFMul
-	uopFns[uop.KFMulImm] = uFMulImm
-	uopFns[uop.KFFma] = uFFma
-	uopFns[uop.KFFmaImm] = uFFmaImm
-	uopFns[uop.KFMin] = uFMin
-	uopFns[uop.KFMinImm] = uFMinImm
-	uopFns[uop.KFMax] = uFMax
-	uopFns[uop.KFMaxImm] = uFMaxImm
-	uopFns[uop.KMufu] = uMufu
-	uopFns[uop.KI2F] = uI2F
-	uopFns[uop.KF2I] = uF2I
-	uopFns[uop.KISetp] = uISetp
-	uopFns[uop.KISetpImm] = uISetpImm
-	uopFns[uop.KFSetp] = uFSetp
-	uopFns[uop.KFSetpImm] = uFSetpImm
-	uopFns[uop.KSel] = uSel
-	uopFns[uop.KSelImm] = uSelImm
-	uopFns[uop.KLdg] = uLdg
-	uopFns[uop.KLdt] = uLdt
-	uopFns[uop.KStg] = uStg
-	uopFns[uop.KLds] = uLds
-	uopFns[uop.KSts] = uSts
-	uopFns[uop.KBadOp] = uBadOp
+var envFns = [uop.NumKinds]envFn{
+	uop.KS2R:   uS2R,
+	uop.KLdc:   uLdc,
+	uop.KLdg:   uLdg,
+	uop.KLdt:   uLdt,
+	uop.KStg:   uStg,
+	uop.KLds:   uLds,
+	uop.KSts:   uSts,
+	uop.KBadOp: uBadOp,
 }
 
-// src reads a resolved source operand: -1 is RZ.
-func src(rf []uint32, lb int, r int16) uint32 {
-	if r < 0 {
-		return 0
+// exec runs one data µop for the lanes in mask on the issuing warp's frame.
+// A KDrop µop has neither kind of handler: nothing to execute.
+func (e *simEnv) exec(u *uop.Op, mask uint32) error {
+	if fn := uop.Fns[u.Kind]; fn != nil {
+		fn(&e.f, u, mask)
+		return nil
 	}
-	return rf[lb+int(r)]
+	if fn := envFns[u.Kind]; fn != nil {
+		return fn(e, u, mask)
+	}
+	return nil
 }
 
-func fsrc(rf []uint32, lb int, r int16) float32 {
-	return math.Float32frombits(src(rf, lb, r))
-}
-
-// Compile guarantees Dst >= 0 for every kind whose handler writes
-// unconditionally (RZ destinations become KDrop), so handlers below index
-// rf[lb+Dst] without a check. Loads check Dst themselves.
+// Compile lowers an S2R or LDC into RZ to KDrop, so both index Dst
+// unchecked; loads keep their kind (they can fault) and check it.
 
 func uS2R(e *simEnv, u *uop.Op, mask uint32) error {
-	rf := e.sm.RF
-	for lane, lb, m := 0, e.rbase, mask; m != 0; lane, lb, m = lane+1, lb+e.nregs, m>>1 {
+	rf := e.f.Regs
+	for lane, lb, m := 0, e.f.RBase, mask; m != 0; lane, lb, m = lane+1, lb+e.f.Stride, m>>1 {
 		if m&1 != 0 {
 			rf[lb+int(u.Dst)] = e.Special(lane, u.Special)
 		}
@@ -260,557 +209,12 @@ func uS2R(e *simEnv, u *uop.Op, mask uint32) error {
 	return nil
 }
 
-func uMov(e *simEnv, u *uop.Op, mask uint32) error {
-	rf := e.sm.RF
-	for lb, m := e.rbase, mask; m != 0; lb, m = lb+e.nregs, m>>1 {
-		if m&1 != 0 {
-			rf[lb+int(u.Dst)] = src(rf, lb, u.A)
-		}
-	}
-	return nil
-}
-
-func uMovImm(e *simEnv, u *uop.Op, mask uint32) error {
-	rf := e.sm.RF
-	for lb, m := e.rbase, mask; m != 0; lb, m = lb+e.nregs, m>>1 {
-		if m&1 != 0 {
-			rf[lb+int(u.Dst)] = u.Imm
-		}
-	}
-	return nil
-}
-
 func uLdc(e *simEnv, u *uop.Op, mask uint32) error {
-	rf := e.sm.RF
+	rf := e.f.Regs
 	v := e.Param(int(u.Imm))
-	for lb, m := e.rbase, mask; m != 0; lb, m = lb+e.nregs, m>>1 {
+	for lb, m := e.f.RBase, mask; m != 0; lb, m = lb+e.f.Stride, m>>1 {
 		if m&1 != 0 {
 			rf[lb+int(u.Dst)] = v
-		}
-	}
-	return nil
-}
-
-func uIAdd(e *simEnv, u *uop.Op, mask uint32) error {
-	rf := e.sm.RF
-	for lb, m := e.rbase, mask; m != 0; lb, m = lb+e.nregs, m>>1 {
-		if m&1 != 0 {
-			rf[lb+int(u.Dst)] = src(rf, lb, u.A) + src(rf, lb, u.B)
-		}
-	}
-	return nil
-}
-
-func uIAddImm(e *simEnv, u *uop.Op, mask uint32) error {
-	rf := e.sm.RF
-	for lb, m := e.rbase, mask; m != 0; lb, m = lb+e.nregs, m>>1 {
-		if m&1 != 0 {
-			rf[lb+int(u.Dst)] = src(rf, lb, u.A) + u.Imm
-		}
-	}
-	return nil
-}
-
-func uISub(e *simEnv, u *uop.Op, mask uint32) error {
-	rf := e.sm.RF
-	for lb, m := e.rbase, mask; m != 0; lb, m = lb+e.nregs, m>>1 {
-		if m&1 != 0 {
-			rf[lb+int(u.Dst)] = src(rf, lb, u.A) - src(rf, lb, u.B)
-		}
-	}
-	return nil
-}
-
-func uISubImm(e *simEnv, u *uop.Op, mask uint32) error {
-	rf := e.sm.RF
-	for lb, m := e.rbase, mask; m != 0; lb, m = lb+e.nregs, m>>1 {
-		if m&1 != 0 {
-			rf[lb+int(u.Dst)] = src(rf, lb, u.A) - u.Imm
-		}
-	}
-	return nil
-}
-
-func uIMul(e *simEnv, u *uop.Op, mask uint32) error {
-	rf := e.sm.RF
-	for lb, m := e.rbase, mask; m != 0; lb, m = lb+e.nregs, m>>1 {
-		if m&1 != 0 {
-			rf[lb+int(u.Dst)] = uint32(int32(src(rf, lb, u.A)) * int32(src(rf, lb, u.B)))
-		}
-	}
-	return nil
-}
-
-func uIMulImm(e *simEnv, u *uop.Op, mask uint32) error {
-	rf := e.sm.RF
-	for lb, m := e.rbase, mask; m != 0; lb, m = lb+e.nregs, m>>1 {
-		if m&1 != 0 {
-			rf[lb+int(u.Dst)] = uint32(int32(src(rf, lb, u.A)) * int32(u.Imm))
-		}
-	}
-	return nil
-}
-
-func uIMad(e *simEnv, u *uop.Op, mask uint32) error {
-	rf := e.sm.RF
-	for lb, m := e.rbase, mask; m != 0; lb, m = lb+e.nregs, m>>1 {
-		if m&1 != 0 {
-			rf[lb+int(u.Dst)] = uint32(int32(src(rf, lb, u.A))*int32(src(rf, lb, u.B)) + int32(src(rf, lb, u.C)))
-		}
-	}
-	return nil
-}
-
-func uIMadImm(e *simEnv, u *uop.Op, mask uint32) error {
-	rf := e.sm.RF
-	for lb, m := e.rbase, mask; m != 0; lb, m = lb+e.nregs, m>>1 {
-		if m&1 != 0 {
-			rf[lb+int(u.Dst)] = uint32(int32(src(rf, lb, u.A))*int32(u.Imm) + int32(src(rf, lb, u.C)))
-		}
-	}
-	return nil
-}
-
-func uIScAdd(e *simEnv, u *uop.Op, mask uint32) error {
-	rf := e.sm.RF
-	for lb, m := e.rbase, mask; m != 0; lb, m = lb+e.nregs, m>>1 {
-		if m&1 != 0 {
-			rf[lb+int(u.Dst)] = (src(rf, lb, u.A) << u.Sh) + src(rf, lb, u.B)
-		}
-	}
-	return nil
-}
-
-func uIMin(e *simEnv, u *uop.Op, mask uint32) error {
-	rf := e.sm.RF
-	for lb, m := e.rbase, mask; m != 0; lb, m = lb+e.nregs, m>>1 {
-		if m&1 != 0 {
-			rf[lb+int(u.Dst)] = uint32(min(int32(src(rf, lb, u.A)), int32(src(rf, lb, u.B))))
-		}
-	}
-	return nil
-}
-
-func uIMinImm(e *simEnv, u *uop.Op, mask uint32) error {
-	rf := e.sm.RF
-	for lb, m := e.rbase, mask; m != 0; lb, m = lb+e.nregs, m>>1 {
-		if m&1 != 0 {
-			rf[lb+int(u.Dst)] = uint32(min(int32(src(rf, lb, u.A)), int32(u.Imm)))
-		}
-	}
-	return nil
-}
-
-func uIMax(e *simEnv, u *uop.Op, mask uint32) error {
-	rf := e.sm.RF
-	for lb, m := e.rbase, mask; m != 0; lb, m = lb+e.nregs, m>>1 {
-		if m&1 != 0 {
-			rf[lb+int(u.Dst)] = uint32(max(int32(src(rf, lb, u.A)), int32(src(rf, lb, u.B))))
-		}
-	}
-	return nil
-}
-
-func uIMaxImm(e *simEnv, u *uop.Op, mask uint32) error {
-	rf := e.sm.RF
-	for lb, m := e.rbase, mask; m != 0; lb, m = lb+e.nregs, m>>1 {
-		if m&1 != 0 {
-			rf[lb+int(u.Dst)] = uint32(max(int32(src(rf, lb, u.A)), int32(u.Imm)))
-		}
-	}
-	return nil
-}
-
-func uShl(e *simEnv, u *uop.Op, mask uint32) error {
-	rf := e.sm.RF
-	for lb, m := e.rbase, mask; m != 0; lb, m = lb+e.nregs, m>>1 {
-		if m&1 != 0 {
-			rf[lb+int(u.Dst)] = src(rf, lb, u.A) << (src(rf, lb, u.B) & 31)
-		}
-	}
-	return nil
-}
-
-func uShlImm(e *simEnv, u *uop.Op, mask uint32) error {
-	rf := e.sm.RF
-	sh := u.Imm & 31
-	for lb, m := e.rbase, mask; m != 0; lb, m = lb+e.nregs, m>>1 {
-		if m&1 != 0 {
-			rf[lb+int(u.Dst)] = src(rf, lb, u.A) << sh
-		}
-	}
-	return nil
-}
-
-func uShr(e *simEnv, u *uop.Op, mask uint32) error {
-	rf := e.sm.RF
-	for lb, m := e.rbase, mask; m != 0; lb, m = lb+e.nregs, m>>1 {
-		if m&1 != 0 {
-			rf[lb+int(u.Dst)] = src(rf, lb, u.A) >> (src(rf, lb, u.B) & 31)
-		}
-	}
-	return nil
-}
-
-func uShrImm(e *simEnv, u *uop.Op, mask uint32) error {
-	rf := e.sm.RF
-	sh := u.Imm & 31
-	for lb, m := e.rbase, mask; m != 0; lb, m = lb+e.nregs, m>>1 {
-		if m&1 != 0 {
-			rf[lb+int(u.Dst)] = src(rf, lb, u.A) >> sh
-		}
-	}
-	return nil
-}
-
-func uAnd(e *simEnv, u *uop.Op, mask uint32) error {
-	rf := e.sm.RF
-	for lb, m := e.rbase, mask; m != 0; lb, m = lb+e.nregs, m>>1 {
-		if m&1 != 0 {
-			rf[lb+int(u.Dst)] = src(rf, lb, u.A) & src(rf, lb, u.B)
-		}
-	}
-	return nil
-}
-
-func uAndImm(e *simEnv, u *uop.Op, mask uint32) error {
-	rf := e.sm.RF
-	for lb, m := e.rbase, mask; m != 0; lb, m = lb+e.nregs, m>>1 {
-		if m&1 != 0 {
-			rf[lb+int(u.Dst)] = src(rf, lb, u.A) & u.Imm
-		}
-	}
-	return nil
-}
-
-func uOr(e *simEnv, u *uop.Op, mask uint32) error {
-	rf := e.sm.RF
-	for lb, m := e.rbase, mask; m != 0; lb, m = lb+e.nregs, m>>1 {
-		if m&1 != 0 {
-			rf[lb+int(u.Dst)] = src(rf, lb, u.A) | src(rf, lb, u.B)
-		}
-	}
-	return nil
-}
-
-func uOrImm(e *simEnv, u *uop.Op, mask uint32) error {
-	rf := e.sm.RF
-	for lb, m := e.rbase, mask; m != 0; lb, m = lb+e.nregs, m>>1 {
-		if m&1 != 0 {
-			rf[lb+int(u.Dst)] = src(rf, lb, u.A) | u.Imm
-		}
-	}
-	return nil
-}
-
-func uXor(e *simEnv, u *uop.Op, mask uint32) error {
-	rf := e.sm.RF
-	for lb, m := e.rbase, mask; m != 0; lb, m = lb+e.nregs, m>>1 {
-		if m&1 != 0 {
-			rf[lb+int(u.Dst)] = src(rf, lb, u.A) ^ src(rf, lb, u.B)
-		}
-	}
-	return nil
-}
-
-func uXorImm(e *simEnv, u *uop.Op, mask uint32) error {
-	rf := e.sm.RF
-	for lb, m := e.rbase, mask; m != 0; lb, m = lb+e.nregs, m>>1 {
-		if m&1 != 0 {
-			rf[lb+int(u.Dst)] = src(rf, lb, u.A) ^ u.Imm
-		}
-	}
-	return nil
-}
-
-func uFAdd(e *simEnv, u *uop.Op, mask uint32) error {
-	rf := e.sm.RF
-	for lb, m := e.rbase, mask; m != 0; lb, m = lb+e.nregs, m>>1 {
-		if m&1 != 0 {
-			rf[lb+int(u.Dst)] = math.Float32bits(fsrc(rf, lb, u.A) + fsrc(rf, lb, u.B))
-		}
-	}
-	return nil
-}
-
-func uFAddImm(e *simEnv, u *uop.Op, mask uint32) error {
-	rf := e.sm.RF
-	b := math.Float32frombits(u.Imm)
-	for lb, m := e.rbase, mask; m != 0; lb, m = lb+e.nregs, m>>1 {
-		if m&1 != 0 {
-			rf[lb+int(u.Dst)] = math.Float32bits(fsrc(rf, lb, u.A) + b)
-		}
-	}
-	return nil
-}
-
-func uFSub(e *simEnv, u *uop.Op, mask uint32) error {
-	rf := e.sm.RF
-	for lb, m := e.rbase, mask; m != 0; lb, m = lb+e.nregs, m>>1 {
-		if m&1 != 0 {
-			rf[lb+int(u.Dst)] = math.Float32bits(fsrc(rf, lb, u.A) - fsrc(rf, lb, u.B))
-		}
-	}
-	return nil
-}
-
-func uFSubImm(e *simEnv, u *uop.Op, mask uint32) error {
-	rf := e.sm.RF
-	b := math.Float32frombits(u.Imm)
-	for lb, m := e.rbase, mask; m != 0; lb, m = lb+e.nregs, m>>1 {
-		if m&1 != 0 {
-			rf[lb+int(u.Dst)] = math.Float32bits(fsrc(rf, lb, u.A) - b)
-		}
-	}
-	return nil
-}
-
-func uFMul(e *simEnv, u *uop.Op, mask uint32) error {
-	rf := e.sm.RF
-	for lb, m := e.rbase, mask; m != 0; lb, m = lb+e.nregs, m>>1 {
-		if m&1 != 0 {
-			rf[lb+int(u.Dst)] = math.Float32bits(fsrc(rf, lb, u.A) * fsrc(rf, lb, u.B))
-		}
-	}
-	return nil
-}
-
-func uFMulImm(e *simEnv, u *uop.Op, mask uint32) error {
-	rf := e.sm.RF
-	b := math.Float32frombits(u.Imm)
-	for lb, m := e.rbase, mask; m != 0; lb, m = lb+e.nregs, m>>1 {
-		if m&1 != 0 {
-			rf[lb+int(u.Dst)] = math.Float32bits(fsrc(rf, lb, u.A) * b)
-		}
-	}
-	return nil
-}
-
-func uFFma(e *simEnv, u *uop.Op, mask uint32) error {
-	rf := e.sm.RF
-	for lb, m := e.rbase, mask; m != 0; lb, m = lb+e.nregs, m>>1 {
-		if m&1 != 0 {
-			f := math.FMA(float64(fsrc(rf, lb, u.A)), float64(fsrc(rf, lb, u.B)), float64(fsrc(rf, lb, u.C)))
-			rf[lb+int(u.Dst)] = math.Float32bits(float32(f))
-		}
-	}
-	return nil
-}
-
-func uFFmaImm(e *simEnv, u *uop.Op, mask uint32) error {
-	rf := e.sm.RF
-	b := float64(math.Float32frombits(u.Imm))
-	for lb, m := e.rbase, mask; m != 0; lb, m = lb+e.nregs, m>>1 {
-		if m&1 != 0 {
-			f := math.FMA(float64(fsrc(rf, lb, u.A)), b, float64(fsrc(rf, lb, u.C)))
-			rf[lb+int(u.Dst)] = math.Float32bits(float32(f))
-		}
-	}
-	return nil
-}
-
-// fminVal/fmaxVal reproduce exec.Step's NaN handling: the second operand
-// wins only when it is ordered and beats the first.
-func fminVal(a, b float32) float32 {
-	if a < b || b != b {
-		return a
-	}
-	return b
-}
-
-func fmaxVal(a, b float32) float32 {
-	if a > b || b != b {
-		return a
-	}
-	return b
-}
-
-func uFMin(e *simEnv, u *uop.Op, mask uint32) error {
-	rf := e.sm.RF
-	for lb, m := e.rbase, mask; m != 0; lb, m = lb+e.nregs, m>>1 {
-		if m&1 != 0 {
-			rf[lb+int(u.Dst)] = math.Float32bits(fminVal(fsrc(rf, lb, u.A), fsrc(rf, lb, u.B)))
-		}
-	}
-	return nil
-}
-
-func uFMinImm(e *simEnv, u *uop.Op, mask uint32) error {
-	rf := e.sm.RF
-	b := math.Float32frombits(u.Imm)
-	for lb, m := e.rbase, mask; m != 0; lb, m = lb+e.nregs, m>>1 {
-		if m&1 != 0 {
-			rf[lb+int(u.Dst)] = math.Float32bits(fminVal(fsrc(rf, lb, u.A), b))
-		}
-	}
-	return nil
-}
-
-func uFMax(e *simEnv, u *uop.Op, mask uint32) error {
-	rf := e.sm.RF
-	for lb, m := e.rbase, mask; m != 0; lb, m = lb+e.nregs, m>>1 {
-		if m&1 != 0 {
-			rf[lb+int(u.Dst)] = math.Float32bits(fmaxVal(fsrc(rf, lb, u.A), fsrc(rf, lb, u.B)))
-		}
-	}
-	return nil
-}
-
-func uFMaxImm(e *simEnv, u *uop.Op, mask uint32) error {
-	rf := e.sm.RF
-	b := math.Float32frombits(u.Imm)
-	for lb, m := e.rbase, mask; m != 0; lb, m = lb+e.nregs, m>>1 {
-		if m&1 != 0 {
-			rf[lb+int(u.Dst)] = math.Float32bits(fmaxVal(fsrc(rf, lb, u.A), b))
-		}
-	}
-	return nil
-}
-
-func uMufu(e *simEnv, u *uop.Op, mask uint32) error {
-	rf := e.sm.RF
-	for lb, m := e.rbase, mask; m != 0; lb, m = lb+e.nregs, m>>1 {
-		if m&1 == 0 {
-			continue
-		}
-		x := float64(fsrc(rf, lb, u.A))
-		var y float64
-		switch u.Mufu {
-		case isa.MufuRCP:
-			y = 1 / x
-		case isa.MufuSQRT:
-			y = math.Sqrt(x)
-		case isa.MufuRSQ:
-			y = 1 / math.Sqrt(x)
-		case isa.MufuEX2:
-			y = math.Exp2(x)
-		case isa.MufuLG2:
-			y = math.Log2(x)
-		}
-		rf[lb+int(u.Dst)] = math.Float32bits(float32(y))
-	}
-	return nil
-}
-
-func uI2F(e *simEnv, u *uop.Op, mask uint32) error {
-	rf := e.sm.RF
-	for lb, m := e.rbase, mask; m != 0; lb, m = lb+e.nregs, m>>1 {
-		if m&1 != 0 {
-			rf[lb+int(u.Dst)] = math.Float32bits(float32(int32(src(rf, lb, u.A))))
-		}
-	}
-	return nil
-}
-
-func uF2I(e *simEnv, u *uop.Op, mask uint32) error {
-	rf := e.sm.RF
-	for lb, m := e.rbase, mask; m != 0; lb, m = lb+e.nregs, m>>1 {
-		if m&1 != 0 {
-			rf[lb+int(u.Dst)] = uint32(exec.F32I(fsrc(rf, lb, u.A)))
-		}
-	}
-	return nil
-}
-
-// setp writes the combined comparison result into the thread's predicate
-// byte. PDstBit != 0 is guaranteed by Compile (PT destinations drop).
-func setp(preds []uint8, t int, u *uop.Op, r bool) {
-	c := u.CBit == 0 || preds[t]&u.CBit != 0
-	if u.CNeg {
-		c = !c
-	}
-	if r && c {
-		preds[t] |= u.PDstBit
-	} else {
-		preds[t] &^= u.PDstBit
-	}
-}
-
-func uISetp(e *simEnv, u *uop.Op, mask uint32) error {
-	rf := e.sm.RF
-	preds := e.cta.preds
-	for lane, lb, m := 0, e.rbase, mask; m != 0; lane, lb, m = lane+1, lb+e.nregs, m>>1 {
-		if m&1 != 0 {
-			r := exec.ICmp(u.Cmp, int32(src(rf, lb, u.A)), int32(src(rf, lb, u.B)))
-			setp(preds, e.warpBase+lane, u, r)
-		}
-	}
-	return nil
-}
-
-func uISetpImm(e *simEnv, u *uop.Op, mask uint32) error {
-	rf := e.sm.RF
-	preds := e.cta.preds
-	b := int32(u.Imm)
-	for lane, lb, m := 0, e.rbase, mask; m != 0; lane, lb, m = lane+1, lb+e.nregs, m>>1 {
-		if m&1 != 0 {
-			r := exec.ICmp(u.Cmp, int32(src(rf, lb, u.A)), b)
-			setp(preds, e.warpBase+lane, u, r)
-		}
-	}
-	return nil
-}
-
-func uFSetp(e *simEnv, u *uop.Op, mask uint32) error {
-	rf := e.sm.RF
-	preds := e.cta.preds
-	for lane, lb, m := 0, e.rbase, mask; m != 0; lane, lb, m = lane+1, lb+e.nregs, m>>1 {
-		if m&1 != 0 {
-			r := exec.FCmp(u.Cmp, fsrc(rf, lb, u.A), fsrc(rf, lb, u.B))
-			setp(preds, e.warpBase+lane, u, r)
-		}
-	}
-	return nil
-}
-
-func uFSetpImm(e *simEnv, u *uop.Op, mask uint32) error {
-	rf := e.sm.RF
-	preds := e.cta.preds
-	b := math.Float32frombits(u.Imm)
-	for lane, lb, m := 0, e.rbase, mask; m != 0; lane, lb, m = lane+1, lb+e.nregs, m>>1 {
-		if m&1 != 0 {
-			r := exec.FCmp(u.Cmp, fsrc(rf, lb, u.A), b)
-			setp(preds, e.warpBase+lane, u, r)
-		}
-	}
-	return nil
-}
-
-func uSel(e *simEnv, u *uop.Op, mask uint32) error {
-	rf := e.sm.RF
-	preds := e.cta.preds
-	for lane, lb, m := 0, e.rbase, mask; m != 0; lane, lb, m = lane+1, lb+e.nregs, m>>1 {
-		if m&1 == 0 {
-			continue
-		}
-		v := u.SelBit == 0 || preds[e.warpBase+lane]&u.SelBit != 0
-		if u.SelNeg {
-			v = !v
-		}
-		if v {
-			rf[lb+int(u.Dst)] = src(rf, lb, u.A)
-		} else {
-			rf[lb+int(u.Dst)] = src(rf, lb, u.B)
-		}
-	}
-	return nil
-}
-
-func uSelImm(e *simEnv, u *uop.Op, mask uint32) error {
-	rf := e.sm.RF
-	preds := e.cta.preds
-	for lane, lb, m := 0, e.rbase, mask; m != 0; lane, lb, m = lane+1, lb+e.nregs, m>>1 {
-		if m&1 == 0 {
-			continue
-		}
-		v := u.SelBit == 0 || preds[e.warpBase+lane]&u.SelBit != 0
-		if u.SelNeg {
-			v = !v
-		}
-		if v {
-			rf[lb+int(u.Dst)] = src(rf, lb, u.A)
-		} else {
-			rf[lb+int(u.Dst)] = u.Imm
 		}
 	}
 	return nil
@@ -825,12 +229,12 @@ func uLdt(e *simEnv, u *uop.Op, mask uint32) error {
 }
 
 func uLoadGlobal(e *simEnv, u *uop.Op, mask uint32, tex bool) error {
-	rf := e.sm.RF
-	for lane, lb, m := 0, e.rbase, mask; m != 0; lane, lb, m = lane+1, lb+e.nregs, m>>1 {
+	rf := e.f.Regs
+	for lane, lb, m := 0, e.f.RBase, mask; m != 0; lane, lb, m = lane+1, lb+e.f.Stride, m>>1 {
 		if m&1 == 0 {
 			continue
 		}
-		addr := src(rf, lb, u.A) + u.Imm
+		addr := uop.Src(rf, lb, u.A) + u.Imm
 		v, err := e.LoadGlobal(lane, addr, tex)
 		if err != nil {
 			return err
@@ -843,13 +247,13 @@ func uLoadGlobal(e *simEnv, u *uop.Op, mask uint32, tex bool) error {
 }
 
 func uStg(e *simEnv, u *uop.Op, mask uint32) error {
-	rf := e.sm.RF
-	for lane, lb, m := 0, e.rbase, mask; m != 0; lane, lb, m = lane+1, lb+e.nregs, m>>1 {
+	rf := e.f.Regs
+	for lane, lb, m := 0, e.f.RBase, mask; m != 0; lane, lb, m = lane+1, lb+e.f.Stride, m>>1 {
 		if m&1 == 0 {
 			continue
 		}
-		addr := src(rf, lb, u.A) + u.Imm
-		if err := e.StoreGlobal(lane, addr, src(rf, lb, u.B)); err != nil {
+		addr := uop.Src(rf, lb, u.A) + u.Imm
+		if err := e.StoreGlobal(lane, addr, uop.Src(rf, lb, u.B)); err != nil {
 			return err
 		}
 	}
@@ -857,12 +261,12 @@ func uStg(e *simEnv, u *uop.Op, mask uint32) error {
 }
 
 func uLds(e *simEnv, u *uop.Op, mask uint32) error {
-	rf := e.sm.RF
-	for lane, lb, m := 0, e.rbase, mask; m != 0; lane, lb, m = lane+1, lb+e.nregs, m>>1 {
+	rf := e.f.Regs
+	for lane, lb, m := 0, e.f.RBase, mask; m != 0; lane, lb, m = lane+1, lb+e.f.Stride, m>>1 {
 		if m&1 == 0 {
 			continue
 		}
-		addr := src(rf, lb, u.A) + u.Imm
+		addr := uop.Src(rf, lb, u.A) + u.Imm
 		v, err := e.LoadShared(lane, addr)
 		if err != nil {
 			return err
@@ -875,13 +279,13 @@ func uLds(e *simEnv, u *uop.Op, mask uint32) error {
 }
 
 func uSts(e *simEnv, u *uop.Op, mask uint32) error {
-	rf := e.sm.RF
-	for lane, lb, m := 0, e.rbase, mask; m != 0; lane, lb, m = lane+1, lb+e.nregs, m>>1 {
+	rf := e.f.Regs
+	for lane, lb, m := 0, e.f.RBase, mask; m != 0; lane, lb, m = lane+1, lb+e.f.Stride, m>>1 {
 		if m&1 == 0 {
 			continue
 		}
-		addr := src(rf, lb, u.A) + u.Imm
-		if err := e.StoreShared(lane, addr, src(rf, lb, u.B)); err != nil {
+		addr := uop.Src(rf, lb, u.A) + u.Imm
+		if err := e.StoreShared(lane, addr, uop.Src(rf, lb, u.B)); err != nil {
 			return err
 		}
 	}

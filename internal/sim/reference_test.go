@@ -62,9 +62,7 @@ func cycleSMReference(r *runner, sm *SM, ks *KernelStats) (int, error) {
 		e := &r.env
 		e.sm = sm
 		e.cta = cta
-		e.warpBase = w * 32
-		e.nregs = cta.prog.NumRegs
-		e.rbase = cta.rfBase + e.warpBase*e.nregs
+		e.f.TBase = w * 32
 		e.lat = 0
 		e.lines = e.lines[:0]
 
@@ -136,7 +134,7 @@ func (r *runner) instrLatency(info exec.StepInfo) int64 {
 // exec.Env in this test binary alone.
 
 func (e *simEnv) regIndex(lane int, reg isa.Reg) int {
-	return e.cta.rfBase + (e.warpBase+lane)*e.cta.prog.NumRegs + int(reg)
+	return e.cta.rfBase + e.thread(lane)*e.cta.prog.NumRegs + int(reg)
 }
 
 func (e *simEnv) ReadReg(lane int, reg isa.Reg) uint32 {

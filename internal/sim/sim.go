@@ -966,9 +966,10 @@ func (r *runner) cycleSM(sm *SM, ks *KernelStats) (int, error) {
 		e := &r.env
 		e.sm = sm
 		e.cta = cta
-		e.warpBase = w * 32
-		e.nregs = cta.prog.NumRegs
-		e.rbase = cta.rfBase + e.warpBase*e.nregs
+		e.f = uop.Frame{
+			Regs: sm.RF, Preds: cta.preds,
+			RBase: cta.rfBase + w*32*cta.prog.NumRegs, Stride: cta.prog.NumRegs, TBase: w * 32,
+		}
 		e.lat = 0
 		e.lines = e.lines[:0]
 
@@ -1094,26 +1095,22 @@ func (r *runner) retireCTA(sm *SM, cta *ctaRT) {
 func popcount(m uint32) int { return bits.OnesCount32(m) }
 
 // simEnv is the issuing warp's view of the SM's physical storage. The µop
-// handlers in fastexec.go index registers and predicates directly through
-// the precomputed per-warp register base and reach memory, special registers
-// and parameters through the methods below.
+// handlers index registers and predicates directly through the frame and
+// reach memory, special registers and parameters through the methods below.
 type simEnv struct {
-	r        *runner
-	sm       *SM
-	cta      *ctaRT
-	warpBase int
-	// rbase is the physical RF index of lane 0's register 0 for the issuing
-	// warp (cta.rfBase + warpBase*nregs); nregs is the per-thread register
-	// stride. Precomputed once per issue so register access needs one
-	// multiply-free add per lane instead of recomputing the full affine
-	// index per access.
-	rbase int
-	nregs int
+	r   *runner
+	sm  *SM
+	cta *ctaRT
+	// f is filled once per issue: the SM's register file and the CTA's
+	// predicate bytes, with the physical RF index of lane 0's register 0
+	// (cta.rfBase + warp*32*stride) precomputed so register access needs one
+	// multiply-free add per lane instead of the full affine index per access.
+	f     uop.Frame
 	lat   int64
 	lines []uint32
 }
 
-func (e *simEnv) thread(lane int) int { return e.warpBase + lane }
+func (e *simEnv) thread(lane int) int { return e.f.TBase + lane }
 
 func (e *simEnv) Special(lane int, s isa.SReg) uint32 {
 	t := e.thread(lane)

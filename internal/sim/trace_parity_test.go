@@ -8,6 +8,7 @@ import (
 
 	"gpurel/internal/ace"
 	"gpurel/internal/device"
+	"gpurel/internal/fuzzprog"
 	"gpurel/internal/gpu"
 	"gpurel/internal/isa"
 	"gpurel/internal/sim"
@@ -172,8 +173,8 @@ func TestTraceParityFuzz(t *testing.T) {
 	for seed := 0; seed < 48; seed++ {
 		data := make([]byte, 16+rng.Intn(240))
 		rng.Read(data)
-		prog := sim.GenProgram(data)
-		tr := checkTraceParity(t, func() *device.Job { return sim.FuzzJob(prog) }, 20000, true)
+		prog := fuzzprog.Program(data)
+		tr := checkTraceParity(t, func() *device.Job { return fuzzprog.Job(prog) }, 20000, true)
 		if tr.res.Err != nil {
 			faulted++
 		}

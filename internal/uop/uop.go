@@ -1,16 +1,19 @@
-// Package uop lowers isa programs into the pre-decoded µop records the cycle
-// simulator executes. The decode-and-switch in exec.Step pays for
-// operand resolution (BImm vs register, RZ special-casing, guard predicate
-// lookup, latency classification) on every warp-cycle; Compile pays it once
-// per static instruction and emits a flat record whose Kind is a dense
-// dispatch index into the executor's handler table.
+// Package uop lowers isa programs into the pre-decoded µop records both
+// simulators execute, and holds the handlers of every µop kind that touches
+// nothing but registers and predicates (handlers.go), so the cycle-level
+// simulator and the functional one state an opcode's arithmetic once. The
+// decode-and-switch in exec.Step pays for operand resolution (BImm vs
+// register, RZ special-casing, guard predicate lookup, latency
+// classification) on every warp-instruction; Compile pays it once per static
+// instruction and emits a flat record whose Kind is a dense dispatch index
+// into the handler tables.
 //
 // Compiled programs carry a pointer back to the source program so the
-// executor can keep reporting *isa.Instr in StepInfo (the stats and trace
-// layers key off the architectural instruction, not the µop). Compilation is
-// total: an opcode outside the ISA (isa.Program.Validate rejects those, so
-// only hand-built programs carry one) lowers to KBadOp, which faults when a
-// lane executes it — the same point exec.Step reports the opcode.
+// executors can keep reporting *isa.Instr (the stats and trace layers key off
+// the architectural instruction, not the µop). Compilation is total: an
+// opcode outside the ISA (isa.Program.Validate rejects those, so only
+// hand-built programs carry one) lowers to KBadOp, which faults when a lane
+// executes it — the same point exec.Step reports the opcode.
 package uop
 
 import (
@@ -25,7 +28,9 @@ import (
 type Kind uint8
 
 // Dispatch kinds. Control kinds (KNop..KBar, KDrop) are handled inline by
-// the executor; the rest index its data-op handler table.
+// each executor. Of the rest, the register-only kinds (KMov … KSelImm,
+// without KLdc) index Fns; KS2R, KLdc, the memory kinds and KBadOp index the
+// executor's own table.
 const (
 	KNop Kind = iota
 	KExit
@@ -141,7 +146,17 @@ type Op struct {
 	Mufu    isa.MufuOp
 	Special isa.SReg
 
+	// What the software-level injector counts per executed lane, resolved
+	// here so it is arithmetic on the µop instead of a test per register
+	// access. They describe the architectural instruction, so they survive
+	// the lowering to KDrop (a dropped op still reads its operands). The
+	// three bytes sit in what used to be padding: Op stays 36 bytes.
+	WritesReg bool // a destination-register candidate: isa.Instr.Writing
+
 	A, B, C, Dst int16
+
+	Load bool  // WritesReg and a load: a load-destination candidate
+	NSrc uint8 // register source operands other than RZ (SEL reads one of its two per lane)
 
 	// Imm is the raw 32-bit immediate: the value for MOVI and *Imm ALU
 	// kinds (float kinds hold IEEE bits), the parameter index for LDC, and
@@ -208,6 +223,14 @@ func Compile(p *isa.Program) *Program {
 		u.C = reg(ins.SrcC)
 		u.Dst = reg(ins.Dst)
 		u.Imm = uint32(ins.Imm)
+		u.WritesReg = ins.Writing()
+		u.Load = u.WritesReg && ins.IsLoad()
+		var srcs [3]isa.Reg
+		for _, s := range ins.SrcRegs(srcs[:0]) {
+			if s != isa.RZ {
+				u.NSrc++
+			}
+		}
 
 		switch ins.Op {
 		case isa.OpNOP:

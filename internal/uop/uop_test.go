@@ -1,8 +1,14 @@
 package uop_test
 
 import (
+	"math/rand"
 	"testing"
+	"unsafe"
 
+	"gpurel/internal/device"
+	"gpurel/internal/exec"
+	"gpurel/internal/fuzzprog"
+	"gpurel/internal/harden"
 	"gpurel/internal/isa"
 	"gpurel/internal/kernels"
 	"gpurel/internal/uop"
@@ -103,5 +109,137 @@ func TestDropLowering(t *testing.T) {
 		if cp.Ops[0].Kind != c.want {
 			t.Errorf("%s: kind %d, want %d", c.name, cp.Ops[0].Kind, c.want)
 		}
+	}
+}
+
+// TestOpLayout: the three injector properties live in what was padding.
+func TestOpLayout(t *testing.T) {
+	if got := unsafe.Sizeof(uop.Op{}); got != 36 {
+		t.Errorf("uop.Op is %d bytes, want 36", got)
+	}
+}
+
+// TestHandlerTableCoverage: uop.Fns holds a handler for exactly the
+// register-only kinds. Control kinds and KDrop are handled inline by each
+// simulator, and the environment kinds and KBadOp by each simulator's own
+// table, so a nil or non-nil entry in the wrong place would let one of them
+// silently skip a kind or execute it twice.
+func TestHandlerTableCoverage(t *testing.T) {
+	own := map[uop.Kind]bool{
+		uop.KNop: true, uop.KExit: true, uop.KBra: true, uop.KBar: true, uop.KDrop: true,
+		uop.KS2R: true, uop.KLdc: true,
+		uop.KLdg: true, uop.KLdt: true, uop.KStg: true, uop.KLds: true, uop.KSts: true,
+		uop.KBadOp: true,
+	}
+	shared := 0
+	for k := uop.Kind(0); k < uop.NumKinds; k++ {
+		switch has := uop.Fns[k] != nil; {
+		case has && own[k]:
+			t.Errorf("kind %d belongs to the simulators but has a shared handler", k)
+		case !has && !own[k]:
+			t.Errorf("register-only kind %d has no handler", k)
+		case has:
+			shared++
+		}
+	}
+	if shared != 46 {
+		t.Errorf("%d shared handlers, want 46 (MOV … SEL)", shared)
+	}
+}
+
+// probeEnv is a one-lane exec.Env that counts what exec.Step asks of it.
+type probeEnv struct{ reads, writes int }
+
+func (e *probeEnv) ReadReg(int, isa.Reg) uint32                  { e.reads++; return 0 }
+func (e *probeEnv) WriteReg(int, isa.Reg, uint32)                { e.writes++ }
+func (e *probeEnv) ReadPred(int, isa.Pred) bool                  { return true }
+func (e *probeEnv) WritePred(int, isa.Pred, bool)                {}
+func (e *probeEnv) Special(int, isa.SReg) uint32                 { return 0 }
+func (e *probeEnv) Param(int) uint32                             { return 0 }
+func (e *probeEnv) LoadGlobal(int, uint32, bool) (uint32, error) { return 0, nil }
+func (e *probeEnv) StoreGlobal(int, uint32, uint32) error        { return nil }
+func (e *probeEnv) LoadShared(int, uint32) (uint32, error)       { return 0, nil }
+func (e *probeEnv) StoreShared(int, uint32, uint32) error        { return nil }
+
+// TestInjectorProperties: for every instruction of all 23 kernels, the TMR
+// vote kernel and 1000 generated programs, the properties Compile resolves
+// for the software-level injector are the architectural instruction's —
+// WritesReg is Writing, Load is Writing and IsLoad, NSrc the non-RZ entries
+// of SrcRegs — and they are what exec.Step does: one lane of the instruction
+// through the interpreter writes a register exactly if WritesReg, and reads
+// NSrc of them (a SEL, which reads one of its two sources per lane, at most
+// NSrc). An immediate B is no read; ISCADD's B is always a register.
+func TestInjectorProperties(t *testing.T) {
+	progs := map[*isa.Program]bool{}
+	collect := func(job *device.Job) {
+		for _, step := range job.Steps {
+			if step.Launch != nil {
+				progs[step.Launch.Kernel] = true
+			}
+		}
+	}
+	var voter int
+	for _, app := range kernels.All() {
+		job := app.Build()
+		collect(job)
+		if app.Name == "VA" { // hardening replicates launches of the same programs and adds the voter
+			before := len(progs)
+			collect(harden.TMR(job))
+			voter = len(progs) - before
+		}
+	}
+	if len(progs) != 24 || voter != 1 {
+		t.Fatalf("%d distinct kernels (%d from hardening), want 23 and the TMR voter", len(progs), voter)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1000; i++ {
+		data := make([]byte, 8+rng.Intn(256))
+		rng.Read(data)
+		progs[fuzzprog.Program(data)] = true
+	}
+
+	checked, loads, sels, drops := 0, 0, 0, 0
+	for prog := range progs {
+		cp := uop.Compile(prog)
+		for pc := range prog.Code {
+			ins, u := &prog.Code[pc], &cp.Ops[pc]
+			var buf [3]isa.Reg
+			nsrc := 0
+			for _, s := range ins.SrcRegs(buf[:0]) {
+				if s != isa.RZ {
+					nsrc++
+				}
+			}
+			if u.WritesReg != ins.Writing() || u.Load != (ins.Writing() && ins.IsLoad()) || int(u.NSrc) != nsrc {
+				t.Fatalf("%s pc %d %v: WritesReg %v Load %v NSrc %d, want %v %v %d", prog.Name, pc, ins,
+					u.WritesReg, u.Load, u.NSrc, ins.Writing(), ins.Writing() && ins.IsLoad(), nsrc)
+			}
+			checked++
+			if u.Load {
+				loads++
+			}
+			if u.Kind == uop.KDrop {
+				drops++
+			}
+			switch ins.Op {
+			case isa.OpBRA, isa.OpEXIT, isa.OpBAR, isa.OpNOP:
+				continue // no lane effect; a lone BRA or EXIT would end the probe program
+			}
+			one := *ins
+			one.Pred, one.PredNeg = isa.PT, false
+			env := &probeEnv{}
+			exec.Step(exec.NewWarp(1), &isa.Program{NumRegs: prog.NumRegs, Code: []isa.Instr{one, {Op: isa.OpEXIT}}}, env)
+			sel := ins.Op == isa.OpSEL
+			if sel {
+				sels++
+			}
+			if (env.writes == 1) != u.WritesReg || env.reads > int(u.NSrc) || !sel && env.reads != int(u.NSrc) {
+				t.Fatalf("%s pc %d %v: exec.Step made %d reads and %d writes, the µop says NSrc %d WritesReg %v",
+					prog.Name, pc, ins, env.reads, env.writes, u.NSrc, u.WritesReg)
+			}
+		}
+	}
+	if loads == 0 || sels == 0 || drops == 0 {
+		t.Errorf("%d instructions checked, but %d loads, %d SELs, %d dropped ops", checked, loads, sels, drops)
 	}
 }
