@@ -30,6 +30,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -44,29 +45,43 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its process state made explicit: the listing for args on
+// stdout, diagnostics on stderr, and the exit status returned.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("gpudis", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		appName = flag.String("app", "", "benchmark application")
-		kernel  = flag.String("kernel", "", "kernel name (K1..Kn)")
-		fanout  = flag.Bool("reuse", false, "annotate destination-register reuse fanout")
-		mix     = flag.Bool("mix", false, "print the static instruction mix instead of the listing")
-		lint    = flag.Bool("lint", false, "run the static kernel linter (all kernels when -kernel is empty)")
-		cfg     = flag.Bool("cfg", false, "print the basic-block CFG with dominators")
-		dot     = flag.Bool("dot", false, "print the CFG in Graphviz dot syntax")
-		sites   = flag.Bool("sites", false, "list injectable control-state sites (SCHED/STACK/BARRIER) per kernel launch")
-		bounds  = flag.Bool("avf-bounds", false, "print static AVF lower/upper bounds per kernel and structure from the interval engine")
-		list    = flag.Bool("list", false, "list benchmarks")
+		appName = fs.String("app", "", "benchmark application")
+		kernel  = fs.String("kernel", "", "kernel name (K1..Kn)")
+		fanout  = fs.Bool("reuse", false, "annotate destination-register reuse fanout")
+		mix     = fs.Bool("mix", false, "print the static instruction mix instead of the listing")
+		lint    = fs.Bool("lint", false, "run the static kernel linter (all kernels when -kernel is empty)")
+		cfg     = fs.Bool("cfg", false, "print the basic-block CFG with dominators")
+		dot     = fs.Bool("dot", false, "print the CFG in Graphviz dot syntax")
+		sites   = fs.Bool("sites", false, "list injectable control-state sites (SCHED/STACK/BARRIER) per kernel launch")
+		bounds  = fs.Bool("avf-bounds", false, "print static AVF lower/upper bounds per kernel and structure from the interval engine")
+		list    = fs.Bool("list", false, "list benchmarks")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "gpudis:", err)
+		return 1
+	}
 
 	if *list || *appName == "" {
 		for _, a := range kernels.All() {
-			fmt.Printf("%-12s %v\n", a.Name, a.Kernels)
+			fmt.Fprintf(stdout, "%-12s %v\n", a.Name, a.Kernels)
 		}
-		return
+		return 0
 	}
 	app, err := kernels.ByName(*appName)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	job := app.Build()
 
@@ -82,26 +97,28 @@ func main() {
 			order = append(order, name)
 		}
 	}
+	// names is what the per-kernel modes walk: the one kernel asked for, or
+	// all of them in first-launch order.
+	names := order
+	if *kernel != "" {
+		if _, ok := progs[*kernel]; !ok {
+			return fail(fmt.Errorf("%s has no kernel %q", app.Name, *kernel))
+		}
+		names = []string{*kernel}
+	}
 
 	if *lint {
 		exit := 0
-		names := order
-		if *kernel != "" {
-			if _, ok := progs[*kernel]; !ok {
-				fatal(fmt.Errorf("%s has no kernel %q", app.Name, *kernel))
-			}
-			names = []string{*kernel}
-		}
 		for _, name := range names {
 			p := progs[name]
 			diags := flow.Lint(p)
 			if len(diags) == 0 {
-				fmt.Printf("%s %s (%s): clean\n", app.Name, name, p.Name)
+				fmt.Fprintf(stdout, "%s %s (%s): clean\n", app.Name, name, p.Name)
 				continue
 			}
-			fmt.Printf("%s %s (%s): %d finding(s)\n", app.Name, name, p.Name, len(diags))
+			fmt.Fprintf(stdout, "%s %s (%s): %d finding(s)\n", app.Name, name, p.Name, len(diags))
 			for _, d := range diags {
-				fmt.Printf("  %s\n", d)
+				fmt.Fprintf(stdout, "  %s\n", d)
 				if d.Sev == flow.Error {
 					exit = 2
 				} else if exit == 0 {
@@ -109,71 +126,62 @@ func main() {
 				}
 			}
 		}
-		os.Exit(exit)
+		return exit
 	}
 
 	if *sites {
-		printSites(app.Name, job, progs, *kernel)
-		return
+		printSites(stdout, app.Name, job, progs, *kernel)
+		return 0
 	}
 
 	if *bounds {
-		if *kernel != "" {
-			if _, ok := progs[*kernel]; !ok {
-				fatal(fmt.Errorf("%s has no kernel %q", app.Name, *kernel))
-			}
+		si, err := microfi.TraceStatic(job, gpu.Volta())
+		if err != nil {
+			return fail(err)
 		}
-		printBounds(app.Name, job, order, *kernel)
-		return
+		printBounds(stdout, app.Name, si, names)
+		return 0
 	}
 
 	if *kernel == "" {
-		fmt.Printf("%s: %d kernels\n", app.Name, len(order))
+		fmt.Fprintf(stdout, "%s: %d kernels\n", app.Name, len(order))
 		for _, name := range order {
 			p := progs[name]
-			fmt.Printf("  %-4s %-24s %4d instructions, %3d registers/thread\n",
+			fmt.Fprintf(stdout, "  %-4s %-24s %4d instructions, %3d registers/thread\n",
 				name, p.Name, len(p.Code), p.NumRegs)
 		}
-		describeSchedule(job)
-		return
+		describeSchedule(stdout, job)
+		return 0
 	}
-	p, ok := progs[*kernel]
-	if !ok {
-		fatal(fmt.Errorf("%s has no kernel %q", app.Name, *kernel))
-	}
-	fmt.Printf("// %s %s (%s): %d instructions, %d registers per thread\n",
+	p := progs[*kernel]
+	fmt.Fprintf(stdout, "// %s %s (%s): %d instructions, %d registers per thread\n",
 		app.Name, *kernel, p.Name, len(p.Code), p.NumRegs)
-	if *mix {
-		printMix(p)
-		return
-	}
-	if *cfg || *dot {
-		g := flow.Build(p)
-		if *dot {
-			fmt.Print(g.Dot())
-		} else {
-			fmt.Print(g.String())
+	switch {
+	case *mix:
+		printMix(stdout, p)
+	case *dot:
+		fmt.Fprint(stdout, flow.Build(p).Dot())
+	case *cfg:
+		fmt.Fprint(stdout, flow.Build(p).String())
+	case *fanout:
+		fan := reuse.Fanout(p)
+		for pc, ins := range p.Code {
+			note := ""
+			if n, ok := fan[pc]; ok {
+				note = fmt.Sprintf("  // %d later reads of R%d", n, ins.Dst)
+			}
+			fmt.Fprintf(stdout, "#%-4d %-50s%s\n", pc, ins.String(), note)
 		}
-		return
+	default:
+		fmt.Fprint(stdout, p.Disassemble())
 	}
-	if !*fanout {
-		fmt.Print(p.Disassemble())
-		return
-	}
-	fan := reuse.Fanout(p)
-	for pc, ins := range p.Code {
-		note := ""
-		if n, ok := fan[pc]; ok {
-			note = fmt.Sprintf("  // %d later reads of R%d", n, ins.Dst)
-		}
-		fmt.Printf("#%-4d %-50s%s\n", pc, ins.String(), note)
-	}
+	return 0
 }
 
 // printMix prints the static opcode histogram of a kernel — the
 // "instruction types and counts" dimension the paper's §II-D controls for
 // by benchmark diversity.
-func printMix(p *isa.Program) {
+func printMix(w io.Writer, p *isa.Program) {
 	counts := map[isa.Op]int{}
 	for _, ins := range p.Code {
 		counts[ins.Op]++
@@ -193,7 +201,7 @@ func printMix(p *isa.Program) {
 		return rows[i].op < rows[j].op
 	})
 	for _, r := range rows {
-		fmt.Printf("  %-8s %4d  (%4.1f%%)\n", r.op, r.n, 100*float64(r.n)/float64(len(p.Code)))
+		fmt.Fprintf(w, "  %-8s %4d  (%4.1f%%)\n", r.op, r.n, 100*float64(r.n)/float64(len(p.Code)))
 	}
 }
 
@@ -202,11 +210,10 @@ func printMix(p *isa.Program) {
 // bits and barrier-arrival latches are fixed by the launch geometry, while
 // SIMT-stack sites exist only while warps are diverged, so the static view
 // reports the per-warp ceiling alongside the kernel's branch/barrier usage.
-func printSites(appName string, job *device.Job, progs map[string]*isa.Program, only string) {
+func printSites(w io.Writer, appName string, job *device.Job, progs map[string]*isa.Program, only string) {
 	warpsPerBlock := func(l *device.Launch) int {
 		return (l.BlockX*l.BlockY + 31) / 32
 	}
-	found := false
 	for _, st := range job.Steps {
 		if st.Launch == nil {
 			continue
@@ -216,7 +223,6 @@ func printSites(appName string, job *device.Job, progs map[string]*isa.Program, 
 		if only != "" && name != only {
 			continue
 		}
-		found = true
 		p := progs[name]
 		warps := l.GridX * l.GridY * warpsPerBlock(l)
 		branches, bars := 0, 0
@@ -228,63 +234,47 @@ func printSites(appName string, job *device.Job, progs map[string]*isa.Program, 
 				bars++
 			}
 		}
-		fmt.Printf("%s %s (%s): %d warps (%d blocks × %d warps/block)\n",
+		fmt.Fprintf(w, "%s %s (%s): %d warps (%d blocks × %d warps/block)\n",
 			appName, name, p.Name, warps, l.GridX*l.GridY, warpsPerBlock(l))
-		fmt.Printf("  SCHED    %6d bits  (%d warp-scheduler entries × %d bits: ready timestamp + done latch)\n",
+		fmt.Fprintf(w, "  SCHED    %6d bits  (%d warp-scheduler entries × %d bits: ready timestamp + done latch)\n",
 			warps*sim.SchedEntryBits, warps, sim.SchedEntryBits)
-		fmt.Printf("  STACK    dynamic       (%d words × 32 bits per live divergence entry; %d static branches%s)\n",
+		fmt.Fprintf(w, "  STACK    dynamic       (%d words × 32 bits per live divergence entry; %d static branches%s)\n",
 			sim.StackEntryWords, branches, map[bool]string{true: "", false: " — never diverges"}[branches > 0])
-		fmt.Printf("  BARRIER  %6d bits  (1 arrival latch per warp; %d static BAR instructions%s)\n",
+		fmt.Fprintf(w, "  BARRIER  %6d bits  (1 arrival latch per warp; %d static BAR instructions%s)\n",
 			warps, bars, map[bool]string{true: "", false: " — barrier faults cannot deadlock this kernel"}[bars > 0])
-	}
-	if only != "" && !found {
-		fatal(fmt.Errorf("%s has no kernel %q", appName, only))
 	}
 }
 
-// printBounds traces the job fault-free with the flow interval recorder and
-// prints each kernel's static AVF bracket per hardware structure. The upper
+// printBounds prints, from a fault-free trace of the job by the flow interval
+// recorder, each kernel's static AVF bracket per hardware structure. The upper
 // bound is the expected live fraction of allocated state over the kernel's
 // injection windows; the lower bound is 0 (the engine proves deadness, not
 // ACE-ness). Unsupported structures report the trivial [0, 1] bracket.
-func printBounds(appName string, job *device.Job, order []string, only string) {
-	si, err := microfi.TraceStatic(job, gpu.Volta())
-	if err != nil {
-		fatal(err)
-	}
-	names := order
-	if only != "" {
-		names = []string{only}
-	}
-	fmt.Printf("%s: static AVF bounds (%d traced cycles)\n", appName, si.Cycles)
+func printBounds(w io.Writer, appName string, si *microfi.StaticIntervals, names []string) {
+	fmt.Fprintf(w, "%s: static AVF bounds (%d traced cycles)\n", appName, si.Cycles)
 	for _, name := range names {
-		fmt.Printf("  %s:\n", name)
+		fmt.Fprintf(w, "  %s:\n", name)
 		for _, st := range gpu.Structures {
 			b := si.Bounds(st, name)
 			note := ""
 			if !b.Supported {
 				note = "  (unsupported: trivial bracket)"
 			}
-			fmt.Printf("    %-5s [%6.4f, %6.4f]%s\n", st, b.Lower, b.Upper, note)
+			fmt.Fprintf(w, "    %-5s [%6.4f, %6.4f]%s\n", st, b.Lower, b.Upper, note)
 		}
 	}
 }
 
-func describeSchedule(job *device.Job) {
-	fmt.Println("schedule:")
+func describeSchedule(w io.Writer, job *device.Job) {
+	fmt.Fprintln(w, "schedule:")
 	for i, st := range job.Steps {
 		switch {
 		case st.Launch != nil:
 			l := st.Launch
-			fmt.Printf("  %2d: launch %-4s grid %d×%d, block %d×%d, smem %dB\n",
+			fmt.Fprintf(w, "  %2d: launch %-4s grid %d×%d, block %d×%d, smem %dB\n",
 				i, l.Name(), l.GridX, l.GridY, l.BlockX, l.BlockY, l.SmemBytes)
 		case st.Host != nil:
-			fmt.Printf("  %2d: host step\n", i)
+			fmt.Fprintf(w, "  %2d: host step\n", i)
 		}
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "gpudis:", err)
-	os.Exit(1)
 }

@@ -15,8 +15,11 @@ import (
 )
 
 // ControlFault upsets one control-state bit. Stuck == nil is a transient
-// flip of the latch; Stuck == 0/1 forces the latch to that value every
-// cycle for the rest of the run (a permanent defect in the flip-flop).
+// flip of the latch; Stuck == 0/1 forces the latch to that value for the
+// rest of the run (a permanent defect in the flip-flop), at the top of every
+// cycle in which the machine can have changed — bit-identical to every
+// cycle. A latch that parks every resident warp for good leaves nothing that
+// could change the machine, and the run goes straight to its Timeout.
 type ControlFault struct{ Stuck *int }
 
 // Name implements Model.
@@ -35,8 +38,8 @@ func (c ControlFault) WordBits() int { return 0 }
 
 // Arm implements Model. Sites are addressed physically — (SM, warp slot,
 // field) — so a persistent defect stays with the hardware slot across CTA
-// retirement: appliers re-resolve the slot each cycle and no-op while it is
-// unoccupied (or, for stack faults, while the addressed entry has popped).
+// retirement: appliers re-resolve the slot on every call and no-op while it
+// is unoccupied (or, for stack faults, while the addressed entry has popped).
 //
 // Draw order per class (all uniform):
 //   - Sched:   global slot k over Σ NumWarpSlots, then bit over the

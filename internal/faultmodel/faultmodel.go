@@ -7,8 +7,8 @@
 // differently:
 //
 //   - StuckAt: a permanent stuck-at-0/1 cell. The defective bit is forced
-//     every cycle from the injection cycle to the end of the run, so writes
-//     cannot heal it.
+//     from the injection cycle to the end of the run, at the top of every
+//     cycle in which the machine can have changed, so writes cannot heal it.
 //   - SpatialMBU: a spatially-correlated multi-bit upset — adjacent bits
 //     within a word and adjacent rows (registers, bytes, cache lines)
 //     within the structure, corrupted once.
@@ -35,10 +35,15 @@ import (
 	"gpurel/internal/sim"
 )
 
-// Applier re-asserts a persistent fault. The injector invokes it at the top
-// of every cycle from the injection cycle to the end of the run; it must be
-// idempotent within a cycle and must bounds-check its site (resident CTAs
-// come and go under a physical-slot fault).
+// Applier re-asserts a persistent fault. From the injection cycle to the end
+// of the run the injector invokes it at the top of every cycle in which the
+// machine can have changed since the previous call (sim.Options.EachCycle:
+// the simulator takes a span of cycles in which nothing is placed, issued or
+// retired in one step). That is bit-identical to invoking it every cycle
+// because an applier must be idempotent and a pure function of the machine
+// it is handed — never of the cycle number or of how often it has run. It
+// must also bounds-check its site (resident CTAs come and go under a
+// physical-slot fault).
 type Applier func(*sim.Machine)
 
 // Model is one fault-model family, instantiated with its parameters.
@@ -46,8 +51,8 @@ type Model interface {
 	// Name is the model's canonical label, used in tables and reports.
 	Name() string
 	// Persistent reports whether the fault stays armed after injection —
-	// if so the injector re-applies it every cycle and must not attempt
-	// convergence joins against fault-free reference state.
+	// if so the injector keeps re-applying it (see Applier) and must not
+	// attempt convergence joins against fault-free reference state.
 	Persistent() bool
 	// WordBits is the fault's adjacent-bit footprint within one ECC word,
 	// used by the SEC-DED preflight screen (1 corrected, 2 detected, wider
@@ -56,7 +61,7 @@ type Model interface {
 	WordBits() int
 	// Arm selects a fault site on the live machine and corrupts it for the
 	// first time. It returns a non-nil Applier when the fault persists
-	// (the injector then re-applies it every cycle), and whether any site
+	// (the injector then keeps re-applying it), and whether any site
 	// was hit (false when the structure has nothing allocated/resident at
 	// the injection cycle).
 	Arm(m *sim.Machine, s gpu.Structure, rng *rand.Rand) (Applier, bool)

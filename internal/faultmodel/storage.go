@@ -55,10 +55,12 @@ func (t Transient) FlipAt(m *sim.Machine, s gpu.Structure, sm, idx int, bit uint
 	storageSite{structure: s, sm: m.SMs[sm], idx: idx, bit: bit}.flip(t.WordBits(), 1)
 }
 
-// StuckAt is a permanent defect: one cell forced to V (0 or 1) every cycle
-// from the injection cycle to the end of the run. Re-assertion happens at
-// cycle granularity — a write lands, then the top of the next cycle forces
-// the cell back, matching a defective cell read strictly after the fault
+// StuckAt is a permanent defect: one cell forced to V (0 or 1) from the
+// injection cycle to the end of the run, at the top of every cycle in which
+// the machine can have changed — bit-identical to forcing it every cycle,
+// since a cell nothing wrote still holds V. Re-assertion happens at cycle
+// granularity — a write lands, then the top of the next cycle forces the
+// cell back, matching a defective cell read strictly after the fault
 // re-manifests.
 type StuckAt struct{ V int }
 

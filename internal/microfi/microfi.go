@@ -183,9 +183,11 @@ func (t Target) preflight(g *GoldenRun, mdl faultmodel.Model, rng *rand.Rand) (c
 // injectRun executes the faulty simulation and classifies it against
 // golden. arm corrupts the machine at the injection cycle and reports
 // whether any site was hit; a persistent fault additionally re-asserts the
-// applier arm returned at the top of every subsequent cycle, and
-// convergence joins are withheld (see accelerate). On a checkpointed golden
-// run the faulty simulation forks from the nearest snapshot below the
+// applier arm returned at the top of every subsequent cycle in which the
+// machine can have changed (sim.Options.EachCycle; bit-identical to every
+// cycle, because appliers are idempotent and pure functions of the machine),
+// and convergence joins are withheld (see accelerate). On a checkpointed
+// golden run the faulty simulation forks from the nearest snapshot below the
 // injection cycle and may join back to golden early — both bit-identical to
 // simulating from cycle 0 (see checkpoint.go).
 func injectRun(job *device.Job, g *GoldenRun, cycle int64, persistent bool, arm func(*sim.Machine) (faultmodel.Applier, bool)) faults.Result {

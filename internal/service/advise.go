@@ -101,8 +101,10 @@ type AdviseStatus struct {
 
 // AdviseEvent is one NDJSON line of an advise job's progress stream.
 type AdviseEvent struct {
-	// Type: "status" (initial snapshot), "progress" (a unit of work
-	// completed), or a terminal state name ("done" | "failed" | "canceled").
+	// Type: "status" (the initial snapshot, and again when the job starts or
+	// a shutdown parks it — the advise stream has no "running" event),
+	// "progress" (a unit of work completed), or a terminal state name
+	// ("done" | "failed" | "canceled").
 	Type string       `json:"type"`
 	Job  AdviseStatus `json:"job"`
 }

@@ -319,8 +319,12 @@ type JobStatus struct {
 
 // Event is one NDJSON line of a job's progress stream.
 type Event struct {
-	// Type: "status" (initial snapshot), "progress" (a chunk completed),
-	// or a terminal state name ("done" | "failed" | "canceled").
+	// Type: "status" (initial snapshot), "running" (the job left the queue:
+	// a lane or a fleet lease claimed its first runs; sent once, and only to
+	// streams that attached while it was queued), "progress" (a chunk
+	// completed), or a terminal state name ("done" | "failed" | "canceled").
+	// Consumers should key on Job.State, as the client package does, and
+	// ignore types they do not know.
 	Type string    `json:"type"`
 	Job  JobStatus `json:"job"`
 }

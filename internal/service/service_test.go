@@ -66,6 +66,77 @@ func newTestServer(t *testing.T, cfg service.Config) (*service.Scheduler, *httpt
 	return sched, srv
 }
 
+// checkEventType fails the test on an event type outside the stream contract
+// (service.Event, docs/service.md): "status", "running", "progress" and the
+// terminal state names — "running" reaches only a stream that attached while
+// the job was still queued, which under load is any stream.
+func checkEventType(t *testing.T, ev service.Event) {
+	t.Helper()
+	switch ev.Type {
+	case "status", "running", "progress", "done", "failed", "canceled":
+	default:
+		t.Errorf("unexpected event type %q", ev.Type)
+	}
+}
+
+// TestStreamOfQueuedJob attaches the event stream to a job that is provably
+// still queued — the only lane is held by another job whose first run blocks
+// until the stream has delivered its snapshot — and requires the documented
+// order: status (queued), running, progress per chunk but the last, done.
+func TestStreamOfQueuedJob(t *testing.T) {
+	release := make(chan struct{})
+	_, srv := newTestServer(t, service.Config{
+		Source: func(service.JobSpec) (campaign.Experiment, error) {
+			return func(run int, rng *rand.Rand) faults.Result {
+				<-release
+				return outcome(rng)
+			}, nil
+		},
+		Shards:          1,
+		ChunkSize:       50,
+		WorkersPerShard: 2,
+	})
+	c := client.New(srv.URL)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	holder, err := c.SubmitJob(ctx, service.JobSpec{Layer: "micro", App: "fake", Kernel: "K1", Runs: 50, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued, err := c.SubmitJob(ctx, service.JobSpec{Layer: "micro", App: "fake", Kernel: "K1", Runs: 150, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var types []string
+	if err := c.WatchEvents(ctx, queued.ID, func(ev service.Event) error {
+		checkEventType(t, ev)
+		if len(types) == 0 {
+			if ev.Type != "status" || ev.Job.State != service.StateQueued {
+				t.Errorf("first event = %q in state %q, want the status snapshot of a queued job", ev.Type, ev.Job.State)
+			}
+			close(release) // the stream is attached: let the lane go
+		}
+		if ev.Type == "running" && (ev.Job.State != service.StateRunning || ev.Job.Done != 0) {
+			t.Errorf("running event carries state %q, done %d", ev.Job.State, ev.Job.Done)
+		}
+		types = append(types, ev.Type)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// Three chunks: the last one's merge is reported by the terminal event.
+	want := []string{"status", "running", "progress", "progress", "done"}
+	if strings.Join(types, " ") != strings.Join(want, " ") {
+		t.Errorf("event order = %v, want %v", types, want)
+	}
+	// WaitJob rides the same stream and must not trip over "running" either.
+	if st, err := c.WaitJob(ctx, holder.ID); err != nil || st.State != service.StateDone {
+		t.Errorf("holder job: state %q, err %v", st.State, err)
+	}
+}
+
 // TestSubmitStreamMetrics drives one job through the full happy path over
 // HTTP: submit, NDJSON event stream to completion, status, metrics.
 func TestSubmitStreamMetrics(t *testing.T) {
@@ -91,11 +162,7 @@ func TestSubmitStreamMetrics(t *testing.T) {
 	var sawProgress bool
 	var last service.JobStatus
 	if err := c.WatchEvents(ctx, st.ID, func(ev service.Event) error {
-		switch ev.Type {
-		case "status", "progress", "done":
-		default:
-			t.Errorf("unexpected event type %q", ev.Type)
-		}
+		checkEventType(t, ev)
 		if ev.Type == "progress" {
 			sawProgress = true
 			if ev.Job.Done == 0 || ev.Job.Tally.N != ev.Job.Done {

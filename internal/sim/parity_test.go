@@ -114,6 +114,55 @@ func TestReferenceParityAllApps(t *testing.T) {
 	}
 }
 
+// TestSteppedCounts pins which loop iterations each core executes. Under the
+// reference core no SM ever publishes a wake-up time, so runLaunch steps every
+// simulated cycle of every parity job: it stays the cycle-by-cycle oracle.
+// The µop core jumps over the cycles in which nothing can be placed, fired or
+// issued: on each shipped application it steps fewer cycles than it
+// simulates, and over all eleven at most 30 % of them (18.6 % when this was
+// written). A forked run counts from its snapshot's cycle.
+func TestSteppedCounts(t *testing.T) {
+	cfg := gpu.Volta()
+	for _, pj := range parityJobs(t) {
+		var slow *sim.Result
+		sim.OnReference(func() { slow = sim.Run(pj.build(), cfg, sim.Options{}) })
+		if slow.Stepped != slow.Cycles {
+			t.Errorf("%s: the reference core stepped %d of %d cycles", pj.name, slow.Stepped, slow.Cycles)
+		}
+	}
+	var stepped, cycles int64
+	for _, app := range kernels.All() {
+		res := sim.Run(app.Build(), cfg, sim.Options{})
+		if res.Stepped <= 0 || res.Stepped >= res.Cycles {
+			t.Errorf("%s: the µop core stepped %d of %d cycles", app.Name, res.Stepped, res.Cycles)
+		}
+		t.Logf("%-10s stepped %6d of %6d cycles (%4.1f %%)", app.Name, res.Stepped, res.Cycles, 100*float64(res.Stepped)/float64(res.Cycles))
+		stepped += res.Stepped
+		cycles += res.Cycles
+	}
+	if stepped*10 > cycles*3 {
+		t.Errorf("the µop core stepped %d of %d golden cycles: more than 30 %%", stepped, cycles)
+	}
+
+	job := buildApp(t, "LUD")
+	fastSet, slowSet := onBothCores(func() *sim.SnapshotSet {
+		set := sim.NewSnapshotSet(50000, 0)
+		sim.Run(job, cfg, sim.Options{Checkpoint: set})
+		return set
+	})
+	fork := slowSet.Snap(1)
+	var slow *sim.Result
+	sim.OnReference(func() { slow = sim.Run(job, cfg, sim.Options{Resume: fork}) })
+	fast := sim.Run(job, cfg, sim.Options{Resume: fastSet.Snap(1)})
+	sameResult(t, "µop fork", fast, "reference fork", slow)
+	if want := slow.Cycles - fork.Cycle(); slow.Stepped != want {
+		t.Errorf("a reference run forked at cycle %d of %d stepped %d cycles, want %d", fork.Cycle(), slow.Cycles, slow.Stepped, want)
+	}
+	if fast.Stepped <= 0 || fast.Stepped >= slow.Stepped {
+		t.Errorf("forked at cycle %d: the µop core stepped %d cycles, the reference core %d", fork.Cycle(), fast.Stepped, slow.Stepped)
+	}
+}
+
 // TestOneCoreOutsideTests pins where the reference core can run: only inside
 // sim.OnReference. A plain run — traced or not, direct or through microfi —
 // never touches it, so the µop core is what feeds the RF tracer; inside
@@ -360,5 +409,105 @@ func TestReferenceParityAdaptive(t *testing.T) {
 	})
 	if got != want {
 		t.Fatalf("adaptive result diverges:\nµop       %+v\nreference %+v", got, want)
+	}
+}
+
+// injectOnce is microfi's faulty run for a persistent model spelled out
+// against sim.Run, so that a test can see the sim.Result a classification was
+// made from (microfi.Inject returns the class alone). For a whole-application
+// target it consumes the rand stream exactly as Inject does — the launch
+// windows tile [1, Cycles], so the cycle draw is the same — and
+// TestReferenceParityPersistentRuns holds it to Inject's answer run by run.
+func injectOnce(job *device.Job, g *microfi.GoldenRun, st gpu.Structure, mdl faultmodel.Model, seed int64) (faults.Result, *sim.Result) {
+	rng := rand.New(rand.NewSource(seed))
+	cycle := 1 + rng.Int63n(g.Res.Cycles)
+	var applier faultmodel.Applier
+	hit := false
+	opts := sim.Options{
+		MaxCycles: g.Res.Cycles * int64(g.Cfg.TimeoutFactor),
+		AtCycle:   cycle,
+		OnCycle:   func(m *sim.Machine) { applier, hit = mdl.Arm(m, st, rng) },
+		EachCycle: func(m *sim.Machine) {
+			if applier != nil {
+				applier(m)
+			}
+		},
+	}
+	if g.Snaps != nil {
+		opts.Resume = g.Snaps.Before(cycle)
+	}
+	res := sim.Run(job, g.Cfg, opts)
+	return microfi.Classify(g, res, hit), res
+}
+
+// TestReferenceParityPersistentRuns compares persistent-fault experiments run
+// by run, not tally by tally. A stuck cell or latch is re-asserted at the top
+// of every cycle the loop steps, and the loop steps far fewer cycles on the
+// µop core than under the oracle; equal tallies could hide two runs that
+// trade classes, so every draw must end in the same class and the same
+// sim.Result — cycle count, spans, per-kernel statistics — on both cores,
+// brute force and forked from a checkpoint.
+func TestReferenceParityPersistentRuns(t *testing.T) {
+	cfg := gpu.Volta()
+	// A run whose warps a latch parks for good walks its whole cycle budget
+	// on the oracle, twice per draw; parity does not depend on the budget's
+	// size, so a smaller one than the default 10 × golden keeps this quick.
+	cfg.TimeoutFactor = 4
+	draws := int64(20)
+	if testing.Short() || raceDetector {
+		draws = 4
+	}
+	for _, cs := range campaignCases {
+		t.Run(cs.app, func(t *testing.T) {
+			job := buildApp(t, cs.app)
+			type goldens struct{ brute, forked *microfi.GoldenRun }
+			fast, slow := onBothCores(func() goldens {
+				brute, err := microfi.Golden(job, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				forked, err := microfi.GoldenCheckpointed(job, cfg, microfi.CheckpointSpec{Stride: brute.Res.Cycles/6 + 1, Converge: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return goldens{brute, forked}
+			})
+			outcomes := map[faults.Outcome]int{}
+			var stepped, steppedRef int64 // brute force, µop core and oracle
+			for name, mdl := range cs.models() {
+				if !mdl.Persistent() {
+					continue
+				}
+				for _, st := range cs.structures {
+					for seed := int64(1); seed <= draws; seed++ {
+						want, wantRes := injectOnce(job, fast.brute, st, mdl, seed)
+						outcomes[want.Outcome]++
+						check := func(label string, got faults.Result, gotRes *sim.Result) {
+							t.Helper()
+							if got != want {
+								t.Errorf("%s %s seed %d: %s classifies %+v, µop brute force %+v", name, st, seed, label, got, want)
+							}
+							sameResult(t, label, gotRes, "µop brute force", wantRes)
+						}
+						got, gotRes := injectOnce(job, fast.forked, st, mdl, seed)
+						check("µop forked", got, gotRes)
+						sim.OnReference(func() { got, gotRes = injectOnce(job, slow.brute, st, mdl, seed) })
+						check("reference brute force", got, gotRes)
+						stepped += wantRes.Stepped
+						steppedRef += gotRes.Stepped
+						sim.OnReference(func() { got, gotRes = injectOnce(job, slow.forked, st, mdl, seed) })
+						check("reference forked", got, gotRes)
+						tgt := microfi.Target{Structure: st, Model: mdl}
+						if got := microfi.Inject(job, fast.forked, tgt, rand.New(rand.NewSource(seed))); got != want {
+							t.Errorf("%s %s seed %d: microfi.Inject classifies %+v, its transcription here %+v", name, st, seed, got, want)
+						}
+					}
+				}
+			}
+			t.Logf("%v; cycles stepped: µop core %d, reference core %d", outcomes, stepped, steppedRef)
+			if stepped*2 > steppedRef {
+				t.Errorf("the µop core stepped %d cycles where the oracle stepped %d: persistent faults still pay for idle cycles", stepped, steppedRef)
+			}
+		})
 	}
 }

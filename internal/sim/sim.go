@@ -126,11 +126,13 @@ type SM struct {
 	slots []warpSlot
 
 	// nextReady is a conservative lower bound on the next cycle any resident
-	// warp can issue, letting cycleSM skip the slot scan entirely while every
-	// warp is stalled on a latency (the common state under memory-bound
-	// kernels). 0 forces a scan; any event that can change issue eligibility
-	// outside the scan itself (placement, retirement, restore, reset) resets
-	// it. Derived state: never snapshotted or compared.
+	// warp can issue: never while every one is done or parked at a barrier.
+	// cycleSM publishes it after a scan that issued nothing and skips the scan
+	// while it lies ahead; runLaunch takes the minimum over the resident SMs
+	// and jumps simulated time straight to it (see nextEvent). 0 forces a
+	// scan; any event that can change issue eligibility outside the scan
+	// itself (placement, retirement, restore, reset, an injection hook)
+	// resets it. Derived state: never snapshotted or compared.
 	nextReady int64
 }
 
@@ -334,6 +336,12 @@ type Result struct {
 	// outcome equals the reference run's suffix.
 	Converged   bool
 	ConvergedAt int64
+	// Stepped counts the cycles this run actually executed, from cycle 0 or
+	// from the snapshot it resumed; the rest of its simulated cycles were idle
+	// and taken in jumps (see runLaunch). It describes how the simulator
+	// spent its time, not the simulated machine: it is not part of any
+	// snapshot and two runs that agree in everything else may differ in it.
+	Stepped int64
 }
 
 // RFTracer observes register-file activity for analytical (ACE-style)
@@ -374,12 +382,16 @@ type Options struct {
 	// cycle counter reaches AtCycle (must be > 0 to arm).
 	AtCycle int64
 	OnCycle func(*Machine)
-	// EachCycle, when set, fires at the top of every cycle once the AtCycle
-	// hook has fired — on the injection cycle itself immediately after
-	// OnCycle, then every cycle until the run ends. Persistent fault models
-	// (stuck-at cells, latched control state) use it to re-assert the
-	// defective bit so that intervening writes cannot heal it. Callbacks
-	// must be idempotent within a cycle and cheap; they run on the hot loop.
+	// EachCycle, when set, fires once the AtCycle hook has fired — on the
+	// injection cycle itself immediately after OnCycle, then at the top of
+	// every cycle in which the machine can have changed since it last ran,
+	// until the run ends. Persistent fault models (stuck-at cells, latched
+	// control state) use it to re-assert the defective bit so that
+	// intervening writes cannot heal it. Callbacks must be idempotent and a
+	// pure function of the machine (never of the cycle number or a call
+	// count): that is what makes skipping the calls over an idle span, in
+	// which nothing was placed, issued or retired, bit-identical to making
+	// one per cycle. They run on the hot loop, so they must be cheap.
 	EachCycle func(*Machine)
 	// RFTrace, when set, receives register-file liveness events (used by
 	// the ACE analyzer).
@@ -391,8 +403,8 @@ type Options struct {
 	// cycle on — OnCTAPlace for already-resident CTAs does not replay.
 	SchedTrace SchedTracer
 
-	// Checkpoint, when set, captures a machine snapshot into the set at
-	// every cycle divisible by its stride (reference/golden runs).
+	// Checkpoint, when set, captures a machine snapshot into the set at the
+	// end of every cycle divisible by its stride (reference/golden runs).
 	Checkpoint *SnapshotSet
 	// Resume, when set, restores the snapshot and continues from its cycle
 	// instead of simulating from cycle 0. The snapshot must have been taken
@@ -724,6 +736,20 @@ func (r *runner) beginLaunch(l *device.Launch) error {
 	return nil
 }
 
+// never is a cycle no run reaches: the wake-up time of an SM whose warps are
+// all done or parked at a barrier, and the next grid cycle of a snapshot set
+// that is absent or has stopped capturing.
+const never = int64(1) << 62
+
+// runLaunch advances the in-flight launch to completion. Simulated time is
+// event-driven: machine state changes only when a CTA is placed, a hook
+// fires or some SM issues, so after each executed ("stepped") cycle the loop
+// asks nextEvent for the next cycle at which any of those is due and takes
+// the idle cycles in between in one step — they would change nothing but the
+// cycle counter and the occupancy sum, which are advanced here. Every kind
+// of run (golden, checkpointing, resumed, converging, transient, persistent)
+// goes through this one loop; under the test-only reference core no SM ever
+// publishes nextReady, so there the same loop steps every cycle.
 func (r *runner) runLaunch() error {
 	cur := r.cur
 	l := cur.l
@@ -731,6 +757,11 @@ func (r *runner) runLaunch() error {
 	// Looked up fresh (not cached in launchState): after a restore the stats
 	// live in the rebuilt PerKernel map.
 	ks := r.kernelStats(l.Name())
+
+	// The next cycles on the two snapshot grids. Cycles only advance inside
+	// launches, so a grid cycle at or before the current one has been served.
+	ck, cv := r.opts.Checkpoint, r.opts.Converge
+	ckDue, cvDue := ck.nextGrid(r.cycle), cv.nextGrid(r.cycle)
 
 	for len(cur.pending) > 0 || cur.resident > 0 {
 		// Place pending CTAs.
@@ -756,6 +787,7 @@ func (r *runner) runLaunch() error {
 
 		// One cycle.
 		r.cycle++
+		r.res.Stepped++
 		if r.opts.AtCycle > 0 && !r.fired && r.cycle >= r.opts.AtCycle {
 			r.fired = true
 			if r.opts.OnCycle != nil {
@@ -771,6 +803,7 @@ func (r *runner) runLaunch() error {
 			return errSimTimeout
 		}
 
+		retired := 0
 		for _, sm := range r.sms {
 			ks.OccupancySum += int64(sm.threadsUsed)
 			if len(sm.ctas) == 0 {
@@ -786,19 +819,40 @@ func (r *runner) runLaunch() error {
 			if err != nil {
 				return err
 			}
-			cur.resident -= finished
+			retired += finished
 		}
+		cur.resident -= retired
 
 		// End-of-cycle checkpoint hooks. Capture sees the state a resumed run
 		// starts from; the convergence probe compares against it only after
 		// the fault has been injected (before that the states match trivially).
-		if ck := r.opts.Checkpoint; ck != nil {
+		if r.cycle == ckDue {
 			ck.offer(r)
+			ckDue = ck.nextGrid(r.cycle) // offer may have widened the stride
 		}
-		if cv := r.opts.Converge; cv != nil && r.fired {
-			if s := cv.at(r.cycle); s != nil && r.matches(s) {
+		if r.cycle == cvDue {
+			cvDue = cv.nextGrid(r.cycle)
+			if s := cv.at(r.cycle); r.fired && s != nil && r.matches(s) {
 				return errSimConverged
 			}
+		}
+
+		// Jump over the idle cycles that follow, if any. Two cases must step
+		// the next cycle although no resident SM can issue in it: the launch's
+		// last CTA just retired (no SM is resident, the loop is about to end —
+		// jumping would run the clock to the budget), and a retirement freed
+		// room while CTAs are pending (the placement at the top of the next
+		// cycle can now succeed, on an SM nextEvent does not look at).
+		if cur.resident == 0 || (retired > 0 && len(cur.pending) > 0) {
+			continue
+		}
+		if next := r.nextEvent(min(ckDue, cvDue)); next > r.cycle+1 && next < never {
+			var resident int64
+			for _, sm := range r.sms {
+				resident += int64(sm.threadsUsed)
+			}
+			ks.OccupancySum += (next - 1 - r.cycle) * resident
+			r.cycle = next - 1
 		}
 	}
 
@@ -810,11 +864,42 @@ func (r *runner) runLaunch() error {
 	return nil
 }
 
-// wakeSMs discards every SM's cached idle-skip bound. Injection hooks can
+// nextEvent returns the earliest cycle after the current one that has to be
+// stepped, given that no CTA can be placed before some SM issues: the first
+// cycle at which a resident SM may issue again, the injection cycle while
+// the hook has not fired, the first cycle over the budget (a run whose warps
+// are all parked goes straight to its timeout), and gridDue, the next cycle
+// a snapshot grid needs served. A result of at most cycle+1 means there is
+// nothing to jump over; never means nothing is due at all (no budget, every
+// warp parked), and the caller keeps stepping as it always has.
+func (r *runner) nextEvent(gridDue int64) int64 {
+	next := gridDue
+	for _, sm := range r.sms {
+		if len(sm.ctas) == 0 {
+			continue
+		}
+		if sm.nextReady <= r.cycle+1 {
+			// It issued this cycle, was woken by a hook, or wakes next cycle.
+			return 0
+		}
+		next = min(next, sm.nextReady)
+	}
+	if r.opts.AtCycle > 0 && !r.fired {
+		next = min(next, r.opts.AtCycle)
+	}
+	if r.opts.MaxCycles > 0 {
+		next = min(next, r.opts.MaxCycles+1)
+	}
+	return next
+}
+
+// wakeSMs discards every SM's cached wake-up time. Injection hooks can
 // mutate scheduler state behind the scan's back — a flipped ready-timestamp
 // bit or a cleared done/barrier latch makes a warp issueable earlier than
 // the cached floor — and a scheduler that rescans every cycle (the reference
-// core in reference_test.go) reacts immediately; this one must too.
+// core in reference_test.go) reacts immediately; this one must too. After an
+// EachCycle hook it also makes every SM rescan in the same cycle, so the
+// times nextEvent reads describe the machine as the hook left it.
 func (r *runner) wakeSMs() {
 	for _, sm := range r.sms {
 		sm.nextReady = 0
@@ -1018,7 +1103,7 @@ func (r *runner) cycleSM(sm *SM, ks *KernelStats) (int, error) {
 		// Nothing could issue, so this scan changed no state; the earliest
 		// cycle anything can change is the minimum wake-up among stalled
 		// warps (barrier releases and retirements only happen on issue).
-		next := int64(1) << 62
+		next := never
 		for i := range slots {
 			m := slots[i].m
 			if m.done || m.atBar {

@@ -629,12 +629,21 @@ func (s *SnapshotSet) recount() {
 	s.bytes = n
 }
 
-// offer captures a snapshot if the runner's cycle is on the stride grid,
-// then enforces the budget.
-func (s *SnapshotSet) offer(r *runner) {
-	if s.stride <= 0 || r.cycle%s.stride != 0 {
-		return
+// nextGrid returns the first cycle after c on the set's stride grid — the
+// only cycles at which offer captures and at can find a snapshot — or never
+// for a nil set and once capture is disabled. The run loop keeps the answer
+// and compares its cycle counter against it, so no cycle pays for a modulo;
+// it asks again after every offer, which can widen the stride.
+func (s *SnapshotSet) nextGrid(c int64) int64 {
+	if s == nil || s.stride <= 0 {
+		return never
 	}
+	return (c/s.stride + 1) * s.stride
+}
+
+// offer captures a snapshot of the runner, whose cycle the caller has found
+// on the stride grid (nextGrid), then enforces the budget.
+func (s *SnapshotSet) offer(r *runner) {
 	snap := r.capture()
 	s.snaps = append(s.snaps, snap)
 	s.recount()
@@ -693,12 +702,8 @@ func (s *SnapshotSet) Before(c int64) *Snapshot {
 	return s.snaps[lo-1]
 }
 
-// at returns the snapshot taken exactly at cycle c, or nil. The stride
-// modulo gate keeps the common (non-checkpoint) cycle to a single test.
+// at returns the snapshot taken exactly at cycle c, or nil.
 func (s *SnapshotSet) at(c int64) *Snapshot {
-	if s.stride <= 0 || c%s.stride != 0 {
-		return nil
-	}
 	lo, hi := 0, len(s.snaps)
 	for lo < hi {
 		mid := (lo + hi) / 2

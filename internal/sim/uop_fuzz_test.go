@@ -2,6 +2,8 @@ package sim
 
 import (
 	"bytes"
+	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"gpurel/internal/fuzzprog"
@@ -13,7 +15,11 @@ import (
 // reference core of reference_test.go must agree on the complete
 // Result — outputs, cycle count, fault status, timeout — for any program
 // the ISA admits, including ones that fault on wild addresses, deadlock a
-// divergent barrier into the timeout, or drop every write into RZ.
+// divergent barrier into the timeout, or drop every write into RZ. Each
+// input then runs once more under a persistent fault drawn from its bytes —
+// an injection cycle anywhere in the run and one allocated register bit
+// forced by OnCycle and EachCycle — so generated programs also put the hook
+// inside the idle spans the µop core jumps over and the oracle walks.
 func FuzzUOpParity(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{3, 7, 11, 250, 128, 42, 9, 0, 200, 17, 66, 1, 2, 3, 4, 5})
@@ -40,5 +46,30 @@ func FuzzUOpParity(f *testing.F) {
 		if !bytes.Equal(fast.Output, slow.Output) {
 			t.Fatal("outputs diverge")
 		}
+
+		h := fnv.New64a()
+		h.Write(data)
+		draw := h.Sum64()
+		opts := Options{MaxCycles: 20000, AtCycle: 1 + int64(draw%uint64(max(fast.Cycles, 64)))}
+		force := func(m *Machine) {
+			for _, sm := range m.SMs {
+				if blocks := sm.AllocatedRF(); len(blocks) > 0 {
+					cell := &sm.RF[blocks[0].Base+int(draw>>16)%blocks[0].Size]
+					if bit := uint32(1) << (draw >> 8 % 32); draw>>13&1 == 1 {
+						*cell |= bit
+					} else {
+						*cell &^= bit
+					}
+					return
+				}
+			}
+		}
+		opts.OnCycle, opts.EachCycle = force, force
+		fast = Run(fuzzprog.Job(prog), gpu.Volta(), opts)
+		onReference(func() { slow = Run(fuzzprog.Job(prog), gpu.Volta(), opts) })
+		if fmt.Sprint(fast.Err) != fmt.Sprint(slow.Err) {
+			t.Fatalf("stuck bit from cycle %d: µop err=%v, reference err=%v", opts.AtCycle, fast.Err, slow.Err)
+		}
+		resultsEqual(t, "stuck bit", fast, slow)
 	})
 }
