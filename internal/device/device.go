@@ -119,22 +119,32 @@ func (m *Memory) Size() int { return len(m.data) }
 // Used returns the high-water mark of allocated memory.
 func (m *Memory) Used() uint32 { return m.next }
 
-// Clone returns a deep copy, used to reset state between injection runs.
-func (m *Memory) Clone() *Memory { return m.clonePrefix(len(m.data)) }
-
-// CloneUsed returns a deep copy trimmed to the allocation high-water mark.
+// Footprint returns the size of a run's copy of the image: the allocation
+// high-water mark rounded up to a whole snapshot page, capped at capacity.
 // Every checked access above Used() is rejected by the allocation table and
 // host steps stay inside allocations, so a run never touches the bytes
-// dropped; the functional executor sizes each run's memory this way. The
-// copy cannot take further allocations.
-func (m *Memory) CloneUsed() *Memory { return m.clonePrefix(int(m.next)) }
+// dropped. A page is a whole number of cache lines, so a cache fill of the
+// line holding the last allocated byte stays inside the copy.
+func (m *Memory) Footprint() int {
+	return min((int(m.next)+pageBytes-1)/pageBytes*pageBytes, len(m.data))
+}
 
-func (m *Memory) clonePrefix(n int) *Memory {
-	c := &Memory{data: bytes.Clone(m.data[:n]), next: m.next}
-	c.allocs = append([]Alloc(nil), m.allocs...)
-	c.pdirty = make([]uint64, (c.numPages()+63)/64)
-	c.markAllPages()
-	return c
+// CloneFootprint deep-copies the first Footprint() bytes of the image into
+// dst, reusing dst's backing array when it already has that size (the run
+// pool recycles memories this way); a nil or differently sized dst gets a
+// fresh copy. Every executor starts its runs from such a copy. The copy
+// cannot take further allocations.
+func (m *Memory) CloneFootprint(dst *Memory) *Memory {
+	n := m.Footprint()
+	if dst == nil || len(dst.data) != n {
+		dst = &Memory{data: make([]byte, n)}
+		dst.pdirty = make([]uint64, (dst.numPages()+63)/64)
+	}
+	copy(dst.data, m.data)
+	dst.next = m.next
+	dst.allocs = append(dst.allocs[:0], m.allocs...)
+	dst.markAllPages()
+	return dst
 }
 
 // DirtyPages calls fn with the byte range [lo, hi) of every page written
@@ -149,50 +159,6 @@ func (m *Memory) DirtyPages(fn func(lo, hi uint32)) {
 			fn(uint32(lo), uint32(min(lo+pageBytes, len(m.data))))
 		}
 	}
-}
-
-// CloneInto deep-copies m into dst, reusing dst's backing array when the
-// capacities match (the run pool recycles memories this way to avoid a
-// large allocation per injection run). Returns dst, or a fresh Clone when
-// the capacities differ.
-func (m *Memory) CloneInto(dst *Memory) *Memory {
-	if dst == nil || len(dst.data) != len(m.data) {
-		return m.Clone()
-	}
-	copy(dst.data, m.data)
-	dst.next = m.next
-	dst.allocs = append(dst.allocs[:0], m.allocs...)
-	dst.markAllPages()
-	return dst
-}
-
-// MemState is a deep copy of a Memory's mutable state, used by the
-// checkpoint engine in internal/sim.
-type MemState struct {
-	data   []byte
-	next   uint32
-	allocs []Alloc
-}
-
-// SaveState deep-copies the memory's state into st, reusing st's buffers.
-func (m *Memory) SaveState(st *MemState) {
-	if len(st.data) != len(m.data) {
-		st.data = make([]byte, len(m.data))
-	}
-	copy(st.data, m.data)
-	st.next = m.next
-	st.allocs = append(st.allocs[:0], m.allocs...)
-}
-
-// LoadState restores state saved from a memory of the same capacity.
-func (m *Memory) LoadState(st *MemState) {
-	if len(st.data) != len(m.data) {
-		panic(fmt.Sprintf("device: LoadState capacity mismatch: %d bytes, snapshot has %d", len(m.data), len(st.data)))
-	}
-	copy(m.data, st.data)
-	m.next = st.next
-	m.allocs = append(m.allocs[:0], st.allocs...)
-	m.markAllPages()
 }
 
 // PagedState is a structurally shared snapshot of a Memory: pages untouched
@@ -283,24 +249,6 @@ func (m *Memory) PagedEqual(st, base *PagedState) bool {
 		}
 	}
 	return true
-}
-
-// StateEqual reports whether the memory's current state is identical to st.
-func (m *Memory) StateEqual(st *MemState) bool {
-	if len(m.data) != len(st.data) || m.next != st.next || len(m.allocs) != len(st.allocs) {
-		return false
-	}
-	for i := range m.allocs {
-		if m.allocs[i] != st.allocs[i] {
-			return false
-		}
-	}
-	return bytes.Equal(m.data, st.data)
-}
-
-// StateBytes returns the retained size of a saved state.
-func (st *MemState) StateBytes() int64 {
-	return int64(len(st.data)) + int64(len(st.allocs))*24
 }
 
 // Replicate builds a new memory holding `copies` replicas of this memory's

@@ -149,7 +149,7 @@ func TestClone(t *testing.T) {
 	m := NewMemory(1 << 14)
 	a := m.Alloc("x", 8)
 	m.PokeU32(a, 1)
-	c := m.Clone()
+	c := m.CloneFootprint(nil)
 	c.PokeU32(a, 2)
 	if m.PeekU32(a) != 1 {
 		t.Error("clone must not share storage")
@@ -159,40 +159,60 @@ func TestClone(t *testing.T) {
 	}
 }
 
-func TestCloneUsed(t *testing.T) {
+func TestCloneFootprint(t *testing.T) {
 	m := NewMemory(1 << 16)
 	a := m.Alloc("x", 8)
 	b := m.Alloc("y", 5000) // the high-water mark lands mid-page
 	m.PokeU32(a, 1)
 	m.PokeU32(b+4996, 7)
-	c := m.CloneUsed()
-	if c.Size() != int(m.Used()) || c.Used() != m.Used() {
-		t.Fatalf("trimmed clone holds %d bytes, used %d, want %d", c.Size(), c.Used(), m.Used())
+	c := m.CloneFootprint(nil)
+	if c.Size() != m.Footprint() || c.Size()%pageBytes != 0 || c.Size() < int(m.Used()) || c.Size()-int(m.Used()) >= pageBytes || c.Used() != m.Used() {
+		t.Fatalf("footprint clone holds %d bytes, used %d: want the mark %d rounded up to a page", c.Size(), c.Used(), m.Used())
 	}
 	if c.PeekU32(a) != 1 || c.PeekU32(b+4996) != 7 {
-		t.Error("trimmed clone lost data")
+		t.Error("footprint clone lost data")
 	}
 	c.PokeU32(a, 2)
 	if m.PeekU32(a) != 1 {
-		t.Error("trimmed clone must not share storage")
+		t.Error("footprint clone must not share storage")
 	}
 	// the same accesses fault on both: nothing above the mark is reachable
 	for _, addr := range []uint32{0, a, b + 4996, b + 5000, m.Used() + 256, 1 << 15} {
 		_, e1 := m.Load4(addr)
 		_, e2 := c.Load4(addr)
 		if (e1 == nil) != (e2 == nil) {
-			t.Errorf("load at 0x%x: full image err %v, trimmed err %v", addr, e1, e2)
+			t.Errorf("load at 0x%x: full image err %v, footprint err %v", addr, e1, e2)
 		}
 		if (m.Store4(addr, 9) == nil) != (c.Store4(addr, 9) == nil) {
-			t.Errorf("store at 0x%x: full and trimmed images disagree", addr)
+			t.Errorf("store at 0x%x: full and footprint images disagree", addr)
 		}
+	}
+	// a recycled copy of the right size is reused and fully overwritten
+	c.ClearPageDirty()
+	if d := m.CloneFootprint(c); d != c || d.PeekU32(a) != m.PeekU32(a) || d.PeekU32(b+4996) != m.PeekU32(b+4996) {
+		t.Error("CloneFootprint must refill a same-sized dst in place")
+	}
+	n := 0
+	c.DirtyPages(func(lo, hi uint32) { n++ })
+	if n != c.numPages() {
+		t.Errorf("a refilled copy has %d of %d pages dirty, want all", n, c.numPages())
+	}
+	if d := m.CloneFootprint(NewMemory(1 << 12)); d.Size() != m.Footprint() {
+		t.Errorf("a wrong-sized dst gave a %d-byte copy", d.Size())
+	}
+	// an image allocated to the brim is copied whole
+	full := NewMemory(3*pageBytes + 100)
+	full.Alloc("all", full.Size()-NullGuard)
+	if got := full.CloneFootprint(nil).Size(); got != full.Size() {
+		t.Errorf("full image: footprint copy of %d bytes, want %d", got, full.Size())
 	}
 }
 
 func TestDirtyPages(t *testing.T) {
-	m := NewMemory(1 << 16)
+	// allocated to the brim of a capacity that ends mid-page
+	m := NewMemory(NullGuard + 3*pageBytes + 100)
 	a := m.Alloc("x", 3*pageBytes+100)
-	c := m.CloneUsed()
+	c := m.CloneFootprint(nil)
 	pages := func() (out [][2]uint32) {
 		c.DirtyPages(func(lo, hi uint32) { out = append(out, [2]uint32{lo, hi}) })
 		return out

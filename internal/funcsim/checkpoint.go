@@ -116,7 +116,7 @@ func (c *Checkpoints) apply(image []byte, from, to int) {
 // run also gets the shadow it needs to find a join.
 func (r *runner) resume(job *device.Job, cps *Checkpoints, k int) position {
 	b := &cps.bounds[k]
-	r.mem = job.Mem.CloneUsed()
+	r.mem = job.Mem.CloneFootprint(nil)
 	image := r.mem.Raw()
 	cps.apply(image, 0, b.writes)
 	r.res.DynInstrs, r.res.DstCands, r.res.LoadCands, r.res.UseCands = b.dyn, b.dst, b.load, b.use
@@ -148,7 +148,7 @@ func (r *runner) join(ord int, pos position) bool {
 	if candidates(inj.Mode, res.DstCands, res.LoadCands, res.UseCands) <= inj.Index {
 		return false
 	}
-	if !bytes.Equal(r.mem.PeekBytes(0, r.mem.Used()), r.shadow) {
+	if !bytes.Equal(r.mem.PeekBytes(0, uint32(r.mem.Size())), r.shadow) {
 		return false
 	}
 	res.Joined = true

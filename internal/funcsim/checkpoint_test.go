@@ -59,14 +59,15 @@ func TestResumeEveryBoundary(t *testing.T) {
 	}
 }
 
-// TestTrimmedMemoryMatchesFull: running on an image cut at the allocation
-// high-water mark gives the result of running on the full one. The full run
-// is forced by allocating the rest of the device, which moves the mark to
-// the end of memory.
+// TestTrimmedMemoryMatchesFull: running on the footprint copy of an image
+// gives the result of running on the full one. The full run is forced by
+// allocating the rest of the device, which moves the mark to the end of
+// memory (a one-copy Replicate is a full-capacity copy with the same layout
+// that can still allocate).
 func TestTrimmedMemoryMatchesFull(t *testing.T) {
 	for _, job := range allJobs() {
 		full := *job
-		full.Mem = job.Mem.Clone()
+		full.Mem, _ = job.Mem.Replicate(1, job.Mem.Size()-int(job.Mem.Used()+255)&^255)
 		full.Mem.Alloc("rest", full.Mem.Size()-int(full.Mem.Used())-256)
 		if int(full.Mem.Used()) < full.Mem.Size()-256 {
 			t.Fatalf("%s: padded to %d of %d: not a full image", job.Name, full.Mem.Used(), full.Mem.Size())

@@ -157,11 +157,11 @@ func Run(job *device.Job, opts Options) *Result {
 	if cps := opts.Resume; cps != nil {
 		pos = r.resume(job, cps, opts.ResumeAt)
 	} else {
-		r.mem = job.Mem.CloneUsed()
+		r.mem = job.Mem.CloneFootprint(nil)
 	}
 	if opts.Record {
 		res.Checkpoints = &Checkpoints{}
-		r.shadow = bytes.Clone(r.mem.PeekBytes(0, r.mem.Used()))
+		r.shadow = bytes.Clone(r.mem.PeekBytes(0, uint32(r.mem.Size())))
 		r.mem.ClearPageDirty()
 	}
 

@@ -234,7 +234,7 @@ func TestHostStepsRebase(t *testing.T) {
 	if host == nil {
 		t.Fatal("SRADv1 must have a host step")
 	}
-	m := job.Mem.Clone()
+	m := job.Mem.CloneFootprint(nil)
 	before := append([]byte(nil), m.Raw()...)
 	// run the host step against offset 0 and compare with a fresh clone to
 	// find which bytes it writes; then verify offset shifts those bytes
@@ -248,7 +248,7 @@ func TestHostStepsRebase(t *testing.T) {
 	if len(touched) == 0 {
 		t.Skip("host step wrote nothing measurable")
 	}
-	m2 := job.Mem.Clone()
+	m2 := job.Mem.CloneFootprint(nil)
 	const off = 0 // offsets beyond the image would be invalid here; the TMR
 	// integration test in internal/harden covers real rebasing
 	host(m2, off)

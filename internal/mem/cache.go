@@ -10,7 +10,9 @@
 package mem
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 
 	"gpurel/internal/device"
 )
@@ -45,6 +47,7 @@ type Cache struct {
 	sets     int
 	ways     int
 	lines    []Line // sets*ways, set-major
+	data     []byte // every line's Data, line i at [i*lineSize, (i+1)*lineSize)
 	mshrs    int
 	fills    []inflight
 	lruTick  int64
@@ -71,10 +74,11 @@ func NewCache(name string, totalBytes, lineSize, ways, mshrs int) *Cache {
 		sets:     nLines / ways,
 		ways:     ways,
 		lines:    make([]Line, nLines),
+		data:     make([]byte, nLines*lineSize),
 		mshrs:    mshrs,
 	}
 	for i := range c.lines {
-		c.lines[i].Data = make([]byte, lineSize)
+		c.lines[i].Data = c.data[i*lineSize : (i+1)*lineSize : (i+1)*lineSize]
 	}
 	return c
 }
@@ -189,34 +193,37 @@ func (c *Cache) trackFill(lineAddr uint32, now, fillLat int64) (int64, bool) {
 	return fillLat, false
 }
 
-// CacheState is a deep copy of a cache's mutable state — lines (tags,
-// valid/dirty bits, LRU stamps, data bytes), in-flight fills, the LRU clock
-// and the event counters. The checkpoint engine in internal/sim embeds one
-// per cache in its machine snapshots.
+// CacheState is a deep copy of a cache's mutable state — line metadata
+// (tags, valid/dirty bits, LRU stamps), the data array as one slab, in-flight
+// fills, the LRU clock and the event counters. The checkpoint engine in
+// internal/sim embeds one per cache in its machine snapshots.
 type CacheState struct {
-	lines   []Line
+	meta    []lineMeta
+	data    []byte
 	fills   []inflight
 	lruTick int64
 	stats   Stats
 }
 
+// lineMeta is a Line without its data.
+type lineMeta struct {
+	addr         uint32
+	valid, dirty bool
+	lru          int64
+}
+
 // SaveState deep-copies the cache's mutable state into st, reusing st's
-// buffers when they have the right shape (snapshot sets hold many of these,
-// so avoiding reallocation matters on the golden run's capture path).
+// buffers when they have the right shape.
 func (c *Cache) SaveState(st *CacheState) {
-	if len(st.lines) != len(c.lines) {
-		st.lines = make([]Line, len(c.lines))
-		for i := range st.lines {
-			st.lines[i].Data = make([]byte, c.lineSize)
-		}
+	if len(st.meta) != len(c.lines) {
+		st.meta = make([]lineMeta, len(c.lines))
+		st.data = make([]byte, len(c.data))
 	}
 	for i := range c.lines {
-		src, dst := &c.lines[i], &st.lines[i]
-		data := dst.Data
-		copy(data, src.Data)
-		*dst = *src
-		dst.Data = data
+		ln := &c.lines[i]
+		st.meta[i] = lineMeta{addr: ln.Addr, valid: ln.Valid, dirty: ln.Dirty, lru: ln.LRU}
 	}
+	copy(st.data, c.data)
 	st.fills = append(st.fills[:0], c.fills...)
 	st.lruTick = c.lruTick
 	st.stats = c.Stats
@@ -225,16 +232,14 @@ func (c *Cache) SaveState(st *CacheState) {
 // LoadState restores state saved from a geometrically identical cache,
 // overwriting every line, the fill tracker, the LRU clock and the counters.
 func (c *Cache) LoadState(st *CacheState) {
-	if len(st.lines) != len(c.lines) {
-		panic(fmt.Sprintf("mem: LoadState geometry mismatch on %s: %d lines, snapshot has %d", c.Name, len(c.lines), len(st.lines)))
+	if len(st.meta) != len(c.lines) {
+		panic(fmt.Sprintf("mem: LoadState geometry mismatch on %s: %d lines, snapshot has %d", c.Name, len(c.lines), len(st.meta)))
 	}
 	for i := range c.lines {
-		src, dst := &st.lines[i], &c.lines[i]
-		data := dst.Data
-		copy(data, src.Data)
-		*dst = *src
-		dst.Data = data
+		m, ln := &st.meta[i], &c.lines[i]
+		ln.Addr, ln.Valid, ln.Dirty, ln.LRU = m.addr, m.valid, m.dirty, m.lru
 	}
+	copy(c.data, st.data)
 	c.fills = append(c.fills[:0], st.fills...)
 	c.lruTick = st.lruTick
 	c.Stats = st.stats
@@ -246,32 +251,26 @@ func (c *Cache) LoadState(st *CacheState) {
 // Valid, and a fill overwrites the whole line), so two states differing only
 // there have identical continuations.
 func (c *Cache) StateEqual(st *CacheState) bool {
-	if len(st.lines) != len(c.lines) || c.lruTick != st.lruTick || c.Stats != st.stats {
+	if len(st.meta) != len(c.lines) || c.lruTick != st.lruTick || c.Stats != st.stats {
 		return false
 	}
-	if len(c.fills) != len(st.fills) {
+	if !slices.Equal(c.fills, st.fills) {
 		return false
 	}
-	for i := range c.fills {
-		if c.fills[i] != st.fills[i] {
-			return false
-		}
-	}
+	ls := int(c.lineSize)
 	for i := range c.lines {
-		a, b := &c.lines[i], &st.lines[i]
-		if a.Valid != b.Valid {
+		a, b := &c.lines[i], &st.meta[i]
+		if a.Valid != b.valid {
 			return false
 		}
 		if !a.Valid {
 			continue
 		}
-		if a.Addr != b.Addr || a.Dirty != b.Dirty || a.LRU != b.LRU {
+		if a.Addr != b.addr || a.Dirty != b.dirty || a.LRU != b.lru {
 			return false
 		}
-		for j := range a.Data {
-			if a.Data[j] != b.Data[j] {
-				return false
-			}
+		if !bytes.Equal(a.Data, st.data[i*ls:(i+1)*ls]) {
+			return false
 		}
 	}
 	return true
@@ -280,24 +279,17 @@ func (c *Cache) StateEqual(st *CacheState) bool {
 // StateBytes returns the retained size of a saved state (data array plus
 // per-line metadata), used for snapshot memory budgeting.
 func (st *CacheState) StateBytes() int64 {
-	var n int64
-	for i := range st.lines {
-		n += int64(len(st.lines[i].Data)) + 24
-	}
-	return n + int64(len(st.fills))*16
+	return int64(len(st.data)) + int64(len(st.meta))*24 + int64(len(st.fills))*16
 }
 
 // Reset returns the cache to its post-NewCache state: every line invalid
 // with zeroed data, no in-flight fills, LRU clock and counters at zero. The
 // run pool uses it so a recycled cache is indistinguishable from a fresh one.
 func (c *Cache) Reset() {
+	clear(c.data)
 	for i := range c.lines {
 		ln := &c.lines[i]
-		data := ln.Data
-		for j := range data {
-			data[j] = 0
-		}
-		*ln = Line{Data: data}
+		ln.Addr, ln.Valid, ln.Dirty, ln.LRU = 0, false, false, 0
 	}
 	c.fills = c.fills[:0]
 	c.lruTick = 0

@@ -1,7 +1,9 @@
 package mem
 
 import (
+	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -223,5 +225,80 @@ func TestDataBitsAndFlip(t *testing.T) {
 	c.FlipBit(3, 5, 2)
 	if c.LineAt(3).Data[5] != before {
 		t.Error("double flip must restore the byte")
+	}
+}
+
+// TestStateRoundTrip: Save, then flip a bit, fill lines and store, then Load
+// gives back a cache equal to the saved state; and the saved state itself is
+// byte-unchanged by the mutations, so the snapshot's slab never aliases the
+// live cache's.
+func TestStateRoundTrip(t *testing.T) {
+	h, dram, _, _ := newHier()
+	for a := uint32(0x1000); a < 0x1400; a += 4 {
+		dram.PokeU32(a, a*7)
+	}
+	for a := uint32(0x1000); a < 0x1200; a += 64 {
+		h.Load(dram, a, false, true, int64(a))
+		h.Store(dram, a+4, a, true, int64(a))
+	}
+	var st CacheState
+	h.L2.SaveState(&st)
+	meta := append([]lineMeta(nil), st.meta...)
+	data := append([]byte(nil), st.data...)
+	if !h.L2.StateEqual(&st) {
+		t.Fatal("a cache differs from its own saved state")
+	}
+
+	h.L2.FlipBit(0, 3, 5)
+	for a := uint32(0x1200); a < 0x1400; a += 64 { // fills of lines not yet held
+		h.Load(dram, a, false, true, 10000)
+	}
+	h.Store(dram, 0x1008, 0xFFFFFFFF, true, 10001)
+	if h.L2.StateEqual(&st) {
+		t.Fatal("mutated cache still equals the saved state")
+	}
+	if !slices.Equal(st.meta, meta) || !bytes.Equal(st.data, data) {
+		t.Fatal("mutating the cache changed a saved state")
+	}
+
+	h.L2.LoadState(&st)
+	if !h.L2.StateEqual(&st) {
+		t.Fatal("Load did not restore the saved state")
+	}
+	for i := range h.L2.lines {
+		ln := &h.L2.lines[i]
+		if &ln.Data[0] != &h.L2.data[i*64] || !bytes.Equal(ln.Data, st.data[i*64:(i+1)*64]) {
+			t.Fatalf("line %d: data not restored into its slab slot", i)
+		}
+	}
+	// the restored cache must not share storage with the state either
+	h.L2.FlipBit(0, 0, 0)
+	if !bytes.Equal(st.data, data) {
+		t.Fatal("mutating a restored cache changed the saved state")
+	}
+}
+
+// TestStateEqualIgnoresInvalidData: two states differing only in the bytes
+// of an invalid line compare equal; the same difference in a valid line
+// does not.
+func TestStateEqualIgnoresInvalidData(t *testing.T) {
+	h, dram, _, _ := newHier()
+	h.Load(dram, 0x1000, false, true, 0)
+	var st CacheState
+	h.L2.SaveState(&st)
+	valid := -1
+	for i := range h.L2.lines {
+		if h.L2.lines[i].Valid {
+			valid = i
+		}
+	}
+	invalid := (valid + 1) % h.L2.NumLines()
+	h.L2.FlipBit(invalid, 0, 0)
+	if !h.L2.StateEqual(&st) {
+		t.Error("a flip in an invalid line broke equality")
+	}
+	h.L2.FlipBit(valid, 0, 0)
+	if h.L2.StateEqual(&st) {
+		t.Error("a flip in a valid line kept equality")
 	}
 }

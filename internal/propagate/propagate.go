@@ -57,7 +57,7 @@ type Result struct {
 // Analyze runs the job once with taint tracking from the given seed.
 func Analyze(job *device.Job, seed Seed) (*Result, error) {
 	r := &runner{
-		mem:        job.Mem.Clone(),
+		mem:        job.Mem.CloneFootprint(nil),
 		res:        &Result{PredictedOutcome: "Masked"},
 		globalTnt:  map[uint32]bool{},
 		seedTarget: seed.Index,

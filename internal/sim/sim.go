@@ -507,7 +507,7 @@ func newRunner(job *device.Job, cfg gpu.Config, opts Options) *runner {
 	}
 	var pm *pooledMachine
 	if opts.Pool != nil {
-		pm = opts.Pool.get(cfg, job.Mem.Size())
+		pm = opts.Pool.get(cfg, job.Mem.Footprint())
 	}
 	if pm != nil {
 		r.sms, r.l2, r.mem = pm.sms, pm.l2, pm.mem
@@ -520,7 +520,7 @@ func newRunner(job *device.Job, cfg gpu.Config, opts Options) *runner {
 				resetSM(sm, cfg)
 			}
 			r.l2.Reset()
-			r.mem = job.Mem.CloneInto(r.mem)
+			r.mem = job.Mem.CloneFootprint(r.mem)
 		} else {
 			// Resumed runs inherit the pooled machine's page provenance:
 			// its arrays were last synced against pm.baseSnap, so a restore
@@ -528,7 +528,7 @@ func newRunner(job *device.Job, cfg gpu.Config, opts Options) *runner {
 			r.baseSnap = pm.baseSnap
 		}
 	} else {
-		r.mem = job.Mem.Clone()
+		r.mem = job.Mem.CloneFootprint(nil)
 		r.l2 = mem.NewCache("L2", cfg.L2Bytes, cfg.LineSize, cfg.L2Ways, cfg.L2MSHRs)
 		for i := 0; i < cfg.NumSMs; i++ {
 			sm := &SM{

@@ -70,6 +70,11 @@ func (s *Snapshot) Cycle() int64 { return s.cycle }
 // Bytes returns the standalone (sharing-ignored) size of the snapshot.
 func (s *Snapshot) Bytes() int64 { return s.bytes }
 
+// PageBytes returns the standalone size of the snapshot's storage pages and
+// device allocation table; the rest of Bytes() is state every snapshot
+// holds alone.
+func (s *Snapshot) PageBytes() int64 { return s.bytes - s.fixed }
+
 type smSnap struct {
 	// rfPages and smPages page the register file (rfPageWords words each)
 	// and shared memory (smPageBytes bytes each); pages untouched since the
@@ -552,7 +557,7 @@ func (s *Snapshot) pageBytes() int64 {
 // off the widened grid are evicted, preserving the invariant that every
 // retained cycle is a multiple of the current stride. Retained bytes are
 // exact under page sharing: a page aliased by several snapshots counts
-// once.
+// once (see share for why counting along the chain is enough).
 type SnapshotSet struct {
 	stride  int64
 	budget  int64
@@ -585,48 +590,51 @@ func (s *SnapshotSet) Stride() int64 { return s.stride }
 // Evicted returns the number of snapshots dropped to fit the budget.
 func (s *SnapshotSet) Evicted() int64 { return s.evicted }
 
-// recount recomputes the exact retained bytes of the set: each snapshot's
-// fixed state plus every distinct storage page, identified by its backing
-// array. The maps are used for membership only (never iterated), so the
-// walk is deterministic.
+// recount recomputes the retained bytes of the set in one pass over its
+// snapshots, each adding its share against the one before it.
 func (s *SnapshotSet) recount() {
 	var n int64
-	seenB := make(map[*byte]struct{})
-	seenW := make(map[*uint32]struct{})
+	var prev *Snapshot
 	for _, snap := range s.snaps {
-		n += snap.fixed
-		for _, pg := range snap.dmem.Pages() {
-			if len(pg) == 0 {
-				continue
-			}
-			if _, ok := seenB[&pg[0]]; !ok {
-				seenB[&pg[0]] = struct{}{}
-				n += int64(len(pg))
-			}
-		}
-		for i := range snap.sms {
-			sm := &snap.sms[i]
-			for _, pg := range sm.rfPages {
-				if len(pg) == 0 {
-					continue
-				}
-				if _, ok := seenW[&pg[0]]; !ok {
-					seenW[&pg[0]] = struct{}{}
-					n += int64(len(pg)) * 4
-				}
-			}
-			for _, pg := range sm.smPages {
-				if len(pg) == 0 {
-					continue
-				}
-				if _, ok := seenB[&pg[0]]; !ok {
-					seenB[&pg[0]] = struct{}{}
-					n += int64(len(pg))
-				}
-			}
-		}
+		n += snap.share(prev)
+		prev = snap
 	}
 	s.bytes = n
+}
+
+// share returns what snap adds to the retained bytes of a set whose previous
+// retained snapshot is prev (nil for the first): its fixed state plus every
+// storage page that does not alias prev's page at the same index.
+//
+// That is the exact distinct-page total. A capture aliases only its
+// provenance base's page at the same index, and the base is the capture
+// before it, so the captures holding one page array form a consecutive run;
+// the retained snapshots holding it are then consecutive in the set too,
+// and the array is counted once, at the first of them. Eviction keeps this
+// true: dropping a snapshot from the middle of a run leaves its neighbours
+// holding the array adjacent.
+func (snap *Snapshot) share(prev *Snapshot) int64 {
+	if prev == nil {
+		prev = &Snapshot{sms: make([]smSnap, len(snap.sms))} // shares nothing
+	}
+	n := snap.fixed + freshPages(snap.dmem.Pages(), prev.dmem.Pages(), 1)
+	for i := range snap.sms {
+		sm, ps := &snap.sms[i], &prev.sms[i]
+		n += freshPages(sm.rfPages, ps.rfPages, 4) + freshPages(sm.smPages, ps.smPages, 1)
+	}
+	return n
+}
+
+// freshPages sums the sizes of the pages that do not alias prev's page at
+// the same index; elem is the element size in bytes.
+func freshPages[T uint32 | byte](pages, prev [][]T, elem int64) int64 {
+	var n int64
+	for p, pg := range pages {
+		if p >= len(prev) || !sharedPage(pg, prev[p]) {
+			n += int64(len(pg)) * elem
+		}
+	}
+	return n
 }
 
 // nextGrid returns the first cycle after c on the set's stride grid — the
@@ -644,14 +652,22 @@ func (s *SnapshotSet) nextGrid(c int64) int64 {
 // offer captures a snapshot of the runner, whose cycle the caller has found
 // on the stride grid (nextGrid), then enforces the budget.
 func (s *SnapshotSet) offer(r *runner) {
-	snap := r.capture()
-	s.snaps = append(s.snaps, snap)
-	s.recount()
+	s.add(r.capture())
 	for s.budget > 0 && s.bytes > s.budget {
 		if !s.widen() {
 			break
 		}
 	}
+}
+
+// add appends a snapshot taken after every retained one, in O(its pages).
+func (s *SnapshotSet) add(snap *Snapshot) {
+	var prev *Snapshot
+	if n := len(s.snaps); n > 0 {
+		prev = s.snaps[n-1]
+	}
+	s.snaps = append(s.snaps, snap)
+	s.bytes += snap.share(prev)
 }
 
 // widen doubles the stride and evicts snapshots off the widened grid. When
@@ -723,7 +739,7 @@ func (s *SnapshotSet) at(c int64) *Snapshot {
 // memories, caches, device memory image) across runs so a campaign's
 // per-run cost is simulation, not allocation. Safe for concurrent use. A
 // pooled machine is only reused for an identical configuration and device
-// memory capacity; fresh runs reset it to pristine state first, resumed
+// memory footprint (device.Memory.Footprint); fresh runs reset it to pristine state first, resumed
 // runs are overwritten wholesale by the snapshot restore.
 type RunPool struct {
 	pool sync.Pool
@@ -733,24 +749,24 @@ type RunPool struct {
 func NewRunPool() *RunPool { return &RunPool{} }
 
 type pooledMachine struct {
-	cfg    gpu.Config
-	memCap int
-	sms    []*SM
-	l2     *mem.Cache
-	mem    *device.Memory
+	cfg       gpu.Config
+	footprint int
+	sms       []*SM
+	l2        *mem.Cache
+	mem       *device.Memory
 	// baseSnap is the provenance the machine's page-dirty bits were last
 	// synced against; it travels with the arrays so a resumed run can
 	// restore copy-on-write instead of wholesale.
 	baseSnap *Snapshot
 }
 
-func (p *RunPool) get(cfg gpu.Config, memCap int) *pooledMachine {
+func (p *RunPool) get(cfg gpu.Config, footprint int) *pooledMachine {
 	v := p.pool.Get()
 	if v == nil {
 		return nil
 	}
 	pm := v.(*pooledMachine)
-	if pm.cfg != cfg || pm.memCap != memCap {
+	if pm.cfg != cfg || pm.footprint != footprint {
 		// Wrong geometry: drop it; the next put replaces it with a matching
 		// machine.
 		return nil
@@ -759,5 +775,5 @@ func (p *RunPool) get(cfg gpu.Config, memCap int) *pooledMachine {
 }
 
 func (p *RunPool) put(r *runner) {
-	p.pool.Put(&pooledMachine{cfg: r.cfg, memCap: r.mem.Size(), sms: r.sms, l2: r.l2, mem: r.mem, baseSnap: r.baseSnap})
+	p.pool.Put(&pooledMachine{cfg: r.cfg, footprint: r.mem.Size(), sms: r.sms, l2: r.l2, mem: r.mem, baseSnap: r.baseSnap})
 }

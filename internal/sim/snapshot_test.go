@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gpurel/internal/gpu"
+	"gpurel/internal/kernels"
 )
 
 // resultsEqual compares everything a Result carries that injection
@@ -288,5 +289,96 @@ func TestSnapshotBudgetWidensLive(t *testing.T) {
 	}
 	if tight.Stride() != 0 && tight.Stride() <= probe.stride {
 		t.Errorf("stride did not widen: %d <= %d", tight.Stride(), probe.stride)
+	}
+}
+
+// distinctBytes is the set's retained size counted the direct way: every
+// snapshot's fixed state plus each distinct storage page once, identified
+// by its backing array.
+func distinctBytes(s *SnapshotSet) int64 {
+	var n int64
+	seenB := map[*byte]bool{}
+	seenW := map[*uint32]bool{}
+	bytePages := func(pages [][]byte) {
+		for _, pg := range pages {
+			if len(pg) > 0 && !seenB[&pg[0]] {
+				seenB[&pg[0]] = true
+				n += int64(len(pg))
+			}
+		}
+	}
+	for _, snap := range s.snaps {
+		n += snap.fixed
+		bytePages(snap.dmem.Pages())
+		for i := range snap.sms {
+			sm := &snap.sms[i]
+			for _, pg := range sm.rfPages {
+				if len(pg) > 0 && !seenW[&pg[0]] {
+					seenW[&pg[0]] = true
+					n += int64(len(pg)) * 4
+				}
+			}
+			bytePages(sm.smPages)
+		}
+	}
+	return n
+}
+
+// TestChainCountMatchesDistinct: the set's chain-counted Bytes equals the
+// direct distinct-page count after every add and every widen, on a dense
+// grid under a budget that widens it at least twice, for three apps. The
+// snapshots of an unbudgeted run are fed to a budgeted set on the same
+// grid the run loop would offer them on, so each one's provenance base is
+// often a snapshot the set has already evicted; a live budgeted run must
+// end on the same count too.
+func TestChainCountMatchesDistinct(t *testing.T) {
+	cfg := gpu.Volta()
+	for _, name := range []string{"PathFinder", "HotSpot", "LUD"} {
+		app, err := kernels.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		job := app.Build()
+		golden := Run(job, cfg, Options{})
+		stride := golden.Cycles/128 + 1
+		ref := NewSnapshotSet(stride, 0)
+		Run(job, cfg, Options{Checkpoint: ref})
+		if got, want := ref.Bytes(), distinctBytes(ref); got != want {
+			t.Fatalf("%s: unbudgeted set counts %d bytes, distinct pages give %d", name, got, want)
+		}
+		budget := ref.Bytes() / 5
+
+		s := NewSnapshotSet(stride, budget)
+		for _, snap := range ref.snaps {
+			if s.stride == 0 {
+				break
+			}
+			if snap.cycle%s.stride != 0 {
+				continue
+			}
+			s.add(snap)
+			if got, want := s.Bytes(), distinctBytes(s); got != want {
+				t.Fatalf("%s: after adding cycle %d: %d bytes, distinct pages give %d", name, snap.cycle, got, want)
+			}
+			for s.bytes > s.budget && s.widen() {
+				if got, want := s.Bytes(), distinctBytes(s); got != want {
+					t.Fatalf("%s: after widening to %d: %d bytes, distinct pages give %d", name, s.stride, got, want)
+				}
+			}
+		}
+		if s.Stride() < 4*stride {
+			t.Errorf("%s: stride widened from %d to %d, want at least two doublings", name, stride, s.Stride())
+		}
+
+		live := NewSnapshotSet(stride, budget)
+		Run(job, cfg, Options{Checkpoint: live})
+		if got, want := live.Bytes(), distinctBytes(live); got != want || got > budget {
+			t.Errorf("%s: live budgeted set counts %d bytes, distinct pages give %d, budget %d", name, got, want, budget)
+		}
+		if live.Stride() < 4*stride {
+			t.Errorf("%s: live stride widened from %d to %d, want at least two doublings", name, stride, live.Stride())
+		}
+		t.Logf("%s: %d of %d snapshots in %.1f of %.1f MB at stride %d (from %d)", name,
+			live.Len(), ref.Len(), float64(live.Bytes())/(1<<20), float64(ref.Bytes())/(1<<20), live.Stride(), stride)
 	}
 }
