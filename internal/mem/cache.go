@@ -12,6 +12,7 @@ package mem
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"slices"
 
 	"gpurel/internal/device"
@@ -22,6 +23,7 @@ type Line struct {
 	Addr  uint32 // line-aligned base address (serves as the tag)
 	Valid bool
 	Dirty bool
+	set   uint16 // the set holding the line, so marking it needs no division
 	LRU   int64
 	Data  []byte
 }
@@ -59,13 +61,20 @@ type Cache struct {
 	// or compared.
 	lastWay int
 
+	// sdirty is the per-set write bitset backing copy-on-write snapshots:
+	// bit s set means set s may have diverged from the provenance state the
+	// checkpoint engine last synced against. Every mutation of a line —
+	// fill, LRU update, store, bit flip, invalidation, writeback clean,
+	// reset — marks its set; lookup only reads and marks nothing.
+	sdirty []uint64
+
 	Stats Stats
 }
 
 // NewCache builds a cache of totalBytes capacity.
 func NewCache(name string, totalBytes, lineSize, ways, mshrs int) *Cache {
 	nLines := totalBytes / lineSize
-	if nLines == 0 || nLines%ways != 0 {
+	if nLines == 0 || nLines%ways != 0 || nLines/ways > math.MaxUint16+1 {
 		panic(fmt.Sprintf("mem: bad cache geometry for %s: %d bytes, %d-byte lines, %d ways", name, totalBytes, lineSize, ways))
 	}
 	c := &Cache{
@@ -76,10 +85,13 @@ func NewCache(name string, totalBytes, lineSize, ways, mshrs int) *Cache {
 		lines:    make([]Line, nLines),
 		data:     make([]byte, nLines*lineSize),
 		mshrs:    mshrs,
+		sdirty:   make([]uint64, (nLines/ways+63)/64),
 	}
 	for i := range c.lines {
 		c.lines[i].Data = c.data[i*lineSize : (i+1)*lineSize : (i+1)*lineSize]
+		c.lines[i].set = uint16(i / ways)
 	}
+	c.markAllSets()
 	return c
 }
 
@@ -100,6 +112,7 @@ func (c *Cache) DataBits() int64 { return int64(len(c.lines)) * int64(c.lineSize
 // scope (as in gpuFI-4).
 func (c *Cache) FlipBit(i int, off uint32, b uint8) {
 	c.lines[i].Data[off] ^= 1 << (b & 7)
+	c.markSet(i / c.ways)
 }
 
 // SetBit forces one data-array bit to v, regardless of its current value.
@@ -111,7 +124,22 @@ func (c *Cache) SetBit(i int, off uint32, b uint8, v bool) {
 	} else {
 		c.lines[i].Data[off] &^= 1 << (b & 7)
 	}
+	c.markSet(i / c.ways)
 }
+
+func (c *Cache) markSet(s int) { c.sdirty[s>>6] |= 1 << (s & 63) }
+
+func (c *Cache) setDirty(s int) bool { return c.sdirty[s>>6]&(1<<(s&63)) != 0 }
+
+func (c *Cache) markAllSets() {
+	for i := range c.sdirty {
+		c.sdirty[i] = ^uint64(0)
+	}
+}
+
+// ClearPageDirty clears the per-set snapshot bits. Only the checkpoint
+// engine calls it, at provenance sync points.
+func (c *Cache) ClearPageDirty() { clear(c.sdirty) }
 
 func (c *Cache) setOf(lineAddr uint32) int {
 	return int(lineAddr/c.lineSize) % c.sets
@@ -136,9 +164,11 @@ func (c *Cache) lookup(lineAddr uint32) *Line {
 	return nil
 }
 
-// victim picks the LRU way of the set for lineAddr.
+// victim picks the LRU way of the set for lineAddr, which the caller then
+// fills: the set is marked.
 func (c *Cache) victim(lineAddr uint32) *Line {
 	set := c.setOf(lineAddr)
+	c.markSet(set)
 	best := &c.lines[set*c.ways]
 	for w := 1; w < c.ways; w++ {
 		ln := &c.lines[set*c.ways+w]
@@ -152,9 +182,12 @@ func (c *Cache) victim(lineAddr uint32) *Line {
 	return best
 }
 
+// touch stamps ln as most recently used and marks its set. Every hit and
+// every fill ends here, so a line's LRU stamp never changes unmarked.
 func (c *Cache) touch(ln *Line) {
 	c.lruTick++
 	ln.LRU = c.lruTick
+	c.markSet(int(ln.set))
 }
 
 // trackFill records an in-flight fill and returns (extraLatency, pendingHit).
@@ -193,16 +226,25 @@ func (c *Cache) trackFill(lineAddr uint32, now, fillLat int64) (int64, bool) {
 	return fillLat, false
 }
 
-// CacheState is a deep copy of a cache's mutable state — line metadata
-// (tags, valid/dirty bits, LRU stamps), the data array as one slab, in-flight
-// fills, the LRU clock and the event counters. The checkpoint engine in
-// internal/sim embeds one per cache in its machine snapshots.
+// CacheState is a structurally shared copy of a cache's mutable state: one
+// page per set, holding that set's line metadata (tags, valid/dirty bits,
+// LRU stamps) and data, plus the in-flight fills, the LRU clock and the
+// event counters. A set untouched since the previous save aliases the
+// previous state's page instead of being copied. Immutable once saved. The
+// checkpoint engine in internal/sim embeds one per cache in its machine
+// snapshots.
 type CacheState struct {
-	meta    []lineMeta
-	data    []byte
+	sets    []*SetPage
 	fills   []inflight
 	lruTick int64
 	stats   Stats
+}
+
+// SetPage is one set of a saved cache state. A page shared between states
+// is the same *SetPage in each.
+type SetPage struct {
+	meta []lineMeta
+	data []byte
 }
 
 // lineMeta is a Line without its data.
@@ -212,74 +254,135 @@ type lineMeta struct {
 	lru          int64
 }
 
-// SaveState deep-copies the cache's mutable state into st, reusing st's
-// buffers when they have the right shape.
-func (c *Cache) SaveState(st *CacheState) {
-	if len(st.meta) != len(c.lines) {
-		st.meta = make([]lineMeta, len(c.lines))
-		st.data = make([]byte, len(c.data))
+func (ln *Line) meta() lineMeta {
+	return lineMeta{addr: ln.Addr, valid: ln.Valid, dirty: ln.Dirty, lru: ln.LRU}
+}
+
+// setData returns the slab bytes of set s's lines.
+func (c *Cache) setData(s int) []byte {
+	n := c.ways * int(c.lineSize)
+	return c.data[s*n : (s+1)*n]
+}
+
+// inPlace reports whether set s already equals page pg: it is clean against
+// base, and pg is base's page.
+func (c *Cache) inPlace(s int, pg *SetPage, base *CacheState) bool {
+	return base != nil && !c.setDirty(s) && pg == base.sets[s]
+}
+
+// Bytes returns the retained size of the page: data, metadata and header.
+func (p *SetPage) Bytes() int64 {
+	return int64(len(p.data)) + int64(len(p.meta))*16 + 48
+}
+
+// Pages exposes the set pages for retained-byte accounting. Callers must
+// treat them as read-only.
+func (st *CacheState) Pages() []*SetPage { return st.sets }
+
+// FixedBytes returns the retained size of everything but the set pages:
+// the page table, the in-flight fills, the clock and the counters.
+func (st *CacheState) FixedBytes() int64 {
+	return int64(len(st.sets))*8 + int64(len(st.fills))*16 + 80
+}
+
+// SaveState snapshots the cache into st. Sets whose dirty bit is clear are
+// shared with prev — the caller guarantees prev is the provenance base the
+// dirty bits are relative to (every clean set is bit-identical to prev's
+// page). prev nil forces a full copy. Dirty bits are left untouched; the
+// caller clears them when it re-bases its provenance on the new state.
+func (c *Cache) SaveState(st, prev *CacheState) {
+	st.sets = make([]*SetPage, c.sets)
+	for s := range st.sets {
+		if prev != nil && !c.setDirty(s) {
+			st.sets[s] = prev.sets[s]
+			continue
+		}
+		pg := &SetPage{meta: make([]lineMeta, c.ways), data: slices.Clone(c.setData(s))}
+		for w := range pg.meta {
+			pg.meta[w] = c.lines[s*c.ways+w].meta()
+		}
+		st.sets[s] = pg
 	}
-	for i := range c.lines {
-		ln := &c.lines[i]
-		st.meta[i] = lineMeta{addr: ln.Addr, valid: ln.Valid, dirty: ln.Dirty, lru: ln.LRU}
-	}
-	copy(st.data, c.data)
-	st.fills = append(st.fills[:0], c.fills...)
+	st.fills = slices.Clone(c.fills)
 	st.lruTick = c.lruTick
 	st.stats = c.Stats
 }
 
-// LoadState restores state saved from a geometrically identical cache,
-// overwriting every line, the fill tracker, the LRU clock and the counters.
-func (c *Cache) LoadState(st *CacheState) {
-	if len(st.meta) != len(c.lines) {
-		panic(fmt.Sprintf("mem: LoadState geometry mismatch on %s: %d lines, snapshot has %d", c.Name, len(c.lines), len(st.meta)))
+// LoadState restores state saved from a geometrically identical cache. base
+// is the provenance state the cache's dirty bits are relative to: a set that
+// is clean and shares its page between st and base is already bit-identical
+// and is skipped. base nil forces a full copy. The caller re-bases
+// provenance afterwards.
+func (c *Cache) LoadState(st, base *CacheState) {
+	if len(st.sets) != c.sets {
+		panic(fmt.Sprintf("mem: LoadState geometry mismatch on %s: %d sets, snapshot has %d", c.Name, c.sets, len(st.sets)))
 	}
-	for i := range c.lines {
-		m, ln := &st.meta[i], &c.lines[i]
-		ln.Addr, ln.Valid, ln.Dirty, ln.LRU = m.addr, m.valid, m.dirty, m.lru
+	for s, pg := range st.sets {
+		if c.inPlace(s, pg, base) {
+			continue
+		}
+		for w, m := range pg.meta {
+			ln := &c.lines[s*c.ways+w]
+			ln.Addr, ln.Valid, ln.Dirty, ln.LRU = m.addr, m.valid, m.dirty, m.lru
+		}
+		copy(c.setData(s), pg.data)
 	}
-	copy(c.data, st.data)
 	c.fills = append(c.fills[:0], st.fills...)
 	c.lruTick = st.lruTick
 	c.Stats = st.stats
 }
 
-// StateEqual reports whether the cache's current state is identical to st.
-// Data bytes of invalid lines are excluded from the comparison: they are
-// architecturally unobservable (lookup and dirty writeback both require
-// Valid, and a fill overwrites the whole line), so two states differing only
-// there have identical continuations.
-func (c *Cache) StateEqual(st *CacheState) bool {
-	if len(st.meta) != len(c.lines) || c.lruTick != st.lruTick || c.Stats != st.stats {
+// StateEqual reports whether the cache's current state is identical to st,
+// using the same clean-and-shared fast path as LoadState. Data bytes of
+// invalid lines are excluded from the comparison: they are architecturally
+// unobservable (lookup and dirty writeback both require Valid, and a fill
+// overwrites the whole line), so two states differing only there have
+// identical continuations.
+func (c *Cache) StateEqual(st, base *CacheState) bool {
+	if len(st.sets) != c.sets || c.lruTick != st.lruTick || c.Stats != st.stats {
 		return false
 	}
 	if !slices.Equal(c.fills, st.fills) {
 		return false
 	}
 	ls := int(c.lineSize)
-	for i := range c.lines {
-		a, b := &c.lines[i], &st.meta[i]
-		if a.Valid != b.valid {
-			return false
-		}
-		if !a.Valid {
+	for s, pg := range st.sets {
+		if c.inPlace(s, pg, base) {
 			continue
 		}
-		if a.Addr != b.addr || a.Dirty != b.dirty || a.LRU != b.lru {
-			return false
-		}
-		if !bytes.Equal(a.Data, st.data[i*ls:(i+1)*ls]) {
-			return false
+		for w, m := range pg.meta {
+			ln := &c.lines[s*c.ways+w]
+			if ln.Valid != m.valid {
+				return false
+			}
+			if ln.Valid && (ln.meta() != m || !bytes.Equal(ln.Data, pg.data[w*ls:(w+1)*ls])) {
+				return false
+			}
 		}
 	}
 	return true
 }
 
-// StateBytes returns the retained size of a saved state (data array plus
-// per-line metadata), used for snapshot memory budgeting.
-func (st *CacheState) StateBytes() int64 {
-	return int64(len(st.data)) + int64(len(st.meta))*24 + int64(len(st.fills))*16
+// UnmarkedDiff returns the first set whose dirty bit is clear although its
+// lines differ from base's page for that set — in any metadata field or any
+// data byte, of valid and invalid lines alike — or -1. With sound marking it
+// is always -1: it is the oracle tests audit the dirty bits against, and no
+// run calls it.
+func (c *Cache) UnmarkedDiff(base *CacheState) int {
+	for s, pg := range base.sets {
+		if c.setDirty(s) {
+			continue
+		}
+		if !bytes.Equal(c.setData(s), pg.data) {
+			return s
+		}
+		for w, m := range pg.meta {
+			if c.lines[s*c.ways+w].meta() != m {
+				return s
+			}
+		}
+	}
+	return -1
 }
 
 // Reset returns the cache to its post-NewCache state: every line invalid
@@ -294,25 +397,32 @@ func (c *Cache) Reset() {
 	c.fills = c.fills[:0]
 	c.lruTick = 0
 	c.Stats = Stats{}
+	c.markAllSets()
 }
 
 // InvalidateAll drops every line. Dirty data is lost, so only call it on
-// write-through caches or after FlushTo.
+// write-through caches or after FlushTo. It marks the sets of the lines it
+// changes; a set whose lines are all invalid and clean already is left as is.
 func (c *Cache) InvalidateAll() {
 	for i := range c.lines {
-		c.lines[i].Valid = false
-		c.lines[i].Dirty = false
+		ln := &c.lines[i]
+		if ln.Valid || ln.Dirty {
+			ln.Valid, ln.Dirty = false, false
+			c.markSet(int(ln.set))
+		}
 	}
 	c.fills = c.fills[:0]
 }
 
-// FlushTo writes every dirty line back to DRAM and cleans it.
+// FlushTo writes every dirty line back to DRAM and cleans it, marking the
+// sets of the lines it cleans.
 func (c *Cache) FlushTo(dram *device.Memory) {
 	for i := range c.lines {
 		ln := &c.lines[i]
 		if ln.Valid && ln.Dirty {
 			dram.WriteAt(ln.Addr, ln.Data)
 			ln.Dirty = false
+			c.markSet(int(ln.set))
 		}
 	}
 }
@@ -415,6 +525,7 @@ func (h *Hierarchy) Store(dram *device.Memory, addr uint32, val uint32, first bo
 	}
 	putLE32(l2ln.Data[off:], val)
 	l2ln.Dirty = true
+	h.L2.markSet(int(l2ln.set)) // a non-first store hit skips touch
 	return lat + l2lat
 }
 

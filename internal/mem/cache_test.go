@@ -228,10 +228,29 @@ func TestDataBitsAndFlip(t *testing.T) {
 	}
 }
 
+// pageCopy deep-copies every page of a saved state, so a test can check
+// later that the state itself never changed.
+func pageCopy(st *CacheState) []SetPage {
+	out := make([]SetPage, len(st.sets))
+	for s, pg := range st.sets {
+		out[s] = SetPage{meta: slices.Clone(pg.meta), data: slices.Clone(pg.data)}
+	}
+	return out
+}
+
+func samePages(st *CacheState, want []SetPage) bool {
+	for s, pg := range st.sets {
+		if !slices.Equal(pg.meta, want[s].meta) || !bytes.Equal(pg.data, want[s].data) {
+			return false
+		}
+	}
+	return len(st.sets) == len(want)
+}
+
 // TestStateRoundTrip: Save, then flip a bit, fill lines and store, then Load
 // gives back a cache equal to the saved state; and the saved state itself is
-// byte-unchanged by the mutations, so the snapshot's slab never aliases the
-// live cache's.
+// byte-unchanged by the mutations, so the snapshot's pages never alias the
+// live cache's slab.
 func TestStateRoundTrip(t *testing.T) {
 	h, dram, _, _ := newHier()
 	for a := uint32(0x1000); a < 0x1400; a += 4 {
@@ -242,10 +261,9 @@ func TestStateRoundTrip(t *testing.T) {
 		h.Store(dram, a+4, a, true, int64(a))
 	}
 	var st CacheState
-	h.L2.SaveState(&st)
-	meta := append([]lineMeta(nil), st.meta...)
-	data := append([]byte(nil), st.data...)
-	if !h.L2.StateEqual(&st) {
+	h.L2.SaveState(&st, nil)
+	pages := pageCopy(&st)
+	if !h.L2.StateEqual(&st, nil) {
 		t.Fatal("a cache differs from its own saved state")
 	}
 
@@ -254,26 +272,27 @@ func TestStateRoundTrip(t *testing.T) {
 		h.Load(dram, a, false, true, 10000)
 	}
 	h.Store(dram, 0x1008, 0xFFFFFFFF, true, 10001)
-	if h.L2.StateEqual(&st) {
+	if h.L2.StateEqual(&st, nil) {
 		t.Fatal("mutated cache still equals the saved state")
 	}
-	if !slices.Equal(st.meta, meta) || !bytes.Equal(st.data, data) {
+	if !samePages(&st, pages) {
 		t.Fatal("mutating the cache changed a saved state")
 	}
 
-	h.L2.LoadState(&st)
-	if !h.L2.StateEqual(&st) {
+	h.L2.LoadState(&st, nil)
+	if !h.L2.StateEqual(&st, nil) {
 		t.Fatal("Load did not restore the saved state")
 	}
 	for i := range h.L2.lines {
 		ln := &h.L2.lines[i]
-		if &ln.Data[0] != &h.L2.data[i*64] || !bytes.Equal(ln.Data, st.data[i*64:(i+1)*64]) {
+		pg, w := st.sets[i/h.L2.ways], i%h.L2.ways
+		if &ln.Data[0] != &h.L2.data[i*64] || !bytes.Equal(ln.Data, pg.data[w*64:(w+1)*64]) {
 			t.Fatalf("line %d: data not restored into its slab slot", i)
 		}
 	}
 	// the restored cache must not share storage with the state either
 	h.L2.FlipBit(0, 0, 0)
-	if !bytes.Equal(st.data, data) {
+	if !samePages(&st, pages) {
 		t.Fatal("mutating a restored cache changed the saved state")
 	}
 }
@@ -285,7 +304,7 @@ func TestStateEqualIgnoresInvalidData(t *testing.T) {
 	h, dram, _, _ := newHier()
 	h.Load(dram, 0x1000, false, true, 0)
 	var st CacheState
-	h.L2.SaveState(&st)
+	h.L2.SaveState(&st, nil)
 	valid := -1
 	for i := range h.L2.lines {
 		if h.L2.lines[i].Valid {
@@ -294,11 +313,163 @@ func TestStateEqualIgnoresInvalidData(t *testing.T) {
 	}
 	invalid := (valid + 1) % h.L2.NumLines()
 	h.L2.FlipBit(invalid, 0, 0)
-	if !h.L2.StateEqual(&st) {
+	if !h.L2.StateEqual(&st, nil) {
 		t.Error("a flip in an invalid line broke equality")
 	}
 	h.L2.FlipBit(valid, 0, 0)
-	if h.L2.StateEqual(&st) {
+	if h.L2.StateEqual(&st, nil) {
 		t.Error("a flip in a valid line kept equality")
+	}
+}
+
+// dirtySets lists the sets whose snapshot bit is set.
+func dirtySets(c *Cache) []int {
+	var out []int
+	for s := 0; s < c.sets; s++ {
+		if c.setDirty(s) {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// warmHier returns a hierarchy whose three caches hold a mix of valid,
+// dirty and invalid lines, with every snapshot bit cleared.
+func warmHier() (*Hierarchy, *device.Memory) {
+	h, dram, _, _ := newHier()
+	for a := uint32(0x1000); a < 0x1800; a += 4 {
+		dram.PokeU32(a, a*3)
+	}
+	for a := uint32(0x1000); a < 0x1400; a += 64 {
+		h.Load(dram, a, false, true, int64(a))
+		h.Load(dram, a+0x400, true, true, int64(a))
+	}
+	h.Store(dram, 0x1040, 7, true, 1)
+	for _, c := range []*Cache{h.L1D, h.L1T, h.L2} {
+		c.ClearPageDirty()
+	}
+	return h, dram
+}
+
+// lineOf returns the index of the valid line holding addr, or -1.
+func lineOf(c *Cache, addr uint32) int {
+	for i := range c.lines {
+		if ln := &c.lines[i]; ln.Valid && ln.Addr == addr&^(c.lineSize-1) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestMutationsMarkTheirSet: every path that changes a line marks exactly
+// the set it changed — fills, LRU updates, the L1D store hit, the L2 store
+// that skips touch, FlipBit, SetBit, InvalidateAll, FlushTo and Reset — and
+// the read-only paths mark nothing.
+func TestMutationsMarkTheirSet(t *testing.T) {
+	set := func(c *Cache, addr uint32) int { return c.setOf(addr &^ (c.lineSize - 1)) }
+	cases := []struct {
+		name  string
+		cache func(h *Hierarchy) *Cache
+		do    func(h *Hierarchy, dram *device.Memory)
+		want  func(h *Hierarchy) []int
+	}{
+		{"fill", func(h *Hierarchy) *Cache { return h.L1D },
+			func(h *Hierarchy, dram *device.Memory) { h.Load(dram, 0x1600, false, true, 50) },
+			func(h *Hierarchy) []int { return []int{set(h.L1D, 0x1600)} }},
+		{"l2-fill", func(h *Hierarchy) *Cache { return h.L2 },
+			func(h *Hierarchy, dram *device.Memory) { h.Load(dram, 0x1600, false, true, 50) },
+			func(h *Hierarchy) []int { return []int{set(h.L2, 0x1600)} }},
+		{"touch", func(h *Hierarchy) *Cache { return h.L1T },
+			func(h *Hierarchy, dram *device.Memory) { h.Load(dram, 0x1440, true, true, 50) },
+			func(h *Hierarchy) []int { return []int{set(h.L1T, 0x1440)} }},
+		{"l1d-store-hit", func(h *Hierarchy) *Cache { return h.L1D },
+			func(h *Hierarchy, dram *device.Memory) { h.Store(dram, 0x1384, 9, true, 50) },
+			func(h *Hierarchy) []int { return []int{set(h.L1D, 0x1384)} }},
+		{"l2-non-first-store", func(h *Hierarchy) *Cache { return h.L2 },
+			func(h *Hierarchy, dram *device.Memory) { h.Store(dram, 0x1048, 9, false, 50) },
+			func(h *Hierarchy) []int { return []int{set(h.L2, 0x1048)} }},
+		{"flip", func(h *Hierarchy) *Cache { return h.L2 },
+			func(h *Hierarchy, dram *device.Memory) { h.L2.FlipBit(13, 2, 1) },
+			func(h *Hierarchy) []int { return []int{13 / h.L2.ways} }},
+		{"set-bit", func(h *Hierarchy) *Cache { return h.L1D },
+			func(h *Hierarchy, dram *device.Memory) { h.L1D.SetBit(6, 2, 1, true) },
+			func(h *Hierarchy) []int { return []int{6 / h.L1D.ways} }},
+		{"invalidate", func(h *Hierarchy) *Cache { return h.L1D },
+			func(h *Hierarchy, dram *device.Memory) { h.L1D.InvalidateAll() },
+			func(h *Hierarchy) []int { return []int{0, 1, 2, 3} }},
+		{"flush", func(h *Hierarchy) *Cache { return h.L2 },
+			func(h *Hierarchy, dram *device.Memory) { h.L2.FlushTo(dram) },
+			func(h *Hierarchy) []int { return []int{set(h.L2, 0x1040)} }},
+		{"reset", func(h *Hierarchy) *Cache { return h.L1T },
+			func(h *Hierarchy, dram *device.Memory) { h.L1T.Reset() },
+			func(h *Hierarchy) []int { return []int{0, 1} }},
+		{"load-hit-not-first", func(h *Hierarchy) *Cache { return h.L1D },
+			func(h *Hierarchy, dram *device.Memory) { h.Load(dram, 0x1380, false, false, 50) },
+			func(h *Hierarchy) []int { return nil }},
+		{"lookup", func(h *Hierarchy) *Cache { return h.L2 },
+			func(h *Hierarchy, dram *device.Memory) { h.L2.lookup(0x1040) },
+			func(h *Hierarchy) []int { return nil }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			h, dram := warmHier()
+			cache := c.cache(h)
+			var before CacheState
+			cache.SaveState(&before, nil)
+			c.do(h, dram)
+			if got, want := dirtySets(cache), c.want(h); !slices.Equal(got, want) {
+				t.Errorf("marked sets %v, want %v", got, want)
+			}
+			if s := cache.UnmarkedDiff(&before); s >= 0 {
+				t.Errorf("set %d changed without its mark", s)
+			}
+		})
+	}
+}
+
+// TestSaveSharesUnmarkedSets: a save against a previous state shares exactly
+// the sets left unmarked since it and copies the rest; restoring a live cache
+// from the shared state round-trips to StateEqual, with and without the base
+// fast path; and a saved page is byte-unchanged by later mutations.
+func TestSaveSharesUnmarkedSets(t *testing.T) {
+	h, dram := warmHier()
+	var prev CacheState
+	h.L2.SaveState(&prev, nil)
+	h.L2.ClearPageDirty()
+	h.Store(dram, 0x1088, 5, true, 60)
+	h.Load(dram, 0x1700, false, true, 61)
+	h.L2.FlipBit(lineOf(h.L2, 0x11C0), 0, 3)
+	marked := dirtySets(h.L2)
+	if len(marked) != 3 {
+		t.Fatalf("marked sets %v, want three", marked)
+	}
+	var st CacheState
+	h.L2.SaveState(&st, &prev)
+	for s, pg := range st.sets {
+		if shared := pg == prev.sets[s]; shared == slices.Contains(marked, s) {
+			t.Errorf("set %d: shared %v, marked %v", s, shared, slices.Contains(marked, s))
+		}
+	}
+	pages := pageCopy(&st)
+
+	// Restore from prev with st as the base (dirty bits relative to st),
+	// then back to st from prev as the base.
+	h.L2.ClearPageDirty()
+	h.L2.LoadState(&prev, &st)
+	if !h.L2.StateEqual(&prev, nil) {
+		t.Fatal("a restore over shared pages differs from the state")
+	}
+	h.L2.ClearPageDirty()
+	h.L2.LoadState(&st, &prev)
+	if !h.L2.StateEqual(&st, &prev) || !h.L2.StateEqual(&st, nil) {
+		t.Fatal("a restore back to the later state differs from it")
+	}
+	h.L2.ClearPageDirty()
+	for a := uint32(0x1000); a < 0x1800; a += 64 {
+		h.Store(dram, a, 1, true, 70)
+	}
+	h.L2.Reset()
+	if !samePages(&st, pages) {
+		t.Fatal("mutating the live cache changed a saved page")
 	}
 }

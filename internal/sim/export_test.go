@@ -9,3 +9,8 @@ var OnReference = onReference
 // ReferenceCycles returns how many SM-cycles the reference core has executed
 // in this process.
 func ReferenceCycles() int64 { return referenceCycles.Load() }
+
+// AuditDirty runs f with the dirty-bit soundness audit installed (see
+// dirty_audit_test.go) and returns how many audits ran and the first page
+// found clean but changed.
+var AuditDirty = auditDirty

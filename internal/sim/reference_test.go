@@ -65,6 +65,7 @@ func cycleSMReference(r *runner, sm *SM, ks *KernelStats) (int, error) {
 		e.f.TBase = w * 32
 		e.lat = 0
 		e.lines = e.lines[:0]
+		sm.markWarpRF(cta, w)
 
 		info := exec.Step(cta.warps[w], cta.prog, e)
 		if tr := r.opts.SchedTrace; tr != nil && info.Kind != exec.StepFault && info.Instr != nil {

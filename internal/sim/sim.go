@@ -109,14 +109,13 @@ type SM struct {
 
 	// Per-page dirty bits for copy-on-write snapshots: bit p set means RF
 	// (resp. SMEM) page p may have diverged from the runner's base snapshot.
-	// The simulator does not mark individual architectural writes — instead
-	// every page overlapping a resident CTA's allocation is marked at each
-	// snapshot sync point, which covers all interpreter writes at zero
-	// hot-path cost. Code that mutates RF/Smem directly from outside the
-	// interpreter (fault injectors, tests poking arrays through Machine)
-	// must call MarkRF/MarkSmem, because such writes can land outside any
-	// resident allocation (bursts spilling past a block, stuck-at cells
-	// persisting after the CTA retires).
+	// The simulator marks what it can write before it writes it: a warp's
+	// first issue since the last sync marks its register window
+	// (markWarpRF), and a CTA's first shared-memory store its allocation, so
+	// a page no warp has written into since the last sync stays clean and
+	// shared. Code that mutates RF/Smem directly from outside the
+	// interpreter (fault injectors, tests poking arrays through Machine) must
+	// call MarkRF/MarkSmem itself.
 	rfDirty []uint64
 	smDirty []uint64
 
@@ -140,6 +139,10 @@ type warpSlot struct {
 	cta *ctaRT
 	w   int
 	m   *warpMeta // &cta.meta[w], so the issue scan skips a double deref
+	// rfMarked records that the warp's register window has been marked since
+	// the last snapshot sync, so later issues skip markWarpRF. Derived state:
+	// cleared by syncDirty and by every rebuild, never snapshotted.
+	rfMarked bool
 }
 
 // rebuildSlots refreshes the flattened issue order after a residency change.
@@ -147,7 +150,7 @@ func (s *SM) rebuildSlots() {
 	s.slots = s.slots[:0]
 	for _, c := range s.ctas {
 		for w := range c.warps {
-			s.slots = append(s.slots, warpSlot{c, w, &c.meta[w]})
+			s.slots = append(s.slots, warpSlot{cta: c, w: w, m: &c.meta[w]})
 		}
 	}
 }
@@ -160,11 +163,6 @@ func (s *SM) MarkRF(idx int) {
 	}
 }
 
-// MarkRFRange records direct mutations of RF[base:base+n].
-func (s *SM) MarkRFRange(base, n int) {
-	markPages(s.rfDirty, base, n, len(s.RF), rfPageWords)
-}
-
 // MarkSmem records a direct mutation of Smem[idx].
 func (s *SM) MarkSmem(idx int) {
 	if idx >= 0 && idx < len(s.Smem) {
@@ -172,32 +170,31 @@ func (s *SM) MarkSmem(idx int) {
 	}
 }
 
-// MarkSmemRange records direct mutations of Smem[base:base+n].
-func (s *SM) MarkSmemRange(base, n int) {
-	markPages(s.smDirty, base, n, len(s.Smem), smPageBytes)
+// markWarpRF marks the register-file pages warp w of cta can write when it
+// issues: its window [rfBase + w·32·NumRegs, +32·NumRegs), clamped to the
+// CTA's allocation (a partial last warp has fewer lanes) — one or two pages
+// for the shipped kernels. Every register write of an issue lands in the
+// window: lane l writes RF[rfBase + (w·32+l)·NumRegs + r] with l below the
+// warp's lane count (control faults clamp active masks to FullMask) and r
+// below NumRegs, which isa.Program.Validate guarantees for every program
+// the simulator is given (TestShippedProgramsValidate). The µop core calls
+// it at a warp's first issue since the last sync, the reference core at
+// every issue; both leave the same bits set, so their snapshot sets stay
+// byte-identical.
+func (s *SM) markWarpRF(cta *ctaRT, w int) {
+	base := cta.rfBase + w*32*cta.prog.NumRegs
+	markRange(s.rfDirty, base, min(32*cta.prog.NumRegs, cta.rfBase+cta.rfSize-base), rfPageWords)
+}
+
+// markRange marks the pages of [base, base+n), pageSize elements each.
+func markRange(bits []uint64, base, n, pageSize int) {
+	for p := base / pageSize; n > 0 && p <= (base+n-1)/pageSize; p++ {
+		markPage(bits, p)
+	}
 }
 
 func markPage(bits []uint64, p int) {
 	bits[p>>6] |= 1 << (p & 63)
-}
-
-func markPages(bits []uint64, base, n, limit, pageSize int) {
-	if n <= 0 {
-		return
-	}
-	if base < 0 {
-		base = 0
-	}
-	end := base + n
-	if end > limit {
-		end = limit
-	}
-	if base >= end {
-		return
-	}
-	for p := base / pageSize; p <= (end-1)/pageSize; p++ {
-		markPage(bits, p)
-	}
 }
 
 func dirtyBit(bits []uint64, p int) bool {
@@ -270,6 +267,12 @@ type ctaRT struct {
 	// whole run. SchedTracer callbacks report it, and snapshots carry it so
 	// resumed runs keep issuing coherent ids.
 	schedID int
+
+	// smMarked records that the CTA's shared-memory allocation has been
+	// marked dirty since the last snapshot sync (at its first store), so
+	// later stores skip the marking. Derived state: cleared by syncDirty,
+	// false in a restored CTA, never snapshotted.
+	smMarked bool
 }
 
 // KernelStats aggregates the fault-free profile of one kernel — the resource
@@ -463,10 +466,10 @@ type runner struct {
 	kstats []KernelStats
 
 	// baseSnap is the provenance base for copy-on-write pages: every RF,
-	// SMEM and device-memory page whose dirty bit is clear is bit-identical
-	// to (and for capture, shareable with) the corresponding page of this
-	// snapshot. nil means no provenance — captures copy and restores
-	// overwrite everything. It travels with the pooled machine, since the
+	// SMEM, device-memory page and cache set whose dirty bit is clear is
+	// bit-identical to (and for capture, shareable with) the corresponding
+	// page of this snapshot. nil means no provenance — captures copy and
+	// restores overwrite everything. It travels with the pooled machine, since the
 	// dirty bits live in the SM arrays it validates.
 	baseSnap *Snapshot
 
@@ -991,10 +994,6 @@ func (r *runner) tryPlace(sm *SM, l *device.Launch, prog *isa.Program, p *pendin
 	sm.rebuildSlots()
 	sm.nextReady = 0
 	sm.threadsUsed += threads
-	// Newly placed blocks diverge from the base snapshot (warp execution
-	// writes them); mark their pages once here instead of per access.
-	sm.MarkRFRange(cta.rfBase, cta.rfSize)
-	sm.MarkSmemRange(cta.smBase, cta.smSize)
 	if tr := r.opts.RFTrace; tr != nil {
 		tr.OnRegAlloc(sm.ID, cta.rfBase, cta.rfSize, r.cycle)
 	}
@@ -1057,6 +1056,10 @@ func (r *runner) cycleSM(sm *SM, ks *KernelStats) (int, error) {
 		}
 		e.lat = 0
 		e.lines = e.lines[:0]
+		if !sl.rfMarked {
+			sm.markWarpRF(cta, w)
+			sl.rfMarked = true
+		}
 
 		info, u := r.stepFast(cta.warps[w], cta.uprog, e)
 		if tr := r.opts.SchedTrace; tr != nil && info.Kind != exec.StepFault && info.Instr != nil {
@@ -1274,6 +1277,10 @@ func (e *simEnv) LoadShared(lane int, addr uint32) (uint32, error) {
 func (e *simEnv) StoreShared(lane int, addr uint32, v uint32) error {
 	if addr%4 != 0 || int(addr)+4 > e.cta.smSize {
 		return fmt.Errorf("illegal shared memory write at 0x%x", addr)
+	}
+	if c := e.cta; !c.smMarked {
+		markRange(e.sm.smDirty, c.smBase, c.smSize, smPageBytes)
+		c.smMarked = true
 	}
 	b := e.sm.Smem[e.cta.smBase+int(addr):]
 	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)

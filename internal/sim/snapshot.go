@@ -12,15 +12,16 @@
 // caches, device memory, DRAM counters, accumulated stats) execute identical
 // continuations. Snapshots capture exactly that closure, nothing less.
 //
-// Storage arrays (register files, shared memories, device memory) are
-// snapshotted as fixed-size pages with copy-on-write sharing: the runner
-// tracks which pages may have diverged from the provenance snapshot it last
-// synced against (runner.baseSnap), and a capture copies only those, sharing
-// the rest with the base by aliasing its page slices. Consecutive
-// checkpoints of a long run therefore cost proportional to the write
-// working-set between them, not the machine size, which multiplies how many
-// checkpoints fit in a -snap-mb budget. Restores and convergence checks use
-// the same provenance to skip pages that are provably already identical.
+// Every storage array — register files, shared memories, device memory and
+// the caches, one page per cache set — is snapshotted as pages with
+// copy-on-write sharing: the runner tracks which pages may have diverged
+// from the provenance snapshot it last synced against (runner.baseSnap), and
+// a capture copies only those, sharing the rest with the base by aliasing
+// its pages. Consecutive checkpoints of a long run therefore cost
+// proportional to the write working-set between them, not the machine size,
+// which multiplies how many checkpoints fit in a -snap-mb budget. Restores
+// and convergence checks use the same provenance to skip pages that are
+// provably already identical.
 package sim
 
 import (
@@ -188,19 +189,15 @@ func (r *runner) capture() *Snapshot {
 		dramRead:  r.dramRead,
 		dramWrite: r.dramWrite,
 	}
-	var dmemBase *device.PagedState
-	if base != nil {
-		dmemBase = &base.dmem
+	if dirtyAudit != nil && base != nil {
+		dirtyAudit(r)
 	}
+	dmemBase, l2Base := base.shared()
 	r.mem.SavePaged(&s.dmem, dmemBase)
-	r.l2.SaveState(&s.l2)
+	r.l2.SaveState(&s.l2, l2Base)
 	s.sms = make([]smSnap, len(r.sms))
 	for i, sm := range r.sms {
-		var bs *smSnap
-		if base != nil {
-			bs = &base.sms[i]
-		}
-		captureSM(sm, &s.sms[i], bs)
+		captureSM(sm, &s.sms[i], base.sm(i))
 	}
 	cur := r.cur
 	s.launch = launchSnap{
@@ -221,17 +218,13 @@ func (r *runner) capture() *Snapshot {
 }
 
 func captureSM(sm *SM, dst *smSnap, base *smSnap) {
-	if base != nil {
-		dst.rfPages = savePages(sm.RF, sm.rfDirty, base.rfPages, rfPageWords)
-		dst.smPages = savePages(sm.Smem, sm.smDirty, base.smPages, smPageBytes)
-	} else {
-		dst.rfPages = savePages[uint32](sm.RF, sm.rfDirty, nil, rfPageWords)
-		dst.smPages = savePages[byte](sm.Smem, sm.smDirty, nil, smPageBytes)
-	}
+	rfBase, smBase, l1dBase, l1tBase := base.shared()
+	dst.rfPages = savePages(sm.RF, sm.rfDirty, rfBase, rfPageWords)
+	dst.smPages = savePages(sm.Smem, sm.smDirty, smBase, smPageBytes)
 	dst.rfFree = slices.Clone(sm.rfAlloc.free)
 	dst.smFree = slices.Clone(sm.smAlloc.free)
-	sm.L1D.SaveState(&dst.l1d)
-	sm.L1T.SaveState(&dst.l1t)
+	sm.L1D.SaveState(&dst.l1d, l1dBase)
+	sm.L1T.SaveState(&dst.l1t, l1tBase)
 	dst.threadsUsed = sm.threadsUsed
 	dst.issuePtr = sm.issuePtr
 	dst.ctas = make([]ctaSnap, len(sm.ctas))
@@ -258,24 +251,59 @@ func captureCTA(c *ctaRT, dst *ctaSnap) {
 	dst.schedID = c.schedID
 }
 
-// syncDirty re-bases the runner's page provenance on s: after it returns,
-// every clean page is bit-identical to s's corresponding page. Device-memory
-// writes are tracked precisely, so those bits simply clear; the warp hot
-// path deliberately does NOT mark register/shared-memory writes, so pages
-// overlapping any resident CTA's allocations are conservatively re-marked
-// dirty — sharing for those arrays comes from the unallocated (quiescent)
-// regions, which dominate for small kernels.
+// syncDirty re-bases the runner's page provenance on s: the runner's state
+// equals s when it is called, so every page is clean against s and every
+// dirty bit clears, along with the marks-done flags of warps and CTAs. From
+// here on each array marks its own writes (see SM.rfDirty).
 func (r *runner) syncDirty(s *Snapshot) {
 	r.baseSnap = s
 	for _, sm := range r.sms {
 		clear(sm.rfDirty)
 		clear(sm.smDirty)
-		for _, cta := range sm.ctas {
-			sm.MarkRFRange(cta.rfBase, cta.rfSize)
-			sm.MarkSmemRange(cta.smBase, cta.smSize)
+		for i := range sm.slots {
+			sm.slots[i].rfMarked = false
 		}
+		for _, c := range sm.ctas {
+			c.smMarked = false
+		}
+		sm.L1D.ClearPageDirty()
+		sm.L1T.ClearPageDirty()
 	}
+	r.l2.ClearPageDirty()
 	r.mem.ClearPageDirty()
+}
+
+// dirtyAudit is nil in every binary except this package's own test binary,
+// where a test can point it at a check that every page whose dirty bit is
+// clear still equals the provenance base's page. capture, restore and
+// matches call it whenever they are about to trust the bits. Nothing outside
+// _test files assigns it.
+var dirtyAudit func(r *runner)
+
+// shared returns the base's device-memory and L2 states to share pages
+// with, or nils (copy everything) for a nil base.
+func (s *Snapshot) shared() (*device.PagedState, *mem.CacheState) {
+	if s == nil {
+		return nil, nil
+	}
+	return &s.dmem, &s.l2
+}
+
+// sm returns the base's snapshot of SM i, or nil for a nil base.
+func (s *Snapshot) sm(i int) *smSnap {
+	if s == nil {
+		return nil
+	}
+	return &s.sms[i]
+}
+
+// shared returns the base SM's page tables and L1 states, or nils for a nil
+// base.
+func (s *smSnap) shared() ([][]uint32, [][]byte, *mem.CacheState, *mem.CacheState) {
+	if s == nil {
+		return nil, nil, nil, nil
+	}
+	return s.rfPages, s.smPages, &s.l1d, &s.l1t
 }
 
 // restore overwrites the runner's state from the snapshot, skipping storage
@@ -296,18 +324,14 @@ func (r *runner) restore(s *Snapshot) {
 	r.fired = false
 	r.dramRead = s.dramRead
 	r.dramWrite = s.dramWrite
-	var dmemBase *device.PagedState
-	if base != nil {
-		dmemBase = &base.dmem
+	if dirtyAudit != nil && base != nil {
+		dirtyAudit(r)
 	}
+	dmemBase, l2Base := base.shared()
 	r.mem.LoadPaged(&s.dmem, dmemBase)
-	r.l2.LoadState(&s.l2)
+	r.l2.LoadState(&s.l2, l2Base)
 	for i, sm := range r.sms {
-		var bs *smSnap
-		if base != nil {
-			bs = &base.sms[i]
-		}
-		r.restoreSM(sm, &s.sms[i], bs)
+		r.restoreSM(sm, &s.sms[i], base.sm(i))
 	}
 	r.cur = &launchState{
 		l:         s.launch.l,
@@ -327,17 +351,13 @@ func (r *runner) restoreSM(sm *SM, src *smSnap, base *smSnap) {
 	if pageCount(len(sm.RF), rfPageWords) != len(src.rfPages) || pageCount(len(sm.Smem), smPageBytes) != len(src.smPages) {
 		panic("sim: restore onto a machine with different SM geometry")
 	}
-	if base != nil {
-		loadPages(sm.RF, src.rfPages, sm.rfDirty, base.rfPages, rfPageWords)
-		loadPages(sm.Smem, src.smPages, sm.smDirty, base.smPages, smPageBytes)
-	} else {
-		loadPages[uint32](sm.RF, src.rfPages, sm.rfDirty, nil, rfPageWords)
-		loadPages[byte](sm.Smem, src.smPages, sm.smDirty, nil, smPageBytes)
-	}
+	rfBase, smBase, l1dBase, l1tBase := base.shared()
+	loadPages(sm.RF, src.rfPages, sm.rfDirty, rfBase, rfPageWords)
+	loadPages(sm.Smem, src.smPages, sm.smDirty, smBase, smPageBytes)
 	sm.rfAlloc.free = append(sm.rfAlloc.free[:0], src.rfFree...)
 	sm.smAlloc.free = append(sm.smAlloc.free[:0], src.smFree...)
-	sm.L1D.LoadState(&src.l1d)
-	sm.L1T.LoadState(&src.l1t)
+	sm.L1D.LoadState(&src.l1d, l1dBase)
+	sm.L1T.LoadState(&src.l1t, l1tBase)
 	sm.threadsUsed = src.threadsUsed
 	sm.issuePtr = src.issuePtr
 	sm.ctas = sm.ctas[:0]
@@ -428,23 +448,19 @@ func (r *runner) matches(s *Snapshot) bool {
 		r.lastDiff.valid = false
 	}
 	base := r.baseSnap
+	if dirtyAudit != nil && base != nil {
+		dirtyAudit(r)
+	}
 	for i, sm := range r.sms {
-		var bs *smSnap
-		if base != nil {
-			bs = &base.sms[i]
-		}
-		if !r.smEqual(i, sm, &s.sms[i], bs) {
+		if !r.smEqual(i, sm, &s.sms[i], base.sm(i)) {
 			return false
 		}
 	}
-	var dmemBase *device.PagedState
-	if base != nil {
-		dmemBase = &base.dmem
-	}
+	dmemBase, l2Base := base.shared()
 	if !r.mem.PagedEqual(&s.dmem, dmemBase) {
 		return false
 	}
-	return r.l2.StateEqual(&s.l2)
+	return r.l2.StateEqual(&s.l2, l2Base)
 }
 
 func (r *runner) smEqual(idx int, sm *SM, src *smSnap, base *smSnap) bool {
@@ -462,14 +478,10 @@ func (r *runner) smEqual(idx int, sm *SM, src *smSnap, base *smSnap) bool {
 	if !slices.Equal(sm.rfAlloc.free, src.rfFree) || !slices.Equal(sm.smAlloc.free, src.smFree) {
 		return false
 	}
-	// Storage pages before cache states: a not-yet-converged run usually
-	// differs in data first, and the page compare has the provenance fast
-	// path while the cache compare is always a full scan.
-	var rfBase [][]uint32
-	var smBase [][]byte
-	if base != nil {
-		rfBase, smBase = base.rfPages, base.smPages
-	}
+	// Register and shared-memory pages before cache sets: a not-yet-converged
+	// run usually differs there first, and the last-diff probe remembers
+	// those pages only.
+	rfBase, smBase, l1dBase, l1tBase := base.shared()
 	if p := pagesEqual(sm.RF, src.rfPages, sm.rfDirty, rfBase, rfPageWords); p >= 0 {
 		r.lastDiff = diffProbe{valid: true, sm: idx, page: p}
 		return false
@@ -478,7 +490,7 @@ func (r *runner) smEqual(idx int, sm *SM, src *smSnap, base *smSnap) bool {
 		r.lastDiff = diffProbe{valid: true, sm: idx, page: p, smem: true}
 		return false
 	}
-	return sm.L1D.StateEqual(&src.l1d) && sm.L1T.StateEqual(&src.l1t)
+	return sm.L1D.StateEqual(&src.l1d, l1dBase) && sm.L1T.StateEqual(&src.l1t, l1tBase)
 }
 
 func ctaEqual(c *ctaRT, src *ctaSnap) bool {
@@ -510,15 +522,16 @@ func ctaEqual(c *ctaRT, src *ctaSnap) bool {
 }
 
 // footprint approximates the retained size of the snapshot excluding the
-// shareable storage pages (device memory, register files, shared memories).
+// shareable storage pages (device memory, register files, shared memories,
+// cache sets).
 func (s *Snapshot) footprint() int64 {
-	n := s.l2.StateBytes()
+	n := s.l2.FixedBytes()
 	n += int64(len(s.dmem.Pages())) * 16 // page headers
 	for i := range s.sms {
 		sm := &s.sms[i]
 		n += int64(len(sm.rfPages)+len(sm.smPages)) * 16
 		n += int64(len(sm.rfFree)+len(sm.smFree)) * 16
-		n += sm.l1d.StateBytes() + sm.l1t.StateBytes()
+		n += sm.l1d.FixedBytes() + sm.l1t.FixedBytes()
 		for j := range sm.ctas {
 			c := &sm.ctas[j]
 			n += int64(len(c.meta))*10 + int64(len(c.preds)) + 96
@@ -535,7 +548,7 @@ func (s *Snapshot) footprint() int64 {
 
 // pageBytes sums the sizes of all storage pages, sharing ignored.
 func (s *Snapshot) pageBytes() int64 {
-	n := s.dmem.StateBytes()
+	n := s.dmem.StateBytes() + freshSets(s.l2.Pages(), nil)
 	for i := range s.sms {
 		sm := &s.sms[i]
 		for _, pg := range sm.rfPages {
@@ -544,6 +557,7 @@ func (s *Snapshot) pageBytes() int64 {
 		for _, pg := range sm.smPages {
 			n += int64(len(pg))
 		}
+		n += freshSets(sm.l1d.Pages(), nil) + freshSets(sm.l1t.Pages(), nil)
 	}
 	return n
 }
@@ -617,10 +631,11 @@ func (snap *Snapshot) share(prev *Snapshot) int64 {
 	if prev == nil {
 		prev = &Snapshot{sms: make([]smSnap, len(snap.sms))} // shares nothing
 	}
-	n := snap.fixed + freshPages(snap.dmem.Pages(), prev.dmem.Pages(), 1)
+	n := snap.fixed + freshPages(snap.dmem.Pages(), prev.dmem.Pages(), 1) + freshSets(snap.l2.Pages(), prev.l2.Pages())
 	for i := range snap.sms {
 		sm, ps := &snap.sms[i], &prev.sms[i]
 		n += freshPages(sm.rfPages, ps.rfPages, 4) + freshPages(sm.smPages, ps.smPages, 1)
+		n += freshSets(sm.l1d.Pages(), ps.l1d.Pages()) + freshSets(sm.l1t.Pages(), ps.l1t.Pages())
 	}
 	return n
 }
@@ -632,6 +647,18 @@ func freshPages[T uint32 | byte](pages, prev [][]T, elem int64) int64 {
 	for p, pg := range pages {
 		if p >= len(prev) || !sharedPage(pg, prev[p]) {
 			n += int64(len(pg)) * elem
+		}
+	}
+	return n
+}
+
+// freshSets sums the sizes of the cache set pages that are not prev's page
+// at the same index.
+func freshSets(pages, prev []*mem.SetPage) int64 {
+	var n int64
+	for s, pg := range pages {
+		if s >= len(prev) || pg != prev[s] {
+			n += pg.Bytes()
 		}
 	}
 	return n

@@ -7,6 +7,7 @@ import (
 
 	"gpurel/internal/gpu"
 	"gpurel/internal/kernels"
+	"gpurel/internal/mem"
 )
 
 // resultsEqual compares everything a Result carries that injection
@@ -294,11 +295,13 @@ func TestSnapshotBudgetWidensLive(t *testing.T) {
 
 // distinctBytes is the set's retained size counted the direct way: every
 // snapshot's fixed state plus each distinct storage page once, identified
-// by its backing array.
+// by its backing array, and each distinct cache set page once, identified
+// by its pointer.
 func distinctBytes(s *SnapshotSet) int64 {
 	var n int64
 	seenB := map[*byte]bool{}
 	seenW := map[*uint32]bool{}
+	seenS := map[*mem.SetPage]bool{}
 	bytePages := func(pages [][]byte) {
 		for _, pg := range pages {
 			if len(pg) > 0 && !seenB[&pg[0]] {
@@ -307,9 +310,18 @@ func distinctBytes(s *SnapshotSet) int64 {
 			}
 		}
 	}
+	setPages := func(st *mem.CacheState) {
+		for _, pg := range st.Pages() {
+			if !seenS[pg] {
+				seenS[pg] = true
+				n += pg.Bytes()
+			}
+		}
+	}
 	for _, snap := range s.snaps {
 		n += snap.fixed
 		bytePages(snap.dmem.Pages())
+		setPages(&snap.l2)
 		for i := range snap.sms {
 			sm := &snap.sms[i]
 			for _, pg := range sm.rfPages {
@@ -319,6 +331,8 @@ func distinctBytes(s *SnapshotSet) int64 {
 				}
 			}
 			bytePages(sm.smPages)
+			setPages(&sm.l1d)
+			setPages(&sm.l1t)
 		}
 	}
 	return n
