@@ -49,7 +49,7 @@ func (b *StudyBackend) PreRank(ctx context.Context, app string) ([]advisor.Stati
 	if err != nil {
 		return nil, err
 	}
-	si, err := e.staticIntervals(b.Study.Cfg)
+	si, err := e.plain.intervals()
 	if err != nil {
 		return nil, err
 	}

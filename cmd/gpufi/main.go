@@ -11,9 +11,9 @@
 //	                        # adaptive sampling: stop each campaign at ±2.35%,
 //	                        # skip provably-dead RF sites via the liveness map
 //	gpufi -app VA -structure RF -n 3000 -static-prune
-//	                        # like -prune, but the dead intervals come from
-//	                        # static dataflow analysis — no golden liveness
-//	                        # trace — and shared memory is covered too
+//	                        # like -prune, and shared memory is covered too:
+//	                        # both read the dead intervals of one golden
+//	                        # schedule trace
 //	gpufi -app VA -structure RF -n 3000 -snap-stride -1 -converge
 //	                        # checkpointed fork-and-join: faulty runs resume
 //	                        # from golden snapshots and rejoin golden early,
@@ -38,7 +38,6 @@ import (
 	"os"
 	"strings"
 
-	"gpurel/internal/ace"
 	"gpurel/internal/adaptive"
 	"gpurel/internal/campaign"
 	"gpurel/internal/cliutil"
@@ -76,7 +75,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		adaptiveOn  = fs.Bool("adaptive", false, "stop each campaign early once the Wilson-score 99% CI half-width reaches the target margin")
 		margin      = fs.Float64("margin", 0, "target 99% CI half-width for -adaptive (0 = the paper's ±2.35%); implies -adaptive")
 		prune       = fs.Bool("prune", false, "classify provably-dead RF injection sites as Masked from the golden run's liveness map, without simulating")
-		staticPrune = fs.Bool("static-prune", false, "classify RF/SMEM injections landing in statically-dead cycle intervals as Masked (no liveness trace needed); with -prune, RF keeps the liveness map and SMEM uses the intervals")
+		staticPrune = fs.Bool("static-prune", false, "like -prune, but shared-memory injections landing in dead cycle intervals are classified as Masked too")
 		list        = fs.Bool("list", false, "list benchmarks and kernels")
 	)
 	snap := cliutil.Snapshots(fs)
@@ -125,14 +124,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "golden run: %d cycles, %d launches\n", g.Res.Cycles, len(g.Res.Spans))
 
-	var lv *ace.Liveness
-	if *prune {
-		if lv, err = ace.TraceRF(job, cfg); err != nil {
-			return fatal(err)
-		}
-	}
+	// One schedule trace serves both pruning flags: -prune reads its
+	// register-file intervals, -static-prune its RF and SMEM ones.
 	var static *microfi.StaticIntervals
-	if *staticPrune {
+	if *prune || *staticPrune {
 		if static, err = microfi.TraceStatic(job, cfg); err != nil {
 			return fatal(err)
 		}
@@ -181,14 +176,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fatal(err)
 		}
 		tgt := microfi.Target{Structure: st, Kernel: *kernel, IncludeVote: *tmr, Model: mdl}
-		// Prune with whatever evidence covers this structure: the liveness
-		// map prunes more of the RF, only the intervals reach SMEM, and with
-		// neither InjectStatic is exactly Inject.
+		// Prune where a flag asks for this structure; with no evidence
+		// InjectStatic is exactly Inject.
+		si := static
+		if !*staticPrune && st != gpu.RF {
+			si = nil
+		}
 		exp := counters.Instrument(func(run int, rng *rand.Rand) (faults.Result, bool) {
-			if lv != nil && st == gpu.RF {
-				return microfi.InjectPruned(job, g, lv, tgt, rng)
-			}
-			return microfi.InjectStatic(job, g, static, tgt, rng)
+			return microfi.InjectStatic(job, g, si, tgt, rng)
 		})
 		opts := campaign.Options{Runs: *n, Seed: *seed, Workers: *workers}
 		var tl campaign.Tally
@@ -214,14 +209,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		tbl.AddFooter("full-chip AVF (size-weighted): %s  [SDC %s, Timeout %s, DUE %s]",
 			report.Pct(chip.Total()), report.Pct(chip.SDC), report.Pct(chip.Timeout), report.Pct(chip.DUE))
 	}
-	if target > 0 || lv != nil || static != nil {
+	if target > 0 || static != nil {
 		how := "none"
 		switch {
-		case lv != nil && static != nil:
+		case *prune && *staticPrune:
 			how = "liveness on RF, static on SMEM"
-		case lv != nil:
+		case *prune:
 			how = "liveness"
-		case static != nil:
+		case *staticPrune:
 			how = "static"
 		}
 		tbl.AddFooter("adaptive sampling: %d simulated, %d pruned (%s), %d saved (early stop, target ±%.2f%%)",

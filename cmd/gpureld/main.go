@@ -60,7 +60,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -85,36 +87,59 @@ const (
 )
 
 func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
+
+// run is main with its process state made explicit: the daemon configured
+// by args serves until ctx is done (SIGINT/SIGTERM in main), then drains.
+// The log goes to stderr, the farewell to stdout, and the exit status is
+// returned.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("gpureld", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		addr     = flag.String("addr", ":8080", "listen address (coordinator mode)")
-		ckpt     = flag.String("checkpoint", "gpureld.ckpt.json", "checkpoint journal path ('' disables persistence)")
-		interval = flag.Duration("checkpoint-interval", 2*time.Second, "periodic checkpoint flush cadence")
-		shards   = flag.Int("shards", 1, "concurrent job lanes")
-		workers  = flag.Int("workers", 0, "campaign workers per lane (0 = GOMAXPROCS)")
-		chunk    = flag.Int("chunk", 100, "runs per checkpointable chunk")
-		seed     = flag.Int64("seed", 1, "base seed of the shared study (golden-run cache)")
+		addr     = fs.String("addr", ":8080", "listen address (coordinator mode)")
+		ckpt     = fs.String("checkpoint", "gpureld.ckpt.json", "checkpoint journal path ('' disables persistence)")
+		interval = fs.Duration("checkpoint-interval", 2*time.Second, "periodic checkpoint flush cadence")
+		shards   = fs.Int("shards", 1, "concurrent job lanes")
+		workers  = fs.Int("workers", 0, "campaign workers per lane (0 = GOMAXPROCS)")
+		chunk    = fs.Int("chunk", 100, "runs per checkpointable chunk")
+		seed     = fs.Int64("seed", 1, "base seed of the shared study (golden-run cache)")
 		// Fleet knobs.
-		workerMode = flag.Bool("worker", false, "run as a fleet worker: pull run-range leases from -join instead of serving HTTP")
-		join       = flag.String("join", "", "coordinator base URL for -worker, e.g. http://coord:8080")
-		workerID   = flag.String("worker-id", "", "worker name in coordinator metrics (default random)")
-		noLocal    = flag.Bool("no-local", false, "coordinator only: disable in-process execution, jobs progress solely through worker leases")
-		leaseRuns  = flag.Int("lease-runs", 500, "max runs granted per worker lease (adaptive sizing never exceeds this)")
-		leaseTTL   = flag.Duration("lease-ttl", 15*time.Second, "lease heartbeat deadline; expired leases are requeued")
-		leaseSec   = flag.Float64("lease-sec", 2, "adaptive lease horizon: seconds of work granted per lease to workers with a measured throughput")
-		fleetCkpt  = flag.String("fleet-checkpoint", "gpureld.fleet.json", "fleet journal path: leases + worker registry survive a coordinator restart ('' disables)")
-		calibrate  = flag.Int("calibrate-runs", -1, "worker calibration micro-burst size measuring runs/sec (0 disables, negative = default)")
-		snapBudget = flag.Int("worker-snap-mb", 0, "worker capability report: snapshot memory budget in MiB")
-		adviseCkpt = flag.String("advise-checkpoint", "gpureld.advise.json", "selective-hardening advise journal path ('' disables persistence)")
+		workerMode = fs.Bool("worker", false, "run as a fleet worker: pull run-range leases from -join instead of serving HTTP")
+		join       = fs.String("join", "", "coordinator base URL for -worker, e.g. http://coord:8080")
+		workerID   = fs.String("worker-id", "", "worker name in coordinator metrics (default random)")
+		noLocal    = fs.Bool("no-local", false, "coordinator only: disable in-process execution, jobs progress solely through worker leases")
+		leaseRuns  = fs.Int("lease-runs", 500, "max runs granted per worker lease (adaptive sizing never exceeds this)")
+		leaseTTL   = fs.Duration("lease-ttl", 15*time.Second, "lease heartbeat deadline; expired leases are requeued")
+		leaseSec   = fs.Float64("lease-sec", 2, "adaptive lease horizon: seconds of work granted per lease to workers with a measured throughput")
+		fleetCkpt  = fs.String("fleet-checkpoint", "gpureld.fleet.json", "fleet journal path: leases + worker registry survive a coordinator restart ('' disables)")
+		calibrate  = fs.Int("calibrate-runs", -1, "worker calibration micro-burst size measuring runs/sec (0 disables, negative = default)")
+		snapBudget = fs.Int("worker-snap-mb", 0, "worker capability report: snapshot memory budget in MiB")
+		adviseCkpt = fs.String("advise-checkpoint", "gpureld.advise.json", "selective-hardening advise journal path ('' disables persistence)")
 	)
 	// Machine-snapshot knobs (fork-and-join injection): the default for jobs
 	// that carry no "checkpoint" group; named snap-* to stay clear of
 	// -checkpoint, the job-journal path above.
-	snap := cliutil.Snapshots(flag.CommandLine)
-	prof := cliutil.Profiling(flag.CommandLine)
-	flag.Parse()
+	snap := cliutil.Snapshots(fs)
+	prof := cliutil.Profiling(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	logger := log.New(stderr, "", log.LstdFlags)
+	fatal := func(err error) int {
+		logger.Printf("gpureld: %v", err)
+		return 1
+	}
 	stopProf, err := prof.Start()
 	if err != nil {
-		log.Fatalf("gpureld: %v", err)
+		return fatal(err)
 	}
 	defer stopProf()
 
@@ -129,8 +154,7 @@ func main() {
 	source := service.NewStudySource(study)
 
 	if *workerMode {
-		runWorker(source, *join, *workerID, *chunk, *workers, *leaseRuns, *calibrate, *snapBudget)
-		return
+		return runWorker(ctx, logger, source, *join, *workerID, *chunk, *workers, *leaseRuns, *calibrate, *snapBudget)
 	}
 
 	sched, err := service.NewScheduler(service.Config{
@@ -145,7 +169,7 @@ func main() {
 		CheckpointStats:    study.CheckpointCounts,
 	})
 	if err != nil {
-		log.Fatalf("gpureld: %v", err)
+		return fatal(err)
 	}
 	coord, err := fleet.NewCoordinator(sched, fleet.CoordinatorConfig{
 		LeaseRuns:      *leaseRuns,
@@ -155,7 +179,7 @@ func main() {
 	})
 	if err != nil {
 		sched.Close()
-		log.Fatalf("gpureld: %v", err)
+		return fatal(err)
 	}
 	sched.Metrics().AddCollector(coord.WriteMetrics)
 
@@ -169,18 +193,21 @@ func main() {
 	if err != nil {
 		coord.Close()
 		sched.Close()
-		log.Fatalf("gpureld: %v", err)
+		return fatal(err)
 	}
 
 	srv := &http.Server{
-		Addr:              *addr,
 		Handler:           service.NewServer(sched).Handler(coord.Mount, adv.Mount),
 		ReadHeaderTimeout: readHeaderTimeout,
 		IdleTimeout:       idleTimeout,
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		adv.Close()
+		coord.Close()
+		sched.Close()
+		return fatal(err)
+	}
 
 	errc := make(chan error, 1)
 	go func() {
@@ -188,9 +215,9 @@ func main() {
 		if *noLocal {
 			mode = "fleet-only"
 		}
-		log.Printf("gpureld: listening on %s (checkpoint %q, %d lane(s) × %d worker(s), chunk %d, exec %s)",
-			*addr, *ckpt, *shards, *workers, *chunk, mode)
-		errc <- srv.ListenAndServe()
+		logger.Printf("gpureld: listening on %s (checkpoint %q, %d lane(s) × %d worker(s), chunk %d, exec %s)",
+			ln.Addr(), *ckpt, *shards, *workers, *chunk, mode)
+		errc <- srv.Serve(ln)
 	}()
 
 	select {
@@ -199,10 +226,10 @@ func main() {
 			adv.Close()
 			coord.Close()
 			sched.Close()
-			log.Fatalf("gpureld: %v", err)
+			return fatal(err)
 		}
 	case <-ctx.Done():
-		log.Printf("gpureld: signal received, draining (in-flight chunks finish, then checkpoint flush)")
+		logger.Printf("gpureld: signal received, draining (in-flight chunks finish, then checkpoint flush)")
 	}
 
 	// Drain order: stop granting leases (journaled coordinators flush the
@@ -213,27 +240,29 @@ func main() {
 	// shut the listener down gracefully.
 	adv.Close()
 	if err := coord.Close(); err != nil {
-		log.Printf("gpureld: fleet journal flush: %v", err)
+		logger.Printf("gpureld: fleet journal flush: %v", err)
 	}
 	closeErr := sched.Close()
 	shutCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(shutCtx); err != nil {
-		log.Printf("gpureld: http shutdown: %v", err)
+		logger.Printf("gpureld: http shutdown: %v", err)
 	}
 	if closeErr != nil {
-		log.Printf("gpureld: checkpoint flush: %v", closeErr)
-		os.Exit(1)
+		logger.Printf("gpureld: checkpoint flush: %v", closeErr)
+		return 1
 	}
-	fmt.Println("gpureld: drained and checkpointed, bye")
+	fmt.Fprintln(stdout, "gpureld: drained and checkpointed, bye")
+	return 0
 }
 
-// runWorker joins a coordinator and executes leases until SIGINT/SIGTERM;
-// the drain path returns the open lease's unexecuted remainder so the
+// runWorker joins a coordinator and executes leases until ctx is done; the
+// drain path returns the open lease's unexecuted remainder so the
 // coordinator requeues it without waiting out the TTL.
-func runWorker(source service.SourceFunc, join, id string, chunk, campaignWorkers, maxRuns, calibrateRuns, snapMB int) {
+func runWorker(ctx context.Context, logger *log.Logger, source service.SourceFunc, join, id string, chunk, campaignWorkers, maxRuns, calibrateRuns, snapMB int) int {
 	if join == "" {
-		log.Fatal("gpureld: -worker requires -join <coordinator URL>")
+		logger.Print("gpureld: -worker requires -join <coordinator URL>")
+		return 1
 	}
 	w, err := fleet.NewWorker(fleet.WorkerConfig{
 		ID:            id,
@@ -246,13 +275,14 @@ func runWorker(source service.SourceFunc, join, id string, chunk, campaignWorker
 		Caps:          service.WorkerCaps{SnapMB: snapMB},
 	})
 	if err != nil {
-		log.Fatalf("gpureld: %v", err)
+		logger.Printf("gpureld: %v", err)
+		return 1
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	log.Printf("gpureld: worker %s joined %s (chunk %d)", w.ID(), join, chunk)
+	logger.Printf("gpureld: worker %s joined %s (chunk %d)", w.ID(), join, chunk)
 	if err := w.Run(ctx); err != nil {
-		log.Fatalf("gpureld: %v", err)
+		logger.Printf("gpureld: %v", err)
+		return 1
 	}
-	log.Printf("gpureld: worker %s drained after %d runs, bye", w.ID(), w.Runs())
+	logger.Printf("gpureld: worker %s drained after %d runs, bye", w.ID(), w.Runs())
+	return 0
 }

@@ -9,112 +9,25 @@
 //
 //	AVF_ACE(RF) = Σ ACE intervals / (RF bits × total cycles)
 //
-// The analyzer plugs into the simulator's RFTracer hook and needs a single
-// fault-free run — no injection campaign — making it the fast end of the
-// accuracy/speed spectrum the paper discusses. Classical ACE analysis is
-// known to over-estimate AVF relative to fault injection (it cannot see
-// logical masking: a corrupted value that is read but does not change the
-// output still counts as ACE); the AnalyzeRF helper reports both numbers so
-// the gap is measurable.
+// The analyzer needs a single fault-free run — no injection campaign —
+// making it the fast end of the accuracy/speed spectrum the paper
+// discusses. Its intervals are the register-file live intervals that
+// flow.Recorder records from the simulator's schedule trace, the same record
+// liveness pruning reads. Classical ACE analysis is known to over-estimate
+// AVF relative to fault injection (it cannot see logical masking: a
+// corrupted value that is read but does not change the output still counts
+// as ACE); the AnalyzeRF helper reports both numbers so the gap is
+// measurable.
 package ace
 
 import (
 	"fmt"
 
 	"gpurel/internal/device"
+	"gpurel/internal/flow"
 	"gpurel/internal/gpu"
 	"gpurel/internal/sim"
 )
-
-// regState tracks the live interval of one physical register.
-type regState struct {
-	lastWrite int64 // cycle of the most recent write (-1 = none since alloc)
-	lastRead  int64 // cycle of the last read at or after lastWrite
-	written   bool
-}
-
-// Tracker accumulates ACE bit-cycles for every SM's register file. It
-// implements sim.RFTracer.
-type Tracker struct {
-	regs      [][]regState // [sm][phys]
-	aceCycles int64        // Σ per-register ACE interval lengths (in cycles)
-	writes    int64
-	reads     int64
-}
-
-// NewTracker sizes the tracker for the chip configuration.
-func NewTracker(cfg gpu.Config) *Tracker {
-	t := &Tracker{regs: make([][]regState, cfg.NumSMs)}
-	for i := range t.regs {
-		t.regs[i] = make([]regState, cfg.RFRegsPerSM)
-	}
-	return t
-}
-
-// OnRegAlloc resets the tracked state of a freshly allocated block: values
-// left by a previous CTA are dead.
-func (t *Tracker) OnRegAlloc(sm, base, size int, cycle int64) {
-	regs := t.regs[sm]
-	for i := base; i < base+size; i++ {
-		regs[i] = regState{lastWrite: -1}
-	}
-}
-
-// OnRegRelease closes the ACE intervals of a deallocated block.
-func (t *Tracker) OnRegRelease(sm, base, size int, cycle int64) {
-	regs := t.regs[sm]
-	for i := base; i < base+size; i++ {
-		t.closeInterval(&regs[i])
-	}
-}
-
-// closeInterval retires the current write→last-read interval of a register.
-func (t *Tracker) closeInterval(s *regState) {
-	if s.written && s.lastRead > s.lastWrite {
-		t.aceCycles += s.lastRead - s.lastWrite
-	}
-	s.written = false
-}
-
-// OnRegWrite starts a new interval: the previous value is dead from its
-// last read onward.
-func (t *Tracker) OnRegWrite(sm, phys int, cycle int64) {
-	s := &t.regs[sm][phys]
-	t.closeInterval(s)
-	s.lastWrite = cycle
-	s.lastRead = cycle
-	s.written = true
-	t.writes++
-}
-
-// OnRegRead extends the current interval.
-func (t *Tracker) OnRegRead(sm, phys int, cycle int64) {
-	s := &t.regs[sm][phys]
-	if s.written && cycle > s.lastRead {
-		s.lastRead = cycle
-	}
-	t.reads++
-}
-
-// finish closes every open interval (end of simulation).
-func (t *Tracker) finish() {
-	for sm := range t.regs {
-		for i := range t.regs[sm] {
-			t.closeInterval(&t.regs[sm][i])
-		}
-	}
-}
-
-// AVF returns the ACE-based register-file AVF for a run of totalCycles on
-// the given chip: ACE bit-cycles over total bit-cycles. (Every bit of a
-// register shares its word-granularity liveness, so bits cancel out.)
-func (t *Tracker) AVF(cfg gpu.Config, totalCycles int64) float64 {
-	if totalCycles == 0 {
-		return 0
-	}
-	totalRegCycles := float64(int64(cfg.NumSMs)*int64(cfg.RFRegsPerSM)) * float64(totalCycles)
-	return float64(t.aceCycles) / totalRegCycles
-}
 
 // Result reports one ACE analysis.
 type Result struct {
@@ -122,31 +35,40 @@ type Result struct {
 	AVFACE float64
 	// ACECycles is the summed ACE register-cycles.
 	ACECycles int64
-	// Reads and Writes count the observed register accesses.
-	Reads, Writes int64
 	// Cycles is the run length.
 	Cycles int64
 }
 
-// AnalyzeRF runs the job once under the tracker and returns the analytical
-// register-file AVF. Compare against the statistical AVF-RF from
-// internal/microfi: ACE needs one run instead of thousands but cannot model
-// logical masking, so it upper-bounds the injection-based estimate.
+// AnalyzeRF runs the job once under the schedule trace and returns the
+// analytical register-file AVF: the summed live intervals over the register
+// file's size times the run length. (Every bit of a register shares its
+// word-granularity liveness, so bits cancel out.) Compare against the
+// statistical AVF-RF from internal/microfi: ACE needs one run instead of
+// thousands but cannot model logical masking, so it upper-bounds the
+// injection-based estimate.
 func AnalyzeRF(job *device.Job, cfg gpu.Config) (*Result, error) {
-	tr := NewTracker(cfg)
-	res := sim.Run(job, cfg, sim.Options{RFTrace: tr})
+	iv, err := trace(job, cfg)
+	if err != nil {
+		return nil, err
+	}
+	r := &Result{ACECycles: iv.RFLiveCycles(), Cycles: iv.Cycles}
+	if r.Cycles > 0 {
+		totalRegCycles := float64(int64(cfg.NumSMs)*int64(cfg.RFRegsPerSM)) * float64(r.Cycles)
+		r.AVFACE = float64(r.ACECycles) / totalRegCycles
+	}
+	return r, nil
+}
+
+// trace runs the job fault-free with flow's recorder on the schedule trace
+// and returns the finalized interval map.
+func trace(job *device.Job, cfg gpu.Config) (*flow.Intervals, error) {
+	rec := flow.NewRecorder()
+	res := sim.Run(job, cfg, sim.Options{SchedTrace: rec})
 	if res.Err != nil {
 		return nil, fmt.Errorf("ace: golden run failed: %w", res.Err)
 	}
 	if res.TimedOut {
 		return nil, fmt.Errorf("ace: golden run timed out")
 	}
-	tr.finish()
-	return &Result{
-		AVFACE:    tr.AVF(cfg, res.Cycles),
-		ACECycles: tr.aceCycles,
-		Reads:     tr.reads,
-		Writes:    tr.writes,
-		Cycles:    res.Cycles,
-	}, nil
+	return rec.Finalize(res.Cycles), nil
 }

@@ -5,6 +5,7 @@ import (
 
 	"gpurel/internal/device"
 	"gpurel/internal/gpu"
+	"gpurel/internal/harden"
 	"gpurel/internal/isa"
 	"gpurel/internal/kasm"
 	"gpurel/internal/kernels"
@@ -45,8 +46,62 @@ func TestACEBasics(t *testing.T) {
 	if r.AVFACE <= 0 || r.AVFACE > 1 {
 		t.Errorf("ACE AVF = %v out of range", r.AVFACE)
 	}
-	if r.Reads == 0 || r.Writes == 0 || r.ACECycles == 0 {
-		t.Errorf("tracker saw no activity: %+v", r)
+	if r.ACECycles == 0 || r.Cycles == 0 {
+		t.Errorf("analysis saw no activity: %+v", r)
+	}
+}
+
+// TestAnalyzeRFPinned pins the ACE analysis of every shipped application,
+// plain and TMR-hardened, to the numbers the classical write-to-last-read
+// tracker fed by a lane-by-lane register trace computed before the analysis
+// moved onto the schedule trace's live intervals. The two records agree
+// exactly because shipped kernels never read a register before writing it.
+func TestAnalyzeRFPinned(t *testing.T) {
+	want := []struct {
+		app       string
+		tmr       bool
+		avf       float64
+		aceCycles int64
+	}{
+		{"SRADv1", false, 0.018760909399947578, 49399452},
+		{"SRADv1", true, 0.03407557062107882, 158930712},
+		{"SRADv2", false, 0.030906449282035193, 83514800},
+		{"SRADv2", true, 0.036742911174072496, 247579224},
+		{"K-Means", false, 0.014993418477637197, 42144086},
+		{"K-Means", true, 0.04201321320498348, 140917883},
+		{"HotSpot", false, 0.045596889456563046, 81823926},
+		{"HotSpot", true, 0.05011112954388863, 247258608},
+		{"LUD", false, 0.0014635146135029595, 29069088},
+		{"LUD", true, 0.004566214579219375, 91834880},
+		{"SCP", false, 0.02908448202825096, 45681128},
+		{"SCP", true, 0.08464303466031912, 230151914},
+		{"VA", false, 0.03543777842713479, 19745472},
+		{"VA", true, 0.05180714150411874, 65534784},
+		{"NW", false, 0.0012785604317304227, 15108488},
+		{"NW", true, 0.004117263613270738, 50134226},
+		{"PathFinder", false, 0.014296744319601862, 19447364},
+		{"PathFinder", true, 0.03720098695946445, 80400492},
+		{"BackProp", false, 0.027738520593354195, 30714760},
+		{"BackProp", true, 0.06051085006359012, 102313488},
+		{"BFS", false, 0.0017657853035015164, 21095287},
+		{"BFS", true, 0.005752050342610647, 82603887},
+	}
+	for _, w := range want {
+		app, err := kernels.ByName(w.app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		job := app.Build()
+		if w.tmr {
+			job = harden.TMR(job)
+		}
+		r, err := AnalyzeRF(job, gpu.Volta())
+		if err != nil {
+			t.Fatalf("%s tmr=%v: %v", w.app, w.tmr, err)
+		}
+		if r.AVFACE != w.avf || r.ACECycles != w.aceCycles {
+			t.Errorf("%s tmr=%v: AVFACE %v, ACECycles %d; pinned %v, %d", w.app, w.tmr, r.AVFACE, r.ACECycles, w.avf, w.aceCycles)
+		}
 	}
 }
 

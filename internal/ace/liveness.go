@@ -1,155 +1,26 @@
 package ace
 
 import (
-	"fmt"
-	"sort"
-
 	"gpurel/internal/device"
+	"gpurel/internal/flow"
 	"gpurel/internal/gpu"
-	"gpurel/internal/sim"
 )
 
-// Liveness records, from one fault-free traced run, everything needed to
-// decide — without simulating — whether a register-file injection at a given
-// (SM, physical register, cycle) site can possibly matter:
-//
-//   - per-register live intervals: the cycle ranges in which the stored value
-//     will still be read before its next overwrite or deallocation. A flip
-//     outside every live interval is provably Masked (the corrupted value is
-//     never consumed), the dual of the ACE intervals Tracker sums.
-//   - the per-SM register-allocation timeline, which reconstructs the exact
-//     allocated-block list (in CTA placement order) the injector would see at
-//     any cycle — required to replay the injector's uniform site choice
-//     without a machine.
-//
-// The interval semantics match the injection hook's position in the cycle
-// loop: the OnCycle fault hook fires at cycle c before any register access
-// of cycle c executes, and after CTA placement of cycle c-1. So a block
-// allocated at cycle a is visible to injections at cycles > a, a block
-// released at cycle d is visible through cycle d inclusive, and a flip at
-// cycle c is observed iff the first register event at cycle >= c is a read.
-type Liveness struct {
-	regs   [][]regTrack // [sm][phys]
-	blocks []smBlocks   // [sm]
-	Cycles int64        // golden run length
-}
+// Liveness is the register-file view of one fault-free run's interval map
+// (flow.Intervals): whether a flip at an (SM, physical register, cycle) site
+// can reach a read (LiveRF), and the allocated blocks the injector would
+// enumerate at a cycle (RFBlocksAt). It is the evidence type of
+// microfi.InjectPruned, which prunes exactly as microfi.InjectStatic does on
+// the register file.
+type Liveness struct{ *flow.Intervals }
 
-// liveIv marks injections at cycles c with Lo < c <= Hi as observable.
-type liveIv struct{ Lo, Hi int64 }
-
-// regTrack is the per-register recording state.
-type regTrack struct {
-	last int64 // cycle of the most recent event (write/read/alloc/release)
-	ivs  []liveIv
-}
-
-// blockSpan is one CTA's register block with its visibility window.
-type blockSpan struct {
-	base, size     int
-	alloc, release int64 // release = -1 while open (until end of run)
-}
-
-type smBlocks struct {
-	spans []blockSpan
-	open  map[int]int // base -> index of the open span
-}
-
-// NewLiveness sizes the tracer for the chip configuration. It implements
-// sim.RFTracer; run it via TraceRF or pass it to sim.Options.RFTrace.
-func NewLiveness(cfg gpu.Config) *Liveness {
-	l := &Liveness{
-		regs:   make([][]regTrack, cfg.NumSMs),
-		blocks: make([]smBlocks, cfg.NumSMs),
-	}
-	for i := range l.regs {
-		l.regs[i] = make([]regTrack, cfg.RFRegsPerSM)
-		l.blocks[i].open = map[int]int{}
-	}
-	return l
-}
-
-// OnRegAlloc starts a block's visibility window and kills any leftover value
-// of a previous CTA (the next event wins over stale reads).
-func (l *Liveness) OnRegAlloc(sm, base, size int, cycle int64) {
-	b := &l.blocks[sm]
-	b.open[base] = len(b.spans)
-	b.spans = append(b.spans, blockSpan{base: base, size: size, alloc: cycle, release: -1})
-	regs := l.regs[sm]
-	for i := base; i < base+size; i++ {
-		regs[i].last = cycle
-	}
-}
-
-// OnRegRelease closes the block's visibility window; values die with it.
-func (l *Liveness) OnRegRelease(sm, base, size int, cycle int64) {
-	b := &l.blocks[sm]
-	if i, ok := b.open[base]; ok {
-		b.spans[i].release = cycle
-		delete(b.open, base)
-	}
-	regs := l.regs[sm]
-	for i := base; i < base+size; i++ {
-		regs[i].last = cycle
-	}
-}
-
-// OnRegWrite ends the previous value's exposure: injections from here until
-// the next read are overwritten before anything consumes them.
-func (l *Liveness) OnRegWrite(sm, phys int, cycle int64) {
-	l.regs[sm][phys].last = cycle
-}
-
-// OnRegRead exposes the stored value: any injection after the previous event
-// and at or before this read would have been consumed by it.
-func (l *Liveness) OnRegRead(sm, phys int, cycle int64) {
-	tr := &l.regs[sm][phys]
-	if cycle > tr.last {
-		if n := len(tr.ivs); n > 0 && tr.ivs[n-1].Hi == tr.last {
-			tr.ivs[n-1].Hi = cycle
-		} else {
-			tr.ivs = append(tr.ivs, liveIv{Lo: tr.last, Hi: cycle})
-		}
-		tr.last = cycle
-	}
-}
-
-// Live reports whether a bit flip in (sm, phys) at the injection cycle can
-// reach any future read — false means the site is provably dead and the run
-// classifies as Masked without simulation.
-func (l *Liveness) Live(sm, phys int, cycle int64) bool {
-	ivs := l.regs[sm][phys].ivs
-	i := sort.Search(len(ivs), func(i int) bool { return ivs[i].Hi >= cycle })
-	return i < len(ivs) && ivs[i].Lo < cycle
-}
-
-// RFBlocksAt appends to dst the register blocks an injection at cycle would
-// find allocated on the SM, in CTA placement order — bit-compatible with the
-// simulator's AllocatedRF enumeration at that cycle.
-func (l *Liveness) RFBlocksAt(sm int, cycle int64, dst []sim.RFBlock) []sim.RFBlock {
-	for _, sp := range l.blocks[sm].spans {
-		if sp.alloc < cycle && (sp.release < 0 || cycle <= sp.release) {
-			dst = append(dst, sim.RFBlock{Base: sp.base, Size: sp.size})
-		}
-	}
-	return dst
-}
-
-// NumSMs returns the traced chip's SM count.
-func (l *Liveness) NumSMs() int { return len(l.regs) }
-
-// TraceRF runs the job fault-free with liveness tracing enabled and returns
-// the recorded map. The traced run is bit-identical to the plain golden run
-// (the tracer only observes), so the map is valid for any faulty run up to
-// its injection cycle.
+// TraceRF runs the job fault-free under the schedule trace and returns its
+// register-file liveness. The trace only observes, so the map is valid for
+// any faulty run up to its injection cycle.
 func TraceRF(job *device.Job, cfg gpu.Config) (*Liveness, error) {
-	l := NewLiveness(cfg)
-	res := sim.Run(job, cfg, sim.Options{RFTrace: l})
-	if res.Err != nil {
-		return nil, fmt.Errorf("ace: liveness trace failed: %w", res.Err)
+	iv, err := trace(job, cfg)
+	if err != nil {
+		return nil, err
 	}
-	if res.TimedOut {
-		return nil, fmt.Errorf("ace: liveness trace timed out")
-	}
-	l.Cycles = res.Cycles
-	return l, nil
+	return &Liveness{iv}, nil
 }

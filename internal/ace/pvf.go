@@ -20,6 +20,13 @@ import (
 // nothing about the hardware (no derating, no structure sizes, no timing),
 // but like AVF it reasons about liveness instead of sampling injections.
 
+// regState tracks the live interval of one architectural register.
+type regState struct {
+	lastWrite int64 // dynamic instruction of the most recent write
+	lastRead  int64 // dynamic instruction of the last read at or after lastWrite
+	written   bool
+}
+
 // pvfTracker implements funcsim.RegTracer.
 type pvfTracker struct {
 	slots    []regState
@@ -41,7 +48,7 @@ func (p *pvfTracker) OnCTAStart(threads, numRegs int, at int64) {
 	p.ctaStart = at
 }
 
-func (p *pvfTracker) OnRegWrite(slot int, at int64) {
+func (p *pvfTracker) OnWrite(slot int, at int64) {
 	s := &p.slots[slot]
 	if s.written && s.lastRead > s.lastWrite {
 		p.aceSum += s.lastRead - s.lastWrite
@@ -51,7 +58,7 @@ func (p *pvfTracker) OnRegWrite(slot int, at int64) {
 	s.written = true
 }
 
-func (p *pvfTracker) OnRegRead(slot int, at int64) {
+func (p *pvfTracker) OnRead(slot int, at int64) {
 	s := &p.slots[slot]
 	if s.written && at > s.lastRead {
 		s.lastRead = at

@@ -8,27 +8,32 @@ import (
 	"gpurel/internal/isa"
 )
 
-// This file is the cycle-interval ACE engine: it turns the deterministic
-// scheduler's execution order into per-physical-register and per-shared-
-// memory-word dead/live intervals, and derives static AVF bounds from them.
+// This file is the cycle-interval ACE engine, the repository's one record of
+// register lifetime: it turns the deterministic scheduler's execution order
+// into per-physical-register and per-shared-memory-word dead/live intervals,
+// from which liveness pruning, ACE AVF (ace.AnalyzeRF) and static AVF
+// bounds are all derived.
 //
 // The Recorder implements sim.SchedTracer structurally (the signatures use
 // only basic types and *isa.Program), so flow stays decoupled from sim. Per
-// issued instruction it applies the instruction's *static* effects — source
+// issued instruction it applies the instruction's effects — source
 // registers read, destination killed, shared-memory words read or
 // overwritten — to the lanes of the post-predication active mask, which
 // makes the intervals reconvergence- and predication-aware: a lane outside
-// the mask executed nothing and gets no events.
+// the mask executed nothing and gets no events. A SEL lane reads only the
+// operand its predicate picked, which the trace reports per lane. On the
+// register file the map is therefore exact: site for site it equals the
+// liveness of the reference core's per-access register stream (the oracle
+// in internal/sim's tests).
 //
-// Interval semantics match ace.Liveness (and the injector's hook position):
-// a value's live interval (Lo, Hi] marks injection cycles c with
-// Lo < c <= Hi as observable; everything outside every live interval of an
-// allocated site is provably dead — the corrupted value is overwritten or
-// deallocated before anything reads it. Like the ace tracer, allocation
-// kills leftover values of the previous occupant, which is sound for
-// kernels that never consume uninitialized state (flow.Lint's uninit-read
-// rule enforces this for registers; shipped kernels write shared memory
-// before reading it).
+// Interval semantics match the injector's hook position: a value's live
+// interval (Lo, Hi] marks injection cycles c with Lo < c <= Hi as
+// observable; everything outside every live interval of an allocated site is
+// provably dead — the corrupted value is overwritten or deallocated before
+// anything reads it. Allocation kills leftover values of the previous
+// occupant, which is sound for kernels that never consume uninitialized
+// state (flow.Lint's uninit-read rule enforces this for registers; shipped
+// kernels write shared memory before reading it).
 //
 // Shared memory is tracked at two granularities per allocated block:
 // LDS/STS addresses are register-held in general, so an LDS with an unknown
@@ -127,10 +132,16 @@ type ctaRec struct {
 	smem                        *smemSpan // nil if smSize == 0
 }
 
-// pcEffect is the static effect of one instruction: registers read,
-// register killed, and shared-memory access shape.
+// pcEffect is the effect of one instruction: registers read, register
+// killed, and shared-memory access shape. A SEL's operands are held apart
+// from reads, as selA and selB, because a lane reads only the one its
+// predicate picks; RZ stands for an operand that is no register read (RZ
+// itself or an immediate B).
 type pcEffect struct {
 	reads     []isa.Reg
+	sel       bool
+	selA      isa.Reg
+	selB      isa.Reg
 	kill      isa.Reg
 	hasKill   bool
 	smemRead  bool
@@ -149,14 +160,27 @@ func (r *Recorder) effectsOf(p *isa.Program) *progEffects {
 		return e
 	}
 	e := &progEffects{numRegs: p.NumRegs, pcs: make([]pcEffect, len(p.Code))}
+	reg := func(r isa.Reg) isa.Reg {
+		if int(r) < p.NumRegs {
+			return r
+		}
+		return isa.RZ
+	}
 	var srcs []isa.Reg
 	for pc := range p.Code {
 		ins := &p.Code[pc]
 		pe := &e.pcs[pc]
-		srcs = ins.SrcRegs(srcs[:0])
-		for _, s := range srcs {
-			if s != isa.RZ && int(s) < p.NumRegs {
-				pe.reads = append(pe.reads, s)
+		if ins.Op == isa.OpSEL {
+			pe.sel, pe.selA, pe.selB = true, reg(ins.SrcA), reg(ins.SrcB)
+			if ins.BImm {
+				pe.selB = isa.RZ
+			}
+		} else {
+			srcs = ins.SrcRegs(srcs[:0])
+			for _, s := range srcs {
+				if s = reg(s); s != isa.RZ {
+					pe.reads = append(pe.reads, s)
+				}
 			}
 		}
 		if ins.Writing() && int(ins.Dst) < p.NumRegs {
@@ -207,15 +231,16 @@ func (r *Recorder) OnCTAPlace(cta, sm, rfBase, rfSize, smBase, smSize, threads i
 	r.ctas[cta] = rec
 }
 
-// OnIssue implements the sim.SchedTracer shape: it applies pc's static
-// effects to every lane of the active mask.
-func (r *Recorder) OnIssue(cta, warp, pc int, mask uint32, cycle int64) {
+// OnIssue implements the sim.SchedTracer shape: it applies pc's effects to
+// every lane of the active mask, a SEL's read to the operand selA says the
+// lane picked.
+func (r *Recorder) OnIssue(cta, warp, pc int, mask, selA uint32, cycle int64) {
 	rec := r.ctas[cta]
 	if rec == nil || pc < 0 || pc >= len(rec.eff.pcs) {
 		return
 	}
 	pe := &rec.eff.pcs[pc]
-	if len(pe.reads) > 0 || pe.hasKill {
+	if len(pe.reads) > 0 || pe.sel || pe.hasKill {
 		s := r.sms[rec.sm]
 		numRegs := rec.eff.numRegs
 		for m := mask; m != 0; m &= m - 1 {
@@ -223,6 +248,15 @@ func (r *Recorder) OnIssue(cta, warp, pc int, mask uint32, cycle int64) {
 			base := rec.rfBase + (warp*32+lane)*numRegs
 			for _, reg := range pe.reads {
 				s.regs[base+int(reg)].read(cycle)
+			}
+			if pe.sel {
+				picked := pe.selB
+				if selA&(1<<lane) != 0 {
+					picked = pe.selA
+				}
+				if picked != isa.RZ {
+					s.regs[base+int(picked)].read(cycle)
+				}
 			}
 			if pe.hasKill {
 				s.regs[base+int(pe.kill)].last = cycle
@@ -294,6 +328,22 @@ func (iv *Intervals) LiveRF(sm, phys int, cycle int64) bool {
 	return iv.sms[sm].regs[phys].live(cycle)
 }
 
+// RFLiveCycles sums the lengths of every register's live intervals: the
+// register-cycles in which a flip would reach a read. For values written
+// before they are read that is the classical ACE register-cycle count, from
+// each write to its value's last read.
+func (iv *Intervals) RFLiveCycles() int64 {
+	var n int64
+	for _, s := range iv.sms {
+		for i := range s.regs {
+			for _, v := range s.regs[i].ivs {
+				n += v.Hi - v.Lo
+			}
+		}
+	}
+	return n
+}
+
 // LiveSmem reports whether an injection into shared-memory byte (sm, idx)
 // at the cycle can reach a future read. A byte is live when its allocated
 // block was conservatively read (unknown-address LDS) or its word's
@@ -322,7 +372,7 @@ func (iv *Intervals) LiveSmem(sm, idx int, cycle int64) bool {
 
 // RFBlocksAt appends the register blocks an injection at cycle would find
 // allocated on the SM, in CTA placement order — bit-compatible with the
-// simulator's AllocatedRF enumeration and ace.Liveness.RFBlocksAt.
+// simulator's AllocatedRF enumeration.
 func (iv *Intervals) RFBlocksAt(sm int, cycle int64, dst []Blk) []Blk {
 	if sm >= len(iv.sms) {
 		return dst

@@ -1,9 +1,10 @@
 package flow_test
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 
-	"gpurel/internal/ace"
 	"gpurel/internal/flow"
 	"gpurel/internal/gpu"
 	"gpurel/internal/kernels"
@@ -27,62 +28,64 @@ func traceIntervals(t *testing.T, app kernels.App, cfg gpu.Config) (*flow.Interv
 	return iv, res.Spans
 }
 
-// TestIntervalsSoundVsDynamic proves the soundness direction on every app:
-// any site the dynamic ace tracer saw as live must be live in the static
-// interval map (the Recorder applies *static* instruction effects, e.g. SEL
-// reads both sources, so it can only over-approximate liveness — never
-// under). It also pins the allocation timelines bit-compatible: the blocks
-// the injector would enumerate agree exactly between the two tracers.
+// TestIntervalsSoundVsDynamic holds the interval map to the machine itself
+// on every app. At 8 cycles of every launch, the blocks the intervals hold
+// allocated must be the ones each SM has allocated, and inverting every bit
+// of every register the intervals call dead, on every SM at once, must leave
+// the run identical to the fault-free one: a dead register is overwritten or
+// released before any read. Exactness, site for site against the reference
+// core's register stream, is TestIntervalsEqualOracle in internal/sim.
 func TestIntervalsSoundVsDynamic(t *testing.T) {
 	cfg := gpu.Volta()
 	for _, app := range kernels.All() {
-		app := app
 		t.Run(app.Name, func(t *testing.T) {
 			iv, spans := traceIntervals(t, app, cfg)
-			lv, err := ace.TraceRF(app.Build(), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if iv.NumSMs() > cfg.NumSMs || lv.NumSMs() > cfg.NumSMs {
-				t.Fatalf("tracer touched %d/%d SMs, config has %d", iv.NumSMs(), lv.NumSMs(), cfg.NumSMs)
-			}
-			liveDyn, liveStatic, checked := 0, 0, 0
+			golden := sim.Run(app.Build(), cfg, sim.Options{})
+			sites, dead := 0, 0
 			for _, span := range spans {
-				for s := 0; s < 16; s++ {
-					cycle := span.Start + 1 + (span.End-span.Start-1)*int64(s)/16
-					for sm := 0; sm < cfg.NumSMs; sm++ {
-						want := lv.RFBlocksAt(sm, cycle, nil)
-						got := iv.RFBlocksAt(sm, cycle, nil)
-						if len(want) != len(got) {
-							t.Fatalf("cycle %d sm %d: allocation timeline diverged: %v vs %v", cycle, sm, got, want)
-						}
-						for i := range want {
-							if got[i].Base != want[i].Base || got[i].Size != want[i].Size {
-								t.Fatalf("cycle %d sm %d: block %d mismatch: %+v vs %+v", cycle, sm, i, got[i], want[i])
+				for s := int64(0); s < 8; s++ {
+					cycle := span.Start + 1 + (span.End-span.Start-1)*s/8
+					n := 0
+					res := sim.Run(app.Build(), cfg, sim.Options{
+						MaxCycles: 2 * golden.Cycles,
+						AtCycle:   cycle,
+						OnCycle: func(m *sim.Machine) {
+							for sm, st := range m.SMs {
+								want := st.AllocatedRF()
+								got := iv.RFBlocksAt(sm, cycle, nil)
+								if len(got) != len(want) {
+									t.Errorf("cycle %d sm %d: allocation timeline diverged: intervals %v, machine %v", cycle, sm, got, want)
+									return
+								}
+								for i, b := range want {
+									if got[i] != flow.Blk(b) {
+										t.Errorf("cycle %d sm %d: block %d is %+v in the intervals, %+v in the machine", cycle, sm, i, got[i], b)
+										return
+									}
+									for phys := b.Base; phys < b.Base+b.Size; phys++ {
+										sites++
+										if !iv.LiveRF(sm, phys, cycle) {
+											st.RF[phys] = ^st.RF[phys]
+											st.MarkRF(phys)
+											n++
+										}
+									}
+								}
 							}
-							for k := 0; k < want[i].Size; k++ {
-								phys := want[i].Base + k
-								checked++
-								dyn := lv.Live(sm, phys, cycle)
-								st := iv.LiveRF(sm, phys, cycle)
-								if dyn {
-									liveDyn++
-								}
-								if st {
-									liveStatic++
-								}
-								if dyn && !st {
-									t.Fatalf("unsound: sm %d phys %d cycle %d dynamically live but statically dead", sm, phys, cycle)
-								}
-							}
-						}
+						},
+					})
+					if res.Err != nil || res.TimedOut || res.DUEFlag || res.Cycles != golden.Cycles ||
+						!bytes.Equal(res.Output, golden.Output) || !reflect.DeepEqual(res.PerKernel, golden.PerKernel) {
+						t.Fatalf("cycle %d: inverting the %d registers the intervals call dead changed the run: err=%v timeout=%v due=%v cycles %d (golden %d), same output %v",
+							cycle, n, res.Err, res.TimedOut, res.DUEFlag, res.Cycles, golden.Cycles, bytes.Equal(res.Output, golden.Output))
 					}
+					dead += n
 				}
 			}
-			if liveDyn == 0 || checked == 0 {
-				t.Fatalf("degenerate sample: %d sites, %d dynamically live", checked, liveDyn)
+			if dead == 0 || dead == sites {
+				t.Fatalf("degenerate sample: %d of %d sites dead", dead, sites)
 			}
-			t.Logf("%s: %d sites, %d dyn-live <= %d static-live", app.Name, checked, liveDyn, liveStatic)
+			t.Logf("%s: %d sites, %d dead and inverted without effect", app.Name, sites, dead)
 		})
 	}
 }

@@ -349,7 +349,7 @@ func (r *runner) laneByLane(u *uop.Op, ins *isa.Instr, mask uint32) error {
 				continue
 			}
 			if tr != nil {
-				tr.OnRegRead(lb+int(reg), at)
+				tr.OnRead(lb+int(reg), at)
 			}
 			if use == r.siteUse {
 				hit = int(sel)
@@ -366,7 +366,7 @@ func (r *runner) laneByLane(u *uop.Op, ins *isa.Instr, mask uint32) error {
 			return err
 		}
 		if tr != nil && u.WritesReg {
-			tr.OnRegWrite(lb+int(u.Dst), at)
+			tr.OnWrite(lb+int(u.Dst), at)
 		}
 	}
 	return nil

@@ -106,8 +106,8 @@ type Result struct {
 // The `at` argument is the global dynamic-instruction counter.
 type RegTracer interface {
 	OnCTAStart(threads, numRegs int, at int64)
-	OnRegWrite(slot int, at int64)
-	OnRegRead(slot int, at int64)
+	OnWrite(slot int, at int64)
+	OnRead(slot int, at int64)
 	OnCTAEnd(at int64)
 }
 

@@ -87,8 +87,8 @@ func (d *traceDigest) add(ev byte, a, b int, at int64) {
 }
 
 func (d *traceDigest) OnCTAStart(threads, numRegs int, at int64) { d.add('S', threads, numRegs, at) }
-func (d *traceDigest) OnRegWrite(slot int, at int64)             { d.add('W', slot, 0, at) }
-func (d *traceDigest) OnRegRead(slot int, at int64)              { d.add('R', slot, 0, at) }
+func (d *traceDigest) OnWrite(slot int, at int64)                { d.add('W', slot, 0, at) }
+func (d *traceDigest) OnRead(slot int, at int64)                 { d.add('R', slot, 0, at) }
 func (d *traceDigest) OnCTAEnd(at int64) {
 	d.add('E', 0, 0, at)
 	d.ctas = append(d.ctas, [2]uint64{d.h, d.n})

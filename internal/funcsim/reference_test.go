@@ -55,7 +55,7 @@ func (e *ctaEnv) thread(lane int) int { return e.warpBase + lane }
 func (e *ctaEnv) ReadReg(lane int, reg isa.Reg) uint32 {
 	slot := e.thread(lane)*e.numRegs + int(reg)
 	if tr := e.r.opts.RegTrace; tr != nil {
-		tr.OnRegRead(slot, e.r.res.DynInstrs)
+		tr.OnRead(slot, e.r.res.DynInstrs)
 	}
 	v := e.regs[slot]
 	if inj := e.r.opts.Inject; inj != nil && inj.Mode == InjectUse {
@@ -89,7 +89,7 @@ func (e *ctaEnv) WriteReg(lane int, reg isa.Reg, v uint32) {
 	}
 	slot := e.thread(lane)*e.numRegs + int(reg)
 	if tr := e.r.opts.RegTrace; tr != nil {
-		tr.OnRegWrite(slot, e.r.res.DynInstrs)
+		tr.OnWrite(slot, e.r.res.DynInstrs)
 	}
 	e.regs[slot] = v
 }

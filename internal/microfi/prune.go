@@ -14,9 +14,9 @@ import (
 
 // Pruned injection: the same experiment as Inject — bit-identically for any
 // (seed, run) pair — with injections into provably dead sites classified as
-// Masked without simulating them. The caller holds the evidence (a dynamic
-// liveness map or the static interval map); the injector replays its own
-// site selection against that evidence's allocation timeline.
+// Masked without simulating them. The caller holds the evidence (the golden
+// run's interval map); the injector replays its own site selection against
+// that evidence's allocation timeline.
 //
 // The equivalence argument: the faulty run is deterministic and identical to
 // golden up to the injection cycle, so the allocated-block list the injector
@@ -40,17 +40,8 @@ type timeline interface {
 	live(sm, idx int, cycle int64) bool
 }
 
-// livenessTimeline is the register file as traced by ace.TraceRF.
-type livenessTimeline struct{ lv *ace.Liveness }
-
-func (l livenessTimeline) numSMs() int { return l.lv.NumSMs() }
-func (l livenessTimeline) blocksAt(sm int, cycle int64, dst []sim.RFBlock) []sim.RFBlock {
-	return l.lv.RFBlocksAt(sm, cycle, dst)
-}
-func (l livenessTimeline) live(sm, idx int, cycle int64) bool { return l.lv.Live(sm, idx, cycle) }
-
 // intervalTimeline is the register file, or shared memory when smem is set,
-// as recorded by the static interval engine.
+// as recorded by the interval engine.
 type intervalTimeline struct {
 	iv   *flow.Intervals
 	smem bool
@@ -77,24 +68,25 @@ func (s intervalTimeline) live(sm, idx int, cycle int64) bool {
 	return s.iv.LiveRF(sm, idx, cycle)
 }
 
-// InjectPruned is Inject with register-file sites pruned against the golden
-// run's dynamic liveness map. The second return value reports whether the
-// run was pruned (classified analytically). Structures other than RF, a nil
-// map, non-transient models, and ECC-screened or empty-window runs fall
-// through to the exact Inject behaviour with pruned=false.
+// InjectPruned is InjectStatic restricted to the register file: the same
+// interval map, wrapped as ace.Liveness. The second return value reports
+// whether the run was pruned (classified analytically). Structures other
+// than RF, a nil map, non-transient models, and ECC-screened or
+// empty-window runs fall through to the exact Inject behaviour with
+// pruned=false.
 func InjectPruned(job *device.Job, g *GoldenRun, lv *ace.Liveness, t Target, rng *rand.Rand) (faults.Result, bool) {
 	if lv == nil || t.Structure != gpu.RF {
 		return Inject(job, g, t, rng), false
 	}
-	return injectPruned(job, g, livenessTimeline{lv}, t, rng)
+	return injectPruned(job, g, intervalTimeline{iv: lv.Intervals}, t, rng)
 }
 
 // InjectStatic is Inject with register-file and shared-memory sites pruned
-// against the static interval map, with the same fall-through rules as
-// InjectPruned. The map is computed from *static* instruction effects along
-// the scheduled trace, so it over-approximates dynamic liveness: a site
-// outside every live interval is provably never consumed. It needs no
-// register-traced run and is the only pruner that covers shared memory.
+// against the interval map of the golden run's schedule trace. A site
+// outside every live interval is provably never consumed. Structures other
+// than RF and SMEM, a nil map, non-transient models, and ECC-screened or
+// empty-window runs fall through to the exact Inject behaviour with
+// pruned=false.
 func InjectStatic(job *device.Job, g *GoldenRun, si *StaticIntervals, t Target, rng *rand.Rand) (faults.Result, bool) {
 	if si == nil || (t.Structure != gpu.RF && t.Structure != gpu.SMEM) {
 		return Inject(job, g, t, rng), false

@@ -14,11 +14,11 @@ import (
 // pinned here.
 var _ sim.SchedTracer = (*flow.Recorder)(nil)
 
-// StaticIntervals is the static ACE-interval map of one job: the flow
-// interval engine's per-site dead/live intervals over the deterministic
-// scheduled trace, plus the launch spans needed to scope queries to a
-// kernel. Computed once per job by TraceStatic (one fault-free run, like
-// ace.TraceRF) and shared by every injection thereafter.
+// StaticIntervals is the ACE-interval map of one job: the flow interval
+// engine's per-site dead/live intervals over the deterministic scheduled
+// trace, plus the launch spans needed to scope queries to a kernel.
+// Computed once per job by TraceStatic (one fault-free run) and shared by
+// every injection thereafter.
 type StaticIntervals struct {
 	IV     *flow.Intervals
 	Spans  []sim.LaunchSpan

@@ -29,8 +29,8 @@ func (a *activity) note(c int64) {
 func (a *activity) OnCTAPlace(cta, sm, rfBase, rfSize, smBase, smSize, threads int, prog *isa.Program, cycle int64) {
 	a.note(cycle)
 }
-func (a *activity) OnIssue(cta, w, pc int, mask uint32, cycle int64) { a.note(cycle) }
-func (a *activity) OnCTARetire(cta int, cycle int64)                 { a.note(cycle) }
+func (a *activity) OnIssue(cta, w, pc int, mask, selA uint32, cycle int64) { a.note(cycle) }
+func (a *activity) OnCTARetire(cta int, cycle int64)                       { a.note(cycle) }
 
 // idle reports whether the machine does nothing in cycle c and did nothing
 // in c-1 either: the cycle after an issue is still stepped (the SM finds

@@ -10,6 +10,11 @@ var OnReference = onReference
 // in this process.
 func ReferenceCycles() int64 { return referenceCycles.Load() }
 
+// TraceOracle runs a job on the reference core and returns the register
+// lifetimes its per-access register stream records (see rf_oracle_test.go)
+// with the run's result.
+var TraceOracle = traceOracle
+
 // AuditDirty runs f with the dirty-bit soundness audit installed (see
 // dirty_audit_test.go) and returns how many audits ran and the first page
 // found clean but changed.

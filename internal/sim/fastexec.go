@@ -7,14 +7,16 @@
 // that reach outside the register file; the register-only kinds are
 // uop.Fns, one table shared with the functional simulator.
 //
-// Every run executes here. A run with Options.RFTrace set issues each data
-// µop one lane at a time through the same handlers so the tracer sees the
-// per-lane read → effect → write order exec.Step produces. exec.Step itself
-// runs in test binaries only: from this package's tests it drives the
-// reference core the µop core is checked against (reference_test.go).
+// Every run executes here, traced or not, and every data µop issues for all
+// its lanes at once. exec.Step itself runs in test binaries only: from this
+// package's tests it drives the reference core the µop core is checked
+// against (reference_test.go), whose per-access register stream is also the
+// oracle for the register lifetimes a schedule trace records.
 package sim
 
 import (
+	"math/bits"
+
 	"gpurel/internal/exec"
 	"gpurel/internal/isa"
 	"gpurel/internal/uop"
@@ -102,18 +104,12 @@ func (r *runner) stepFast(w *exec.Warp, cp *uop.Program, e *simEnv) (exec.StepIn
 		return info, u
 
 	case uop.KNop, uop.KDrop:
-		// A dropped op has no effect to execute, but its instruction still
-		// reads its operands: a traced run reports those below.
-		if u.Kind == uop.KNop || r.opts.RFTrace == nil {
-			top.PC = pc + 1
-			return info, u
-		}
+		top.PC = pc + 1
+		return info, u
 	}
 
 	var err error
-	if tr := r.opts.RFTrace; tr != nil {
-		err = traceLanes(tr, r.cycle, e, u, info.Instr, execMask)
-	} else if fn := uop.Fns[u.Kind]; fn != nil { // e.exec, spelled out: it is too big to inline
+	if fn := uop.Fns[u.Kind]; fn != nil {
 		fn(&e.f, u, execMask)
 	} else {
 		err = envFns[u.Kind](e, u, execMask) // KDrop returned above
@@ -127,42 +123,23 @@ func (r *runner) stepFast(w *exec.Warp, cp *uop.Program, e *simEnv) (exec.StepIn
 	return info, u
 }
 
-// traceLanes executes one data µop for a traced run: one lane at a time
-// through the ordinary handler, reporting around each lane the register
-// reads and the write exec.Step performs for it — sources, then the effect,
-// then the destination, so a lane that faults has reported its reads but no
-// write and later lanes report nothing. The source list comes from the
-// architectural instruction because a KDrop µop has no handler but its
-// instruction still reads its operands; SEL reads only the operand its
-// predicate selects.
-func traceLanes(tr RFTracer, cycle int64, e *simEnv, u *uop.Op, ins *isa.Instr, mask uint32) error {
-	var buf [3]isa.Reg
-	srcs := ins.SrcRegs(buf[:0])
-	for lane, lb, m := 0, e.f.RBase, mask; m != 0; lane, lb, m = lane+1, lb+e.f.Stride, m>>1 {
-		if m&1 == 0 {
-			continue
-		}
-		read := srcs
-		if ins.Op == isa.OpSEL {
-			if u.SelectsA(e.f.Preds[e.f.TBase+lane]) {
-				read = srcs[:1]
-			} else {
-				read = srcs[1:]
-			}
-		}
-		for _, s := range read {
-			if s != isa.RZ {
-				tr.OnRegRead(e.sm.ID, lb+int(s), cycle)
-			}
-		}
-		if err := e.exec(u, 1<<lane); err != nil {
-			return err
-		}
-		if u.WritesReg {
-			tr.OnRegWrite(e.sm.ID, lb+int(u.Dst), cycle)
+// selPicksA returns the lanes of mask on which an issued SEL picked its A
+// operand, for the schedule trace: a recorder needs it to know which of the
+// two operands each lane read. It is 0 for every other instruction. A SEL
+// into RZ lowers to KDrop but keeps its predicate, and still reads the
+// operand it picks. preds holds the issuing warp's predicate bytes.
+func selPicksA(u *uop.Op, ins *isa.Instr, preds []uint8, mask uint32) uint32 {
+	if ins.Op != isa.OpSEL {
+		return 0
+	}
+	var a uint32
+	for m := mask; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
+		if u.SelectsA(preds[lane]) {
+			a |= 1 << lane
 		}
 	}
-	return nil
+	return a
 }
 
 // envFn executes one environment µop — one that reaches outside the register
@@ -181,19 +158,6 @@ var envFns = [uop.NumKinds]envFn{
 	uop.KLds:   uLds,
 	uop.KSts:   uSts,
 	uop.KBadOp: uBadOp,
-}
-
-// exec runs one data µop for the lanes in mask on the issuing warp's frame.
-// A KDrop µop has neither kind of handler: nothing to execute.
-func (e *simEnv) exec(u *uop.Op, mask uint32) error {
-	if fn := uop.Fns[u.Kind]; fn != nil {
-		fn(&e.f, u, mask)
-		return nil
-	}
-	if fn := envFns[u.Kind]; fn != nil {
-		return fn(e, u, mask)
-	}
-	return nil
 }
 
 // Compile lowers an S2R or LDC into RZ to KDrop, so both index Dst

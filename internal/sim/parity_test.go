@@ -10,6 +10,7 @@ import (
 	"gpurel/internal/device"
 	"gpurel/internal/faultmodel"
 	"gpurel/internal/faults"
+	"gpurel/internal/flow"
 	"gpurel/internal/gpu"
 	"gpurel/internal/harden"
 	"gpurel/internal/isa"
@@ -165,7 +166,7 @@ func TestSteppedCounts(t *testing.T) {
 
 // TestOneCoreOutsideTests pins where the reference core can run: only inside
 // sim.OnReference. A plain run — traced or not, direct or through microfi —
-// never touches it, so the µop core is what feeds the RF tracer; inside
+// never touches it, so the µop core is what feeds the schedule trace; inside
 // OnReference a golden run built by microfi does execute on it, which is
 // what lets the campaign tests below reach it across the package boundary.
 func TestOneCoreOutsideTests(t *testing.T) {
@@ -177,7 +178,7 @@ func TestOneCoreOutsideTests(t *testing.T) {
 	job := app.Build()
 	before := sim.ReferenceCycles()
 	sim.Run(job, cfg, sim.Options{})
-	sim.Run(job, cfg, sim.Options{RFTrace: nopTracer{}})
+	sim.Run(job, cfg, sim.Options{SchedTrace: flow.NewRecorder()})
 	if _, err := microfi.Golden(job, cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -223,17 +224,10 @@ func TestOutOfISAOpcode(t *testing.T) {
 			if got != c.wantErr {
 				t.Errorf("Result.Err = %q, want %q", got, c.wantErr)
 			}
-			checkTraceParity(t, build, 0, true)
+			checkLifetimes(t, build, 0, everyCycle)
 		})
 	}
 }
-
-type nopTracer struct{}
-
-func (nopTracer) OnRegWrite(sm, phys int, cycle int64)         {}
-func (nopTracer) OnRegRead(sm, phys int, cycle int64)          {}
-func (nopTracer) OnRegAlloc(sm, base, size int, cycle int64)   {}
-func (nopTracer) OnRegRelease(sm, base, size int, cycle int64) {}
 
 // The injection-layer property that makes one production core safe: every
 // injection path must tally bit-identically on both cores — faulty runs

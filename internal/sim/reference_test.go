@@ -69,7 +69,7 @@ func cycleSMReference(r *runner, sm *SM, ks *KernelStats) (int, error) {
 
 		info := exec.Step(cta.warps[w], cta.prog, e)
 		if tr := r.opts.SchedTrace; tr != nil && info.Kind != exec.StepFault && info.Instr != nil {
-			tr.OnIssue(cta.schedID, w, int(info.PC), info.ActiveMask, r.cycle)
+			tr.OnIssue(cta.schedID, w, int(info.PC), info.ActiveMask, e.selPicksA(info.Instr, info.ActiveMask), r.cycle)
 		}
 		switch info.Kind {
 		case exec.StepFault:
@@ -140,18 +140,34 @@ func (e *simEnv) regIndex(lane int, reg isa.Reg) int {
 
 func (e *simEnv) ReadReg(lane int, reg isa.Reg) uint32 {
 	idx := e.regIndex(lane, reg)
-	if tr := e.r.opts.RFTrace; tr != nil {
-		tr.OnRegRead(e.sm.ID, idx, e.r.cycle)
+	if o := rfOracle; o != nil {
+		o.access(e.sm.ID, idx, false)
 	}
 	return e.sm.RF[idx]
 }
 
 func (e *simEnv) WriteReg(lane int, reg isa.Reg, v uint32) {
 	idx := e.regIndex(lane, reg)
-	if tr := e.r.opts.RFTrace; tr != nil {
-		tr.OnRegWrite(e.sm.ID, idx, e.r.cycle)
+	if o := rfOracle; o != nil {
+		o.access(e.sm.ID, idx, true)
 	}
 	e.sm.RF[idx] = v
+}
+
+// selPicksA is the schedule trace's SEL pick mask read the reference way:
+// the lanes of mask whose SelPred, through the predicate accessor, picked
+// SrcA.
+func (e *simEnv) selPicksA(ins *isa.Instr, mask uint32) uint32 {
+	if ins.Op != isa.OpSEL {
+		return 0
+	}
+	var a uint32
+	for lane := 0; lane < 32; lane++ {
+		if mask&(1<<lane) != 0 && (ins.SelPred == isa.PT || e.ReadPred(lane, ins.SelPred)) != ins.SelPredNeg {
+			a |= 1 << lane
+		}
+	}
+	return a
 }
 
 func (e *simEnv) ReadPred(lane int, p isa.Pred) bool {

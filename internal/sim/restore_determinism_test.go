@@ -11,7 +11,7 @@ import (
 // issueEvent is one OnIssue observation; comparable so traces diff cheaply.
 type issueEvent struct {
 	cta, w, pc int
-	mask       uint32
+	mask, selA uint32
 	cycle      int64
 }
 
@@ -31,8 +31,8 @@ func (r *recTracer) OnCTAPlace(cta, sm, rfBase, rfSize, smBase, smSize, threads 
 	r.places = append(r.places, placeEvent{cta, sm, rfBase, rfSize, smBase, smSize, threads, cycle})
 }
 
-func (r *recTracer) OnIssue(cta, w, pc int, mask uint32, cycle int64) {
-	r.issues = append(r.issues, issueEvent{cta, w, pc, mask, cycle})
+func (r *recTracer) OnIssue(cta, w, pc int, mask, selA uint32, cycle int64) {
+	r.issues = append(r.issues, issueEvent{cta, w, pc, mask, selA, cycle})
 }
 
 func (r *recTracer) OnCTARetire(cta int, cycle int64) {

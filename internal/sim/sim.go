@@ -347,16 +347,6 @@ type Result struct {
 	Stepped int64
 }
 
-// RFTracer observes register-file activity for analytical (ACE-style)
-// vulnerability analysis. Callbacks use physical register indices within an
-// SM. Implementations must be fast; they run on every register access.
-type RFTracer interface {
-	OnRegWrite(sm, phys int, cycle int64)
-	OnRegRead(sm, phys int, cycle int64)
-	OnRegAlloc(sm, base, size int, cycle int64)
-	OnRegRelease(sm, base, size int, cycle int64)
-}
-
 // SchedTracer observes the deterministic schedule of a run: every CTA
 // placement and retirement with its physical register-file and shared-memory
 // allocation, and every warp instruction issue with its post-predication
@@ -372,7 +362,10 @@ type SchedTracer interface {
 	// OnIssue fires after one warp instruction executes: pc is the executed
 	// instruction's index and mask the lanes that actually ran it (guard
 	// predicates already applied — a lane outside the mask touched nothing).
-	OnIssue(cta, warp, pc int, mask uint32, cycle int64)
+	// For a SEL, selA holds the lanes of mask whose predicate picked SrcA
+	// (the others read SrcB); it is 0 for every other instruction. An
+	// instruction that faults does not fire OnIssue.
+	OnIssue(cta, warp, pc int, mask, selA uint32, cycle int64)
 	// OnCTARetire fires when the CTA's allocations are released.
 	OnCTARetire(cta int, cycle int64)
 }
@@ -396,11 +389,8 @@ type Options struct {
 	// which nothing was placed, issued or retired, bit-identical to making
 	// one per cycle. They run on the hot loop, so they must be cheap.
 	EachCycle func(*Machine)
-	// RFTrace, when set, receives register-file liveness events (used by
-	// the ACE analyzer).
-	RFTrace RFTracer
 	// SchedTrace, when set, receives the scheduled execution order (used by
-	// the static interval engine in internal/flow). CTA ids are dense in
+	// the register-lifetime recorder in internal/flow). CTA ids are dense in
 	// placement order and survive Resume (the id counter is part of the
 	// snapshot), but a resumed run only reports events from the snapshot
 	// cycle on — OnCTAPlace for already-resident CTAs does not replay.
@@ -994,9 +984,6 @@ func (r *runner) tryPlace(sm *SM, l *device.Launch, prog *isa.Program, p *pendin
 	sm.rebuildSlots()
 	sm.nextReady = 0
 	sm.threadsUsed += threads
-	if tr := r.opts.RFTrace; tr != nil {
-		tr.OnRegAlloc(sm.ID, cta.rfBase, cta.rfSize, r.cycle)
-	}
 	if tr := r.opts.SchedTrace; tr != nil {
 		tr.OnCTAPlace(cta.schedID, sm.ID, cta.rfBase, cta.rfSize, cta.smBase, cta.smSize, cta.threads, prog, r.cycle)
 	}
@@ -1063,7 +1050,7 @@ func (r *runner) cycleSM(sm *SM, ks *KernelStats) (int, error) {
 
 		info, u := r.stepFast(cta.warps[w], cta.uprog, e)
 		if tr := r.opts.SchedTrace; tr != nil && info.Kind != exec.StepFault && info.Instr != nil {
-			tr.OnIssue(cta.schedID, w, int(info.PC), info.ActiveMask, r.cycle)
+			tr.OnIssue(cta.schedID, w, int(info.PC), info.ActiveMask, selPicksA(u, info.Instr, cta.preds[e.f.TBase:], info.ActiveMask), r.cycle)
 		}
 		switch info.Kind {
 		case exec.StepFault:
@@ -1158,9 +1145,6 @@ func (r *runner) releaseBarrierIfReady(cta *ctaRT) {
 }
 
 func (r *runner) retireCTA(sm *SM, cta *ctaRT) {
-	if tr := r.opts.RFTrace; tr != nil {
-		tr.OnRegRelease(sm.ID, cta.rfBase, cta.rfSize, r.cycle)
-	}
 	if tr := r.opts.SchedTrace; tr != nil {
 		tr.OnCTARetire(cta.schedID, r.cycle)
 	}

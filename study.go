@@ -17,7 +17,6 @@ import (
 
 	"sync"
 
-	"gpurel/internal/ace"
 	"gpurel/internal/adaptive"
 	"gpurel/internal/campaign"
 	"gpurel/internal/device"
@@ -106,10 +105,6 @@ type AppEval struct {
 
 	plain, tmr variant // the fields above in the form resolve hands out
 
-	staticOnce sync.Once
-	static     *microfi.StaticIntervals
-	staticErr  error
-
 	selMu sync.Mutex
 	sel   map[string]*variant // proper protection subsets, keyed by Set.Canonical()
 }
@@ -117,8 +112,8 @@ type AppEval struct {
 // variant is one protection variant of an application — the plain job, the
 // fully TMR-hardened one, or a proper selective subset — with everything a
 // campaign point needs from it: the job, its golden runs, which kernels'
-// campaigns include the vote, and (traced on the first pruned campaign) the
-// RF liveness map of the golden run.
+// campaigns include the vote, and (traced on first use) the interval map of
+// the golden run.
 type variant struct {
 	Job    *device.Job
 	MicroG *microfi.GoldenRun
@@ -130,9 +125,9 @@ type variant struct {
 	once sync.Once // builds a proper subset's job and golden run
 	err  error
 
-	liveOnce sync.Once
-	live     *ace.Liveness
-	liveErr  error
+	traceOnce sync.Once
+	iv        *microfi.StaticIntervals
+	traceErr  error
 }
 
 // build runs the four golden runs of the application. ck is the checkpoint
@@ -228,22 +223,15 @@ func (v *variant) cycles(kernel string) float64 {
 	return float64(c)
 }
 
-// liveness traces (once) the RF liveness map of the variant's golden run.
-func (v *variant) liveness() (*ace.Liveness, error) {
-	v.liveOnce.Do(func() {
-		v.live, v.liveErr = ace.TraceRF(v.Job, v.MicroG.Cfg)
+// intervals traces (once) the interval map of the variant's golden run — one
+// fault-free run, no injections. Pruned campaigns read its register-file
+// liveness; the advisor's zero-cost pre-ranking stage reads the plain job's
+// static AVF bounds.
+func (v *variant) intervals() (*microfi.StaticIntervals, error) {
+	v.traceOnce.Do(func() {
+		v.iv, v.traceErr = microfi.TraceStatic(v.Job, v.MicroG.Cfg)
 	})
-	return v.live, v.liveErr
-}
-
-// staticIntervals traces (once) the static ACE-interval map of the plain
-// job — one fault-free run, no injections; the advisor's zero-cost
-// pre-ranking stage reads its static AVF bounds.
-func (e *AppEval) staticIntervals(cfg gpu.Config) (*microfi.StaticIntervals, error) {
-	e.staticOnce.Do(func() {
-		e.static, e.staticErr = microfi.TraceStatic(e.Job, cfg)
-	})
-	return e.static, e.staticErr
+	return v.iv, v.traceErr
 }
 
 // Layer selects which injector a campaign point runs on.
@@ -268,9 +256,9 @@ type SamplingPolicy struct {
 	// (0 = adaptive.DefaultBatch).
 	Batch int
 	// Prune enables liveness-guided pruning of register-file injections:
-	// provably-dead sites classify as Masked from the golden run's liveness
+	// provably-dead sites classify as Masked from the golden run's interval
 	// map instead of being simulated. Classifications are bit-identical to
-	// brute force (microfi.InjectPruned).
+	// brute force (microfi.InjectStatic).
 	Prune bool
 }
 
@@ -431,17 +419,17 @@ func (s *Study) PointExperiment(spec PointSpec) (campaign.Experiment, error) {
 		return nil, err
 	}
 	job, g, t := v.Job, v.MicroG, v.target(spec, mdl)
-	// The liveness map is the only evidence a study point can hold; with
-	// none, InjectPruned is exactly Inject and every run counts as
-	// simulated.
-	var lv *ace.Liveness
+	// The interval map is the only evidence a study point can hold, and it
+	// prunes register-file points only; with none, InjectStatic is exactly
+	// Inject and every run counts as simulated.
+	var si *microfi.StaticIntervals
 	if spec.Sampling != nil && spec.Sampling.Prune && spec.Structure == gpu.RF {
-		if lv, err = v.liveness(); err != nil {
+		if si, err = v.intervals(); err != nil {
 			return nil, fmt.Errorf("%s: %w", spec.App, err)
 		}
 	}
 	return s.Counters.Instrument(func(run int, rng *rand.Rand) (faults.Result, bool) {
-		return microfi.InjectPruned(job, g, lv, t, rng)
+		return microfi.InjectStatic(job, g, si, t, rng)
 	}), nil
 }
 
