@@ -1,8 +1,8 @@
-// Package client is the importable HTTP client for the gpureld v1 API:
-// campaign-job submission and streaming for CLIs (avfsvf -daemon), and the
-// lease protocol for fleet workers (gpureld -worker). Every method takes a
-// context; none retries by itself — workers wrap calls with Retry and a
-// jittered exponential Backoff.
+// Package client is the importable HTTP client for the gpureld v1 API: job
+// submission and streaming — campaign points for CLIs (avfsvf -daemon) and
+// selective-hardening advise jobs — and the lease protocol for fleet workers
+// (gpureld -worker). Every method takes a context; none retries by itself —
+// workers wrap calls with Retry and a jittered exponential Backoff.
 package client
 
 import (
@@ -144,11 +144,10 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 // proxy hiccup) before the watcher chose to stop.
 var errStreamEnded = errors.New("stream ended before a terminal event")
 
-// watch is the one NDJSON reader behind WatchEvents, WatchAdviseEvents and
-// WatchFleet: it GETs path and hands each decoded line to fn until fn
-// reports it has seen enough (nil), fn fails, or ctx ends. A stream that
-// ends first returns an error wrapping errStreamEnded. what names the stream
-// in errors.
+// watch is the one NDJSON reader behind WatchEvents and WatchFleet: it GETs
+// path and hands each decoded line to fn until fn reports it has seen enough
+// (nil), fn fails, or ctx ends. A stream that ends first returns an error
+// wrapping errStreamEnded. what names the stream in errors.
 func watch[E any](ctx context.Context, c *Client, path, what string, fn func(E) (done bool, err error)) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
 	if err != nil {
@@ -183,20 +182,27 @@ func watch[E any](ctx context.Context, c *Client, path, what string, fn func(E) 
 	return fmt.Errorf("%s: %w", what, errStreamEnded)
 }
 
-// wait is the one loop behind WaitJob and WaitAdvise: it blocks until a
-// status is terminal, preferring the event stream (stream hands every status
-// it sees to its argument) and falling back to polling get whenever the
-// stream breaks, e.g. across a daemon restart.
-func wait[S any](ctx context.Context, c *Client, terminal func(S) bool,
-	stream func(keep func(S)) error, get func() (S, error)) (S, error) {
+// WatchEvents consumes a job's NDJSON event stream, invoking fn per event
+// until the job reaches a terminal state, fn returns an error, or ctx ends.
+func (c *Client) WatchEvents(ctx context.Context, id string, fn func(service.Event) error) error {
+	return watch(ctx, c, "/v1/jobs/"+id+"/events", "events "+id, func(ev service.Event) (bool, error) {
+		return ev.Job.State.Terminal(), fn(ev)
+	})
+}
+
+// WaitJob blocks until the job is terminal, preferring the event stream and
+// falling back to polling whenever the stream breaks (e.g. across a daemon
+// restart — journaled jobs, advise jobs included, resume on the new
+// process).
+func (c *Client) WaitJob(ctx context.Context, id string) (service.JobStatus, error) {
 	poll := c.PollInterval
 	if poll <= 0 {
 		poll = 500 * time.Millisecond
 	}
 	for {
-		var last S
-		err := stream(func(st S) { last = st })
-		if err == nil && terminal(last) {
+		var last service.JobStatus
+		err := c.WatchEvents(ctx, id, func(ev service.Event) error { last = ev.Job; return nil })
+		if err == nil && last.State.Terminal() {
 			return last, nil
 		}
 		if ctx.Err() != nil {
@@ -208,33 +214,16 @@ func wait[S any](ctx context.Context, c *Client, terminal func(S) bool,
 			return last, ctx.Err()
 		case <-time.After(poll):
 		}
-		if st, gerr := get(); gerr == nil && terminal(st) {
+		if st, gerr := c.GetJob(ctx, id); gerr == nil && st.State.Terminal() {
 			return st, nil
 		}
 	}
 }
 
-// WatchEvents consumes a job's NDJSON event stream, invoking fn per event
-// until the job reaches a terminal state, fn returns an error, or ctx ends.
-func (c *Client) WatchEvents(ctx context.Context, id string, fn func(service.Event) error) error {
-	return watch(ctx, c, "/v1/jobs/"+id+"/events", "events "+id, func(ev service.Event) (bool, error) {
-		return ev.Job.State.Terminal(), fn(ev)
-	})
-}
-
-// WaitJob blocks until the job is terminal, preferring the event stream and
-// falling back to polling if streaming fails (e.g. across a daemon
-// restart).
-func (c *Client) WaitJob(ctx context.Context, id string) (service.JobStatus, error) {
-	return wait(ctx, c, func(st service.JobStatus) bool { return st.State.Terminal() },
-		func(keep func(service.JobStatus)) error {
-			return c.WatchEvents(ctx, id, func(ev service.Event) error { keep(ev.Job); return nil })
-		},
-		func() (service.JobStatus, error) { return c.GetJob(ctx, id) })
-}
-
-// RunJob submits a spec and waits for its final tally — the one-call remote
-// analogue of campaign.Run.
+// RunJob submits a spec and waits for it to finish — the one-call remote
+// analogue of campaign.Run for a campaign point (final tally), and of
+// advisor.Runner.Run for an advise spec (plan and verification in the
+// status's advise group).
 func (c *Client) RunJob(ctx context.Context, spec service.JobSpec) (service.JobStatus, error) {
 	st, err := c.SubmitJob(ctx, spec)
 	if err != nil {

@@ -9,7 +9,7 @@ import (
 )
 
 // Fleet control-plane wire types (POST /v1/workers, GET /v1/fleet) —
-// aliases of the server's own schema, like JobSpec/AdviseSpec in spec.go.
+// aliases of the server's own schema, like JobSpec/AdviseGroup in spec.go.
 type (
 	WorkerCaps   = service.WorkerCaps
 	WorkerSpec   = service.WorkerSpec

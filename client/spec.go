@@ -2,9 +2,9 @@
 // gpurel/internal/service, which importers outside this module cannot name;
 // these aliases re-export the exact types — same decoders, same strict
 // unknown-field handling, same JSON — so an external program can build a
-// JobSpec with a nested fault{model,stuck,width,lines} group or an
-// AdviseSpec and get byte-identical wire behaviour to the server's own
-// decode path.
+// JobSpec with a nested fault{model,stuck,width,lines} group or an advise
+// group and get byte-identical wire behaviour to the server's own decode
+// path.
 package client
 
 import (
@@ -14,23 +14,17 @@ import (
 
 // Job-spec wire types (POST /v1/jobs). JobSpec carries the nested v1 groups:
 // sampling (adaptive stopping), checkpoint (fork-and-join snapshots), fault
-// (fault model), plus the harden list for selectively hardened variants.
+// (fault model), plus the harden list for selectively hardened variants —
+// or, for a selective-hardening advise, the advise group alone.
 type (
 	JobSpec      = service.JobSpec
 	FaultSpec    = service.FaultSpec
 	SamplingSpec = service.SamplingSpec
 	SnapshotSpec = service.SnapshotSpec
+	AdviseGroup  = service.AdviseGroup
 	JobState     = service.JobState
 	JobStatus    = service.JobStatus
 	Event        = service.Event
-)
-
-// Advise wire types (POST /v1/advise): the selective-hardening advisor.
-type (
-	AdviseGroup  = service.AdviseGroup
-	AdviseSpec   = service.AdviseSpec
-	AdviseStatus = service.AdviseStatus
-	AdviseEvent  = service.AdviseEvent
 )
 
 // Job lifecycle states, shared by campaign jobs and advise jobs.

@@ -127,26 +127,29 @@ func TestFaultGroupWireFields(t *testing.T) {
 	}
 }
 
-// AdviseSpec round-trips through the client alias with the same strict
+// An advise spec round-trips through the JobSpec alias with the same strict
 // decoding as the server: unknown fields rejected, nested advise group
-// preserved.
+// preserved, campaign-point fields absent from the wire.
 func TestAdviseSpecRoundTrip(t *testing.T) {
 	wire := `{"advise":{"app":"SRADv1","budget":0.005},"runs":3000,"seed":42}`
-	var sp client.AdviseSpec
+	var sp client.JobSpec
 	if err := json.Unmarshal([]byte(wire), &sp); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	if err := sp.Validate(); err != nil {
 		t.Fatalf("validate: %v", err)
 	}
-	if sp.Advise.App != "SRADv1" || sp.Advise.Budget != 0.005 || sp.Runs != 3000 || sp.Seed != 42 {
+	if sp.Advise == nil || sp.Advise.App != "SRADv1" || sp.Advise.Budget != 0.005 || sp.Runs != 3000 || sp.Seed != 42 {
 		t.Fatalf("decoded %+v", sp)
 	}
 	out, err := json.Marshal(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back client.AdviseSpec
+	if string(out) != wire {
+		t.Errorf("advise spec encodes as %s, want %s", out, wire)
+	}
+	var back client.JobSpec
 	if err := json.Unmarshal(out, &back); err != nil {
 		t.Fatalf("re-decode: %v (%s)", err, out)
 	}

@@ -1,8 +1,9 @@
 // Command gpureld is the campaign daemon: a long-running fault-injection
 // job server over the study's simulators. It accepts AVF/SVF campaign specs
-// on an HTTP API, executes them on a bounded sharded worker pool with
-// shared golden-run memoisation, journals progress to a checkpoint file,
-// and resumes incomplete jobs bit-identically after a restart.
+// and selective-hardening advise specs on an HTTP API, executes them on a
+// bounded sharded worker pool with shared golden-run memoisation, journals
+// progress to a checkpoint file, and resumes incomplete jobs
+// bit-identically after a restart.
 //
 // The same binary is both halves of a worker fleet. As a coordinator it
 // additionally serves run-range leases (POST /v1/leases) that remote
@@ -20,13 +21,13 @@
 //	                            micro jobs take a nested "fault" group selecting
 //	                            the fault model (transient/stuck/mbu/control);
 //	                            absent = transient single-bit
+//	POST   /v1/jobs             {"advise":{"app":"SRADv1","budget":0.005},"runs":3000,"seed":1}
+//	                            selective-hardening advisor: measure, search,
+//	                            verify, its campaigns run as child jobs;
+//	                            status carries the plan + verification
 //	GET    /v1/jobs/{id}        status + partial tally + live ErrMargin99
 //	GET    /v1/jobs/{id}/events NDJSON progress stream
 //	DELETE /v1/jobs/{id}        cancel
-//	POST   /v1/advise           {"advise":{"app":"SRADv1","budget":0.005},"runs":3000,"seed":1}
-//	                            selective-hardening advisor: measure, search,
-//	                            verify; status carries the plan + verification
-//	GET    /v1/advise/{id}/events NDJSON advisor progress stream
 //	POST   /v1/leases           worker lease grant (coordinator); adaptively
 //	                            sized from the worker's measured runs/sec
 //	POST   /v1/workers          worker registration with capability report
@@ -38,10 +39,10 @@
 //
 // Errors on every /v1 route share one envelope: {"error":{"code","message"}}.
 //
-// Campaign jobs may carry "tenant" and "priority": the scheduler hands out
-// work (to local lanes and fleet leases alike) by deterministic weighted
-// fair-share across tenants, so no tenant starves and single-tenant
-// workloads schedule exactly as before.
+// Jobs may carry "tenant" and "priority" (an advise job's children inherit
+// them): the scheduler hands out work (to local lanes and fleet leases
+// alike) by deterministic weighted fair-share across tenants, so no tenant
+// starves and single-tenant workloads schedule exactly as before.
 //
 // The coordinator journals its lease ledger and worker registry to
 // -fleet-checkpoint through the same internal/journal as the job
@@ -119,7 +120,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fleetCkpt  = fs.String("fleet-checkpoint", "gpureld.fleet.json", "fleet journal path: leases + worker registry survive a coordinator restart ('' disables)")
 		calibrate  = fs.Int("calibrate-runs", -1, "worker calibration micro-burst size measuring runs/sec (0 disables, negative = default)")
 		snapBudget = fs.Int("worker-snap-mb", 0, "worker capability report: snapshot memory budget in MiB")
-		adviseCkpt = fs.String("advise-checkpoint", "gpureld.advise.json", "selective-hardening advise journal path ('' disables persistence)")
 	)
 	// Machine-snapshot knobs (fork-and-join injection): the default for jobs
 	// that carry no "checkpoint" group; named snap-* to stay clear of
@@ -183,27 +183,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	sched.Metrics().AddCollector(coord.WriteMetrics)
 
-	// The advise subsystem runs each advise job on its own study sized by
-	// the spec's runs/seed, so plans are reproducible across daemons.
-	adv, err := service.NewAdvisor(service.AdvisorConfig{
-		Backend:     service.NewStudyAdviseBackend(),
-		JournalPath: *adviseCkpt,
-		Metrics:     sched.Metrics(),
-	})
-	if err != nil {
-		coord.Close()
-		sched.Close()
-		return fatal(err)
-	}
-
 	srv := &http.Server{
-		Handler:           service.NewServer(sched).Handler(coord.Mount, adv.Mount),
+		Handler:           service.NewServer(sched).Handler(coord.Mount),
 		ReadHeaderTimeout: readHeaderTimeout,
 		IdleTimeout:       idleTimeout,
 	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		adv.Close()
 		coord.Close()
 		sched.Close()
 		return fatal(err)
@@ -223,7 +209,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	select {
 	case err := <-errc:
 		if !errors.Is(err, http.ErrServerClosed) {
-			adv.Close()
 			coord.Close()
 			sched.Close()
 			return fatal(err)
@@ -233,12 +218,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	// Drain order: stop granting leases (journaled coordinators flush the
-	// lease ledger for the next process; unjournaled ones requeue it), park
-	// in-flight advise jobs (journaled non-terminal, so the next process
-	// resumes them), drain the scheduler (finishes in-flight chunks, parks
-	// the rest, flushes the checkpoint, unblocks open event streams), then
-	// shut the listener down gracefully.
-	adv.Close()
+	// lease ledger for the next process; unjournaled ones requeue it), drain
+	// the scheduler (finishes in-flight chunks, parks the rest — advise jobs
+	// and their children included — flushes the checkpoint, unblocks open
+	// event streams), then shut the listener down gracefully.
 	if err := coord.Close(); err != nil {
 		logger.Printf("gpureld: fleet journal flush: %v", err)
 	}

@@ -50,7 +50,7 @@ func startDaemon(t *testing.T, journal string) *daemon {
 	ctx, stop := context.WithCancel(context.Background())
 	d := &daemon{stop: stop, code: make(chan int, 1), stdout: &syncBuffer{}, stderr: &syncBuffer{}}
 	args := []string{"-addr", "127.0.0.1:0", "-checkpoint", journal, "-checkpoint-interval", "50ms",
-		"-chunk", "20", "-workers", "1", "-fleet-checkpoint", "", "-advise-checkpoint", ""}
+		"-chunk", "20", "-workers", "1", "-fleet-checkpoint", ""}
 	go func() { d.code <- run(ctx, args, d.stdout, d.stderr) }()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {

@@ -7,10 +7,13 @@ package fleet_test
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -18,6 +21,7 @@ import (
 	"gpurel"
 	"gpurel/client"
 	"gpurel/internal/adaptive"
+	"gpurel/internal/advisor"
 	"gpurel/internal/campaign"
 	"gpurel/internal/faults"
 	"gpurel/internal/fleet"
@@ -390,5 +394,82 @@ func TestFleetGracefulDegradation(t *testing.T) {
 	}
 	if stats := coord.Stats(); stats.Granted != 0 {
 		t.Errorf("leases granted with no workers: %+v", stats)
+	}
+}
+
+// TestFleetAdviseMatchesGpuharden: an advise job is an ordinary job on the
+// fleet. On a coordinator with local execution disabled (gpureld -no-local)
+// and two workers — each with its own study, like two processes — the
+// advise's child campaigns all run through leases, and its plan and
+// verification are byte-identical to the in-process advisor's (gpuharden's
+// golden output for the same app, budget, runs and seed).
+func TestFleetAdviseMatchesGpuharden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real simulator campaigns")
+	}
+	raw, err := os.ReadFile(filepath.Join("..", "..", "cmd", "gpuharden", "testdata", "NW_budget0.002_n60.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden advisor.State
+	if err := json.Unmarshal(raw, &golden); err != nil {
+		t.Fatal(err)
+	}
+
+	sched, coord, srv := harness(t,
+		service.Config{Source: synthSource(0), DisableLocalExec: true},
+		fleet.CoordinatorConfig{LeaseRuns: 30, LeaseTTL: 30 * time.Second},
+	)
+	var workers []*fleet.Worker
+	for i := 0; i < 2; i++ {
+		w, _ := startWorker(t, fleet.WorkerConfig{
+			Client: client.New(srv.URL), Source: service.NewStudySource(gpurel.NewStudy(0, 1)),
+			Chunk: 15, Workers: 1, Poll: time.Millisecond, Backoff: testBackoff,
+		})
+		workers = append(workers, w)
+	}
+
+	var spec service.JobSpec
+	if err := json.Unmarshal([]byte(`{"advise":{"app":"NW","budget":0.002},"runs":60,"seed":1}`), &spec); err != nil {
+		t.Fatal(err)
+	}
+	st, err := sched.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := waitTerminal(t, sched, st.ID, 5*time.Minute)
+	if final.State != service.StateDone || final.Advise == nil {
+		t.Fatalf("fleet advise = %+v", final)
+	}
+	for name, pair := range map[string][2]any{
+		"plan":         {final.Advise.Plan, golden.Plan},
+		"verification": {final.Advise.Verification, golden.Verification},
+	} {
+		got, _ := json.Marshal(pair[0])
+		want, _ := json.Marshal(pair[1])
+		if string(got) != string(want) {
+			t.Errorf("fleet advise %s differs from gpuharden's:\n%s\n%s", name, got, want)
+		}
+	}
+
+	// Every child tally arrived through a lease: the workers executed
+	// exactly the runs the children merged, no lane ran any.
+	var childRuns, leased int64
+	children := 0
+	for _, k := range sched.List() {
+		if k.ID == st.ID {
+			continue
+		}
+		children++
+		if !strings.HasPrefix(k.ID, st.ID+".") || k.State != service.StateDone || k.Tally.N != spec.Runs {
+			t.Errorf("child %s: %s, %d runs", k.ID, k.State, k.Tally.N)
+		}
+		childRuns += int64(k.Tally.N)
+	}
+	for _, w := range workers {
+		leased += w.Runs()
+	}
+	if children == 0 || leased != childRuns || coord.Stats().Reported == 0 {
+		t.Errorf("%d children merged %d runs; workers executed %d (lease stats %+v)", children, childRuns, leased, coord.Stats())
 	}
 }

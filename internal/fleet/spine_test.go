@@ -1,4 +1,4 @@
-// Tests of the control-plane spine as the three subsystems use it together:
+// Tests of the control-plane spine as the two subsystems use it together:
 // journals written before internal/journal existed re-save to the same
 // bytes, empty journal files start clean and damaged ones refuse to start,
 // and every POST route refuses an oversize body.
@@ -6,9 +6,7 @@ package fleet_test
 
 import (
 	"encoding/json"
-	"errors"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -16,16 +14,9 @@ import (
 	"testing"
 	"time"
 
-	"gpurel/internal/advisor"
 	"gpurel/internal/fleet"
 	"gpurel/internal/service"
 )
-
-// noAdvise is an advise backend factory for tests in which no advise job
-// may ever start.
-func noAdvise(service.AdviseSpec) (advisor.Backend, error) {
-	return nil, errors.New("no advise job may start in this test")
-}
 
 // TestPreRemovalJournalsResaveByteIdentical: the scheduler checkpoint and
 // fleet journal written at a99b403 load, and flushing the restored state
@@ -101,7 +92,7 @@ func TestPreRemovalJournalsResaveByteIdentical(t *testing.T) {
 
 // TestEmptyAndDamagedJournalFiles: a zero-length journal file (a crash
 // between create and first write, `touch`, a truncating copy) is an empty
-// journal for all three subsystems; a damaged one is a start-up error naming
+// journal for both subsystems; a damaged one is a start-up error naming
 // the file, never silently dropped state.
 func TestEmptyAndDamagedJournalFiles(t *testing.T) {
 	for _, tc := range []struct {
@@ -132,11 +123,6 @@ func TestEmptyAndDamagedJournalFiles(t *testing.T) {
 			if err == nil {
 				defer sched.Close()
 			}
-			adv, err := service.NewAdvisor(service.AdvisorConfig{Backend: noAdvise, JournalPath: path})
-			check("NewAdvisor", err)
-			if err == nil {
-				defer adv.Close()
-			}
 			backlog, err := service.NewScheduler(service.Config{Source: synthSource(0), DisableLocalExec: true})
 			if err != nil {
 				t.Fatal(err)
@@ -151,22 +137,24 @@ func TestEmptyAndDamagedJournalFiles(t *testing.T) {
 	}
 }
 
-// TestOversizeBodyRefused: every POST route family — jobs, advise, leases,
-// workers — refuses a body over service.MaxBodyBytes with 413 and the v1
-// error envelope, before decoding any of it.
+// TestOversizeBodyRefused: every POST route family — jobs (campaign and
+// advise specs alike), leases, workers — refuses a body over
+// service.MaxBodyBytes with 413 and the v1 error envelope, before decoding
+// any of it.
 func TestOversizeBodyRefused(t *testing.T) {
-	sched, coord, _ := harness(t, service.Config{Source: synthSource(0), DisableLocalExec: true}, fleet.CoordinatorConfig{})
-	adv, err := service.NewAdvisor(service.AdvisorConfig{Backend: noAdvise})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { adv.Close() })
-	srv := httptest.NewServer(service.NewServer(sched).Handler(coord.Mount, adv.Mount))
-	t.Cleanup(srv.Close)
+	sched, coord, srv := harness(t, service.Config{Source: synthSource(0), DisableLocalExec: true}, fleet.CoordinatorConfig{})
 
-	body := `{"pad":"` + strings.Repeat("x", service.MaxBodyBytes) + `"}`
-	for _, route := range []string{"/v1/jobs", "/v1/advise", "/v1/leases", "/v1/leases/l0/report", "/v1/workers"} {
-		resp, err := http.Post(srv.URL+route, "application/json", strings.NewReader(body))
+	pad := strings.Repeat("x", service.MaxBodyBytes)
+	body := `{"pad":"` + pad + `"}`
+	for _, tc := range []struct{ route, body string }{
+		{"/v1/jobs", body},
+		{"/v1/jobs", `{"advise":{"app":"` + pad + `","budget":0.1},"runs":10}`},
+		{"/v1/leases", body},
+		{"/v1/leases/l0/report", body},
+		{"/v1/workers", body},
+	} {
+		route := tc.route
+		resp, err := http.Post(srv.URL+route, "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatalf("POST %s: %v", route, err)
 		}
@@ -179,8 +167,8 @@ func TestOversizeBodyRefused(t *testing.T) {
 				route, resp.StatusCode, env.Error, err)
 		}
 	}
-	if n, m := len(sched.List()), len(adv.List()); n != 0 || m != 0 {
-		t.Errorf("oversize bodies created %d jobs and %d advise jobs", n, m)
+	if n := len(sched.List()); n != 0 {
+		t.Errorf("oversize bodies created %d jobs", n)
 	}
 	if fs := coord.FleetStatus(); len(fs.Workers) != 0 || fs.Leases.Granted != 0 {
 		t.Errorf("oversize bodies reached the registry or the lease ledger: %+v", fs)

@@ -1,7 +1,7 @@
 // Package journal is the daemon's one way of making control-plane state
 // durable: a whole-file JSON journal, rewritten atomically on every save.
-// The scheduler's job checkpoint, the advisor's advise journal and the fleet
-// coordinator's lease journal are three payload structs over it, so the
+// The scheduler's job checkpoint (advise jobs included) and the fleet
+// coordinator's lease journal are two payload structs over it, so the
 // durability discipline — envelope, version guard, what a missing, empty or
 // damaged file means, how a write survives a crash — lives here and nowhere
 // else.

@@ -96,8 +96,8 @@ func (s *Scheduler) tenantJobsLocked(tenant string) []claimCandidate {
 	var cands []claimCandidate
 	for idx, id := range s.order {
 		j := s.jobs[id]
-		if j.spec.tenantName() != tenant {
-			continue
+		if j.spec.tenantName() != tenant || j.spec.Advise != nil {
+			continue // an advise job holds no runs to claim
 		}
 		cands = append(cands, claimCandidate{
 			j: j, tenant: tenant, weight: j.spec.weight(), prio: j.spec.weight(), idx: idx,
@@ -187,7 +187,7 @@ func (s *Scheduler) chargeClaim(tenant string, weight, runs int) {
 // when the job is unknown or terminal: the caller should drop the lease
 // instead of restoring it.
 func (s *Scheduler) ReclaimWork(jobID string, from, to int) bool {
-	j, ok := s.job(jobID)
+	j, ok := s.campaignJob(jobID)
 	if !ok {
 		return false
 	}

@@ -1,7 +1,8 @@
-// Fuzz coverage for the v1 job-spec decoder, centred on the nested
-// fault{...} group: no input may panic the decoder, and every spec that
-// decodes and validates must survive an encode/decode round trip with its
-// campaign point — and its fault model — intact.
+// Fuzz coverage for the v1 decoders. The job-spec targets are centred on the
+// nested fault{...} and advise{...} groups: no input may panic the decoder,
+// and every spec that decodes and validates must survive an encode/decode
+// round trip with its campaign point — and its fault model — or its advise
+// question intact.
 package service_test
 
 import (
@@ -37,6 +38,10 @@ func FuzzJobSpecDecode(f *testing.F) {
 		}
 		if err := sp.Validate(); err != nil {
 			return // rejected specs need no further guarantees
+		}
+		if sp.Advise != nil {
+			checkAdviseRoundTrip(t, sp)
+			return
 		}
 		// A validated spec must build its campaign point (Validate ran
 		// Point) and round-trip through the wire without drifting.
@@ -149,8 +154,9 @@ func FuzzWorkerSpecDecode(f *testing.F) {
 	})
 }
 
-// FuzzAdviseSpecDecode: the /v1/advise decoder never panics, and every spec
-// that decodes and validates survives an encode/decode round trip intact.
+// FuzzAdviseSpecDecode: the advise{...} side of the job-spec decoder never
+// panics, and every advise spec that decodes and validates survives an
+// encode/decode round trip intact.
 func FuzzAdviseSpecDecode(f *testing.F) {
 	seeds := []string{
 		`{"advise":{"app":"SRADv1","budget":0.005},"runs":3000,"seed":42}`,
@@ -167,23 +173,31 @@ func FuzzAdviseSpecDecode(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var sp service.AdviseSpec
+		var sp service.JobSpec
 		if err := json.Unmarshal(data, &sp); err != nil {
 			return // malformed input is allowed to fail, not to panic
 		}
-		if err := sp.Validate(); err != nil {
-			return
+		if sp.Advise == nil || sp.Validate() != nil {
+			return // campaign specs are FuzzJobSpecDecode's; rejected specs need no guarantees
 		}
-		out, err := json.Marshal(sp)
-		if err != nil {
-			t.Fatalf("validated advise spec does not encode: %v (%+v)", err, sp)
-		}
-		var back service.AdviseSpec
-		if err := json.Unmarshal(out, &back); err != nil {
-			t.Fatalf("re-decode failed: %v (%s)", err, out)
-		}
-		if !reflect.DeepEqual(back, sp) {
-			t.Fatalf("round trip changed the advise spec:\nbefore %+v\nafter  %+v\nwire %s", sp, back, out)
-		}
+		checkAdviseRoundTrip(t, sp)
 	})
+}
+
+// checkAdviseRoundTrip fails t unless a validated advise spec encodes,
+// re-decodes to the same value and still validates: an advise spec is its
+// own question and must round-trip whole.
+func checkAdviseRoundTrip(t *testing.T, sp service.JobSpec) {
+	t.Helper()
+	out, err := json.Marshal(sp)
+	if err != nil {
+		t.Fatalf("validated advise spec does not encode: %v (%+v)", err, sp)
+	}
+	var back service.JobSpec
+	if err := json.Unmarshal(out, &back); err != nil {
+		t.Fatalf("re-decode failed: %v (%s)", err, out)
+	}
+	if !reflect.DeepEqual(back, sp) || back.Validate() != nil {
+		t.Fatalf("round trip changed the advise spec:\nbefore %+v\nafter  %+v\nwire %s", sp, back, out)
+	}
 }

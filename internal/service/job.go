@@ -1,9 +1,11 @@
 // Package service is the campaign job server behind cmd/gpureld: a
-// long-running daemon that accepts AVF/SVF campaign-point specs over HTTP,
-// schedules them on a bounded sharded worker pool, leases run-ranges to
-// remote fleet workers (internal/fleet), journals completed run-ranges to a
-// JSON checkpoint so interrupted jobs resume exactly where they stopped,
-// streams NDJSON progress, and exports Prometheus metrics.
+// long-running daemon that accepts AVF/SVF campaign-point specs and
+// selective-hardening advise specs over HTTP, schedules them on a bounded
+// sharded worker pool, leases run-ranges to remote fleet workers
+// (internal/fleet), journals completed run-ranges to a JSON checkpoint so
+// interrupted jobs resume exactly where they stopped, streams NDJSON
+// progress, and exports Prometheus metrics. An advise job runs its
+// measurement campaigns as child jobs of the same scheduler.
 //
 // Determinism is the load-bearing property: campaign run i always uses
 // rand.NewSource(Seed+i) (campaign.RunRange), so a job executed in chunks,
@@ -14,6 +16,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"sync"
@@ -21,6 +24,7 @@ import (
 
 	"gpurel"
 	"gpurel/internal/adaptive"
+	"gpurel/internal/advisor"
 	"gpurel/internal/campaign"
 	"gpurel/internal/faultmodel"
 	"gpurel/internal/gpu"
@@ -73,17 +77,40 @@ type SnapshotSpec struct {
 	Converge bool `json:"converge,omitempty"`
 }
 
-// JobSpec is one campaign point as submitted over the wire. Seed is the
-// campaign seed used directly by campaign.RunRange (run i uses Seed+i);
-// clients that want parity with a local Study derive it with
-// gpurel.PointSeed(baseSeed, point).
+// AdviseGroup is the nested "advise" group of the v1 job spec: it makes the
+// job a selective-hardening advise (internal/advisor: measure, search,
+// verify) instead of a campaign point. Like the "fault" group it defines the
+// question, not the execution policy.
+type AdviseGroup struct {
+	// App is the benchmark to harden selectively.
+	App string `json:"app"`
+	// Budget is the SDC AVF ceiling the plan must verifiably meet.
+	Budget float64 `json:"budget"`
+}
+
+// JobSpec is one job as submitted over the wire: a campaign point, or — with
+// the "advise" group — a selective-hardening advise.
 //
-// The v1 schema groups execution knobs into the nested "sampling",
-// "checkpoint" and "fault" objects; any other field is rejected on decode.
+// A campaign point's Seed is the campaign seed used directly by
+// campaign.RunRange (run i uses Seed+i); clients that want parity with a
+// local Study derive it with gpurel.PointSeed(baseSeed, point). The v1
+// schema groups its execution knobs into the nested "sampling",
+// "checkpoint" and "fault" objects.
+//
+// An advise spec carries only "advise", "runs" (injections per measurement
+// campaign), "seed" (the base study seed every campaign point derives its
+// own seed from, so equal specs produce bit-identical plans), "tenant" and
+// "priority"; its campaigns run as child jobs of the advise job.
+//
+// Any other field is rejected on decode.
 type JobSpec struct {
-	Layer     string `json:"layer"`               // "micro" | "soft"
-	App       string `json:"app"`                 // benchmark name, e.g. "VA"
-	Kernel    string `json:"kernel"`              // kernel name, e.g. "K1"
+	// Advise makes the job a selective-hardening advise (nil = a campaign
+	// point).
+	Advise *AdviseGroup `json:"advise,omitempty"`
+
+	Layer     string `json:"layer,omitempty"`     // "micro" | "soft"
+	App       string `json:"app,omitempty"`       // benchmark name, e.g. "VA"
+	Kernel    string `json:"kernel,omitempty"`    // kernel name, e.g. "K1"
 	Structure string `json:"structure,omitempty"` // micro: RF | SMEM | L1D | L1T | L2 | SCHED | STACK | BARRIER (default RF)
 	Mode      string `json:"mode,omitempty"`      // soft: SVF | SVF-LD | SVF-USE (default SVF)
 	Hardened  bool   `json:"hardened,omitempty"`  // inject into the TMR-hardened variant
@@ -221,6 +248,12 @@ func (sp JobSpec) Point() (gpurel.PointSpec, error) {
 // Validate rejects malformed specs at submission time (cheap checks only;
 // unknown apps/kernels surface when the job starts and fail it).
 func (sp JobSpec) Validate() error {
+	if sp.Priority < 0 || sp.Priority > 100 {
+		return fmt.Errorf("priority must be in 0..100 (0 = default weight 1), got %d", sp.Priority)
+	}
+	if sp.Advise != nil {
+		return sp.validateAdvise()
+	}
 	if sp.App == "" || sp.Kernel == "" {
 		return fmt.Errorf("app and kernel are required")
 	}
@@ -230,9 +263,6 @@ func (sp JobSpec) Validate() error {
 	if sp.Deadline < 0 {
 		return fmt.Errorf("deadline_sec must be non-negative")
 	}
-	if sp.Priority < 0 || sp.Priority > 100 {
-		return fmt.Errorf("priority must be in 0..100 (0 = default weight 1), got %d", sp.Priority)
-	}
 	if s := sp.sampling(); s.Margin99 < 0 || s.Margin99 >= 1 {
 		return fmt.Errorf("sampling.margin99 must be in [0, 1), got %g", s.Margin99)
 	} else if s.Batch < 0 {
@@ -240,6 +270,34 @@ func (sp JobSpec) Validate() error {
 	}
 	_, err := sp.Point()
 	return err
+}
+
+// validateAdvise checks an advise spec: its group, its run count, and that
+// no campaign-point field rides along with it.
+func (sp JobSpec) validateAdvise() error {
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
+		{"layer", sp.Layer != ""}, {"app", sp.App != ""}, {"kernel", sp.Kernel != ""},
+		{"structure", sp.Structure != ""}, {"mode", sp.Mode != ""}, {"hardened", sp.Hardened},
+		{"harden", sp.Harden != nil}, {"deadline_sec", sp.Deadline != 0}, {"sampling", sp.Sampling != nil},
+		{"checkpoint", sp.Checkpoint != nil}, {"fault", sp.Fault != nil},
+	} {
+		if f.set {
+			return fmt.Errorf("an advise spec takes only advise, runs, seed, tenant and priority; got %q", f.name)
+		}
+	}
+	if sp.Advise.App == "" {
+		return fmt.Errorf("advise.app is required")
+	}
+	if b := sp.Advise.Budget; b < 0 || b >= 1 {
+		return fmt.Errorf("advise.budget must be an SDC AVF in [0, 1), got %g", b)
+	}
+	if sp.Runs <= 0 {
+		return fmt.Errorf("runs must be positive, got %d", sp.Runs)
+	}
+	return nil
 }
 
 // ParseMode maps the wire name of a software injection mode ("" = SVF).
@@ -281,15 +339,33 @@ func (s JobState) snapshotType() string {
 	return "status"
 }
 
+// AdviseProgress is the read-only "advise" group of an advise job's status:
+// the advisor phase it is in, measurement progress, and — once reached —
+// the plan and its verification.
+type AdviseProgress struct {
+	// Phase is the advisor phase: measure | search | verify | done.
+	Phase string `json:"phase,omitempty"`
+	// Measured and Costed count completed measurement units (kernels whose
+	// vulnerability campaign / cost pricing has landed in the journal).
+	Measured int `json:"measured,omitempty"`
+	Costed   int `json:"costed,omitempty"`
+	// Plan and Verification appear as their phases complete; a terminal
+	// "done" state always carries both.
+	Plan         *advisor.Plan         `json:"plan,omitempty"`
+	Verification *advisor.Verification `json:"verification,omitempty"`
+}
+
 // JobStatus is the API view of a job: its spec, lifecycle state, and the
 // partial (or final) tally with the live 99%-confidence error margin of the
-// paper's methodology.
+// paper's methodology. An advise job executes no runs of its own (its
+// campaigns are child jobs), so its tally stays empty and its progress is
+// the "advise" group.
 type JobStatus struct {
 	ID          string         `json:"id"`
 	Spec        JobSpec        `json:"spec"`
 	State       JobState       `json:"state"`
 	Done        int            `json:"done"`  // runs merged into the contiguous prefix
-	Total       int            `json:"total"` // == Spec.Runs
+	Total       int            `json:"total"` // == Spec.Runs (0 for an advise job)
 	DoneRanges  []Range        `json:"done_ranges,omitempty"`
 	Tally       campaign.Tally `json:"tally"`
 	FR          float64        `json:"fr"`           // failure rate of the partial tally
@@ -309,20 +385,22 @@ type JobStatus struct {
 	// Process-local and exact with one shard; with several shards,
 	// concurrent jobs sharing an app's golden run may attribute each other's
 	// hits. Not journaled: a restart restarts them at zero.
-	ForkResumes  int64  `json:"fork_resumes,omitempty"`
-	ConvergeHits int64  `json:"converge_hits,omitempty"`
-	Error        string `json:"error,omitempty"`
-	Created      int64  `json:"created_unix"`
-	Started      int64  `json:"started_unix,omitempty"`
-	Finished     int64  `json:"finished_unix,omitempty"`
+	ForkResumes  int64           `json:"fork_resumes,omitempty"`
+	ConvergeHits int64           `json:"converge_hits,omitempty"`
+	Advise       *AdviseProgress `json:"advise,omitempty"`
+	Error        string          `json:"error,omitempty"`
+	Created      int64           `json:"created_unix"`
+	Started      int64           `json:"started_unix,omitempty"`
+	Finished     int64           `json:"finished_unix,omitempty"`
 }
 
 // Event is one NDJSON line of a job's progress stream.
 type Event struct {
 	// Type: "status" (initial snapshot), "running" (the job left the queue:
-	// a lane or a fleet lease claimed its first runs; sent once, and only to
-	// streams that attached while it was queued), "progress" (a chunk
-	// completed), or a terminal state name ("done" | "failed" | "canceled").
+	// a lane or a fleet lease claimed its first runs, or an advise job's
+	// driver started; sent once, and only to streams that attached while it
+	// was queued), "progress" (a chunk completed, or an advisor unit of
+	// work), or a terminal state name ("done" | "failed" | "canceled").
 	// Consumers should key on Job.State, as the client package does, and
 	// ignore types they do not know.
 	Type string    `json:"type"`
@@ -331,7 +409,8 @@ type Event struct {
 
 // job is the scheduler-internal mutable state behind a JobStatus. Completed
 // work lives in the prefix merger; the work ledger (pending/claimed ranges)
-// is what local lanes and fleet leases claim from.
+// is what local lanes and fleet leases claim from. An advise job has an
+// empty ledger; its driver (advisejob.go) owns adv and stop instead.
 type job struct {
 	id      string
 	spec    JobSpec
@@ -350,17 +429,24 @@ type job struct {
 	finished  time.Time
 	canceled  bool
 	events    *Hub[Event]
+
+	adv  *advisor.State     // advise: state journaled after the last completed unit
+	stop context.CancelFunc // advise: stops the running driver
 }
 
-// newJob builds a fresh job with its full run budget pending.
+// newJob builds a fresh job with its full run budget pending (none for an
+// advise job).
 func newJob(id string, spec JobSpec, created time.Time) *job {
-	return &job{
+	j := &job{
 		id: id, spec: spec, created: created,
-		state:   StateQueued,
-		merger:  campaign.NewPrefixMerger(),
-		pending: []Range{{From: 0, To: spec.Runs}},
-		events:  NewHub[Event](eventBuffer),
+		state:  StateQueued,
+		merger: campaign.NewPrefixMerger(),
+		events: NewHub[Event](eventBuffer),
 	}
+	if spec.Advise == nil {
+		j.pending = []Range{{From: 0, To: spec.Runs}}
+	}
+	return j
 }
 
 func (j *job) snapshotLocked() JobStatus {
@@ -371,7 +457,6 @@ func (j *job) snapshotLocked() JobStatus {
 		Spec:        j.spec,
 		State:       j.state,
 		Done:        done,
-		Total:       j.spec.Runs,
 		Tally:       tally,
 		FR:          tally.FR(),
 		ErrMargin99: tally.ErrMargin99(),
@@ -380,6 +465,15 @@ func (j *job) snapshotLocked() JobStatus {
 		InFlight:    rangesLen(j.claimed),
 		Error:       j.errmsg,
 		Created:     j.created.Unix(),
+	}
+	if j.spec.Advise == nil {
+		st.Total = j.spec.Runs
+	} else {
+		st.Advise = &AdviseProgress{}
+		if a := j.adv; a != nil {
+			*st.Advise = AdviseProgress{Phase: a.Phase, Measured: len(a.Measures), Costed: len(a.Costs),
+				Plan: a.Plan, Verification: a.Verification}
+		}
 	}
 	if done > 0 {
 		st.DoneRanges = []Range{{From: 0, To: done}}

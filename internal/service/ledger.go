@@ -61,7 +61,7 @@ func (s *Scheduler) claimLocked(j *job, max int) (Range, bool) {
 // the reporter whether the job still wants work (terminal states mean:
 // abandon the rest of your lease).
 func (s *Scheduler) ReportWork(jobID string, from, to int, tl campaign.Tally) (st JobStatus, merged bool, err error) {
-	j, ok := s.job(jobID)
+	j, ok := s.campaignJob(jobID)
 	if !ok {
 		return JobStatus{}, false, fmt.Errorf("no such job %q", jobID)
 	}
@@ -131,7 +131,7 @@ func (s *Scheduler) report(j *job, from, to int, tl campaign.Tally, dForks, dCon
 // covered by completed work are requeued, which with the coordinator's
 // delete-on-expiry makes requeueing exactly-once.
 func (s *Scheduler) ReturnWork(jobID string, from, to int) {
-	j, ok := s.job(jobID)
+	j, ok := s.campaignJob(jobID)
 	if !ok {
 		return
 	}

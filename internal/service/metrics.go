@@ -29,6 +29,8 @@ type Metrics struct {
 	ctrlAffected  atomic.Int64
 	chunks        atomic.Int64
 	runsSaved     atomic.Int64
+	plansVerified atomic.Int64
+	plansRefused  atomic.Int64
 
 	// counters is the study-side sampling aggregate (prune hits, simulated
 	// runs) shared via Config.Counters; nil when the source doesn't count.
@@ -88,6 +90,11 @@ func (m *Metrics) WritePrometheus(w io.Writer, gauges map[string]int) {
 	fmt.Fprintf(w, "gpureld_jobs_total{event=\"done\"} %d\n", m.jobsDone.Load())
 	fmt.Fprintf(w, "gpureld_jobs_total{event=\"failed\"} %d\n", m.jobsFailed.Load())
 	fmt.Fprintf(w, "gpureld_jobs_total{event=\"canceled\"} %d\n", m.jobsCanceled.Load())
+
+	fmt.Fprintln(w, "# HELP gpureld_advise_plans_total Advise plans by verification verdict.")
+	fmt.Fprintln(w, "# TYPE gpureld_advise_plans_total counter")
+	fmt.Fprintf(w, "gpureld_advise_plans_total{result=\"verified\"} %d\n", m.plansVerified.Load())
+	fmt.Fprintf(w, "gpureld_advise_plans_total{result=\"refused\"} %d\n", m.plansRefused.Load())
 
 	fmt.Fprintln(w, "# HELP gpureld_jobs Current jobs by state.")
 	fmt.Fprintln(w, "# TYPE gpureld_jobs gauge")

@@ -61,6 +61,10 @@ type Config struct {
 	// Now is the scheduler's clock (default time.Now); tests inject a fake
 	// for deterministic timestamps and deadline behavior.
 	Now func() time.Time
+	// AdviseBackend builds the measurement backend of each advise job
+	// (default: the study stack, see studyAdviseBackend); tests substitute
+	// synthetic tables.
+	AdviseBackend AdviseBackendFactory
 }
 
 func (c Config) withDefaults() Config {
@@ -82,6 +86,9 @@ func (c Config) withDefaults() Config {
 	if c.Now == nil {
 		c.Now = time.Now
 	}
+	if c.AdviseBackend == nil {
+		c.AdviseBackend = studyAdviseBackend
+	}
 	return c
 }
 
@@ -93,6 +100,10 @@ const starvedPoll = 25 * time.Millisecond
 // errQueueFull marks a submission rejected because the job's lane backlog is
 // at capacity; the API maps it to 429 + ErrCodeQueueFull.
 var errQueueFull = errors.New("job queue full")
+
+// errShuttingDown marks a submission the draining scheduler refuses; the API
+// maps it to 503 + ErrCodeUnavailable.
+var errShuttingDown = errors.New("server is shutting down")
 
 // Scheduler owns the job table, the work ledger, and the sharded lanes.
 type Scheduler struct {
@@ -141,10 +152,12 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 			cancel()
 			return nil, err
 		}
+		var advises []*job
 		for _, jc := range saved.Jobs {
 			j := newJob(jc.ID, jc.Spec, time.Unix(jc.Created, 0))
 			j.state = jc.State
 			j.early = jc.EarlyStopped
+			j.adv = jc.Advisor
 			j.errmsg = jc.Error
 			// The journal always covers a single prefix [0, k): completed
 			// work only becomes durable once contiguous. (An older journal
@@ -153,20 +166,29 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 			if done := normalizeRanges(jc.Done); len(done) == 1 && done[0].From == 0 {
 				j.merger.Seed(done[0].To, jc.Tally)
 			}
-			if j.state.Terminal() {
+			if j.state.Terminal() || j.spec.Advise != nil {
 				j.pending = nil
 			} else {
 				j.pending = complementRanges([]Range{{From: 0, To: j.merger.To()}}, jc.Spec.Runs)
 			}
 			// A job that was mid-flight when the previous process stopped
-			// resumes from its first unexecuted run index.
+			// resumes from its first unexecuted run index — an advise job
+			// from its last journaled unit of work, once the whole table
+			// (its children included) is loaded.
 			if j.state == StateRunning || j.state == StateQueued {
 				j.state = StateQueued
 				s.metrics.jobsResumed.Add(1)
-				s.enqueue(j)
+				if j.spec.Advise != nil {
+					advises = append(advises, j)
+				} else {
+					s.enqueue(j)
+				}
 			}
 			s.jobs[j.id] = j
 			s.order = append(s.order, j.id)
+		}
+		for _, j := range advises {
+			s.startAdvise(j)
 		}
 		// The scheduler's flush policy: on a ticker, while dirty.
 		s.wg.Add(1)
@@ -204,26 +226,44 @@ func (s *Scheduler) enqueue(j *job) bool {
 // Submit validates and enqueues a new job.
 func (s *Scheduler) Submit(spec JobSpec) (JobStatus, error) {
 	if s.closed.Load() {
-		return JobStatus{}, fmt.Errorf("server is shutting down")
+		return JobStatus{}, errShuttingDown
 	}
 	if err := spec.Validate(); err != nil {
 		return JobStatus{}, err
 	}
-	j := newJob(NewID("j"), spec, s.cfg.Now())
-	s.mu.Lock()
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	s.mu.Unlock()
-	if !s.enqueue(j) {
-		s.mu.Lock()
-		delete(s.jobs, j.id)
-		s.order = s.order[:len(s.order)-1]
-		s.mu.Unlock()
-		return JobStatus{}, fmt.Errorf("%w (depth %d)", errQueueFull, s.cfg.QueueDepth)
+	j, err := s.admit(NewID("j"), spec)
+	if err != nil {
+		return JobStatus{}, err
 	}
+	return j.snapshot(), nil
+}
+
+// admit adds a validated job to the table and starts it: a campaign job
+// joins its lane's queue, an advise job gets its driver. An ID already in
+// the table returns that job instead — a resumed advise re-requesting a
+// journaled child. Table insert and enqueue happen under one s.mu hold, so a
+// job its full lane rejects never enters the table, and Close (which sets
+// closed under s.mu) never races a driver's wg.Add.
+func (s *Scheduler) admit(id string, spec JobSpec) (*job, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed.Load() {
+		return nil, errShuttingDown
+	}
+	if j, ok := s.jobs[id]; ok {
+		return j, nil
+	}
+	j := newJob(id, spec, s.cfg.Now())
+	if spec.Advise != nil {
+		s.startAdvise(j)
+	} else if !s.enqueue(j) {
+		return nil, fmt.Errorf("%w (depth %d)", errQueueFull, s.cfg.QueueDepth)
+	}
+	s.jobs[id] = j
+	s.order = append(s.order, id)
 	s.metrics.jobsSubmitted.Add(1)
 	s.dirty.Store(true)
-	return j.snapshot(), nil
+	return j, nil
 }
 
 // Get returns a job's status.
@@ -245,8 +285,8 @@ func (s *Scheduler) List() []JobStatus {
 	return out
 }
 
-// Cancel requests a job stop at the next chunk boundary; queued jobs are
-// canceled immediately.
+// Cancel requests a job stop at the next chunk boundary — an advise job at
+// once, its in-flight child with it; queued jobs are canceled immediately.
 func (s *Scheduler) Cancel(id string) (JobStatus, bool) {
 	j, ok := s.job(id)
 	if !ok {
@@ -255,6 +295,9 @@ func (s *Scheduler) Cancel(id string) (JobStatus, bool) {
 	j.mu.Lock()
 	if !j.state.Terminal() {
 		j.canceled = true
+		if j.stop != nil {
+			j.stop()
+		}
 		if j.state == StateQueued {
 			j.pending = nil
 			j.claimed = nil
@@ -273,6 +316,13 @@ func (s *Scheduler) job(id string) (*job, bool) {
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
 	return j, ok
+}
+
+// campaignJob looks up a job that owns run ranges: the work-ledger calls
+// never reach an advise job.
+func (s *Scheduler) campaignJob(id string) (*job, bool) {
+	j, ok := s.job(id)
+	return j, ok && j.spec.Advise == nil
 }
 
 // jobsInOrder copies the job table out in submission order.
@@ -361,16 +411,6 @@ func (s *Scheduler) runJob(j *job) {
 	opts := campaign.Options{Runs: spec.Runs, Seed: spec.Seed, Workers: s.cfg.WorkersPerShard}
 
 	for {
-		// Drain: stop between chunks, park the job for resume.
-		if s.ctx.Err() != nil {
-			j.mu.Lock()
-			if !j.state.Terminal() {
-				j.state = StateQueued
-			}
-			j.mu.Unlock()
-			s.dirty.Store(true)
-			return
-		}
 		j.mu.Lock()
 		if j.state.Terminal() {
 			j.mu.Unlock()
@@ -380,6 +420,13 @@ func (s *Scheduler) runJob(j *job) {
 			j.pending = nil
 			j.claimed = nil
 			s.finishLocked(j, StateCanceled, "")
+			j.mu.Unlock()
+			s.dirty.Store(true)
+			return
+		}
+		// Drain: stop between chunks, park the job for resume.
+		if s.ctx.Err() != nil {
+			j.state = StateQueued
 			j.mu.Unlock()
 			s.dirty.Store(true)
 			return
@@ -468,6 +515,7 @@ func (s *Scheduler) Flush() error {
 			Done:         done,
 			Tally:        j.merger.Tally(),
 			EarlyStopped: j.early,
+			Advisor:      j.adv,
 			Error:        j.errmsg,
 			Created:      j.created.Unix(),
 		})
@@ -480,7 +528,10 @@ func (s *Scheduler) Flush() error {
 // incomplete jobs are parked as queued, and the journal is flushed one last
 // time. Safe to call more than once.
 func (s *Scheduler) Close() error {
-	if s.closed.Swap(true) {
+	s.mu.Lock()
+	already := s.closed.Swap(true)
+	s.mu.Unlock()
+	if already {
 		return nil
 	}
 	s.cancel()

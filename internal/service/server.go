@@ -11,7 +11,7 @@ import (
 
 // Server exposes a Scheduler over HTTP:
 //
-//	POST   /v1/jobs             submit a JobSpec, returns JobStatus (202)
+//	POST   /v1/jobs             submit a JobSpec (campaign point or advise), returns JobStatus (202)
 //	GET    /v1/jobs             list all jobs
 //	GET    /v1/jobs/{id}        one job's status + partial tally
 //	DELETE /v1/jobs/{id}        cancel at the next chunk boundary
@@ -53,7 +53,7 @@ type ErrorDetail struct {
 }
 
 // ErrorEnvelope is the single JSON error shape every /v1/* handler — jobs,
-// advise, leases, workers, fleet — answers with:
+// leases, workers, fleet — answers with:
 //
 //	{"error":{"code":"bad_request","message":"..."}}
 type ErrorEnvelope struct {
@@ -63,7 +63,7 @@ type ErrorEnvelope struct {
 // Stable error codes of the v1 envelope.
 const (
 	ErrCodeBadRequest  = "bad_request" // malformed or invalid request body (400; 413 over MaxBodyBytes)
-	ErrCodeNotFound    = "not_found"   // no such job/advise/worker (404)
+	ErrCodeNotFound    = "not_found"   // no such job/worker (404)
 	ErrCodeGone        = "gone"        // lease expired and requeued (410)
 	ErrCodeUnavailable = "unavailable" // daemon draining (503)
 	ErrCodeQueueFull   = "queue_full"  // lane backlog full (429)
@@ -107,8 +107,9 @@ func DecodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool
 	return false
 }
 
-// NewID returns prefix plus 12 random hex characters: job ("j"), advise
-// ("a"), lease ("l") and default worker ("w") identifiers all come from here.
+// NewID returns prefix plus 12 random hex characters: job ("j"), lease ("l")
+// and default worker ("w") identifiers all come from here. (An advise job's
+// children take IDs derived from their parent's.)
 func NewID(prefix string) string {
 	var b [6]byte
 	if _, err := rand.Read(b[:]); err != nil {
@@ -126,7 +127,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	st, err := s.sched.Submit(spec)
 	if err != nil {
 		status, code := http.StatusBadRequest, ErrCodeBadRequest
-		if s.sched.closed.Load() {
+		if errors.Is(err, errShuttingDown) {
 			status, code = http.StatusServiceUnavailable, ErrCodeUnavailable
 		} else if errors.Is(err, errQueueFull) {
 			status, code = http.StatusTooManyRequests, ErrCodeQueueFull

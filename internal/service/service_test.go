@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -493,5 +494,73 @@ func TestRealStudyParity(t *testing.T) {
 	}
 	if got != want {
 		t.Errorf("RunPoint hook tally %+v != local %+v", got, want)
+	}
+}
+
+// TestPreAdviseJournalLoads: a scheduler journal written before advise jobs
+// became scheduler jobs (testdata/sched_journal_v1.json: a done job, one
+// parked mid-run by a drain, and a canceled one) loads with every job's
+// state, spec, prefix and tally unchanged, and the parked job then finishes
+// to the tally of an uninterrupted campaign.
+func TestPreAdviseJournalLoads(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "sched_journal_v1.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old struct {
+		Jobs []struct {
+			ID    string           `json:"id"`
+			Spec  service.JobSpec  `json:"spec"`
+			State service.JobState `json:"state"`
+			Done  []service.Range  `json:"done_ranges"`
+			Tally campaign.Tally   `json:"tally"`
+		} `json:"jobs"`
+	}
+	if err := json.Unmarshal(raw, &old); err != nil {
+		t.Fatal(err)
+	}
+	load := func(local bool) *service.Scheduler {
+		path := filepath.Join(t.TempDir(), "gpureld.ckpt.json")
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sched, err := service.NewScheduler(service.Config{
+			Source: fakeSource(0), DisableLocalExec: !local, CheckpointPath: path, CheckpointInterval: time.Hour,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { sched.Close() })
+		return sched
+	}
+
+	list := load(false).List()
+	if len(list) != len(old.Jobs) {
+		t.Fatalf("loaded %d jobs, journal holds %d", len(list), len(old.Jobs))
+	}
+	var parked string
+	for i, jc := range old.Jobs {
+		st := list[i]
+		if st.ID != jc.ID || !reflect.DeepEqual(st.Spec, jc.Spec) || st.Tally != jc.Tally ||
+			!reflect.DeepEqual(st.DoneRanges, jc.Done) || st.Done != jc.Tally.N {
+			t.Errorf("job %d loaded as %+v, journaled %+v", i, st, jc)
+		}
+		// A parked job re-enters the table queued (and flips to running
+		// once its lane picks it up); terminal ones stay as they were.
+		if jc.State.Terminal() && st.State != jc.State || !jc.State.Terminal() && st.State.Terminal() {
+			t.Errorf("job %s loaded %s, journaled %s", jc.ID, st.State, jc.State)
+		}
+		if jc.State == service.StateQueued && jc.Tally.N > 0 {
+			parked = jc.ID
+		}
+	}
+	if old.Jobs[0].State != service.StateDone || old.Jobs[2].State != service.StateCanceled || parked != old.Jobs[1].ID {
+		t.Fatalf("fixture lost its done, parked and canceled jobs: %+v", old.Jobs)
+	}
+
+	final := waitJob(t, load(true), parked)
+	spec := old.Jobs[1].Spec
+	if want := synthTally(campaign.Options{Runs: spec.Runs, Seed: spec.Seed}); final.State != service.StateDone || final.Tally != want {
+		t.Errorf("resumed parked job %+v, want tally %+v", final, want)
 	}
 }

@@ -2,7 +2,6 @@ package service
 
 import (
 	"gpurel"
-	"gpurel/internal/advisor"
 	"gpurel/internal/campaign"
 )
 
@@ -22,18 +21,9 @@ func NewStudySource(st *gpurel.Study) SourceFunc {
 	}
 }
 
-// NewStudyAdviseBackend returns the daemon's production advise wiring: each
-// advise job runs on its own gpurel.Study configured with the spec's runs
-// and seed, so equal specs produce bit-identical plans across processes.
-func NewStudyAdviseBackend() AdviseBackendFactory {
-	return func(spec AdviseSpec) (advisor.Backend, error) {
-		return &gpurel.StudyBackend{Study: gpurel.NewStudy(spec.Runs, spec.Seed)}, nil
-	}
-}
-
 // SpecForPoint renders a study-level campaign point as a wire spec with the
 // fully derived campaign seed — the inverse of JobSpec.Point, used by the
-// client-side Study.RunPoint hook.
+// client-side Study.RunPoint hook and by advise jobs for their children.
 func SpecForPoint(p gpurel.PointSpec, opts campaign.Options) JobSpec {
 	sp := JobSpec{
 		Layer:    string(p.Layer),

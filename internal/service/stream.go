@@ -21,8 +21,8 @@ func NewHub[E any](buf int) *Hub[E] {
 	return &Hub[E]{buf: buf, subs: map[chan E]struct{}{}}
 }
 
-// eventBuffer is how many progress events a job's or advise job's stream may
-// lag behind before it starts losing the oldest.
+// eventBuffer is how many progress events a job's stream may lag behind
+// before it starts losing the oldest.
 const eventBuffer = 64
 
 // Subscribe attaches a listener; the returned func detaches it.
