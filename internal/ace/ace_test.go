@@ -187,6 +187,58 @@ func TestPVFBasics(t *testing.T) {
 	}
 }
 
+// TestPVFPinned pins the PVF analysis of every shipped application, plain
+// and TMR-hardened, to the numbers it computed before funcsim's register
+// trace grew into the per-access tracer the propagation analysis shares.
+func TestPVFPinned(t *testing.T) {
+	want := []struct {
+		app                  string
+		tmr                  bool
+		aceInstrs, dynInstrs int64
+	}{
+		{"SRADv1", false, 83092995, 313871},
+		{"SRADv1", true, 251998729, 970285},
+		{"SRADv2", false, 242452736, 301568},
+		{"SRADv2", true, 730077952, 933376},
+		{"K-Means", false, 51919360, 176128},
+		{"K-Means", true, 156438016, 535552},
+		{"HotSpot", false, 1214076364, 616992},
+		{"HotSpot", true, 3644948836, 1879648},
+		{"LUD", false, 93448480, 220256},
+		{"LUD", true, 283065184, 689440},
+		{"SCP", false, 14233416, 69112},
+		{"SCP", true, 42742232, 208520},
+		{"VA", false, 2490368, 34816},
+		{"VA", true, 12910592, 161792},
+		{"NW", false, 12211464, 84984},
+		{"NW", true, 39542688, 285948},
+		{"PathFinder", false, 84625758, 137900},
+		{"PathFinder", true, 254557210, 420868},
+		{"BackProp", false, 53962112, 111744},
+		{"BackProp", true, 164875152, 367912},
+		{"BFS", false, 5018466, 139180},
+		{"BFS", true, 16415270, 431876},
+	}
+	for _, w := range want {
+		app, err := kernels.ByName(w.app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		job := app.Build()
+		if w.tmr {
+			job = harden.TMR(job)
+		}
+		r, err := AnalyzePVF(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.ACEInstrs != w.aceInstrs || r.DynInstrs != w.dynInstrs {
+			t.Errorf("%s tmr=%v: ACE %d / %d instructions, pinned %d / %d",
+				w.app, w.tmr, r.ACEInstrs, r.DynInstrs, w.aceInstrs, w.dynInstrs)
+		}
+	}
+}
+
 // TestPVFMicroarchIndependence pins PVF's defining property (§VII): it is
 // computed purely from architecturally visible state, so shrinking the
 // physical register file changes the ACE-based hardware AVF but leaves PVF
