@@ -27,7 +27,7 @@ type regState struct {
 	written   bool
 }
 
-// pvfTracker implements funcsim.RegTracer.
+// pvfTracker is a funcsim.Tracer that follows register reads and writes.
 type pvfTracker struct {
 	slots    []regState
 	ctaStart int64
@@ -35,8 +35,8 @@ type pvfTracker struct {
 	denom    int64
 }
 
-func (p *pvfTracker) OnCTAStart(threads, numRegs int, at int64) {
-	n := threads * numRegs
+func (p *pvfTracker) OnCTAStart(l *device.Launch, at int64) {
+	n := l.ThreadsPerCTA() * l.Kernel.NumRegs
 	if cap(p.slots) < n {
 		p.slots = make([]regState, n)
 	} else {
@@ -48,20 +48,20 @@ func (p *pvfTracker) OnCTAStart(threads, numRegs int, at int64) {
 	p.ctaStart = at
 }
 
-func (p *pvfTracker) OnWrite(slot int, at int64) {
-	s := &p.slots[slot]
-	if s.written && s.lastRead > s.lastWrite {
-		p.aceSum += s.lastRead - s.lastWrite
-	}
-	s.lastWrite = at
-	s.lastRead = at
-	s.written = true
-}
-
-func (p *pvfTracker) OnRead(slot int, at int64) {
-	s := &p.slots[slot]
-	if s.written && at > s.lastRead {
-		s.lastRead = at
+func (p *pvfTracker) On(ev funcsim.Event) {
+	switch ev.Kind {
+	case funcsim.EvWrite:
+		s := &p.slots[ev.Index]
+		if s.written && s.lastRead > s.lastWrite {
+			p.aceSum += s.lastRead - s.lastWrite
+		}
+		s.lastWrite = ev.At
+		s.lastRead = ev.At
+		s.written = true
+	case funcsim.EvRead:
+		if s := &p.slots[ev.Index]; s.written && ev.At > s.lastRead {
+			s.lastRead = ev.At
+		}
 	}
 }
 
@@ -87,7 +87,7 @@ type PVFResult struct {
 // functional run.
 func AnalyzePVF(job *device.Job) (*PVFResult, error) {
 	tr := &pvfTracker{}
-	res := funcsim.Run(job, funcsim.Options{RegTrace: tr})
+	res := funcsim.Run(job, funcsim.Options{Trace: tr})
 	if res.Err != nil {
 		return nil, fmt.Errorf("pvf: golden run failed: %w", res.Err)
 	}

@@ -9,30 +9,17 @@ import (
 	"testing"
 )
 
-// stillOnStep lists the non-test files outside this package that may drive
-// Step through an Env of their own, each with the reason it has not moved.
-// Neither simulator is on it: both execute compiled µops (internal/uop) and
-// reach Step only from their test binaries, where it is the independent
-// statement of the ISA they are checked against.
-var stillOnStep = map[string]string{
-	// The §VI taint tracker is an instrumented interpreter, not a simulator:
-	// it shadows every register, predicate and memory access with a taint
-	// bit, which is what a per-access Env is for and what a per-warp µop
-	// handler cannot give it. It makes no performance or fault-outcome claim
-	// of its own; avfsvf's propagation ablation and one example link it.
-	"internal/propagate/propagate.go": "per-access taint shadowing",
-}
-
 // TestStepCallersOutsideTests fails when production code outside this
 // package calls Step or implements Env (a method named ReadReg is the mark):
 // the opcode semantics written here are the test-only oracle, and a second
 // production interpreter next to the µop handlers would be the duplicate
-// path this package stopped being. Test files are free to.
+// path this package stopped being. Both simulators execute compiled µops
+// (internal/uop), and the analyses that look at single accesses trace
+// funcsim's lane-by-lane walk (funcsim.Tracer). Test files are free to.
 func TestStepCallersOutsideTests(t *testing.T) {
 	call := regexp.MustCompile(`\bexec\.Step\(`)
 	env := regexp.MustCompile(`(?m)^func \([^)]*\) ReadReg\(`)
 	root := filepath.Join("..", "..")
-	seen := map[string]bool{}
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -51,21 +38,12 @@ func TestStepCallersOutsideTests(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if !call.Match(src) && !env.Match(src) {
-			return nil
-		}
-		seen[rel] = true
-		if stillOnStep[rel] == "" {
+		if call.Match(src) || env.Match(src) {
 			t.Errorf("%s calls exec.Step or implements exec.Env outside a test", rel)
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	for rel := range stillOnStep {
-		if !seen[rel] {
-			t.Errorf("%s no longer uses exec.Step: drop it from stillOnStep", rel)
-		}
 	}
 }

@@ -13,9 +13,7 @@
 // checked against (internal/sim/reference_test.go,
 // internal/funcsim/reference_test.go), which is worth something only as long
 // as it shares no opcode code with them: do not "deduplicate" execLane into
-// the µop handlers. TestStepCallersOutsideTests keeps production code off it;
-// the one production caller left (internal/propagate's taint tracker) is
-// listed there with its reason.
+// the µop handlers. TestStepCallersOutsideTests keeps production code off it.
 //
 // Step is generic over the Env implementation. That does not devirtualise
 // the accessor calls — Go stencils generics by GC shape, so a pointer Env

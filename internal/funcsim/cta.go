@@ -75,8 +75,8 @@ func (r *runner) runCTA(l *device.Launch, cta int) error {
 		c.warps[w].FullMask = uint32(uint64(1)<<min(threads-w*32, 32) - 1)
 		c.warps[w].Reset()
 	}
-	if tr := r.opts.RegTrace; tr != nil {
-		tr.OnCTAStart(threads, stride, r.res.DynInstrs)
+	if tr := r.opts.Trace; tr != nil {
+		tr.OnCTAStart(l, r.res.DynInstrs)
 		defer func() { tr.OnCTAEnd(r.res.DynInstrs) }()
 	}
 	kc := r.kernelCounts(l.Name())
@@ -204,7 +204,7 @@ func (r *runner) data(cp *uop.Program, pc int32, mask uint32, n int64) error {
 	}
 
 	var err error
-	if r.opts.RegTrace != nil || uint64(r.siteUse-res.UseCands) < uint64(uses) {
+	if r.opts.Trace != nil || uint64(r.siteUse-res.UseCands) < uint64(uses) {
 		err = r.laneByLane(u, &cp.Src.Code[pc], mask)
 	} else if fn := uop.Fns[u.Kind]; fn != nil { // r.exec, spelled out: it is too big to inline
 		fn(f, u, mask)
@@ -318,25 +318,34 @@ func operand(u *uop.Op, sel uint8) *int16 {
 }
 
 // laneByLane executes one data µop a lane at a time through the same
-// handlers, for the two kinds of run that look at single register accesses:
-// a RegTrace run (every instruction) and an InjectUse run (the one
-// instruction holding the site). Per lane it goes in exec.Step's order —
-// the reads, then the effect, then the write — so a lane that faults has
-// reported its reads but no write, and later lanes nothing. SEL reads only
-// the side its predicate selects; a KDrop µop has no effect but its
-// instruction still reads its operands.
+// handlers, for the two kinds of run that look at single accesses: a traced
+// run (every instruction) and an InjectUse run (the one instruction holding
+// the site). Per lane it goes in exec.Step's order — the reads, then the
+// effect, then the write — so a lane that faults has reported its reads but
+// no write, and later lanes nothing. SEL reads only the side its predicate
+// selects; a KDrop µop has no effect but its instruction still reads its
+// operands and predicates.
 func (r *runner) laneByLane(u *uop.Op, ins *isa.Instr, mask uint32) error {
 	f := &r.cta.f
-	tr, at := r.opts.RegTrace, r.res.DynInstrs
+	tr := r.opts.Trace
 	order := readOrder(ins)
 	use := r.res.UseCands
 	for lane, lb, m := 0, f.RBase, mask; m != 0; lane, lb, m = lane+1, lb+f.Stride, m>>1 {
 		if m&1 == 0 {
 			continue
 		}
+		t := f.TBase + lane
+		if tr != nil {
+			r.trace(EvLane, t, 0)
+			for _, bit := range [...]uint8{u.GuardBit, u.SelBit} {
+				if bit != 0 {
+					r.trace(EvPredRead, t, uint32(bit))
+				}
+			}
+		}
 		read := order
 		if ins.Op == isa.OpSEL {
-			if u.SelectsA(f.Preds[f.TBase+lane]) {
+			if u.SelectsA(f.Preds[t]) {
 				read = order[:1]
 			} else {
 				read = order[1:]
@@ -349,12 +358,24 @@ func (r *runner) laneByLane(u *uop.Op, ins *isa.Instr, mask uint32) error {
 				continue
 			}
 			if tr != nil {
-				tr.OnRead(lb+int(reg), at)
+				r.trace(EvRead, t, uint32(lb+int(reg)))
 			}
 			if use == r.siteUse {
 				hit = int(sel)
 			}
 			use++
+		}
+		if tr != nil {
+			if u.CBit != 0 {
+				r.trace(EvPredRead, t, uint32(u.CBit))
+			}
+			if k := memEvents[u.Kind]; k != EvLane {
+				a := uop.Src(f.Regs, lb, u.A)
+				if hit == opA {
+					a ^= r.flip
+				}
+				r.trace(k, t, a+u.Imm)
+			}
 		}
 		var err error
 		if hit >= 0 {
@@ -366,10 +387,25 @@ func (r *runner) laneByLane(u *uop.Op, ins *isa.Instr, mask uint32) error {
 			return err
 		}
 		if tr != nil && u.WritesReg {
-			tr.OnWrite(lb+int(u.Dst), at)
+			r.trace(EvWrite, t, uint32(lb+int(u.Dst)))
+		}
+		if tr != nil && u.PDstBit != 0 {
+			r.trace(EvPredWrite, t, uint32(u.PDstBit))
 		}
 	}
 	return nil
+}
+
+// trace reports one access of thread t in the instruction being executed.
+func (r *runner) trace(k EventKind, t int, i uint32) {
+	r.opts.Trace.On(Event{Kind: k, Thread: t, Index: i, At: r.res.DynInstrs})
+}
+
+// memEvents is the event each memory kind reports with its address (EvLane,
+// the zero value, for every other kind).
+var memEvents = [uop.NumKinds]EventKind{
+	uop.KLdg: EvLoad, uop.KLdt: EvLoad, uop.KStg: EvStore,
+	uop.KLds: EvLoadShared, uop.KSts: EvStoreShared,
 }
 
 // execFlipped runs u for one lane with the injection bit flipped in the

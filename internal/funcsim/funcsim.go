@@ -99,16 +99,49 @@ type Result struct {
 	JoinSkipped int64
 }
 
-// RegTracer observes architectural register liveness for PVF analysis
-// (Sridharan & Kaeli's Program Vulnerability Factor, the paper's §VII).
-// CTAs execute sequentially in the functional simulator, so callbacks always
-// refer to the most recently started CTA; slot = thread*numRegs + reg.
-// The `at` argument is the global dynamic-instruction counter.
-type RegTracer interface {
-	OnCTAStart(threads, numRegs int, at int64)
-	OnWrite(slot int, at int64)
-	OnRead(slot int, at int64)
+// Tracer observes a run access by access: the register liveness of PVF
+// analysis (Sridharan & Kaeli's Program Vulnerability Factor, the paper's
+// §VII) and the taint shadows of error-propagation analysis
+// (internal/propagate). CTAs execute one after another, so every event
+// refers to the most recently started CTA. The at arguments are the
+// dynamic-instruction counter.
+type Tracer interface {
+	OnCTAStart(l *device.Launch, at int64)
+	On(ev Event)
 	OnCTAEnd(at int64)
+}
+
+// EventKind says what an Event reports.
+type EventKind uint8
+
+// Event kinds. A data instruction reports, for each lane that executes it in
+// lane order, EvLane, then the lane's reads in exec.Step's order — its guard,
+// a SEL's select predicate, its source registers, a SETP's combine predicate,
+// a memory access's address — then its register or predicate write. A lane
+// that faults has reported everything before its write; later lanes report
+// nothing.
+const (
+	EvLane        EventKind = iota // a lane of a data instruction begins
+	EvRead                         // a source-register read
+	EvWrite                        // a destination-register write
+	EvPredRead                     // a predicate read: guard, SETP combine or SEL select
+	EvPredWrite                    // a SETP destination write
+	EvLoad                         // a global (or texture) load
+	EvStore                        // a global store
+	EvLoadShared                   // a shared-memory load
+	EvStoreShared                  // a shared-memory store
+)
+
+// Event is one access of a traced run.
+type Event struct {
+	Kind   EventKind
+	Thread int // the lane's thread within its CTA
+	// Index is the register slot (Thread × the kernel's NumRegs + register)
+	// of EvRead and EvWrite, the predicate's bit in the thread's predicate
+	// byte (1 << (p-1)) of EvPredRead and EvPredWrite, and the byte address
+	// of the memory kinds.
+	Index uint32
+	At    int64 // thread-instructions retired before this instruction
 }
 
 // Options configures a run.
@@ -118,8 +151,8 @@ type Options struct {
 	Inject       *Injection
 	// CollectWindows enables per-kernel window recording (golden runs).
 	CollectWindows bool
-	// RegTrace, when set, receives architectural register liveness events.
-	RegTrace RegTracer
+	// Trace, when set, receives every register, predicate and memory access.
+	Trace Tracer
 	// Record logs a checkpoint at every CTA start and host step into
 	// Result.Checkpoints; it implies CollectWindows, because fork points are
 	// looked up by candidate counter.

@@ -55,8 +55,11 @@ func FuzzFuncsimParity(f *testing.F) {
 			opts := Options{Inject: &inj, MaxDynInstrs: 10*ref.DynInstrs + 1000}
 			got, want := onBoth(func() *Result { return Run(job, opts) })
 			sameOutcome(t, "injected run", got, want)
+			if mode == InjectUse {
+				sameTrace(t, "use-injected", job, opts) // events see the flipped read
+			}
 		}
-		sameTrace(t, "fuzz", job)
+		sameTrace(t, "fuzz", job, Options{})
 
 		// The cycle simulator orders warps and CTAs differently (round-robin
 		// issue over SMs against one warp after another), so a generated

@@ -71,9 +71,9 @@ func sameOutcome(t *testing.T, name string, got, want *Result) {
 	}
 }
 
-// traceDigest is a RegTracer that folds the (event, slot, at) stream into a
-// running hash and keeps one reading per CTA, so two streams of millions of
-// events compare in a few words and a mismatch names the CTA it starts in.
+// traceDigest is a Tracer that folds the event stream into a running hash
+// and keeps one reading per CTA, so two streams of millions of events compare
+// in a few words and a mismatch names the CTA it starts in.
 type traceDigest struct {
 	h, n uint64
 	ctas [][2]uint64
@@ -86,29 +86,32 @@ func (d *traceDigest) add(ev byte, a, b int, at int64) {
 	d.n++
 }
 
-func (d *traceDigest) OnCTAStart(threads, numRegs int, at int64) { d.add('S', threads, numRegs, at) }
-func (d *traceDigest) OnWrite(slot int, at int64)                { d.add('W', slot, 0, at) }
-func (d *traceDigest) OnRead(slot int, at int64)                 { d.add('R', slot, 0, at) }
+func (d *traceDigest) OnCTAStart(l *device.Launch, at int64) {
+	d.add('S', l.ThreadsPerCTA(), l.Kernel.NumRegs, at)
+}
+func (d *traceDigest) On(ev Event) { d.add(byte(ev.Kind), ev.Thread, int(ev.Index), ev.At) }
 func (d *traceDigest) OnCTAEnd(at int64) {
 	d.add('E', 0, 0, at)
 	d.ctas = append(d.ctas, [2]uint64{d.h, d.n})
 }
 
-// sameTrace runs the job register-traced on both executors and compares the
-// streams and the runs.
-func sameTrace(t *testing.T, name string, job *device.Job) {
+// sameTrace runs the job traced with opts on both executors and compares the
+// event streams and the runs.
+func sameTrace(t *testing.T, name string, job *device.Job, opts Options) {
 	t.Helper()
 	var dg, dw traceDigest
-	got := Run(job, Options{RegTrace: &dg})
+	opts.Trace = &dg
+	got := Run(job, opts)
 	var want *Result
-	onReference(func() { want = Run(job, Options{RegTrace: &dw}) })
+	opts.Trace = &dw
+	onReference(func() { want = Run(job, opts) })
 	sameOutcome(t, name+" traced", got, want)
 	if dg.n == 0 {
 		t.Fatalf("%s: traced run reported no events", name)
 	}
 	for i := range dg.ctas {
 		if i >= len(dw.ctas) || dg.ctas[i] != dw.ctas[i] {
-			t.Fatalf("%s: register trace diverges in CTA %d (of %d, reference %d)", name, i, len(dg.ctas), len(dw.ctas))
+			t.Fatalf("%s: trace diverges in CTA %d (of %d, reference %d)", name, i, len(dg.ctas), len(dw.ctas))
 		}
 	}
 	if dg.n != dw.n || len(dg.ctas) != len(dw.ctas) {
@@ -153,7 +156,7 @@ func sameInjections(t *testing.T, job *device.Job, g *Result, sites int) (runs, 
 // fault-free recording run field for field (output, counters, every
 // per-kernel window, every boundary and the whole memory log), on sampled
 // injections in all three modes from the start and forked with the join, and
-// on the register-trace stream.
+// on the traced event stream.
 func TestReferenceParityAllJobs(t *testing.T) {
 	sites := 6
 	if testing.Short() || raceDetector {
@@ -171,7 +174,7 @@ func TestReferenceParityAllJobs(t *testing.T) {
 		// The traced runs are the slowest; under -short and -race the
 		// hardened variants (three times the plain work) are left out.
 		if i%2 == 0 || !(testing.Short() || raceDetector) {
-			sameTrace(t, job.Name, job)
+			sameTrace(t, job.Name, job, Options{})
 		}
 	}
 	t.Logf("%d injection runs, %d joined, %d ended in a fault", runs, joined, dues)
@@ -182,7 +185,7 @@ func TestReferenceParityAllJobs(t *testing.T) {
 
 // TestOneExecutorOutsideTests pins where the reference executor can run: only
 // inside onReference. Every kind of run the package offers — plain, window-
-// collecting, recording, register-traced, and injected in each mode from the
+// collecting, recording, traced, and injected in each mode from the
 // start and forked — goes through the one CTA loop of funcsim.go and steps
 // the reference not once; inside onReference the same calls do reach it.
 func TestOneExecutorOutsideTests(t *testing.T) {
@@ -191,7 +194,7 @@ func TestOneExecutorOutsideTests(t *testing.T) {
 		g := Run(job, Options{Record: true})
 		Run(job, Options{})
 		Run(job, Options{CollectWindows: true})
-		Run(job, Options{RegTrace: &traceDigest{}})
+		Run(job, Options{Trace: &traceDigest{}})
 		for _, mode := range injectModes {
 			inj := Injection{Mode: mode, Index: candidates(mode, g.DstCands, g.LoadCands, g.UseCands) / 2, Bit: 5}
 			Run(job, Options{Inject: &inj})

@@ -48,15 +48,70 @@ type ctaEnv struct {
 	gridX, gridY   int
 	warpBase       int // thread index of lane 0 of the current warp
 	curInstr       *isa.Instr
+
+	// A traced run's events of the current step, in exec.Step's order, each
+	// with its lane; flush reports them. guardLane is the last lane whose
+	// guard exec.Step has read this step: it reads every live lane's guard
+	// before any lane runs, in lane order, so a predicate read of a lane
+	// above it is one more guard read, and any other is the lane's own.
+	events    []laneEvent
+	guardLane int
+}
+
+type laneEvent struct {
+	lane int
+	ev   Event
+}
+
+// trace buffers one access of the current step.
+func (e *ctaEnv) trace(lane int, k EventKind, i uint32) {
+	if e.r.opts.Trace != nil {
+		e.events = append(e.events, laneEvent{lane, Event{Kind: k, Thread: e.thread(lane), Index: i, At: e.r.res.DynInstrs}})
+	}
+}
+
+// flush reports the step's events lane by lane: each lane that executed the
+// data instruction starts with EvLane and its guard, read once per lane here
+// rather than for every live lane up front. A step that faulted stopped in
+// the lane of its last access, or in its first lane if it made none.
+func (e *ctaEnv) flush(info exec.StepInfo) {
+	tr, ins := e.r.opts.Trace, info.Instr
+	defer func() { e.events, e.guardLane = e.events[:0], -1 }()
+	if tr == nil || ins == nil {
+		return
+	}
+	switch ins.Op {
+	case isa.OpBRA, isa.OpEXIT, isa.OpBAR, isa.OpNOP:
+		return
+	}
+	mask := info.ActiveMask
+	if info.Kind == exec.StepFault {
+		last := bits.TrailingZeros32(mask)
+		if n := len(e.events); n > 0 {
+			last = e.events[n-1].lane
+		}
+		mask &= uint32(uint64(1)<<(last+1) - 1)
+	}
+	next := 0
+	for lane := 0; mask != 0; lane, mask = lane+1, mask>>1 {
+		if mask&1 == 0 {
+			continue
+		}
+		tr.On(Event{Kind: EvLane, Thread: e.thread(lane), At: e.r.res.DynInstrs})
+		if ins.Pred != isa.PT {
+			tr.On(Event{Kind: EvPredRead, Thread: e.thread(lane), Index: 1 << (ins.Pred - 1), At: e.r.res.DynInstrs})
+		}
+		for ; next < len(e.events) && e.events[next].lane == lane; next++ {
+			tr.On(e.events[next].ev)
+		}
+	}
 }
 
 func (e *ctaEnv) thread(lane int) int { return e.warpBase + lane }
 
 func (e *ctaEnv) ReadReg(lane int, reg isa.Reg) uint32 {
 	slot := e.thread(lane)*e.numRegs + int(reg)
-	if tr := e.r.opts.RegTrace; tr != nil {
-		tr.OnRead(slot, e.r.res.DynInstrs)
-	}
+	e.trace(lane, EvRead, uint32(slot))
 	v := e.regs[slot]
 	if inj := e.r.opts.Inject; inj != nil && inj.Mode == InjectUse {
 		if e.r.res.UseCands == inj.Index {
@@ -88,17 +143,21 @@ func (e *ctaEnv) WriteReg(lane int, reg isa.Reg, v uint32) {
 		e.r.res.LoadCands++
 	}
 	slot := e.thread(lane)*e.numRegs + int(reg)
-	if tr := e.r.opts.RegTrace; tr != nil {
-		tr.OnWrite(slot, e.r.res.DynInstrs)
-	}
+	e.trace(lane, EvWrite, uint32(slot))
 	e.regs[slot] = v
 }
 
 func (e *ctaEnv) ReadPred(lane int, p isa.Pred) bool {
+	if e.curInstr.Pred != isa.PT && lane > e.guardLane {
+		e.guardLane = lane
+	} else {
+		e.trace(lane, EvPredRead, 1<<(p-1))
+	}
 	return e.preds[e.thread(lane)]&(1<<(p-1)) != 0
 }
 
 func (e *ctaEnv) WritePred(lane int, p isa.Pred, v bool) {
+	e.trace(lane, EvPredWrite, 1<<(p-1))
 	if v {
 		e.preds[e.thread(lane)] |= 1 << (p - 1)
 	} else {
@@ -139,14 +198,17 @@ func (e *ctaEnv) Param(idx int) uint32 {
 }
 
 func (e *ctaEnv) LoadGlobal(lane int, addr uint32, tex bool) (uint32, error) {
+	e.trace(lane, EvLoad, addr)
 	return e.r.mem.Load4(addr)
 }
 
 func (e *ctaEnv) StoreGlobal(lane int, addr uint32, v uint32) error {
+	e.trace(lane, EvStore, addr)
 	return e.r.mem.Store4(addr, v)
 }
 
 func (e *ctaEnv) LoadShared(lane int, addr uint32) (uint32, error) {
+	e.trace(lane, EvLoadShared, addr)
 	if addr%4 != 0 || int(addr)+4 > len(e.smem) {
 		return 0, fmt.Errorf("illegal shared memory read at 0x%x", addr)
 	}
@@ -154,6 +216,7 @@ func (e *ctaEnv) LoadShared(lane int, addr uint32) (uint32, error) {
 }
 
 func (e *ctaEnv) StoreShared(lane int, addr uint32, v uint32) error {
+	e.trace(lane, EvStoreShared, addr)
 	if addr%4 != 0 || int(addr)+4 > len(e.smem) {
 		return fmt.Errorf("illegal shared memory write at 0x%x", addr)
 	}
@@ -178,8 +241,8 @@ func runCTAReference(r *runner, l *device.Launch, cta int) error {
 	params := l.ParamsFor(cta / perGrid)
 	cy, cx := cta%perGrid/l.GridX, cta%l.GridX
 	threads := l.ThreadsPerCTA()
-	if tr := r.opts.RegTrace; tr != nil {
-		tr.OnCTAStart(threads, prog.NumRegs, r.res.DynInstrs)
+	if tr := r.opts.Trace; tr != nil {
+		tr.OnCTAStart(l, r.res.DynInstrs)
 		defer func() { tr.OnCTAEnd(r.res.DynInstrs) }()
 	}
 	env := &ctaEnv{
@@ -192,6 +255,7 @@ func runCTAReference(r *runner, l *device.Launch, cta int) error {
 		blockX:  l.BlockX, blockY: l.BlockY,
 		ctaX: cx, ctaY: cy,
 		gridX: l.GridX, gridY: l.GridY,
+		guardLane: -1,
 	}
 	nWarps := (threads + 31) / 32
 	warps := make([]*exec.Warp, nWarps)
@@ -218,6 +282,7 @@ func runCTAReference(r *runner, l *device.Launch, cta int) error {
 			for {
 				env.curInstr = warps[w].PeekInstr(prog)
 				info := exec.Step(warps[w], prog, env)
+				env.flush(info)
 				referenceSteps.Add(1)
 				if info.Kind == exec.StepOK || info.Kind == exec.StepExit || info.Kind == exec.StepBarrier {
 					n := int64(bits.OnesCount32(info.ActiveMask))

@@ -336,20 +336,22 @@ func TestInjectUseTraps(t *testing.T) {
 					}
 				}
 			}
-			// every site, two bits, from the start and forked, traced once:
-			// the reference executor must say the same
+			// every site, two bits, from the start (also traced: the events
+			// see the flipped read) and forked: the reference executor must
+			// say the same
 			for site := int64(0); site < g.UseCands; site++ {
 				for _, bit := range []uint8{1, 30} {
 					inj := Injection{Mode: InjectUse, Index: site, Bit: bit}
 					opts := Options{Inject: &inj, MaxDynInstrs: 10 * g.DynInstrs}
 					got, want := onBoth(func() *Result { return Run(job, opts) })
 					sameOutcome(t, "from the start", got, want)
+					sameTrace(t, "from the start", job, opts)
 					opts.Resume, opts.ResumeAt = g.Checkpoints, g.Checkpoints.ForkPoint(inj)
 					got, want = onBoth(func() *Result { return Run(job, opts) })
 					sameOutcome(t, "forked", got, want)
 				}
 			}
-			sameTrace(t, c.name, job)
+			sameTrace(t, c.name, job, Options{})
 		})
 	}
 }
