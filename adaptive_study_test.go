@@ -40,6 +40,30 @@ func TestPrunedPointEquivalence(t *testing.T) {
 	}
 }
 
+// TestPrunedSmemPoint: Prune covers shared memory too — the interval map
+// holds its dead intervals as it holds the register file's — so an SMEM
+// point prunes runs and still tallies bit-identically to brute force.
+func TestPrunedSmemPoint(t *testing.T) {
+	spec := PointSpec{Layer: LayerMicro, App: "BackProp", Structure: gpu.SMEM}
+	want, err := NewStudy(40, 1).Tally(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pruned := NewStudy(40, 1)
+	pruned.Counters = &adaptive.Counters{}
+	spec.Sampling = &SamplingPolicy{Prune: true}
+	got, err := pruned.Tally(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("pruned tally %+v != brute-force tally %+v", got, want)
+	}
+	if pruned.Counters.Pruned.Load() == 0 {
+		t.Error("no SMEM injection was pruned")
+	}
+}
+
 // TestStratifiedPointEquivalence: every per-structure tally of a stratified
 // kernel campaign is a bit-identical prefix of the corresponding plain
 // fixed-n campaign, and the stop rule never fires before the margin target

@@ -73,7 +73,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		daemon  = fs.String("daemon", "", "submit campaigns to a running gpureld at this base URL instead of computing locally")
 		adapt   = fs.Bool("adaptive", false, "adaptive sampling: stop each campaign point early once its Wilson 99% CI half-width reaches the target margin")
 		margin  = fs.Float64("margin", 0, "target 99% CI half-width for -adaptive (0 = the worst-case margin of -n); implies -adaptive")
-		prune   = fs.Bool("prune", false, "liveness-guided pruning of RF injections (bit-identical to brute force)")
+		prune   = fs.Bool("prune", false, "liveness-guided pruning of RF and SMEM injections (bit-identical to brute force)")
 		fmodels = fs.Bool("faultmodels", false, "emit the cross-model outcome table: transient vs stuck-at vs MBU per storage structure, flip vs forced latch per control-state site (heavy: ~29 campaign sets; pair with a small -n)")
 		fmApps  = fs.String("faultmodels-apps", "", "comma-separated app subset for -faultmodels (empty = all 11 benchmarks)")
 	)

@@ -9,11 +9,8 @@
 //	gpufi -app VA -structure all -n 1000
 //	gpufi -app VA -structure all -n 3000 -adaptive -prune
 //	                        # adaptive sampling: stop each campaign at ±2.35%,
-//	                        # skip provably-dead RF sites via the liveness map
-//	gpufi -app VA -structure RF -n 3000 -static-prune
-//	                        # like -prune, and shared memory is covered too:
-//	                        # both read the dead intervals of one golden
-//	                        # schedule trace
+//	                        # skip provably-dead RF and SMEM sites via the
+//	                        # dead intervals of the golden schedule trace
 //	gpufi -app VA -structure RF -n 3000 -snap-stride -1 -converge
 //	                        # checkpointed fork-and-join: faulty runs resume
 //	                        # from golden snapshots and rejoin golden early,
@@ -61,22 +58,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("gpufi", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		appName     = fs.String("app", "VA", "benchmark application (see -list)")
-		kernel      = fs.String("kernel", "", "kernel name (K1..Kn); empty = whole application")
-		structure   = fs.String("structure", "RF", "RF, SMEM, L1D, L1T, L2 or all")
-		n           = fs.Int("n", 3000, "injections per campaign (paper: 3000 → ±2.35% at 99% confidence)")
-		seed        = fs.Int64("seed", 1, "campaign seed")
-		workers     = fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
-		tmr         = fs.Bool("tmr", false, "harden the application with thread-level TMR first")
-		burst       = fs.Int("burst", 1, "adjacent multi-bit burst width (1 = single-bit)")
-		model       = fs.String("model", "", "fault model: transient (default), stuck, mbu or control (implied by control structures)")
-		stuck       = fs.Int("stuck", -1, "stuck-at polarity 0 or 1 for -model stuck, or forced-latch polarity for control faults")
-		lines       = fs.Int("lines", 1, "adjacent rows/lines an MBU cluster spans (-model mbu)")
-		adaptiveOn  = fs.Bool("adaptive", false, "stop each campaign early once the Wilson-score 99% CI half-width reaches the target margin")
-		margin      = fs.Float64("margin", 0, "target 99% CI half-width for -adaptive (0 = the paper's ±2.35%); implies -adaptive")
-		prune       = fs.Bool("prune", false, "classify provably-dead RF injection sites as Masked from the golden run's liveness map, without simulating")
-		staticPrune = fs.Bool("static-prune", false, "like -prune, but shared-memory injections landing in dead cycle intervals are classified as Masked too")
-		list        = fs.Bool("list", false, "list benchmarks and kernels")
+		appName    = fs.String("app", "VA", "benchmark application (see -list)")
+		kernel     = fs.String("kernel", "", "kernel name (K1..Kn); empty = whole application")
+		structure  = fs.String("structure", "RF", "RF, SMEM, L1D, L1T, L2 or all")
+		n          = fs.Int("n", 3000, "injections per campaign (paper: 3000 → ±2.35% at 99% confidence)")
+		seed       = fs.Int64("seed", 1, "campaign seed")
+		workers    = fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
+		tmr        = fs.Bool("tmr", false, "harden the application with thread-level TMR first")
+		burst      = fs.Int("burst", 1, "adjacent multi-bit burst width (1 = single-bit)")
+		model      = fs.String("model", "", "fault model: transient (default), stuck, mbu or control (implied by control structures)")
+		stuck      = fs.Int("stuck", -1, "stuck-at polarity 0 or 1 for -model stuck, or forced-latch polarity for control faults")
+		lines      = fs.Int("lines", 1, "adjacent rows/lines an MBU cluster spans (-model mbu)")
+		adaptiveOn = fs.Bool("adaptive", false, "stop each campaign early once the Wilson-score 99% CI half-width reaches the target margin")
+		margin     = fs.Float64("margin", 0, "target 99% CI half-width for -adaptive (0 = the paper's ±2.35%); implies -adaptive")
+		prune      = fs.Bool("prune", false, "classify provably-dead RF and SMEM injection sites as Masked from the golden run's liveness map, without simulating")
+		list       = fs.Bool("list", false, "list benchmarks and kernels")
 	)
 	snap := cliutil.Snapshots(fs)
 	prof := cliutil.Profiling(fs)
@@ -112,6 +108,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fatal(err)
 	}
+	if err := app.CheckKernel(*kernel); err != nil {
+		return fatal(err)
+	}
 	job := app.Build()
 	if *tmr {
 		job = harden.TMR(job)
@@ -124,10 +123,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "golden run: %d cycles, %d launches\n", g.Res.Cycles, len(g.Res.Spans))
 
-	// One schedule trace serves both pruning flags: -prune reads its
-	// register-file intervals, -static-prune its RF and SMEM ones.
+	// -prune reads the RF and SMEM dead intervals of one golden schedule
+	// trace.
 	var static *microfi.StaticIntervals
-	if *prune || *staticPrune {
+	if *prune {
 		if static, err = microfi.TraceStatic(job, cfg); err != nil {
 			return fatal(err)
 		}
@@ -176,14 +175,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fatal(err)
 		}
 		tgt := microfi.Target{Structure: st, Kernel: *kernel, IncludeVote: *tmr, Model: mdl}
-		// Prune where a flag asks for this structure; with no evidence
+		// With no evidence, or on a structure the intervals do not cover,
 		// InjectStatic is exactly Inject.
-		si := static
-		if !*staticPrune && st != gpu.RF {
-			si = nil
-		}
 		exp := counters.Instrument(func(run int, rng *rand.Rand) (faults.Result, bool) {
-			return microfi.InjectStatic(job, g, si, tgt, rng)
+			return microfi.InjectStatic(job, g, static, tgt, rng)
 		})
 		opts := campaign.Options{Runs: *n, Seed: *seed, Workers: *workers}
 		var tl campaign.Tally
@@ -211,13 +206,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if target > 0 || static != nil {
 		how := "none"
-		switch {
-		case *prune && *staticPrune:
-			how = "liveness on RF, static on SMEM"
-		case *prune:
+		if *prune {
 			how = "liveness"
-		case *staticPrune:
-			how = "static"
 		}
 		tbl.AddFooter("adaptive sampling: %d simulated, %d pruned (%s), %d saved (early stop, target ±%.2f%%)",
 			counters.Simulated.Load(), counters.Pruned.Load(), how, counters.Saved.Load(), 100*target)

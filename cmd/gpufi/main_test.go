@@ -23,7 +23,6 @@ func TestAnchorGolden(t *testing.T) {
 	}{
 		{"brute", nil, ""},
 		{"prune", []string{"-prune"}, "pruned (liveness)"},
-		{"static-prune", []string{"-static-prune"}, "pruned (static)"},
 		{"fork-join", []string{"-snap-stride", "-1", "-converge"}, "checkpointing: 24 snapshots"},
 	}
 	for _, tc := range cases {
@@ -43,9 +42,9 @@ func TestAnchorGolden(t *testing.T) {
 	}
 }
 
-// TestBothPrunersCoverSmem: with -prune and -static-prune together the
-// liveness map cannot reach shared memory, so SMEM must still be pruned from
-// the intervals — and the tally must not move.
+// TestBothPrunersCoverSmem: -prune covers shared memory as well as the
+// register file — both read the dead intervals of one golden schedule trace
+// — so an SMEM campaign is pruned, and its tally does not move.
 func TestBothPrunersCoverSmem(t *testing.T) {
 	base := []string{"-app", "BackProp", "-structure", "SMEM", "-n", "40", "-seed", "1"}
 	row := func(flags ...string) (string, string) {
@@ -62,12 +61,22 @@ func TestBothPrunersCoverSmem(t *testing.T) {
 		return "", ""
 	}
 	want, _ := row()
-	got, out := row("-prune", "-static-prune")
+	got, out := row("-prune")
 	if got != want {
 		t.Errorf("pruned row %q != brute-force row %q", got, want)
 	}
-	if strings.Contains(out, " 0 pruned") || !strings.Contains(out, "static on SMEM") {
+	if strings.Contains(out, " 0 pruned") || !strings.Contains(out, "pruned (liveness)") {
 		t.Errorf("SMEM was not pruned from the intervals:\n%s", out)
+	}
+}
+
+// TestUnknownKernel: a kernel the application does not have is an error,
+// not a campaign that injects nothing and reports 0 %.
+func TestUnknownKernel(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-app", "VA", "-kernel", "K9", "-structure", "RF", "-n", "20"}, &stdout, &stderr)
+	if code != 1 || !strings.Contains(stderr.String(), `VA has no kernel "K9"`) {
+		t.Errorf("exit %d, stderr %q, want 1 naming the kernel", code, stderr.String())
 	}
 }
 

@@ -84,6 +84,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fatal(err)
 	}
+	if err := app.CheckKernel(*kernel); err != nil {
+		return fatal(err)
+	}
 	job := app.Build()
 	if *tmr {
 		job = harden.TMR(job)

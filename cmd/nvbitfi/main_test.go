@@ -75,6 +75,12 @@ func TestUsageErrors(t *testing.T) {
 	if code := run([]string{"-app", "NoSuchApp"}, &stdout, &stderr); code != 1 {
 		t.Errorf("unknown app: exit %d, want 1", code)
 	}
+	stdout.Reset()
+	stderr.Reset()
+	if code := run([]string{"-app", "VA", "-kernel", "K9", "-n", "20"}, &stdout, &stderr); code != 1 ||
+		!strings.Contains(stderr.String(), `VA has no kernel "K9"`) {
+		t.Errorf("unknown kernel: exit %d, stderr %q, want 1 naming the kernel", code, stderr.String())
+	}
 }
 
 func TestList(t *testing.T) {

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"gpurel/internal/device"
 	"gpurel/internal/isa"
@@ -53,6 +54,15 @@ func ByName(name string) (App, error) {
 		}
 	}
 	return App{}, fmt.Errorf("unknown benchmark %q", name)
+}
+
+// CheckKernel returns an error unless name is empty (the whole application)
+// or one of the app's kernels.
+func (a App) CheckKernel(name string) error {
+	if name == "" || slices.Contains(a.Kernels, name) {
+		return nil
+	}
+	return fmt.Errorf("%s has no kernel %q", a.Name, name)
 }
 
 // MemCapacity is the device memory size given to every app.

@@ -52,9 +52,9 @@ type SamplingSpec struct {
 	// fleet-distributed adaptive job evaluates the stop rule on the same
 	// prefixes and tallies bit-identically to a sequential run.
 	Batch int `json:"batch,omitempty"`
-	// Prune enables liveness-guided pruning of RF injections (micro layer):
-	// provably-dead sites are classified from the golden run's liveness map
-	// without simulation, bit-identically to brute force.
+	// Prune enables liveness-guided pruning of RF and SMEM injections (micro
+	// layer): provably-dead sites are classified from the golden run's
+	// interval map without simulation, bit-identically to brute force.
 	Prune bool `json:"prune,omitempty"`
 }
 

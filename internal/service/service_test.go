@@ -497,6 +497,29 @@ func TestRealStudyParity(t *testing.T) {
 	}
 }
 
+// TestUnknownKernelFailsJob: Validate leaves application and kernel names
+// to the job start, and a job naming a kernel its application does not have
+// must fail there, with an error naming the kernel, instead of finishing as
+// a campaign that injected nothing.
+func TestUnknownKernelFailsJob(t *testing.T) {
+	sched, err := service.NewScheduler(service.Config{Source: service.NewStudySource(gpurel.NewStudy(0, 1))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sched.Close() })
+	var spec service.JobSpec
+	if err := json.Unmarshal([]byte(`{"layer":"micro","app":"VA","kernel":"K9","structure":"RF","runs":20}`), &spec); err != nil {
+		t.Fatal(err)
+	}
+	st, err := sched.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin := waitJob(t, sched, st.ID); fin.State != service.StateFailed || !strings.Contains(fin.Error, `"K9"`) {
+		t.Errorf("job ended %s with error %q, want failed naming K9 (tally %+v)", fin.State, fin.Error, fin.Tally)
+	}
+}
+
 // TestPreAdviseJournalLoads: a scheduler journal written before advise jobs
 // became scheduler jobs (testdata/sched_journal_v1.json: a done job, one
 // parked mid-run by a drain, and a canceled one) loads with every job's

@@ -161,8 +161,14 @@ func (e *AppEval) build(cfg gpu.Config, ck microfi.CheckpointSpec) (err error) {
 // campaigns, which is what makes the harden.Selective bit-identity property
 // observable at the tally level. A proper subset's job and golden run are
 // built on first use and cached, on the chip and with the checkpoint spec of
-// the app's own golden runs.
+// the app's own golden runs. A point whose kernel, or any kernel it hardens,
+// is not one of the application's is an error.
 func (e *AppEval) resolve(spec PointSpec) (PointSpec, *variant, error) {
+	for _, k := range append([]string{spec.Kernel}, spec.Harden...) {
+		if err := e.App.CheckKernel(k); err != nil {
+			return spec, nil, err
+		}
+	}
 	if len(spec.Harden) > 0 {
 		set := spec.hardenSet()
 		switch {
@@ -255,10 +261,10 @@ type SamplingPolicy struct {
 	// Batch is the run-index granularity of the stop rule
 	// (0 = adaptive.DefaultBatch).
 	Batch int
-	// Prune enables liveness-guided pruning of register-file injections:
-	// provably-dead sites classify as Masked from the golden run's interval
-	// map instead of being simulated. Classifications are bit-identical to
-	// brute force (microfi.InjectStatic).
+	// Prune enables liveness-guided pruning of register-file and
+	// shared-memory injections: provably-dead sites classify as Masked from
+	// the golden run's interval map instead of being simulated.
+	// Classifications are bit-identical to brute force (microfi.InjectStatic).
 	Prune bool
 }
 
@@ -419,11 +425,12 @@ func (s *Study) PointExperiment(spec PointSpec) (campaign.Experiment, error) {
 		return nil, err
 	}
 	job, g, t := v.Job, v.MicroG, v.target(spec, mdl)
-	// The interval map is the only evidence a study point can hold, and it
-	// prunes register-file points only; with none, InjectStatic is exactly
-	// Inject and every run counts as simulated.
+	// The interval map is the only evidence a study point can hold. It
+	// prunes register-file and shared-memory points; on other structures,
+	// and with no map, InjectStatic is exactly Inject and every run counts
+	// as simulated.
 	var si *microfi.StaticIntervals
-	if spec.Sampling != nil && spec.Sampling.Prune && spec.Structure == gpu.RF {
+	if spec.Sampling != nil && spec.Sampling.Prune {
 		if si, err = v.intervals(); err != nil {
 			return nil, fmt.Errorf("%s: %w", spec.App, err)
 		}

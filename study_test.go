@@ -1,6 +1,7 @@
 package gpurel
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -179,6 +180,27 @@ func TestConcurrentEvalBuildsOnce(t *testing.T) {
 	}
 	if c := s.CheckpointCounts(); c != want {
 		t.Errorf("checkpoint counts %+v, sequential study %+v", c, want)
+	}
+}
+
+// TestUnknownKernel: a point naming a kernel its application does not have
+// — as the point's kernel or as one it hardens — is an error, on either
+// layer, and memoises no tally.
+func TestUnknownKernel(t *testing.T) {
+	s := NewStudy(20, 1)
+	for _, spec := range []PointSpec{
+		{Layer: LayerMicro, App: "VA", Kernel: "K9", Structure: gpu.RF},
+		{Layer: LayerSoft, App: "VA", Kernel: "K9", Mode: softfi.SVF},
+		{Layer: LayerMicro, App: "VA", Kernel: "K1", Structure: gpu.RF, Harden: []string{"K9"}},
+		{Layer: LayerMicro, App: "VA", Kernel: "vote", Structure: gpu.RF, Hardened: true},
+	} {
+		tl, err := s.Tally(spec)
+		if err == nil || !strings.Contains(err.Error(), "VA has no kernel") {
+			t.Errorf("%+v: tally %+v, error %v", spec, tl, err)
+		}
+	}
+	if len(s.tallies) != 0 {
+		t.Errorf("%d tallies memoised", len(s.tallies))
 	}
 }
 
