@@ -100,10 +100,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// names is what the per-kernel modes walk: the one kernel asked for, or
 	// all of them in first-launch order.
 	names := order
+	if err := app.CheckKernel(*kernel); err != nil {
+		return fail(err)
+	}
 	if *kernel != "" {
-		if _, ok := progs[*kernel]; !ok {
-			return fail(fmt.Errorf("%s has no kernel %q", app.Name, *kernel))
-		}
 		names = []string{*kernel}
 	}
 
