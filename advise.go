@@ -1,7 +1,7 @@
 // StudyBackend wires internal/advisor to the measurement stack: adaptive
-// per-kernel campaigns for vulnerability, golden-run cycle counts for the
-// cost model, flow liveness for static search hints, and a selective-job
-// campaign for plan verification.
+// per-kernel campaigns for vulnerability, golden-run cycle counts of every
+// protection subset for cost, and a selective-job campaign for plan
+// verification.
 package gpurel
 
 import (
@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"gpurel/internal/advisor"
-	"gpurel/internal/flow"
 	"gpurel/internal/gpu"
 )
 
@@ -39,33 +38,8 @@ func (b *StudyBackend) Kernels(ctx context.Context, app string) ([]string, error
 	return append([]string(nil), e.App.Kernels...), nil
 }
 
-// PreRank implements advisor.PreRanker: the flow interval engine's static
-// RF AVF bracket per kernel, from one fault-free traced run of the plain
-// job (cached on the AppEval) — no injection campaigns. The runner uses it
-// to measure the statically most-exposed kernels first; it cannot change
-// the plan, which is a pure function of the complete measurement maps.
-func (b *StudyBackend) PreRank(ctx context.Context, app string) ([]advisor.StaticRank, error) {
-	e, err := b.Study.Eval(app)
-	if err != nil {
-		return nil, err
-	}
-	si, err := e.plain.intervals()
-	if err != nil {
-		return nil, err
-	}
-	ranks := make([]advisor.StaticRank, 0, len(e.App.Kernels))
-	for _, k := range e.App.Kernels {
-		bd := si.Bounds(gpu.RF, k)
-		ranks = append(ranks, advisor.StaticRank{Kernel: k, Lower: bd.Lower, Upper: bd.Upper})
-	}
-	return ranks, nil
-}
-
 // Measure runs the plain and hardened campaigns for one kernel and derives
-// its weight and TMR cycle multiplier from the golden runs. The static hint
-// is the kernel's mean live-register pressure from flow liveness: kernels
-// holding more live state per instruction expose more architecturally
-// correctable bits, so they are tried earlier on ties.
+// its weight and TMR cycle multiplier from the golden runs.
 func (b *StudyBackend) Measure(ctx context.Context, app, kernel string) (advisor.KernelMeasure, error) {
 	e, err := b.Study.Eval(app)
 	if err != nil {
@@ -90,50 +64,13 @@ func (b *StudyBackend) Measure(ctx context.Context, app, kernel string) (advisor
 		HardMult:    mult,
 		SDC:         plain.SDC,
 		SDCHardened: hard.SDC,
-		Hint:        kernelHint(e, kernel),
 	}, nil
 }
 
-// kernelHint scores a kernel by its mean live-in register count per
-// instruction (0 when the kernel is not found — hints only order the
-// search, they never gate it).
-func kernelHint(e *AppEval, kernel string) float64 {
-	for _, st := range e.Job.Steps {
-		if st.Launch == nil || st.Launch.Name() != kernel {
-			continue
-		}
-		lv := flow.Build(st.Launch.Kernel).Liveness()
-		n := len(st.Launch.Kernel.Code)
-		if n == 0 {
-			return 0
-		}
-		live := 0
-		for pc := 0; pc < n; pc++ {
-			live += len(lv.In(pc).Regs())
-		}
-		return float64(live) / float64(n)
-	}
-	return 0
-}
-
-// Cost prices protecting exactly one kernel: the golden-run cycle overhead
-// of Selective({kernel}) minus one — replicated execution of that kernel
-// plus the final output vote.
-func (b *StudyBackend) Cost(ctx context.Context, app, kernel string) (float64, error) {
-	o, err := b.Study.SelectiveOverhead(app, []string{kernel})
-	if err != nil {
-		return 0, err
-	}
-	return o - 1, nil
-}
-
-// FullOverhead measures the full-TMR cycle overhead of the app.
-func (b *StudyBackend) FullOverhead(ctx context.Context, app string) (float64, error) {
-	e, err := b.Study.Eval(app)
-	if err != nil {
-		return 0, err
-	}
-	return float64(e.MicroGTMR.Res.Cycles) / float64(e.MicroG.Res.Cycles), nil
+// Overhead prices a protection subset with one fault-free golden run of the
+// selectively hardened job (Study.SelectiveOverhead).
+func (b *StudyBackend) Overhead(ctx context.Context, app string, protect []string) (float64, error) {
+	return b.Study.SelectiveOverhead(app, protect)
 }
 
 // Verify runs the verification campaign on the selectively hardened job:
@@ -154,6 +91,5 @@ func (b *StudyBackend) Verify(ctx context.Context, app string, protect []string)
 	for i, k := range e.App.Kernels {
 		v.PerKernel[k] = parts[i].SDC
 	}
-	v.Overhead, err = s.SelectiveOverhead(app, protect)
-	return v, err
+	return v, nil
 }

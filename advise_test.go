@@ -5,9 +5,10 @@
 package gpurel
 
 import (
-	"context"
 	"encoding/json"
+	"fmt"
 	"os"
+	"sync"
 	"testing"
 
 	"gpurel/internal/advisor"
@@ -137,51 +138,76 @@ func TestSelectiveProperSubsetDistinct(t *testing.T) {
 // advisorE2ECases are the acceptance end-to-end configurations: fixed
 // runs/seed (the advisor is deterministic, so these pin the whole run) and
 // a budget fraction between the full-TMR and unhardened SDC positions.
-var advisorE2ECases = []struct {
+var advisorE2ECases = []advisorCase{
+	{app: "SRADv1", runs: 8, seed: 17, frac: 0.5},
+	{app: "K-Means", runs: 20, seed: 5, frac: 0.75},
+}
+
+type advisorCase struct {
 	app  string
 	runs int
 	seed int64
 	frac float64
-}{
-	{app: "SRADv1", runs: 8, seed: 17, frac: 0.5},
-	{app: "K-Means", runs: 20, seed: 5, frac: 0.75},
 }
+
+// advised is one advise run of a case: its budget and final state.
+type advised struct {
+	budget float64
+	st     *advisor.State
+}
+
+// adviseFresh runs the advisor for a case on a fresh study, at a budget
+// tc.frac of the way from the app's full-TMR SDC to its unhardened SDC.
+func adviseFresh(tc advisorCase) (advised, error) {
+	s := NewStudy(tc.runs, tc.seed)
+	plain, err := s.AppAVF(tc.app, false)
+	if err != nil {
+		return advised{}, err
+	}
+	hard, err := s.AppAVF(tc.app, true)
+	if err != nil {
+		return advised{}, err
+	}
+	if plain.SDC <= hard.SDC {
+		return advised{}, fmt.Errorf("%s: plain SDC %.4f not above hardened %.4f — campaign too small to advise",
+			tc.app, plain.SDC, hard.SDC)
+	}
+	budget := hard.SDC + tc.frac*(plain.SDC-hard.SDC)
+	st, err := s.Advise(tc.app, budget)
+	return advised{budget, st}, err
+}
+
+// advisedCases memoises adviseFresh per case: every test that reads a case
+// shares its one study.
+var advisedCases = func() []func() (advised, error) {
+	out := make([]func() (advised, error), len(advisorE2ECases))
+	for i, tc := range advisorE2ECases {
+		out[i] = sync.OnceValues(func() (advised, error) { return adviseFresh(tc) })
+	}
+	return out
+}()
 
 // TestAdvisorEndToEnd is the acceptance e2e: on SRADv1 and K-Means the
 // advisor emits a proper-subset plan whose verified SDC meets the budget at
 // a measured overhead strictly below full TMR.
 func TestAdvisorEndToEnd(t *testing.T) {
-	for _, tc := range advisorE2ECases {
-		s := NewStudy(tc.runs, tc.seed)
-		plain, err := s.AppAVF(tc.app, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hard, err := s.AppAVF(tc.app, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if plain.SDC <= hard.SDC {
-			t.Fatalf("%s: plain SDC %.4f not above hardened %.4f — campaign too small to advise",
-				tc.app, plain.SDC, hard.SDC)
-		}
-		budget := hard.SDC + tc.frac*(plain.SDC-hard.SDC)
-
-		st, err := s.Advise(tc.app, budget)
+	for i, tc := range advisorE2ECases {
+		a, err := advisedCases[i]()
 		if err != nil {
 			t.Fatalf("%s: advise: %v", tc.app, err)
 		}
+		st, budget := a.st, a.budget
 		if st.Phase != "done" || st.Plan == nil || st.Verification == nil {
 			t.Fatalf("%s: incomplete state %+v", tc.app, st)
 		}
-		v := st.Verification
+		v, p := st.Verification, st.Plan
 		if !v.Pass || v.SDC > budget {
 			t.Errorf("%s: verified SDC %.4f exceeds budget %.4f", tc.app, v.SDC, budget)
 		}
-		if v.Overhead >= v.FullOverhead {
-			t.Errorf("%s: overhead %.3f not strictly below full TMR %.3f", tc.app, v.Overhead, v.FullOverhead)
+		if p.Overhead >= p.FullOverhead {
+			t.Errorf("%s: overhead %.3f not strictly below full TMR %.3f", tc.app, p.Overhead, p.FullOverhead)
 		}
-		if n := len(st.Plan.Protect); n == 0 || n >= len(st.Measures) {
+		if n := len(p.Protect); n == 0 || n >= len(st.Measures) {
 			t.Errorf("%s: plan protects %d of %d kernels — not a proper subset", tc.app, n, len(st.Measures))
 		}
 		if v.TotalRuns == 0 {
@@ -193,31 +219,17 @@ func TestAdvisorEndToEnd(t *testing.T) {
 // TestAdvisorDeterminism: a fresh study reproduces the identical plan and
 // verification (the property the journal/resume path relies on).
 func TestAdvisorDeterminism(t *testing.T) {
-	tc := advisorE2ECases[0]
-	budgets := func(s *Study) float64 {
-		plain, err := s.AppAVF(tc.app, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hard, err := s.AppAVF(tc.app, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return hard.SDC + tc.frac*(plain.SDC-hard.SDC)
-	}
-	s1 := NewStudy(tc.runs, tc.seed)
-	st1, err := s1.Advise(tc.app, budgets(s1))
+	a1, err := advisedCases[0]()
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2 := NewStudy(tc.runs, tc.seed)
-	st2, err := s2.Advise(tc.app, budgets(s2))
+	a2, err := adviseFresh(advisorE2ECases[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1, _ := json.Marshal(st1)
-	p2, _ := json.Marshal(st2)
-	if string(p1) != string(p2) {
+	p1, _ := json.Marshal(a1.st)
+	p2, _ := json.Marshal(a2.st)
+	if a1.budget != a2.budget || string(p1) != string(p2) {
 		t.Errorf("advise not reproducible:\n%s\n%s", p1, p2)
 	}
 }
@@ -235,22 +247,12 @@ func TestAdvisorPlansArtifact(t *testing.T) {
 		State  any     `json:"state"`
 	}
 	var out []entry
-	for _, tc := range advisorE2ECases {
-		s := NewStudy(tc.runs, tc.seed)
-		plain, err := s.AppAVF(tc.app, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hard, err := s.AppAVF(tc.app, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		budget := hard.SDC + tc.frac*(plain.SDC-hard.SDC)
-		st, err := s.Advise(tc.app, budget)
+	for i, tc := range advisorE2ECases {
+		a, err := advisedCases[i]()
 		if err != nil {
 			t.Fatalf("%s: %v", tc.app, err)
 		}
-		out = append(out, entry{App: tc.app, Budget: budget, State: st})
+		out = append(out, entry{App: tc.app, Budget: a.budget, State: a.st})
 	}
 	raw, err := json.MarshalIndent(map[string]any{"table": "advisor_plans", "plans": out}, "", "  ")
 	if err != nil {
@@ -258,71 +260,5 @@ func TestAdvisorPlansArtifact(t *testing.T) {
 	}
 	if err := os.WriteFile(os.Getenv("GPUREL_ADVISOR_JSON"), append(raw, '\n'), 0o644); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// noPreRank hides the StudyBackend's PreRanker capability: the embedded
-// interface value forwards every Backend method but the wrapper type itself
-// has no PreRank method, so the runner's capability check fails.
-type noPreRank struct{ advisor.Backend }
-
-// TestAdvisorPreRankPlanUnchangedOnStudy pins the tentpole consumer
-// contract on the real measurement stack: the static pre-ranking stage
-// reorders measurement and journals the bounds, but the plan and
-// verification are bit-identical to the seed behaviour (same backend with
-// the capability hidden).
-func TestAdvisorPreRankPlanUnchangedOnStudy(t *testing.T) {
-	tc := advisorE2ECases[0]
-	budget := func(s *Study) float64 {
-		plain, err := s.AppAVF(tc.app, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hard, err := s.AppAVF(tc.app, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return hard.SDC + tc.frac*(plain.SDC-hard.SDC)
-	}
-
-	s1 := NewStudy(tc.runs, tc.seed)
-	ranked, err := s1.Advise(tc.app, budget(s1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ranked.PreRank) == 0 {
-		t.Fatal("study advise recorded no static pre-ranks")
-	}
-	someExposure := false
-	for _, r := range ranked.PreRank {
-		if !(0 <= r.Lower && r.Lower <= r.Upper && r.Upper <= 1) {
-			t.Fatalf("pre-rank %+v not a sane [0,1] bracket", r)
-		}
-		if r.Upper > 0 {
-			someExposure = true
-		}
-	}
-	if !someExposure {
-		t.Fatal("every kernel statically dead — bounds implausible")
-	}
-
-	s2 := NewStudy(tc.runs, tc.seed)
-	r := &advisor.Runner{Backend: noPreRank{&StudyBackend{Study: s2}}, App: tc.app, Budget: budget(s2)}
-	seedSt, err := r.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seedSt.PreRank != nil {
-		t.Fatal("hidden capability still produced pre-ranks")
-	}
-	p1, _ := json.Marshal(ranked.Plan)
-	p2, _ := json.Marshal(seedSt.Plan)
-	if string(p1) != string(p2) {
-		t.Errorf("pre-ranking changed the plan:\n%s\n%s", p1, p2)
-	}
-	v1, _ := json.Marshal(ranked.Verification)
-	v2, _ := json.Marshal(seedSt.Verification)
-	if string(v1) != string(v2) {
-		t.Errorf("pre-ranking changed the verification:\n%s\n%s", v1, v2)
 	}
 }

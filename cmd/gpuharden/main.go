@@ -1,19 +1,19 @@
 // Command gpuharden is the selective-hardening advisor CLI: given a
-// benchmark and an SDC budget, it measures per-kernel vulnerability and
-// protection cost on the study stack, greedily searches for the cheapest
-// protection set predicted to meet the budget, and verifies the plan with a
-// real injection campaign on the selectively hardened job — refusing plans
-// whose measured SDC misses the budget.
+// benchmark and an SDC budget, it measures per-kernel vulnerability on the
+// study stack, prices every protection subset with one fault-free golden
+// run, picks the cheapest subset predicted to meet the budget, and verifies
+// the plan with a real injection campaign on the selectively hardened job —
+// refusing plans whose measured SDC misses the budget.
 //
 // Usage:
 //
 //	gpuharden -app SRADv1 -sdc-budget 0.005
 //	gpuharden -app SRADv1 -sdc-budget 0.005 -n 3000 -seed 1 -json
 //	gpuharden -app NW -sdc-budget 0.01 -journal nw.advise.json
-//	                        # journaled: every completed unit of work is
-//	                        # persisted; an interrupted run re-invoked with
-//	                        # the same flags resumes and produces the
-//	                        # bit-identical plan
+//	                        # journaled through internal/journal: every
+//	                        # completed unit of work is persisted; an
+//	                        # interrupted run re-invoked with the same flags
+//	                        # resumes and produces the bit-identical plan
 //
 // Exit status: 0 when a plan verifies within budget, 1 on refusal
 // (unattainable budget or failed verification) or error, 2 on usage errors.
@@ -30,9 +30,11 @@ import (
 	"os/signal"
 	"sort"
 	"syscall"
+	"time"
 
 	"gpurel"
 	"gpurel/internal/advisor"
+	"gpurel/internal/journal"
 	"gpurel/internal/kernels"
 )
 
@@ -46,13 +48,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("gpuharden", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		appName = fs.String("app", "", "benchmark application (required; see -list)")
-		budget  = fs.Float64("sdc-budget", 0.005, "SDC AVF ceiling the plan must verifiably meet")
-		n       = fs.Int("n", 3000, "injections per campaign point (paper: 3000 → ±2.35% at 99% confidence)")
-		seed    = fs.Int64("seed", 1, "base study seed (campaign points derive their own seeds)")
-		jsonOut = fs.Bool("json", false, "emit the final advisor state as JSON on stdout")
-		journal = fs.String("journal", "", "journal path: state persists after every unit of work; re-running resumes from it")
-		list    = fs.Bool("list", false, "list benchmarks and kernels")
+		appName     = fs.String("app", "", "benchmark application (required; see -list)")
+		budget      = fs.Float64("sdc-budget", 0.005, "SDC AVF ceiling the plan must verifiably meet")
+		n           = fs.Int("n", 3000, "injections per campaign point (paper: 3000 → ±2.35% at 99% confidence)")
+		seed        = fs.Int64("seed", 1, "base study seed (campaign points derive their own seeds)")
+		jsonOut     = fs.Bool("json", false, "emit the final advisor state as JSON on stdout")
+		journalPath = fs.String("journal", "", "journal path: state persists after every unit of work; re-running resumes from it")
+		list        = fs.Bool("list", false, "list benchmarks and kernels")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -76,14 +78,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	resume, err := loadJournal(*journal)
-	if err != nil {
-		fmt.Fprintf(stderr, "gpuharden: %v\n", err)
-		return 1
+	var jf journalFile
+	if *journalPath != "" {
+		if err := journal.Load(*journalPath, advisor.StateVersion, &jf); err != nil {
+			fmt.Fprintf(stderr, "gpuharden: %v\n", err)
+			return 1
+		}
 	}
-	if resume != nil {
-		fmt.Fprintf(stderr, "gpuharden: resuming from %s (%d kernels measured, %d priced)\n",
-			*journal, len(resume.Measures), len(resume.Costs))
+	if jf.State != nil {
+		fmt.Fprintf(stderr, "gpuharden: resuming from %s (%d kernels measured, %d subsets priced)\n",
+			*journalPath, len(jf.State.Measures), len(jf.State.Overheads))
+	}
+	save := func(st *advisor.State) {
+		if *journalPath == "" {
+			return
+		}
+		jf.State = st
+		if err := journal.Save(*journalPath, advisor.StateVersion, time.Now().Unix(), &jf); err != nil {
+			fmt.Fprintf(stderr, "gpuharden: %v\n", err)
+		}
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -95,27 +108,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Backend: &gpurel.StudyBackend{Study: study},
 		App:     *appName,
 		Budget:  *budget,
-		Resume:  resume,
+		Resume:  jf.State,
 		OnState: func(st *advisor.State) {
-			if *journal != "" {
-				if err := saveJournal(*journal, st); err != nil {
-					fmt.Fprintf(stderr, "gpuharden: journal: %v\n", err)
-				}
-			}
+			save(st)
 			if st.Phase != lastPhase {
 				fmt.Fprintf(stderr, "gpuharden: phase %s\n", st.Phase)
 				lastPhase = st.Phase
 			}
 			if st.Phase == advisor.PhaseMeasure {
-				fmt.Fprintf(stderr, "gpuharden:   %d measured, %d priced\n", len(st.Measures), len(st.Costs))
+				fmt.Fprintf(stderr, "gpuharden:   %d measured, %d subsets priced\n", len(st.Measures), len(st.Overheads))
 			}
 		},
 	}
 	st, err := r.Run(ctx)
-	if *journal != "" && st != nil {
-		if jerr := saveJournal(*journal, st); jerr != nil {
-			fmt.Fprintf(stderr, "gpuharden: journal: %v\n", jerr)
-		}
+	if st != nil {
+		save(st)
 	}
 	if errors.Is(err, context.Canceled) {
 		fmt.Fprintln(stderr, "gpuharden: interrupted; re-run with the same flags to resume")
@@ -139,6 +146,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// journalFile is the -journal payload: the advisor state under the journal
+// envelope, whose version is the state's schema version.
+type journalFile struct {
+	journal.Header
+	State *advisor.State `json:"state"`
+}
+
 // printReport renders the plan and verification as a human-readable table.
 func printReport(w io.Writer, st *advisor.State) {
 	fmt.Fprintf(w, "app %s, SDC budget %.5f\n", st.App, st.Budget)
@@ -147,66 +161,23 @@ func printReport(w io.Writer, st *advisor.State) {
 		kernels = append(kernels, k)
 	}
 	sort.Strings(kernels)
-	fmt.Fprintf(w, "%-6s %10s %10s %10s %10s %8s\n", "kernel", "weight", "SDC", "SDC(TMR)", "cost", "hint")
+	fmt.Fprintf(w, "%-6s %10s %10s %10s %10s\n", "kernel", "weight", "SDC", "SDC(TMR)", "TMR mult")
 	for _, k := range kernels {
 		m := st.Measures[k]
-		fmt.Fprintf(w, "%-6s %10.0f %10.5f %10.5f %10.4f %8.2f\n",
-			k, m.Weight, m.SDC, m.SDCHardened, st.Costs[k], m.Hint)
+		fmt.Fprintf(w, "%-6s %10.0f %10.5f %10.5f %10.4f\n", k, m.Weight, m.SDC, m.SDCHardened, m.HardMult)
 	}
 	if st.Plan == nil {
 		fmt.Fprintln(w, "no plan (search did not complete)")
 		return
 	}
 	p := st.Plan
-	fmt.Fprintf(w, "\nplan: protect %v\n", p.Protect)
-	for _, s := range p.Steps {
-		fmt.Fprintf(w, "  +%-5s predicted SDC %.5f, overhead %.4f (gain %.5f / cost %.4f)\n",
-			s.Add, s.PredictedSDC, s.PredictedOverhead, s.Gain, s.Cost)
-	}
-	fmt.Fprintf(w, "predicted: SDC %.5f, overhead %.4f (full TMR %.4f)\n",
-		p.PredictedSDC, p.PredictedOverhead, p.FullOverhead)
+	fmt.Fprintf(w, "\nplan: protect %v, cheapest of %d subsets\n", p.Protect, len(st.Overheads)+1)
+	fmt.Fprintf(w, "predicted SDC %.5f, overhead %.4f (full TMR %.4f)\n", p.PredictedSDC, p.Overhead, p.FullOverhead)
 	if v := st.Verification; v != nil {
 		verdict := "PASS"
 		if !v.Pass {
 			verdict = "REFUSED"
 		}
-		fmt.Fprintf(w, "verified:  SDC %.5f, overhead %.4f (full TMR %.4f), %d runs — %s\n",
-			v.SDC, v.Overhead, v.FullOverhead, v.TotalRuns, verdict)
+		fmt.Fprintf(w, "verified:  SDC %.5f, %d runs — %s\n", v.SDC, v.TotalRuns, verdict)
 	}
-}
-
-// loadJournal reads a journaled advisor state; a missing file means a fresh
-// run.
-func loadJournal(path string) (*advisor.State, error) {
-	if path == "" {
-		return nil, nil
-	}
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var st advisor.State
-	if err := json.Unmarshal(data, &st); err != nil {
-		return nil, fmt.Errorf("journal %s: %w", path, err)
-	}
-	if st.Version != advisor.StateVersion {
-		return nil, fmt.Errorf("journal %s: version %d, want %d", path, st.Version, advisor.StateVersion)
-	}
-	return &st, nil
-}
-
-// saveJournal persists the state atomically (temp + rename).
-func saveJournal(path string, st *advisor.State) error {
-	data, err := json.MarshalIndent(st, "", " ")
-	if err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
 }

@@ -1,14 +1,15 @@
 // Package advisor plans selective hardening: given a per-kernel
-// vulnerability/cost measurement backend and an SDC budget, it searches for
-// the cheapest protection set whose predicted SDC meets the budget and then
-// verifies the plan with a real campaign on the selectively hardened job.
+// vulnerability measurement backend, the measured cycle overhead of every
+// protection subset and an SDC budget, it picks the cheapest subset whose
+// predicted SDC meets the budget and then verifies the plan with a real
+// campaign on the selectively hardened job.
 //
 // The advisor closes the loop over the rest of the repo: the measurement
 // backend is the study stack (adaptive Wilson-CI campaigns per kernel,
-// golden-run cycle counts of hardened variants, flow-derived static hints
-// ordering the search), the transform is harden.Selective, and the
-// verification is an ordinary app-AVF campaign on the planned job — so all
-// fault models and the fleet distribution path apply unchanged.
+// fault-free golden runs of every hardened variant for cost), the transform
+// is harden.Selective, and the verification is an ordinary app-AVF campaign
+// on the planned job — so all fault models and the fleet distribution path
+// apply unchanged.
 //
 // Everything is deterministic and journaled: the runner emits its full
 // State after every completed unit of work, and Resume skips units already
@@ -19,12 +20,12 @@ package advisor
 import (
 	"fmt"
 	"sort"
+	"strings"
 )
 
 // KernelMeasure is the measurement phase's verdict on one kernel: how much
-// it matters (Weight, SDC) and what protecting it buys (SDCHardened) and
-// costs (HardMult). Hint is a static flow-analysis score used only to order
-// the search among otherwise-equal candidates.
+// it matters (Weight, SDC) and what protecting it buys (SDCHardened, with
+// HardMult re-weighting the protected kernel in predictions).
 type KernelMeasure struct {
 	Kernel string `json:"kernel"`
 	// Weight is the kernel's share basis: its golden-run cycle count on the
@@ -37,47 +38,20 @@ type KernelMeasure struct {
 	// the plain and full-TMR variants of the app.
 	SDC         float64 `json:"sdc"`
 	SDCHardened float64 `json:"sdc_hardened"`
-	// Hint is a static prioritization score (higher = try protecting
-	// earlier); ties in the greedy ratio are broken by Hint, then name.
-	Hint float64 `json:"hint"`
 }
 
-// StaticRank is the zero-cost static pre-ranking of one kernel: the flow
-// interval engine's static AVF bracket for the kernel's launch windows.
-// Pre-ranks only reorder the measurement phase (most-exposed kernels first,
-// so an interrupted run has journaled the kernels most likely to matter);
-// they never change which kernels are measured or what the search decides —
-// the plan is a pure function of the complete measurement maps.
-type StaticRank struct {
-	Kernel string  `json:"kernel"`
-	Lower  float64 `json:"lower"`
-	Upper  float64 `json:"upper"`
-}
-
-// SearchStep records one greedy round: the kernel added and the predicted
-// position after adding it.
-type SearchStep struct {
-	Add               string  `json:"add"`
-	PredictedSDC      float64 `json:"predicted_sdc"`
-	PredictedOverhead float64 `json:"predicted_overhead"`
-	// Gain is the predicted SDC reduction of this round, Cost the overhead
-	// increment, Ratio their quotient (the greedy objective).
-	Gain  float64 `json:"gain"`
-	Cost  float64 `json:"cost"`
-	Ratio float64 `json:"ratio"`
-}
-
-// Plan is the search result: the protection set and its predicted position,
-// plus the full step-by-step lattice walk for auditability.
+// Plan is the search result: the protection set, its predicted SDC, and
+// the measured cycle overheads of the set and of full TMR.
 type Plan struct {
 	App    string  `json:"app"`
 	Budget float64 `json:"budget"`
 	// Protect is the chosen protection set, sorted.
-	Protect           []string     `json:"protect"`
-	PredictedSDC      float64      `json:"predicted_sdc"`
-	PredictedOverhead float64      `json:"predicted_overhead"`
-	FullOverhead      float64      `json:"full_overhead"`
-	Steps             []SearchStep `json:"steps,omitempty"`
+	Protect      []string `json:"protect"`
+	PredictedSDC float64  `json:"predicted_sdc"`
+	// Overhead is the golden-run cycle overhead of the planned job vs the
+	// unhardened job; FullOverhead the same for full TMR.
+	Overhead     float64 `json:"overhead"`
+	FullOverhead float64 `json:"full_overhead"`
 }
 
 // Verification is the measured truth about a plan: a full campaign on the
@@ -85,10 +59,6 @@ type Plan struct {
 type Verification struct {
 	// SDC is the measured chip-level SDC AVF of the planned job.
 	SDC float64 `json:"sdc"`
-	// Overhead is the measured golden-run cycle overhead of the planned job
-	// vs the unhardened job; FullOverhead the same for full TMR.
-	Overhead     float64 `json:"overhead"`
-	FullOverhead float64 `json:"full_overhead"`
 	// PerKernel is the per-kernel SDC breakdown of the verified job.
 	PerKernel map[string]float64 `json:"per_kernel,omitempty"`
 	// TotalRuns counts injection runs spent in verification.
@@ -113,33 +83,28 @@ type State struct {
 	App     string  `json:"app"`
 	Budget  float64 `json:"budget"`
 	Phase   string  `json:"phase"`
-	// PreRank is the static pre-ranking recorded when the backend offers one
-	// (the PreRanker capability); absent otherwise, so seed-era journals
-	// round-trip unchanged.
-	PreRank []StaticRank `json:"pre_rank,omitempty"`
-	// Measures and Costs accumulate during PhaseMeasure, keyed by kernel.
+	// Measures accumulates during PhaseMeasure, one unit per kernel.
 	Measures map[string]KernelMeasure `json:"measures,omitempty"`
-	Costs    map[string]float64       `json:"costs,omitempty"`
-	// FullOverhead is the measured full-TMR cycle overhead (set at the end
-	// of the measurement phase).
-	FullOverhead *float64      `json:"full_overhead,omitempty"`
-	Plan         *Plan         `json:"plan,omitempty"`
-	Verification *Verification `json:"verification,omitempty"`
+	// Overheads is the measured cycle overhead of every non-empty protection
+	// subset, keyed by subset name ("K1+K3"). All of it lands as one unit.
+	Overheads    map[string]float64 `json:"overheads,omitempty"`
+	Plan         *Plan              `json:"plan,omitempty"`
+	Verification *Verification      `json:"verification,omitempty"`
 }
 
 // StateVersion is the journal schema version written into State.Version.
-const StateVersion = 1
+const StateVersion = 2
 
-// ErrBudgetUnattainable is returned (wrapped) when even protecting every
-// kernel is predicted to miss the budget: the plan is refused before any
-// verification runs are spent.
+// ErrBudgetUnattainable is returned (wrapped) when no protection subset is
+// predicted to meet the budget: the plan is refused before any verification
+// runs are spent. BestSDC is the lowest prediction over all subsets.
 type ErrBudgetUnattainable struct {
 	Budget  float64
 	BestSDC float64
 }
 
 func (e *ErrBudgetUnattainable) Error() string {
-	return fmt.Sprintf("advisor: budget %.6g unattainable: full protection still predicts SDC %.6g", e.Budget, e.BestSDC)
+	return fmt.Sprintf("advisor: budget %.6g unattainable: the best protection set predicts SDC %.6g", e.Budget, e.BestSDC)
 }
 
 // ErrPlanRefused is returned when the verification campaign measures an SDC
@@ -164,4 +129,25 @@ func sortedKernels(m map[string]KernelMeasure) []string {
 	}
 	sort.Strings(keys)
 	return keys
+}
+
+// subsetName is a sorted protection subset's key in State.Overheads: its
+// kernel names joined by "+" ("K1+K3"), the spelling of
+// harden.Set.Canonical.
+func subsetName(set []string) string { return strings.Join(set, "+") }
+
+// subsets lists every subset of kernels, the empty set first. Each subset
+// keeps the order of kernels.
+func subsets(kernels []string) [][]string {
+	out := make([][]string, 0, 1<<len(kernels))
+	for mask := 0; mask < 1<<len(kernels); mask++ {
+		var set []string
+		for i, k := range kernels {
+			if mask&(1<<i) != 0 {
+				set = append(set, k)
+			}
+		}
+		out = append(out, set)
+	}
+	return out
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"sort"
 	"strings"
@@ -14,12 +15,11 @@ import (
 // SDC as the weighted prediction over the table (plus an optional skew), so
 // plans verify exactly unless a test wants them refused.
 type fakeBackend struct {
-	kernels  []string
-	measures map[string]KernelMeasure
-	costs    map[string]float64
-	full     float64
-	skew     float64 // added to verified SDC
-	calls    map[string]int
+	kernels   []string
+	measures  map[string]KernelMeasure
+	overheads map[string]float64 // every non-empty subset, by subset name
+	skew      float64            // added to verified SDC
+	calls     map[string]int
 }
 
 func (f *fakeBackend) count(unit string) {
@@ -42,24 +42,37 @@ func (f *fakeBackend) Measure(ctx context.Context, app, kernel string) (KernelMe
 	return m, nil
 }
 
-func (f *fakeBackend) Cost(ctx context.Context, app, kernel string) (float64, error) {
-	f.count("cost:" + kernel)
-	return f.costs[kernel], nil
-}
-
-func (f *fakeBackend) FullOverhead(ctx context.Context, app string) (float64, error) {
-	f.count("full")
-	return f.full, nil
+func (f *fakeBackend) Overhead(ctx context.Context, app string, protect []string) (float64, error) {
+	f.count("overhead")
+	o, ok := f.overheads[subsetName(protect)]
+	if !ok {
+		return 0, errors.New("unpriced subset " + subsetName(protect))
+	}
+	return o, nil
 }
 
 func (f *fakeBackend) Verify(ctx context.Context, app string, protect []string) (Verification, error) {
 	f.count("verify")
-	set := map[string]bool{}
-	for _, k := range protect {
-		set[k] = true
+	return Verification{SDC: predictedSDC(f.measures, protecting(protect...)) + f.skew, TotalRuns: 100 * len(protect)}, nil
+}
+
+// additive prices every non-empty subset of the cost map's kernels at 1 +
+// the sum of its members' marginal costs.
+func additive(costs map[string]float64) map[string]float64 {
+	kernels := make([]string, 0, len(costs))
+	for k := range costs {
+		kernels = append(kernels, k)
 	}
-	sdc := predictedSDC(f.measures, set) + f.skew
-	return Verification{SDC: sdc, Overhead: predictedOverhead(f.costs, set), TotalRuns: 100 * len(protect)}, nil
+	sort.Strings(kernels)
+	out := map[string]float64{}
+	for _, set := range subsets(kernels)[1:] {
+		o := 1.0
+		for _, k := range set {
+			o += costs[k]
+		}
+		out[subsetName(set)] = o
+	}
+	return out
 }
 
 // threeKernelBackend: K2 dominates the SDC, K1 is cheap insurance, K3 is
@@ -68,52 +81,82 @@ func threeKernelBackend() *fakeBackend {
 	return &fakeBackend{
 		kernels: []string{"K1", "K2", "K3"},
 		measures: map[string]KernelMeasure{
-			"K1": {Kernel: "K1", Weight: 100, HardMult: 3, SDC: 0.02, SDCHardened: 0.001, Hint: 2},
-			"K2": {Kernel: "K2", Weight: 300, HardMult: 3, SDC: 0.08, SDCHardened: 0.002, Hint: 5},
-			"K3": {Kernel: "K3", Weight: 50, HardMult: 3.2, SDC: 0.005, SDCHardened: 0.001, Hint: 1},
+			"K1": {Kernel: "K1", Weight: 100, HardMult: 3, SDC: 0.02, SDCHardened: 0.001},
+			"K2": {Kernel: "K2", Weight: 300, HardMult: 3, SDC: 0.08, SDCHardened: 0.002},
+			"K3": {Kernel: "K3", Weight: 50, HardMult: 3.2, SDC: 0.005, SDCHardened: 0.001},
 		},
-		costs: map[string]float64{"K1": 1.2, "K2": 1.4, "K3": 0.5},
-		full:  3.05,
+		overheads: additive(map[string]float64{"K1": 1.2, "K2": 1.4, "K3": 0.5}),
 	}
 }
 
-func TestSearchGreedyPicksDominantKernel(t *testing.T) {
-	b := threeKernelBackend()
-	// Budget reachable by protecting K2 alone.
-	one := map[string]bool{"K2": true}
-	budget := predictedSDC(b.measures, one) + 1e-9
-	plan, err := Search("app", budget, b.measures, b.costs, b.full)
+// protecting is the protection-set map predictedSDC takes.
+func protecting(kernels ...string) map[string]bool {
+	m := map[string]bool{}
+	for _, k := range kernels {
+		m[k] = true
+	}
+	return m
+}
+
+// TestSearchFullSetDominates is NW's shape: protecting K2 alone meets the
+// budget, but protecting both kernels costs less and meets it too, so the
+// search returns the full set.
+func TestSearchFullSetDominates(t *testing.T) {
+	measures := map[string]KernelMeasure{
+		"K1": {Kernel: "K1", Weight: 100, HardMult: 1.02, SDC: 0.001, SDCHardened: 0},
+		"K2": {Kernel: "K2", Weight: 100, HardMult: 1.2, SDC: 0.01, SDCHardened: 0},
+	}
+	overheads := map[string]float64{"K1": 1.01, "K2": 1.20, "K1+K2": 1.03}
+	budget := 0.002
+	if predictedSDC(measures, protecting("K2")) > budget {
+		t.Fatal("table: {K2} alone must meet the budget")
+	}
+	plan, err := Search("app", budget, measures, overheads)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(plan.Protect, []string{"K2"}) {
-		t.Fatalf("protect = %v, want [K2]", plan.Protect)
+	if !reflect.DeepEqual(plan.Protect, []string{"K1", "K2"}) || plan.Overhead != 1.03 || plan.FullOverhead != 1.03 {
+		t.Fatalf("plan = %+v, want the full set at 1.03", plan)
 	}
-	if len(plan.Steps) != 1 || plan.Steps[0].Add != "K2" {
-		t.Fatalf("steps = %+v, want single K2 round", plan.Steps)
+}
+
+// tmrRaises: TMR raises K1's SDC, so protecting every kernel predicts 0.025
+// while protecting K2 alone predicts 0.0025.
+var tmrRaises = map[string]KernelMeasure{
+	"K1": {Kernel: "K1", Weight: 100, HardMult: 3, SDC: 0.01, SDCHardened: 0.05},
+	"K2": {Kernel: "K2", Weight: 100, HardMult: 3, SDC: 0.1, SDCHardened: 0},
+}
+
+// TestSearchProperSubsetWhenTMRRaisesSDC: the full set misses the budget but
+// a proper subset meets it, so there is a plan.
+func TestSearchProperSubsetWhenTMRRaisesSDC(t *testing.T) {
+	overheads := map[string]float64{"K1": 2, "K2": 2, "K1+K2": 3}
+	if full := predictedSDC(tmrRaises, protecting("K1", "K2")); full <= 0.01 {
+		t.Fatalf("table: full set predicts %v, must miss the budget", full)
 	}
-	if plan.PredictedOverhead >= b.full {
-		t.Fatalf("predicted overhead %.3f not below full %.3f", plan.PredictedOverhead, b.full)
+	plan, err := Search("app", 0.01, tmrRaises, overheads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plan.Protect, []string{"K2"}) || plan.PredictedSDC != 0.0025 || plan.FullOverhead != 3 {
+		t.Fatalf("plan = %+v, want [K2] predicting 0.0025", plan)
 	}
 }
 
 func TestSearchEmptySetWhenBudgetAlreadyMet(t *testing.T) {
 	b := threeKernelBackend()
-	plan, err := Search("app", 1.0, b.measures, b.costs, b.full)
+	plan, err := Search("app", 1.0, b.measures, b.overheads)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plan.Protect) != 0 || len(plan.Steps) != 0 {
-		t.Fatalf("plan = %+v, want empty protection", plan)
-	}
-	if plan.PredictedOverhead != 1.0 {
-		t.Fatalf("overhead = %v, want 1", plan.PredictedOverhead)
+	if len(plan.Protect) != 0 || plan.Overhead != 1.0 {
+		t.Fatalf("plan = %+v, want empty protection at overhead 1", plan)
 	}
 }
 
 func TestSearchRefusesUnattainableBudget(t *testing.T) {
 	b := threeKernelBackend()
-	_, err := Search("app", 1e-6, b.measures, b.costs, b.full)
+	_, err := Search("app", 1e-6, b.measures, b.overheads)
 	var unattainable *ErrBudgetUnattainable
 	if !errors.As(err, &unattainable) {
 		t.Fatalf("err = %v, want ErrBudgetUnattainable", err)
@@ -123,49 +166,67 @@ func TestSearchRefusesUnattainableBudget(t *testing.T) {
 	}
 }
 
-func TestSearchTieBreaksByHintThenName(t *testing.T) {
-	// Two kernels with identical gain and cost; B has the higher hint and
-	// must win the round despite A sorting first.
-	measures := map[string]KernelMeasure{
-		"A": {Kernel: "A", Weight: 100, HardMult: 1, SDC: 0.1, SDCHardened: 0, Hint: 1},
-		"B": {Kernel: "B", Weight: 100, HardMult: 1, SDC: 0.1, SDCHardened: 0, Hint: 9},
-	}
-	costs := map[string]float64{"A": 0.5, "B": 0.5}
-	plan, err := Search("app", 0.051, measures, costs, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plan.Protect, []string{"B"}) {
-		t.Fatalf("protect = %v, want hint-preferred [B]", plan.Protect)
-	}
-
-	// Equal hints: lexical order decides.
-	m2 := map[string]KernelMeasure{}
-	for k, m := range measures {
-		m.Hint = 1
-		m2[k] = m
-	}
-	plan2, err := Search("app", 0.051, m2, costs, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plan2.Protect, []string{"A"}) {
-		t.Fatalf("protect = %v, want lexically-first [A]", plan2.Protect)
+// TestSearchBestSDCOverAllSubsets: an unattainable budget reports the lowest
+// prediction of any subset, not the full set's.
+func TestSearchBestSDCOverAllSubsets(t *testing.T) {
+	_, err := Search("app", 0.001, tmrRaises, map[string]float64{"K1": 2, "K2": 2, "K1+K2": 3})
+	var unattainable *ErrBudgetUnattainable
+	if !errors.As(err, &unattainable) || unattainable.BestSDC != 0.0025 {
+		t.Fatalf("err = %v, want ErrBudgetUnattainable with BestSDC 0.0025 ({K2})", err)
 	}
 }
 
+// TestSearchDeterministic: the plan is a pure function of its inputs, and
+// each tie rule decides when the ones before it are equal.
 func TestSearchDeterministic(t *testing.T) {
 	b := threeKernelBackend()
-	p1, err := Search("app", 0.01, b.measures, b.costs, b.full)
+	p1, err := Search("app", 0.01, b.measures, b.overheads)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := Search("app", 0.01, b.measures, b.costs, b.full)
+	p2, err := Search("app", 0.01, b.measures, b.overheads)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(p1, p2) {
 		t.Fatalf("plans differ:\n%+v\n%+v", p1, p2)
+	}
+
+	// A and B are identical kernels; C has their SDC together. At budget
+	// 0.07 the subsets that meet it are {C} and {A,B} (both predict 1/15),
+	// {A,C} and {B,C} (1/30) and {A,B,C} (0). Every subset costs 9 but the
+	// ones a case names.
+	twins := map[string]KernelMeasure{
+		"A": {Kernel: "A", Weight: 100, HardMult: 1, SDC: 0.1, SDCHardened: 0},
+		"B": {Kernel: "B", Weight: 100, HardMult: 1, SDC: 0.1, SDCHardened: 0},
+		"C": {Kernel: "C", Weight: 100, HardMult: 1, SDC: 0.2, SDCHardened: 0},
+	}
+	for _, tc := range []struct {
+		name  string
+		cheap map[string]float64
+		want  []string
+	}{
+		{"lower overhead", map[string]float64{"C": 1.4, "A+B+C": 1.5}, []string{"C"}},
+		{"lower SDC", map[string]float64{"C": 1.5, "A+C": 1.5}, []string{"A", "C"}},
+		{"fewer kernels", map[string]float64{"A+B": 1.5, "C": 1.5}, []string{"C"}},
+		{"name", map[string]float64{"B+C": 1.5, "A+C": 1.5}, []string{"A", "C"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			overheads := map[string]float64{}
+			for _, set := range subsets([]string{"A", "B", "C"})[1:] {
+				overheads[subsetName(set)] = 9
+			}
+			for k, o := range tc.cheap {
+				overheads[k] = o
+			}
+			plan, err := Search("app", 0.07, twins, overheads)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(plan.Protect, tc.want) {
+				t.Fatalf("protect = %v, want %v", plan.Protect, tc.want)
+			}
+		})
 	}
 }
 
@@ -194,12 +255,15 @@ func TestRunnerPhasesAndJournal(t *testing.T) {
 	if !st.Verification.Pass || st.Verification.SDC > 0.02 {
 		t.Fatalf("verification = %+v, want pass within budget", st.Verification)
 	}
-	if st.Verification.FullOverhead != b.full {
-		t.Fatalf("full overhead = %v, want %v", st.Verification.FullOverhead, b.full)
+	if !reflect.DeepEqual(st.Overheads, b.overheads) || b.calls["overhead"] != len(b.overheads) {
+		t.Fatalf("priced %d subsets into %v, want each of %v once", b.calls["overhead"], st.Overheads, b.overheads)
 	}
-	// One state per measured kernel, per cost, one for full overhead, one
-	// for the plan, one for verification, one for done.
-	want := 2*len(b.kernels) + 4
+	if st.Plan.FullOverhead != b.overheads["K1+K2+K3"] {
+		t.Fatalf("full overhead = %v, want the K1+K2+K3 price %v", st.Plan.FullOverhead, b.overheads["K1+K2+K3"])
+	}
+	// One state per measured kernel, one for pricing, one for the plan, one
+	// for verification, one for done.
+	want := len(b.kernels) + 4
 	if len(states) != want {
 		t.Fatalf("journaled %d states, want %d", len(states), want)
 	}
@@ -249,7 +313,7 @@ func TestRunnerResumeSkipsCompletedUnits(t *testing.T) {
 		// Snapshot what the resume state already contains before Run mutates
 		// the state's maps in place.
 		done := sortedKernels(resumed.Measures)
-		hadFull := resumed.FullOverhead != nil
+		hadPrices := resumed.Overheads != nil
 		hadVerification := resumed.Verification != nil
 		b := threeKernelBackend()
 		r := &Runner{Backend: b, App: "app", Budget: budget, Resume: &resumed}
@@ -269,8 +333,8 @@ func TestRunnerResumeSkipsCompletedUnits(t *testing.T) {
 				t.Fatalf("resume from state %d re-measured %s", i, k)
 			}
 		}
-		if hadFull && b.calls["full"] != 0 {
-			t.Fatalf("resume from state %d re-ran full overhead", i)
+		if hadPrices && b.calls["overhead"] != 0 {
+			t.Fatalf("resume from state %d re-priced subsets", i)
 		}
 		if hadVerification && b.calls["verify"] != 0 {
 			t.Fatalf("resume from state %d re-verified", i)
@@ -295,11 +359,38 @@ func TestRunnerRefusesFailingPlan(t *testing.T) {
 	}
 }
 
+// TestRunnerResumeRejectsMismatchedState: a resume state for another app or
+// budget, or of another schema version, is an error before any unit runs.
 func TestRunnerResumeRejectsMismatchedState(t *testing.T) {
-	r := &Runner{Backend: threeKernelBackend(), App: "app", Budget: 0.02,
-		Resume: &State{Version: StateVersion, App: "other", Budget: 0.02}}
-	if _, err := r.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "resume state") {
-		t.Fatalf("err = %v, want resume mismatch", err)
+	for _, tc := range []struct {
+		resume State
+		want   string
+	}{
+		{State{Version: StateVersion, App: "other", Budget: 0.02}, `resume state is for app "other"`},
+		{State{Version: StateVersion, App: "app", Budget: 0.5}, "budget 0.5"},
+		{State{Version: 1, App: "app", Budget: 0.02, Phase: PhaseVerify, Plan: &Plan{Protect: []string{"K2"}}}, "version 1, want 2"},
+	} {
+		b := threeKernelBackend()
+		r := &Runner{Backend: b, App: "app", Budget: 0.02, Resume: &tc.resume}
+		if _, err := r.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "resume state") || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("resume %+v: err = %v, want one containing %q", tc.resume, err, tc.want)
+		}
+		if len(b.calls) != 0 {
+			t.Errorf("resume %+v ran %v", tc.resume, b.calls)
+		}
+	}
+}
+
+// TestRunnerRefusesTooManyKernels: the exhaustive search refuses an app
+// whose subsets it would not price in reasonable time.
+func TestRunnerRefusesTooManyKernels(t *testing.T) {
+	b := &fakeBackend{}
+	for i := 0; i <= maxKernels; i++ {
+		b.kernels = append(b.kernels, fmt.Sprintf("K%d", i))
+	}
+	r := &Runner{Backend: b, App: "app", Budget: 0.02}
+	if _, err := r.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "at most") {
+		t.Fatalf("err = %v, want a refusal", err)
 	}
 }
 
@@ -317,102 +408,5 @@ func TestSortedKernelsSorted(t *testing.T) {
 	got := sortedKernels(m)
 	if !sort.StringsAreSorted(got) || len(got) != 3 {
 		t.Fatalf("sortedKernels = %v", got)
-	}
-}
-
-// preRankedBackend decorates fakeBackend with the PreRanker capability and
-// records the order kernels are measured in.
-type preRankedBackend struct {
-	*fakeBackend
-	ranks    []StaticRank
-	prCalls  int
-	measured []string
-}
-
-func (p *preRankedBackend) PreRank(ctx context.Context, app string) ([]StaticRank, error) {
-	p.prCalls++
-	return append([]StaticRank(nil), p.ranks...), nil
-}
-
-func (p *preRankedBackend) Measure(ctx context.Context, app, kernel string) (KernelMeasure, error) {
-	p.measured = append(p.measured, kernel)
-	return p.fakeBackend.Measure(ctx, app, kernel)
-}
-
-// TestRunnerPreRankPlanUnchanged pins the pre-rank contract: a backend
-// offering static pre-ranks gets its measurement phase reordered (descending
-// static upper bound) and the ranks journaled, but the resulting plan and
-// verification are identical to the same backend without the capability —
-// the search is a pure function of the complete measurement maps.
-func TestRunnerPreRankPlanUnchanged(t *testing.T) {
-	budget := 0.02
-	plain := &Runner{Backend: threeKernelBackend(), App: "app", Budget: budget}
-	want, err := plain.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	pb := &preRankedBackend{
-		fakeBackend: threeKernelBackend(),
-		ranks: []StaticRank{
-			{Kernel: "K1", Lower: 0, Upper: 0.2},
-			{Kernel: "K2", Lower: 0, Upper: 0.9},
-			{Kernel: "K3", Lower: 0, Upper: 0.5},
-		},
-	}
-	ranked := &Runner{Backend: pb, App: "app", Budget: budget}
-	got, err := ranked.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Plan, want.Plan) {
-		t.Fatalf("pre-ranking changed the plan:\n%+v\n%+v", got.Plan, want.Plan)
-	}
-	if !reflect.DeepEqual(got.Verification, want.Verification) {
-		t.Fatalf("pre-ranking changed the verification")
-	}
-	if !reflect.DeepEqual(pb.measured, []string{"K2", "K3", "K1"}) {
-		t.Fatalf("measurement order = %v, want descending upper [K2 K3 K1]", pb.measured)
-	}
-	if !reflect.DeepEqual(got.PreRank, pb.ranks) {
-		t.Fatalf("state.PreRank = %+v, want journaled ranks", got.PreRank)
-	}
-	if want.PreRank != nil {
-		t.Fatalf("plain backend recorded PreRank %+v", want.PreRank)
-	}
-
-	// A resume whose state already holds the ranks must not re-rank, and
-	// must land on the same plan.
-	pb2 := &preRankedBackend{fakeBackend: threeKernelBackend(), ranks: pb.ranks}
-	raw, err := json.Marshal(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var resume State
-	if err := json.Unmarshal(raw, &resume); err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := (&Runner{Backend: pb2, App: "app", Budget: budget, Resume: &resume}).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pb2.prCalls != 0 {
-		t.Fatalf("resume re-ran PreRank %d times", pb2.prCalls)
-	}
-	if !reflect.DeepEqual(resumed.Plan, want.Plan) {
-		t.Fatalf("resumed plan mismatch")
-	}
-}
-
-// TestPreRankOrderStable pins the tie/missing-kernel behaviour: equal or
-// absent upper bounds keep schedule order.
-func TestPreRankOrderStable(t *testing.T) {
-	ks := []string{"A", "B", "C", "D"}
-	got := preRankOrder(ks, []StaticRank{{Kernel: "C", Upper: 0.5}, {Kernel: "B", Upper: 0.5}})
-	if !reflect.DeepEqual(got, []string{"B", "C", "A", "D"}) {
-		t.Fatalf("order = %v", got)
-	}
-	if !reflect.DeepEqual(preRankOrder(ks, nil), ks) {
-		t.Fatalf("nil ranks must be identity")
 	}
 }

@@ -3,7 +3,6 @@ package advisor
 import (
 	"context"
 	"fmt"
-	"sort"
 )
 
 // Backend is the measurement surface the runner drives. The production
@@ -15,13 +14,12 @@ type Backend interface {
 	// Kernels lists the app's kernels in schedule order.
 	Kernels(ctx context.Context, app string) ([]string, error)
 	// Measure produces one kernel's vulnerability measurement (plain and
-	// hardened SDC, cycle weight, TMR multiplier, static hint).
+	// hardened SDC, cycle weight, TMR multiplier).
 	Measure(ctx context.Context, app, kernel string) (KernelMeasure, error)
-	// Cost measures the marginal cycle overhead of protecting exactly this
-	// kernel: cycles(Selective({kernel})) / cycles(plain) − 1.
-	Cost(ctx context.Context, app, kernel string) (float64, error)
-	// FullOverhead measures the full-TMR cycle overhead of the app.
-	FullOverhead(ctx context.Context, app string) (float64, error)
+	// Overhead measures the cycle overhead of protecting exactly the given
+	// sorted, non-empty kernel subset: cycles(Selective(job, protect)) /
+	// cycles(plain). The covering set is full TMR.
+	Overhead(ctx context.Context, app string, protect []string) (float64, error)
 	// Verify runs the verification campaign on the selectively hardened job
 	// and reports its measured SDC position. TotalRuns and Pass are filled
 	// in by the runner. A blocked backend should honor ctx so cancellation
@@ -29,33 +27,9 @@ type Backend interface {
 	Verify(ctx context.Context, app string, protect []string) (Verification, error)
 }
 
-// PreRanker is an optional Backend capability: a zero-cost static
-// pre-ranking of the app's kernels (the flow interval engine's static AVF
-// bounds — no campaign runs). When present, the runner records the ranks in
-// the state and measures kernels in descending static-upper-bound order, so
-// an interrupted run has journaled the most-exposed kernels first. Plans are
-// unaffected: the search consumes the complete measurement maps, which are
-// order-independent.
-type PreRanker interface {
-	PreRank(ctx context.Context, app string) ([]StaticRank, error)
-}
-
-// preRankOrder reorders kernels by descending static upper bound; ties and
-// kernels missing from the ranking keep schedule order (stable sort).
-func preRankOrder(kernels []string, ranks []StaticRank) []string {
-	if len(ranks) == 0 {
-		return kernels
-	}
-	upper := make(map[string]float64, len(ranks))
-	for _, r := range ranks {
-		upper[r.Kernel] = r.Upper
-	}
-	ordered := append([]string(nil), kernels...)
-	sort.SliceStable(ordered, func(i, j int) bool {
-		return upper[ordered[i]] > upper[ordered[j]]
-	})
-	return ordered
-}
+// maxKernels bounds the exhaustive search: pricing takes one golden run per
+// subset, 2^k − 1 of them. The largest shipped app has six kernels.
+const maxKernels = 10
 
 // Runner executes one advise run: measure every kernel, search for the
 // cheapest plan meeting the budget, verify the plan with a real campaign.
@@ -64,13 +38,14 @@ type Runner struct {
 	App     string
 	Budget  float64
 	// OnState, if set, is called with the full state after every completed
-	// unit of work (one kernel measured, one cost priced, the plan found,
-	// the verification done). Journal the state there; a later run resumed
-	// from the journaled state skips the completed units.
+	// unit of work (one kernel measured, every subset priced, the plan
+	// found, the verification done). Journal the state there; a later run
+	// resumed from the journaled state skips the completed units.
 	OnState func(*State)
-	// Resume, if set, seeds the run with a previously journaled state:
-	// kernels already measured or priced are not re-run, and a recorded
-	// plan or verification short-circuits those phases entirely.
+	// Resume, if set, seeds the run with a previously journaled state, which
+	// must carry StateVersion: kernels already measured or subsets already
+	// priced are not re-run, and a recorded plan or verification
+	// short-circuits those phases entirely.
 	Resume *State
 }
 
@@ -83,14 +58,14 @@ func (r *Runner) Run(ctx context.Context) (*State, error) {
 	if st == nil {
 		st = &State{Version: StateVersion, App: r.App, Budget: r.Budget}
 	}
+	if st.Version != StateVersion {
+		return st, fmt.Errorf("advisor: resume state has version %d, want %d", st.Version, StateVersion)
+	}
 	if st.App != r.App || st.Budget != r.Budget {
 		return st, fmt.Errorf("advisor: resume state is for app %q budget %g, not app %q budget %g", st.App, st.Budget, r.App, r.Budget)
 	}
 	if st.Measures == nil {
 		st.Measures = map[string]KernelMeasure{}
-	}
-	if st.Costs == nil {
-		st.Costs = map[string]float64{}
 	}
 	emit := func() {
 		if r.OnState != nil {
@@ -98,26 +73,17 @@ func (r *Runner) Run(ctx context.Context) (*State, error) {
 		}
 	}
 
-	// Phase 1: measure. One unit per kernel for vulnerability, one per
-	// kernel for cost, one for the full-TMR overhead — each journaled as it
-	// lands so a kill loses at most one unit.
+	// Phase 1: measure. One unit per kernel for vulnerability, each
+	// journaled as it lands so a kill loses at most one unit, then one unit
+	// pricing every non-empty protection subset.
 	st.Phase = PhaseMeasure
 	kernels, err := r.Backend.Kernels(ctx, r.App)
 	if err != nil {
 		return st, err
 	}
-	if pr, ok := r.Backend.(PreRanker); ok && st.PreRank == nil {
-		if err := ctx.Err(); err != nil {
-			return st, err
-		}
-		ranks, err := pr.PreRank(ctx, r.App)
-		if err != nil {
-			return st, fmt.Errorf("pre-rank %s: %w", r.App, err)
-		}
-		st.PreRank = ranks
-		emit()
+	if len(kernels) > maxKernels {
+		return st, fmt.Errorf("advisor: %s has %d kernels, the exhaustive search takes at most %d", r.App, len(kernels), maxKernels)
 	}
-	kernels = preRankOrder(kernels, st.PreRank)
 	for _, k := range kernels {
 		if err := ctx.Err(); err != nil {
 			return st, err
@@ -132,29 +98,19 @@ func (r *Runner) Run(ctx context.Context) (*State, error) {
 		st.Measures[k] = m
 		emit()
 	}
-	for _, k := range kernels {
-		if err := ctx.Err(); err != nil {
-			return st, err
+	if st.Overheads == nil {
+		overheads := map[string]float64{}
+		for _, set := range subsets(sortedKernels(st.Measures))[1:] {
+			if err := ctx.Err(); err != nil {
+				return st, err
+			}
+			o, err := r.Backend.Overhead(ctx, r.App, set)
+			if err != nil {
+				return st, fmt.Errorf("overhead %s/%s: %w", r.App, subsetName(set), err)
+			}
+			overheads[subsetName(set)] = o
 		}
-		if _, ok := st.Costs[k]; ok {
-			continue
-		}
-		c, err := r.Backend.Cost(ctx, r.App, k)
-		if err != nil {
-			return st, fmt.Errorf("cost %s/%s: %w", r.App, k, err)
-		}
-		st.Costs[k] = c
-		emit()
-	}
-	if st.FullOverhead == nil {
-		if err := ctx.Err(); err != nil {
-			return st, err
-		}
-		o, err := r.Backend.FullOverhead(ctx, r.App)
-		if err != nil {
-			return st, fmt.Errorf("full overhead %s: %w", r.App, err)
-		}
-		st.FullOverhead = &o
+		st.Overheads = overheads
 		emit()
 	}
 
@@ -165,7 +121,7 @@ func (r *Runner) Run(ctx context.Context) (*State, error) {
 		if err := ctx.Err(); err != nil {
 			return st, err
 		}
-		plan, err := Search(r.App, r.Budget, st.Measures, st.Costs, *st.FullOverhead)
+		plan, err := Search(r.App, r.Budget, st.Measures, st.Overheads)
 		if err != nil {
 			return st, err
 		}
@@ -184,7 +140,6 @@ func (r *Runner) Run(ctx context.Context) (*State, error) {
 		if err != nil {
 			return st, fmt.Errorf("verify %s: %w", r.App, err)
 		}
-		v.FullOverhead = *st.FullOverhead
 		v.Pass = v.SDC <= r.Budget
 		st.Verification = &v
 		emit()

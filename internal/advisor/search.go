@@ -1,6 +1,11 @@
 package advisor
 
-import "sort"
+import (
+	"cmp"
+	"fmt"
+	"math"
+	"strings"
+)
 
 // predictedSDC estimates the app SDC AVF under a protection set from the
 // per-kernel measurements: each kernel contributes its plain or hardened
@@ -29,103 +34,55 @@ func predictedSDC(measures map[string]KernelMeasure, protect map[string]bool) fl
 	return num / den
 }
 
-// predictedOverhead estimates the cycle overhead of a protection set as
-// 1 + the sum of the members' marginal costs. Costs are measured per
-// singleton set (replicated kernel cycles + final vote), so the sum
-// slightly over-counts the shared vote for multi-kernel sets — a
-// conservative estimate; verification measures the real overhead.
-func predictedOverhead(costs map[string]float64, protect map[string]bool) float64 {
-	keys := make([]string, 0, len(protect))
-	for k := range protect { //relint:allow map-order: sorted immediately below
-		if protect[k] {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	o := 1.0
-	for _, k := range keys {
-		o += costs[k]
-	}
-	return o
-}
-
-// Search runs the deterministic greedy lattice walk: starting from the
-// empty set, it repeatedly protects the kernel with the best predicted
-// SDC-reduction-per-cost ratio until the predicted SDC meets the budget.
-// Ties break by static Hint (descending), then kernel name (ascending), so
-// the walk — and hence the plan — is a pure function of its inputs. If
-// even the full set misses the budget the search refuses with
-// ErrBudgetUnattainable.
-func Search(app string, budget float64, measures map[string]KernelMeasure, costs map[string]float64, fullOverhead float64) (*Plan, error) {
+// Search is an exhaustive search over every protection subset: among the
+// subsets whose predicted SDC meets the budget it returns the one with the
+// lowest measured overhead. Ties go to the lower predicted SDC, then to
+// fewer kernels, then to the smaller subset name, so the plan is a pure
+// function of its inputs. overheads holds the measured overhead of every
+// non-empty subset, keyed by subset name; the empty set costs exactly 1. If
+// no subset meets the budget the search refuses with ErrBudgetUnattainable.
+func Search(app string, budget float64, measures map[string]KernelMeasure, overheads map[string]float64) (*Plan, error) {
 	kernels := sortedKernels(measures)
-	all := make(map[string]bool, len(kernels))
-	for _, k := range kernels {
-		all[k] = true
+	full, ok := overheads[subsetName(kernels)]
+	if !ok {
+		return nil, fmt.Errorf("advisor: no overhead for the full set %q", subsetName(kernels))
 	}
-	if best := predictedSDC(measures, all); best > budget {
-		return nil, &ErrBudgetUnattainable{Budget: budget, BestSDC: best}
-	}
-
-	protect := make(map[string]bool)
-	plan := &Plan{App: app, Budget: budget, FullOverhead: fullOverhead}
-	cur := predictedSDC(measures, protect)
-	for cur > budget {
-		bestK := ""
-		var bestRatio, bestGain, bestCost, bestSDC float64
-		for _, k := range kernels {
-			if protect[k] {
-				continue
-			}
+	var best *Plan
+	bestSDC := math.Inf(1)
+	for _, set := range subsets(kernels) {
+		protect := make(map[string]bool, len(set))
+		for _, k := range set {
 			protect[k] = true
-			sdc := predictedSDC(measures, protect)
-			cost := costs[k]
-			protect[k] = false
-			gain := cur - sdc
-			// Floor the cost so a zero-cost measurement cannot produce an
-			// infinite ratio and mask real gains.
-			ratio := gain / maxf(cost, 1e-9)
-			if bestK == "" || better(ratio, measures[k].Hint, k, bestRatio, measures[bestK].Hint, bestK) {
-				bestK, bestRatio, bestGain, bestCost, bestSDC = k, ratio, gain, cost, sdc
+		}
+		sdc := predictedSDC(measures, protect)
+		bestSDC = min(bestSDC, sdc)
+		if sdc > budget {
+			continue
+		}
+		o := 1.0
+		if len(set) > 0 {
+			if o, ok = overheads[subsetName(set)]; !ok {
+				return nil, fmt.Errorf("advisor: no overhead for subset %q", subsetName(set))
 			}
 		}
-		protect[bestK] = true
-		cur = bestSDC
-		plan.Steps = append(plan.Steps, SearchStep{
-			Add:               bestK,
-			PredictedSDC:      bestSDC,
-			PredictedOverhead: predictedOverhead(costs, protect),
-			Gain:              bestGain,
-			Cost:              bestCost,
-			Ratio:             bestRatio,
-		})
-	}
-
-	for _, k := range kernels {
-		if protect[k] {
-			plan.Protect = append(plan.Protect, k)
+		p := &Plan{App: app, Budget: budget, Protect: set, PredictedSDC: sdc, Overhead: o, FullOverhead: full}
+		if best == nil || cheaper(p, best) {
+			best = p
 		}
 	}
-	plan.PredictedSDC = cur
-	plan.PredictedOverhead = predictedOverhead(costs, protect)
-	return plan, nil
+	if best == nil {
+		return nil, &ErrBudgetUnattainable{Budget: budget, BestSDC: bestSDC}
+	}
+	return best, nil
 }
 
-// better reports whether candidate (ratio a, hint ha, name ka) beats the
-// incumbent (b, hb, kb): higher ratio wins, ties fall to higher static
-// hint, then to the lexically smaller kernel name.
-func better(a, ha float64, ka string, b, hb float64, kb string) bool {
-	if a != b {
-		return a > b
-	}
-	if ha != hb {
-		return ha > hb
-	}
-	return ka < kb
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
+// cheaper orders candidate plans: lower overhead, then lower predicted SDC,
+// then fewer kernels, then the smaller subset name.
+func cheaper(a, b *Plan) bool {
+	return cmp.Or(
+		cmp.Compare(a.Overhead, b.Overhead),
+		cmp.Compare(a.PredictedSDC, b.PredictedSDC),
+		cmp.Compare(len(a.Protect), len(b.Protect)),
+		strings.Compare(subsetName(a.Protect), subsetName(b.Protect)),
+	) < 0
 }

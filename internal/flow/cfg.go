@@ -1,7 +1,7 @@
 // Package flow implements static program analysis over isa.Program: basic
-// block control-flow graphs, dominator and post-dominator trees, backward
-// liveness, reaching definitions with def-use chains, and a thread-variance
-// (divergence) analysis. On top of these it provides a kernel linter (Lint)
+// block control-flow graphs, dominator and post-dominator trees, reaching
+// definitions with def-use chains, and a thread-variance (divergence)
+// analysis. On top of these it provides a kernel linter (Lint)
 // and the cycle-interval ACE engine (Intervals) that lets the fault-injection
 // layer classify injections into provably dead intervals as Masked without
 // simulating them.

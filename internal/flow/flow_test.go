@@ -105,43 +105,6 @@ func TestDominatorsDiamond(t *testing.T) {
 	}
 }
 
-func TestLivenessDiamond(t *testing.T) {
-	p := diamond()
-	lv := flow.Build(p).Liveness()
-	// R1 (addr) and R2 (value) are live into the STG at #6.
-	in := lv.In(6)
-	if !in.Has(1) || !in.Has(2) {
-		t.Errorf("In(6) = %v, want R1 and R2 live", in.Regs())
-	}
-	// Before #0, nothing is live: R1 is must-defined at #0 first.
-	if got := lv.In(0).Regs(); len(got) != 0 {
-		t.Errorf("In(0) = %v, want empty", got)
-	}
-	// R2 is live out of the then-def #3 (read at #6).
-	if !lv.Out(3).Has(2) {
-		t.Errorf("Out(3) should contain R2")
-	}
-}
-
-func TestPredicatedWriteDoesNotKill(t *testing.T) {
-	// #0 MOVI R1, 7
-	// #1 @P0 MOVI R1, 9   ; guarded: may not land on every lane
-	// #2 STG [R1], R1
-	// #3 EXIT
-	p := prog(2,
-		movi(1, 7),
-		isa.Instr{Op: isa.OpMOVI, Dst: 1, Imm: 9, Pred: isa.P0},
-		isa.Instr{Op: isa.OpSTG, SrcA: 1, SrcB: 1},
-		exit(),
-	)
-	lv := flow.Build(p).Liveness()
-	// R1 must be live across the guarded write: lanes where P0 is false still
-	// read the value from #0.
-	if !lv.In(1).Has(1) {
-		t.Errorf("In(1) = %v, want R1 live across the predicated write", lv.In(1).Regs())
-	}
-}
-
 func TestDefUseChains(t *testing.T) {
 	p := diamond()
 	du := flow.Build(p).DefUse()
@@ -234,8 +197,27 @@ func hasRule(diags []flow.Diag, rule string, pc int) bool {
 }
 
 func TestLintCleanProgram(t *testing.T) {
-	if diags := flow.Lint(diamond()); len(diags) != 0 {
-		t.Fatalf("clean program flagged: %v", diags)
+	// while (R1 < 10) { R1++ }: the loop-carried write at #3 is read around
+	// the backedge, so it is not dead.
+	//
+	// #0 MOVI R1, 0
+	// #1 ISETP P0 = R1 < 10
+	// #2 @!P0 BRA #5 (exit loop, reconv #5)
+	// #3 IADD R1 = R1 + 1    (BImm)
+	// #4 BRA #1 (backedge)
+	// #5 EXIT
+	loop := prog(2,
+		movi(1, 0),
+		isa.Instr{Op: isa.OpISETP, PDst: isa.P0, Cmp: isa.CmpLT, SrcA: 1, BImm: true, Imm: 10},
+		bra(5, 5, isa.P0, true),
+		isa.Instr{Op: isa.OpIADD, Dst: 1, SrcA: 1, BImm: true, Imm: 1},
+		bra(1, 5, isa.PT, false),
+		exit(),
+	)
+	for name, p := range map[string]*isa.Program{"diamond": diamond(), "loop": loop} {
+		if diags := flow.Lint(p); len(diags) != 0 {
+			t.Errorf("clean %s flagged: %v", name, diags)
+		}
 	}
 }
 
@@ -451,33 +433,6 @@ func TestLintDiagStringStable(t *testing.T) {
 	}
 }
 
-func TestLoopLiveness(t *testing.T) {
-	// while (R1 < 10) { R1++ }  — R1 live around the backedge.
-	//
-	// #0 MOVI R1, 0
-	// #1 ISETP P0 = R1 < 10
-	// #2 @!P0 BRA #5 (exit loop, reconv #5)
-	// #3 IADD R1 = R1 + 1    (BImm)
-	// #4 BRA #1 (backedge)
-	// #5 EXIT
-	p := prog(2,
-		movi(1, 0),
-		isa.Instr{Op: isa.OpISETP, PDst: isa.P0, Cmp: isa.CmpLT, SrcA: 1, BImm: true, Imm: 10},
-		bra(5, 5, isa.P0, true),
-		isa.Instr{Op: isa.OpIADD, Dst: 1, SrcA: 1, BImm: true, Imm: 1},
-		bra(1, 5, isa.PT, false),
-		exit(),
-	)
-	g := flow.Build(p)
-	lv := g.Liveness()
-	if !lv.In(1).Has(1) || !lv.Out(3).Has(1) {
-		t.Error("loop counter must stay live around the backedge")
-	}
-	if diags := flow.Lint(p); len(diags) != 0 {
-		t.Errorf("well-formed loop flagged: %v", diags)
-	}
-}
-
 func TestCFGStringAndDot(t *testing.T) {
 	g := flow.Build(diamond())
 	s := g.String()
@@ -500,7 +455,6 @@ func TestEmptyProgram(t *testing.T) {
 	if len(g.Blocks) != 0 {
 		t.Fatal("empty program should have no blocks")
 	}
-	g.Liveness()
 	g.DefUse()
 	g.Dominators()
 	g.PostDominators()

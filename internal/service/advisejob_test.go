@@ -15,6 +15,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -69,24 +70,24 @@ func TestHardenWireSpec(t *testing.T) {
 }
 
 // synthAdviseBackend is a deterministic in-memory measurement table. With
-// the default numbers the greedy search protects exactly {K4} at budget
-// 0.04. childRuns, when set, makes every Measure run one synthetic campaign
-// of that many runs as a child job first. blockAtCost, when set, makes the
-// first Cost call for that kernel signal `reached` and block until
-// `release` closes — the hook the kill-and-resume test uses to stop the
-// daemon mid-run.
+// the default numbers the search protects exactly {K4} at budget 0.04, at
+// overhead 1.2 against full TMR's 1.5. childRuns, when set, makes every
+// Measure run one synthetic campaign of that many runs as a child job
+// first. blockAtOverhead, when set, makes the first Overhead call for that
+// subset signal `reached` and block until `release` closes — the hook the
+// kill-and-resume test uses to stop the daemon mid-run.
 type synthAdviseBackend struct {
 	childRuns  int
 	verifySkew float64 // added to the verified SDC (to force refusal)
 
-	blockAtCost string
-	reached     chan struct{}
-	release     chan struct{}
+	blockAtOverhead string
+	reached         chan struct{}
+	release         chan struct{}
 
 	mu       sync.Mutex
 	runPoint service.RunPointFunc
 	measured []string
-	costed   []string
+	priced   []string
 	verifies int
 	blocked  bool
 }
@@ -94,12 +95,16 @@ type synthAdviseBackend struct {
 var synthKernels = []string{"K1", "K2", "K3", "K4"}
 
 var synthTable = map[string]advisor.KernelMeasure{
-	"K1": {Kernel: "K1", Weight: 100, HardMult: 1.5, SDC: 0.02, SDCHardened: 0.002, Hint: 1},
-	"K2": {Kernel: "K2", Weight: 300, HardMult: 1.5, SDC: 0.08, SDCHardened: 0.002, Hint: 2},
-	"K3": {Kernel: "K3", Weight: 200, HardMult: 1.5, SDC: 0.05, SDCHardened: 0.002, Hint: 3},
-	"K4": {Kernel: "K4", Weight: 400, HardMult: 1.5, SDC: 0.10, SDCHardened: 0.002, Hint: 4},
+	"K1": {Kernel: "K1", Weight: 100, HardMult: 1.5, SDC: 0.02, SDCHardened: 0.002},
+	"K2": {Kernel: "K2", Weight: 300, HardMult: 1.5, SDC: 0.08, SDCHardened: 0.002},
+	"K3": {Kernel: "K3", Weight: 200, HardMult: 1.5, SDC: 0.05, SDCHardened: 0.002},
+	"K4": {Kernel: "K4", Weight: 400, HardMult: 1.5, SDC: 0.10, SDCHardened: 0.002},
 }
 
+// synthSubsets is the number of non-empty protection subsets pricing covers.
+var synthSubsets = 1<<len(synthKernels) - 1
+
+// synthCosts are marginal costs: a subset costs 1 + the sum of its members'.
 var synthCosts = map[string]float64{"K1": 0.05, "K2": 0.15, "K3": 0.10, "K4": 0.20}
 
 func (b *synthAdviseBackend) Kernels(ctx context.Context, app string) ([]string, error) {
@@ -128,11 +133,12 @@ func synthChildOpts(runs int, kernel string) campaign.Options {
 	return campaign.Options{Runs: runs, Seed: int64(100 + kernel[1])}
 }
 
-func (b *synthAdviseBackend) Cost(ctx context.Context, app, kernel string) (float64, error) {
+func (b *synthAdviseBackend) Overhead(ctx context.Context, app string, protect []string) (float64, error) {
+	name := strings.Join(protect, "+")
 	b.mu.Lock()
-	block := kernel == b.blockAtCost && !b.blocked
+	block := name == b.blockAtOverhead && !b.blocked
 	b.blocked = b.blocked || block
-	b.costed = append(b.costed, kernel)
+	b.priced = append(b.priced, name)
 	b.mu.Unlock()
 	if block {
 		close(b.reached)
@@ -142,11 +148,11 @@ func (b *synthAdviseBackend) Cost(ctx context.Context, app, kernel string) (floa
 			return 0, ctx.Err()
 		}
 	}
-	return synthCosts[kernel], nil
-}
-
-func (b *synthAdviseBackend) FullOverhead(ctx context.Context, app string) (float64, error) {
-	return 1.5, nil
+	o := 1.0
+	for _, k := range protect {
+		o += synthCosts[k]
+	}
+	return o, nil
 }
 
 // Verify reports the same weighted SDC the search predicts (plus skew), so
@@ -159,14 +165,13 @@ func (b *synthAdviseBackend) Verify(ctx context.Context, app string, protect []s
 	for _, k := range protect {
 		prot[k] = true
 	}
-	var num, den, cost float64
+	var num, den float64
 	v := advisor.Verification{PerKernel: map[string]float64{}}
 	for _, k := range synthKernels {
 		m := synthTable[k]
 		w, sdc := m.Weight, m.SDC
 		if prot[k] {
 			w, sdc = w*m.HardMult, m.SDCHardened
-			cost += synthCosts[k]
 		}
 		num += w * sdc
 		den += w
@@ -174,14 +179,13 @@ func (b *synthAdviseBackend) Verify(ctx context.Context, app string, protect []s
 		v.TotalRuns += 100
 	}
 	v.SDC = num/den + b.verifySkew
-	v.Overhead = 1 + cost
 	return v, nil
 }
 
-func (b *synthAdviseBackend) ran() (measured, costed []string) {
+func (b *synthAdviseBackend) ran() (measured, priced []string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return append([]string(nil), b.measured...), append([]string(nil), b.costed...)
+	return append([]string(nil), b.measured...), append([]string(nil), b.priced...)
 }
 
 func synthFactory(b *synthAdviseBackend) service.AdviseBackendFactory {
@@ -246,7 +250,9 @@ func synthTally(opts campaign.Options) campaign.Tally {
 // parent's tenant and priority and tally like any campaign — and the
 // /metrics counters.
 func TestAdviseServiceEndToEnd(t *testing.T) {
-	b := &synthAdviseBackend{childRuns: 120}
+	// Pricing waits for the event stream to attach, so the job cannot end
+	// before it and the stream sees the later units' progress events.
+	b := &synthAdviseBackend{childRuns: 120, blockAtOverhead: "K1", reached: make(chan struct{}), release: make(chan struct{})}
 	sched, srv := newTestServer(t, service.Config{Source: fakeSource(0), AdviseBackend: synthFactory(b), ChunkSize: 50})
 
 	resp, data := postJob(t, srv.URL, `{"advise":{"app":"synth","budget":0.04},"runs":100,"seed":7,"tenant":"alpha","priority":3}`)
@@ -267,6 +273,7 @@ func TestAdviseServiceEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer evResp.Body.Close()
+	close(b.release)
 	var last service.Event
 	progress := 0
 	sc := bufio.NewScanner(evResp.Body)
@@ -296,11 +303,11 @@ func TestAdviseServiceEndToEnd(t *testing.T) {
 	if !fin.Verification.Pass || fin.Verification.SDC > 0.04 {
 		t.Errorf("verification failed the budget: %+v", fin.Verification)
 	}
-	if fin.Verification.Overhead >= fin.Verification.FullOverhead {
-		t.Errorf("overhead %.3f not below full TMR %.3f", fin.Verification.Overhead, fin.Verification.FullOverhead)
+	if fin.Plan.Overhead != 1.2 || fin.Plan.FullOverhead != 1.5 {
+		t.Errorf("plan overhead %.3f, full TMR %.3f, want 1.2 and 1.5", fin.Plan.Overhead, fin.Plan.FullOverhead)
 	}
-	if fin.Measured != len(synthKernels) || fin.Costed != len(synthKernels) {
-		t.Errorf("progress counters = %d/%d, want %d", fin.Measured, fin.Costed, len(synthKernels))
+	if fin.Measured != len(synthKernels) || fin.Costed != synthSubsets {
+		t.Errorf("progress counters = %d/%d, want %d/%d", fin.Measured, fin.Costed, len(synthKernels), synthSubsets)
 	}
 	if last.Job.Total != 0 || last.Job.Done != 0 || last.Job.Tally.N != 0 {
 		t.Errorf("advise job executed runs of its own: %+v", last.Job)
@@ -433,7 +440,7 @@ func TestAdviseRefusedPlan(t *testing.T) {
 // restart does not resurrect.
 func TestAdviseCancel(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "gpureld.ckpt.json")
-	b := &synthAdviseBackend{blockAtCost: "K2", reached: make(chan struct{}), release: make(chan struct{})}
+	b := &synthAdviseBackend{blockAtOverhead: "K2", reached: make(chan struct{}), release: make(chan struct{})}
 	sched := newAdviseScheduler(t, b, fakeSource(0), journal)
 	st, err := sched.Submit(synthAdvise())
 	if err != nil {
@@ -457,26 +464,26 @@ func TestAdviseCancel(t *testing.T) {
 		t.Fatalf("restart changed canceled job: %+v", got)
 	}
 	sched2.Close()
-	if measured, costed := b2.ran(); len(measured)+len(costed) != 0 {
-		t.Errorf("restart re-ran %v %v of a canceled job", measured, costed)
+	if measured, priced := b2.ran(); len(measured)+len(priced) != 0 {
+		t.Errorf("restart re-ran %v %v of a canceled job", measured, priced)
 	}
 }
 
 // TestAdviseKillResumeBitIdentical is the acceptance property: stop the
-// daemon mid-run (blocked inside a cost measurement), restart on the same
+// daemon mid-run (blocked inside subset pricing), restart on the same
 // journal, and the resumed advise completes without re-running journaled
 // units — to the bit-identical plan and verification an uninterrupted run
 // produces.
 func TestAdviseKillResumeBitIdentical(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "gpureld.ckpt.json")
-	b1 := &synthAdviseBackend{blockAtCost: "K3", reached: make(chan struct{}), release: make(chan struct{})}
+	b1 := &synthAdviseBackend{blockAtOverhead: "K3", reached: make(chan struct{}), release: make(chan struct{})}
 	sched1 := newAdviseScheduler(t, b1, fakeSource(0), journal)
 	st, err := sched1.Submit(synthAdvise())
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-b1.reached
-	// "Kill" the daemon while the K3 cost unit is in flight: Close cancels
+	// "Kill" the daemon while pricing is in flight: Close cancels
 	// the driver's context, which aborts the blocked unit before it
 	// journals, and parks the job.
 	if err := sched1.Close(); err != nil {
@@ -500,15 +507,14 @@ func TestAdviseKillResumeBitIdentical(t *testing.T) {
 	}
 
 	// No journaled unit re-ran: every measure was recovered, only the
-	// never-journaled cost units (and the phases after them) executed.
-	measured, costed := b2.ran()
+	// never-journaled pricing unit (and the phases after it) executed —
+	// pricing is one unit, so the resume prices every subset once.
+	measured, priced := b2.ran()
 	if len(measured) != 0 {
 		t.Errorf("resume re-measured %v", measured)
 	}
-	// K1 and K2 were journaled; K3 was killed in flight, so K3 and K4 are
-	// the only legitimate re-runs.
-	if fmt.Sprint(costed) != "[K3 K4]" {
-		t.Errorf("resume priced %v, want [K3 K4]", costed)
+	if len(priced) != synthSubsets || priced[len(priced)-1] != "K1+K2+K3+K4" {
+		t.Errorf("resume priced %v, want each of the %d subsets once", priced, synthSubsets)
 	}
 
 	// The final plan and verification are bit-identical to an uninterrupted
@@ -519,6 +525,40 @@ func TestAdviseKillResumeBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameAdvice(t, fin, waitJob(t, sched3, ref.ID))
+}
+
+// TestAdviseStaleStateFails: an advise job restored from a scheduler journal
+// whose advisor state has another schema version ends failed, naming both
+// versions, and never verifies the plan that state holds. The fixture was
+// written by a scheduler at StateVersion 1, drained while the advise job
+// was verifying.
+func TestAdviseStaleStateFails(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "sched_journal_advise_v1.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal := filepath.Join(t.TempDir(), "gpureld.ckpt.json")
+	if err := os.WriteFile(journal, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	b := &synthAdviseBackend{}
+	sched := newAdviseScheduler(t, b, fakeSource(0), journal)
+	list := sched.List()
+	if len(list) != 1 || list[0].Advise == nil {
+		t.Fatalf("restored table = %+v", list)
+	}
+	fin := waitJob(t, sched, list[0].ID)
+	if fin.State != service.StateFailed || !strings.Contains(fin.Error, "version 1, want 2") {
+		t.Fatalf("stale advise = %s %q, want failed naming both versions", fin.State, fin.Error)
+	}
+	if fin.Advise.Verification != nil {
+		t.Errorf("stale advise recorded a verification: %+v", fin.Advise.Verification)
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.verifies+len(b.measured)+len(b.priced) != 0 {
+		t.Errorf("stale advise ran units: %d verifies, measured %v, priced %v", b.verifies, b.measured, b.priced)
+	}
 }
 
 // TestAdviseDrainParksChild: a drain while a child campaign is mid-run parks
@@ -631,8 +671,8 @@ func TestAdviseCancelCancelsChild(t *testing.T) {
 		}
 	}
 	sched2.Close()
-	if measured, costed := b2.ran(); len(measured)+len(costed) != 0 {
-		t.Errorf("restart re-ran %v %v of a canceled advise", measured, costed)
+	if measured, priced := b2.ran(); len(measured)+len(priced) != 0 {
+		t.Errorf("restart re-ran %v %v of a canceled advise", measured, priced)
 	}
 }
 

@@ -345,8 +345,9 @@ func (s JobState) snapshotType() string {
 type AdviseProgress struct {
 	// Phase is the advisor phase: measure | search | verify | done.
 	Phase string `json:"phase,omitempty"`
-	// Measured and Costed count completed measurement units (kernels whose
-	// vulnerability campaign / cost pricing has landed in the journal).
+	// Measured counts the kernels whose vulnerability campaigns have landed
+	// in the journal; Costed the protection subsets priced (all of them at
+	// once: pricing is one unit).
 	Measured int `json:"measured,omitempty"`
 	Costed   int `json:"costed,omitempty"`
 	// Plan and Verification appear as their phases complete; a terminal
@@ -471,7 +472,7 @@ func (j *job) snapshotLocked() JobStatus {
 	} else {
 		st.Advise = &AdviseProgress{}
 		if a := j.adv; a != nil {
-			*st.Advise = AdviseProgress{Phase: a.Phase, Measured: len(a.Measures), Costed: len(a.Costs),
+			*st.Advise = AdviseProgress{Phase: a.Phase, Measured: len(a.Measures), Costed: len(a.Overheads),
 				Plan: a.Plan, Verification: a.Verification}
 		}
 	}

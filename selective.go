@@ -6,36 +6,39 @@
 package gpurel
 
 import (
-	"gpurel/internal/device"
+	"fmt"
+
 	"gpurel/internal/gpu"
+	"gpurel/internal/harden"
 	"gpurel/internal/metrics"
 	"gpurel/internal/microfi"
 )
 
-// SelectiveEval returns (building and caching on first use) the selectively
-// hardened job and its golden run for a protection set, canonicalised at the
-// boundaries: the empty set yields the plain state and a covering set the
-// TMR state of the app's evaluation.
-func (s *Study) SelectiveEval(appName string, protect []string) (*device.Job, *microfi.GoldenRun, error) {
-	_, v, err := s.resolve(PointSpec{Layer: LayerMicro, App: appName, Harden: protect})
-	if err != nil {
-		return nil, nil, err
-	}
-	return v.Job, v.MicroG, nil
-}
-
 // SelectiveOverhead measures the golden-run cycle overhead of protecting
 // the given kernel subset: cycles(Selective(job, set)) / cycles(job). The
-// empty set returns exactly 1; a covering set returns the full-TMR
-// overhead.
+// empty set returns exactly 1 and a covering set the full-TMR overhead; a
+// proper subset costs one fault-free run of its job, which is not kept — the
+// advisor prices every subset, and a campaign on a subset builds its own
+// checkpointed golden run when asked.
 func (s *Study) SelectiveOverhead(appName string, protect []string) (float64, error) {
 	e, err := s.Eval(appName)
 	if err != nil {
 		return 0, err
 	}
-	_, g, err := s.SelectiveEval(appName, protect)
-	if err != nil {
-		return 0, err
+	for _, k := range protect {
+		if err := e.App.CheckKernel(k); err != nil {
+			return 0, err
+		}
+	}
+	set, g := harden.NewSet(protect...), e.MicroG
+	switch {
+	case set.Empty():
+	case set.Covers(e.Job):
+		g = e.MicroGTMR
+	default:
+		if g, err = microfi.Golden(harden.Selective(e.Job, set), e.MicroG.Cfg); err != nil {
+			return 0, fmt.Errorf("%s+SEL(%s): %w", appName, set.Canonical(), err)
+		}
 	}
 	return float64(g.Res.Cycles) / float64(e.MicroG.Res.Cycles), nil
 }

@@ -231,8 +231,7 @@ func (v *variant) cycles(kernel string) float64 {
 
 // intervals traces (once) the interval map of the variant's golden run — one
 // fault-free run, no injections. Pruned campaigns read its register-file
-// liveness; the advisor's zero-cost pre-ranking stage reads the plain job's
-// static AVF bounds.
+// liveness.
 func (v *variant) intervals() (*microfi.StaticIntervals, error) {
 	v.traceOnce.Do(func() {
 		v.iv, v.traceErr = microfi.TraceStatic(v.Job, v.MicroG.Cfg)
