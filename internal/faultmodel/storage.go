@@ -44,6 +44,7 @@ func (t Transient) Arm(m *sim.Machine, s gpu.Structure, rng *rand.Rand) (Applier
 		return nil, false
 	}
 	site.flip(t.WordBits(), 1)
+	site.watch(m)
 	return nil, true
 }
 
@@ -52,7 +53,9 @@ func (t Transient) Arm(m *sim.Machine, s gpu.Structure, rng *rand.Rand) (Applier
 // against a recorded allocation timeline, then corrupt the machine here
 // exactly as Arm would have.
 func (t Transient) FlipAt(m *sim.Machine, s gpu.Structure, sm, idx int, bit uint) {
-	storageSite{structure: s, sm: m.SMs[sm], idx: idx, bit: bit}.flip(t.WordBits(), 1)
+	site := storageSite{structure: s, sm: m.SMs[sm], idx: idx, bit: bit}
+	site.flip(t.WordBits(), 1)
+	site.watch(m)
 }
 
 // StuckAt is a permanent defect: one cell forced to V (0 or 1) from the
@@ -122,6 +125,9 @@ func (s SpatialMBU) Arm(m *sim.Machine, st gpu.Structure, rng *rand.Rand) (Appli
 		lines = 1
 	}
 	site.flip(s.WordBits(), lines)
+	if lines == 1 {
+		site.watch(m)
+	}
 	return nil, true
 }
 
@@ -242,6 +248,20 @@ func (st storageSite) flip(width, lines int) {
 				st.cache.FlipBit(st.line+l, st.off, uint8(st.bit)+uint8(w))
 			}
 		}
+	}
+}
+
+// watch hands a site that a one-shot flip touched alone to the run's
+// one-site watch, which joins the run to golden as soon as the corrupted
+// entry is overwritten or freed before anything reads it.
+func (st storageSite) watch(m *sim.Machine) {
+	switch st.structure {
+	case gpu.RF:
+		m.WatchRF(st.sm, st.idx)
+	case gpu.SMEM:
+		m.WatchSmem(st.sm, st.idx)
+	default:
+		m.WatchCache(st.cache, st.line, st.off)
 	}
 }
 

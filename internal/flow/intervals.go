@@ -31,9 +31,11 @@ import (
 // observable; everything outside every live interval of an allocated site is
 // provably dead — the corrupted value is overwritten or deallocated before
 // anything reads it. Allocation kills leftover values of the previous
-// occupant, which is sound for kernels that never consume uninitialized
-// state (flow.Lint's uninit-read rule enforces this for registers; shipped
-// kernels write shared memory before reading it).
+// occupant, which is sound only for jobs that never consume uninitialized
+// state: the simulator's guard (sim.Result.FreeDead) establishes that for a
+// golden run — InitClean for every program's registers, and no LDS of a
+// shared-memory word its CTA has not stored — and the pruners in
+// internal/microfi simulate every run when it fails.
 //
 // Shared memory is tracked at two granularities per allocated block:
 // LDS/STS addresses are register-held in general, so an LDS with an unknown
@@ -218,7 +220,8 @@ func (r *Recorder) OnCTAPlace(cta, sm, rfBase, rfSize, smBase, smSize, threads i
 		rec.rfSpan = len(s.rfSpans)
 		s.rfOpen[rfBase] = rec.rfSpan
 		s.rfSpans = append(s.rfSpans, span{base: rfBase, size: rfSize, alloc: cycle, release: -1})
-		// Allocation kills leftover values of the previous occupant.
+		// Allocation kills leftover values of the previous occupant (sound
+		// under the golden run's guard, see the top of this file).
 		for i := rfBase; i < rfBase+rfSize; i++ {
 			s.regs[i].last = cycle
 		}

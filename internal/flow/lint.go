@@ -213,6 +213,21 @@ func Lint(p *isa.Program) []Diag {
 	return diags
 }
 
+// InitClean reports whether Lint proves that p reads no register before
+// defining it: the program is structurally sound (so the dataflow rules ran)
+// and draws no uninit-read diagnostic. The simulator consults it, with a
+// dynamic check for shared memory, before it treats storage a retired CTA
+// frees as dead.
+func InitClean(p *isa.Program) bool {
+	for _, d := range Lint(p) {
+		switch d.Rule {
+		case RuleUninitRead, RuleBadOpcode, RuleBadBranch, RuleBadPred, RuleRegOverflow, RuleMissingExit:
+			return false
+		}
+	}
+	return true
+}
+
 func guardName(ins *isa.Instr) string {
 	s := fmt.Sprintf("P%d", int(ins.Pred)-1)
 	if ins.PredNeg {

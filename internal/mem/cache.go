@@ -68,8 +68,44 @@ type Cache struct {
 	// reset — marks its set; lookup only reads and marks nothing.
 	sdirty []uint64
 
+	// The one-site watch (see Watch): the watched line, the byte offset
+	// within it, and where the verdict goes. wline is nil while disarmed, so
+	// every data path pays one pointer compare for it.
+	wline *Line
+	woff  uint32
+	wst   *WatchState
+
 	Stats Stats
 }
+
+// WatchState is the verdict of a one-site watch: the checkpoint engine arms
+// one after a transient flip of a single entry and joins the faulty run to
+// golden as soon as the entry is dead.
+type WatchState uint8
+
+// Watch states. Off is terminal and is also the state of a disarmed watch;
+// the dead states, terminal too, say why the entry stopped mattering.
+const (
+	// WatchOff: the entry may have been read (or nothing is watched); the
+	// run falls back to comparing state at snapshot-grid cycles.
+	WatchOff WatchState = iota
+	// WatchLive: the entry is still the run's only difference from golden.
+	WatchLive
+	// WatchStored: a store overwrote the entry before anything read it.
+	WatchStored
+	// WatchRefilled: the entry's cache frame was refilled.
+	WatchRefilled
+	// WatchInvalid: the entry's cache line was invalidated, or was invalid
+	// when the flip landed.
+	WatchInvalid
+	// WatchFreed: the CTA owning the entry retired, and free storage is
+	// dead (the simulator's guard).
+	WatchFreed
+)
+
+// Dead reports whether the entry no longer differs from golden in any way
+// a continuation can observe.
+func (s WatchState) Dead() bool { return s >= WatchStored }
 
 // NewCache builds a cache of totalBytes capacity.
 func NewCache(name string, totalBytes, lineSize, ways, mshrs int) *Cache {
@@ -125,6 +161,49 @@ func (c *Cache) SetBit(i int, off uint32, b uint8, v bool) {
 		c.lines[i].Data[off] &^= 1 << (b & 7)
 	}
 	c.markSet(i / c.ways)
+}
+
+// Watch follows data byte off of line i after a flip there and reports into
+// st, which must be WatchLive: a load hit covering the byte, an L1 fill
+// copying the line or a write-back of it sets WatchOff; a store covering
+// the byte sets WatchStored, a refill of the line's frame WatchRefilled and
+// InvalidateAll WatchInvalid. A line that is already invalid is dead at
+// once (StateEqual ignores its data, and only a fill, which overwrites it,
+// can make it valid). The first verdict disarms the watch; LoadState and
+// Reset disarm it too.
+func (c *Cache) Watch(i int, off uint32, st *WatchState) {
+	if !c.lines[i].Valid {
+		*st = WatchInvalid
+		return
+	}
+	c.wline, c.woff, c.wst = &c.lines[i], off, st
+}
+
+// settle records the watch's verdict and disarms it.
+func (c *Cache) settle(v WatchState) {
+	*c.wst = v
+	c.wline, c.wst = nil, nil
+}
+
+// noteRead records that n bytes of ln from off were read (or copied out).
+func (c *Cache) noteRead(ln *Line, off, n uint32) {
+	if ln == c.wline && c.woff-off < n {
+		c.settle(WatchOff)
+	}
+}
+
+// noteStore records that a store overwrote n bytes of ln from off.
+func (c *Cache) noteStore(ln *Line, off, n uint32) {
+	if ln == c.wline && c.woff-off < n {
+		c.settle(WatchStored)
+	}
+}
+
+// noteFill records that ln's frame is being refilled.
+func (c *Cache) noteFill(ln *Line) {
+	if ln == c.wline {
+		c.settle(WatchRefilled)
+	}
 }
 
 func (c *Cache) markSet(s int) { c.sdirty[s>>6] |= 1 << (s & 63) }
@@ -330,6 +409,7 @@ func (c *Cache) LoadState(st, base *CacheState) {
 	c.fills = append(c.fills[:0], st.fills...)
 	c.lruTick = st.lruTick
 	c.Stats = st.stats
+	c.wline, c.wst = nil, nil
 }
 
 // StateEqual reports whether the cache's current state is identical to st,
@@ -398,12 +478,16 @@ func (c *Cache) Reset() {
 	c.lruTick = 0
 	c.Stats = Stats{}
 	c.markAllSets()
+	c.wline, c.wst = nil, nil
 }
 
 // InvalidateAll drops every line. Dirty data is lost, so only call it on
 // write-through caches or after FlushTo. It marks the sets of the lines it
 // changes; a set whose lines are all invalid and clean already is left as is.
 func (c *Cache) InvalidateAll() {
+	if c.wline != nil {
+		c.settle(WatchInvalid)
+	}
 	for i := range c.lines {
 		ln := &c.lines[i]
 		if ln.Valid || ln.Dirty {
@@ -420,6 +504,7 @@ func (c *Cache) FlushTo(dram *device.Memory) {
 	for i := range c.lines {
 		ln := &c.lines[i]
 		if ln.Valid && ln.Dirty {
+			c.noteRead(ln, 0, c.lineSize)
 			dram.WriteAt(ln.Addr, ln.Data)
 			ln.Dirty = false
 			c.markSet(int(ln.set))
@@ -452,9 +537,11 @@ func (h *Hierarchy) readLineL2(dram *device.Memory, lineAddr uint32, now int64) 
 	lat, _ := h.L2.trackFill(lineAddr, now, h.DRAMLat)
 	v := h.L2.victim(lineAddr)
 	if v.Valid && v.Dirty {
+		h.L2.noteRead(v, 0, h.L2.lineSize)
 		dram.WriteAt(v.Addr, v.Data)
 		*h.DRAMWrite += int64(h.L2.lineSize)
 	}
+	h.L2.noteFill(v)
 	copy(v.Data, dram.PeekBytes(lineAddr, h.L2.lineSize))
 	*h.DRAMRead += int64(h.L2.lineSize)
 	v.Addr, v.Valid, v.Dirty = lineAddr, true, false
@@ -475,6 +562,7 @@ func (h *Hierarchy) Load(dram *device.Memory, addr uint32, tex bool, first bool,
 	off := addr - lineAddr
 	if !first {
 		if ln := l1.lookup(lineAddr); ln != nil {
+			l1.noteRead(ln, off, 4)
 			return le32(ln.Data[off:]), 0
 		}
 		// The line was filled and already evicted within one instruction
@@ -483,6 +571,7 @@ func (h *Hierarchy) Load(dram *device.Memory, addr uint32, tex bool, first bool,
 	l1.Stats.Accesses++
 	if ln := l1.lookup(lineAddr); ln != nil {
 		l1.touch(ln)
+		l1.noteRead(ln, off, 4)
 		return le32(ln.Data[off:]), h.L1Lat
 	}
 	l1.Stats.Misses++
@@ -490,6 +579,8 @@ func (h *Hierarchy) Load(dram *device.Memory, addr uint32, tex bool, first bool,
 	fillLat, pending := l1.trackFill(lineAddr, now, lat)
 	v := l1.victim(lineAddr)
 	// L1 lines are never dirty (write-through), so eviction is silent.
+	h.L2.noteRead(l2ln, 0, h.L2.lineSize)
+	l1.noteFill(v)
 	copy(v.Data, l2ln.Data)
 	v.Addr, v.Valid, v.Dirty = lineAddr, true, false
 	l1.touch(v)
@@ -508,6 +599,7 @@ func (h *Hierarchy) Store(dram *device.Memory, addr uint32, val uint32, first bo
 		lat = h.L1Lat
 	}
 	if ln := h.L1D.lookup(lineAddr); ln != nil {
+		h.L1D.noteStore(ln, off, 4)
 		putLE32(ln.Data[off:], val)
 		h.L1D.touch(ln)
 	} else if first {
@@ -523,6 +615,7 @@ func (h *Hierarchy) Store(dram *device.Memory, addr uint32, val uint32, first bo
 			l2ln, _ = h.readLineL2(dram, lineAddr, now)
 		}
 	}
+	h.L2.noteStore(l2ln, off, 4)
 	putLE32(l2ln.Data[off:], val)
 	l2ln.Dirty = true
 	h.L2.markSet(int(l2ln.set)) // a non-first store hit skips touch

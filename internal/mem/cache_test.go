@@ -473,3 +473,71 @@ func TestSaveSharesUnmarkedSets(t *testing.T) {
 		t.Fatal("mutating the live cache changed a saved page")
 	}
 }
+
+// TestWatchVerdicts: the one-site watch on a cache data byte settles on the
+// first event that reads or replaces the byte, and on nothing else.
+func TestWatchVerdicts(t *testing.T) {
+	// evict refills set lines of c through readLineL2 (L2) or loads (L1D)
+	// until the line holding a is gone.
+	evict := func(h *Hierarchy, dram *device.Memory, c *Cache, a uint32) {
+		stride := c.lineSize * uint32(c.sets)
+		for n := uint32(1); lineOf(c, a) >= 0; n++ {
+			if c == h.L2 {
+				h.readLineL2(dram, 0x8000+a%stride+n*stride, 0)
+			} else {
+				h.Load(dram, 0x8000+a%stride+n*stride, false, true, 0)
+			}
+		}
+	}
+	cases := []struct {
+		name  string
+		cache func(*Hierarchy) *Cache
+		addr  uint32
+		act   func(*Hierarchy, *device.Memory)
+		want  WatchState
+	}{
+		{"load hit covering", l1d, 0x1002, func(h *Hierarchy, d *device.Memory) { h.Load(d, 0x1000, false, true, 0) }, WatchOff},
+		{"coalesced load hit covering", l1d, 0x1003, func(h *Hierarchy, d *device.Memory) { h.Load(d, 0x1000, false, false, 0) }, WatchOff},
+		{"load hit elsewhere", l1d, 0x1002, func(h *Hierarchy, d *device.Memory) { h.Load(d, 0x1004, false, true, 0) }, WatchLive},
+		{"L1 fill copies the L2 line", l2, 0x1404, func(h *Hierarchy, d *device.Memory) { h.Load(d, 0x1400, true, true, 0) }, WatchOff},
+		{"dirty L2 eviction writes back", l2, 0x1040, func(h *Hierarchy, d *device.Memory) { evict(h, d, h.L2, 0x1040) }, WatchOff},
+		{"clean L2 refill", l2, 0x1000, func(h *Hierarchy, d *device.Memory) { evict(h, d, h.L2, 0x1000) }, WatchRefilled},
+		{"L1 refill", l1d, 0x1000, func(h *Hierarchy, d *device.Memory) { evict(h, d, h.L1D, 0x1000) }, WatchRefilled},
+		{"L1D store covering", l1d, 0x1001, func(h *Hierarchy, d *device.Memory) { h.Store(d, 0x1000, 1, true, 0) }, WatchStored},
+		{"L1D store elsewhere", l1d, 0x1001, func(h *Hierarchy, d *device.Memory) { h.Store(d, 0x1004, 1, true, 0) }, WatchLive},
+		{"L2 store covering", l2, 0x1002, func(h *Hierarchy, d *device.Memory) { h.Store(d, 0x1000, 1, false, 0) }, WatchStored},
+		{"InvalidateAll", l1d, 0x1000, func(h *Hierarchy, d *device.Memory) { h.L1D.InvalidateAll() }, WatchInvalid},
+		{"flush of the dirty line", l2, 0x1041, func(h *Hierarchy, d *device.Memory) { h.L2.FlushTo(d) }, WatchOff},
+		{"flush of a clean line", l2, 0x1001, func(h *Hierarchy, d *device.Memory) { h.L2.FlushTo(d) }, WatchLive},
+		{"restore disarms", l1d, 0x1000, func(h *Hierarchy, d *device.Memory) {
+			var st CacheState
+			h.L1D.SaveState(&st, nil)
+			h.L1D.LoadState(&st, nil)
+			h.Store(d, 0x1000, 1, true, 0)
+		}, WatchLive},
+	}
+	for _, tc := range cases {
+		h, dram := warmHier()
+		c := tc.cache(h)
+		i := lineOf(c, tc.addr)
+		if i < 0 {
+			t.Fatalf("%s: %#x is not cached", tc.name, tc.addr)
+		}
+		st := WatchLive
+		c.Watch(i, tc.addr%c.lineSize, &st)
+		tc.act(h, dram)
+		if st != tc.want {
+			t.Errorf("%s: watch %d, want %d", tc.name, st, tc.want)
+		}
+	}
+	h, _ := warmHier()
+	st := WatchLive
+	h.L1D.InvalidateAll()
+	h.L1D.Watch(0, 0, &st)
+	if st != WatchInvalid {
+		t.Errorf("flip into an invalid line: watch %d, want %d", st, WatchInvalid)
+	}
+}
+
+func l1d(h *Hierarchy) *Cache { return h.L1D }
+func l2(h *Hierarchy) *Cache  { return h.L2 }

@@ -28,7 +28,10 @@ import (
 // Masked/not-control-affected classification the brute-force run would
 // produce. That argument holds only for a one-shot fault confined to the
 // drawn entry, so every model except faultmodel.Transient takes the exact
-// unpruned Inject path with pruned=false.
+// unpruned Inject path with pruned=false. It also needs the timeline's
+// allocation kills to be sound — no CTA reads a register or shared-memory
+// word before writing it — which the golden run's guard decides
+// (sim.Result.FreeDead); a golden run without it prunes nothing.
 
 // timeline is what a pruner knows about one allocated storage array of the
 // golden run: the blocks an injection at a cycle would find allocated on
@@ -99,8 +102,11 @@ func InjectStatic(job *device.Job, g *GoldenRun, si *StaticIntervals, t Target, 
 // order, then the (entry, bit) draws: the faultmodel.pickAllocated
 // enumeration — and simulates only when the drawn entry is live.
 func injectPruned(job *device.Job, g *GoldenRun, tl timeline, t Target, rng *rand.Rand) (faults.Result, bool) {
+	// The timeline lets each allocation kill what the previous occupant
+	// left behind, which holds only when the golden run proved free storage
+	// dead (sim.Result.FreeDead); otherwise every run simulates.
 	tr, ok := t.model().(faultmodel.Transient)
-	if !ok {
+	if !ok || !g.Res.FreeDead {
 		return Inject(job, g, t, rng), false
 	}
 	cycle, r, done := t.preflight(g, tr, rng)

@@ -5,8 +5,11 @@ import (
 	"testing"
 
 	"gpurel/internal/ace"
+	"gpurel/internal/device"
 	"gpurel/internal/faults"
 	"gpurel/internal/gpu"
+	"gpurel/internal/isa"
+	"gpurel/internal/kasm"
 	"gpurel/internal/kernels"
 )
 
@@ -112,5 +115,72 @@ func TestPrunersAgreeOnRF(t *testing.T) {
 	if draws != 276 || rfStatic != 251 || rfLive != 251 || smemStatic != 172 {
 		t.Errorf("pruned RF %d (intervals) and %d (liveness), SMEM %d, of %d draws each; pinned 251, 251, 172 of 276",
 			rfStatic, rfLive, smemStatic, draws)
+	}
+}
+
+// leftoverSmemJob is a job whose CTAs read the shared memory an earlier CTA
+// on the same SM left behind before they store their own: each thread loads
+// its word, overwrites it with its global index and writes what it loaded
+// to the output. kasm lints registers only, so it accepts the kernel. A
+// value a CTA stores is never read by that CTA, yet the next CTA placed on
+// the block reads it.
+func leftoverSmemJob() *device.Job {
+	b := kasm.New("leftover")
+	tid := b.S2R(isa.SRTidX)
+	i := b.IMad(b.S2R(isa.SRCtaIDX), b.S2R(isa.SRNTidX), tid)
+	addr := b.Shl(tid, 2)
+	old := b.Lds(addr, 0)
+	b.Sts(addr, 0, i)
+	b.Stg(b.IScAdd(i, b.Param(0), 2), 0, old)
+	prog := b.MustBuild()
+
+	const grid, block = 256, 32
+	m := device.NewMemory(1 << 16)
+	out := m.Alloc("out", 4*grid*block)
+	return &device.Job{
+		Name: "leftover", Mem: m,
+		Steps: []device.Step{{Launch: &device.Launch{
+			Kernel: prog, KernelName: "K1", GridX: grid, GridY: 1, BlockX: block, BlockY: 1,
+			SmemBytes: 4 * block, Params: []uint32{out}, ParamIsPtr: []bool{true},
+		}}},
+		Outputs: []device.Output{{Name: "out", Addr: out, Size: 4 * grid * block}},
+	}
+}
+
+// TestStaticPruneLeftoverSmem: the interval map lets a CTA's allocation
+// kill what the previous occupant left in shared memory, which is unsound
+// for a kernel that reads those leftovers. The golden run's guard catches
+// it, and InjectStatic then simulates every run, so its tally equals brute
+// force run for run.
+func TestStaticPruneLeftoverSmem(t *testing.T) {
+	cfg := gpu.Volta()
+	job := leftoverSmemJob()
+	si, err := TraceStatic(job, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := Golden(job, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Res.FreeDead {
+		t.Fatal("guard holds on a kernel that reads leftover shared memory")
+	}
+	tgt := Target{Structure: gpu.SMEM}
+	var brute, static [faults.NumOutcomes]int
+	for seed := int64(0); seed < 40; seed++ {
+		want := Inject(job, g, tgt, rand.New(rand.NewSource(seed)))
+		got, pruned := InjectStatic(job, g, si, tgt, rand.New(rand.NewSource(seed)))
+		if got != want || pruned {
+			t.Errorf("seed %d: InjectStatic %+v (pruned=%v), brute force %+v", seed, got, pruned, want)
+		}
+		brute[want.Outcome]++
+		static[got.Outcome]++
+	}
+	if brute != static {
+		t.Fatalf("tallies differ: brute=%v static=%v", brute, static)
+	}
+	if brute[faults.SDC] == 0 {
+		t.Fatalf("no run reached the leftover reads (tally %v): the test exercises nothing", brute)
 	}
 }

@@ -19,3 +19,7 @@ var TraceOracle = traceOracle
 // dirty_audit_test.go) and returns how many audits ran and the first page
 // found clean but changed.
 var AuditDirty = auditDirty
+
+// CountJoins runs f with every join of a converging run observed and
+// returns how many happened by cause (see join_hook_test.go).
+var CountJoins = countJoins

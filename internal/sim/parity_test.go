@@ -310,8 +310,9 @@ func TestReferenceParityBruteForce(t *testing.T) {
 
 // TestReferenceParityCheckpointed: the checkpointed fork-and-join path, with
 // the golden run and its snapshots captured by the core that then resumes,
-// restores, compares and joins on them, must tally identically across
-// structures × fault models.
+// restores, compares and joins on them, must classify every run identically
+// across structures × fault models, and join it at the same cycle — grid
+// joins and one-site watch joins alike.
 func TestReferenceParityCheckpointed(t *testing.T) {
 	cfg := gpu.Volta()
 	for _, cs := range campaignCases {
@@ -332,21 +333,45 @@ func TestReferenceParityCheckpointed(t *testing.T) {
 			for name, mdl := range cs.models() {
 				for _, st := range cs.structures {
 					tgt := microfi.Target{Structure: st, Model: mdl}
-					tally := func(g *microfi.GoldenRun) campaign.Tally {
-						return campaign.Run(campaign.Options{Runs: 2, Seed: 3}, func(run int, rng *rand.Rand) faults.Result {
-							return microfi.Inject(job, g, tgt, rng)
-						})
-					}
-					got := tally(fast)
-					var want campaign.Tally
-					sim.OnReference(func() { want = tally(slow) })
-					if got != want {
-						t.Errorf("%s %s: µop tally %+v != reference %+v", name, st, got, want)
+					got := checkpointedRuns(job, fast, tgt)
+					var want []joinedRun
+					sim.OnReference(func() { want = checkpointedRuns(job, slow, tgt) })
+					for run := range got {
+						if got[run] != want[run] {
+							t.Errorf("%s %s run %d: µop %+v != reference %+v", name, st, run, got[run], want[run])
+						}
 					}
 				}
 			}
 		})
 	}
+}
+
+// joinedRun is what one checkpointed run reports: its classification, and
+// whether and at which cycle it joined golden.
+type joinedRun struct {
+	res         faults.Result
+	converged   bool
+	convergedAt int64
+}
+
+// checkpointedRuns injects runs 0 and 1 of the campaign with seed 3 (the
+// rand streams campaign.Run would hand them) one at a time, reading each
+// run's join off the golden run's converge counters: a joined run adds one
+// hit and the golden cycles past its join.
+func checkpointedRuns(job *device.Job, g *microfi.GoldenRun, tgt microfi.Target) []joinedRun {
+	var out []joinedRun
+	for run := int64(0); run < 2; run++ {
+		before := g.CheckpointCounts()
+		r := joinedRun{res: microfi.Inject(job, g, tgt, rand.New(rand.NewSource(3+run)))}
+		after := g.CheckpointCounts()
+		if after.ConvergeHits > before.ConvergeHits {
+			r.converged = true
+			r.convergedAt = g.Res.Cycles - (after.ConvergeCyclesSaved - before.ConvergeCyclesSaved)
+		}
+		out = append(out, r)
+	}
+	return out
 }
 
 // TestReferenceParityStaticPrune: the static-interval pruning injector must

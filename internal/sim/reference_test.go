@@ -68,6 +68,7 @@ func cycleSMReference(r *runner, sm *SM, ks *KernelStats) (int, error) {
 		sm.markWarpRF(cta, w)
 
 		info := exec.Step(cta.warps[w], cta.prog, e)
+		r.noteIssue(cta, w, &info)
 		if tr := r.opts.SchedTrace; tr != nil && info.Kind != exec.StepFault && info.Instr != nil {
 			tr.OnIssue(cta.schedID, w, int(info.PC), info.ActiveMask, e.selPicksA(info.Instr, info.ActiveMask), r.cycle)
 		}

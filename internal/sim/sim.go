@@ -237,6 +237,8 @@ type Machine struct {
 	SMs []*SM
 	L2  *mem.Cache
 	Mem *device.Memory
+
+	r *runner // the run the machine belongs to, for the one-site watch
 }
 
 // warpMeta is the scoreboard state of one warp.
@@ -273,6 +275,13 @@ type ctaRT struct {
 	// later stores skip the marking. Derived state: cleared by syncDirty,
 	// false in a restored CTA, never snapshotted.
 	smMarked bool
+
+	// smTrack routes the CTA's LDS and STS through runner.noteShared: set
+	// while a fault-free run records stored (one bit per shared-memory word
+	// the CTA has stored since placement) or while the one-site watch follows
+	// a byte of its allocation. Never snapshotted: a restored CTA has neither.
+	smTrack bool
+	stored  []uint64
 }
 
 // KernelStats aggregates the fault-free profile of one kernel — the resource
@@ -339,6 +348,12 @@ type Result struct {
 	// outcome equals the reference run's suffix.
 	Converged   bool
 	ConvergedAt int64
+	// FreeDead is set on a fault-free run (no injection hook, not resumed)
+	// that completed when storage a retired CTA frees is dead: every program
+	// the job launches is clean under flow.Lint's uninit-read rule, and no
+	// LDS read a shared-memory word its CTA had not stored since placement.
+	// The one-site watch and the interval pruners rely on it (watch.go).
+	FreeDead bool
 	// Stepped counts the cycles this run actually executed, from cycle 0 or
 	// from the snapshot it resumed; the rest of its simulated cycles were idle
 	// and taken in jumps (see runLaunch). It describes how the simulator
@@ -468,6 +483,15 @@ type runner struct {
 	// never snapshotted or compared.
 	lastDiff diffProbe
 
+	// watch is the one-site watch (watch.go). freeDead is the converge set's
+	// guard: storage a retiring CTA frees is dead, so a watched entry in it
+	// is too. recordSmem marks a fault-free run, which records the
+	// shared-memory half of that guard; smemUninit is what it found.
+	watch      siteWatch
+	freeDead   bool
+	recordSmem bool
+	smemUninit bool
+
 	res  *Result
 	env  simEnv
 	mach *Machine // memoized machine view handed to the cycle hooks
@@ -548,6 +572,8 @@ func newRunner(job *device.Job, cfg gpu.Config, opts Options) *runner {
 		}
 	}
 	r.env.r = r
+	r.freeDead = opts.Converge != nil && opts.Converge.freeDead
+	r.recordSmem = opts.AtCycle <= 0 && opts.Resume == nil
 	return r
 }
 
@@ -570,7 +596,7 @@ func (r *runner) machine() *Machine {
 	// Memoized: EachCycle hooks call this every cycle, and the referenced
 	// state (SM slice, caches, memory image) is fixed for the runner's life.
 	if r.mach == nil {
-		r.mach = &Machine{Cfg: r.cfg, SMs: r.sms, L2: r.l2, Mem: r.mem}
+		r.mach = &Machine{Cfg: r.cfg, SMs: r.sms, L2: r.l2, Mem: r.mem, r: r}
 	}
 	return r.mach
 }
@@ -667,6 +693,10 @@ func (r *runner) runSteps() *Result {
 	r.res.Output = r.job.ReadOutputs(r.mem)
 	if r.job.DUEFlag != 0 && r.mem.PeekU32(r.job.DUEFlag) != 0 {
 		r.res.DUEFlag = true
+	}
+	r.res.FreeDead = r.freeDeadVerdict()
+	if ck := r.opts.Checkpoint; ck != nil {
+		ck.freeDead = r.res.FreeDead
 	}
 	return r.res
 }
@@ -823,11 +853,22 @@ func (r *runner) runLaunch() error {
 			ck.offer(r)
 			ckDue = ck.nextGrid(r.cycle) // offer may have widened the stride
 		}
+		// A live watch means the flipped entry still differs from golden,
+		// so the grid compare would fail; a dead one joins right here.
 		if r.cycle == cvDue {
 			cvDue = cv.nextGrid(r.cycle)
-			if s := cv.at(r.cycle); r.fired && s != nil && r.matches(s) {
+			if s := cv.at(r.cycle); r.fired && s != nil && r.watch.state != mem.WatchLive && r.matches(s) {
+				if joinHook != nil {
+					joinHook(r)
+				}
 				return errSimConverged
 			}
+		}
+		if r.watch.state.Dead() {
+			if joinHook != nil {
+				joinHook(r)
+			}
+			return errSimConverged
 		}
 
 		// Jump over the idle cycles that follow, if any. Two cases must step
@@ -962,6 +1003,7 @@ func (r *runner) tryPlace(sm *SM, l *device.Launch, prog *isa.Program, p *pendin
 		params: l.ParamsFor(p.rep),
 		cx:     p.cx, cy: p.cy,
 		preds:   make([]uint8, threads),
+		stored:  r.storedWords(l),
 		rfBase:  rfBase,
 		rfSize:  threads * prog.NumRegs,
 		smBase:  smBase,
@@ -969,6 +1011,7 @@ func (r *runner) tryPlace(sm *SM, l *device.Launch, prog *isa.Program, p *pendin
 		threads: threads,
 		schedID: r.schedNext,
 	}
+	cta.smTrack = cta.stored != nil
 	r.schedNext++
 	nWarps := (threads + 31) / 32
 	for w := 0; w < nWarps; w++ {
@@ -989,6 +1032,12 @@ func (r *runner) tryPlace(sm *SM, l *device.Launch, prog *isa.Program, p *pendin
 	}
 	return true
 }
+
+// joinHook is nil in every binary except this package's own test binary,
+// where a test can observe every join: the run's watch state tells a grid
+// join from a watch join and the watch's verdict. Nothing outside _test
+// files assigns it.
+var joinHook func(r *runner)
 
 // cycleOracle is nil in every binary except this package's own test binary,
 // where reference_test.go can point it at the reference core (the
@@ -1049,6 +1098,7 @@ func (r *runner) cycleSM(sm *SM, ks *KernelStats) (int, error) {
 		}
 
 		info, u := r.stepFast(cta.warps[w], cta.uprog, e)
+		r.noteIssue(cta, w, &info)
 		if tr := r.opts.SchedTrace; tr != nil && info.Kind != exec.StepFault && info.Instr != nil {
 			tr.OnIssue(cta.schedID, w, int(info.PC), info.ActiveMask, selPicksA(u, info.Instr, cta.preds[e.f.TBase:], info.ActiveMask), r.cycle)
 		}
@@ -1148,6 +1198,7 @@ func (r *runner) retireCTA(sm *SM, cta *ctaRT) {
 	if tr := r.opts.SchedTrace; tr != nil {
 		tr.OnCTARetire(cta.schedID, r.cycle)
 	}
+	r.noteRetire(cta)
 	sm.rfAlloc.release(cta.rfBase, cta.rfSize)
 	sm.smAlloc.release(cta.smBase, cta.smSize)
 	sm.threadsUsed -= cta.threads
@@ -1254,6 +1305,9 @@ func (e *simEnv) LoadShared(lane int, addr uint32) (uint32, error) {
 	if addr%4 != 0 || int(addr)+4 > e.cta.smSize {
 		return 0, fmt.Errorf("illegal shared memory read at 0x%x", addr)
 	}
+	if e.cta.smTrack {
+		e.r.noteShared(e.cta, addr, false)
+	}
 	b := e.sm.Smem[e.cta.smBase+int(addr):]
 	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24, nil
 }
@@ -1261,6 +1315,9 @@ func (e *simEnv) LoadShared(lane int, addr uint32) (uint32, error) {
 func (e *simEnv) StoreShared(lane int, addr uint32, v uint32) error {
 	if addr%4 != 0 || int(addr)+4 > e.cta.smSize {
 		return fmt.Errorf("illegal shared memory write at 0x%x", addr)
+	}
+	if e.cta.smTrack {
+		e.r.noteShared(e.cta, addr, true)
 	}
 	if c := e.cta; !c.smMarked {
 		markRange(e.sm.smDirty, c.smBase, c.smSize, smPageBytes)

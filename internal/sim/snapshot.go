@@ -578,6 +578,11 @@ type SnapshotSet struct {
 	snaps   []*Snapshot
 	bytes   int64
 	evicted int64
+
+	// freeDead is the capturing run's Result.FreeDead: a run converging on
+	// the set may treat the storage a retiring CTA frees as dead (see
+	// watch.go).
+	freeDead bool
 }
 
 // NewSnapshotSet creates a set capturing every stride-th cycle, retaining at
