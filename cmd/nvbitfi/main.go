@@ -130,9 +130,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		tbl.AddFooter("adaptive sampling: %d runs saved (early stop, target ±%.2f%%)", saved, 100*target)
 	}
 	ck := g.CheckpointCounts()
-	tbl.AddFooter("checkpointing: %d boundaries (%.1f KiB of deltas), %d fork resumes (%d thread-instructions skipped), %d joins (%d thread-instructions skipped)",
+	tbl.AddFooter("checkpointing: %d boundaries (%.1f KiB of deltas), %d fork resumes (%d thread-instructions skipped), %d joins (%d thread-instructions skipped), %d CTAs skipped (%d thread-instructions)",
 		ck.Boundaries, float64(ck.DeltaBytes)/(1<<10),
-		ck.Forks, ck.ForkInstrsSkipped, ck.Joins, ck.JoinInstrsSkipped)
+		ck.Forks, ck.ForkInstrsSkipped, ck.Joins, ck.JoinInstrsSkipped, ck.Skips, ck.SkipInstrsSkipped)
 	fmt.Fprint(stdout, tbl.String())
 	return 0
 }

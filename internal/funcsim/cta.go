@@ -511,9 +511,13 @@ func uLdg(r *runner, f *uop.Frame, u *uop.Op, mask uint32) error {
 		if m&1 == 0 {
 			continue
 		}
-		v, err := r.mem.Load4(uop.Src(f.Regs, lb, u.A) + u.Imm)
+		a := uop.Src(f.Regs, lb, u.A) + u.Imm
+		v, err := r.mem.Load4(a)
 		if err != nil {
 			return err
+		}
+		if r.foot != nil {
+			r.foot.loads = addWord(r.foot.loads, a)
 		}
 		if u.Dst >= 0 {
 			f.Regs[lb+int(u.Dst)] = v
@@ -527,8 +531,12 @@ func uStg(r *runner, f *uop.Frame, u *uop.Op, mask uint32) error {
 		if m&1 == 0 {
 			continue
 		}
-		if err := r.mem.Store4(uop.Src(f.Regs, lb, u.A)+u.Imm, uop.Src(f.Regs, lb, u.B)); err != nil {
+		a := uop.Src(f.Regs, lb, u.A) + u.Imm
+		if err := r.mem.Store4(a, uop.Src(f.Regs, lb, u.B)); err != nil {
 			return err
+		}
+		if r.foot != nil {
+			r.foot.stores = addWord(r.foot.stores, a)
 		}
 	}
 	return nil

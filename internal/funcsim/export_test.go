@@ -12,3 +12,7 @@ func ReferenceSteps() int64 { return referenceSteps.Load() }
 
 // RaceDetector reports a test binary built with -race.
 const RaceDetector = raceDetector
+
+// AuditDiffs checks every probed boundary's diff against the whole memory
+// until the returned stop is called; stop returns the boundaries checked.
+var AuditDiffs = auditDiffs

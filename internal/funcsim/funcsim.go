@@ -97,6 +97,13 @@ type Result struct {
 	// the JoinSkipped thread-instructions the recorded suffix executed.
 	Joined      bool
 	JoinSkipped int64
+	// Skips counts the CTAs after the fault that a resumed injection run took
+	// from the record instead of executing, because none of their recorded
+	// loads reads a word where its memory differs from the record's;
+	// SkipInstrs is the thread-instructions they hold. ReadRefusals counts
+	// the CTAs it executed because one of those loads does.
+	Skips, ReadRefusals int
+	SkipInstrs          int64
 }
 
 // Tracer observes a run access by access: the register liveness of PVF
@@ -160,7 +167,9 @@ type Options struct {
 	// Resume starts the run at boundary ResumeAt of a log recorded on the
 	// same job instead of at the beginning. With Inject set the run also
 	// joins: once the fault has fired, every later boundary is compared with
-	// the record and the first match ends the run (Result.Joined).
+	// the record and the first match ends the run (Result.Joined). Until
+	// then, a CTA that reads none of the words where memory differs from the
+	// record is taken from the record (Result.Skips).
 	Resume   *Checkpoints
 	ResumeAt int
 }
@@ -178,7 +187,7 @@ type position struct {
 // CTAs run one after another, so between two of them the whole executor
 // state is the schedule position, the counters in Result and device memory:
 // registers, predicates, shared memory and warps are cleared at the start of
-// every runCTA. Record, Resume and the join all rest on that.
+// every runCTA. Record, Resume, the join and the skip all rest on that.
 func Run(job *device.Job, opts Options) *Result {
 	if opts.Record {
 		opts.CollectWindows = true
@@ -194,17 +203,20 @@ func Run(job *device.Job, opts Options) *Result {
 	}
 	if opts.Record {
 		res.Checkpoints = &Checkpoints{}
+		r.foot = &footprint{}
 		r.shadow = bytes.Clone(r.mem.PeekBytes(0, uint32(r.mem.Size())))
 		r.mem.ClearPageDirty()
 	}
 
 	maxSteps := job.MaxScheduleSteps()
 	for ord := opts.ResumeAt; pos.si < len(job.Steps); ord++ {
+		skip := false // the CTA at this boundary, if the step is one, comes from the record
 		switch {
 		case opts.Record:
 			r.record(pos)
 		case r.shadow != nil && ord > opts.ResumeAt:
-			if r.join(ord, pos) {
+			var joined bool
+			if joined, skip = r.probe(ord, pos); joined {
 				return res
 			}
 		}
@@ -233,7 +245,9 @@ func Run(job *device.Job, opts Options) *Result {
 			r.winStart = [3]int64{res.DstCands, res.LoadCands, res.UseCands}
 		}
 		if pos.cta < l.NumCTAs() {
-			if err := r.runCTA(l, pos.cta); err != nil {
+			if skip {
+				r.skip(ord, l)
+			} else if err := r.runCTA(l, pos.cta); err != nil {
 				if err == errTimeout {
 					res.TimedOut = true
 				} else {
@@ -259,6 +273,7 @@ func Run(job *device.Job, opts Options) *Result {
 		res.DUEFlag = true
 	}
 	if opts.Record {
+		res.Checkpoints.closeFootprint(r.foot)
 		res.Checkpoints.end = res
 	}
 	return res
@@ -277,6 +292,16 @@ type runner struct {
 	// recording run diffs against, and what a resumed injection run compares
 	// with to join. nil when neither applies (or the schedule diverged).
 	shadow []byte
+	// foot collects the current CTA's loads and stores in a recording run.
+	foot *footprint
+	// A resumed injection run keeps diff, the sorted addresses of the words
+	// where its memory differs from the shadow, exact at every probed
+	// boundary; skipped says the last step came from the record, which
+	// brought shadow and diff up to date itself. scan and saved are scratch.
+	diff    []uint32
+	skipped bool
+	scan    []uint64
+	saved   []uint32
 
 	// The injection site as the value its mode's candidate counter has when
 	// the fault fires; the other two (all three without Options.Inject) hold

@@ -46,7 +46,7 @@ func sameRecord(t *testing.T, name string, got, want *Result) {
 		return
 	}
 	if g.DeltaBytes() != w.DeltaBytes() || !reflect.DeepEqual(g.bounds, w.bounds) ||
-		!reflect.DeepEqual(g.writes, w.writes) || !bytes.Equal(g.data, w.data) {
+		!reflect.DeepEqual(g.writes, w.writes) || !bytes.Equal(g.data, w.data) || !reflect.DeepEqual(g.spans, w.spans) {
 		t.Errorf("%s: checkpoint logs differ (%d boundaries / %d delta bytes, reference %d / %d)", name,
 			g.Len(), g.DeltaBytes(), w.Len(), w.DeltaBytes())
 	}
@@ -68,6 +68,10 @@ func sameOutcome(t *testing.T, name string, got, want *Result) {
 	if got.DynInstrs != want.DynInstrs || got.Joined != want.Joined || got.JoinSkipped != want.JoinSkipped {
 		t.Fatalf("%s: dyn %d joined %v (+%d), reference dyn %d joined %v (+%d)", name,
 			got.DynInstrs, got.Joined, got.JoinSkipped, want.DynInstrs, want.Joined, want.JoinSkipped)
+	}
+	if got.Skips != want.Skips || got.SkipInstrs != want.SkipInstrs || got.ReadRefusals != want.ReadRefusals {
+		t.Fatalf("%s: %d CTAs skipped (+%d), %d refused, reference %d (+%d), %d", name,
+			got.Skips, got.SkipInstrs, got.ReadRefusals, want.Skips, want.SkipInstrs, want.ReadRefusals)
 	}
 }
 
@@ -123,9 +127,11 @@ var injectModes = []InjectMode{InjectDst, InjectDstLoad, InjectUse}
 
 // sameInjections runs sites injections per mode, spread over the job's
 // candidates and over low and high bits, each from the start of the job and
-// forked from its checkpoint with the join on, on both executors.
+// forked from its checkpoint with the join and the skip on, on both
+// executors, with every probed diff audited.
 func sameInjections(t *testing.T, job *device.Job, g *Result, sites int) (runs, joined, dues int) {
 	t.Helper()
+	defer auditDiffs(t)()
 	bits := [...]uint8{30, 2, 17, 9, 31, 0}
 	for _, mode := range injectModes {
 		total := candidates(mode, g.DstCands, g.LoadCands, g.UseCands)

@@ -199,12 +199,20 @@ func (e *ctaEnv) Param(idx int) uint32 {
 
 func (e *ctaEnv) LoadGlobal(lane int, addr uint32, tex bool) (uint32, error) {
 	e.trace(lane, EvLoad, addr)
-	return e.r.mem.Load4(addr)
+	v, err := e.r.mem.Load4(addr)
+	if err == nil && e.r.foot != nil {
+		e.r.foot.loads = addWord(e.r.foot.loads, addr)
+	}
+	return v, err
 }
 
 func (e *ctaEnv) StoreGlobal(lane int, addr uint32, v uint32) error {
 	e.trace(lane, EvStore, addr)
-	return e.r.mem.Store4(addr, v)
+	err := e.r.mem.Store4(addr, v)
+	if err == nil && e.r.foot != nil {
+		e.r.foot.stores = addWord(e.r.foot.stores, addr)
+	}
+	return err
 }
 
 func (e *ctaEnv) LoadShared(lane int, addr uint32) (uint32, error) {

@@ -23,7 +23,8 @@ import (
 // switch executors (export_test.go is invisible to other packages' tests);
 // the sites are drawn over the whole application, as softfi's Target with no
 // kernel does. BFS is the one schedule a fault can bend, LUD has barriers
-// and shared memory.
+// and shared memory. Every boundary the forked runs probe has its diff
+// audited against the whole memory.
 func TestSoftForkJoinAgainstReference(t *testing.T) {
 	draws := 40
 	if testing.Short() || funcsim.RaceDetector {
@@ -38,8 +39,9 @@ func TestSoftForkJoinAgainstReference(t *testing.T) {
 		{softfi.SVFLD, funcsim.InjectDstLoad, func(r *funcsim.Result) int64 { return r.LoadCands }},
 		{softfi.SVFUse, funcsim.InjectUse, func(r *funcsim.Result) int64 { return r.UseCands }},
 	}
-	var forks, joins int
+	var forks, joins, skips int
 	var outcomes [faults.NumOutcomes]int
+	stop := funcsim.AuditDiffs(t)
 	for _, name := range []string{"BFS", "LUD"} {
 		app, err := kernels.ByName(name)
 		if err != nil {
@@ -80,13 +82,17 @@ func TestSoftForkJoinAgainstReference(t *testing.T) {
 					if fast.Joined {
 						joins++
 					}
+					skips += fast.Skips
 					outcomes[want.Outcome]++
 				}
 			}
 		}
 	}
-	t.Logf("%d forked, %d joined, outcomes (masked, SDC, timeout, DUE) %v", forks, joins, outcomes)
-	if forks == 0 || joins == 0 || outcomes[faults.Masked] == 0 || outcomes[faults.SDC] == 0 || outcomes[faults.DUE] == 0 {
-		t.Errorf("an axis of the matrix is vacuous: %d forks, %d joins, outcomes %v", forks, joins, outcomes)
+	audited := stop()
+	t.Logf("%d forked, %d joined, %d CTAs skipped, %d boundaries audited, outcomes (masked, SDC, timeout, DUE) %v",
+		forks, joins, skips, audited, outcomes)
+	if forks == 0 || joins == 0 || skips == 0 || audited == 0 ||
+		outcomes[faults.Masked] == 0 || outcomes[faults.SDC] == 0 || outcomes[faults.DUE] == 0 {
+		t.Errorf("an axis of the matrix is vacuous: %d forks, %d joins, %d skips, %d audits, outcomes %v", forks, joins, skips, audited, outcomes)
 	}
 }

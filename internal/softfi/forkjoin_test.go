@@ -64,9 +64,10 @@ func launches(res *funcsim.Result) map[string]int {
 	return out
 }
 
-// TestSoftForkJoinEquivalence: Inject (fork from a checkpoint, join back to
-// golden) returns, field for field, what classifying a replay of the whole
-// job with the same fault returns — on every application (and spinApp, for
+// TestSoftForkJoinEquivalence: Inject (fork from a checkpoint, take from
+// golden the CTAs that read no corrupted word, join back to golden) returns,
+// field for field, what classifying a replay of the whole job with the same
+// fault returns — on every application (and spinApp, for
 // the timeouts), whole-app and per-kernel targets, all three modes, plain and
 // TMR-hardened. The campaign side runs on four workers so -race sees the
 // shared checkpoints.
@@ -87,6 +88,7 @@ func TestSoftForkJoinEquivalence(t *testing.T) {
 	var saw struct {
 		forks, joins, timeouts, dues, sdcs int
 		ctrlJoin, diverged                 int
+		skips, refusals, skipJoin          int
 	}
 	for _, app := range append(kernels.All(), spinApp()) {
 		for _, tmr := range []bool{false, true} {
@@ -112,6 +114,7 @@ func TestSoftForkJoinEquivalence(t *testing.T) {
 					after := g.CheckpointCounts()
 					saw.forks += int(after.Forks - before.Forks)
 					saw.joins += int(after.Joins - before.Joins)
+					saw.skips += int(after.Skips - before.Skips)
 
 					// the oracle: the same draws, replayed from the start of
 					// the job; campaign.Run hands run i the same rng again
@@ -119,6 +122,7 @@ func TestSoftForkJoinEquivalence(t *testing.T) {
 						inj                funcsim.Injection
 						want               faults.Result
 						diverged, ctrlJoin bool
+						refused, skipJoin  bool
 					}
 					ref := make([]replayed, opts.Runs)
 					campaign.Run(opts, func(run int, rng *rand.Rand) faults.Result {
@@ -127,7 +131,10 @@ func TestSoftForkJoinEquivalence(t *testing.T) {
 						replay := funcsim.Run(job, funcsim.Options{MaxDynInstrs: g.budget(), Inject: &r.inj, CollectWindows: true})
 						r.want = Classify(g, replay)
 						r.diverged = replay.Err == nil && !replay.TimedOut && !maps.Equal(launches(replay), shape)
-						r.ctrlJoin = r.want.CtrlAffected && g.run(job, r.inj).Joined
+						fj := g.run(job, r.inj)
+						r.ctrlJoin = r.want.CtrlAffected && fj.Joined
+						r.refused = fj.ReadRefusals > 0
+						r.skipJoin = fj.Skips > 0 && fj.Joined
 						return r.want
 					})
 					for run, r := range ref {
@@ -148,6 +155,12 @@ func TestSoftForkJoinEquivalence(t *testing.T) {
 						if r.ctrlJoin {
 							saw.ctrlJoin++
 						}
+						if r.refused {
+							saw.refusals++
+						}
+						if r.skipJoin {
+							saw.skipJoin++
+						}
 					}
 				}
 			}
@@ -155,7 +168,7 @@ func TestSoftForkJoinEquivalence(t *testing.T) {
 	}
 	t.Logf("saw %+v", saw)
 	if saw.forks == 0 || saw.joins == 0 || saw.timeouts == 0 || saw.dues == 0 || saw.sdcs == 0 ||
-		saw.ctrlJoin == 0 || saw.diverged == 0 {
+		saw.ctrlJoin == 0 || saw.diverged == 0 || saw.skips == 0 || saw.refusals == 0 || saw.skipJoin == 0 {
 		t.Errorf("an axis of the matrix is vacuous: %+v", saw)
 	}
 }

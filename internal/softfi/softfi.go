@@ -56,6 +56,7 @@ type GoldenRun struct {
 
 	forks, forkSkipped atomic.Int64
 	joins, joinSkipped atomic.Int64
+	skips, skipSkipped atomic.Int64
 }
 
 // Golden runs the job fault-free, collecting per-kernel candidate windows
@@ -89,6 +90,11 @@ type CheckpointCounts struct {
 	// JoinInstrsSkipped the golden-suffix thread-instructions not executed.
 	Joins             int64 `json:"joins"`
 	JoinInstrsSkipped int64 `json:"join_instrs_skipped"`
+	// Skips counts CTAs after the fault that runs took from golden's record
+	// because they read no corrupted word, SkipInstrsSkipped the
+	// thread-instructions those CTAs did not execute.
+	Skips             int64 `json:"skips"`
+	SkipInstrsSkipped int64 `json:"skip_instrs_skipped"`
 }
 
 // Add accumulates o into c (aggregation across apps/goldens).
@@ -99,6 +105,8 @@ func (c *CheckpointCounts) Add(o CheckpointCounts) {
 	c.ForkInstrsSkipped += o.ForkInstrsSkipped
 	c.Joins += o.Joins
 	c.JoinInstrsSkipped += o.JoinInstrsSkipped
+	c.Skips += o.Skips
+	c.SkipInstrsSkipped += o.SkipInstrsSkipped
 }
 
 // CheckpointCounts is safe to call concurrently with injections.
@@ -111,6 +119,8 @@ func (g *GoldenRun) CheckpointCounts() CheckpointCounts {
 		ForkInstrsSkipped: g.forkSkipped.Load(),
 		Joins:             g.joins.Load(),
 		JoinInstrsSkipped: g.joinSkipped.Load(),
+		Skips:             g.skips.Load(),
+		SkipInstrsSkipped: g.skipSkipped.Load(),
 	}
 }
 
@@ -191,7 +201,8 @@ func (g *GoldenRun) budget() int64 { return g.Res.DynInstrs * 10 }
 
 // run executes one faulty run: forked from the last golden checkpoint before
 // the site, joined to golden at the first later boundary where memory
-// matches.
+// matches, and taking from golden every CTA in between that reads none of
+// the corrupted words.
 func (g *GoldenRun) run(job *device.Job, inj funcsim.Injection) *funcsim.Result {
 	cps := g.Res.Checkpoints
 	fork := cps.ForkPoint(inj)
@@ -208,6 +219,10 @@ func (g *GoldenRun) run(job *device.Job, inj funcsim.Injection) *funcsim.Result 
 	if res.Joined {
 		g.joins.Add(1)
 		g.joinSkipped.Add(res.JoinSkipped)
+	}
+	if res.Skips > 0 {
+		g.skips.Add(int64(res.Skips))
+		g.skipSkipped.Add(res.SkipInstrs)
 	}
 	return res
 }

@@ -80,6 +80,12 @@ func TestSoftCheckpointCounts(t *testing.T) {
 	if c.Forks == 0 || c.Forks > 80 || c.ForkInstrsSkipped == 0 || c.Joins == 0 || c.JoinInstrsSkipped == 0 {
 		t.Errorf("80 injections over 8 and 40 CTAs must fork and join: %+v", c)
 	}
+	// a corrupted output word of VA is read by no later CTA
+	for _, g := range []*softfi.GoldenRun{s.apps["VA"].SoftG, s.apps["VA"].SoftGTMR} {
+		if sk := g.CheckpointCounts(); sk.Skips == 0 || sk.SkipInstrsSkipped == 0 {
+			t.Errorf("no CTA taken from the record: %+v", sk)
+		}
+	}
 	if m := s.CheckpointCounts(); m.ForkResumes != 0 || m.ConvergeHits != 0 || m.Snapshots != 0 {
 		t.Errorf("soft campaigns moved the micro ledger: %+v", m)
 	}
