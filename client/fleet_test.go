@@ -110,7 +110,7 @@ func TestFleetStatusGoldenRoundTrip(t *testing.T) {
 	}
 }
 
-// newFleetClient wires a coordinator-only daemon (no local lanes) with a
+// newFleetClient wires a coordinator-only daemon (no local executors) with a
 // deterministic synthetic source, exactly like the fleet package's harness.
 func newFleetClient(t *testing.T) *client.Client {
 	t.Helper()

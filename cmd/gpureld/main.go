@@ -1,9 +1,9 @@
 // Command gpureld is the campaign daemon: a long-running fault-injection
 // job server over the study's simulators. It accepts AVF/SVF campaign specs
-// and selective-hardening advise specs on an HTTP API, executes them on a
-// bounded sharded worker pool with shared golden-run memoisation, journals
-// progress to a checkpoint file, and resumes incomplete jobs
-// bit-identically after a restart.
+// and selective-hardening advise specs on an HTTP API, executes them on
+// in-process executors that claim work by weighted fair share, with shared
+// golden-run memoisation, journals progress to a checkpoint file, and
+// resumes incomplete jobs bit-identically after a restart.
 //
 // The same binary is both halves of a worker fleet. As a coordinator it
 // additionally serves run-range leases (POST /v1/leases) that remote
@@ -40,7 +40,7 @@
 // Errors on every /v1 route share one envelope: {"error":{"code","message"}}.
 //
 // Jobs may carry "tenant" and "priority" (an advise job's children inherit
-// them): the scheduler hands out work (to local lanes and fleet leases
+// them): the scheduler hands out work (to its executors and fleet leases
 // alike) by deterministic weighted fair-share across tenants, so no tenant
 // starves and single-tenant workloads schedule exactly as before.
 //
@@ -105,8 +105,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		addr     = fs.String("addr", ":8080", "listen address (coordinator mode)")
 		ckpt     = fs.String("checkpoint", "gpureld.ckpt.json", "checkpoint journal path ('' disables persistence)")
 		interval = fs.Duration("checkpoint-interval", 2*time.Second, "periodic checkpoint flush cadence")
-		shards   = fs.Int("shards", 1, "concurrent job lanes")
-		workers  = fs.Int("workers", 0, "campaign workers per lane (0 = GOMAXPROCS)")
+		shards   = fs.Int("shards", 1, "in-process executors, each claiming chunks from the fair-share ledger like a fleet worker")
+		workers  = fs.Int("workers", 0, "campaign workers per executor (0 = GOMAXPROCS)")
 		chunk    = fs.Int("chunk", 100, "runs per checkpointable chunk")
 		seed     = fs.Int64("seed", 1, "base seed of the shared study (golden-run cache)")
 		// Fleet knobs.
@@ -201,7 +201,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		if *noLocal {
 			mode = "fleet-only"
 		}
-		logger.Printf("gpureld: listening on %s (checkpoint %q, %d lane(s) × %d worker(s), chunk %d, exec %s)",
+		logger.Printf("gpureld: listening on %s (checkpoint %q, %d executor(s) × %d worker(s), chunk %d, exec %s)",
 			ln.Addr(), *ckpt, *shards, *workers, *chunk, mode)
 		errc <- srv.Serve(ln)
 	}()

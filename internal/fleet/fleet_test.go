@@ -267,7 +267,7 @@ func TestFleetAdaptiveOutOfOrder(t *testing.T) {
 }
 
 // TestFleetDrainReturnsLease: a worker canceled mid-lease returns the
-// unexecuted remainder (no TTL wait), and the local lanes finish the job
+// unexecuted remainder (no TTL wait), and the local executor finishes the job
 // bit-identically.
 func TestFleetDrainReturnsLease(t *testing.T) {
 	const runs, seed = 2000, 5
@@ -453,7 +453,7 @@ func TestFleetAdviseMatchesGpuharden(t *testing.T) {
 	}
 
 	// Every child tally arrived through a lease: the workers executed
-	// exactly the runs the children merged, no lane ran any.
+	// exactly the runs the children merged, no executor ran any.
 	var childRuns, leased int64
 	children := 0
 	for _, k := range sched.List() {

@@ -56,20 +56,17 @@ func TestPreRemovalJournalsResaveByteIdentical(t *testing.T) {
 	}
 	t.Cleanup(coord.Kill)
 
-	// Resumed jobs re-enter as queued and flip to running once their lane
-	// picks them up — the state they were journaled in.
-	deadline := time.Now().Add(10 * time.Second)
-	for running := 0; running < 2; {
-		running = 0
-		for _, st := range sched.List() {
-			if st.State == service.StateRunning {
-				running++
-			}
+	// Resumed jobs re-enter as queued and flip to running at their first
+	// claim — the state they were journaled in. Bob's job is claimed by its
+	// restored leases; one claimed run (alice wins the tie in virtual time)
+	// resumes alice's, as a worker's lease would.
+	if wa, ok := sched.ClaimWork(1); !ok || wa.JobID != "j553e2e774dbb" {
+		t.Fatalf("first claim after restore = %+v, %v; want a run of alice's job", wa, ok)
+	}
+	for _, st := range sched.List() {
+		if st.State != service.StateRunning {
+			t.Fatalf("restored job %s is %s, want running", st.ID, st.State)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("restored jobs never resumed: %+v", sched.List())
-		}
-		time.Sleep(time.Millisecond)
 	}
 	if err := sched.Flush(); err != nil {
 		t.Fatal(err)

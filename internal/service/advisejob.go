@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"time"
 
 	"gpurel"
 	"gpurel/internal/advisor"
@@ -15,12 +14,12 @@ import (
 
 // An advise job is a scheduler job whose work is an advisor.Runner loop
 // (measure → search → verify) instead of run ranges. Its driver is a
-// goroutine under the scheduler's wait group, not a lane: at one shard a
-// lane would deadlock waiting on its own children. Every campaign the
-// advisor needs runs as a child job — an ordinary campaign job that lanes
-// and fleet leases execute like any other, under the parent's tenant and
-// priority. The parent journals the advisor's State after every unit of
-// work; its children journal their own prefixes.
+// goroutine under the scheduler's wait group; the job holds no runs, so no
+// executor or fleet lease ever claims it. Every campaign the advisor needs
+// runs as a child job — an ordinary campaign job that executors and fleet
+// leases execute like any other, under the parent's tenant and priority.
+// The parent journals the advisor's State after every unit of work; its
+// children journal their own prefixes.
 
 // RunPointFunc executes one campaign point and returns its tally — the
 // shape of gpurel.Study.RunPoint.
@@ -130,8 +129,10 @@ func (s *Scheduler) runAdvise(ctx context.Context, stop context.CancelFunc, j *j
 // and waits for its tally. The child inherits the parent's tenant and
 // priority, and its ID derives from the parent's and the rendered point, so
 // a resumed advise re-requesting the point attaches to the child the journal
-// holds instead of submitting it again. Canceling the parent cancels the
-// child; a drain leaves it to be parked by its lane.
+// holds instead of submitting it again. A child is admitted outside
+// QueueDepth: each driver waits on one child at a time, so children are
+// bounded by the advise jobs. Canceling the parent cancels the child; a
+// drain leaves it to be parked by Close.
 func (s *Scheduler) runChild(ctx context.Context, parent *job, p gpurel.PointSpec, opts campaign.Options) (campaign.Tally, error) {
 	spec := SpecForPoint(p, opts)
 	spec.Tenant, spec.Priority = parent.spec.Tenant, parent.spec.Priority
@@ -139,21 +140,9 @@ func (s *Scheduler) runChild(ctx context.Context, parent *job, p gpurel.PointSpe
 		return campaign.Tally{}, err
 	}
 	id := childID(parent.id, spec)
-	var child *job
-	for {
-		var err error
-		if child, err = s.admit(id, spec); err == nil {
-			break
-		} else if !errors.Is(err, errQueueFull) {
-			return campaign.Tally{}, err
-		}
-		// A full lane drains by itself: wait for room rather than fail
-		// the whole advise.
-		select {
-		case <-ctx.Done():
-			return campaign.Tally{}, ctx.Err()
-		case <-time.After(starvedPoll):
-		}
+	child, err := s.admit(id, spec, false)
+	if err != nil {
+		return campaign.Tally{}, err
 	}
 
 	// Subscribe before the first look so the terminal event cannot slip by.

@@ -113,9 +113,9 @@ func (s *Scheduler) tenantJobsLocked(tenant string) []claimCandidate {
 }
 
 // ClaimWork hands out up to max runs from the fair-share winner among jobs
-// with unclaimed work, flipping queued jobs to running. ok is false when no
-// job has pending work — the caller (a fleet coordinator granting a lease)
-// answers 204 and the worker polls again.
+// with unclaimed work. ok is false when no job has pending work — an
+// executor then sleeps until signaled, a fleet coordinator answers 204 and
+// the worker polls again.
 func (s *Scheduler) ClaimWork(max int) (WorkAssignment, bool) {
 	if s.closed.Load() {
 		return WorkAssignment{}, false
@@ -132,34 +132,14 @@ func (s *Scheduler) ClaimWork(max int) (WorkAssignment, bool) {
 		for _, c := range cands {
 			j := c.j
 			j.mu.Lock()
-			if j.state.Terminal() {
+			r, ok := j.nextChunkLocked(max)
+			if !ok || !s.claimLocked(j, r) {
 				j.mu.Unlock()
 				continue
-			}
-			if j.canceled {
-				// A canceled job no longer hands out work; with local execution
-				// disabled no lane would otherwise retire it, so settle it here.
-				j.pending = nil
-				j.claimed = nil
-				s.finishLocked(j, StateCanceled, "")
-				j.mu.Unlock()
-				s.dirty.Store(true)
-				continue
-			}
-			r, ok := s.claimLocked(j, max)
-			if !ok {
-				j.mu.Unlock()
-				continue
-			}
-			if j.state == StateQueued {
-				j.state = StateRunning
-				j.started = s.cfg.Now()
-				j.publishLocked(string(StateRunning))
 			}
 			w := WorkAssignment{JobID: j.id, Spec: j.spec, From: r.From, To: r.To}
 			j.mu.Unlock()
 			s.chargeClaim(c.tenant, c.weight, r.To-r.From)
-			s.dirty.Store(true)
 			return w, true
 		}
 	}
@@ -185,7 +165,8 @@ func (s *Scheduler) chargeClaim(tenant string, weight, runs int) {
 // a second time. Runs already merged or stashed are left alone (the worker's
 // reports for them will be dropped as idempotent duplicates). Reports false
 // when the job is unknown or terminal: the caller should drop the lease
-// instead of restoring it.
+// instead of restoring it. The claim rules apply: a job past its deadline
+// fails here.
 func (s *Scheduler) ReclaimWork(jobID string, from, to int) bool {
 	j, ok := s.campaignJob(jobID)
 	if !ok {
@@ -193,20 +174,8 @@ func (s *Scheduler) ReclaimWork(jobID string, from, to int) bool {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state.Terminal() {
-		return false
-	}
-	for _, g := range intersectRanges(j.pending, Range{From: from, To: to}) {
-		j.pending = subtractRanges(j.pending, g)
-		j.claimed = addRange(j.claimed, g)
-	}
-	if j.state == StateQueued {
-		j.state = StateRunning
-		j.started = s.cfg.Now()
-		j.publishLocked(string(StateRunning))
-	}
-	s.dirty.Store(true)
-	return true
+	s.claimLocked(j, Range{From: from, To: to})
+	return !j.state.Terminal()
 }
 
 // Tenants reports the per-tenant work accounting, sorted by tenant name —

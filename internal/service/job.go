@@ -1,7 +1,7 @@
 // Package service is the campaign job server behind cmd/gpureld: a
 // long-running daemon that accepts AVF/SVF campaign-point specs and
-// selective-hardening advise specs over HTTP, schedules them on a bounded
-// sharded worker pool, leases run-ranges to remote fleet workers
+// selective-hardening advise specs over HTTP, executes them in-process by
+// weighted fair share, leases run-ranges to remote fleet workers
 // (internal/fleet), journals completed run-ranges to a JSON checkpoint so
 // interrupted jobs resume exactly where they stopped, streams NDJSON
 // progress, and exports Prometheus metrics. An advise job runs its
@@ -200,6 +200,14 @@ func (sp JobSpec) tenantName() string {
 	return sp.Tenant
 }
 
+// dueFrom is the deadline of a job admitted at t (zero = none).
+func (sp JobSpec) dueFrom(t time.Time) time.Time {
+	if sp.Deadline <= 0 {
+		return time.Time{}
+	}
+	return t.Add(time.Duration(sp.Deadline * float64(time.Second)))
+}
+
 // weight resolves the spec's fair-share weight (Priority, default 1).
 func (sp JobSpec) weight() int {
 	if sp.Priority <= 0 {
@@ -374,7 +382,7 @@ type JobStatus struct {
 	Margin99    float64        `json:"margin99"`     // Wilson-score ±CI half-width (honest at p=0/1)
 	// Stashed counts runs executed (locally or by fleet workers) whose
 	// tallies wait for an earlier gap to close before merging; InFlight
-	// counts runs currently claimed by a lane chunk or an open lease.
+	// counts runs currently claimed by an executor chunk or an open lease.
 	Stashed  int `json:"stashed,omitempty"`
 	InFlight int `json:"in_flight,omitempty"`
 	// EarlyStopped marks an adaptive job that met its margin target before
@@ -383,8 +391,8 @@ type JobStatus struct {
 	RunsSaved    int  `json:"runs_saved,omitempty"`
 	// ForkResumes/ConvergeHits count the job's checkpoint-accelerated runs
 	// (resumed from a golden snapshot / joined back to golden early).
-	// Process-local and exact with one shard; with several shards,
-	// concurrent jobs sharing an app's golden run may attribute each other's
+	// Process-local and exact with one executor; with several executors,
+	// concurrent chunks sharing an app's golden run may attribute each other's
 	// hits. Not journaled: a restart restarts them at zero.
 	ForkResumes  int64           `json:"fork_resumes,omitempty"`
 	ConvergeHits int64           `json:"converge_hits,omitempty"`
@@ -398,7 +406,7 @@ type JobStatus struct {
 // Event is one NDJSON line of a job's progress stream.
 type Event struct {
 	// Type: "status" (initial snapshot), "running" (the job left the queue:
-	// a lane or a fleet lease claimed its first runs, or an advise job's
+	// an executor or a fleet lease claimed its first runs, or an advise job's
 	// driver started; sent once, and only to streams that attached while it
 	// was queued), "progress" (a chunk completed, or an advisor unit of
 	// work), or a terminal state name ("done" | "failed" | "canceled").
@@ -410,7 +418,7 @@ type Event struct {
 
 // job is the scheduler-internal mutable state behind a JobStatus. Completed
 // work lives in the prefix merger; the work ledger (pending/claimed ranges)
-// is what local lanes and fleet leases claim from. An advise job has an
+// is what executors and fleet leases claim from. An advise job has an
 // empty ledger; its driver (advisejob.go) owns adv and stop instead.
 type job struct {
 	id      string
@@ -421,14 +429,16 @@ type job struct {
 	state     JobState
 	merger    *campaign.PrefixMerger // ordered tally of the merged prefix
 	pending   []Range                // normalized unclaimed run-ranges
-	claimed   []Range                // claimed by a lane chunk or open lease
+	claimed   []Range                // claimed by an executor chunk or open lease
 	early     bool                   // adaptive stop rule fired before the budget ran out
 	forks     int64
 	converges int64
 	errmsg    string
 	started   time.Time
 	finished  time.Time
-	canceled  bool
+	due       time.Time // deadline_sec after admission (zero = none), checked at every claim
+	waiting   bool      // submitted and still queued: holds a QueueDepth slot
+	canceled  bool      // advise: cancel requested, the driver settles the job
 	events    *Hub[Event]
 
 	adv  *advisor.State     // advise: state journaled after the last completed unit
@@ -441,6 +451,7 @@ func newJob(id string, spec JobSpec, created time.Time) *job {
 	j := &job{
 		id: id, spec: spec, created: created,
 		state:  StateQueued,
+		due:    spec.dueFrom(created),
 		merger: campaign.NewPrefixMerger(),
 		events: NewHub[Event](eventBuffer),
 	}

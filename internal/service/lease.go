@@ -108,8 +108,8 @@ func (lr LeaseRequest) Validate() error {
 // Lease is a granted run-range with everything a worker needs to execute it:
 // the job's full spec (the worker resolves its own experiment from it) and
 // the half-open run interval. The worker must report or heartbeat before
-// TTLSec elapses or the coordinator requeues the remainder. On the wire it
-// is nested under "lease" (symmetric with the request envelope).
+// TTLSec elapses or the coordinator returns the remainder to pending. On
+// the wire it is nested under "lease" (symmetric with the request envelope).
 type Lease struct {
 	ID     string  `json:"id"`
 	JobID  string  `json:"job_id"`

@@ -8,13 +8,16 @@ import (
 
 // The work ledger: every job owns a normalized list of pending (unclaimed)
 // run-ranges and a list of claimed (in-flight) ranges; completed work folds
-// into the job's prefix merger. Local scheduler lanes and remote fleet
+// into the job's prefix merger. In-process executors and remote fleet
 // leases claim and report through the same three operations, so a campaign
 // splits across any mix of the two and still tallies bit-identically —
 // run i always draws from rand.NewSource(Seed+i) regardless of who runs it.
+// The job lifecycle lives here once, for every claimer: the first claim
+// flips a queued job to running, a claim past the deadline fails the job,
+// and a report into a terminal (canceled, failed, done) job is dropped.
 
-// WorkAssignment is one claimed run-range: the executable unit handed to a
-// scheduler lane chunk or packaged into a fleet lease.
+// WorkAssignment is one claimed run-range: the executable unit an executor
+// runs as one chunk or the coordinator packages into a fleet lease.
 type WorkAssignment struct {
 	JobID string  `json:"job_id"`
 	Spec  JobSpec `json:"spec"`
@@ -25,13 +28,13 @@ type WorkAssignment struct {
 // Runs is the assignment size.
 func (w WorkAssignment) Runs() int { return w.To - w.From }
 
-// claimLocked pops up to max runs off the front of j's pending list
+// nextChunkLocked is the front of j's pending list, at most max runs
 // (j.mu held). Adaptive jobs never hand out a range crossing a batch
 // boundary: the stop rule is only evaluated on whole batches, and boundary
 // clamping keeps the evaluated prefixes identical to sequential execution no
 // matter how the work is distributed.
-func (s *Scheduler) claimLocked(j *job, max int) (Range, bool) {
-	if max <= 0 || len(j.pending) == 0 || j.state.Terminal() {
+func (j *job) nextChunkLocked(max int) (Range, bool) {
+	if max <= 0 || len(j.pending) == 0 {
 		return Range{}, false
 	}
 	r := j.pending[0]
@@ -45,10 +48,33 @@ func (s *Scheduler) claimLocked(j *job, max int) (Range, bool) {
 			to = end
 		}
 	}
-	claim := Range{From: r.From, To: to}
-	j.pending = subtractRanges(j.pending, claim)
-	j.claimed = addRange(j.claimed, claim)
-	return claim, true
+	return Range{From: r.From, To: to}, true
+}
+
+// claimLocked moves the pending part of r to the claimed set and reports
+// whether any run moved (j.mu held). A job past its deadline fails instead;
+// the first claim flips a queued job to running.
+func (s *Scheduler) claimLocked(j *job, r Range) bool {
+	if j.state.Terminal() {
+		return false
+	}
+	if !j.due.IsZero() && s.cfg.Now().After(j.due) {
+		s.finishLocked(j, StateFailed, fmt.Sprintf("deadline exceeded (%gs)", j.spec.Deadline))
+		return false
+	}
+	got := intersectRanges(j.pending, r)
+	for _, g := range got {
+		j.pending = subtractRanges(j.pending, g)
+		j.claimed = addRange(j.claimed, g)
+	}
+	if len(got) > 0 && j.state == StateQueued {
+		s.leaveQueueLocked(j)
+		j.state = StateRunning
+		j.started = s.cfg.Now()
+		j.publishLocked(string(StateRunning))
+	}
+	s.dirty.Store(true)
+	return len(got) > 0
 }
 
 // ClaimWork (fairshare.go) hands out runs from the weighted fair-share
@@ -69,8 +95,8 @@ func (s *Scheduler) ReportWork(jobID string, from, to int, tl campaign.Tally) (s
 	return st, merged, nil
 }
 
-// report is the shared merge path for lanes (with checkpoint-stat deltas)
-// and remote reports (without).
+// report is the shared merge path for executors (with checkpoint-stat
+// deltas) and remote reports (without).
 func (s *Scheduler) report(j *job, from, to int, tl campaign.Tally, dForks, dConverges int64) (JobStatus, bool) {
 	j.mu.Lock()
 	defer func() {
@@ -84,12 +110,16 @@ func (s *Scheduler) report(j *job, from, to int, tl campaign.Tally, dForks, dCon
 	}
 	r := Range{From: from, To: to}
 	accepted := j.merger.Offer(campaign.Partial{From: from, To: to, Tally: tl})
-	// Whether merged or dropped as a duplicate, these runs are covered:
-	// nobody should execute them again.
-	j.claimed = subtractRanges(j.claimed, r)
-	j.pending = subtractRanges(j.pending, r)
 	if accepted {
+		// These runs are covered: nobody should execute them again.
+		j.claimed = subtractRanges(j.claimed, r)
+		j.pending = subtractRanges(j.pending, r)
 		s.metrics.addTally(tl)
+	} else {
+		// A duplicate overlaps completed work, which may cover only part
+		// of it: the reporter is done with these runs, so the rest goes
+		// back to pending.
+		s.requeueLocked(j, r)
 	}
 
 	// Advance the contiguous prefix one partial at a time, evaluating the
@@ -107,8 +137,6 @@ func (s *Scheduler) report(j *job, from, to int, tl campaign.Tally, dForks, dCon
 			j.early = true
 			saved := j.spec.Runs - end
 			j.merger.DropStash()
-			j.pending = nil
-			j.claimed = nil
 			s.finishLocked(j, StateDone, "")
 			s.metrics.runsSaved.Add(int64(saved))
 			if s.cfg.Counters != nil {
@@ -129,7 +157,8 @@ func (s *Scheduler) report(j *job, from, to int, tl campaign.Tally, dForks, dCon
 // drained worker returning its lease remainder, or the coordinator expiring
 // a dead worker's lease. Only runs that are still claimed and not already
 // covered by completed work are requeued, which with the coordinator's
-// delete-on-expiry makes requeueing exactly-once.
+// delete-on-expiry makes requeueing exactly-once. Requeued runs wake an idle
+// executor.
 func (s *Scheduler) ReturnWork(jobID string, from, to int) {
 	j, ok := s.campaignJob(jobID)
 	if !ok {
@@ -137,11 +166,15 @@ func (s *Scheduler) ReturnWork(jobID string, from, to int) {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state.Terminal() {
-		return
+	if !j.state.Terminal() {
+		s.requeueLocked(j, Range{From: from, To: to})
 	}
-	give := intersectRanges(j.claimed, Range{From: from, To: to})
-	for _, g := range give {
+}
+
+// requeueLocked moves the claimed runs of r that no merged or stashed tally
+// covers back to pending, waking an idle executor (j.mu held).
+func (s *Scheduler) requeueLocked(j *job, r Range) {
+	for _, g := range intersectRanges(j.claimed, r) {
 		j.claimed = subtractRanges(j.claimed, g)
 		// Don't requeue runs whose tallies already arrived (merged prefix or
 		// stashed out-of-order partials).
@@ -154,6 +187,7 @@ func (s *Scheduler) ReturnWork(jobID string, from, to int) {
 		}
 		for _, b := range back {
 			j.pending = addRange(j.pending, b)
+			s.signal()
 		}
 	}
 	s.dirty.Store(true)

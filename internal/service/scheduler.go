@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -26,21 +25,22 @@ type SourceFunc func(spec JobSpec) (campaign.Experiment, error)
 type Config struct {
 	// Source is required.
 	Source SourceFunc
-	// Shards is the number of independent job lanes; each lane executes
-	// one job at a time, chunk by chunk (default 1). Jobs hash to a lane
-	// by ID, so lane order is FIFO per lane.
+	// Shards is the number of in-process executors (default 1). Each one
+	// claims a chunk from the fair-share ledger, runs it and reports it, as
+	// a fleet worker does with a lease.
 	Shards int
-	// WorkersPerShard bounds the campaign workers each lane uses inside a
-	// chunk (default GOMAXPROCS). Total injection parallelism is bounded
+	// WorkersPerShard bounds the campaign workers each executor uses inside
+	// a chunk (default GOMAXPROCS). Total injection parallelism is bounded
 	// by Shards × WorkersPerShard.
 	WorkersPerShard int
 	// ChunkSize is the run-range granularity of checkpoints and progress
 	// events (default 100 runs).
 	ChunkSize int
-	// QueueDepth bounds each lane's backlog (default 256); Submit fails
-	// once a lane is full.
+	// QueueDepth bounds the submitted campaign jobs waiting in state queued
+	// (default 256); Submit fails while that many wait. Advise children
+	// are admitted outside the bound.
 	QueueDepth int
-	// DisableLocalExec turns the lanes off: jobs make progress only through
+	// DisableLocalExec starts no executors: jobs make progress only through
 	// ClaimWork/ReportWork — i.e. fleet workers. For dedicated coordinators
 	// and scaling benchmarks; the default (false) degrades gracefully to
 	// in-process execution when no workers are joined.
@@ -56,7 +56,7 @@ type Config struct {
 	Counters *adaptive.Counters
 	// CheckpointStats, when set, reads the study-side fork-and-join
 	// aggregate (checkpoint resumes, convergence joins); /metrics exports
-	// it and the lanes attribute per-chunk deltas to the running job.
+	// it and the executors attribute per-chunk deltas to the job they ran.
 	CheckpointStats func() microfi.CheckpointCounts
 	// Now is the scheduler's clock (default time.Now); tests inject a fake
 	// for deterministic timestamps and deadline behavior.
@@ -92,20 +92,16 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// starvedPoll is how often a lane re-checks a job whose pending list is
-// empty but whose claimed/stashed work (held by fleet leases) is still
-// outstanding.
-const starvedPoll = 25 * time.Millisecond
-
-// errQueueFull marks a submission rejected because the job's lane backlog is
-// at capacity; the API maps it to 429 + ErrCodeQueueFull.
+// errQueueFull marks a submission rejected because QueueDepth submitted jobs
+// are already waiting; the API maps it to 429 + ErrCodeQueueFull.
 var errQueueFull = errors.New("job queue full")
 
 // errShuttingDown marks a submission the draining scheduler refuses; the API
 // maps it to 503 + ErrCodeUnavailable.
 var errShuttingDown = errors.New("server is shutting down")
 
-// Scheduler owns the job table, the work ledger, and the sharded lanes.
+// Scheduler owns the job table, the work ledger, and the in-process
+// executors.
 type Scheduler struct {
 	cfg     Config
 	metrics *Metrics
@@ -117,7 +113,11 @@ type Scheduler struct {
 	// fairshare.go.
 	vtime map[string]float64
 
-	queues []chan *job
+	// waiting counts the submitted jobs still queued (job.waiting), for
+	// QueueDepth; wake rouses an idle executor when work may be claimable.
+	waiting atomic.Int64
+	wake    chan struct{}
+
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
@@ -126,7 +126,7 @@ type Scheduler struct {
 }
 
 // NewScheduler builds a scheduler, resumes any incomplete jobs found in the
-// checkpoint journal, and starts the worker lanes.
+// checkpoint journal, and starts the executors.
 func NewScheduler(cfg Config) (*Scheduler, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Source == nil {
@@ -138,12 +138,9 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 		metrics: newMetrics(cfg.Counters, cfg.Now, cfg.CheckpointStats),
 		jobs:    map[string]*job{},
 		vtime:   map[string]float64{},
-		queues:  make([]chan *job, cfg.Shards),
+		wake:    make(chan struct{}, 1),
 		ctx:     ctx,
 		cancel:  cancel,
-	}
-	for i := range s.queues {
-		s.queues[i] = make(chan *job, cfg.QueueDepth)
 	}
 
 	if cfg.CheckpointPath != "" {
@@ -172,16 +169,15 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 				j.pending = complementRanges([]Range{{From: 0, To: j.merger.To()}}, jc.Spec.Runs)
 			}
 			// A job that was mid-flight when the previous process stopped
-			// resumes from its first unexecuted run index — an advise job
-			// from its last journaled unit of work, once the whole table
-			// (its children included) is loaded.
+			// resumes from its first unexecuted run index, its deadline
+			// starting over — an advise job from its last journaled unit of
+			// work, once the whole table (its children included) is loaded.
 			if j.state == StateRunning || j.state == StateQueued {
 				j.state = StateQueued
+				j.due = jc.Spec.dueFrom(cfg.Now())
 				s.metrics.jobsResumed.Add(1)
 				if j.spec.Advise != nil {
 					advises = append(advises, j)
-				} else {
-					s.enqueue(j)
 				}
 			}
 			s.jobs[j.id] = j
@@ -199,9 +195,11 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 	}
 
 	s.metrics.AddCollector(s.writeTenantMetrics)
-	for i := range s.queues {
-		s.wg.Add(1)
-		go s.shardLoop(s.queues[i])
+	if !cfg.DisableLocalExec {
+		for i := 0; i < cfg.Shards; i++ {
+			s.wg.Add(1)
+			go s.execute()
+		}
 	}
 	return s, nil
 }
@@ -209,21 +207,7 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 // Metrics exposes the daemon counters.
 func (s *Scheduler) Metrics() *Metrics { return s.metrics }
 
-// enqueue places a job on its lane. Must only be called with the job
-// already in (or being added to) the table.
-func (s *Scheduler) enqueue(j *job) bool {
-	h := fnv.New32a()
-	h.Write([]byte(j.id))
-	q := s.queues[int(h.Sum32())%len(s.queues)]
-	select {
-	case q <- j:
-		return true
-	default:
-		return false
-	}
-}
-
-// Submit validates and enqueues a new job.
+// Submit validates and admits a new job, within QueueDepth.
 func (s *Scheduler) Submit(spec JobSpec) (JobStatus, error) {
 	if s.closed.Load() {
 		return JobStatus{}, errShuttingDown
@@ -231,7 +215,7 @@ func (s *Scheduler) Submit(spec JobSpec) (JobStatus, error) {
 	if err := spec.Validate(); err != nil {
 		return JobStatus{}, err
 	}
-	j, err := s.admit(NewID("j"), spec)
+	j, err := s.admit(NewID("j"), spec, true)
 	if err != nil {
 		return JobStatus{}, err
 	}
@@ -239,12 +223,13 @@ func (s *Scheduler) Submit(spec JobSpec) (JobStatus, error) {
 }
 
 // admit adds a validated job to the table and starts it: a campaign job
-// joins its lane's queue, an advise job gets its driver. An ID already in
+// wakes an executor, an advise job gets its driver. A bounded campaign job
+// counts against QueueDepth until it leaves state queued. An ID already in
 // the table returns that job instead — a resumed advise re-requesting a
-// journaled child. Table insert and enqueue happen under one s.mu hold, so a
-// job its full lane rejects never enters the table, and Close (which sets
+// journaled child. The bound check and the table insert happen under one
+// s.mu hold, so a refused job never enters the table, and Close (which sets
 // closed under s.mu) never races a driver's wg.Add.
-func (s *Scheduler) admit(id string, spec JobSpec) (*job, error) {
+func (s *Scheduler) admit(id string, spec JobSpec, bounded bool) (*job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed.Load() {
@@ -256,8 +241,13 @@ func (s *Scheduler) admit(id string, spec JobSpec) (*job, error) {
 	j := newJob(id, spec, s.cfg.Now())
 	if spec.Advise != nil {
 		s.startAdvise(j)
-	} else if !s.enqueue(j) {
+	} else if bounded && s.waiting.Load() >= int64(s.cfg.QueueDepth) {
 		return nil, fmt.Errorf("%w (depth %d)", errQueueFull, s.cfg.QueueDepth)
+	} else {
+		if j.waiting = bounded; bounded {
+			s.waiting.Add(1)
+		}
+		s.signal()
 	}
 	s.jobs[id] = j
 	s.order = append(s.order, id)
@@ -285,8 +275,10 @@ func (s *Scheduler) List() []JobStatus {
 	return out
 }
 
-// Cancel requests a job stop at the next chunk boundary — an advise job at
-// once, its in-flight child with it; queued jobs are canceled immediately.
+// Cancel settles a campaign job as canceled at once: chunks and leases still
+// running report into a terminal job, so their tallies are dropped. An
+// advise job is stopped through its driver, its in-flight child with it,
+// and settles as the driver returns (at once if the driver has not started).
 func (s *Scheduler) Cancel(id string) (JobStatus, bool) {
 	j, ok := s.job(id)
 	if !ok {
@@ -294,19 +286,16 @@ func (s *Scheduler) Cancel(id string) (JobStatus, bool) {
 	}
 	j.mu.Lock()
 	if !j.state.Terminal() {
-		j.canceled = true
 		if j.stop != nil {
+			j.canceled = true
 			j.stop()
 		}
-		if j.state == StateQueued {
-			j.pending = nil
-			j.claimed = nil
+		if j.spec.Advise == nil || j.state == StateQueued {
 			s.finishLocked(j, StateCanceled, "")
 		}
 	}
 	st := j.snapshotLocked()
 	j.mu.Unlock()
-	s.dirty.Store(true)
 	return st, true
 }
 
@@ -345,143 +334,83 @@ func (s *Scheduler) stateGauges() map[string]int {
 	return g
 }
 
-// shardLoop is one lane: it executes queued jobs chunk by chunk until the
-// scheduler shuts down.
-func (s *Scheduler) shardLoop(q chan *job) {
-	defer s.wg.Done()
-	for {
-		select {
-		case <-s.ctx.Done():
-			return
-		case j := <-q:
-			s.runJob(j)
-		}
+// signal wakes one idle executor; a no-op when a wake-up is already due.
+func (s *Scheduler) signal() {
+	select {
+	case s.wake <- struct{}{}:
+	default:
 	}
 }
 
-// runJob drives one job to a terminal state through the work ledger: claim
-// a chunk, execute it, report the tally — the same three operations remote
-// fleet workers use, so local lanes and leased workers interleave freely on
-// one job. On drain the job is parked back to queued, its merged prefix
-// journaled for the next process.
-func (s *Scheduler) runJob(j *job) {
-	j.mu.Lock()
-	if j.state.Terminal() {
-		j.mu.Unlock()
-		return
-	}
-	if j.canceled {
-		j.pending = nil
-		j.claimed = nil
-		s.finishLocked(j, StateCanceled, "")
-		j.mu.Unlock()
-		s.dirty.Store(true)
-		return
-	}
-	if j.state == StateQueued {
-		j.state = StateRunning
-		j.started = s.cfg.Now()
-		j.publishLocked(string(StateRunning))
-	}
-	spec := j.spec
-	j.mu.Unlock()
-	s.dirty.Store(true)
-
-	if s.cfg.DisableLocalExec {
-		// Coordinator-only mode: fleet workers drive the job through
-		// ClaimWork/ReportWork; the lane has nothing to execute.
-		return
-	}
-
-	fn, err := s.cfg.Source(spec)
-	if err != nil {
-		j.mu.Lock()
-		j.pending = nil
-		j.claimed = nil
-		s.finishLocked(j, StateFailed, err.Error())
-		j.mu.Unlock()
-		s.dirty.Store(true)
-		return
-	}
-
-	var deadline time.Time
-	if spec.Deadline > 0 {
-		deadline = s.cfg.Now().Add(time.Duration(spec.Deadline * float64(time.Second)))
-	}
-	opts := campaign.Options{Runs: spec.Runs, Seed: spec.Seed, Workers: s.cfg.WorkersPerShard}
-
+// execute is one in-process executor: it claims a chunk from the ledger,
+// runs it and reports it — the three calls a fleet worker makes — until the
+// scheduler drains. An idle executor sleeps until admit or ReturnWork
+// signals new work.
+func (s *Scheduler) execute() {
+	defer s.wg.Done()
 	for {
-		j.mu.Lock()
-		if j.state.Terminal() {
-			j.mu.Unlock()
-			return
-		}
-		if j.canceled {
-			j.pending = nil
-			j.claimed = nil
-			s.finishLocked(j, StateCanceled, "")
-			j.mu.Unlock()
-			s.dirty.Store(true)
-			return
-		}
-		// Drain: stop between chunks, park the job for resume.
-		if s.ctx.Err() != nil {
-			j.state = StateQueued
-			j.mu.Unlock()
-			s.dirty.Store(true)
-			return
-		}
-		if !deadline.IsZero() && s.cfg.Now().After(deadline) {
-			j.pending = nil
-			j.claimed = nil
-			s.finishLocked(j, StateFailed, fmt.Sprintf("deadline exceeded (%gs)", spec.Deadline))
-			j.mu.Unlock()
-			s.dirty.Store(true)
-			return
-		}
-		r, ok := s.claimLocked(j, s.cfg.ChunkSize)
-		j.mu.Unlock()
+		w, ok := s.ClaimWork(s.cfg.ChunkSize)
 		if !ok {
-			// Nothing left to claim. Either the job is finishing (its last
-			// reports are in flight from fleet leases) or it is fully
-			// leased out — wait for reports or lease expiry to refill
-			// pending, then re-check.
 			select {
 			case <-s.ctx.Done():
-			case <-time.After(starvedPoll):
+				return
+			case <-s.wake:
 			}
 			continue
 		}
-		s.dirty.Store(true)
-
-		// Attribute checkpoint fork/converge activity to this job by
-		// differencing the study-side aggregate around the chunk. Exact
-		// with one shard; with several, a concurrent job against the
-		// same app may be credited here instead — acceptable for an
-		// efficiency indicator (the process totals stay exact).
-		var ckBefore microfi.CheckpointCounts
-		if s.cfg.CheckpointStats != nil {
-			ckBefore = s.cfg.CheckpointStats()
-		}
-		tl := campaign.RunRange(opts, r.From, r.To, fn)
-		var dForks, dConverges int64
-		if s.cfg.CheckpointStats != nil {
-			ckAfter := s.cfg.CheckpointStats()
-			dForks = ckAfter.ForkResumes - ckBefore.ForkResumes
-			dConverges = ckAfter.ConvergeHits - ckBefore.ConvergeHits
-		}
-		st, _ := s.report(j, r.From, r.To, tl, dForks, dConverges)
-		if st.State.Terminal() {
-			return
-		}
+		// Pass the wake-up on: the ledger may hold a chunk for another idle
+		// executor.
+		s.signal()
+		s.runChunk(w)
 	}
 }
 
-// finishLocked moves a job to a terminal state (j.mu held).
+// runChunk executes one claimed chunk and reports its tally; a spec the
+// source cannot resolve fails the job.
+func (s *Scheduler) runChunk(w WorkAssignment) {
+	j, ok := s.campaignJob(w.JobID)
+	if !ok {
+		return
+	}
+	fn, err := s.cfg.Source(w.Spec)
+	if err != nil {
+		j.mu.Lock()
+		if !j.state.Terminal() {
+			s.finishLocked(j, StateFailed, err.Error())
+		}
+		j.mu.Unlock()
+		return
+	}
+	// Attribute checkpoint fork/converge activity to this job by
+	// differencing the study-side aggregate around the chunk. Exact with
+	// one executor; with several, a concurrent chunk against the same app
+	// may be credited here instead — acceptable for an efficiency
+	// indicator (the process totals stay exact).
+	var ckBefore microfi.CheckpointCounts
+	if s.cfg.CheckpointStats != nil {
+		ckBefore = s.cfg.CheckpointStats()
+	}
+	opts := campaign.Options{Runs: w.Spec.Runs, Seed: w.Spec.Seed, Workers: s.cfg.WorkersPerShard}
+	tl := campaign.RunRange(opts, w.From, w.To, fn)
+	var dForks, dConverges int64
+	if s.cfg.CheckpointStats != nil {
+		ckAfter := s.cfg.CheckpointStats()
+		dForks = ckAfter.ForkResumes - ckBefore.ForkResumes
+		dConverges = ckAfter.ConvergeHits - ckBefore.ConvergeHits
+	}
+	s.report(j, w.From, w.To, tl, dForks, dConverges)
+}
+
+// finishLocked moves a job to a terminal state, dropping its unexecuted and
+// in-flight runs (j.mu held).
 func (s *Scheduler) finishLocked(j *job, st JobState, errmsg string) {
+	s.leaveQueueLocked(j)
 	j.state = st
 	j.errmsg = errmsg
 	j.finished = s.cfg.Now()
+	j.pending = nil
+	j.claimed = nil
+	s.dirty.Store(true)
 	switch st {
 	case StateDone:
 		s.metrics.jobsDone.Add(1)
@@ -491,6 +420,15 @@ func (s *Scheduler) finishLocked(j *job, st JobState, errmsg string) {
 		s.metrics.jobsCanceled.Add(1)
 	}
 	j.publishLocked(string(st))
+}
+
+// leaveQueueLocked releases a submitted job's QueueDepth slot as it leaves
+// state queued (j.mu held).
+func (s *Scheduler) leaveQueueLocked(j *job) {
+	if j.waiting {
+		j.waiting = false
+		s.waiting.Add(-1)
+	}
 }
 
 // Flush writes the checkpoint journal now. Only the merged contiguous
@@ -524,9 +462,10 @@ func (s *Scheduler) Flush() error {
 	return journal.Save(s.cfg.CheckpointPath, checkpointVersion, s.cfg.Now().Unix(), &checkpointFile{Jobs: cps})
 }
 
-// Close drains the scheduler: no new submissions, in-flight chunks finish,
-// incomplete jobs are parked as queued, and the journal is flushed one last
-// time. Safe to call more than once.
+// Close drains the scheduler: no new submissions or claims, the executors
+// stop once their in-flight chunks have reported, advise drivers park their
+// jobs, every other unfinished job is parked as queued, and the journal is
+// flushed one last time. Safe to call more than once.
 func (s *Scheduler) Close() error {
 	s.mu.Lock()
 	already := s.closed.Swap(true)
@@ -536,5 +475,12 @@ func (s *Scheduler) Close() error {
 	}
 	s.cancel()
 	s.wg.Wait()
+	for _, j := range s.jobsInOrder() {
+		j.mu.Lock()
+		if j.spec.Advise == nil && !j.state.Terminal() {
+			j.state = StateQueued
+		}
+		j.mu.Unlock()
+	}
 	return s.Flush()
 }

@@ -39,10 +39,10 @@ func TestAdviseStudyFactory(t *testing.T) {
 }
 
 // TestSubmitQueueFullTableInvariant: concurrent submissions against a
-// one-deep lane, some accepted and some refused as queue-full, never leave
-// the job table inconsistent — every ID in the submission order has a job,
-// every accepted job is listed exactly once, and no refused one is. Bounded
-// to one second; meant for -race.
+// bound of one queued job, drained by one executor, some accepted and some
+// refused as queue-full, never leave the job table inconsistent — every ID
+// in the submission order has a job, every accepted job is listed exactly
+// once, and no refused one is. Bounded to one second; meant for -race.
 func TestSubmitQueueFullTableInvariant(t *testing.T) {
 	s, err := NewScheduler(Config{
 		Source: func(JobSpec) (campaign.Experiment, error) {
@@ -94,5 +94,56 @@ func TestSubmitQueueFullTableInvariant(t *testing.T) {
 	}
 	if refused == 0 {
 		t.Log("no submission was refused; the race window went unexercised")
+	}
+}
+
+// TestQueueDepthCountsQueuedJobs: QueueDepth bounds the submitted jobs still
+// in state queued. A job leaves the bound at its first claim or when it is
+// canceled, and advise children are admitted outside it.
+func TestQueueDepthCountsQueuedJobs(t *testing.T) {
+	s, err := NewScheduler(Config{
+		Source: func(JobSpec) (campaign.Experiment, error) {
+			return func(int, *rand.Rand) faults.Result { return faults.Result{} }, nil
+		},
+		QueueDepth:       2,
+		DisableLocalExec: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	spec := JobSpec{Layer: "micro", App: "fake", Kernel: "K1", Runs: 10}
+	submit := func() error {
+		_, err := s.Submit(spec)
+		return err
+	}
+	if err := submit(); err != nil {
+		t.Fatal(err)
+	}
+	second, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := submit(); !errors.Is(err, errQueueFull) {
+		t.Fatalf("third queued job: err = %v, want queue full", err)
+	}
+	if _, err := s.admit("child", spec, false); err != nil {
+		t.Fatalf("child refused at a full queue: %v", err)
+	}
+	if _, ok := s.ClaimWork(1); !ok {
+		t.Fatal("no work to claim")
+	}
+	if err := submit(); err != nil {
+		t.Fatalf("claimed job still holds its slot: %v", err)
+	}
+	if err := submit(); !errors.Is(err, errQueueFull) {
+		t.Fatalf("queue over its depth: err = %v", err)
+	}
+	s.Cancel(second.ID)
+	if err := submit(); err != nil {
+		t.Fatalf("canceled job still holds its slot: %v", err)
+	}
+	if got := s.waiting.Load(); got != 2 {
+		t.Errorf("waiting = %d, want 2", got)
 	}
 }

@@ -66,7 +66,7 @@ const (
 	ErrCodeNotFound    = "not_found"   // no such job/worker (404)
 	ErrCodeGone        = "gone"        // lease expired and requeued (410)
 	ErrCodeUnavailable = "unavailable" // daemon draining (503)
-	ErrCodeQueueFull   = "queue_full"  // lane backlog full (429)
+	ErrCodeQueueFull   = "queue_full"  // QueueDepth submitted jobs already queued (429)
 )
 
 // WriteError answers with the unified v1 error envelope.

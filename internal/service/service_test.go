@@ -81,9 +81,10 @@ func checkEventType(t *testing.T, ev service.Event) {
 }
 
 // TestStreamOfQueuedJob attaches the event stream to a job that is provably
-// still queued — the only lane is held by another job whose first run blocks
-// until the stream has delivered its snapshot — and requires the documented
-// order: status (queued), running, progress per chunk but the last, done.
+// still queued — the only executor is held by another job whose first run
+// blocks until the stream has delivered its snapshot — and requires the
+// documented order: status (queued), running, progress per chunk but the
+// last, done.
 func TestStreamOfQueuedJob(t *testing.T) {
 	release := make(chan struct{})
 	_, srv := newTestServer(t, service.Config{
@@ -117,7 +118,7 @@ func TestStreamOfQueuedJob(t *testing.T) {
 			if ev.Type != "status" || ev.Job.State != service.StateQueued {
 				t.Errorf("first event = %q in state %q, want the status snapshot of a queued job", ev.Type, ev.Job.State)
 			}
-			close(release) // the stream is attached: let the lane go
+			close(release) // the stream is attached: let the executor go
 		}
 		if ev.Type == "running" && (ev.Job.State != service.StateRunning || ev.Job.Done != 0) {
 			t.Errorf("running event carries state %q, done %d", ev.Job.State, ev.Job.Done)
@@ -569,7 +570,7 @@ func TestPreAdviseJournalLoads(t *testing.T) {
 			t.Errorf("job %d loaded as %+v, journaled %+v", i, st, jc)
 		}
 		// A parked job re-enters the table queued (and flips to running
-		// once its lane picks it up); terminal ones stay as they were.
+		// once an executor claims its runs); terminal ones stay as they were.
 		if jc.State.Terminal() && st.State != jc.State || !jc.State.Terminal() && st.State.Terminal() {
 			t.Errorf("job %s loaded %s, journaled %s", jc.ID, st.State, jc.State)
 		}
