@@ -77,7 +77,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmodels = fs.Bool("faultmodels", false, "emit the cross-model outcome table: transient vs stuck-at vs MBU per storage structure, flip vs forced latch per control-state site (heavy: ~29 campaign sets; pair with a small -n)")
 		fmApps  = fs.String("faultmodels-apps", "", "comma-separated app subset for -faultmodels (empty = all 11 benchmarks)")
 	)
-	snap := cliutil.Snapshots(fs)
 	prof := cliutil.Profiling(fs)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -107,7 +106,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		s.Sampling = &gpurel.SamplingPolicy{Margin: target, Prune: *prune}
 		s.Counters = &adaptive.Counters{}
 	}
-	s.Checkpoint = snap.Spec()
 	all := *fig == 0 && *table == 0 && !*speed && !*fmodels
 
 	// Figures 7-11 are views over the same hardened campaigns, which the

@@ -1,7 +1,10 @@
 // Command gpufi runs a microarchitecture-level fault-injection campaign on
 // one benchmark — the gpuFI-4 workflow: pick an application, a kernel and a
 // hardware structure, inject n uniformly random single-bit flips, and report
-// the outcome distribution, failure rate, derating factor and AVF.
+// the outcome distribution, failure rate, derating factor and AVF. Faulty
+// runs fork from golden snapshots and join golden again as soon as their
+// state matches it (microfi.DefaultCheckpoint), bit-identically to brute
+// force; the checkpointing footer says how much that saved.
 //
 // Usage:
 //
@@ -11,10 +14,6 @@
 //	                        # adaptive sampling: stop each campaign at ±2.35%,
 //	                        # skip provably-dead RF and SMEM sites via the
 //	                        # dead intervals of the golden schedule trace
-//	gpufi -app VA -structure RF -n 3000 -snap-stride -1 -converge
-//	                        # checkpointed fork-and-join: faulty runs resume
-//	                        # from golden snapshots and rejoin golden early,
-//	                        # bit-identically to brute force
 //	gpufi -app VA -structure RF -n 3000 -model stuck -stuck 0
 //	                        # permanent stuck-at-0 cell defects instead of
 //	                        # transient flips
@@ -74,7 +73,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		prune      = fs.Bool("prune", false, "classify provably-dead RF and SMEM injection sites as Masked from the golden run's liveness map, without simulating")
 		list       = fs.Bool("list", false, "list benchmarks and kernels")
 	)
-	snap := cliutil.Snapshots(fs)
 	prof := cliutil.Profiling(fs)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -116,8 +114,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		job = harden.TMR(job)
 	}
 	cfg := gpu.Volta()
-	ckSpec := snap.Spec()
-	g, err := microfi.GoldenCheckpointed(job, cfg, ckSpec)
+	g, err := microfi.GoldenCheckpointed(job, cfg, microfi.DefaultCheckpoint)
 	if err != nil {
 		return fatal(err)
 	}
@@ -212,12 +209,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		tbl.AddFooter("adaptive sampling: %d simulated, %d pruned (%s), %d saved (early stop, target ±%.2f%%)",
 			counters.Simulated.Load(), counters.Pruned.Load(), how, counters.Saved.Load(), 100*target)
 	}
-	if ckSpec.Enabled() {
-		ck := g.CheckpointCounts()
-		tbl.AddFooter("checkpointing: %d snapshots (%.1f MiB, %d evicted), %d fork resumes (%d cycles skipped), %d converge joins (%d cycles skipped)",
-			ck.Snapshots, float64(ck.SnapshotBytes)/(1<<20), ck.Evictions,
-			ck.ForkResumes, ck.ForkCyclesSaved, ck.ConvergeHits, ck.ConvergeCyclesSaved)
-	}
+	ck := g.CheckpointCounts()
+	tbl.AddFooter("checkpointing: %d snapshots (%.1f MiB, %d evicted), %d fork resumes (%d cycles skipped), %d converge joins (%d cycles skipped)",
+		ck.Snapshots, float64(ck.SnapshotBytes)/(1<<20), ck.Evictions,
+		ck.ForkResumes, ck.ForkCyclesSaved, ck.ConvergeHits, ck.ConvergeCyclesSaved)
 	fmt.Fprint(stdout, tbl.String())
 	return 0
 }

@@ -13,17 +13,17 @@ const anchorRow = "RF         300   84.67%    9.67%    0.00%    5.67%   15.33%  
 
 // TestAnchorGolden: the anchor campaign prints the same table row whichever
 // evidence accelerates it, and each acceleration reports itself in the
-// footer.
+// footer. Fork-and-join is the default, so both cases fork from the same
+// 24 snapshots.
 func TestAnchorGolden(t *testing.T) {
 	base := []string{"-app", "VA", "-kernel", "K1", "-structure", "RF", "-n", "300", "-seed", "1"}
 	cases := []struct {
-		name   string
-		flags  []string
-		footer string
+		name    string
+		flags   []string
+		footers []string
 	}{
-		{"brute", nil, ""},
-		{"prune", []string{"-prune"}, "pruned (liveness)"},
-		{"fork-join", []string{"-snap-stride", "-1", "-converge"}, "checkpointing: 24 snapshots"},
+		{"fork-join", nil, []string{"checkpointing: 24 snapshots"}},
+		{"prune", []string{"-prune"}, []string{"pruned (liveness)", "checkpointing: 24 snapshots"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -35,8 +35,10 @@ func TestAnchorGolden(t *testing.T) {
 			if !strings.Contains(out, "\n"+anchorRow+"\n") {
 				t.Errorf("anchor row missing or moved:\n%s", out)
 			}
-			if !strings.Contains(out, tc.footer) {
-				t.Errorf("footer %q missing:\n%s", tc.footer, out)
+			for _, footer := range tc.footers {
+				if !strings.Contains(out, footer) {
+					t.Errorf("footer %q missing:\n%s", footer, out)
+				}
 			}
 		})
 	}
@@ -80,10 +82,11 @@ func TestUnknownKernel(t *testing.T) {
 	}
 }
 
-// TestOldSnapshotFlagsRejected: -snap-stride / -snap-mb are the only
-// spellings; the pre-rename names are a usage error.
+// TestOldSnapshotFlagsRejected: fork-and-join is not a choice, so every
+// spelling of the snapshot flags gpufi once had is a usage error.
 func TestOldSnapshotFlagsRejected(t *testing.T) {
-	for _, old := range []string{"-checkpoint", "-checkpoint-mb"} {
+	for _, name := range []string{"checkpoint", "checkpoint-mb", "snap-stride", "snap-mb", "converge"} {
+		old := "-" + name
 		var stdout, stderr bytes.Buffer
 		if code := run([]string{old, "-1"}, &stdout, &stderr); code != 2 {
 			t.Errorf("%s: exit %d, want 2", old, code)

@@ -75,6 +75,7 @@ import (
 	"gpurel/internal/adaptive"
 	"gpurel/internal/cliutil"
 	"gpurel/internal/fleet"
+	"gpurel/internal/microfi"
 	"gpurel/internal/service"
 )
 
@@ -118,13 +119,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		leaseTTL   = fs.Duration("lease-ttl", 15*time.Second, "lease heartbeat deadline; expired leases are requeued")
 		leaseSec   = fs.Float64("lease-sec", 2, "adaptive lease horizon: seconds of work granted per lease to workers with a measured throughput")
 		fleetCkpt  = fs.String("fleet-checkpoint", "gpureld.fleet.json", "fleet journal path: leases + worker registry survive a coordinator restart ('' disables)")
-		calibrate  = fs.Int("calibrate-runs", -1, "worker calibration micro-burst size measuring runs/sec (0 disables, negative = default)")
-		snapBudget = fs.Int("worker-snap-mb", 0, "worker capability report: snapshot memory budget in MiB")
 	)
-	// Machine-snapshot knobs (fork-and-join injection): the default for jobs
-	// that carry no "checkpoint" group; named snap-* to stay clear of
-	// -checkpoint, the job-journal path above.
-	snap := cliutil.Snapshots(fs)
 	prof := cliutil.Profiling(fs)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -144,17 +139,17 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	defer stopProf()
 
 	// The daemon's study exists for its golden-run memoisation; campaign
-	// sizing and seeds come from each job spec. The adaptive counters are
-	// shared between the study (which increments them as experiments run)
-	// and the scheduler's /metrics exporter.
+	// sizing and seeds come from each job spec, and jobs without a
+	// "checkpoint" group fork and join by the study default. The adaptive
+	// counters are shared between the study (which increments them as
+	// experiments run) and the scheduler's /metrics exporter.
 	counters := &adaptive.Counters{}
 	study := gpurel.NewStudy(0, *seed)
 	study.Counters = counters
-	study.Checkpoint = snap.Spec()
 	source := service.NewStudySource(study)
 
 	if *workerMode {
-		return runWorker(ctx, logger, source, *join, *workerID, *chunk, *workers, *leaseRuns, *calibrate, *snapBudget)
+		return runWorker(ctx, logger, source, *join, *workerID, *chunk, *workers, *leaseRuns)
 	}
 
 	sched, err := service.NewScheduler(service.Config{
@@ -242,20 +237,20 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 // runWorker joins a coordinator and executes leases until ctx is done; the
 // drain path returns the open lease's unexecuted remainder so the
 // coordinator requeues it without waiting out the TTL.
-func runWorker(ctx context.Context, logger *log.Logger, source service.SourceFunc, join, id string, chunk, campaignWorkers, maxRuns, calibrateRuns, snapMB int) int {
+func runWorker(ctx context.Context, logger *log.Logger, source service.SourceFunc, join, id string, chunk, campaignWorkers, maxRuns int) int {
 	if join == "" {
 		logger.Print("gpureld: -worker requires -join <coordinator URL>")
 		return 1
 	}
 	w, err := fleet.NewWorker(fleet.WorkerConfig{
-		ID:            id,
-		Client:        client.New(join),
-		Source:        source,
-		Chunk:         chunk,
-		Workers:       campaignWorkers,
-		MaxRuns:       maxRuns,
-		CalibrateRuns: calibrateRuns,
-		Caps:          service.WorkerCaps{SnapMB: snapMB},
+		ID:      id,
+		Client:  client.New(join),
+		Source:  source,
+		Chunk:   chunk,
+		Workers: campaignWorkers,
+		MaxRuns: maxRuns,
+		// The snapshot budget of the study default's golden runs.
+		Caps: service.WorkerCaps{SnapMB: microfi.DefaultCheckpointBudget >> 20},
 	})
 	if err != nil {
 		logger.Printf("gpureld: %v", err)

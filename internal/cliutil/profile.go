@@ -1,8 +1,7 @@
-// Package cliutil carries the small shared pieces of the command-line
-// tools: the profiling flags — the hot-loop work in this repo is driven by
-// pprof evidence (see docs/perf.md), so every binary that runs campaigns can
-// capture profiles of real workloads without a rebuild — and the snapshot
-// flags of checkpointed fork-and-join injection.
+// Package cliutil carries the profiling flags the command-line tools share:
+// the hot-loop work in this repo is driven by pprof evidence (see
+// docs/perf.md), so every binary that runs campaigns can capture profiles
+// of real workloads without a rebuild.
 package cliutil
 
 import (

@@ -1,5 +1,6 @@
 // TestFleetStatusArtifact runs a small two-worker, two-tenant campaign with
-// registered, calibrated workers, pins the fleet-status document's shape,
+// registered workers, one measuring its throughput from its first chunk,
+// pins the fleet-status document's shape,
 // and — when GPUREL_FLEET_JSON names a path — writes the document for the
 // CI artifact (uploaded as fleet_status.json).
 package fleet_test
@@ -40,12 +41,12 @@ func TestFleetStatusArtifact(t *testing.T) {
 		ids = append(ids, st.ID)
 	}
 
-	// Two registered workers with distinct capability reports: one
-	// calibrated by the startup micro-burst, one with a declared rate.
+	// Two registered workers with distinct capability reports: one whose
+	// rate its chunks measure, one with a declared rate.
 	startWorker(t, fleet.WorkerConfig{
 		ID: "art-a", Client: client.New(srv.URL), Source: synthSource(50 * time.Microsecond),
 		Chunk: 60, Workers: 2, Poll: 2 * time.Millisecond, Backoff: testBackoff,
-		CalibrateRuns: 64, Caps: service.WorkerCaps{SnapMB: 256},
+		Caps: service.WorkerCaps{SnapMB: 256},
 	})
 	startWorker(t, fleet.WorkerConfig{
 		ID: "art-b", Client: client.New(srv.URL), Source: synthSource(50 * time.Microsecond),
@@ -59,9 +60,21 @@ func TestFleetStatusArtifact(t *testing.T) {
 		}
 	}
 
-	fs, err := c.FleetStatus(ctx)
-	if err != nil {
-		t.Fatal(err)
+	// A measured rate reaches the registry with the first lease request
+	// after the worker's first chunk report.
+	var fs service.FleetStatus
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		var err error
+		if fs, err = c.FleetStatus(ctx); err != nil {
+			t.Fatal(err)
+		}
+		measured := true
+		for _, w := range fs.Workers {
+			measured = measured && w.Caps.RunsPerSec > 0
+		}
+		if measured || time.Now().After(deadline) {
+			break
+		}
 	}
 	if len(fs.Workers) != 2 || fs.Workers[0].Name != "art-a" || fs.Workers[1].Name != "art-b" {
 		t.Fatalf("workers = %+v, want [art-a art-b]", fs.Workers)
@@ -72,7 +85,7 @@ func TestFleetStatusArtifact(t *testing.T) {
 			t.Errorf("worker %s not registered", w.Name)
 		}
 		if w.Caps.RunsPerSec <= 0 {
-			t.Errorf("worker %s reported no throughput (calibration or declared rate missing): %+v", w.Name, w.Caps)
+			t.Errorf("worker %s reported no throughput (measured or declared rate missing): %+v", w.Name, w.Caps)
 		}
 		runsDone += w.RunsDone
 	}

@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -103,35 +104,48 @@ func killMidCampaign(t *testing.T, dir string) {
 		t.Fatal(err)
 	}
 
+	// Once both jobs have made real progress, the crash happens inside a
+	// run, so the worker executing it holds an open lease whatever the
+	// other one is doing: the coordinator's loops stop, and the stand-in
+	// for the last periodic flush journals that lease.
+	var kill sync.Once
+	killed := make(chan struct{})
+	source := killResumeSource(300 * time.Microsecond)
+	crashing := func(spec service.JobSpec) (campaign.Experiment, error) {
+		fn, err := source(spec)
+		if err != nil {
+			return nil, err
+		}
+		return func(run int, rng *rand.Rand) faults.Result {
+			f, _ := sched1.Get(fixed.ID)
+			a, _ := sched1.Get(adapt.ID)
+			if f.Done >= 200 && a.Done >= 200 {
+				kill.Do(func() {
+					coord1.Kill()
+					if err := coord1.Flush(); err != nil {
+						t.Error(err)
+					}
+					close(killed)
+				})
+			}
+			return fn(run, rng)
+		}, nil
+	}
 	for i, id := range []string{"ka", "kb"} {
 		startWorker(t, fleet.WorkerConfig{
-			ID: id, Client: client.New(srv1.URL), Source: killResumeSource(300 * time.Microsecond),
+			ID: id, Client: client.New(srv1.URL), Source: crashing,
 			Chunk: []int{40, 70}[i], Workers: 1, Poll: time.Millisecond, Backoff: testBackoff,
 		})
 	}
 
-	// Let both jobs make real progress before the crash; the journal then
-	// holds whatever the last periodic flush captured.
-	deadline := time.Now().Add(20 * time.Second)
-	for {
+	select {
+	case <-killed:
+	case <-time.After(20 * time.Second):
 		f, _ := sched1.Get(fixed.ID)
 		a, _ := sched1.Get(adapt.ID)
-		if f.Done >= 200 && a.Done >= 200 {
-			break
-		}
-		if f.State.Terminal() && a.State.Terminal() {
-			t.Fatal("both jobs finished before the kill; slow the source down")
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no progress before kill: fixed %+v adaptive %+v", f, a)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if err := coord1.Flush(); err != nil { // stand-in for the last periodic flush
-		t.Fatal(err)
+		t.Fatalf("no kill after 200 runs of each job: fixed %+v adaptive %+v", f, a)
 	}
 	srv1.Close() // workers lose the coordinator mid-lease
-	coord1.Kill()
 	if err := sched1.Close(); err != nil {
 		t.Fatal(err)
 	}

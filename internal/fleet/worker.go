@@ -39,13 +39,9 @@ type WorkerConfig struct {
 	// 5 tries, 100ms base, 5s cap, full jitter).
 	Backoff client.Backoff
 	// Caps is the worker's static capability report (snapshot budget,
-	// supported fault models). RunsPerSec is usually left zero and filled
-	// by the calibration micro-burst, then refined from live chunk timings.
+	// supported fault models). RunsPerSec is usually left zero: the first
+	// chunk the worker executes measures it, and later chunks refine it.
 	Caps service.WorkerCaps
-	// CalibrateRuns sizes the startup calibration micro-burst measuring
-	// RunsPerSec (0 = skip; Caps.RunsPerSec, if set, is used as-is).
-	// Negative values use DefaultCalibrateRuns.
-	CalibrateRuns int
 }
 
 func (c WorkerConfig) withDefaults() WorkerConfig {
@@ -74,7 +70,7 @@ type Worker struct {
 	// runs counts runs this worker executed (reported or not).
 	runs atomic.Int64
 	// rps is the live throughput estimate in runs/sec (Float64bits),
-	// seeded by calibration and refined per chunk (EWMA). It rides every
+	// seeded by the first chunk and refined per chunk (EWMA). It rides every
 	// lease request so the coordinator's adaptive sizing tracks reality.
 	rps atomic.Uint64
 }
@@ -122,14 +118,12 @@ func (w *Worker) observeThroughput(runs int, elapsed time.Duration) {
 // Run pulls and executes leases until ctx ends (the drain path: any open
 // lease's unexecuted remainder is returned to the coordinator and the
 // worker announces its departure) or the coordinator stays unreachable past
-// the retry budget. At startup the worker calibrates its throughput (when
-// configured) and registers its capability report — best-effort, so it
-// still interoperates with coordinators predating the registry.
+// the retry budget. At startup the worker registers its capability report
+// — best-effort, so it still interoperates with coordinators predating the
+// registry.
 func (w *Worker) Run(ctx context.Context) error {
 	if w.cfg.Caps.RunsPerSec > 0 {
 		w.rps.Store(math.Float64bits(w.cfg.Caps.RunsPerSec))
-	} else if w.cfg.CalibrateRuns != 0 {
-		w.rps.Store(math.Float64bits(Calibrate(w.cfg.CalibrateRuns, w.cfg.Workers)))
 	}
 	w.register(ctx)
 	defer w.drainAnnounce()

@@ -31,6 +31,13 @@ const (
 	DefaultCheckpointBudget = 256 << 20
 )
 
+// DefaultCheckpoint is how every front end builds its golden runs: about
+// DefaultSnapshots checkpoints within DefaultCheckpointBudget, and faulty
+// runs that join golden again at the first matching one. The zero
+// CheckpointSpec — brute force — is the reference path it is checked
+// against.
+var DefaultCheckpoint = CheckpointSpec{Stride: AutoStride, Converge: true}
+
 // CheckpointSpec configures checkpointed injection for a golden run.
 type CheckpointSpec struct {
 	// Stride is the snapshot interval in cycles: 0 disables checkpointing,
@@ -48,9 +55,9 @@ type CheckpointSpec struct {
 // Enabled reports whether the spec turns checkpointing on.
 func (c CheckpointSpec) Enabled() bool { return c.Stride != 0 }
 
-// NewCheckpointSpec builds a spec from the three values users set — the
-// -snap-stride/-snap-mb/-converge flags and the wire's "checkpoint" group:
-// the budget arrives in MiB, and converge alone implies AutoStride.
+// NewCheckpointSpec builds a spec from the three values of the wire's
+// "checkpoint" group: the budget arrives in MiB, and converge alone implies
+// AutoStride.
 func NewCheckpointSpec(stride, budgetMB int64, converge bool) CheckpointSpec {
 	if converge && stride == 0 {
 		stride = AutoStride

@@ -52,7 +52,7 @@ func TestCheckpointSpecWire(t *testing.T) {
 		t.Fatalf("converge-only spec: %+v", p.Checkpoint)
 	}
 
-	// Neither set: no checkpointing requested.
+	// No group: the point carries no spec, so the study default applies.
 	sp.Checkpoint = nil
 	if p, _ = sp.Point(); p.Checkpoint != nil {
 		t.Fatalf("plain spec grew a checkpoint: %+v", p.Checkpoint)

@@ -24,16 +24,16 @@ import (
 // Every error response uses the unified envelope {"error":{"code","message"}}.
 
 // WorkerCaps is a worker's capability report: what the coordinator needs to
-// size leases for it. RunsPerSec is measured (a calibration micro-burst at
-// startup, refined by the worker's live throughput as chunks complete and
-// resent with each lease request), not configured.
+// size leases for it. RunsPerSec is measured (the worker's live throughput
+// as chunks complete, resent with each lease request), not configured.
 type WorkerCaps struct {
 	// RunsPerSec is the worker's measured campaign throughput. The
 	// coordinator multiplies it by its lease horizon to size grants
 	// (adaptive lease sizing); 0 means unknown and falls back to the
 	// fixed default.
 	RunsPerSec float64 `json:"runs_per_sec,omitempty"`
-	// SnapMB is the worker's machine-snapshot memory budget in MiB.
+	// SnapMB is the machine-snapshot memory budget in MiB the worker's
+	// golden runs are built under by default.
 	SnapMB int `json:"snap_mb,omitempty"`
 	// FaultModels lists the fault-model names this worker's binary supports
 	// (transient, stuck, mbu, control). Empty = all models.

@@ -61,11 +61,15 @@ type SamplingSpec struct {
 // SnapshotSpec is the checkpointed fork-and-join group of the v1 job spec
 // (micro layer): the app's golden run snapshots machine state so faulty runs
 // resume from the nearest snapshot below their injection cycle,
-// bit-identically to brute force. Golden runs are built once per
-// (app, process): the first job to evaluate an app fixes its configuration.
+// bit-identically to brute force. An absent group, or one that turns
+// nothing on (stride 0, no converge), means the daemon's default:
+// microfi.DefaultCheckpoint, auto stride with converge joins. Golden runs
+// are built once per (app, process): the first job to evaluate an app fixes
+// its configuration.
 type SnapshotSpec struct {
 	// Stride is the snapshot interval in cycles. Negative = auto (about
-	// microfi.DefaultSnapshots checkpoints); 0 = off unless Converge is set.
+	// microfi.DefaultSnapshots checkpoints); 0 = auto when Converge is set,
+	// else the default.
 	Stride int64 `json:"stride,omitempty"`
 	// BudgetMB bounds retained snapshot memory in MiB; the stride
 	// auto-widens to fit. 0 = microfi.DefaultCheckpointBudget, negative =
@@ -133,7 +137,8 @@ type JobSpec struct {
 	// Sampling is the adaptive-sampling group (nil = the paper's fixed-n
 	// methodology).
 	Sampling *SamplingSpec `json:"sampling,omitempty"`
-	// Checkpoint is the fork-and-join snapshot group (nil = brute force).
+	// Checkpoint is the fork-and-join snapshot group (nil = the daemon's
+	// default, microfi.DefaultCheckpoint).
 	Checkpoint *SnapshotSpec `json:"checkpoint,omitempty"`
 	// Fault is the fault-model group (nil = transient single-bit flip).
 	// Micro layer only; control structures (SCHED/STACK/BARRIER) require

@@ -68,10 +68,10 @@ type LeaseRequest struct {
 	Worker string `json:"worker"`
 	// MaxRuns caps the granted range (0 = coordinator default).
 	MaxRuns int `json:"max_runs,omitempty"`
-	// RunsPerSec is the worker's current measured throughput (its
-	// calibration micro-burst, refined by live chunk timings). The
-	// coordinator folds it into the registry's capability record and sizes
-	// the grant from it; 0 = unknown.
+	// RunsPerSec is the worker's current measured throughput (its live
+	// chunk timings). The coordinator folds it into the registry's
+	// capability record and sizes the grant from it; 0 = unknown, as before
+	// the worker's first chunk.
 	RunsPerSec float64 `json:"runs_per_sec,omitempty"`
 }
 

@@ -19,7 +19,7 @@
 // a capture copies only those, sharing the rest with the base by aliasing
 // its pages. Consecutive checkpoints of a long run therefore cost
 // proportional to the write working-set between them, not the machine size,
-// which multiplies how many checkpoints fit in a -snap-mb budget. Restores
+// which multiplies how many checkpoints fit in a snapshot budget. Restores
 // and convergence checks use the same provenance to skip pages that are
 // provably already identical.
 package sim
@@ -425,10 +425,10 @@ func (r *runner) matches(s *Snapshot) bool {
 	if len(r.sms) != len(s.sms) {
 		return false
 	}
-	// Last-diff probe: a not-yet-converged run usually stays diverged at the
-	// very storage page that failed the previous compare (the flipped word
-	// persists until overwritten), so checking that one page first turns the
-	// common failing compare into a single-page memcmp. Purely derived state:
+	// Last-diff probe: a run that has not converged yet usually stays
+	// diverged at the very storage page that failed the previous compare
+	// (the flipped word persists until overwritten), so checking that one
+	// page first turns the common failing compare into a single-page memcmp. Purely derived state:
 	// a stale probe just falls through to the full compare.
 	if d := r.lastDiff; d.valid && d.sm < len(r.sms) {
 		sm, ss := r.sms[d.sm], &s.sms[d.sm]
@@ -478,9 +478,9 @@ func (r *runner) smEqual(idx int, sm *SM, src *smSnap, base *smSnap) bool {
 	if !slices.Equal(sm.rfAlloc.free, src.rfFree) || !slices.Equal(sm.smAlloc.free, src.smFree) {
 		return false
 	}
-	// Register and shared-memory pages before cache sets: a not-yet-converged
-	// run usually differs there first, and the last-diff probe remembers
-	// those pages only.
+	// Register and shared-memory pages before cache sets: a run that has not
+	// converged yet usually differs there first, and the last-diff probe
+	// remembers those pages only.
 	rfBase, smBase, l1dBase, l1tBase := base.shared()
 	if p := pagesEqual(sm.RF, src.rfPages, sm.rfDirty, rfBase, rfPageWords); p >= 0 {
 		r.lastDiff = diffProbe{valid: true, sm: idx, page: p}

@@ -60,10 +60,11 @@ type Study struct {
 
 	// Checkpoint is the default checkpointed-injection spec applied when an
 	// application's golden runs are first built (PointSpec.Checkpoint
-	// overrides it for points evaluated before then). The zero value keeps
-	// plain brute-force goldens. Like Sampling it tunes how points are
-	// simulated, not what they measure: campaign tallies are bit-identical
-	// either way (microfi.GoldenCheckpointed).
+	// overrides it for points evaluated before then). NewStudy sets
+	// microfi.DefaultCheckpoint, fork-and-join; the zero value keeps plain
+	// brute-force goldens, the reference path. Like Sampling it tunes how
+	// points are simulated, not what they measure: campaign tallies are
+	// bit-identical either way (microfi.GoldenCheckpointed).
 	Checkpoint microfi.CheckpointSpec
 
 	mu      sync.Mutex
@@ -71,14 +72,16 @@ type Study struct {
 	tallies map[string]campaign.Tally // keyed by PointSpec.identity()
 }
 
-// NewStudy returns a study over the default scaled-Volta chip.
+// NewStudy returns a study over the default scaled-Volta chip whose
+// micro-level campaigns fork and join (microfi.DefaultCheckpoint).
 func NewStudy(runs int, seed int64) *Study {
 	return &Study{
-		Cfg:     gpu.Volta(),
-		Runs:    runs,
-		Seed:    seed,
-		apps:    map[string]*AppEval{},
-		tallies: map[string]campaign.Tally{},
+		Cfg:        gpu.Volta(),
+		Runs:       runs,
+		Seed:       seed,
+		Checkpoint: microfi.DefaultCheckpoint,
+		apps:       map[string]*AppEval{},
+		tallies:    map[string]campaign.Tally{},
 	}
 }
 
@@ -446,9 +449,10 @@ func (s *Study) runPoint(spec PointSpec) (campaign.Tally, error) {
 	if spec.Sampling == nil {
 		spec.Sampling = s.Sampling
 	}
-	if spec.Checkpoint == nil && s.Checkpoint.Enabled() {
-		// Propagate the study default into the spec so a RunPoint hook
-		// (e.g. the gpureld daemon) accelerates the point the same way.
+	if spec.Checkpoint == nil && s.Checkpoint.Enabled() && s.Checkpoint != microfi.DefaultCheckpoint {
+		// Propagate a non-default study spec into the spec so a RunPoint
+		// hook (e.g. the gpureld daemon) accelerates the point the same
+		// way; the default travels as no spec, which means the same there.
 		ck := s.Checkpoint
 		spec.Checkpoint = &ck
 	}

@@ -67,6 +67,11 @@ func TestSoftCheckpointCounts(t *testing.T) {
 	if c := s.SoftCheckpointCounts(); c != (softfi.CheckpointCounts{}) {
 		t.Fatalf("empty study: %+v", c)
 	}
+	// Building VA takes its micro snapshots; the soft campaigns must add none.
+	if _, err := s.Eval("VA"); err != nil {
+		t.Fatal(err)
+	}
+	before := s.CheckpointCounts()
 	for _, hardened := range []bool{false, true} {
 		if _, err := s.SoftTally("VA", "K1", softfi.SVF, hardened); err != nil {
 			t.Fatal(err)
@@ -86,8 +91,26 @@ func TestSoftCheckpointCounts(t *testing.T) {
 			t.Errorf("no CTA taken from the record: %+v", sk)
 		}
 	}
-	if m := s.CheckpointCounts(); m.ForkResumes != 0 || m.ConvergeHits != 0 || m.Snapshots != 0 {
-		t.Errorf("soft campaigns moved the micro ledger: %+v", m)
+	if m := s.CheckpointCounts(); m.ForkResumes != 0 || m.ForkCyclesSaved != 0 || m.ConvergeHits != 0 ||
+		m.ConvergeCyclesSaved != 0 || m.ConvergeDisabled != 0 || m.Snapshots != before.Snapshots {
+		t.Errorf("soft campaigns moved the micro ledger: %+v, before them %+v", m, before)
+	}
+}
+
+// TestNewStudyForksAndJoins: a study as NewStudy returns it runs the anchor
+// campaign (VA/K1/RF, 300 runs, campaign seed 1) by fork-and-join, and
+// tallies what brute force does.
+func TestNewStudyForksAndJoins(t *testing.T) {
+	s := NewStudy(300, 1)
+	fn, err := s.PointExperiment(PointSpec{Layer: LayerMicro, App: "VA", Kernel: "K1", Structure: gpu.RF})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tl := campaign.Run(campaign.Options{Runs: 300, Seed: 1}, fn); tl.Counts != [4]int{254, 29, 0, 17} {
+		t.Errorf("anchor tallied %v, want [254 29 0 17]", tl.Counts)
+	}
+	if c := s.CheckpointCounts(); c.ForkResumes == 0 || c.ConvergeHits == 0 {
+		t.Errorf("the default study did not fork and join: %+v", c)
 	}
 }
 
