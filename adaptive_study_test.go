@@ -6,17 +6,26 @@ import (
 	"gpurel/internal/adaptive"
 	"gpurel/internal/campaign"
 	"gpurel/internal/gpu"
+	"gpurel/internal/microfi"
 )
 
+// bruteStudy is the oracle every default study is checked against: plain
+// golden runs, no fork, no join, nothing pruned.
+func bruteStudy(runs int, seed int64) *Study {
+	s := NewStudy(runs, seed)
+	s.Checkpoint = microfi.CheckpointSpec{}
+	return s
+}
+
 // TestPrunedPointEquivalence is the end-to-end bit-exactness property on a
-// real kernel: a pruned campaign point classifies every run identically to
-// the brute-force campaign over the same seeds, so the tallies match exactly
-// — while actually skipping simulations (prune hits > 0).
+// real kernel: the default study's pruned campaign point classifies every
+// run identically to the brute-force campaign over the same seeds, so the
+// tallies match exactly — while actually skipping simulations (prune hits
+// > 0).
 func TestPrunedPointEquivalence(t *testing.T) {
 	const runs = 60
-	plain := NewStudy(runs, 5)
+	plain := bruteStudy(runs, 5)
 	pruned := NewStudy(runs, 5)
-	pruned.Sampling = &SamplingPolicy{Prune: true}
 	pruned.Counters = &adaptive.Counters{}
 
 	for _, hardened := range []bool{false, true} {
@@ -40,18 +49,17 @@ func TestPrunedPointEquivalence(t *testing.T) {
 	}
 }
 
-// TestPrunedSmemPoint: Prune covers shared memory too — the interval map
-// holds its dead intervals as it holds the register file's — so an SMEM
-// point prunes runs and still tallies bit-identically to brute force.
+// TestPrunedSmemPoint: pruning covers shared memory too — the interval map
+// holds its dead intervals as it holds the register file's — so a default
+// SMEM point prunes runs and still tallies bit-identically to brute force.
 func TestPrunedSmemPoint(t *testing.T) {
 	spec := PointSpec{Layer: LayerMicro, App: "BackProp", Structure: gpu.SMEM}
-	want, err := NewStudy(40, 1).Tally(spec)
+	want, err := bruteStudy(40, 1).Tally(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pruned := NewStudy(40, 1)
 	pruned.Counters = &adaptive.Counters{}
-	spec.Sampling = &SamplingPolicy{Prune: true}
 	got, err := pruned.Tally(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +79,6 @@ func TestPrunedSmemPoint(t *testing.T) {
 func TestStratifiedPointEquivalence(t *testing.T) {
 	const runs = 80
 	s := NewStudy(runs, 9)
-	s.Sampling = &SamplingPolicy{Prune: true}
 	s.Counters = &adaptive.Counters{}
 	pol := adaptive.StratifiedPolicy{
 		Policy: adaptive.Policy{Margin: 0.3, Batch: 20, MinRuns: 20},
@@ -89,7 +96,7 @@ func TestStratifiedPointEquivalence(t *testing.T) {
 		t.Fatalf("expected %d strata, got %d/%d", gpu.NumStructures, len(structs), len(results))
 	}
 
-	ref := NewStudy(runs, 9)
+	ref := bruteStudy(runs, 9)
 	total := 0
 	for i, st := range gpu.Structures {
 		got := results[i].Tally

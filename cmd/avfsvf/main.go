@@ -73,7 +73,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		daemon  = fs.String("daemon", "", "submit campaigns to a running gpureld at this base URL instead of computing locally")
 		adapt   = fs.Bool("adaptive", false, "adaptive sampling: stop each campaign point early once its Wilson 99% CI half-width reaches the target margin")
 		margin  = fs.Float64("margin", 0, "target 99% CI half-width for -adaptive (0 = the worst-case margin of -n); implies -adaptive")
-		prune   = fs.Bool("prune", false, "liveness-guided pruning of RF and SMEM injections (bit-identical to brute force)")
 		fmodels = fs.Bool("faultmodels", false, "emit the cross-model outcome table: transient vs stuck-at vs MBU per storage structure, flip vs forced latch per control-state site (heavy: ~29 campaign sets; pair with a small -n)")
 		fmApps  = fs.String("faultmodels-apps", "", "comma-separated app subset for -faultmodels (empty = all 11 benchmarks)")
 	)
@@ -98,12 +97,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *daemon != "" {
 		s.RunPoint = client.New(*daemon).RunPoint(context.Background())
 	}
-	if *adapt || *margin > 0 || *prune {
+	if *adapt || *margin > 0 {
 		target := *margin
 		if *adapt && target == 0 {
 			target = campaign.WorstCaseMargin99(*n)
 		}
-		s.Sampling = &gpurel.SamplingPolicy{Margin: target, Prune: *prune}
+		s.Sampling = &gpurel.SamplingPolicy{Margin: target}
 		s.Counters = &adaptive.Counters{}
 	}
 	all := *fig == 0 && *table == 0 && !*speed && !*fmodels

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"gpurel/internal/campaign"
@@ -115,5 +116,17 @@ func TestUsageErrors(t *testing.T) {
 	stderr.Reset()
 	if code := run([]string{"-faultmodels", "-faultmodels-apps", "NoSuchApp", "-n", "1"}, &stdout, &stderr); code != 1 || stdout.Len() != 0 {
 		t.Errorf("unknown app: exit %d, stdout %q, stderr %q", code, stdout.String(), stderr.String())
+	}
+}
+
+// TestPruneFlagRejected: pruning is how every study runs, so the -prune
+// flag avfsvf once had is a usage error.
+func TestPruneFlagRejected(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-prune", "-fig", "12"}, &stdout, &stderr); code != 2 || stdout.Len() != 0 {
+		t.Errorf("-prune: exit %d, stdout %q, want 2 and nothing", code, stdout.String())
+	}
+	if !strings.Contains(stderr.String(), "flag provided but not defined: -prune") {
+		t.Errorf("-prune: stderr %q", stderr.String())
 	}
 }

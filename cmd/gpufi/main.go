@@ -3,17 +3,17 @@
 // hardware structure, inject n uniformly random single-bit flips, and report
 // the outcome distribution, failure rate, derating factor and AVF. Faulty
 // runs fork from golden snapshots and join golden again as soon as their
-// state matches it (microfi.DefaultCheckpoint), bit-identically to brute
-// force; the checkpointing footer says how much that saved.
+// state matches it, and transient RF and SMEM draws that land in provably
+// dead storage classify as Masked without being simulated
+// (microfi.DefaultCheckpoint), all bit-identically to brute force; the
+// footers say how much that saved.
 //
 // Usage:
 //
 //	gpufi -app SRADv1 -kernel K4 -structure RF -n 3000 [-seed 1] [-tmr] [-burst 1]
 //	gpufi -app VA -structure all -n 1000
-//	gpufi -app VA -structure all -n 3000 -adaptive -prune
-//	                        # adaptive sampling: stop each campaign at ±2.35%,
-//	                        # skip provably-dead RF and SMEM sites via the
-//	                        # dead intervals of the golden schedule trace
+//	gpufi -app VA -structure all -n 3000 -adaptive
+//	                        # adaptive sampling: stop each campaign at ±2.35%
 //	gpufi -app VA -structure RF -n 3000 -model stuck -stuck 0
 //	                        # permanent stuck-at-0 cell defects instead of
 //	                        # transient flips
@@ -70,7 +70,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		lines      = fs.Int("lines", 1, "adjacent rows/lines an MBU cluster spans (-model mbu)")
 		adaptiveOn = fs.Bool("adaptive", false, "stop each campaign early once the Wilson-score 99% CI half-width reaches the target margin")
 		margin     = fs.Float64("margin", 0, "target 99% CI half-width for -adaptive (0 = the paper's ±2.35%); implies -adaptive")
-		prune      = fs.Bool("prune", false, "classify provably-dead RF and SMEM injection sites as Masked from the golden run's liveness map, without simulating")
 		list       = fs.Bool("list", false, "list benchmarks and kernels")
 	)
 	prof := cliutil.Profiling(fs)
@@ -120,15 +119,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "golden run: %d cycles, %d launches\n", g.Res.Cycles, len(g.Res.Spans))
 
-	// -prune reads the RF and SMEM dead intervals of one golden schedule
-	// trace.
-	var static *microfi.StaticIntervals
-	if *prune {
-		if static, err = microfi.TraceStatic(job, cfg); err != nil {
-			return fatal(err)
-		}
-	}
-
 	var structures []gpu.Structure
 	switch *structure {
 	case "all":
@@ -162,6 +152,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Header: []string{"Structure", "n", "Masked", "SDC", "Timeout", "DUE", "FR", "±99%", "DF", "AVF"},
 	}
 	counters := &adaptive.Counters{}
+	var si *microfi.StaticIntervals // traced for the first target that can prune
 	var structAVFs []metrics.StructAVF
 	for _, st := range structures {
 		if err := fspec.ValidateFor(st); err != nil {
@@ -172,10 +163,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fatal(err)
 		}
 		tgt := microfi.Target{Structure: st, Kernel: *kernel, IncludeVote: *tmr, Model: mdl}
-		// With no evidence, or on a structure the intervals do not cover,
-		// InjectStatic is exactly Inject.
+		if si == nil && tgt.Prunable() {
+			if si, err = microfi.TraceStatic(job, cfg); err != nil {
+				return fatal(err)
+			}
+		}
+		// On a target that cannot prune, InjectStatic is exactly Inject.
 		exp := counters.Instrument(func(run int, rng *rand.Rand) (faults.Result, bool) {
-			return microfi.InjectStatic(job, g, static, tgt, rng)
+			return microfi.InjectStatic(job, g, si, tgt, rng)
 		})
 		opts := campaign.Options{Runs: *n, Seed: *seed, Workers: *workers}
 		var tl campaign.Tally
@@ -201,13 +196,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		tbl.AddFooter("full-chip AVF (size-weighted): %s  [SDC %s, Timeout %s, DUE %s]",
 			report.Pct(chip.Total()), report.Pct(chip.SDC), report.Pct(chip.Timeout), report.Pct(chip.DUE))
 	}
-	if target > 0 || static != nil {
-		how := "none"
-		if *prune {
-			how = "liveness"
-		}
-		tbl.AddFooter("adaptive sampling: %d simulated, %d pruned (%s), %d saved (early stop, target ±%.2f%%)",
-			counters.Simulated.Load(), counters.Pruned.Load(), how, counters.Saved.Load(), 100*target)
+	if target > 0 || si != nil {
+		tbl.AddFooter("adaptive sampling: %d simulated, %d pruned (liveness), %d saved (early stop, target ±%.2f%%)",
+			counters.Simulated.Load(), counters.Pruned.Load(), counters.Saved.Load(), 100*target)
 	}
 	ck := g.CheckpointCounts()
 	tbl.AddFooter("checkpointing: %d snapshots (%.1f MiB, %d evicted), %d fork resumes (%d cycles skipped), %d converge joins (%d cycles skipped)",

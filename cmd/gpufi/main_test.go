@@ -11,61 +11,49 @@ import (
 // as gpufi prints it.
 const anchorRow = "RF         300   84.67%    9.67%    0.00%    5.67%   15.33%  ±5.35%   0.2188    3.35%"
 
-// TestAnchorGolden: the anchor campaign prints the same table row whichever
-// evidence accelerates it, and each acceleration reports itself in the
-// footer. Fork-and-join is the default, so both cases fork from the same
-// 24 snapshots.
+// TestAnchorGolden: the anchor campaign prints the brute-force table row
+// while it forks from the 24 snapshots and prunes dead draws, and each
+// acceleration reports itself in the footer.
 func TestAnchorGolden(t *testing.T) {
-	base := []string{"-app", "VA", "-kernel", "K1", "-structure", "RF", "-n", "300", "-seed", "1"}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-app", "VA", "-kernel", "K1", "-structure", "RF", "-n", "300", "-seed", "1"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
+	}
+	out := stdout.String()
+	if !strings.Contains(out, "\n"+anchorRow+"\n") {
+		t.Errorf("anchor row missing or moved:\n%s", out)
+	}
 	cases := []struct {
-		name    string
-		flags   []string
-		footers []string
+		name   string
+		footer string
 	}{
-		{"fork-join", nil, []string{"checkpointing: 24 snapshots"}},
-		{"prune", []string{"-prune"}, []string{"pruned (liveness)", "checkpointing: 24 snapshots"}},
+		{"fork-join", "checkpointing: 24 snapshots"},
+		{"prune", "pruned (liveness)"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var stdout, stderr bytes.Buffer
-			if code := run(append(base[:len(base):len(base)], tc.flags...), &stdout, &stderr); code != 0 {
-				t.Fatalf("exit %d, stderr: %s", code, stderr.String())
-			}
-			out := stdout.String()
-			if !strings.Contains(out, "\n"+anchorRow+"\n") {
-				t.Errorf("anchor row missing or moved:\n%s", out)
-			}
-			for _, footer := range tc.footers {
-				if !strings.Contains(out, footer) {
-					t.Errorf("footer %q missing:\n%s", footer, out)
-				}
+			if !strings.Contains(out, tc.footer) {
+				t.Errorf("footer %q missing:\n%s", tc.footer, out)
 			}
 		})
 	}
 }
 
-// TestBothPrunersCoverSmem: -prune covers shared memory as well as the
+// bruteSmemRow is the BackProp SMEM n=40 seed=1 row as brute force prints
+// it, captured before pruning became how gpufi runs.
+const bruteSmemRow = "SMEM       40   90.00%   10.00%    0.00%    0.00%   10.00%  ±12.67%   0.0301    0.30%"
+
+// TestBothPrunersCoverSmem: pruning covers shared memory as well as the
 // register file — both read the dead intervals of one golden schedule trace
-// — so an SMEM campaign is pruned, and its tally does not move.
+// — so an SMEM campaign is pruned, and its row is the brute-force one.
 func TestBothPrunersCoverSmem(t *testing.T) {
-	base := []string{"-app", "BackProp", "-structure", "SMEM", "-n", "40", "-seed", "1"}
-	row := func(flags ...string) (string, string) {
-		var stdout, stderr bytes.Buffer
-		if code := run(append(base[:len(base):len(base)], flags...), &stdout, &stderr); code != 0 {
-			t.Fatalf("exit %d, stderr: %s", code, stderr.String())
-		}
-		for _, line := range strings.Split(stdout.String(), "\n") {
-			if strings.HasPrefix(line, "SMEM ") {
-				return line, stdout.String()
-			}
-		}
-		t.Fatalf("no SMEM row:\n%s", stdout.String())
-		return "", ""
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-app", "BackProp", "-structure", "SMEM", "-n", "40", "-seed", "1"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
 	}
-	want, _ := row()
-	got, out := row("-prune")
-	if got != want {
-		t.Errorf("pruned row %q != brute-force row %q", got, want)
+	out := stdout.String()
+	if !strings.Contains(out, "\n"+bruteSmemRow+"\n") {
+		t.Errorf("SMEM row is not the brute-force row %q:\n%s", bruteSmemRow, out)
 	}
 	if strings.Contains(out, " 0 pruned") || !strings.Contains(out, "pruned (liveness)") {
 		t.Errorf("SMEM was not pruned from the intervals:\n%s", out)
@@ -82,10 +70,11 @@ func TestUnknownKernel(t *testing.T) {
 	}
 }
 
-// TestOldSnapshotFlagsRejected: fork-and-join is not a choice, so every
-// spelling of the snapshot flags gpufi once had is a usage error.
+// TestOldSnapshotFlagsRejected: fork-and-join and pruning are not choices,
+// so every spelling of the snapshot and prune flags gpufi once had is a
+// usage error.
 func TestOldSnapshotFlagsRejected(t *testing.T) {
-	for _, name := range []string{"checkpoint", "checkpoint-mb", "snap-stride", "snap-mb", "converge"} {
+	for _, name := range []string{"checkpoint", "checkpoint-mb", "snap-stride", "snap-mb", "converge", "prune"} {
 		old := "-" + name
 		var stdout, stderr bytes.Buffer
 		if code := run([]string{old, "-1"}, &stdout, &stderr); code != 2 {

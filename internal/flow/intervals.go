@@ -1,8 +1,10 @@
 package flow
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"gpurel/internal/isa"
@@ -120,10 +122,53 @@ func (s *smemSpan) ensureWords() {
 
 // smRecord is the per-SM recording state.
 type smRecord struct {
-	regs    []track // per physical register
-	rfSpans []span  // CTA placement order
-	rfOpen  map[int]int
+	regs    []track     // per physical register; nil once finalized
+	rf      rfIntervals // regs, finalized
+	rfSpans []span      // CTA placement order
 	smSpans []*smemSpan // CTA placement order
+}
+
+// rfIntervals is the finalized register file of one SM, kept compact
+// because it is most of the map and a pruning front end keeps the map for
+// the life of its golden runs: register r's live intervals are uvarint
+// pairs (gap from the previous interval's Hi, length) in
+// enc[off[r]:off[r+1]], about three bytes an interval where a track's
+// slice takes sixteen and more.
+type rfIntervals struct {
+	off []int32
+	enc []byte
+}
+
+func encodeRF(regs []track) rfIntervals {
+	rf := rfIntervals{off: make([]int32, len(regs)+1)}
+	for r := range regs {
+		var prev int64
+		for _, v := range regs[r].ivs {
+			rf.enc = binary.AppendUvarint(rf.enc, uint64(v.Lo-prev))
+			rf.enc = binary.AppendUvarint(rf.enc, uint64(v.Hi-v.Lo))
+			prev = v.Hi
+		}
+		rf.off[r+1] = int32(len(rf.enc))
+	}
+	rf.enc = slices.Clip(rf.enc)
+	return rf
+}
+
+// regs returns the number of registers.
+func (rf rfIntervals) regs() int { return len(rf.off) - 1 }
+
+// ivs appends register r's live intervals, in time order, to dst.
+func (rf rfIntervals) ivs(r int, dst []Iv) []Iv {
+	enc := rf.enc[rf.off[r]:rf.off[r+1]]
+	var prev int64
+	for len(enc) > 0 {
+		gap, n := binary.Uvarint(enc)
+		length, m := binary.Uvarint(enc[n:])
+		enc = enc[n+m:]
+		dst = append(dst, Iv{Lo: prev + int64(gap), Hi: prev + int64(gap+length)})
+		prev = dst[len(dst)-1].Hi
+	}
+	return dst
 }
 
 // ctaRec is one resident CTA's placement, keyed by the tracer's CTA id.
@@ -204,7 +249,7 @@ func (r *Recorder) effectsOf(p *isa.Program) *progEffects {
 
 func (r *Recorder) sm(id int) *smRecord {
 	for len(r.sms) <= id {
-		r.sms = append(r.sms, &smRecord{rfOpen: map[int]int{}})
+		r.sms = append(r.sms, &smRecord{})
 	}
 	return r.sms[id]
 }
@@ -218,7 +263,6 @@ func (r *Recorder) OnCTAPlace(cta, sm, rfBase, rfSize, smBase, smSize, threads i
 			s.regs = append(s.regs, track{})
 		}
 		rec.rfSpan = len(s.rfSpans)
-		s.rfOpen[rfBase] = rec.rfSpan
 		s.rfSpans = append(s.rfSpans, span{base: rfBase, size: rfSize, alloc: cycle, release: -1})
 		// Allocation kills leftover values of the previous occupant (sound
 		// under the golden run's guard, see the top of this file).
@@ -296,7 +340,6 @@ func (r *Recorder) OnCTARetire(cta int, cycle int64) {
 	if rec.rfSpan >= 0 {
 		sp := &s.rfSpans[rec.rfSpan]
 		sp.release = cycle
-		delete(s.rfOpen, sp.base)
 		for i := sp.base; i < sp.base+sp.size; i++ {
 			s.regs[i].last = cycle
 		}
@@ -313,9 +356,15 @@ type Intervals struct {
 	Cycles int64 // traced run length
 }
 
-// Finalize freezes the recording into a queryable interval map. cycles is
-// the traced run's total cycle count.
+// Finalize freezes the recording into a queryable interval map; the
+// Recorder records nothing more after it. cycles is the traced run's total
+// cycle count.
 func (r *Recorder) Finalize(cycles int64) *Intervals {
+	for _, s := range r.sms {
+		if s.regs != nil {
+			s.rf, s.regs = encodeRF(s.regs), nil
+		}
+	}
 	return &Intervals{sms: r.sms, Cycles: cycles}
 }
 
@@ -325,10 +374,11 @@ func (iv *Intervals) NumSMs() int { return len(iv.sms) }
 // LiveRF reports whether an injection into physical register (sm, phys) at
 // the cycle can reach a future read — false means provably dead.
 func (iv *Intervals) LiveRF(sm, phys int, cycle int64) bool {
-	if sm >= len(iv.sms) || phys >= len(iv.sms[sm].regs) {
+	if sm >= len(iv.sms) || phys >= iv.sms[sm].rf.regs() {
 		return false
 	}
-	return iv.sms[sm].regs[phys].live(cycle)
+	t := track{ivs: iv.sms[sm].rf.ivs(phys, nil)}
+	return t.live(cycle)
 }
 
 // RFLiveCycles sums the lengths of every register's live intervals: the
@@ -338,8 +388,8 @@ func (iv *Intervals) LiveRF(sm, phys int, cycle int64) bool {
 func (iv *Intervals) RFLiveCycles() int64 {
 	var n int64
 	for _, s := range iv.sms {
-		for i := range s.regs {
-			for _, v := range s.regs[i].ivs {
+		for i := 0; i < s.rf.regs(); i++ {
+			for _, v := range s.rf.ivs(i, nil) {
 				n += v.Hi - v.Lo
 			}
 		}
@@ -409,17 +459,17 @@ func (iv *Intervals) SmemBlocksAt(sm int, cycle int64, dst []Blk) []Blk {
 // the first violation found, or nil. Fuzzing and property tests call this;
 // a violation means the Recorder itself is broken, not the traced program.
 func (iv *Intervals) Check() error {
-	checkTrack := func(sm int, what string, idx int, t *track) error {
-		for i, v := range t.ivs {
+	checkTrack := func(sm int, what string, idx int, ivs []Iv) error {
+		for i, v := range ivs {
 			if v.Lo >= v.Hi {
 				return fmt.Errorf("sm%d %s %d: interval %d is empty or inverted: (%d, %d]", sm, what, idx, i, v.Lo, v.Hi)
 			}
 			if v.Lo < 0 || (iv.Cycles > 0 && v.Hi > iv.Cycles) {
 				return fmt.Errorf("sm%d %s %d: interval %d (%d, %d] escapes the traced run of %d cycles", sm, what, idx, i, v.Lo, v.Hi, iv.Cycles)
 			}
-			if i > 0 && v.Lo < t.ivs[i-1].Hi {
+			if i > 0 && v.Lo < ivs[i-1].Hi {
 				return fmt.Errorf("sm%d %s %d: intervals %d and %d overlap: (%d, %d] then (%d, %d]",
-					sm, what, idx, i-1, i, t.ivs[i-1].Lo, t.ivs[i-1].Hi, v.Lo, v.Hi)
+					sm, what, idx, i-1, i, ivs[i-1].Lo, ivs[i-1].Hi, v.Lo, v.Hi)
 			}
 		}
 		return nil
@@ -437,8 +487,8 @@ func (iv *Intervals) Check() error {
 		return nil
 	}
 	for smID, s := range iv.sms {
-		for i := range s.regs {
-			if err := checkTrack(smID, "reg", i, &s.regs[i]); err != nil {
+		for i := 0; i < s.rf.regs(); i++ {
+			if err := checkTrack(smID, "reg", i, s.rf.ivs(i, nil)); err != nil {
 				return err
 			}
 		}
@@ -455,11 +505,11 @@ func (iv *Intervals) Check() error {
 				return err
 			}
 			prev = sp.alloc
-			if err := checkTrack(smID, "smem-block", i, &sp.block); err != nil {
+			if err := checkTrack(smID, "smem-block", i, sp.block.ivs); err != nil {
 				return err
 			}
 			for w := range sp.words {
-				if err := checkTrack(smID, "smem-word", sp.base/4+w, &sp.words[w]); err != nil {
+				if err := checkTrack(smID, "smem-word", sp.base/4+w, sp.words[w].ivs); err != nil {
 					return err
 				}
 			}
@@ -501,8 +551,8 @@ func (iv *Intervals) RFBounds(ws []Window) Bounds {
 		for _, sp := range s.rfSpans {
 			ds = appendSpanDeltas(ds, sp)
 		}
-		for i := range s.regs {
-			for _, v := range s.regs[i].ivs {
+		for i := 0; i < s.rf.regs(); i++ {
+			for _, v := range s.rf.ivs(i, nil) {
 				ds = append(ds, delta{v.Lo + 1, 1, false}, delta{v.Hi + 1, -1, false})
 			}
 		}

@@ -38,7 +38,10 @@ const (
 // against.
 var DefaultCheckpoint = CheckpointSpec{Stride: AutoStride, Converge: true}
 
-// CheckpointSpec configures checkpointed injection for a golden run.
+// CheckpointSpec configures checkpointed injection for a golden run. An
+// enabled spec is the whole accelerated path: front ends also prune
+// (InjectStatic) the targets that can be pruned (Target.Prunable), and only
+// the disabled spec, brute force, simulates every run.
 type CheckpointSpec struct {
 	// Stride is the snapshot interval in cycles: 0 disables checkpointing,
 	// negative (AutoStride) derives an interval targeting DefaultSnapshots

@@ -97,6 +97,15 @@ func InjectStatic(job *device.Job, g *GoldenRun, si *StaticIntervals, t Target, 
 	return injectPruned(job, g, intervalTimeline{iv: si.IV, smem: t.Structure == gpu.SMEM}, t, rng)
 }
 
+// Prunable reports whether InjectStatic can prune the target's draws: a
+// transient fault in the register file or shared memory. Every other target
+// simulates each run, so a front end need not trace an interval map for it
+// (TraceStatic).
+func (t Target) Prunable() bool {
+	_, transient := t.model().(faultmodel.Transient)
+	return transient && (t.Structure == gpu.RF || t.Structure == gpu.SMEM)
+}
+
 // injectPruned replays the transient model's site selection from the
 // recorded allocation timeline — SMs in index order, blocks in CTA placement
 // order, then the (entry, bit) draws: the faultmodel.pickAllocated

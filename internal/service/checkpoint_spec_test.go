@@ -4,6 +4,7 @@
 package service_test
 
 import (
+	"encoding/json"
 	"io"
 	"math/rand"
 	"net/http"
@@ -12,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"gpurel"
+	"gpurel/internal/adaptive"
 	"gpurel/internal/campaign"
 	"gpurel/internal/faults"
 	"gpurel/internal/microfi"
@@ -42,6 +45,13 @@ func TestCheckpointSpecWire(t *testing.T) {
 		t.Fatalf("SpecForPoint lost checkpoint fields: %+v", back)
 	}
 
+	// sampling.prune still decodes, and changes nothing: every job prunes.
+	sp.Sampling = &service.SamplingSpec{Prune: true}
+	if q, err := sp.Point(); err != nil || q.Sampling != nil || q.Checkpoint == nil || *q.Checkpoint != *want {
+		t.Fatalf("sampling.prune moved the point: %+v %+v (%v)", q.Sampling, q.Checkpoint, err)
+	}
+	sp.Sampling = nil
+
 	// Converge alone implies auto-stride checkpointing.
 	sp.Checkpoint = &service.SnapshotSpec{Converge: true}
 	p, err = sp.Point()
@@ -56,6 +66,50 @@ func TestCheckpointSpecWire(t *testing.T) {
 	sp.Checkpoint = nil
 	if p, _ = sp.Point(); p.Checkpoint != nil {
 		t.Fatalf("plain spec grew a checkpoint: %+v", p.Checkpoint)
+	}
+}
+
+// TestEveryJobPrunes: an RF job with no checkpoint group and one with the
+// explicit group {"stride":-1,"converge":true} both prune, whichever of the
+// two evaluates the app first in one daemon (golden runs are built once per
+// app and process): each job prunes the same draws and tallies the
+// brute-force anchor.
+func TestEveryJobPrunes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real simulator campaign")
+	}
+	const explicit = `,"checkpoint":{"stride":-1,"converge":true}`
+	for _, order := range [][2]string{{"", explicit}, {explicit, ""}} {
+		st := gpurel.NewStudy(0, 1)
+		st.Counters = &adaptive.Counters{}
+		sched, err := service.NewScheduler(service.Config{Source: service.NewStudySource(st), Counters: st.Counters})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, group := range order {
+			var spec service.JobSpec
+			body := `{"layer":"micro","app":"VA","kernel":"K1","structure":"RF","runs":300,"seed":1` + group + `}`
+			if err := json.Unmarshal([]byte(body), &spec); err != nil {
+				t.Fatal(err)
+			}
+			before := st.Counters.Pruned.Load()
+			sub, err := sched.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fin := waitJob(t, sched, sub.ID)
+			if fin.State != service.StateDone {
+				t.Fatalf("%s: job ended %s: %s", body, fin.State, fin.Error)
+			}
+			if fin.Tally.Counts != [4]int{254, 29, 0, 17} {
+				t.Errorf("%s: tallied %v, want the anchor [254 29 0 17]", body, fin.Tally.Counts)
+			}
+			// The anchor's pruned draws are exactly its Masked runs.
+			if pruned := st.Counters.Pruned.Load() - before; pruned != 254 {
+				t.Errorf("%s: pruned %d runs, want 254", body, pruned)
+			}
+		}
+		sched.Close()
 	}
 }
 

@@ -52,9 +52,10 @@ type SamplingSpec struct {
 	// fleet-distributed adaptive job evaluates the stop rule on the same
 	// prefixes and tallies bit-identically to a sequential run.
 	Batch int `json:"batch,omitempty"`
-	// Prune enables liveness-guided pruning of RF and SMEM injections (micro
-	// layer): provably-dead sites are classified from the golden run's
-	// interval map without simulation, bit-identically to brute force.
+	// Prune is decoded, journaled and re-encoded for clients and journals
+	// from before pruning was how every micro job runs, and changes
+	// nothing: provably dead RF and SMEM sites are classified from the
+	// golden run's interval map without simulation whatever it says.
 	Prune bool `json:"prune,omitempty"`
 }
 
@@ -63,9 +64,10 @@ type SamplingSpec struct {
 // resume from the nearest snapshot below their injection cycle,
 // bit-identically to brute force. An absent group, or one that turns
 // nothing on (stride 0, no converge), means the daemon's default:
-// microfi.DefaultCheckpoint, auto stride with converge joins. Golden runs
-// are built once per (app, process): the first job to evaluate an app fixes
-// its configuration.
+// microfi.DefaultCheckpoint, auto stride with converge joins. Either way the
+// job's transient RF and SMEM draws are pruned (gpurel.Study.Checkpoint).
+// Golden runs are built once per (app, process): the first job to evaluate
+// an app fixes its configuration.
 type SnapshotSpec struct {
 	// Stride is the snapshot interval in cycles. Negative = auto (about
 	// microfi.DefaultSnapshots checkpoints); 0 = auto when Converge is set,
@@ -248,8 +250,8 @@ func (sp JobSpec) Point() (gpurel.PointSpec, error) {
 	if err != nil {
 		return p, err
 	}
-	if s := sp.sampling(); s.Margin99 > 0 || s.Prune {
-		p.Sampling = &gpurel.SamplingPolicy{Margin: s.Margin99, Batch: s.Batch, Prune: s.Prune}
+	if s := sp.sampling(); s.Margin99 > 0 {
+		p.Sampling = &gpurel.SamplingPolicy{Margin: s.Margin99, Batch: s.Batch}
 	}
 	c := sp.snapshot()
 	if ck := microfi.NewCheckpointSpec(c.Stride, int64(c.BudgetMB), c.Converge); ck.Enabled() {

@@ -43,7 +43,7 @@ func SpecForPoint(p gpurel.PointSpec, opts campaign.Options) JobSpec {
 		sp.Mode = p.Mode.String()
 	}
 	if pol := p.Sampling; pol != nil {
-		sp.Sampling = &SamplingSpec{Margin99: pol.Margin, Batch: pol.Batch, Prune: pol.Prune}
+		sp.Sampling = &SamplingSpec{Margin99: pol.Margin, Batch: pol.Batch}
 	}
 	if ck := p.Checkpoint; ck != nil {
 		sp.Checkpoint = &SnapshotSpec{Stride: ck.Stride, BudgetMB: int(ck.BudgetBytes >> 20), Converge: ck.Converge}

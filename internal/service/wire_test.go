@@ -63,8 +63,11 @@ func TestGoldenWireFixtures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Sampling == nil || p.Sampling.Margin != 0.025 || p.Sampling.Batch != 250 || !p.Sampling.Prune {
+	if p.Sampling == nil || p.Sampling.Margin != 0.025 || p.Sampling.Batch != 250 {
 		t.Errorf("sampling policy lost in decode: %+v", p.Sampling)
+	}
+	if nested.Sampling == nil || !nested.Sampling.Prune {
+		t.Errorf("sampling.prune no longer decodes: %+v", nested.Sampling)
 	}
 	if p.Checkpoint == nil || p.Checkpoint.Stride != 500 || p.Checkpoint.BudgetBytes != 64<<20 || !p.Checkpoint.Converge {
 		t.Errorf("checkpoint spec lost in decode: %+v", p.Checkpoint)

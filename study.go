@@ -58,13 +58,16 @@ type Study struct {
 	// across every campaign the study executes.
 	Counters *adaptive.Counters
 
-	// Checkpoint is the default checkpointed-injection spec applied when an
-	// application's golden runs are first built (PointSpec.Checkpoint
-	// overrides it for points evaluated before then). NewStudy sets
-	// microfi.DefaultCheckpoint, fork-and-join; the zero value keeps plain
-	// brute-force goldens, the reference path. Like Sampling it tunes how
-	// points are simulated, not what they measure: campaign tallies are
-	// bit-identical either way (microfi.GoldenCheckpointed).
+	// Checkpoint is the default checkpointed-injection spec of a point
+	// (PointSpec.Checkpoint overrides it), applied when an application's
+	// golden runs are first built. A point whose spec is enabled also
+	// prunes: its provably dead RF and SMEM draws classify without
+	// simulation. NewStudy sets microfi.DefaultCheckpoint, fork-and-join
+	// with pruning; the zero value keeps plain brute-force goldens and
+	// prunes nothing, the reference path. Like Sampling it tunes how points
+	// are simulated, not what they measure: campaign tallies are
+	// bit-identical either way (microfi.GoldenCheckpointed,
+	// microfi.InjectStatic).
 	Checkpoint microfi.CheckpointSpec
 
 	mu      sync.Mutex
@@ -73,7 +76,7 @@ type Study struct {
 }
 
 // NewStudy returns a study over the default scaled-Volta chip whose
-// micro-level campaigns fork and join (microfi.DefaultCheckpoint).
+// micro-level campaigns fork, join and prune (microfi.DefaultCheckpoint).
 func NewStudy(runs int, seed int64) *Study {
 	return &Study{
 		Cfg:        gpu.Volta(),
@@ -130,7 +133,6 @@ type variant struct {
 
 	traceOnce sync.Once
 	iv        *microfi.StaticIntervals
-	traceErr  error
 }
 
 // build runs the four golden runs of the application. ck is the checkpoint
@@ -234,12 +236,13 @@ func (v *variant) cycles(kernel string) float64 {
 
 // intervals traces (once) the interval map of the variant's golden run — one
 // fault-free run, no injections. Pruned campaigns read its register-file
-// liveness.
-func (v *variant) intervals() (*microfi.StaticIntervals, error) {
+// and shared-memory liveness. A trace that fails leaves the map nil, and
+// every run simulates: the tally is the same.
+func (v *variant) intervals() *microfi.StaticIntervals {
 	v.traceOnce.Do(func() {
-		v.iv, v.traceErr = microfi.TraceStatic(v.Job, v.MicroG.Cfg)
+		v.iv, _ = microfi.TraceStatic(v.Job, v.MicroG.Cfg)
 	})
-	return v.iv, v.traceErr
+	return v.iv
 }
 
 // Layer selects which injector a campaign point runs on.
@@ -263,11 +266,6 @@ type SamplingPolicy struct {
 	// Batch is the run-index granularity of the stop rule
 	// (0 = adaptive.DefaultBatch).
 	Batch int
-	// Prune enables liveness-guided pruning of register-file and
-	// shared-memory injections: provably-dead sites classify as Masked from
-	// the golden run's interval map instead of being simulated.
-	// Classifications are bit-identical to brute force (microfi.InjectStatic).
-	Prune bool
 }
 
 // Policy converts the point-level knobs to the engine's stopping policy.
@@ -395,15 +393,20 @@ func (s *Study) resolve(spec PointSpec) (PointSpec, *variant, error) {
 	if err := spec.Validate(); err != nil {
 		return spec, nil, err
 	}
-	ck := s.Checkpoint
-	if spec.Checkpoint != nil {
-		ck = *spec.Checkpoint
-	}
-	e, err := s.evalWith(spec.App, ck)
+	e, err := s.evalWith(spec.App, s.checkpointFor(spec))
 	if err != nil {
 		return spec, nil, err
 	}
 	return e.resolve(spec)
+}
+
+// checkpointFor is the point's effective checkpoint spec: its own, else the
+// study's.
+func (s *Study) checkpointFor(spec PointSpec) microfi.CheckpointSpec {
+	if spec.Checkpoint != nil {
+		return *spec.Checkpoint
+	}
+	return s.Checkpoint
 }
 
 // PointExperiment builds (caching golden runs on first use) the injection
@@ -427,17 +430,16 @@ func (s *Study) PointExperiment(spec PointSpec) (campaign.Experiment, error) {
 		return nil, err
 	}
 	job, g, t := v.Job, v.MicroG, v.target(spec, mdl)
-	// The interval map is the only evidence a study point can hold. It
-	// prunes register-file and shared-memory points; on other structures,
-	// and with no map, InjectStatic is exactly Inject and every run counts
-	// as simulated.
-	var si *microfi.StaticIntervals
-	if spec.Sampling != nil && spec.Sampling.Prune {
-		if si, err = v.intervals(); err != nil {
-			return nil, fmt.Errorf("%s: %w", spec.App, err)
-		}
-	}
+	// The interval map is the only evidence a study point can hold. A point
+	// whose checkpoint spec is enabled and whose draws can be pruned traces
+	// it at its first run; with no map InjectStatic is exactly Inject and
+	// every run counts as simulated.
+	prune := s.checkpointFor(spec).Enabled() && t.Prunable()
 	return s.Counters.Instrument(func(run int, rng *rand.Rand) (faults.Result, bool) {
+		var si *microfi.StaticIntervals
+		if prune {
+			si = v.intervals()
+		}
 		return microfi.InjectStatic(job, g, si, t, rng)
 	}), nil
 }
@@ -666,14 +668,11 @@ func (s *Study) KernelAVF(appName, kernel string, hardened bool) (metrics.Breakd
 // metrics.ChipAVF recombines with, so precision is spent where it moves the
 // chip AVF most). Per-structure tallies are deterministic prefixes of the
 // corresponding fixed-n campaigns and are stored in the memo, so later Tally
-// calls for these points reuse them. Liveness pruning of RF runs follows the
-// study's Sampling policy.
+// calls for these points reuse them. RF and SMEM runs are pruned when the
+// study's checkpoint spec is enabled (Study.Checkpoint).
 func (s *Study) KernelAVFStratified(appName, kernel string, hardened bool, pol adaptive.StratifiedPolicy) (metrics.Breakdown, []metrics.StructAVF, []adaptive.StratumResult, error) {
 	spec := PointSpec{Layer: LayerMicro, App: appName, Kernel: kernel, Hardened: hardened,
 		Sampling: &SamplingPolicy{Margin: pol.Margin, Batch: pol.Batch}}
-	if s.Sampling != nil {
-		spec.Sampling.Prune = s.Sampling.Prune
-	}
 	_, v, err := s.resolve(spec)
 	if err != nil {
 		return metrics.Breakdown{}, nil, nil, err

@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"gpurel/internal/adaptive"
 	"gpurel/internal/campaign"
+	"gpurel/internal/faultmodel"
 	"gpurel/internal/faults"
 	"gpurel/internal/gpu"
 	"gpurel/internal/microfi"
@@ -98,19 +100,60 @@ func TestSoftCheckpointCounts(t *testing.T) {
 }
 
 // TestNewStudyForksAndJoins: a study as NewStudy returns it runs the anchor
-// campaign (VA/K1/RF, 300 runs, campaign seed 1) by fork-and-join, and
-// tallies what brute force does.
+// campaign (VA/K1/RF, 300 runs, campaign seed 1) by fork-and-join with dead
+// draws pruned, and tallies what brute force does. The anchor's pruned draws
+// are exactly its 254 Masked runs, so every run it simulates fails and none
+// joins; the L2 campaign that follows, which cannot prune, does join.
 func TestNewStudyForksAndJoins(t *testing.T) {
 	s := NewStudy(300, 1)
+	s.Counters = &adaptive.Counters{}
+	opts := campaign.Options{Runs: 300, Seed: 1}
 	fn, err := s.PointExperiment(PointSpec{Layer: LayerMicro, App: "VA", Kernel: "K1", Structure: gpu.RF})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tl := campaign.Run(campaign.Options{Runs: 300, Seed: 1}, fn); tl.Counts != [4]int{254, 29, 0, 17} {
+	if tl := campaign.Run(opts, fn); tl.Counts != [4]int{254, 29, 0, 17} {
 		t.Errorf("anchor tallied %v, want [254 29 0 17]", tl.Counts)
 	}
-	if c := s.CheckpointCounts(); c.ForkResumes == 0 || c.ConvergeHits == 0 {
-		t.Errorf("the default study did not fork and join: %+v", c)
+	if s.Counters.Pruned.Load() == 0 || s.CheckpointCounts().ForkResumes == 0 {
+		t.Errorf("the default study did not prune and fork: %d pruned, %+v", s.Counters.Pruned.Load(), s.CheckpointCounts())
+	}
+	if fn, err = s.PointExperiment(PointSpec{Layer: LayerMicro, App: "VA", Kernel: "K1", Structure: gpu.L2}); err != nil {
+		t.Fatal(err)
+	}
+	campaign.Run(opts, fn)
+	if c := s.CheckpointCounts(); c.ConvergeHits == 0 {
+		t.Errorf("the default study did not join: %+v", c)
+	}
+}
+
+// TestTraceOnlyWhenPrunable: a default study traces a variant's interval map
+// only for a point whose draws can be pruned — a transient fault in RF or
+// SMEM. An L2 point, or a stuck-at RF point, simulates every run and leaves
+// the variant untraced.
+func TestTraceOnlyWhenPrunable(t *testing.T) {
+	s := NewStudy(20, 1)
+	e, err := s.Eval("VA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stuck := &faultmodel.Spec{Model: faultmodel.ModelStuck, Stuck: faultmodel.Ptr(0)}
+	for _, p := range []PointSpec{
+		{Layer: LayerMicro, App: "VA", Kernel: "K1", Structure: gpu.L2},
+		{Layer: LayerMicro, App: "VA", Kernel: "K1", Structure: gpu.RF, Fault: stuck},
+	} {
+		if _, err := s.Tally(p); err != nil {
+			t.Fatal(err)
+		}
+		if e.plain.iv != nil {
+			t.Fatalf("%v %s point traced the interval map", p.Structure, p.faultSpec().Label())
+		}
+	}
+	if _, err := s.Tally(PointSpec{Layer: LayerMicro, App: "VA", Kernel: "K1", Structure: gpu.RF}); err != nil {
+		t.Fatal(err)
+	}
+	if e.plain.iv == nil {
+		t.Error("a transient RF point did not trace the interval map")
 	}
 }
 
@@ -267,5 +310,34 @@ func TestEvalFailureAndUnknownApp(t *testing.T) {
 	}
 	if c := s.CheckpointCounts(); c != (microfi.CheckpointCounts{}) {
 		t.Errorf("a failed build is counted: %+v", c)
+	}
+}
+
+// TestPruneFollowsPointSpec: a point prunes when its own effective
+// checkpoint spec is enabled, whatever spec its app's golden runs were
+// built with: an enabled point prunes on brute-force golden runs, and a
+// brute-force point prunes nothing on checkpointed ones.
+func TestPruneFollowsPointSpec(t *testing.T) {
+	pruned := func(s *Study, ck *microfi.CheckpointSpec) int64 {
+		s.Counters = &adaptive.Counters{}
+		fn, err := s.PointExperiment(PointSpec{Layer: LayerMicro, App: "VA", Kernel: "K1", Structure: gpu.RF, Checkpoint: ck})
+		if err != nil {
+			t.Fatal(err)
+		}
+		campaign.Run(campaign.Options{Runs: 40, Seed: 1}, fn)
+		return s.Counters.Pruned.Load()
+	}
+	brute, def := bruteStudy(40, 1), NewStudy(40, 1)
+	if n := pruned(brute, nil); n != 0 {
+		t.Errorf("a brute-force point pruned %d runs", n)
+	}
+	if n := pruned(brute, &microfi.DefaultCheckpoint); n == 0 {
+		t.Error("an enabled point on brute-force golden runs pruned nothing")
+	}
+	if n := pruned(def, nil); n == 0 {
+		t.Error("a default point pruned nothing")
+	}
+	if n := pruned(def, &microfi.CheckpointSpec{}); n != 0 {
+		t.Errorf("a brute-force point on checkpointed golden runs pruned %d runs", n)
 	}
 }
