@@ -10,6 +10,7 @@ import (
 
 	"gpurel/internal/advisor"
 	"gpurel/internal/gpu"
+	"gpurel/internal/kernels"
 )
 
 // StudyBackend implements advisor.Backend on top of a Study: every
@@ -31,20 +32,16 @@ func (s *Study) Advise(appName string, budget float64) (*advisor.State, error) {
 
 // Kernels lists the app's kernels in schedule order.
 func (b *StudyBackend) Kernels(ctx context.Context, app string) ([]string, error) {
-	e, err := b.Study.Eval(app)
+	a, err := kernels.ByName(app)
 	if err != nil {
 		return nil, err
 	}
-	return append([]string(nil), e.App.Kernels...), nil
+	return append([]string(nil), a.Kernels...), nil
 }
 
 // Measure runs the plain and hardened campaigns for one kernel and derives
 // its weight and TMR cycle multiplier from the golden runs.
 func (b *StudyBackend) Measure(ctx context.Context, app, kernel string) (advisor.KernelMeasure, error) {
-	e, err := b.Study.Eval(app)
-	if err != nil {
-		return advisor.KernelMeasure{}, err
-	}
 	plain, _, err := b.Study.KernelAVF(app, kernel, false)
 	if err != nil {
 		return advisor.KernelMeasure{}, err
@@ -53,7 +50,15 @@ func (b *StudyBackend) Measure(ctx context.Context, app, kernel string) (advisor
 	if err != nil {
 		return advisor.KernelMeasure{}, err
 	}
-	w, wh := e.plain.cycles(kernel), e.tmr.cycles(kernel)
+	g, _, err := b.Study.Golden(PointSpec{Layer: LayerMicro, App: app})
+	if err != nil {
+		return advisor.KernelMeasure{}, err
+	}
+	gh, _, err := b.Study.Golden(PointSpec{Layer: LayerMicro, App: app, Hardened: true})
+	if err != nil {
+		return advisor.KernelMeasure{}, err
+	}
+	w, wh := kernelCycles(g, kernel), kernelCycles(gh, kernel)
 	mult := 1.0
 	if w > 0 && wh > 0 {
 		mult = wh / w
@@ -78,17 +83,16 @@ func (b *StudyBackend) Overhead(ctx context.Context, app string, protect []strin
 // golden run — the same app-AVF methodology every other campaign uses, so
 // all fault models and the fleet path apply unchanged.
 func (b *StudyBackend) Verify(ctx context.Context, app string, protect []string) (advisor.Verification, error) {
-	s := b.Study
-	e, err := s.Eval(app)
+	ks, err := b.Kernels(ctx, app)
 	if err != nil {
 		return advisor.Verification{}, err
 	}
-	total, parts, runs, err := s.appAVF(PointSpec{Layer: LayerMicro, App: app, Harden: protect}, gpu.Structures[:])
+	total, parts, runs, err := b.Study.appAVF(PointSpec{Layer: LayerMicro, App: app, Harden: protect}, gpu.Structures[:])
 	if err != nil {
 		return advisor.Verification{}, fmt.Errorf("verify %s: %w", app, err)
 	}
 	v := advisor.Verification{SDC: total.SDC, TotalRuns: runs, PerKernel: map[string]float64{}}
-	for i, k := range e.App.Kernels {
+	for i, k := range ks {
 		v.PerKernel[k] = parts[i].SDC
 	}
 	return v, nil

@@ -26,8 +26,11 @@
 // stay directly comparable.
 //
 // With -daemon, every campaign point is submitted to a running gpureld
-// instead of being computed in-process. Seeds are derived identically on
-// both paths (gpurel.PointSeed), so the numbers match bit for bit.
+// instead of being computed in-process, the multi-bit ablation's included:
+// all of them run through the study's one campaign runner
+// (gpurel.Study.RunAt). Seeds are derived identically on both paths
+// (gpurel.PointSeed, or the ablation's own campaign seeds), so the numbers
+// match bit for bit. -adaptive likewise applies to every point.
 package main
 
 import (

@@ -1,12 +1,13 @@
 // Command gpufi runs a microarchitecture-level fault-injection campaign on
 // one benchmark — the gpuFI-4 workflow: pick an application, a kernel and a
 // hardware structure, inject n uniformly random single-bit flips, and report
-// the outcome distribution, failure rate, derating factor and AVF. Faulty
-// runs fork from golden snapshots and join golden again as soon as their
-// state matches it, and transient RF and SMEM draws that land in provably
-// dead storage classify as Masked without being simulated
-// (microfi.DefaultCheckpoint), all bit-identically to brute force; the
-// footers say how much that saved.
+// the outcome distribution, failure rate, derating factor and AVF. It is a
+// flag front end over gpurel.Study: each structure is a study point run at
+// the -seed given (Study.RunAt). Faulty runs fork from golden snapshots and
+// join golden again as soon as their state matches it, and transient RF and
+// SMEM draws that land in provably dead storage classify as Masked without
+// being simulated (microfi.DefaultCheckpoint), all bit-identically to brute
+// force; the footers say how much that saved.
 //
 // Usage:
 //
@@ -30,17 +31,16 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"strings"
 
+	"gpurel"
 	"gpurel/internal/adaptive"
 	"gpurel/internal/campaign"
 	"gpurel/internal/cliutil"
 	"gpurel/internal/faultmodel"
 	"gpurel/internal/faults"
 	"gpurel/internal/gpu"
-	"gpurel/internal/harden"
 	"gpurel/internal/kernels"
 	"gpurel/internal/metrics"
 	"gpurel/internal/microfi"
@@ -101,19 +101,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		target = campaign.WorstCaseMargin99(3000) // the paper's ±2.35%
 	}
 
-	app, err := kernels.ByName(*appName)
-	if err != nil {
-		return fatal(err)
+	s := gpurel.NewStudy(*n, *seed)
+	s.Workers = *workers
+	s.Counters = &adaptive.Counters{}
+	if target > 0 {
+		s.Sampling = &gpurel.SamplingPolicy{Margin: target}
 	}
-	if err := app.CheckKernel(*kernel); err != nil {
-		return fatal(err)
-	}
-	job := app.Build()
-	if *tmr {
-		job = harden.TMR(job)
-	}
-	cfg := gpu.Volta()
-	g, err := microfi.GoldenCheckpointed(job, cfg, microfi.DefaultCheckpoint)
+	spec := gpurel.PointSpec{Layer: gpurel.LayerMicro, App: *appName, Kernel: *kernel, Hardened: *tmr}
+	g, _, err := s.Golden(spec)
 	if err != nil {
 		return fatal(err)
 	}
@@ -151,8 +146,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Title:  fmt.Sprintf("gpuFI campaign: %s %s (n=%d, seed=%d, tmr=%v%s)", *appName, *kernel, *n, *seed, *tmr, faultNote),
 		Header: []string{"Structure", "n", "Masked", "SDC", "Timeout", "DUE", "FR", "±99%", "DF", "AVF"},
 	}
-	counters := &adaptive.Counters{}
-	var si *microfi.StaticIntervals // traced for the first target that can prune
+	prunable := false // some target's dead draws classify without simulation
 	var structAVFs []metrics.StructAVF
 	for _, st := range structures {
 		if err := fspec.ValidateFor(st); err != nil {
@@ -163,23 +157,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fatal(err)
 		}
 		tgt := microfi.Target{Structure: st, Kernel: *kernel, IncludeVote: *tmr, Model: mdl}
-		if si == nil && tgt.Prunable() {
-			if si, err = microfi.TraceStatic(job, cfg); err != nil {
-				return fatal(err)
-			}
-		}
-		// On a target that cannot prune, InjectStatic is exactly Inject.
-		exp := counters.Instrument(func(run int, rng *rand.Rand) (faults.Result, bool) {
-			return microfi.InjectStatic(job, g, si, tgt, rng)
-		})
-		opts := campaign.Options{Runs: *n, Seed: *seed, Workers: *workers}
-		var tl campaign.Tally
-		if target > 0 {
-			res := adaptive.Run(opts, adaptive.Policy{Margin: target}, exp)
-			tl = res.Tally
-			counters.Saved.Add(int64(res.Saved))
-		} else {
-			tl = campaign.Run(opts, exp)
+		prunable = prunable || tgt.Prunable()
+		spec.Structure, spec.Fault = st, &fspec
+		tl, err := s.RunAt(spec, *seed)
+		if err != nil {
+			return fatal(err)
 		}
 		df := tgt.DF(g)
 		sa := metrics.NewStructAVF(st, tl, df)
@@ -192,13 +174,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Sprintf("%.4f", df), report.Pct(sa.AVF.Total()))
 	}
 	if len(structAVFs) == int(gpu.NumStructures) {
-		chip := metrics.ChipAVF(cfg, structAVFs)
+		chip := metrics.ChipAVF(s.Cfg, structAVFs)
 		tbl.AddFooter("full-chip AVF (size-weighted): %s  [SDC %s, Timeout %s, DUE %s]",
 			report.Pct(chip.Total()), report.Pct(chip.SDC), report.Pct(chip.Timeout), report.Pct(chip.DUE))
 	}
-	if target > 0 || si != nil {
+	if target > 0 || prunable {
+		c := s.Counters
 		tbl.AddFooter("adaptive sampling: %d simulated, %d pruned (liveness), %d saved (early stop, target ±%.2f%%)",
-			counters.Simulated.Load(), counters.Pruned.Load(), counters.Saved.Load(), 100*target)
+			c.Simulated.Load(), c.Pruned.Load(), c.Saved.Load(), 100*target)
 	}
 	ck := g.CheckpointCounts()
 	tbl.AddFooter("checkpointing: %d snapshots (%.1f MiB, %d evicted), %d fork resumes (%d cycles skipped), %d converge joins (%d cycles skipped)",

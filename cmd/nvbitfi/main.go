@@ -3,6 +3,8 @@
 // destination registers of uniformly chosen dynamic instructions and report
 // the outcome distribution and SVF. Variants restrict injection to load
 // instructions (SVF-LD) or flip a single operand use (the §V-B ablation).
+// It is a flag front end over gpurel.Study: the campaign is a study point
+// run at the -seed given (Study.RunAt).
 //
 // Usage:
 //
@@ -15,14 +17,13 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"strings"
 
+	"gpurel"
 	"gpurel/internal/adaptive"
 	"gpurel/internal/campaign"
 	"gpurel/internal/faults"
-	"gpurel/internal/harden"
 	"gpurel/internal/kernels"
 	"gpurel/internal/report"
 	"gpurel/internal/softfi"
@@ -80,41 +81,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	app, err := kernels.ByName(*appName)
-	if err != nil {
-		return fatal(err)
-	}
-	if err := app.CheckKernel(*kernel); err != nil {
-		return fatal(err)
-	}
-	job := app.Build()
-	if *tmr {
-		job = harden.TMR(job)
-	}
-	g, err := softfi.Golden(job)
-	if err != nil {
-		return fatal(err)
-	}
-
-	tgt := softfi.Target{Kernel: *kernel, Mode: m, IncludeVote: *tmr}
-	fmt.Fprintf(stdout, "golden run: %d dynamic instructions, %d injection candidates\n",
-		g.Res.DynInstrs, tgt.Candidates(g))
-
 	target := *margin
 	if *adapt && target == 0 {
 		target = campaign.WorstCaseMargin99(3000) // the paper's ±2.35%
 	}
-	exp := func(run int, rng *rand.Rand) faults.Result {
-		return softfi.Inject(job, g, tgt, rng)
-	}
-	opts := campaign.Options{Runs: *n, Seed: *seed, Workers: *workers}
-	var tl campaign.Tally
-	saved := 0
+	s := gpurel.NewStudy(*n, *seed)
+	s.Workers = *workers
+	s.Counters = &adaptive.Counters{}
 	if target > 0 {
-		res := adaptive.Run(opts, adaptive.Policy{Margin: target}, exp)
-		tl, saved = res.Tally, res.Saved
-	} else {
-		tl = campaign.Run(opts, exp)
+		s.Sampling = &gpurel.SamplingPolicy{Margin: target}
+	}
+	spec := gpurel.PointSpec{Layer: gpurel.LayerSoft, App: *appName, Kernel: *kernel, Mode: m, Hardened: *tmr}
+	_, g, err := s.Golden(spec)
+	if err != nil {
+		return fatal(err)
+	}
+	tgt := softfi.Target{Kernel: *kernel, Mode: m, IncludeVote: *tmr}
+	fmt.Fprintf(stdout, "golden run: %d dynamic instructions, %d injection candidates\n",
+		g.Res.DynInstrs, tgt.Candidates(g))
+
+	tl, err := s.RunAt(spec, *seed)
+	if err != nil {
+		return fatal(err)
 	}
 
 	tbl := report.Table{
@@ -127,7 +115,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		report.Pct(tl.Pct(faults.Timeout)), report.Pct(tl.Pct(faults.DUE)),
 		report.Pct(tl.FR()), report.CI(lo, hi))
 	if target > 0 {
-		tbl.AddFooter("adaptive sampling: %d runs saved (early stop, target ±%.2f%%)", saved, 100*target)
+		tbl.AddFooter("adaptive sampling: %d runs saved (early stop, target ±%.2f%%)", s.Counters.Saved.Load(), 100*target)
 	}
 	ck := g.CheckpointCounts()
 	tbl.AddFooter("checkpointing: %d boundaries (%.1f KiB of deltas), %d fork resumes (%d thread-instructions skipped), %d joins (%d thread-instructions skipped), %d CTAs skipped (%d thread-instructions)",

@@ -26,15 +26,6 @@ import (
 	"math/rand"
 )
 
-// campaignRun runs a one-off microarchitecture campaign outside the memo
-// cache (used by ablations with non-default targets).
-func campaignRun(s *Study, e *AppEval, tgt microfi.Target, seed int64) campaign.Tally {
-	return campaign.Run(campaign.Options{Runs: s.Runs, Seed: seed, Workers: s.Workers},
-		func(run int, rng *rand.Rand) faults.Result {
-			return microfi.Inject(e.Job, e.MicroG, tgt, rng)
-		})
-}
-
 // Record is one NDJSON line of machine-readable figure output (avfsvf
 // -json): the figure name, the campaign sizing behind it, and the figure's
 // data payload (the same result structs the gpureld service API serves).
@@ -490,13 +481,13 @@ func Figure12() (reuse.Analysis, string) {
 // software-level method is faster than cross-layer simulation by a large
 // factor. It times n runs of each engine on the given app.
 func (s *Study) SpeedComparison(appName string, n int) (microPerRun, softPerRun time.Duration, err error) {
-	e, err := s.Eval(appName)
+	job, err := s.plainJob(appName)
 	if err != nil {
 		return 0, 0, err
 	}
 	start := time.Now()
 	for i := 0; i < n; i++ {
-		r := sim.Run(e.Job, s.Cfg, sim.Options{})
+		r := sim.Run(job, s.Cfg, sim.Options{})
 		if r.Err != nil {
 			return 0, 0, r.Err
 		}
@@ -504,7 +495,7 @@ func (s *Study) SpeedComparison(appName string, n int) (microPerRun, softPerRun 
 	microPerRun = time.Since(start) / time.Duration(n)
 	start = time.Now()
 	for i := 0; i < n; i++ {
-		r := funcsim.Run(e.Job, funcsim.Options{})
+		r := funcsim.Run(job, funcsim.Options{})
 		if r.Err != nil {
 			return 0, 0, r.Err
 		}
@@ -528,7 +519,7 @@ type ACEComparison struct {
 
 // CompareACE runs the comparison for one application.
 func (s *Study) CompareACE(appName string) (*ACEComparison, string, error) {
-	e, err := s.Eval(appName)
+	job, err := s.plainJob(appName)
 	if err != nil {
 		return nil, "", err
 	}
@@ -536,11 +527,11 @@ func (s *Study) CompareACE(appName string) (*ACEComparison, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	aceRes, err := ace.AnalyzeRF(e.Job, s.Cfg)
+	aceRes, err := ace.AnalyzeRF(job, s.Cfg)
 	if err != nil {
 		return nil, "", err
 	}
-	pvfRes, err := ace.AnalyzePVF(e.Job)
+	pvfRes, err := ace.AnalyzePVF(job)
 	if err != nil {
 		return nil, "", err
 	}
@@ -711,23 +702,27 @@ func (p *PropagationStudy) Accuracy() float64 {
 // compares the propagation prediction with the real outcome of a bit-30
 // destination flip at the same site.
 func (s *Study) RunPropagationStudy(appName string, n int) (*PropagationStudy, string, error) {
-	e, err := s.Eval(appName)
+	job, err := s.plainJob(appName)
 	if err != nil {
 		return nil, "", err
 	}
-	g := e.SoftG.Res
+	_, sg, err := s.Golden(PointSpec{Layer: LayerSoft, App: appName})
+	if err != nil {
+		return nil, "", err
+	}
+	g := sg.Res
 	ps := &PropagationStudy{App: appName}
 	rng := rand.New(rand.NewSource(s.Seed + int64(hashKey("prop|"+appName))))
 	var sumInstrs, sumThreads float64
 	for k := 0; k < n; k++ {
 		idx := rng.Int63n(g.DstCands)
-		pred, err := propagate.Analyze(e.Job, propagate.Seed{Index: idx})
+		pred, err := propagate.Analyze(job, propagate.Seed{Index: idx})
 		if err != nil {
 			return nil, "", err
 		}
 		sumInstrs += float64(pred.TaintedInstrs)
 		sumThreads += float64(pred.TaintedThreads)
-		run := funcsim.Run(e.Job, funcsim.Options{
+		run := funcsim.Run(job, funcsim.Options{
 			MaxDynInstrs: g.DynInstrs * 10,
 			Inject:       &funcsim.Injection{Mode: funcsim.InjectDst, Index: idx, Bit: 30},
 		})
@@ -774,7 +769,11 @@ func (s *Study) RunPropagationStudy(appName string, n int) (*PropagationStudy, s
 // and re-runs the per-structure campaigns under the multi-bit mix given by
 // burst (1 = pure single-bit, where ECC removes everything it covers).
 func (s *Study) ECCAblation(appName, kernel string, burst int) (string, error) {
-	e, err := s.Eval(appName)
+	job, err := s.plainJob(appName)
+	if err != nil {
+		return "", err
+	}
+	golden, _, err := s.Golden(PointSpec{Layer: LayerMicro, App: appName})
 	if err != nil {
 		return "", err
 	}
@@ -795,14 +794,14 @@ func (s *Study) ECCAblation(appName, kernel string, burst int) (string, error) {
 		cfg := s.Cfg.WithECC(sc.sts...)
 		// golden runs are protection-independent (ECC only changes fault
 		// outcomes), so reuse the cached golden with the modified config
-		g := &microfi.GoldenRun{Res: e.MicroG.Res, Cfg: cfg}
+		g := &microfi.GoldenRun{Res: golden.Res, Cfg: cfg}
 		var structs []metrics.StructAVF
 		for _, st := range gpu.Structures {
 			tgt := microfi.Target{Structure: st, Kernel: kernel, Model: faultmodel.Transient{Width: burst}}
 			seed := s.Seed + int64(hashKey(fmt.Sprintf("ecc|%s|%s|%d|%s|%d", appName, kernel, st, sc.name, burst)))
 			tl := campaign.Run(campaign.Options{Runs: s.Runs, Seed: seed, Workers: s.Workers},
 				func(run int, rng *rand.Rand) faults.Result {
-					return microfi.Inject(e.Job, g, tgt, rng)
+					return microfi.Inject(job, g, tgt, rng)
 				})
 			structs = append(structs, metrics.NewStructAVF(st, tl, tgt.DF(g)))
 		}
@@ -816,20 +815,25 @@ func (s *Study) ECCAblation(appName, kernel string, burst int) (string, error) {
 // MultiBitAblation runs the §II-A multi-bit discussion as an experiment:
 // AVF of a kernel under 1..width adjacent-bit bursts in one structure.
 func (s *Study) MultiBitAblation(appName, kernel string, st gpu.Structure, widths []int) ([]metrics.Breakdown, string, error) {
-	e, err := s.Eval(appName)
-	if err != nil {
-		return nil, "", err
-	}
 	var out []metrics.Breakdown
 	t := report.Table{
 		Title:  fmt.Sprintf("Multi-bit ablation: %s %s, %s", appName, kernel, st),
 		Header: []string{"Burst width", "SDC", "Timeout", "DUE", "FR×DF"},
 	}
 	for _, w := range widths {
-		tgt := microfi.Target{Structure: st, Kernel: kernel, Model: faultmodel.Transient{Width: w}}
-		seed := s.Seed + int64(hashKey(fmt.Sprintf("burst|%s|%s|%d|%d", appName, kernel, st, w)))
-		tl := campaignRun(s, e, tgt, seed)
-		b := metrics.FromTally(tl).Scale(tgt.DF(e.MicroG))
+		spec := PointSpec{Layer: LayerMicro, App: appName, Kernel: kernel, Structure: st,
+			Fault: &faultmodel.Spec{Width: w}}
+		// The ablation's points run at campaign seeds of their own, not at
+		// PointSeed: its published rows were measured with them.
+		tl, err := s.RunAt(spec, s.Seed+int64(hashKey(fmt.Sprintf("burst|%s|%s|%d|%d", appName, kernel, st, w))))
+		if err != nil {
+			return nil, "", err
+		}
+		df, err := s.df(spec)
+		if err != nil {
+			return nil, "", err
+		}
+		b := metrics.FromTally(tl).Scale(df)
 		out = append(out, b)
 		t.AddRow(fmt.Sprint(w), report.Pct(b.SDC), report.Pct(b.Timeout), report.Pct(b.DUE), report.Pct(b.Total()))
 	}

@@ -370,6 +370,9 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 // handleReport: POST /v1/leases/{id}/report — merge one completed
 // sub-range (doubling as a heartbeat). 410 when the lease is unknown: it
 // expired and its remainder was already requeued, so the worker abandons.
+// 400 when the report is not a prefix of the lease's remainder: accepting
+// one that starts past it would skip runs nobody executes. A final report
+// that leaves runs unexecuted returns them to the ledger.
 func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 	var rep service.LeaseReport
 	if !service.DecodeBody(w, r, "lease report", &rep) {
@@ -384,10 +387,10 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 		service.WriteError(w, http.StatusGone, service.ErrCodeGone, "no such lease (expired and requeued?)")
 		return
 	}
-	if rep.From < l.from || rep.To > l.to || rep.To <= rep.From {
+	if rep.From != l.from || rep.To > l.to || rep.To <= rep.From {
 		c.mu.Unlock()
 		service.WriteError(w, http.StatusBadRequest, service.ErrCodeBadRequest,
-			fmt.Sprintf("report [%d,%d) outside lease remainder [%d,%d)", rep.From, rep.To, l.from, l.to))
+			fmt.Sprintf("report [%d,%d) is not a prefix of the lease remainder [%d,%d)", rep.From, rep.To, l.from, l.to))
 		return
 	}
 	jobID := l.jobID
@@ -410,6 +413,7 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 		c.stats.DupReports++
 	}
 	ack := service.LeaseAck{Accepted: merged, TTLSec: c.cfg.LeaseTTL.Seconds()}
+	var rest *lease // the unexecuted remainder of a lease deleted early
 	if l, ok := c.leases[id]; ok {
 		if rep.To > l.from {
 			l.from = rep.To
@@ -417,6 +421,10 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 		l.deadline = c.cfg.Now().Add(c.cfg.LeaseTTL)
 		if rep.Done || l.from >= l.to || st.State.Terminal() {
 			delete(c.leases, id)
+			if l.from < l.to && !st.State.Terminal() {
+				rest = l
+				c.stats.Returned++
+			}
 		}
 	}
 	if st.State.Terminal() {
@@ -427,6 +435,9 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 	c.changed.Publish(struct{}{})
 	c.mu.Unlock()
 	c.dirty.Store(true)
+	if rest != nil {
+		c.backlog.ReturnWork(rest.jobID, rest.from, rest.to)
+	}
 	service.WriteJSON(w, http.StatusOK, ack)
 }
 

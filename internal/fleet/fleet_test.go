@@ -473,3 +473,62 @@ func TestFleetAdviseMatchesGpuharden(t *testing.T) {
 		t.Errorf("%d children merged %d runs; workers executed %d (lease stats %+v)", children, childRuns, leased, coord.Stats())
 	}
 }
+
+// TestFleetReportCannotStrandRuns: a lease report that is not a prefix of
+// the lease's remainder is refused, and a final report that leaves runs
+// unexecuted hands them back, so a second worker always finishes the job
+// bit-identically. Accepting the first, or dropping the lease after the
+// second without its remainder, would strand runs: in flight, never
+// executed and never returned, so the job would sit in running until a
+// restart.
+func TestFleetReportCannotStrandRuns(t *testing.T) {
+	const runs, seed = 10, 11
+	exp := func(run int, rng *rand.Rand) faults.Result { return outcome(rng) }
+	opts := campaign.Options{Runs: runs, Seed: seed}
+	cases := []struct {
+		name     string
+		from, to int
+		done     bool
+		refused  bool
+	}{
+		{"gap", 5, 10, false, true},
+		{"done-early", 0, 5, true, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sched, _, srv := harness(t,
+				service.Config{Source: synthSource(0), DisableLocalExec: true},
+				fleet.CoordinatorConfig{LeaseRuns: runs, LeaseTTL: time.Minute},
+			)
+			st, err := sched.Submit(service.JobSpec{Layer: "micro", App: "fake", Kernel: "K1", Runs: runs, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			c := client.New(srv.URL)
+			ls, ok, err := c.Lease(ctx, service.LeaseRequest{Worker: "first"})
+			if err != nil || !ok || ls.From != 0 || ls.To != runs {
+				t.Fatalf("lease %+v, ok %v, err %v", ls, ok, err)
+			}
+			_, err = c.ReportLease(ctx, ls.ID, service.LeaseReport{Worker: "first", From: tc.from, To: tc.to,
+				Tally: campaign.RunRange(opts, tc.from, tc.to, exp), Done: tc.done})
+			if refused := err != nil && strings.Contains(err.Error(), "HTTP 400"); refused != tc.refused {
+				t.Fatalf("report [%d,%d) done=%v: error %v, want refused=%v", tc.from, tc.to, tc.done, err, tc.refused)
+			}
+			if tc.refused {
+				// The refused worker gives its lease back whole.
+				if err := c.ReturnLease(ctx, ls.ID); err != nil {
+					t.Fatal(err)
+				}
+			}
+			startWorker(t, fleet.WorkerConfig{
+				ID: "second", Client: c, Source: synthSource(0),
+				Chunk: 2, Workers: 1, Poll: time.Millisecond, Backoff: testBackoff,
+			})
+			final := waitTerminal(t, sched, st.ID, 10*time.Second)
+			if want := campaign.Run(opts, exp); final.State != service.StateDone || final.Tally != want {
+				t.Errorf("job %+v, single-node tally %+v", final, want)
+			}
+		})
+	}
+}

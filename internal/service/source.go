@@ -6,11 +6,11 @@ import (
 )
 
 // NewStudySource adapts a *gpurel.Study into the scheduler's experiment
-// source. The study memoises golden runs (plain and TMR-hardened, on both
-// simulators) per application, so concurrent jobs targeting the same app —
-// or one job resumed many times — pay for golden-run construction once per
-// daemon process, exactly like figures sharing campaigns in the paper's
-// study.
+// source. The study builds each golden run a job needs (its variant —
+// plain, TMR or selective — on the simulator it injects into) on first use
+// and keeps it, so concurrent jobs targeting the same variant — or one job
+// resumed many times — pay for golden-run construction once per daemon
+// process, exactly like figures sharing campaigns in the paper's study.
 func NewStudySource(st *gpurel.Study) SourceFunc {
 	return func(spec JobSpec) (campaign.Experiment, error) {
 		p, err := spec.Point()

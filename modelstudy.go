@@ -14,6 +14,7 @@ import (
 	"gpurel/internal/faultmodel"
 	"gpurel/internal/faults"
 	"gpurel/internal/gpu"
+	"gpurel/internal/kernels"
 	"gpurel/internal/report"
 )
 
@@ -73,11 +74,11 @@ func (s *Study) FaultModelTable(appNames []string) ([]ModelOutcomeRow, error) {
 	pool := func(st gpu.Structure, fault faultmodel.Spec) error {
 		row := ModelOutcomeRow{Structure: st.String(), Model: fault.Label()}
 		for _, app := range appNames {
-			e, err := s.Eval(app)
+			a, err := kernels.ByName(app)
 			if err != nil {
 				return err
 			}
-			for _, k := range e.App.Kernels {
+			for _, k := range a.Kernels {
 				spec := PointSpec{Layer: LayerMicro, App: app, Kernel: k, Structure: st, Fault: &fault}
 				tl, err := s.Tally(spec)
 				if err != nil {

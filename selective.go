@@ -21,7 +21,7 @@ import (
 // advisor prices every subset, and a campaign on a subset builds its own
 // checkpointed golden run when asked.
 func (s *Study) SelectiveOverhead(appName string, protect []string) (float64, error) {
-	e, err := s.Eval(appName)
+	e, err := s.app(appName, s.Checkpoint)
 	if err != nil {
 		return 0, err
 	}
@@ -30,17 +30,24 @@ func (s *Study) SelectiveOverhead(appName string, protect []string) (float64, er
 			return 0, err
 		}
 	}
-	set, g := harden.NewSet(protect...), e.MicroG
+	plain, err := e.plain.microG()
+	if err != nil {
+		return 0, err
+	}
+	set, g := harden.NewSet(protect...), plain
 	switch {
 	case set.Empty():
-	case set.Covers(e.Job):
-		g = e.MicroGTMR
+	case set.Covers(e.plain.job()):
+		g, err = e.tmr.microG()
 	default:
-		if g, err = microfi.Golden(harden.Selective(e.Job, set), e.MicroG.Cfg); err != nil {
-			return 0, fmt.Errorf("%s+SEL(%s): %w", appName, set.Canonical(), err)
+		if g, err = microfi.Golden(harden.Selective(e.plain.job(), set), e.cfg); err != nil {
+			err = fmt.Errorf("%s+SEL(%s): %w", appName, set.Canonical(), err)
 		}
 	}
-	return float64(g.Res.Cycles) / float64(e.MicroG.Res.Cycles), nil
+	if err != nil {
+		return 0, err
+	}
+	return float64(g.Res.Cycles) / float64(plain.Res.Cycles), nil
 }
 
 // AppAVFSelective measures the application AVF of the selectively hardened

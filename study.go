@@ -14,8 +14,8 @@ package gpurel
 import (
 	"fmt"
 	"math/rand"
-
 	"sync"
+	"sync/atomic"
 
 	"gpurel/internal/adaptive"
 	"gpurel/internal/campaign"
@@ -39,11 +39,12 @@ type Study struct {
 	Seed    int64 // base seed; campaigns derive per-run seeds from it
 	Workers int   // parallel injection workers (0 = GOMAXPROCS)
 
-	// RunPoint, when non-nil, executes campaign points instead of the local
-	// campaign.Run — e.g. by submitting them to a gpureld daemon via the
-	// client package's RunPoint hook. The options carry the fully derived
-	// point seed (see PointSeed), so a remote executor — or a whole worker
-	// fleet — reproduces the local tally bit for bit. Fleet sizing (lease
+	// RunPoint, when non-nil, executes campaign points (RunAt) instead of
+	// the local campaign.Run — e.g. by submitting them to a gpureld daemon
+	// via the client package's RunPoint hook. The options carry the fully
+	// derived campaign seed (PointSeed, or the seed RunAt was given), so a
+	// remote executor — or a whole worker fleet — reproduces the local tally
+	// bit for bit. Fleet sizing (lease
 	// length, worker count) is execution policy, not part of the point
 	// identity, and never feeds PointSeed. Memoisation still applies on top.
 	RunPoint func(spec PointSpec, opts campaign.Options) (campaign.Tally, error)
@@ -59,9 +60,9 @@ type Study struct {
 	Counters *adaptive.Counters
 
 	// Checkpoint is the default checkpointed-injection spec of a point
-	// (PointSpec.Checkpoint overrides it), applied when an application's
-	// golden runs are first built. A point whose spec is enabled also
-	// prunes: its provably dead RF and SMEM draws classify without
+	// (PointSpec.Checkpoint overrides it), applied to every golden run of an
+	// application first evaluated with it. A point whose spec is enabled
+	// also prunes: its provably dead RF and SMEM draws classify without
 	// simulation. NewStudy sets microfi.DefaultCheckpoint, fork-and-join
 	// with pruning; the zero value keeps plain brute-force goldens and
 	// prunes nothing, the reference path. Like Sampling it tunes how points
@@ -91,10 +92,16 @@ func NewStudy(runs int, seed int64) *Study {
 // Apps returns the 11 benchmark applications in the paper's order.
 func (s *Study) Apps() []kernels.App { return kernels.All() }
 
-// AppEval is the cached per-application state: plain and hardened jobs with
-// their golden runs on both simulators, plus the selectively hardened
-// variants campaigns have asked for. The golden runs are built once, by the
-// first evaluation of the app; concurrent first evaluations wait on it.
+// AppEval is the cached per-application state: one variant per protection —
+// the plain job, the fully TMR-hardened one, and each selective subset a
+// point has asked for — each building its job and its golden runs on the two
+// simulators on first use, on the chip and with the checkpoint spec of the
+// app's first evaluation. Concurrent first uses wait on one build.
+//
+// The exported fields are the plain and TMR variants on both simulators;
+// Study.Eval fills them, building whatever of the four golden runs no point
+// has built yet. Code inside the package resolves only the variant and the
+// simulator a measurement needs.
 type AppEval struct {
 	App kernels.App
 
@@ -105,57 +112,93 @@ type AppEval struct {
 	MicroGTMR *microfi.GoldenRun
 	SoftGTMR  *softfi.GoldenRun
 
-	once  sync.Once // runs build; every evaluation of the app waits on it
-	err   error     // build's verdict, read after once
-	built bool      // guarded by Study.mu: the exported fields above are final
+	cfg  gpu.Config             // the chip of the app's first evaluation
+	ck   microfi.CheckpointSpec // the checkpoint spec of the app's first evaluation
+	full lazy[struct{}]         // Eval's fill of the exported fields
 
-	plain, tmr variant // the fields above in the form resolve hands out
+	plain, tmr *variant
 
 	selMu sync.Mutex
 	sel   map[string]*variant // proper protection subsets, keyed by Set.Canonical()
 }
 
+// newAppEval returns the state of an application with nothing built yet.
+func newAppEval(app kernels.App, cfg gpu.Config, ck microfi.CheckpointSpec) *AppEval {
+	e := &AppEval{App: app, cfg: cfg, ck: ck, sel: map[string]*variant{}}
+	e.plain = &variant{e: e, name: app.Name, job: sync.OnceValue(app.Build)}
+	e.tmr = &variant{e: e, name: app.Name + "+TMR", all: true,
+		job: sync.OnceValue(func() *device.Job { return harden.TMR(e.plain.job()) })}
+	return e
+}
+
 // variant is one protection variant of an application — the plain job, the
 // fully TMR-hardened one, or a proper selective subset — with everything a
-// campaign point needs from it: the job, its golden runs, which kernels'
-// campaigns include the vote, and (traced on first use) the interval map of
-// the golden run.
+// campaign point needs from it, each part built once on first use: the job,
+// its golden run on each simulator, and the interval map of the cycle-level
+// one. It also knows which kernels' campaigns include the vote.
 type variant struct {
-	Job    *device.Job
-	MicroG *microfi.GoldenRun
-	SoftG  *softfi.GoldenRun // nil on proper subsets: selective hardening is micro-only
+	e    *AppEval
+	name string             // the error prefix: "VA", "VA+TMR", "VA+SEL(K1)"
+	job  func() *device.Job // builds the job on first call, then returns it
 
 	all     bool       // every kernel is protected (TMR)
 	protect harden.Set // the protected kernels of a proper subset
 
-	once sync.Once // builds a proper subset's job and golden run
-	err  error
+	micro lazy[*microfi.GoldenRun]
+	soft  lazy[*softfi.GoldenRun]
 
 	traceOnce sync.Once
 	iv        *microfi.StaticIntervals
 }
 
-// build runs the four golden runs of the application. ck is the checkpoint
-// spec of the evaluation that got here first; selective variants reuse it.
-func (e *AppEval) build(cfg gpu.Config, ck microfi.CheckpointSpec) (err error) {
-	name := e.App.Name
-	e.Job = e.App.Build()
-	if e.MicroG, err = microfi.GoldenCheckpointed(e.Job, cfg, ck); err != nil {
-		return fmt.Errorf("%s: %w", name, err)
+// lazy is a value built once, on first use, by whichever caller gets there
+// first; concurrent callers wait for it and all see the same value and
+// error. ready peeks at it without waiting, for readers such as the
+// /metrics poller that must not trigger or block on a build.
+type lazy[T any] struct {
+	once sync.Once
+	done atomic.Bool // v and err are final
+	v    T
+	err  error
+}
+
+func (l *lazy[T]) get(build func() (T, error)) (T, error) {
+	l.once.Do(func() {
+		l.v, l.err = build()
+		l.done.Store(true)
+	})
+	return l.v, l.err
+}
+
+// ready returns the value if it has been built without error.
+func (l *lazy[T]) ready() (T, bool) {
+	if l.done.Load() && l.err == nil {
+		return l.v, true
 	}
-	if e.SoftG, err = softfi.Golden(e.Job); err != nil {
-		return fmt.Errorf("%s: %w", name, err)
-	}
-	e.JobTMR = harden.TMR(e.Job)
-	if e.MicroGTMR, err = microfi.GoldenCheckpointed(e.JobTMR, cfg, ck); err != nil {
-		return fmt.Errorf("%s+TMR: %w", name, err)
-	}
-	if e.SoftGTMR, err = softfi.Golden(e.JobTMR); err != nil {
-		return fmt.Errorf("%s+TMR: %w", name, err)
-	}
-	e.plain = variant{Job: e.Job, MicroG: e.MicroG, SoftG: e.SoftG}
-	e.tmr = variant{Job: e.JobTMR, MicroG: e.MicroGTMR, SoftG: e.SoftGTMR, all: true}
-	return nil
+	var zero T
+	return zero, false
+}
+
+// microG returns the variant's cycle-level golden run.
+func (v *variant) microG() (*microfi.GoldenRun, error) {
+	return v.micro.get(func() (*microfi.GoldenRun, error) {
+		g, err := microfi.GoldenCheckpointed(v.job(), v.e.cfg, v.e.ck)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", v.name, err)
+		}
+		return g, nil
+	})
+}
+
+// softG returns the variant's functional golden run.
+func (v *variant) softG() (*softfi.GoldenRun, error) {
+	return v.soft.get(func() (*softfi.GoldenRun, error) {
+		g, err := softfi.Golden(v.job())
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", v.name, err)
+		}
+		return g, nil
+	})
 }
 
 // resolve canonicalises a point's protection against the application's
@@ -164,10 +207,9 @@ func (e *AppEval) build(cfg gpu.Config, ck microfi.CheckpointSpec) (err error) {
 // Hardened, anything else becomes its sorted kernel names. The boundary sets
 // thereby share seeds, memo slots and golden runs with the plain and TMR
 // campaigns, which is what makes the harden.Selective bit-identity property
-// observable at the tally level. A proper subset's job and golden run are
-// built on first use and cached, on the chip and with the checkpoint spec of
-// the app's own golden runs. A point whose kernel, or any kernel it hardens,
-// is not one of the application's is an error.
+// observable at the tally level. Nothing is built beyond the plain job a
+// protection set is checked against. A point whose kernel, or any kernel it
+// hardens, is not one of the application's is an error.
 func (e *AppEval) resolve(spec PointSpec) (PointSpec, *variant, error) {
 	for _, k := range append([]string{spec.Kernel}, spec.Harden...) {
 		if err := e.App.CheckKernel(k); err != nil {
@@ -179,36 +221,27 @@ func (e *AppEval) resolve(spec PointSpec) (PointSpec, *variant, error) {
 		switch {
 		case set.Empty():
 			spec.Harden = nil
-		case set.Covers(e.Job):
+		case set.Covers(e.plain.job()):
 			// Full-set selective = TMR, bit for bit; share its golden.
 			spec.Harden, spec.Hardened = nil, true
 		default:
 			spec.Harden = set.Names()
 			key := set.Canonical()
 			e.selMu.Lock()
-			if e.sel == nil {
-				e.sel = map[string]*variant{}
-			}
 			v, ok := e.sel[key]
 			if !ok {
-				v = &variant{protect: set}
+				v = &variant{e: e, name: fmt.Sprintf("%s+SEL(%s)", e.App.Name, key), protect: set,
+					job: sync.OnceValue(func() *device.Job { return harden.Selective(e.plain.job(), set) })}
 				e.sel[key] = v
 			}
 			e.selMu.Unlock()
-			v.once.Do(func() {
-				v.Job = harden.Selective(e.Job, set)
-				v.MicroG, v.err = microfi.GoldenCheckpointed(v.Job, e.MicroG.Cfg, e.MicroG.Ckpt)
-			})
-			if v.err != nil {
-				return spec, nil, fmt.Errorf("%s+SEL(%s): %w", e.App.Name, key, v.err)
-			}
 			return spec, v, nil
 		}
 	}
 	if spec.Hardened {
-		return spec, &e.tmr, nil
+		return spec, e.tmr, nil
 	}
-	return spec, &e.plain, nil
+	return spec, e.plain, nil
 }
 
 // votes reports whether a kernel's campaigns on this variant include the
@@ -223,10 +256,10 @@ func (v *variant) target(spec PointSpec, mdl faultmodel.Model) microfi.Target {
 	return microfi.Target{Structure: spec.Structure, Kernel: spec.Kernel, IncludeVote: v.votes(spec.Kernel), Model: mdl}
 }
 
-// cycles returns the golden-run cycle weight of one kernel on this variant.
-func (v *variant) cycles(kernel string) float64 {
+// kernelCycles returns the cycle weight of one kernel in a golden run.
+func kernelCycles(g *microfi.GoldenRun, kernel string) float64 {
 	var c int64
-	for _, sp := range v.MicroG.Res.Spans {
+	for _, sp := range g.Res.Spans {
 		if sp.Kernel == kernel {
 			c += sp.End - sp.Start
 		}
@@ -240,7 +273,7 @@ func (v *variant) cycles(kernel string) float64 {
 // every run simulates: the tally is the same.
 func (v *variant) intervals() *microfi.StaticIntervals {
 	v.traceOnce.Do(func() {
-		v.iv, _ = microfi.TraceStatic(v.Job, v.MicroG.Cfg)
+		v.iv, _ = microfi.TraceStatic(v.job(), v.e.cfg)
 	})
 	return v.iv
 }
@@ -294,8 +327,10 @@ type PointSpec struct {
 	// Checkpoint, when non-nil, overrides the study's default checkpointed
 	// injection spec for the golden runs backing this point. Like Sampling
 	// it is excluded from PointSeed — it accelerates the point without
-	// changing what it measures. Golden runs are built once per app, so the
-	// spec in effect at the first evaluation of an app wins.
+	// changing what it measures. Each variant of an app (plain, TMR, each
+	// selective subset) builds its golden runs on first use, but always
+	// with the spec in effect at the first evaluation of the app: that
+	// spec wins for every variant.
 	Checkpoint *microfi.CheckpointSpec
 	// Fault selects the fault model of a LayerMicro point (nil = the legacy
 	// transient single-bit flip). Unlike Sampling and Checkpoint it changes
@@ -385,15 +420,15 @@ func PointSeed(base int64, spec PointSpec) int64 {
 	return base + int64(hashKey(spec.identity()))
 }
 
-// resolve validates a point, evaluates its application (building the golden
-// runs on first use, checkpointed per the point's spec or the study's
-// default) and resolves its protection: the canonical spec and the variant
-// it injects into.
+// resolve validates a point, looks up its application (on first use with
+// the point's checkpoint spec, else the study's default) and resolves its
+// protection: the canonical spec and the variant it injects into. It builds
+// no golden run.
 func (s *Study) resolve(spec PointSpec) (PointSpec, *variant, error) {
 	if err := spec.Validate(); err != nil {
 		return spec, nil, err
 	}
-	e, err := s.evalWith(spec.App, s.checkpointFor(spec))
+	e, err := s.app(spec.App, s.checkpointFor(spec))
 	if err != nil {
 		return spec, nil, err
 	}
@@ -409,6 +444,23 @@ func (s *Study) checkpointFor(spec PointSpec) microfi.CheckpointSpec {
 	return s.Checkpoint
 }
 
+// Golden returns the golden run behind a point, building it on first use:
+// the cycle-level run of its variant for a LayerMicro point, the functional
+// one for a LayerSoft point (the other result is nil). It is the run the
+// point's campaign injects into and derates against.
+func (s *Study) Golden(spec PointSpec) (*microfi.GoldenRun, *softfi.GoldenRun, error) {
+	spec, v, err := s.resolve(spec)
+	if err != nil {
+		return nil, nil, err
+	}
+	if spec.Layer == LayerSoft {
+		g, err := v.softG()
+		return nil, g, err
+	}
+	g, err := v.microG()
+	return g, nil, err
+}
+
 // PointExperiment builds (caching golden runs on first use) the injection
 // closure of one campaign point. The returned Experiment is safe for
 // concurrent calls and deterministic per (run, rng) — the entry point the
@@ -419,7 +471,11 @@ func (s *Study) PointExperiment(spec PointSpec) (campaign.Experiment, error) {
 		return nil, err
 	}
 	if spec.Layer == LayerSoft {
-		job, g := v.Job, v.SoftG
+		g, err := v.softG()
+		if err != nil {
+			return nil, err
+		}
+		job := v.job()
 		t := softfi.Target{Kernel: spec.Kernel, Mode: spec.Mode, IncludeVote: v.votes(spec.Kernel)}
 		return s.Counters.Count(func(run int, rng *rand.Rand) faults.Result {
 			return softfi.Inject(job, g, t, rng)
@@ -429,7 +485,11 @@ func (s *Study) PointExperiment(spec PointSpec) (campaign.Experiment, error) {
 	if err != nil {
 		return nil, err
 	}
-	job, g, t := v.Job, v.MicroG, v.target(spec, mdl)
+	g, err := v.microG()
+	if err != nil {
+		return nil, err
+	}
+	job, t := v.job(), v.target(spec, mdl)
 	// The interval map is the only evidence a study point can hold. A point
 	// whose checkpoint spec is enabled and whose draws can be pruned traces
 	// it at its first run; with no map InjectStatic is exactly Inject and
@@ -444,10 +504,13 @@ func (s *Study) PointExperiment(spec PointSpec) (campaign.Experiment, error) {
 	}), nil
 }
 
-// runPoint executes (locally or through the RunPoint hook) one campaign
-// point with the study's sizing, the point's derived seed and the effective
-// sampling policy (the point's own, else the study default).
-func (s *Study) runPoint(spec PointSpec) (campaign.Tally, error) {
+// RunAt runs the campaign of one point at the given campaign seed, locally
+// or through the RunPoint hook, with the study's sizing and the effective
+// sampling policy (the point's own, else the study's), adding the runs an
+// early stop saved to Counters. It memoises nothing: Tally runs each point
+// through it at the point's PointSeed, and the front ends and ablations
+// that keep campaign seeds of their own call it directly.
+func (s *Study) RunAt(spec PointSpec, seed int64) (campaign.Tally, error) {
 	if spec.Sampling == nil {
 		spec.Sampling = s.Sampling
 	}
@@ -458,7 +521,7 @@ func (s *Study) runPoint(spec PointSpec) (campaign.Tally, error) {
 		ck := s.Checkpoint
 		spec.Checkpoint = &ck
 	}
-	opts := campaign.Options{Runs: s.Runs, Seed: PointSeed(s.Seed, spec), Workers: s.Workers}
+	opts := campaign.Options{Runs: s.Runs, Seed: seed, Workers: s.Workers}
 	if s.RunPoint != nil {
 		return s.RunPoint(spec, opts)
 	}
@@ -476,71 +539,106 @@ func (s *Study) runPoint(spec PointSpec) (campaign.Tally, error) {
 	return campaign.Run(opts, fn), nil
 }
 
-// Eval returns (building and caching on first use) the evaluation state of
-// the named application, using the study's default checkpoint spec.
+// Eval returns the evaluation state of the named application with its
+// exported fields filled: the plain and TMR jobs and their golden runs on
+// both simulators, built on first use with the study's default checkpoint
+// spec unless a point evaluated the app first. Concurrent and later callers
+// all see the first build's error.
 func (s *Study) Eval(appName string) (*AppEval, error) {
-	return s.evalWith(appName, s.Checkpoint)
-}
-
-// evalWith is Eval with an explicit checkpoint spec for the micro-level
-// golden runs. An app is built once — the spec only matters the first time
-// it is evaluated — and concurrent first evaluations all wait on that one
-// build and see its error. Unknown names are refused before anything is
-// inserted, so names from the wire cannot grow the map.
-func (s *Study) evalWith(appName string, ck microfi.CheckpointSpec) (*AppEval, error) {
-	s.mu.Lock()
-	e, ok := s.apps[appName]
-	if !ok {
-		app, err := kernels.ByName(appName)
-		if err != nil {
-			s.mu.Unlock()
-			return nil, err
-		}
-		e = &AppEval{App: app}
-		s.apps[appName] = e
+	e, err := s.app(appName, s.Checkpoint)
+	if err != nil {
+		return nil, err
 	}
-	s.mu.Unlock()
-	e.once.Do(func() {
-		if e.err = e.build(s.Cfg, ck); e.err == nil {
-			s.mu.Lock()
-			e.built = true
-			s.mu.Unlock()
+	_, err = e.full.get(func() (struct{}, error) {
+		var err error
+		if e.MicroG, err = e.plain.microG(); err != nil {
+			return struct{}{}, err
 		}
+		if e.SoftG, err = e.plain.softG(); err != nil {
+			return struct{}{}, err
+		}
+		if e.MicroGTMR, err = e.tmr.microG(); err != nil {
+			return struct{}{}, err
+		}
+		if e.SoftGTMR, err = e.tmr.softG(); err != nil {
+			return struct{}{}, err
+		}
+		e.Job, e.JobTMR = e.plain.job(), e.tmr.job()
+		return struct{}{}, nil
 	})
-	if e.err != nil {
-		return nil, e.err
+	if err != nil {
+		return nil, err
 	}
 	return e, nil
 }
 
-// CheckpointCounts aggregates fork/converge statistics and the snapshot
-// inventory across every cached golden run (plain and TMR-hardened). Safe to
-// call concurrently with running campaigns; apps still building are skipped.
-func (s *Study) CheckpointCounts() microfi.CheckpointCounts {
+// app returns the cached state of the named application, creating it on
+// first use with the study's chip and the checkpoint spec ck. It builds
+// nothing. Unknown names are refused before anything is inserted, so names
+// from the wire cannot grow the map.
+func (s *Study) app(name string, ck microfi.CheckpointSpec) (*AppEval, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var c microfi.CheckpointCounts
+	if e, ok := s.apps[name]; ok {
+		return e, nil
+	}
+	a, err := kernels.ByName(name)
+	if err != nil {
+		return nil, err
+	}
+	e := newAppEval(a, s.Cfg, ck)
+	s.apps[name] = e
+	return e, nil
+}
+
+// variants returns every variant of every application looked up so far.
+func (s *Study) variants() []*variant {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var out []*variant
 	for _, e := range s.apps {
-		if e.built {
-			c.Add(e.MicroG.CheckpointCounts())
-			c.Add(e.MicroGTMR.CheckpointCounts())
+		e.selMu.Lock()
+		out = append(out, e.plain, e.tmr)
+		for _, v := range e.sel {
+			out = append(out, v)
+		}
+		e.selMu.Unlock()
+	}
+	return out
+}
+
+// plainJob returns the named application's job, building nothing else.
+func (s *Study) plainJob(appName string) (*device.Job, error) {
+	_, v, err := s.resolve(PointSpec{Layer: LayerMicro, App: appName})
+	if err != nil {
+		return nil, err
+	}
+	return v.job(), nil
+}
+
+// CheckpointCounts aggregates fork/converge statistics and the snapshot
+// inventory across every cycle-level golden run built so far, of every
+// variant. Safe to call concurrently with running campaigns; golden runs
+// still building are skipped.
+func (s *Study) CheckpointCounts() microfi.CheckpointCounts {
+	var c microfi.CheckpointCounts
+	for _, v := range s.variants() {
+		if g, ok := v.micro.ready(); ok {
+			c.Add(g.CheckpointCounts())
 		}
 	}
 	return c
 }
 
 // SoftCheckpointCounts is CheckpointCounts for the software level: the
-// CTA-boundary checkpoints of every cached functional golden run and the
-// work fork-and-join saved the soft campaigns. Kept apart from
+// CTA-boundary checkpoints of every functional golden run built so far and
+// the work fork-and-join saved the soft campaigns. Kept apart from
 // CheckpointCounts, which reports the cycle simulator alone.
 func (s *Study) SoftCheckpointCounts() softfi.CheckpointCounts {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var c softfi.CheckpointCounts
-	for _, e := range s.apps {
-		if e.built {
-			c.Add(e.SoftG.CheckpointCounts())
-			c.Add(e.SoftGTMR.CheckpointCounts())
+	for _, v := range s.variants() {
+		if g, ok := v.soft.ready(); ok {
+			c.Add(g.CheckpointCounts())
 		}
 	}
 	return c
@@ -550,7 +648,8 @@ func (s *Study) SoftCheckpointCounts() softfi.CheckpointCounts {
 // mode, protection (plain, Hardened, or a Harden subset) and fault model.
 // It is the study's one memoised body; the memo key is the identity of the
 // point after its protection is canonicalised, so every spelling of a point
-// — and every figure that needs it — shares one campaign.
+// — and every figure that needs it — shares one campaign, run at its
+// PointSeed.
 func (s *Study) Tally(spec PointSpec) (campaign.Tally, error) {
 	spec, _, err := s.resolve(spec)
 	if err != nil {
@@ -561,7 +660,7 @@ func (s *Study) Tally(spec PointSpec) (campaign.Tally, error) {
 	tl, ok := s.tallies[key]
 	s.mu.Unlock()
 	if !ok {
-		if tl, err = s.runPoint(spec); err != nil {
+		if tl, err = s.RunAt(spec, PointSeed(s.Seed, spec)); err != nil {
 			return campaign.Tally{}, err
 		}
 		s.mu.Lock()
@@ -574,12 +673,26 @@ func (s *Study) Tally(spec PointSpec) (campaign.Tally, error) {
 // derated is Tally for a micro-level point plus the derating factor of its
 // target, measured on the golden run of the variant it injects into.
 func (s *Study) derated(spec PointSpec) (campaign.Tally, float64, error) {
-	spec, v, err := s.resolve(spec)
+	tl, err := s.Tally(spec)
 	if err != nil {
 		return campaign.Tally{}, 0, err
 	}
-	tl, err := s.Tally(spec)
-	return tl, v.target(spec, nil).DF(v.MicroG), err
+	df, err := s.df(spec)
+	return tl, df, err
+}
+
+// df is the derating factor of a micro-level point's target on the golden
+// run of the variant it injects into.
+func (s *Study) df(spec PointSpec) (float64, error) {
+	spec, v, err := s.resolve(spec)
+	if err != nil {
+		return 0, err
+	}
+	g, err := v.microG()
+	if err != nil {
+		return 0, err
+	}
+	return v.target(spec, nil).DF(g), nil
 }
 
 // MicroTally runs (or recalls) the microarchitecture-level campaign for one
@@ -628,25 +741,25 @@ func (s *Study) kernelStructs(spec PointSpec, sts []gpu.Structure) ([]metrics.St
 // (§II-B). It also returns the per-kernel parts, in App.Kernels order, and
 // the number of runs behind them.
 func (s *Study) appAVF(spec PointSpec, sts []gpu.Structure) (metrics.Breakdown, []metrics.Breakdown, int, error) {
-	e, err := s.Eval(spec.App)
+	_, v, err := s.resolve(spec)
 	if err != nil {
 		return metrics.Breakdown{}, nil, 0, err
 	}
-	_, v, err := e.resolve(spec)
+	g, err := v.microG()
 	if err != nil {
 		return metrics.Breakdown{}, nil, 0, err
 	}
 	var parts []metrics.Breakdown
 	var weights []float64
 	runs := 0
-	for _, k := range e.App.Kernels {
+	for _, k := range v.e.App.Kernels {
 		spec.Kernel = k
 		structs, n, err := s.kernelStructs(spec, sts)
 		if err != nil {
 			return metrics.Breakdown{}, nil, 0, err
 		}
 		parts = append(parts, metrics.SubsetAVF(s.Cfg, structs))
-		weights = append(weights, v.cycles(k))
+		weights = append(weights, kernelCycles(g, k))
 		runs += n
 	}
 	return metrics.Weighted(parts, weights), parts, runs, nil
@@ -693,13 +806,17 @@ func (s *Study) KernelAVFStratified(appName, kernel string, hardened bool, pol a
 	}
 	results := adaptive.Stratified(strata, pol)
 
+	g, err := v.microG()
+	if err != nil {
+		return metrics.Breakdown{}, nil, nil, err
+	}
 	var structs []metrics.StructAVF
 	s.mu.Lock()
 	for i, st := range gpu.Structures {
 		spec.Structure = st
 		tl := results[i].Tally
 		s.tallies[spec.identity()] = tl
-		structs = append(structs, metrics.NewStructAVF(st, tl, v.target(spec, nil).DF(v.MicroG)))
+		structs = append(structs, metrics.NewStructAVF(st, tl, v.target(spec, nil).DF(g)))
 		if s.Counters != nil {
 			s.Counters.Saved.Add(int64(s.Runs - tl.N))
 		}
@@ -751,18 +868,18 @@ func (s *Study) AppSVFLD(appName string) (metrics.Breakdown, error) {
 // injection mode: per-kernel failure rates weighted by the kernels' dynamic
 // instruction counts in the variant's functional golden run.
 func (s *Study) appSVF(appName string, mode softfi.Mode, hardened bool) (metrics.Breakdown, error) {
-	e, err := s.Eval(appName)
+	spec := PointSpec{Layer: LayerSoft, App: appName, Mode: mode, Hardened: hardened}
+	_, v, err := s.resolve(spec)
 	if err != nil {
 		return metrics.Breakdown{}, err
 	}
-	spec := PointSpec{Layer: LayerSoft, App: appName, Mode: mode, Hardened: hardened}
-	_, v, err := e.resolve(spec)
+	g, err := v.softG()
 	if err != nil {
 		return metrics.Breakdown{}, err
 	}
 	var parts []metrics.Breakdown
 	var weights []float64
-	for _, k := range e.App.Kernels {
+	for _, k := range v.e.App.Kernels {
 		spec.Kernel = k
 		tl, err := s.Tally(spec)
 		if err != nil {
@@ -770,7 +887,7 @@ func (s *Study) appSVF(appName string, mode softfi.Mode, hardened bool) (metrics
 		}
 		parts = append(parts, metrics.FromTally(tl))
 		var w float64
-		if kc := v.SoftG.Res.PerKernel[k]; kc != nil {
+		if kc := g.Res.PerKernel[k]; kc != nil {
 			w = float64(kc.DynInstrs)
 		}
 		weights = append(weights, w)
@@ -796,16 +913,16 @@ func (s *Study) CtrlAffectedPct(appName, kernel string, hardened bool) (float64,
 // KernelStats returns the fault-free microarchitectural profile of a kernel
 // (the resource-utilisation metrics of Figure 3).
 func (s *Study) KernelStats(appName, kernel string) (*sim.KernelStats, []sim.LaunchSpan, error) {
-	e, err := s.Eval(appName)
+	g, _, err := s.Golden(PointSpec{Layer: LayerMicro, App: appName})
 	if err != nil {
 		return nil, nil, err
 	}
-	ks := e.MicroG.Res.PerKernel[kernel]
+	ks := g.Res.PerKernel[kernel]
 	if ks == nil {
 		return nil, nil, fmt.Errorf("%s: kernel %s not found", appName, kernel)
 	}
 	var spans []sim.LaunchSpan
-	for _, sp := range e.MicroG.Res.Spans {
+	for _, sp := range g.Res.Spans {
 		if sp.Kernel == kernel {
 			spans = append(spans, sp)
 		}

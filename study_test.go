@@ -1,6 +1,7 @@
 package gpurel
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -174,34 +175,50 @@ func TestDeterministicCampaigns(t *testing.T) {
 	}
 }
 
-// TestConcurrentEvalBuildsOnce: concurrent first evaluations of one app
-// share a single build — every caller gets the same AppEval, so every run
-// forks from golden runs the study still counts. The expected fork total is
-// the same 80 runs executed sequentially on a fresh study (fork decisions
-// are a function of (seed, run) alone); an evaluation that built its own
-// private goldens would leave its forks out of CheckpointCounts.
+// TestConcurrentEvalBuildsOnce: concurrent first uses of an app's variants
+// — Eval and the first PointExperiment calls on its plain, TMR and one
+// selective variant, raced against a /metrics reader — share one build of
+// each golden run: every caller gets the same AppEval and the same golden
+// runs, so every run forks from golden runs the study still counts. The
+// expected tallies and counts are those of the same runs executed
+// sequentially on a fresh study (fork decisions are a function of (seed,
+// run) alone); a golden built twice would leave one copy's forks or
+// snapshots out of CheckpointCounts or double them.
 func TestConcurrentEvalBuildsOnce(t *testing.T) {
-	const lanes, each = 4, 20
-	spec := PointSpec{Layer: LayerMicro, App: "VA", Kernel: "K1", Structure: gpu.RF}
+	const lanes, each = 4, 10
+	specs := []PointSpec{
+		{Layer: LayerMicro, App: "SRADv2", Kernel: "K1", Structure: gpu.RF},
+		{Layer: LayerMicro, App: "SRADv2", Kernel: "K1", Structure: gpu.RF, Hardened: true},
+		{Layer: LayerMicro, App: "SRADv2", Kernel: "K1", Structure: gpu.RF, Harden: []string{"K1"}},
+	}
 	ck := microfi.CheckpointSpec{Stride: microfi.AutoStride}
-	opts := campaign.Options{Runs: lanes * each, Seed: PointSeed(1, spec), Workers: 1}
+	opts := func(spec PointSpec) campaign.Options {
+		return campaign.Options{Runs: lanes * each, Seed: PointSeed(1, spec), Workers: 1}
+	}
 
 	ref := NewStudy(0, 1)
 	ref.Checkpoint = ck
-	fn, err := ref.PointExperiment(spec)
-	if err != nil {
+	wantTallies := make([]campaign.Tally, len(specs))
+	for i, spec := range specs {
+		fn, err := ref.PointExperiment(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantTallies[i] = campaign.RunRange(opts(spec), 0, lanes*each, fn)
+	}
+	if _, err := ref.Eval("SRADv2"); err != nil {
 		t.Fatal(err)
 	}
-	wantTally := campaign.RunRange(opts, 0, lanes*each, fn)
-	want := ref.CheckpointCounts()
-	if want.ForkResumes == 0 || want.Snapshots == 0 {
-		t.Fatalf("reference study did not fork: %+v", want)
+	want, wantSoft := ref.CheckpointCounts(), ref.SoftCheckpointCounts()
+	if want.ForkResumes == 0 || want.Snapshots == 0 || wantSoft.Boundaries == 0 {
+		t.Fatalf("reference study did not fork: %+v, %+v", want, wantSoft)
 	}
 
 	s := NewStudy(0, 1)
 	s.Checkpoint = ck
 	evals := make([]*AppEval, lanes)
-	tallies := make([]campaign.Tally, lanes)
+	goldens := make([][]*microfi.GoldenRun, lanes)
+	tallies := make([][]campaign.Tally, lanes)
 	stop := make(chan struct{})
 	polled := make(chan struct{})
 	go func() { // the /metrics reader: must not race with a build in flight
@@ -222,36 +239,180 @@ func TestConcurrentEvalBuildsOnce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			e, err := s.Eval("VA")
+			goldens[i] = make([]*microfi.GoldenRun, len(specs))
+			tallies[i] = make([]campaign.Tally, len(specs))
+			// Each lane starts on a different variant, so first uses race.
+			for j := range specs {
+				k := (i + j) % len(specs)
+				fn, err := s.PointExperiment(specs[k])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if goldens[i][k], _, err = s.Golden(specs[k]); err != nil {
+					t.Error(err)
+					return
+				}
+				tallies[i][k] = campaign.RunRange(opts(specs[k]), i*each, (i+1)*each, fn)
+			}
+			e, err := s.Eval("SRADv2")
 			if err != nil {
 				t.Error(err)
 				return
 			}
 			evals[i] = e
-			fn, err := s.PointExperiment(spec)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			tallies[i] = campaign.RunRange(opts, i*each, (i+1)*each, fn)
 		}(i)
 	}
 	wg.Wait()
 	close(stop)
 	<-polled
+	if t.Failed() {
+		return
+	}
 
-	var got campaign.Tally
+	for k, spec := range specs {
+		var got campaign.Tally
+		for i := range evals {
+			if goldens[i][k] != goldens[0][k] {
+				t.Errorf("%+v: lane %d got its own golden run", spec, i)
+			}
+			got.Merge(tallies[i][k])
+		}
+		if got != wantTallies[k] {
+			t.Errorf("%+v: tally %+v, sequential %+v", spec, got, wantTallies[k])
+		}
+	}
 	for i := range evals {
 		if evals[i] != evals[0] {
 			t.Errorf("lane %d got its own AppEval (%p, lane 0 has %p)", i, evals[i], evals[0])
 		}
-		got.Merge(tallies[i])
 	}
-	if got != wantTally {
-		t.Errorf("tally %+v, sequential %+v", got, wantTally)
+	if e := evals[0]; e.MicroG != goldens[0][0] || e.MicroGTMR != goldens[0][1] {
+		t.Error("Eval's golden runs are not the ones the points injected into")
 	}
 	if c := s.CheckpointCounts(); c != want {
 		t.Errorf("checkpoint counts %+v, sequential study %+v", c, want)
+	}
+	if c := s.SoftCheckpointCounts(); c != wantSoft {
+		t.Errorf("soft checkpoint counts %+v, sequential study %+v", c, wantSoft)
+	}
+}
+
+// TestVariantsBuildOnFirstUse: a variant builds a golden run only when a
+// point or Eval needs it. On a fresh default study a soft point builds no
+// cycle-level golden, and a plain micro point builds only its variant's
+// cycle-level golden. Every variant of an app is built with the checkpoint
+// spec of the app's first evaluation, so a TMR point that carries none
+// still gets the spec of the plain point before it. Eval fills all six
+// exported fields, reusing the golden runs the points built.
+func TestVariantsBuildOnFirstUse(t *testing.T) {
+	s := NewStudy(20, 1)
+	built := func(e *AppEval) [4]bool {
+		_, pm := e.plain.micro.ready()
+		_, ps := e.plain.soft.ready()
+		_, tm := e.tmr.micro.ready()
+		_, ts := e.tmr.soft.ready()
+		return [4]bool{pm, ps, tm, ts}
+	}
+
+	if _, err := s.Tally(PointSpec{Layer: LayerSoft, App: "VA", Kernel: "K1", Mode: softfi.SVF}); err != nil {
+		t.Fatal(err)
+	}
+	if b := built(s.apps["VA"]); b != [4]bool{false, true, false, false} {
+		t.Errorf("a soft point built [plain micro, plain soft, TMR micro, TMR soft] = %v", b)
+	}
+	if c := s.CheckpointCounts(); c != (microfi.CheckpointCounts{}) {
+		t.Errorf("a soft point took cycle-level snapshots: %+v", c)
+	}
+
+	first := microfi.CheckpointSpec{Stride: microfi.AutoStride}
+	plain := PointSpec{Layer: LayerMicro, App: "SCP", Kernel: "K1", Structure: gpu.RF, Checkpoint: &first}
+	if _, err := s.Tally(plain); err != nil {
+		t.Fatal(err)
+	}
+	e := s.apps["SCP"]
+	if b := built(e); b != [4]bool{true, false, false, false} {
+		t.Errorf("a plain micro point built [plain micro, plain soft, TMR micro, TMR soft] = %v", b)
+	}
+	g, _, err := s.Golden(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := s.CheckpointCounts(); c.Snapshots != g.CheckpointCounts().Snapshots {
+		t.Errorf("%d snapshots counted, the one golden built has %d", c.Snapshots, g.CheckpointCounts().Snapshots)
+	}
+
+	hard := PointSpec{Layer: LayerMicro, App: "SCP", Kernel: "K1", Structure: gpu.L2, Hardened: true}
+	if _, err := s.Tally(hard); err != nil {
+		t.Fatal(err)
+	}
+	gh, _, err := s.Golden(hard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gh.Ckpt != first {
+		t.Errorf("the TMR golden was built with %+v, the first evaluation's spec is %+v", gh.Ckpt, first)
+	}
+
+	ev, err := s.Eval("SCP")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev.Job == nil || ev.MicroG == nil || ev.SoftG == nil || ev.JobTMR == nil || ev.MicroGTMR == nil || ev.SoftGTMR == nil {
+		t.Fatalf("Eval left a field empty: %+v", ev)
+	}
+	if ev.MicroG != g || ev.MicroGTMR != gh || built(e) != [4]bool{true, true, true, true} {
+		t.Error("Eval rebuilt golden runs the points had built")
+	}
+}
+
+// TestMultiBitAblationRunsThroughStudy: the multi-bit ablation's points go
+// through the study's one runner, so a RunPoint hook (avfsvf -daemon) gets
+// them, at the campaign seeds the ablation has always used, carrying the
+// study's sampling policy; run locally, the policy stops them early.
+func TestMultiBitAblationRunsThroughStudy(t *testing.T) {
+	pol := &SamplingPolicy{Margin: 0.1}
+	s := NewStudy(400, 1)
+	s.Sampling = pol
+	type call struct {
+		width int
+		seed  int64
+	}
+	var calls []call
+	s.RunPoint = func(spec PointSpec, opts campaign.Options) (campaign.Tally, error) {
+		if spec.Sampling != pol || opts.Runs != 400 {
+			t.Errorf("width %d: sampling %+v, %d runs", spec.faultSpec().Width, spec.Sampling, opts.Runs)
+		}
+		calls = append(calls, call{spec.faultSpec().Width, opts.Seed})
+		return campaign.Tally{N: 1, Counts: [faults.NumOutcomes]int{faults.SDC: 1}}, nil
+	}
+	rows, _, err := s.MultiBitAblation("VA", "K1", gpu.RF, []int{1, 2, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// the seeds of the ablation's campaigns before they were study points
+	want := []call{{1, 385629246}, {2, 335296389}, {4, 301741151}}
+	if len(calls) != len(want) {
+		t.Fatalf("the hook ran %d points, want %d", len(calls), len(want))
+	}
+	for i := range want {
+		if calls[i] != want[i] {
+			t.Errorf("point %d: %+v, want %+v", i, calls[i], want[i])
+		}
+		if math.Abs(rows[i].SDC-0.2188) > 5e-5 { // the hook's all-SDC tally × VA/K1's RF derating factor
+			t.Errorf("point %d: SDC %v is not the hook's tally derated", i, rows[i].SDC)
+		}
+	}
+
+	local := NewStudy(400, 1)
+	local.Sampling = pol
+	local.Counters = &adaptive.Counters{}
+	if _, _, err := local.MultiBitAblation("VA", "K1", gpu.RF, []int{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if c := local.Counters; c.Saved.Load() == 0 || c.Simulated.Load()+c.Pruned.Load()+c.Saved.Load() != 800 {
+		t.Errorf("the sampling policy did not stop the ablation early: %d simulated, %d pruned, %d saved",
+			c.Simulated.Load(), c.Pruned.Load(), c.Saved.Load())
 	}
 }
 
