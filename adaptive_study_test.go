@@ -1,11 +1,14 @@
 package gpurel
 
 import (
+	"math/rand"
 	"testing"
 
 	"gpurel/internal/adaptive"
 	"gpurel/internal/campaign"
+	"gpurel/internal/faults"
 	"gpurel/internal/gpu"
+	"gpurel/internal/kernels"
 	"gpurel/internal/microfi"
 )
 
@@ -173,4 +176,58 @@ func TestAdaptivePointStopsHonestly(t *testing.T) {
 	if tl.N < want.N && s.Counters.Saved.Load() == 0 {
 		t.Error("early stop saved runs but Counters.Saved was not credited")
 	}
+}
+
+// TestCachePruneEqualsBruteForce: the default study prunes cache flips into
+// frames the golden run held invalid, and every run — pruned or simulated —
+// classifies as the brute-force study's run of the same seed does, result
+// for result. K-Means is the one app that uses L1T; BFS has host steps that
+// write (invalidating every cache) and host steps that do not; SRADv1 has
+// six launches; VA is hardened, so its vote kernel's window counts too.
+func TestCachePruneEqualsBruteForce(t *testing.T) {
+	const runs = 40
+	brute, def := bruteStudy(runs, 1), NewStudy(runs, 1)
+	points := []struct {
+		app      string
+		hardened bool
+	}{{"K-Means", false}, {"BFS", false}, {"SRADv1", false}, {"VA", true}}
+	for _, st := range []gpu.Structure{gpu.L1D, gpu.L1T, gpu.L2} {
+		def.Counters = &adaptive.Counters{}
+		for _, p := range points {
+			app, err := kernels.ByName(p.app)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range app.Kernels {
+				spec := PointSpec{Layer: LayerMicro, App: p.app, Kernel: k, Structure: st, Hardened: p.hardened}
+				want, got := results(t, brute, spec, runs), results(t, def, spec, runs)
+				for run := range want {
+					if got[run] != want[run] {
+						t.Errorf("%s/%s/%v hardened=%v run %d: default study %+v, brute force %+v", p.app, k, st, p.hardened, run, got[run], want[run])
+					}
+				}
+			}
+		}
+		if pruned, simulated := def.Counters.Pruned.Load(), def.Counters.Simulated.Load(); pruned == 0 || simulated == 0 {
+			t.Errorf("%v: %d runs pruned, %d simulated; want some of each", st, pruned, simulated)
+		} else {
+			t.Logf("%v: %d runs pruned, %d simulated", st, pruned, simulated)
+		}
+	}
+}
+
+// results runs the point's campaign on the study at the point's seed and
+// returns what each run classified as.
+func results(t *testing.T, s *Study, spec PointSpec, runs int) []faults.Result {
+	t.Helper()
+	fn, err := s.PointExperiment(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]faults.Result, runs)
+	campaign.Run(campaign.Options{Runs: runs, Seed: PointSeed(1, spec)}, func(run int, rng *rand.Rand) faults.Result {
+		out[run] = fn(run, rng)
+		return out[run]
+	})
+	return out
 }

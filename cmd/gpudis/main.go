@@ -21,10 +21,10 @@
 // memory access needs) is a warning.
 //
 // -avf-bounds traces the job fault-free with the flow interval engine and
-// prints, per kernel, the static AVF bracket [lower, upper] for each
-// hardware structure: RF and SMEM come from the dead/live intervals, while
-// caches and control state are outside the engine's reach and report the
-// trivial unsupported [0, 1].
+// the cache frame record and prints, per kernel, the static AVF bracket
+// [lower, upper] for each storage structure: RF and SMEM come from the
+// dead/live intervals, L1D, L1T and L2 from the share of draws that land
+// in a valid cache line.
 package main
 
 import (
@@ -245,22 +245,18 @@ func printSites(w io.Writer, appName string, job *device.Job, progs map[string]*
 	}
 }
 
-// printBounds prints, from a fault-free trace of the job by the flow interval
-// recorder, each kernel's static AVF bracket per hardware structure. The upper
-// bound is the expected live fraction of allocated state over the kernel's
-// injection windows; the lower bound is 0 (the engine proves deadness, not
-// ACE-ness). Unsupported structures report the trivial [0, 1] bracket.
+// printBounds prints, from a fault-free trace of the job, each kernel's
+// static AVF bracket per storage structure. The upper bound is the expected
+// share of the injector's draws over the kernel's injection windows that
+// land in live state: a live register or shared-memory entry, a valid cache
+// line. The lower bound is 0 (the engine proves deadness, not ACE-ness).
 func printBounds(w io.Writer, appName string, si *microfi.StaticIntervals, names []string) {
 	fmt.Fprintf(w, "%s: static AVF bounds (%d traced cycles)\n", appName, si.Cycles)
 	for _, name := range names {
 		fmt.Fprintf(w, "  %s:\n", name)
 		for _, st := range gpu.Structures {
 			b := si.Bounds(st, name)
-			note := ""
-			if !b.Supported {
-				note = "  (unsupported: trivial bracket)"
-			}
-			fmt.Fprintf(w, "    %-5s [%6.4f, %6.4f]%s\n", st, b.Lower, b.Upper, note)
+			fmt.Fprintf(w, "    %-5s [%6.4f, %6.4f]\n", st, b.Lower, b.Upper)
 		}
 	}
 }

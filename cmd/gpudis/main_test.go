@@ -13,7 +13,9 @@ import (
 // cycle simulator stepped every cycle: -avf-bounds traces a fault-free run
 // and prints its cycle count and cycle-weighted live fractions, so besides
 // the disassembler, the CFG builder, the linter and the site inventory it
-// witnesses that event-driven time moved no simulated cycle.
+// witnesses that event-driven time moved no simulated cycle. Its L1D, L1T
+// and L2 rows were regenerated once when the cache frame record gave caches
+// a bracket of their own; its cycle count and RF/SMEM rows are unchanged.
 func TestGpudisGolden(t *testing.T) {
 	for _, c := range []struct {
 		golden string

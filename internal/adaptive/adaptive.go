@@ -18,10 +18,10 @@
 //     high-variance strata absorb the budget.
 //
 //   - liveness-guided pruning (Counters.Instrument): an experiment that can
-//     classify provably-dead injection sites analytically (for the register
-//     file and shared memory, microfi.InjectStatic over the golden run's
-//     internal/flow interval map, which is how the study runs every
-//     transient RF and SMEM point) is wrapped into a plain
+//     classify provably-dead injection sites analytically (for the storage
+//     arrays, microfi.InjectStatic over the golden run's internal/flow
+//     interval map and cache frame record, which is how the study runs
+//     every transient storage point) is wrapped into a plain
 //     campaign.Experiment whose prune hits are tallied separately, keeping
 //     the outcome classification bit-exact with brute force while skipping
 //     the simulations.
@@ -119,7 +119,8 @@ func runBatches(opts campaign.Options, pol Policy, fn campaign.Experiment, t *ca
 // PrunedExperiment is an experiment that may classify a run analytically
 // instead of simulating it; the second return value reports a prune hit.
 // The faults.Result must be bit-identical to what the simulated run would
-// classify (microfi.InjectStatic guarantees this for RF and SMEM sites).
+// classify (microfi.InjectStatic guarantees this for RF, SMEM and cache
+// sites).
 type PrunedExperiment func(run int, rng *rand.Rand) (faults.Result, bool)
 
 // Counters aggregates sampling-efficiency statistics across campaigns: how

@@ -48,12 +48,14 @@ func (t Transient) Arm(m *sim.Machine, s gpu.Structure, rng *rand.Rand) (Applier
 	return nil, true
 }
 
-// FlipAt applies the strike to an RF or SMEM entry that was already drawn:
-// the pruned injectors resolve (sm, idx, bit) by replaying Arm's draws
-// against a recorded allocation timeline, then corrupt the machine here
-// exactly as Arm would have.
-func (t Transient) FlipAt(m *sim.Machine, s gpu.Structure, sm, idx int, bit uint) {
-	site := storageSite{structure: s, sm: m.SMs[sm], idx: idx, bit: bit}
+// FlipAt applies the strike to a site that was already drawn: the pruned
+// injectors resolve it by replaying Arm's draws against a recorded
+// timeline, then corrupt the machine here exactly as Arm would have. For RF
+// and SMEM idx is an entry of SM sm and off is unused; for caches idx is a
+// line of SM sm's L1D or L1T, or of the L2 (sm unused), and off the byte
+// within it.
+func (t Transient) FlipAt(m *sim.Machine, s gpu.Structure, sm, idx int, off uint32, bit uint) {
+	site := siteAt(m, s, sm, idx, off, bit)
 	site.flip(t.WordBits(), 1)
 	site.watch(m)
 }
@@ -136,11 +138,26 @@ func (s SpatialMBU) Arm(m *sim.Machine, st gpu.Structure, rng *rand.Rand) (Appli
 type storageSite struct {
 	structure gpu.Structure
 	sm        *sim.SM    // RF/SMEM
-	idx       int        // register / byte index within the SM array
 	cache     *mem.Cache // L1D/L1T/L2
-	line      int
-	off       uint32
+	idx       int        // register / byte index within the SM array, or cache line
+	off       uint32     // byte within the cache line
 	bit       uint
+}
+
+// siteAt resolves a drawn site to the machine's storage (see FlipAt).
+func siteAt(m *sim.Machine, s gpu.Structure, sm, idx int, off uint32, bit uint) storageSite {
+	site := storageSite{structure: s, idx: idx, off: off, bit: bit}
+	switch s {
+	case gpu.RF, gpu.SMEM:
+		site.sm = m.SMs[sm]
+	case gpu.L1D:
+		site.cache = m.SMs[sm].L1D
+	case gpu.L1T:
+		site.cache = m.SMs[sm].L1T
+	case gpu.L2:
+		site.cache = m.L2
+	}
+	return site
 }
 
 // pickStorageSite draws a uniform site within structure s, consuming the
@@ -150,27 +167,26 @@ type storageSite struct {
 // cycle (RF/SMEM only).
 func pickStorageSite(m *sim.Machine, s gpu.Structure, rng *rand.Rand) (storageSite, bool) {
 	switch s {
-	case gpu.RF:
-		sm, idx, ok := pickAllocated(m, rng, (*sim.SM).AllocatedRF, 32)
+	case gpu.RF, gpu.SMEM:
+		blocksOf, bits := (*sim.SM).AllocatedRF, 32
+		if s == gpu.SMEM {
+			blocksOf, bits = (*sim.SM).AllocatedSmem, 8
+		}
+		sm, e, ok := pickAllocated(m, rng, blocksOf, bits)
 		if !ok {
 			return storageSite{}, false
 		}
-		return storageSite{structure: s, sm: m.SMs[sm], idx: idx.k, bit: idx.bit}, true
-	case gpu.SMEM:
-		sm, idx, ok := pickAllocated(m, rng, (*sim.SM).AllocatedSmem, 8)
-		if !ok {
-			return storageSite{}, false
+		return siteAt(m, s, sm, e.k, 0, e.bit), true
+	case gpu.L1D, gpu.L1T, gpu.L2:
+		sm := 0
+		if s != gpu.L2 {
+			sm = rng.Intn(len(m.SMs))
 		}
-		return storageSite{structure: s, sm: m.SMs[sm], idx: idx.k, bit: idx.bit}, true
-	case gpu.L1D, gpu.L1T:
-		sm := m.SMs[rng.Intn(len(m.SMs))]
-		c := sm.L1D
-		if s == gpu.L1T {
-			c = sm.L1T
-		}
-		return pickCacheSite(s, c, rng), true
-	case gpu.L2:
-		return pickCacheSite(s, m.L2, rng), true
+		site := siteAt(m, s, sm, 0, 0, 0)
+		site.idx = rng.Intn(site.cache.NumLines())
+		site.off = uint32(rng.Intn(int(site.cache.LineSize())))
+		site.bit = uint(rng.Intn(8))
+		return site, true
 	}
 	return storageSite{}, false
 }
@@ -213,16 +229,6 @@ func pickAllocated(m *sim.Machine, rng *rand.Rand, blocksOf func(*sim.SM) []sim.
 	panic("faultmodel: site selection overran the allocated blocks")
 }
 
-func pickCacheSite(s gpu.Structure, c *mem.Cache, rng *rand.Rand) storageSite {
-	return storageSite{
-		structure: s,
-		cache:     c,
-		line:      rng.Intn(c.NumLines()),
-		off:       uint32(rng.Intn(int(c.LineSize()))),
-		bit:       uint(rng.Intn(8)),
-	}
-}
-
 // flip XORs width adjacent bits in each of lines adjacent rows starting at
 // the site, clamping rows at the array boundary. With lines=1 it matches
 // the historical burst flip bit-for-bit.
@@ -243,9 +249,9 @@ func (st storageSite) flip(width, lines int) {
 			st.sm.MarkSmem(st.idx + l)
 		}
 	default:
-		for l := 0; l < lines && st.line+l < st.cache.NumLines(); l++ {
+		for l := 0; l < lines && st.idx+l < st.cache.NumLines(); l++ {
 			for w := 0; w < width; w++ {
-				st.cache.FlipBit(st.line+l, st.off, uint8(st.bit)+uint8(w))
+				st.cache.FlipBit(st.idx+l, st.off, uint8(st.bit)+uint8(w))
 			}
 		}
 	}
@@ -261,7 +267,7 @@ func (st storageSite) watch(m *sim.Machine) {
 	case gpu.SMEM:
 		m.WatchSmem(st.sm, st.idx)
 	default:
-		m.WatchCache(st.cache, st.line, st.off)
+		m.WatchCache(st.cache, st.idx, st.off)
 	}
 }
 
@@ -285,6 +291,6 @@ func (st storageSite) force(v bool) {
 		}
 		st.sm.MarkSmem(st.idx)
 	default:
-		st.cache.SetBit(st.line, st.off, uint8(st.bit), v)
+		st.cache.SetBit(st.idx, st.off, uint8(st.bit), v)
 	}
 }

@@ -524,8 +524,8 @@ type Window struct{ Start, End int64 }
 
 // Bounds is a static AVF bracket for one structure. Lower <= AVF <= Upper
 // for the AVF measured by uniform injection over the same windows.
-// Supported is false for structures the interval engine cannot analyze
-// (caches, control state), where the trivial [0, 1] bracket is returned.
+// Supported is false for structures no static record covers (control
+// state), where the trivial [0, 1] bracket is returned.
 type Bounds struct {
 	Supported bool
 	Lower     float64

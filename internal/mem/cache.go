@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 
 	"gpurel/internal/device"
 )
@@ -74,6 +75,10 @@ type Cache struct {
 	wline *Line
 	woff  uint32
 	wst   *WatchState
+
+	// frames, when set, is the validity record a fault-free run keeps
+	// (RecordFrames). Only the miss path and InvalidateAll consult it.
+	frames *FrameLog
 
 	Stats Stats
 }
@@ -169,8 +174,10 @@ func (c *Cache) SetBit(i int, off uint32, b uint8, v bool) {
 // the byte sets WatchStored, a refill of the line's frame WatchRefilled and
 // InvalidateAll WatchInvalid. A line that is already invalid is dead at
 // once (StateEqual ignores its data, and only a fill, which overwrites it,
-// can make it valid). The first verdict disarms the watch; LoadState and
-// Reset disarm it too.
+// can make it valid); a pruning injector that holds the golden run's
+// FrameLog classifies such flips without a run, so only unpruned runs get
+// here with one. The first verdict disarms the watch; LoadState and Reset
+// disarm it too.
 func (c *Cache) Watch(i int, off uint32, st *WatchState) {
 	if !c.lines[i].Valid {
 		*st = WatchInvalid
@@ -204,6 +211,76 @@ func (c *Cache) noteFill(ln *Line) {
 	if ln == c.wline {
 		c.settle(WatchRefilled)
 	}
+}
+
+// FrameLog is the validity record of one cache over a fault-free run: for
+// every frame (line slot), the cycles from which a flip there lands in a
+// valid line. A fill of an invalid frame during cycle t makes it valid for
+// flips at cycles >= t+1; InvalidateAll at cycle t (between cycles t and
+// t+1) makes every frame invalid from t+1 on. No other event changes a
+// frame's valid bit: a fill of a valid frame replaces its line in place.
+type FrameLog struct {
+	// edges holds, per frame, the ascending cycles at which its valid bit
+	// flips, starting invalid: valid from edges[0], invalid from edges[1],
+	// and so on. An odd count leaves the frame valid to the end of the run.
+	edges [][]int64
+}
+
+// RecordFrames attaches a new validity record to the cache and returns it.
+// The cache must not have been accessed since NewCache or Reset (every
+// frame invalid). Reset and LoadState detach the record.
+func (c *Cache) RecordFrames() *FrameLog {
+	c.frames = &FrameLog{edges: make([][]int64, len(c.lines))}
+	return c.frames
+}
+
+// fill records that frame i is filled during cycle t.
+func (l *FrameLog) fill(i int, t int64) {
+	if e := l.edges[i]; len(e)%2 == 0 {
+		l.edges[i] = append(e, t+1)
+	}
+}
+
+// invalidate records InvalidateAll at cycle t. A frame filled during
+// cycle t itself was never valid for a flip, so its edge is withdrawn.
+func (l *FrameLog) invalidate(t int64) {
+	for i, e := range l.edges {
+		if len(e)%2 == 0 {
+			continue
+		}
+		if e[len(e)-1] == t+1 {
+			l.edges[i] = e[:len(e)-1]
+		} else {
+			l.edges[i] = append(e, t+1)
+		}
+	}
+}
+
+// NumFrames returns the number of frames recorded, the cache's line count.
+func (l *FrameLog) NumFrames() int { return len(l.edges) }
+
+// Valid reports whether frame i holds a valid line at the top of cycle c,
+// where a flip at cycle c lands.
+func (l *FrameLog) Valid(i int, c int64) bool {
+	e := l.edges[i]
+	return sort.Search(len(e), func(k int) bool { return e[k] > c })%2 == 1
+}
+
+// ValidCycles returns how many of the cycles in [from, to) frame i is
+// valid at.
+func (l *FrameLog) ValidCycles(i int, from, to int64) int64 {
+	e := l.edges[i]
+	var n int64
+	for k := 0; k < len(e); k += 2 {
+		lo, hi := max(e[k], from), to
+		if k+1 < len(e) {
+			hi = min(e[k+1], to)
+		}
+		if hi > lo {
+			n += hi - lo
+		}
+	}
+	return n
 }
 
 func (c *Cache) markSet(s int) { c.sdirty[s>>6] |= 1 << (s & 63) }
@@ -243,22 +320,27 @@ func (c *Cache) lookup(lineAddr uint32) *Line {
 	return nil
 }
 
-// victim picks the LRU way of the set for lineAddr, which the caller then
-// fills: the set is marked.
-func (c *Cache) victim(lineAddr uint32) *Line {
+// victim picks the LRU way of the set for lineAddr, which the caller fills
+// during cycle now: the set is marked, and the fill is recorded when the
+// cache keeps a FrameLog.
+func (c *Cache) victim(lineAddr uint32, now int64) *Line {
 	set := c.setOf(lineAddr)
 	c.markSet(set)
-	best := &c.lines[set*c.ways]
-	for w := 1; w < c.ways; w++ {
-		ln := &c.lines[set*c.ways+w]
+	best := set * c.ways
+	for i := best + 1; i < (set+1)*c.ways; i++ {
+		ln := &c.lines[i]
 		if !ln.Valid {
-			return ln
+			best = i
+			break
 		}
-		if ln.LRU < best.LRU {
-			best = ln
+		if ln.LRU < c.lines[best].LRU {
+			best = i
 		}
 	}
-	return best
+	if c.frames != nil {
+		c.frames.fill(best, now)
+	}
+	return &c.lines[best]
 }
 
 // touch stamps ln as most recently used and marks its set. Every hit and
@@ -410,6 +492,7 @@ func (c *Cache) LoadState(st, base *CacheState) {
 	c.lruTick = st.lruTick
 	c.Stats = st.stats
 	c.wline, c.wst = nil, nil
+	c.frames = nil
 }
 
 // StateEqual reports whether the cache's current state is identical to st,
@@ -479,14 +562,19 @@ func (c *Cache) Reset() {
 	c.Stats = Stats{}
 	c.markAllSets()
 	c.wline, c.wst = nil, nil
+	c.frames = nil
 }
 
-// InvalidateAll drops every line. Dirty data is lost, so only call it on
-// write-through caches or after FlushTo. It marks the sets of the lines it
-// changes; a set whose lines are all invalid and clean already is left as is.
-func (c *Cache) InvalidateAll() {
+// InvalidateAll drops every line at cycle now, between cycles now and now+1.
+// Dirty data is lost, so only call it on write-through caches or after
+// FlushTo. It marks the sets of the lines it changes; a set whose lines are
+// all invalid and clean already is left as is.
+func (c *Cache) InvalidateAll(now int64) {
 	if c.wline != nil {
 		c.settle(WatchInvalid)
+	}
+	if c.frames != nil {
+		c.frames.invalidate(now)
 	}
 	for i := range c.lines {
 		ln := &c.lines[i]
@@ -535,7 +623,7 @@ func (h *Hierarchy) readLineL2(dram *device.Memory, lineAddr uint32, now int64) 
 	}
 	h.L2.Stats.Misses++
 	lat, _ := h.L2.trackFill(lineAddr, now, h.DRAMLat)
-	v := h.L2.victim(lineAddr)
+	v := h.L2.victim(lineAddr, now)
 	if v.Valid && v.Dirty {
 		h.L2.noteRead(v, 0, h.L2.lineSize)
 		dram.WriteAt(v.Addr, v.Data)
@@ -577,7 +665,7 @@ func (h *Hierarchy) Load(dram *device.Memory, addr uint32, tex bool, first bool,
 	l1.Stats.Misses++
 	l2ln, lat := h.readLineL2(dram, lineAddr, now)
 	fillLat, pending := l1.trackFill(lineAddr, now, lat)
-	v := l1.victim(lineAddr)
+	v := l1.victim(lineAddr, now)
 	// L1 lines are never dirty (write-through), so eviction is silent.
 	h.L2.noteRead(l2ln, 0, h.L2.lineSize)
 	l1.noteFill(v)

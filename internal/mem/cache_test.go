@@ -98,7 +98,7 @@ func TestCorruptedCleanLineMasking(t *testing.T) {
 		t.Fatalf("corrupted hit should observe the flip, got %#x", v)
 	}
 	// evict by invalidation (write-through lines are never dirty)
-	h.L1D.InvalidateAll()
+	h.L1D.InvalidateAll(0)
 	v, _ = h.Load(dram, 0x4000, false, true, 20)
 	if v != 0x55 {
 		t.Errorf("after eviction the corruption must be masked, got %#x", v)
@@ -395,7 +395,7 @@ func TestMutationsMarkTheirSet(t *testing.T) {
 			func(h *Hierarchy, dram *device.Memory) { h.L1D.SetBit(6, 2, 1, true) },
 			func(h *Hierarchy) []int { return []int{6 / h.L1D.ways} }},
 		{"invalidate", func(h *Hierarchy) *Cache { return h.L1D },
-			func(h *Hierarchy, dram *device.Memory) { h.L1D.InvalidateAll() },
+			func(h *Hierarchy, dram *device.Memory) { h.L1D.InvalidateAll(0) },
 			func(h *Hierarchy) []int { return []int{0, 1, 2, 3} }},
 		{"flush", func(h *Hierarchy) *Cache { return h.L2 },
 			func(h *Hierarchy, dram *device.Memory) { h.L2.FlushTo(dram) },
@@ -506,7 +506,7 @@ func TestWatchVerdicts(t *testing.T) {
 		{"L1D store covering", l1d, 0x1001, func(h *Hierarchy, d *device.Memory) { h.Store(d, 0x1000, 1, true, 0) }, WatchStored},
 		{"L1D store elsewhere", l1d, 0x1001, func(h *Hierarchy, d *device.Memory) { h.Store(d, 0x1004, 1, true, 0) }, WatchLive},
 		{"L2 store covering", l2, 0x1002, func(h *Hierarchy, d *device.Memory) { h.Store(d, 0x1000, 1, false, 0) }, WatchStored},
-		{"InvalidateAll", l1d, 0x1000, func(h *Hierarchy, d *device.Memory) { h.L1D.InvalidateAll() }, WatchInvalid},
+		{"InvalidateAll", l1d, 0x1000, func(h *Hierarchy, d *device.Memory) { h.L1D.InvalidateAll(0) }, WatchInvalid},
 		{"flush of the dirty line", l2, 0x1041, func(h *Hierarchy, d *device.Memory) { h.L2.FlushTo(d) }, WatchOff},
 		{"flush of a clean line", l2, 0x1001, func(h *Hierarchy, d *device.Memory) { h.L2.FlushTo(d) }, WatchLive},
 		{"restore disarms", l1d, 0x1000, func(h *Hierarchy, d *device.Memory) {
@@ -532,7 +532,7 @@ func TestWatchVerdicts(t *testing.T) {
 	}
 	h, _ := warmHier()
 	st := WatchLive
-	h.L1D.InvalidateAll()
+	h.L1D.InvalidateAll(0)
 	h.L1D.Watch(0, 0, &st)
 	if st != WatchInvalid {
 		t.Errorf("flip into an invalid line: watch %d, want %d", st, WatchInvalid)

@@ -16,7 +16,7 @@ import (
 // (seed, run) pair — with injections into provably dead sites classified as
 // Masked without simulating them. The caller holds the evidence (the golden
 // run's interval map); the injector replays its own site selection against
-// that evidence's allocation timeline.
+// that evidence's timeline.
 //
 // The equivalence argument: the faulty run is deterministic and identical to
 // golden up to the injection cycle, so the allocated-block list the injector
@@ -28,10 +28,12 @@ import (
 // Masked/not-control-affected classification the brute-force run would
 // produce. That argument holds only for a one-shot fault confined to the
 // drawn entry, so every model except faultmodel.Transient takes the exact
-// unpruned Inject path with pruned=false. It also needs the timeline's
-// allocation kills to be sound — no CTA reads a register or shared-memory
-// word before writing it — which the golden run's guard decides
-// (sim.Result.FreeDead); a golden run without it prunes nothing.
+// unpruned Inject path with pruned=false. For the register file and shared
+// memory it also needs the timeline's allocation kills to be sound — no CTA
+// reads a register or shared-memory word before writing it — which the
+// golden run's guard decides (sim.Result.FreeDead); a golden run without it
+// prunes nothing there. Caches need no guard: a flip into a frame that holds
+// no valid line is dead for any program (see injectCache).
 
 // timeline is what a pruner knows about one allocated storage array of the
 // golden run: the blocks an injection at a cycle would find allocated on
@@ -84,26 +86,65 @@ func InjectPruned(job *device.Job, g *GoldenRun, lv *ace.Liveness, t Target, rng
 	return injectPruned(job, g, intervalTimeline{iv: lv.Intervals}, t, rng)
 }
 
-// InjectStatic is Inject with register-file and shared-memory sites pruned
-// against the interval map of the golden run's schedule trace. A site
-// outside every live interval is provably never consumed. Structures other
-// than RF and SMEM, a nil map, non-transient models, and ECC-screened or
-// empty-window runs fall through to the exact Inject behaviour with
-// pruned=false.
+// InjectStatic is Inject with dead draws pruned against the golden run's
+// interval map: register-file and shared-memory sites outside every live
+// interval, and cache flips into a frame that held no valid line at the
+// injection cycle. A nil map, control structures, non-transient models, and
+// ECC-screened or empty-window runs fall through to the exact Inject
+// behaviour with pruned=false.
 func InjectStatic(job *device.Job, g *GoldenRun, si *StaticIntervals, t Target, rng *rand.Rand) (faults.Result, bool) {
-	if si == nil || (t.Structure != gpu.RF && t.Structure != gpu.SMEM) {
-		return Inject(job, g, t, rng), false
+	switch {
+	case si == nil:
+	case t.Structure == gpu.RF || t.Structure == gpu.SMEM:
+		return injectPruned(job, g, intervalTimeline{iv: si.IV, smem: t.Structure == gpu.SMEM}, t, rng)
+	case !t.Structure.IsControl():
+		return injectCache(job, g, si.Frames, t, rng)
 	}
-	return injectPruned(job, g, intervalTimeline{iv: si.IV, smem: t.Structure == gpu.SMEM}, t, rng)
+	return Inject(job, g, t, rng), false
 }
 
 // Prunable reports whether InjectStatic can prune the target's draws: a
-// transient fault in the register file or shared memory. Every other target
-// simulates each run, so a front end need not trace an interval map for it
-// (TraceStatic).
+// transient fault in a storage array (register file, shared memory or a
+// cache). Every other target simulates each run, so a front end need not
+// trace an interval map for it (TraceStatic).
 func (t Target) Prunable() bool {
 	_, transient := t.model().(faultmodel.Transient)
-	return transient && (t.Structure == gpu.RF || t.Structure == gpu.SMEM)
+	return transient && !t.Structure.IsControl()
+}
+
+// injectCache replays the transient model's cache draws — the SM (L1D and
+// L1T only), then line, byte offset and bit: the faultmodel.pickStorageSite
+// order — and simulates only when the drawn frame held a valid line at the
+// injection cycle in the golden run. A flip into an invalid frame is dead
+// for any program: no lookup, write-back or flush reads an invalid line's
+// data, and only a fill, which overwrites the whole line, makes the frame
+// valid again. The run therefore equals golden, and classifies Masked
+// exactly as the dead-site join of a simulated run does.
+func injectCache(job *device.Job, g *GoldenRun, fr *sim.FrameRecord, t Target, rng *rand.Rand) (faults.Result, bool) {
+	tr, ok := t.model().(faultmodel.Transient)
+	if !ok {
+		return Inject(job, g, t, rng), false
+	}
+	cycle, r, done := t.preflight(g, tr, rng)
+	if done {
+		return r, false
+	}
+	logs := fr.Logs(t.Structure)
+	sm := 0
+	if t.Structure != gpu.L2 {
+		sm = rng.Intn(len(logs))
+	}
+	frames := logs[sm]
+	line := rng.Intn(frames.NumFrames())
+	off := uint32(rng.Intn(g.Cfg.LineSize))
+	bit := uint(rng.Intn(8))
+	if !frames.Valid(line, cycle) {
+		return faults.Result{Outcome: faults.Masked}, true
+	}
+	return injectRun(job, g, cycle, false, func(m *sim.Machine) (faultmodel.Applier, bool) {
+		tr.FlipAt(m, t.Structure, sm, line, off, bit)
+		return nil, true
+	}), false
 }
 
 // injectPruned replays the transient model's site selection from the
@@ -159,7 +200,7 @@ func injectPruned(job *device.Job, g *GoldenRun, tl timeline, t Target, rng *ran
 			return faults.Result{Outcome: faults.Masked}, true
 		}
 		return injectRun(job, g, cycle, false, func(m *sim.Machine) (faultmodel.Applier, bool) {
-			tr.FlipAt(m, t.Structure, sm, idx, bit)
+			tr.FlipAt(m, t.Structure, sm, idx, 0, bit)
 			return nil, true
 		}), false
 	}

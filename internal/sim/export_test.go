@@ -23,3 +23,7 @@ var AuditDirty = auditDirty
 // CountJoins runs f with every join of a converging run observed and
 // returns how many happened by cause (see join_hook_test.go).
 var CountJoins = countJoins
+
+// CycleOf returns the cycle the machine's run is in, for hooks that sample
+// the machine at chosen cycles.
+func CycleOf(m *Machine) int64 { return m.r.cycle }

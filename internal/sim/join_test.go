@@ -176,12 +176,13 @@ func TestDeadSiteJoinGuardFails(t *testing.T) {
 	}
 }
 
-// FuzzForkJoinParity holds the joins to brute force on generated programs,
-// which read uninitialised registers and shared memory freely, so the guard
-// often fails there: for every sampled transient injection on RF, SMEM, L1D
-// and L2 the converging checkpointed run classifies exactly like brute
-// force. Programs whose fault-free run faults or never ends have no golden
-// and are skipped.
+// FuzzForkJoinParity holds the joins and the pruner to brute force on
+// generated programs, which read uninitialised registers and shared memory
+// freely, so the guard often fails there: for every sampled transient
+// injection on RF, SMEM, L1D and L2 the converging checkpointed run, and
+// InjectStatic over the program's traced interval map, classify exactly
+// like brute force. Programs whose fault-free run faults or never ends have
+// no golden and are skipped.
 func FuzzForkJoinParity(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{3, 7, 11, 250, 128, 42, 9, 0, 200, 17, 66, 1, 2, 3, 4, 5})
@@ -198,6 +199,10 @@ func FuzzForkJoinParity(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		static, err := microfi.TraceStatic(job, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		h := fnv.New64a()
 		h.Write(data)
 		seed := int64(h.Sum64() >> 1)
@@ -208,6 +213,9 @@ func FuzzForkJoinParity(f *testing.F) {
 				got := microfi.Inject(job, ck, tgt, rand.New(rand.NewSource(seed+run)))
 				if got != want {
 					t.Fatalf("%s run %d (guard %v): converging fork %+v != brute force %+v", st, run, brute.Res.FreeDead, got, want)
+				}
+				if got, pruned := microfi.InjectStatic(job, ck, static, tgt, rand.New(rand.NewSource(seed+run))); got != want {
+					t.Fatalf("%s run %d (guard %v): InjectStatic %+v (pruned=%v) != brute force %+v", st, run, brute.Res.FreeDead, got, pruned, want)
 				}
 			}
 		}

@@ -375,9 +375,11 @@ func checkpointedRuns(job *device.Job, g *microfi.GoldenRun, tgt microfi.Target)
 }
 
 // TestReferenceParityStaticPrune: the static-interval pruning injector must
-// agree on both cores — same prune decisions (the intervals come from a
-// schedule trace, identical by the sim-level parity) and same outcomes for
-// the runs that do simulate.
+// agree on both cores, on the register file and on every cache — same prune
+// decisions (the intervals come from a schedule trace and the frame record
+// from the cache events of the same run, identical by the sim-level parity)
+// and same outcomes for the runs that do simulate. PathFinder reads nothing
+// through L1T, so every L1T draw must prune on both.
 func TestReferenceParityStaticPrune(t *testing.T) {
 	cfg := gpu.Volta()
 	job := buildApp(t, "PathFinder")
@@ -396,16 +398,25 @@ func TestReferenceParityStaticPrune(t *testing.T) {
 		}
 		return traced{static, g}
 	})
-	tgt := microfi.Target{Structure: gpu.RF}
-	for seed := int64(0); seed < 25; seed++ {
-		got, gotPruned := microfi.InjectStatic(job, fast.g, fast.static, tgt, rand.New(rand.NewSource(seed)))
-		var want faults.Result
-		var wantPruned bool
-		sim.OnReference(func() {
-			want, wantPruned = microfi.InjectStatic(job, slow.g, slow.static, tgt, rand.New(rand.NewSource(seed)))
-		})
-		if got != want || gotPruned != wantPruned {
-			t.Fatalf("seed %d: µop %+v/%v != reference %+v/%v", seed, got, gotPruned, want, wantPruned)
+	for _, st := range []gpu.Structure{gpu.RF, gpu.L1D, gpu.L1T, gpu.L2} {
+		tgt := microfi.Target{Structure: st}
+		pruned := 0
+		for seed := int64(0); seed < 60; seed++ {
+			got, gotPruned := microfi.InjectStatic(job, fast.g, fast.static, tgt, rand.New(rand.NewSource(seed)))
+			if gotPruned {
+				pruned++
+			}
+			var want faults.Result
+			var wantPruned bool
+			sim.OnReference(func() {
+				want, wantPruned = microfi.InjectStatic(job, slow.g, slow.static, tgt, rand.New(rand.NewSource(seed)))
+			})
+			if got != want || gotPruned != wantPruned {
+				t.Fatalf("%v seed %d: µop %+v/%v != reference %+v/%v", st, seed, got, gotPruned, want, wantPruned)
+			}
+		}
+		if pruned == 0 || (pruned == 60) != (st == gpu.L1T) {
+			t.Errorf("%v: %d of 60 runs pruned", st, pruned)
 		}
 	}
 }

@@ -410,6 +410,10 @@ type Options struct {
 	// snapshot), but a resumed run only reports events from the snapshot
 	// cycle on — OnCTAPlace for already-resident CTAs does not replay.
 	SchedTrace SchedTracer
+	// Frames, when set on a fault-free run from cycle 0, receives the
+	// validity record of every cache frame. Runs with an injection hook or
+	// a snapshot to resume must leave it nil.
+	Frames *FrameRecord
 
 	// Checkpoint, when set, captures a machine snapshot into the set at the
 	// end of every cycle divisible by its stride (reference/golden runs).
@@ -427,6 +431,28 @@ type Options struct {
 	// Pool, when set, recycles machine storage arrays across runs to keep
 	// per-run allocation off the injection hot path.
 	Pool *RunPool
+}
+
+// FrameRecord is the validity record of every cache of a fault-free run
+// (Options.Frames): when each frame holds a valid line (mem.FrameLog).
+type FrameRecord struct {
+	L1D, L1T []*mem.FrameLog // indexed by SM
+	L2       *mem.FrameLog
+}
+
+// Logs returns the records of structure s, a cache: one per SM for L1D and
+// L1T, in SM order, and the single L2 record. It returns nil for any other
+// structure.
+func (f *FrameRecord) Logs(s gpu.Structure) []*mem.FrameLog {
+	switch s {
+	case gpu.L1D:
+		return f.L1D
+	case gpu.L1T:
+		return f.L1T
+	case gpu.L2:
+		return []*mem.FrameLog{f.L2}
+	}
+	return nil
 }
 
 // Run simulates the job on a chip with configuration cfg.
@@ -571,6 +597,14 @@ func newRunner(job *device.Job, cfg gpu.Config, opts Options) *runner {
 			L1Lat: int64(cfg.L1Lat), L2Lat: int64(cfg.L2Lat), DRAMLat: int64(cfg.DRAMLat),
 		}
 	}
+	if f := opts.Frames; f != nil {
+		f.L2 = r.l2.RecordFrames()
+		f.L1D, f.L1T = nil, nil
+		for _, sm := range r.sms {
+			f.L1D = append(f.L1D, sm.L1D.RecordFrames())
+			f.L1T = append(f.L1T, sm.L1T.RecordFrames())
+		}
+	}
 	r.env.r = r
 	r.freeDead = opts.Converge != nil && opts.Converge.freeDead
 	r.recordSmem = opts.AtCycle <= 0 && opts.Resume == nil
@@ -706,10 +740,10 @@ func (r *runner) runSteps() *Result {
 func (r *runner) flushCaches(invalidate bool) {
 	r.l2.FlushTo(r.mem)
 	if invalidate {
-		r.l2.InvalidateAll()
+		r.l2.InvalidateAll(r.cycle)
 		for _, sm := range r.sms {
-			sm.L1D.InvalidateAll()
-			sm.L1T.InvalidateAll()
+			sm.L1D.InvalidateAll(r.cycle)
+			sm.L1T.InvalidateAll(r.cycle)
 		}
 	}
 }
@@ -752,8 +786,8 @@ func (r *runner) beginLaunch(l *device.Launch) error {
 
 	// Per-kernel-launch L1 state: Volta flushes L1s between kernels.
 	for _, sm := range r.sms {
-		sm.L1D.InvalidateAll()
-		sm.L1T.InvalidateAll()
+		sm.L1D.InvalidateAll(r.cycle)
+		sm.L1T.InvalidateAll(r.cycle)
 	}
 	r.cur = cur
 	return nil

@@ -43,17 +43,16 @@ type staticBoundsRow struct {
 }
 
 // TestStaticBoundsArtifact is the acceptance artifact test: for every app
-// and every structure the interval engine supports (RF, SMEM), the static
-// bracket must contain the measured AVF — lower ≤ measured ≤ upper. The
-// measured AVF is the campaign failure rate (non-Masked fraction); the
-// campaign runs through the interval prune, whose tallies are property-
-// tested bit-identical to brute force, so the prune fraction and the
-// measurement come from the same runs and the bracket check is exact, not
-// statistical. The analytic sweep bound is validated against the same
-// measurement within the campaign's 99% CI margin. Unsupported structures
-// (caches, control state) report the trivial [0, 1] bracket for table
-// completeness. When GPUREL_STATICBOUNDS_JSON names a path the full table
-// is written as the CI artifact.
+// and every storage structure — RF and SMEM from the interval map, L1D, L1T
+// and L2 from the cache frame record — the static bracket must contain the
+// measured AVF — lower ≤ measured ≤ upper. The measured AVF is the campaign
+// failure rate (non-Masked fraction); the campaign runs through the
+// interval prune, whose tallies are property-tested bit-identical to brute
+// force, so the prune fraction and the measurement come from the same runs
+// and the bracket check is exact, not statistical. The analytic sweep bound
+// is validated against the same measurement within the campaign's 99% CI
+// margin. When GPUREL_STATICBOUNDS_JSON names a path the full table is
+// written as the CI artifact.
 func TestStaticBoundsArtifact(t *testing.T) {
 	runs := envInt("GPUREL_STATICBOUNDS_RUNS", 120)
 	only := os.Getenv("GPUREL_STATICBOUNDS_APPS")
@@ -72,7 +71,7 @@ func TestStaticBoundsArtifact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, st := range []gpu.Structure{gpu.RF, gpu.SMEM} {
+		for _, st := range gpu.Structures {
 			b := si.Bounds(st, "")
 			if !b.Supported {
 				t.Errorf("%s/%v: interval engine reports unsupported", app.Name, st)
@@ -101,16 +100,6 @@ func TestStaticBoundsArtifact(t *testing.T) {
 				Measured: measured, Runs: tl.N, Pruned: pruned,
 			})
 		}
-		// Structures outside the engine's reach: documented fall-through to
-		// the trivial bracket, recorded (not measured) for table completeness.
-		for _, st := range []gpu.Structure{gpu.L1D, gpu.L1T, gpu.L2} {
-			b := si.Bounds(st, "")
-			if b.Supported || b.Lower != 0 || b.Upper != 1 {
-				t.Errorf("%s/%v: want unsupported [0, 1] bracket, got %+v", app.Name, st, b)
-			}
-			rows = append(rows, staticBoundsRow{App: app.Name, Structure: st.String(),
-				Lower: b.Lower, Upper: b.Upper, SweepLower: b.Lower, SweepUpper: b.Upper})
-		}
 	}
 	if only == "" || only == "all" {
 		if want := len(kernels.All()) * 5; len(rows) != want {
@@ -125,7 +114,7 @@ func TestStaticBoundsArtifact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, st := range []gpu.Structure{gpu.RF, gpu.SMEM} {
+	for _, st := range gpu.Structures {
 		if a, b := si2.Bounds(st, ""), rowFor(rows, first.Name, st.String()); b != nil &&
 			(a.Lower != b.SweepLower || a.Upper != b.SweepUpper) {
 			t.Errorf("%s/%v bracket not reproducible: [%v, %v] != [%v, %v]",

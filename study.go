@@ -62,8 +62,8 @@ type Study struct {
 	// Checkpoint is the default checkpointed-injection spec of a point
 	// (PointSpec.Checkpoint overrides it), applied to every golden run of an
 	// application first evaluated with it. A point whose spec is enabled
-	// also prunes: its provably dead RF and SMEM draws classify without
-	// simulation. NewStudy sets microfi.DefaultCheckpoint, fork-and-join
+	// also prunes: its provably dead RF, SMEM and cache draws classify
+	// without simulation. NewStudy sets microfi.DefaultCheckpoint, fork-and-join
 	// with pruning; the zero value keeps plain brute-force goldens and
 	// prunes nothing, the reference path. Like Sampling it tunes how points
 	// are simulated, not what they measure: campaign tallies are
@@ -269,8 +269,8 @@ func kernelCycles(g *microfi.GoldenRun, kernel string) float64 {
 
 // intervals traces (once) the interval map of the variant's golden run — one
 // fault-free run, no injections. Pruned campaigns read its register-file
-// and shared-memory liveness. A trace that fails leaves the map nil, and
-// every run simulates: the tally is the same.
+// and shared-memory liveness and its cache frame validity. A trace that
+// fails leaves the map nil, and every run simulates: the tally is the same.
 func (v *variant) intervals() *microfi.StaticIntervals {
 	v.traceOnce.Do(func() {
 		v.iv, _ = microfi.TraceStatic(v.job(), v.e.cfg)

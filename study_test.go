@@ -104,7 +104,9 @@ func TestSoftCheckpointCounts(t *testing.T) {
 // campaign (VA/K1/RF, 300 runs, campaign seed 1) by fork-and-join with dead
 // draws pruned, and tallies what brute force does. The anchor's pruned draws
 // are exactly its 254 Masked runs, so every run it simulates fails and none
-// joins; the L2 campaign that follows, which cannot prune, does join.
+// joins. The VA/K1/L2 campaign that follows prunes its flips into invalid
+// frames; an SRADv1/K1/L1D campaign, whose simulated flips are refilled or
+// invalidated before the run ends, does join.
 func TestNewStudyForksAndJoins(t *testing.T) {
 	s := NewStudy(300, 1)
 	s.Counters = &adaptive.Counters{}
@@ -119,19 +121,28 @@ func TestNewStudyForksAndJoins(t *testing.T) {
 	if s.Counters.Pruned.Load() == 0 || s.CheckpointCounts().ForkResumes == 0 {
 		t.Errorf("the default study did not prune and fork: %d pruned, %+v", s.Counters.Pruned.Load(), s.CheckpointCounts())
 	}
+	s.Counters = &adaptive.Counters{}
 	if fn, err = s.PointExperiment(PointSpec{Layer: LayerMicro, App: "VA", Kernel: "K1", Structure: gpu.L2}); err != nil {
 		t.Fatal(err)
 	}
 	campaign.Run(opts, fn)
-	if c := s.CheckpointCounts(); c.ConvergeHits == 0 {
-		t.Errorf("the default study did not join: %+v", c)
+	if s.Counters.Pruned.Load() == 0 {
+		t.Errorf("the L2 campaign pruned nothing: %d simulated", s.Counters.Simulated.Load())
+	}
+	s.Counters = &adaptive.Counters{}
+	if fn, err = s.PointExperiment(PointSpec{Layer: LayerMicro, App: "SRADv1", Kernel: "K1", Structure: gpu.L1D}); err != nil {
+		t.Fatal(err)
+	}
+	campaign.Run(opts, fn)
+	if c := s.CheckpointCounts(); c.ConvergeHits == 0 || s.Counters.Simulated.Load() == 0 {
+		t.Errorf("the default study did not simulate and join: %d simulated, %+v", s.Counters.Simulated.Load(), c)
 	}
 }
 
 // TestTraceOnlyWhenPrunable: a default study traces a variant's interval map
-// only for a point whose draws can be pruned — a transient fault in RF or
-// SMEM. An L2 point, or a stuck-at RF point, simulates every run and leaves
-// the variant untraced.
+// only for a point whose draws can be pruned — a transient fault in a
+// storage array. A stuck-at RF or L2 point simulates every run and leaves
+// the variant untraced; a transient L2 point traces it.
 func TestTraceOnlyWhenPrunable(t *testing.T) {
 	s := NewStudy(20, 1)
 	e, err := s.Eval("VA")
@@ -140,8 +151,8 @@ func TestTraceOnlyWhenPrunable(t *testing.T) {
 	}
 	stuck := &faultmodel.Spec{Model: faultmodel.ModelStuck, Stuck: faultmodel.Ptr(0)}
 	for _, p := range []PointSpec{
-		{Layer: LayerMicro, App: "VA", Kernel: "K1", Structure: gpu.L2},
 		{Layer: LayerMicro, App: "VA", Kernel: "K1", Structure: gpu.RF, Fault: stuck},
+		{Layer: LayerMicro, App: "VA", Kernel: "K1", Structure: gpu.L2, Fault: stuck},
 	} {
 		if _, err := s.Tally(p); err != nil {
 			t.Fatal(err)
@@ -150,11 +161,11 @@ func TestTraceOnlyWhenPrunable(t *testing.T) {
 			t.Fatalf("%v %s point traced the interval map", p.Structure, p.faultSpec().Label())
 		}
 	}
-	if _, err := s.Tally(PointSpec{Layer: LayerMicro, App: "VA", Kernel: "K1", Structure: gpu.RF}); err != nil {
+	if _, err := s.Tally(PointSpec{Layer: LayerMicro, App: "VA", Kernel: "K1", Structure: gpu.L2}); err != nil {
 		t.Fatal(err)
 	}
 	if e.plain.iv == nil {
-		t.Error("a transient RF point did not trace the interval map")
+		t.Error("a transient L2 point did not trace the interval map")
 	}
 }
 
