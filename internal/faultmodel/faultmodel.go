@@ -176,7 +176,10 @@ func (s Spec) ValidateFor(st gpu.Structure) error {
 	return nil
 }
 
-// Build validates the spec and instantiates its model.
+// Build validates the spec and instantiates its model. A one-row MBU is the
+// transient burst of its width (see SpatialMBU) and builds as Transient, so
+// its draws prune like the burst's; its identity (Canonical) stays
+// "mbu:w…:l1", which keeps its seeds.
 func (s Spec) Build() (Model, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -188,6 +191,9 @@ func (s Spec) Build() (Model, error) {
 	case ModelStuck:
 		return StuckAt{V: *s.Stuck}, nil
 	case ModelMBU:
+		if n.Lines == 1 {
+			return Transient{Width: n.Width}, nil
+		}
 		return SpatialMBU{Width: n.Width, Lines: n.Lines}, nil
 	case ModelControl:
 		return ControlFault{Stuck: s.Stuck}, nil

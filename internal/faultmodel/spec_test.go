@@ -186,7 +186,7 @@ func TestBuild(t *testing.T) {
 		{Spec{Model: ModelTransient, Width: 3}, "transient", false, 3},
 		{Spec{Model: ModelStuck, Stuck: Ptr(0)}, "stuck0", true, 1},
 		{Spec{Model: ModelStuck, Stuck: Ptr(1)}, "stuck1", true, 1},
-		{Spec{Model: ModelMBU}, "mbu", false, 1},
+		{Spec{Model: ModelMBU}, "transient", false, 1}, // one row: the burst
 		{Spec{Model: ModelMBU, Width: 2, Lines: 2}, "mbu", false, 2},
 		{Spec{Model: ModelControl}, "control", false, 0},
 		{Spec{Model: ModelControl, Stuck: Ptr(0)}, "control-stuck", true, 0},
@@ -204,5 +204,8 @@ func TestBuild(t *testing.T) {
 	}
 	if m, _ := (Spec{Model: ModelMBU, Width: 2, Lines: 3}).Build(); m != (SpatialMBU{Width: 2, Lines: 3}) {
 		t.Errorf("mbu parameters lost: %+v", m)
+	}
+	if m, _ := (Spec{Model: ModelMBU, Width: 3, Lines: 1}).Build(); m != (Transient{Width: 3}) {
+		t.Errorf("a one-row mbu built %+v, want the transient burst of its width", m)
 	}
 }

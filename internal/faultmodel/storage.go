@@ -98,7 +98,8 @@ func (s StuckAt) Arm(m *sim.Machine, st gpu.Structure, rng *rand.Rand) (Applier,
 // bytes, or cache lines), once. Rows past the end of the array are clamped
 // — the cluster is a physical neighbourhood, so it may spill into cells the
 // running kernel never allocated; those flips are real but unobservable.
-// SpatialMBU{Width: w, Lines: 1} is bit-identical to Transient{Width: w}.
+// SpatialMBU{Width: w, Lines: 1} is bit-identical to Transient{Width: w},
+// which is what Spec.Build returns for it.
 type SpatialMBU struct{ Width, Lines int }
 
 // Name implements Model.
@@ -122,14 +123,7 @@ func (s SpatialMBU) Arm(m *sim.Machine, st gpu.Structure, rng *rand.Rand) (Appli
 	if !ok {
 		return nil, false
 	}
-	lines := s.Lines
-	if lines < 1 {
-		lines = 1
-	}
-	site.flip(s.WordBits(), lines)
-	if lines == 1 {
-		site.watch(m)
-	}
+	site.flip(s.WordBits(), max(s.Lines, 1))
 	return nil, true
 }
 
@@ -257,16 +251,13 @@ func (st storageSite) flip(width, lines int) {
 	}
 }
 
-// watch hands a site that a one-shot flip touched alone to the run's
-// one-site watch, which joins the run to golden as soon as the corrupted
-// entry is overwritten or freed before anything reads it.
+// watch hands a cache byte that a one-shot flip touched alone to the run's
+// one-site watch, which joins the run to golden as soon as the byte is
+// overwritten, refilled or invalidated before anything reads it. Register
+// and shared-memory flips are not watched: the pruners decide from the
+// golden run's interval map whether they are dead.
 func (st storageSite) watch(m *sim.Machine) {
-	switch st.structure {
-	case gpu.RF:
-		m.WatchRF(st.sm, st.idx)
-	case gpu.SMEM:
-		m.WatchSmem(st.sm, st.idx)
-	default:
+	if st.cache != nil {
 		m.WatchCache(st.cache, st.idx, st.off)
 	}
 }

@@ -96,7 +96,7 @@ func (c *Coordinator) leaseSizeLocked(e *workerEntry) int {
 	return n
 }
 
-// supportsModelLocked reports whether a worker's declared fault models cover
+// supportsModel reports whether a worker's declared fault models cover
 // the job's model (an empty declaration means all models).
 func supportsModel(e *workerEntry, model string) bool {
 	if e == nil || len(e.spec.Caps.FaultModels) == 0 {

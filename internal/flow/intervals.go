@@ -18,15 +18,18 @@ import (
 //
 // The Recorder implements sim.SchedTracer structurally (the signatures use
 // only basic types and *isa.Program), so flow stays decoupled from sim. Per
-// issued instruction it applies the instruction's effects — source
-// registers read, destination killed, shared-memory words read or
-// overwritten — to the lanes of the post-predication active mask, which
-// makes the intervals reconvergence- and predication-aware: a lane outside
-// the mask executed nothing and gets no events. A SEL lane reads only the
-// operand its predicate picked, which the trace reports per lane. On the
-// register file the map is therefore exact: site for site it equals the
-// liveness of the reference core's per-access register stream (the oracle
-// in internal/sim's tests).
+// issued instruction it applies the instruction's register effects —
+// source registers read, destination killed — to the lanes of the
+// post-predication active mask, which makes the intervals reconvergence-
+// and predication-aware: a lane outside the mask executed nothing and gets
+// no events. A SEL lane reads only the operand its predicate picked, which
+// the trace reports per lane. Shared memory is tracked per word from the
+// accesses themselves: the simulator reports every LDS and STS lane with
+// its word, in execution order, so a load exposes exactly the word it read
+// and a store kills exactly the word it overwrote. The map is therefore
+// exact on both arrays: site for site it equals the liveness of the
+// reference core's per-access register and shared-memory streams (the
+// oracle in internal/sim's tests).
 //
 // Interval semantics match the injector's hook position: a value's live
 // interval (Lo, Hi] marks injection cycles c with Lo < c <= Hi as
@@ -38,12 +41,6 @@ import (
 // golden run — InitClean for every program's registers, and no LDS of a
 // shared-memory word its CTA has not stored — and the pruners in
 // internal/microfi simulate every run when it fails.
-//
-// Shared memory is tracked at two granularities per allocated block:
-// LDS/STS addresses are register-held in general, so an LDS with an unknown
-// address conservatively reads the whole block, while RZ-based addresses
-// (addr = Imm) read or overwrite exactly one word. An unknown-address STS
-// kills nothing (the overwritten word is unknown).
 
 // Recorder accumulates scheduled-trace events. Create with NewRecorder,
 // pass as sim.Options.SchedTrace on a fault-free run, then call Finalize.
@@ -89,12 +86,6 @@ func (t *track) read(cycle int64) {
 	}
 }
 
-// live reports whether an injection at cycle lands inside a live interval.
-func (t *track) live(cycle int64) bool {
-	i := sort.Search(len(t.ivs), func(i int) bool { return t.ivs[i].Hi >= cycle })
-	return i < len(t.ivs) && t.ivs[i].Lo < cycle
-}
-
 // span is one CTA's allocated region with its visibility window
 // (release = -1 while open).
 type span struct {
@@ -102,64 +93,61 @@ type span struct {
 	alloc, release int64
 }
 
-// smemSpan is one CTA's shared-memory block: the span, a block-level track
-// fed by unknown-address reads, and (lazily) per-word tracks fed by
-// known-address accesses.
+// smemSpan is one CTA's shared-memory block: the span and one track per
+// word, encoded once the CTA retires or the recording ends.
 type smemSpan struct {
 	span
-	block track
-	words []track // nil until the first known-address access
+	words []track // nil once encoded
+	ivs   sites   // words, encoded
 }
 
-func (s *smemSpan) ensureWords() {
-	if s.words == nil {
-		s.words = make([]track, s.size/4)
-		for i := range s.words {
-			s.words[i].last = s.alloc
-		}
+// encode freezes the span's word tracks.
+func (s *smemSpan) encode() {
+	if s.words != nil {
+		s.ivs, s.words = encodeSites(s.words), nil
 	}
 }
 
 // smRecord is the per-SM recording state.
 type smRecord struct {
 	regs    []track     // per physical register; nil once finalized
-	rf      rfIntervals // regs, finalized
+	rf      sites       // regs, finalized
 	rfSpans []span      // CTA placement order
 	smSpans []*smemSpan // CTA placement order
 }
 
-// rfIntervals is the finalized register file of one SM, kept compact
-// because it is most of the map and a pruning front end keeps the map for
-// the life of its golden runs: register r's live intervals are uvarint
-// pairs (gap from the previous interval's Hi, length) in
-// enc[off[r]:off[r+1]], about three bytes an interval where a track's
+// sites is a finalized array of site tracks (the registers of one SM, the
+// words of one shared-memory block), kept compact because a pruning front
+// end keeps the map for the life of its golden runs: site i's live
+// intervals are uvarint pairs (gap from the previous interval's Hi, length)
+// in enc[off[i]:off[i+1]], about three bytes an interval where a track's
 // slice takes sixteen and more.
-type rfIntervals struct {
+type sites struct {
 	off []int32
 	enc []byte
 }
 
-func encodeRF(regs []track) rfIntervals {
-	rf := rfIntervals{off: make([]int32, len(regs)+1)}
-	for r := range regs {
+func encodeSites(ts []track) sites {
+	e := sites{off: make([]int32, len(ts)+1)}
+	for i := range ts {
 		var prev int64
-		for _, v := range regs[r].ivs {
-			rf.enc = binary.AppendUvarint(rf.enc, uint64(v.Lo-prev))
-			rf.enc = binary.AppendUvarint(rf.enc, uint64(v.Hi-v.Lo))
+		for _, v := range ts[i].ivs {
+			e.enc = binary.AppendUvarint(e.enc, uint64(v.Lo-prev))
+			e.enc = binary.AppendUvarint(e.enc, uint64(v.Hi-v.Lo))
 			prev = v.Hi
 		}
-		rf.off[r+1] = int32(len(rf.enc))
+		e.off[i+1] = int32(len(e.enc))
 	}
-	rf.enc = slices.Clip(rf.enc)
-	return rf
+	e.enc = slices.Clip(e.enc)
+	return e
 }
 
-// regs returns the number of registers.
-func (rf rfIntervals) regs() int { return len(rf.off) - 1 }
+// n returns the number of sites.
+func (e sites) n() int { return len(e.off) - 1 }
 
-// ivs appends register r's live intervals, in time order, to dst.
-func (rf rfIntervals) ivs(r int, dst []Iv) []Iv {
-	enc := rf.enc[rf.off[r]:rf.off[r+1]]
+// ivs appends site i's live intervals, in time order, to dst.
+func (e sites) ivs(i int, dst []Iv) []Iv {
+	enc := e.enc[e.off[i]:e.off[i+1]]
 	var prev int64
 	for len(enc) > 0 {
 		gap, n := binary.Uvarint(enc)
@@ -171,6 +159,26 @@ func (rf rfIntervals) ivs(r int, dst []Iv) []Iv {
 	return dst
 }
 
+// live reports whether an injection at cycle lands inside one of site i's
+// live intervals, decoding them in time order only as far as the cycle.
+func (e sites) live(i int, cycle int64) bool {
+	enc := e.enc[e.off[i]:e.off[i+1]]
+	var hi int64
+	for len(enc) > 0 {
+		gap, n := binary.Uvarint(enc)
+		length, m := binary.Uvarint(enc[n:])
+		enc = enc[n+m:]
+		lo := hi + int64(gap)
+		if cycle <= lo {
+			return false
+		}
+		if hi = lo + int64(length); cycle <= hi {
+			return true
+		}
+	}
+	return false
+}
+
 // ctaRec is one resident CTA's placement, keyed by the tracer's CTA id.
 type ctaRec struct {
 	sm, rfBase, smBase, threads int
@@ -179,22 +187,18 @@ type ctaRec struct {
 	smem                        *smemSpan // nil if smSize == 0
 }
 
-// pcEffect is the effect of one instruction: registers read, register
-// killed, and shared-memory access shape. A SEL's operands are held apart
+// pcEffect is the register effect of one instruction: registers read and
+// register killed. A SEL's operands are held apart
 // from reads, as selA and selB, because a lane reads only the one its
 // predicate picks; RZ stands for an operand that is no register read (RZ
 // itself or an immediate B).
 type pcEffect struct {
-	reads     []isa.Reg
-	sel       bool
-	selA      isa.Reg
-	selB      isa.Reg
-	kill      isa.Reg
-	hasKill   bool
-	smemRead  bool
-	smemWrite bool
-	addrKnown bool // SrcA == RZ: every lane accesses word addrImm
-	addrImm   int32
+	reads   []isa.Reg
+	sel     bool
+	selA    isa.Reg
+	selB    isa.Reg
+	kill    isa.Reg
+	hasKill bool
 }
 
 type progEffects struct {
@@ -233,15 +237,6 @@ func (r *Recorder) effectsOf(p *isa.Program) *progEffects {
 		if ins.Writing() && int(ins.Dst) < p.NumRegs {
 			pe.kill, pe.hasKill = ins.Dst, true
 		}
-		switch ins.Op {
-		case isa.OpLDS:
-			pe.smemRead = true
-		case isa.OpSTS:
-			pe.smemWrite = true
-		}
-		if (pe.smemRead || pe.smemWrite) && ins.SrcA == isa.RZ {
-			pe.addrKnown, pe.addrImm = true, ins.Imm
-		}
 	}
 	r.effects[p] = e
 	return e
@@ -271,8 +266,10 @@ func (r *Recorder) OnCTAPlace(cta, sm, rfBase, rfSize, smBase, smSize, threads i
 		}
 	}
 	if smSize > 0 {
-		rec.smem = &smemSpan{span: span{base: smBase, size: smSize, alloc: cycle, release: -1}}
-		rec.smem.block.last = cycle
+		rec.smem = &smemSpan{span: span{base: smBase, size: smSize, alloc: cycle, release: -1}, words: make([]track, smSize/4)}
+		for i := range rec.smem.words {
+			rec.smem.words[i].last = cycle
+		}
 		s.smSpans = append(s.smSpans, rec.smem)
 	}
 	r.ctas[cta] = rec
@@ -287,45 +284,43 @@ func (r *Recorder) OnIssue(cta, warp, pc int, mask, selA uint32, cycle int64) {
 		return
 	}
 	pe := &rec.eff.pcs[pc]
-	if len(pe.reads) > 0 || pe.sel || pe.hasKill {
-		s := r.sms[rec.sm]
-		numRegs := rec.eff.numRegs
-		for m := mask; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			base := rec.rfBase + (warp*32+lane)*numRegs
-			for _, reg := range pe.reads {
-				s.regs[base+int(reg)].read(cycle)
+	if len(pe.reads) == 0 && !pe.sel && !pe.hasKill {
+		return
+	}
+	s := r.sms[rec.sm]
+	numRegs := rec.eff.numRegs
+	for m := mask; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
+		base := rec.rfBase + (warp*32+lane)*numRegs
+		for _, reg := range pe.reads {
+			s.regs[base+int(reg)].read(cycle)
+		}
+		if pe.sel {
+			picked := pe.selB
+			if selA&(1<<lane) != 0 {
+				picked = pe.selA
 			}
-			if pe.sel {
-				picked := pe.selB
-				if selA&(1<<lane) != 0 {
-					picked = pe.selA
-				}
-				if picked != isa.RZ {
-					s.regs[base+int(picked)].read(cycle)
-				}
+			if picked != isa.RZ {
+				s.regs[base+int(picked)].read(cycle)
 			}
-			if pe.hasKill {
-				s.regs[base+int(pe.kill)].last = cycle
-			}
+		}
+		if pe.hasKill {
+			s.regs[base+int(pe.kill)].last = cycle
 		}
 	}
-	if (pe.smemRead || pe.smemWrite) && mask != 0 && rec.smem != nil {
-		sp := rec.smem
-		w := int(pe.addrImm) / 4
-		switch {
-		case pe.smemRead && pe.addrKnown && w >= 0 && w < sp.size/4:
-			sp.ensureWords()
-			sp.words[w].read(cycle)
-		case pe.smemRead:
-			// Unknown address: conservatively the whole block is read.
-			sp.block.read(cycle)
-		case pe.smemWrite && pe.addrKnown && w >= 0 && w < sp.size/4:
-			// Every active lane overwrites word w: the previous value dies.
-			sp.ensureWords()
-			sp.words[w].last = cycle
-		}
-		// Unknown-address STS: the overwritten word is unknown, kill nothing.
+}
+
+// OnShared implements the sim.SchedTracer shape: a load exposes the word's
+// stored value, a store kills it.
+func (r *Recorder) OnShared(cta, word int, store bool, cycle int64) {
+	rec := r.ctas[cta]
+	if rec == nil {
+		return
+	}
+	if t := &rec.smem.words[word]; store {
+		t.last = cycle
+	} else {
+		t.read(cycle)
 	}
 }
 
@@ -346,6 +341,7 @@ func (r *Recorder) OnCTARetire(cta int, cycle int64) {
 	}
 	if rec.smem != nil {
 		rec.smem.release = cycle
+		rec.smem.encode()
 	}
 	delete(r.ctas, cta)
 }
@@ -362,7 +358,10 @@ type Intervals struct {
 func (r *Recorder) Finalize(cycles int64) *Intervals {
 	for _, s := range r.sms {
 		if s.regs != nil {
-			s.rf, s.regs = encodeRF(s.regs), nil
+			s.rf, s.regs = encodeSites(s.regs), nil
+		}
+		for _, sp := range s.smSpans {
+			sp.encode()
 		}
 	}
 	return &Intervals{sms: r.sms, Cycles: cycles}
@@ -374,11 +373,10 @@ func (iv *Intervals) NumSMs() int { return len(iv.sms) }
 // LiveRF reports whether an injection into physical register (sm, phys) at
 // the cycle can reach a future read — false means provably dead.
 func (iv *Intervals) LiveRF(sm, phys int, cycle int64) bool {
-	if sm >= len(iv.sms) || phys >= iv.sms[sm].rf.regs() {
+	if sm >= len(iv.sms) || phys >= iv.sms[sm].rf.n() {
 		return false
 	}
-	t := track{ivs: iv.sms[sm].rf.ivs(phys, nil)}
-	return t.live(cycle)
+	return iv.sms[sm].rf.live(phys, cycle)
 }
 
 // RFLiveCycles sums the lengths of every register's live intervals: the
@@ -388,7 +386,7 @@ func (iv *Intervals) LiveRF(sm, phys int, cycle int64) bool {
 func (iv *Intervals) RFLiveCycles() int64 {
 	var n int64
 	for _, s := range iv.sms {
-		for i := 0; i < s.rf.regs(); i++ {
+		for i := 0; i < s.rf.n(); i++ {
 			for _, v := range s.rf.ivs(i, nil) {
 				n += v.Hi - v.Lo
 			}
@@ -398,9 +396,9 @@ func (iv *Intervals) RFLiveCycles() int64 {
 }
 
 // LiveSmem reports whether an injection into shared-memory byte (sm, idx)
-// at the cycle can reach a future read. A byte is live when its allocated
-// block was conservatively read (unknown-address LDS) or its word's
-// known-address interval covers the cycle.
+// at the cycle can reach a future read — false means provably dead. Shared
+// memory is accessed in aligned words, so a byte is live exactly when its
+// word is.
 func (iv *Intervals) LiveSmem(sm, idx int, cycle int64) bool {
 	if sm >= len(iv.sms) {
 		return false
@@ -412,13 +410,8 @@ func (iv *Intervals) LiveSmem(sm, idx int, cycle int64) bool {
 		if !(sp.alloc < cycle && (sp.release < 0 || cycle <= sp.release)) {
 			continue
 		}
-		if sp.block.live(cycle) {
-			return true
-		}
-		if w := (idx - sp.base) / 4; sp.words != nil && w < len(sp.words) {
-			return sp.words[w].live(cycle)
-		}
-		return false
+		w := (idx - sp.base) / 4
+		return w < sp.ivs.n() && sp.ivs.live(w, cycle)
 	}
 	return false
 }
@@ -487,7 +480,7 @@ func (iv *Intervals) Check() error {
 		return nil
 	}
 	for smID, s := range iv.sms {
-		for i := 0; i < s.rf.regs(); i++ {
+		for i := 0; i < s.rf.n(); i++ {
 			if err := checkTrack(smID, "reg", i, s.rf.ivs(i, nil)); err != nil {
 				return err
 			}
@@ -505,11 +498,8 @@ func (iv *Intervals) Check() error {
 				return err
 			}
 			prev = sp.alloc
-			if err := checkTrack(smID, "smem-block", i, sp.block.ivs); err != nil {
-				return err
-			}
-			for w := range sp.words {
-				if err := checkTrack(smID, "smem-word", sp.base/4+w, sp.words[w].ivs); err != nil {
+			for w := 0; w < sp.ivs.n(); w++ {
+				if err := checkTrack(smID, "smem word at byte", sp.base+4*w, sp.ivs.ivs(w, nil)); err != nil {
 					return err
 				}
 			}
@@ -551,24 +541,19 @@ func (iv *Intervals) RFBounds(ws []Window) Bounds {
 		for _, sp := range s.rfSpans {
 			ds = appendSpanDeltas(ds, sp)
 		}
-		for i := 0; i < s.rf.regs(); i++ {
-			for _, v := range s.rf.ivs(i, nil) {
-				ds = append(ds, delta{v.Lo + 1, 1, false}, delta{v.Hi + 1, -1, false})
-			}
-		}
+		ds = appendLiveDeltas(ds, s.rf, 1)
 	}
 	return sweepBounds(ds, ws)
 }
 
-// SmemBounds is RFBounds for shared memory, in bytes. Per allocated block
-// the live mass at a cycle is the whole block when an unknown-address read
-// covers it, else 4 bytes per live known-address word.
+// SmemBounds is RFBounds for shared memory, in bytes: 4 live bytes per live
+// word.
 func (iv *Intervals) SmemBounds(ws []Window) Bounds {
 	var ds []delta
 	for _, s := range iv.sms {
 		for _, sp := range s.smSpans {
 			ds = appendSpanDeltas(ds, sp.span)
-			ds = appendSmemLiveDeltas(ds, sp)
+			ds = appendLiveDeltas(ds, sp.ivs, 4)
 		}
 	}
 	return sweepBounds(ds, ws)
@@ -584,48 +569,12 @@ func appendSpanDeltas(ds []delta, sp span) []delta {
 	return ds
 }
 
-// smemEvent is a local event of one shared-memory span's segment walk.
-type smemEvent struct {
-	c     int64
-	v     int64
-	block bool
-}
-
-// appendSmemLiveDeltas emits the live-byte steps of one shared-memory span:
-// the pointwise maximum of the block-level track (whole block live) and the
-// per-word tracks (4 bytes per live word), computed by a local segment walk.
-func appendSmemLiveDeltas(ds []delta, sp *smemSpan) []delta {
-	var local []smemEvent
-	for _, v := range sp.block.ivs {
-		local = append(local, smemEvent{v.Lo + 1, 1, true}, smemEvent{v.Hi + 1, -1, true})
-	}
-	for i := range sp.words {
-		for _, v := range sp.words[i].ivs {
-			local = append(local, smemEvent{v.Lo + 1, 4, false}, smemEvent{v.Hi + 1, -4, false})
-		}
-	}
-	if len(local) == 0 {
-		return ds
-	}
-	sort.Slice(local, func(i, j int) bool { return local[i].c < local[j].c })
-	var blockDepth, wordMass, prev int64
-	for i := 0; i < len(local); {
-		c := local[i].c
-		for i < len(local) && local[i].c == c {
-			if local[i].block {
-				blockDepth += local[i].v
-			} else {
-				wordMass += local[i].v
-			}
-			i++
-		}
-		cur := wordMass
-		if blockDepth > 0 {
-			cur = int64(sp.size)
-		}
-		if cur != prev {
-			ds = append(ds, delta{c, cur - prev, false})
-			prev = cur
+// appendLiveDeltas emits the live-mass steps of every site's intervals,
+// mass each.
+func appendLiveDeltas(ds []delta, e sites, mass int64) []delta {
+	for i := 0; i < e.n(); i++ {
+		for _, v := range e.ivs(i, nil) {
+			ds = append(ds, delta{v.Lo + 1, mass, false}, delta{v.Hi + 1, -mass, false})
 		}
 	}
 	return ds

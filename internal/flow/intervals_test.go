@@ -31,10 +31,11 @@ func traceIntervals(t *testing.T, app kernels.App, cfg gpu.Config) (*flow.Interv
 // TestIntervalsSoundVsDynamic holds the interval map to the machine itself
 // on every app. At 8 cycles of every launch, the blocks the intervals hold
 // allocated must be the ones each SM has allocated, and inverting every bit
-// of every register the intervals call dead, on every SM at once, must leave
-// the run identical to the fault-free one: a dead register is overwritten or
-// released before any read. Exactness, site for site against the reference
-// core's register stream, is TestIntervalsEqualOracle in internal/sim.
+// of every register and shared-memory byte the intervals call dead, on
+// every SM at once, must leave the run identical to the fault-free one: a
+// dead site is overwritten or released before any read. Exactness, site for
+// site against the reference core's access streams, is
+// TestIntervalsEqualOracle in internal/sim.
 func TestIntervalsSoundVsDynamic(t *testing.T) {
 	cfg := gpu.Volta()
 	for _, app := range kernels.All() {
@@ -42,6 +43,29 @@ func TestIntervalsSoundVsDynamic(t *testing.T) {
 			iv, spans := traceIntervals(t, app, cfg)
 			golden := sim.Run(app.Build(), cfg, sim.Options{})
 			sites, dead := 0, 0
+			// invertDead compares one array's allocated blocks and inverts
+			// its dead sites; it returns how many it inverted.
+			invertDead := func(cycle int64, sm int, what string, want []sim.RFBlock, got []flow.Blk, live func(sm, idx int, c int64) bool, invert func(idx int)) int {
+				if len(got) != len(want) {
+					t.Errorf("cycle %d sm %d: %s allocation timeline diverged: intervals %v, machine %v", cycle, sm, what, got, want)
+					return 0
+				}
+				n := 0
+				for i, b := range want {
+					if got[i] != flow.Blk(b) {
+						t.Errorf("cycle %d sm %d: %s block %d is %+v in the intervals, %+v in the machine", cycle, sm, what, i, got[i], b)
+						return n
+					}
+					for idx := b.Base; idx < b.Base+b.Size; idx++ {
+						sites++
+						if !live(sm, idx, cycle) {
+							invert(idx)
+							n++
+						}
+					}
+				}
+				return n
+			}
 			for _, span := range spans {
 				for s := int64(0); s < 8; s++ {
 					cycle := span.Start + 1 + (span.End-span.Start-1)*s/8
@@ -51,32 +75,20 @@ func TestIntervalsSoundVsDynamic(t *testing.T) {
 						AtCycle:   cycle,
 						OnCycle: func(m *sim.Machine) {
 							for sm, st := range m.SMs {
-								want := st.AllocatedRF()
-								got := iv.RFBlocksAt(sm, cycle, nil)
-								if len(got) != len(want) {
-									t.Errorf("cycle %d sm %d: allocation timeline diverged: intervals %v, machine %v", cycle, sm, got, want)
-									return
-								}
-								for i, b := range want {
-									if got[i] != flow.Blk(b) {
-										t.Errorf("cycle %d sm %d: block %d is %+v in the intervals, %+v in the machine", cycle, sm, i, got[i], b)
-										return
-									}
-									for phys := b.Base; phys < b.Base+b.Size; phys++ {
-										sites++
-										if !iv.LiveRF(sm, phys, cycle) {
-											st.RF[phys] = ^st.RF[phys]
-											st.MarkRF(phys)
-											n++
-										}
-									}
-								}
+								n += invertDead(cycle, sm, "register", st.AllocatedRF(), iv.RFBlocksAt(sm, cycle, nil), iv.LiveRF, func(i int) {
+									st.RF[i] = ^st.RF[i]
+									st.MarkRF(i)
+								})
+								n += invertDead(cycle, sm, "shared-memory", st.AllocatedSmem(), iv.SmemBlocksAt(sm, cycle, nil), iv.LiveSmem, func(i int) {
+									st.Smem[i] = ^st.Smem[i]
+									st.MarkSmem(i)
+								})
 							}
 						},
 					})
 					if res.Err != nil || res.TimedOut || res.DUEFlag || res.Cycles != golden.Cycles ||
 						!bytes.Equal(res.Output, golden.Output) || !reflect.DeepEqual(res.PerKernel, golden.PerKernel) {
-						t.Fatalf("cycle %d: inverting the %d registers the intervals call dead changed the run: err=%v timeout=%v due=%v cycles %d (golden %d), same output %v",
+						t.Fatalf("cycle %d: inverting the %d sites the intervals call dead changed the run: err=%v timeout=%v due=%v cycles %d (golden %d), same output %v",
 							cycle, n, res.Err, res.TimedOut, res.DUEFlag, res.Cycles, golden.Cycles, bytes.Equal(res.Output, golden.Output))
 					}
 					dead += n

@@ -84,8 +84,8 @@ type Cache struct {
 }
 
 // WatchState is the verdict of a one-site watch: the checkpoint engine arms
-// one after a transient flip of a single entry and joins the faulty run to
-// golden as soon as the entry is dead.
+// one after a transient flip of a single cache data byte and joins the
+// faulty run to golden as soon as the byte is dead.
 type WatchState uint8
 
 // Watch states. Off is terminal and is also the state of a disarmed watch;
@@ -103,9 +103,6 @@ const (
 	// WatchInvalid: the entry's cache line was invalidated, or was invalid
 	// when the flip landed.
 	WatchInvalid
-	// WatchFreed: the CTA owning the entry retired, and free storage is
-	// dead (the simulator's guard).
-	WatchFreed
 )
 
 // Dead reports whether the entry no longer differs from golden in any way

@@ -387,3 +387,39 @@ func TestControlFaultsEndToEnd(t *testing.T) {
 		}
 	}
 }
+
+// TestOneRowMBUIsTheBurst: SpatialMBU{Width: w, Lines: 1} classifies every
+// run exactly like Transient{Width: w} on the register file, shared memory
+// and the L1D, which is what lets faultmodel.Spec.Build return the burst for
+// a one-row MBU.
+func TestOneRowMBUIsTheBurst(t *testing.T) {
+	cfg := gpu.Volta()
+	app, err := kernels.ByName("LUD")
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := app.Build()
+	g, err := GoldenCheckpointed(job, cfg, DefaultCheckpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := 0
+	for _, st := range []gpu.Structure{gpu.RF, gpu.SMEM, gpu.L1D} {
+		for _, w := range []int{1, 2, 3} {
+			burst := Target{Structure: st, Model: faultmodel.Transient{Width: w}}
+			mbu := Target{Structure: st, Model: faultmodel.SpatialMBU{Width: w, Lines: 1}}
+			for run := int64(0); run < 40; run++ {
+				want := Inject(job, g, burst, rand.New(rand.NewSource(run)))
+				if got := Inject(job, g, mbu, rand.New(rand.NewSource(run))); got != want {
+					t.Fatalf("%s width %d run %d: one-row MBU %+v, burst %+v", st, w, run, got, want)
+				}
+				if want.Outcome != faults.Masked {
+					failed++
+				}
+			}
+		}
+	}
+	if failed == 0 {
+		t.Fatal("every run was Masked: the comparison exercises nothing")
+	}
+}

@@ -54,8 +54,8 @@ type SamplingSpec struct {
 	Batch int `json:"batch,omitempty"`
 	// Prune is decoded, journaled and re-encoded for clients and journals
 	// from before pruning was how every micro job runs, and changes
-	// nothing: provably dead RF and SMEM sites are classified from the
-	// golden run's interval map without simulation whatever it says.
+	// nothing: provably dead RF, SMEM and cache draws are classified from
+	// the golden run's interval map without simulation whatever it says.
 	Prune bool `json:"prune,omitempty"`
 }
 
@@ -65,7 +65,8 @@ type SamplingSpec struct {
 // bit-identically to brute force. An absent group, or one that turns
 // nothing on (stride 0, no converge), means the daemon's default:
 // microfi.DefaultCheckpoint, auto stride with converge joins. Either way the
-// job's transient RF and SMEM draws are pruned (gpurel.Study.Checkpoint).
+// job's provably dead transient RF, SMEM and cache draws are pruned
+// (gpurel.Study.Checkpoint).
 // Golden runs are built once per (app, process): the first job to evaluate
 // an app fixes its configuration.
 type SnapshotSpec struct {

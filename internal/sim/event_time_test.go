@@ -30,6 +30,7 @@ func (a *activity) OnCTAPlace(cta, sm, rfBase, rfSize, smBase, smSize, threads i
 	a.note(cycle)
 }
 func (a *activity) OnIssue(cta, w, pc int, mask, selA uint32, cycle int64) { a.note(cycle) }
+func (a *activity) OnShared(cta, word int, store bool, cycle int64)        { a.note(cycle) }
 func (a *activity) OnCTARetire(cta int, cycle int64)                       { a.note(cycle) }
 
 // idle reports whether the machine does nothing in cycle c and did nothing

@@ -3,6 +3,7 @@ package sim_test
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gpurel/internal/device"
@@ -15,29 +16,33 @@ import (
 	"gpurel/internal/sim"
 )
 
-// Register lifetimes. flow.Recorder builds the repository's one record of
-// register lifetime from a µop-core run's schedule trace: which instruction
-// each warp issued, with which lanes, and on which lanes a SEL picked its A
-// operand. The oracle is the reference core's per-access register stream
+// Storage lifetimes. flow.Recorder builds the repository's one record of
+// register and shared-memory lifetime from a µop-core run's schedule trace:
+// which instruction each warp issued, with which lanes, on which lanes a SEL
+// picked its A operand, and which shared-memory word each LDS and STS lane
+// accessed. The oracle is the reference core's per-access stream
 // (sim.TraceOracle): exec.Step reads and writes each register through
-// accessors, one lane at a time, with no notion of operand positions. The
+// accessors, one lane at a time, with no notion of operand positions, and
+// reaches shared memory through its Env with the address it computed. The
 // two records must agree site for site. A faulting instruction issues on
 // neither side, so a faulting run is compared up to its fault.
 
-// lifetimes is what one comparison saw.
+// lifetimes is what one comparison saw: sampled sites and live ones, of the
+// register file and of shared memory.
 type lifetimes struct {
-	res         *sim.Result
-	iv          *flow.Intervals
-	end         int64 // the run's last cycle, also when it faulted or timed out
-	sites, live int
+	res                 *sim.Result
+	iv                  *flow.Intervals
+	end                 int64 // the run's last cycle, also when it faulted or timed out
+	sites, live         int
+	smemSites, smemLive int
 }
 
 // checkLifetimes runs build() on the µop core under flow's recorder and on
 // the reference core under the oracle, and requires the two runs to agree in
 // full, the interval map to be well-formed, both records to sum to the same
 // live register-cycles, and — at every cycle cycles picks — the same
-// allocated blocks on every SM and the same live/dead answer at every site
-// in them.
+// allocated register and shared-memory blocks on every SM and the same
+// live/dead answer at every register and shared-memory byte in them.
 func checkLifetimes(t *testing.T, build func() *device.Job, maxCycles int64, cycles func(res *sim.Result, end int64) []int64) lifetimes {
 	t.Helper()
 	cfg := gpu.Volta()
@@ -57,29 +62,39 @@ func checkLifetimes(t *testing.T, build func() *device.Job, maxCycles int64, cyc
 	lt := lifetimes{res: res, iv: iv, end: max(res.Cycles, oracle.End)}
 	for _, c := range cycles(res, lt.end) {
 		for sm := 0; sm < cfg.NumSMs; sm++ {
-			want := oracle.RFBlocksAt(sm, c, nil)
-			got := iv.RFBlocksAt(sm, c, nil)
-			if len(got) != len(want) {
-				t.Fatalf("cycle %d sm %d: allocation timelines diverge: intervals %v, oracle %v", c, sm, got, want)
-			}
-			for i, b := range want {
-				if got[i] != flow.Blk(b) {
-					t.Fatalf("cycle %d sm %d: block %d is %+v in the intervals, %+v in the oracle", c, sm, i, got[i], b)
-				}
-				for phys := b.Base; phys < b.Base+b.Size; phys++ {
-					dyn := oracle.Live(sm, phys, c)
-					if st := iv.LiveRF(sm, phys, c); st != dyn {
-						t.Fatalf("sm %d phys %d cycle %d: live in the intervals %v, in the oracle %v", sm, phys, c, st, dyn)
-					}
-					lt.sites++
-					if dyn {
-						lt.live++
-					}
-				}
-			}
+			sameSites(t, "register", sm, c, iv.RFBlocksAt(sm, c, nil), oracle.RFBlocksAt(sm, c, nil),
+				iv.LiveRF, oracle.Live, &lt.sites, &lt.live)
+			sameSites(t, "shared-memory", sm, c, iv.SmemBlocksAt(sm, c, nil), oracle.SmemBlocksAt(sm, c, nil),
+				iv.LiveSmem, oracle.LiveSmem, &lt.smemSites, &lt.smemLive)
 		}
 	}
 	return lt
+}
+
+// sameSites requires one array's allocated blocks on an SM at a cycle to be
+// the same in the intervals and the oracle, and every site in them to be
+// live in both or dead in both; it counts the sites and the live ones.
+func sameSites(t *testing.T, what string, sm int, c int64, got []flow.Blk, want []sim.RFBlock,
+	ivLive, oracleLive func(sm, idx int, c int64) bool, sites, live *int) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("cycle %d sm %d: %s allocation timelines diverge: intervals %v, oracle %v", c, sm, what, got, want)
+	}
+	for i, b := range want {
+		if got[i] != flow.Blk(b) {
+			t.Fatalf("cycle %d sm %d: %s block %d is %+v in the intervals, %+v in the oracle", c, sm, what, i, got[i], b)
+		}
+		for idx := b.Base; idx < b.Base+b.Size; idx++ {
+			dyn := oracleLive(sm, idx, c)
+			if st := ivLive(sm, idx, c); st != dyn {
+				t.Fatalf("sm %d %s %d cycle %d: live in the intervals %v, in the oracle %v", sm, what, idx, c, st, dyn)
+			}
+			*sites++
+			if dyn {
+				*live++
+			}
+		}
+	}
 }
 
 // perSpan samples n cycles of every launch span, evenly from its first
@@ -137,7 +152,7 @@ func TestIntervalsEqualOracle(t *testing.T) {
 			if lt.res.Err != nil || lt.res.TimedOut || lt.live == 0 {
 				t.Fatalf("degenerate run: err=%v timeout=%v, %d of %d sampled sites live", lt.res.Err, lt.res.TimedOut, lt.live, lt.sites)
 			}
-			t.Logf("%d sampled sites, %d live", lt.sites, lt.live)
+			t.Logf("%d sampled register sites, %d live; %d shared-memory bytes, %d live", lt.sites, lt.live, lt.smemSites, lt.smemLive)
 		})
 	}
 }
@@ -284,5 +299,48 @@ func TestIntervalsMidInstructionFault(t *testing.T) {
 	}
 	if got := liveLanes(lt, prog.NumRegs, 0); got != ^uint32(0) {
 		t.Errorf("R0 live on lanes %#08x, want every lane (ISCADD reads it)", got)
+	}
+}
+
+// TestIntervalsSmemShapes: shared memory is recorded per word from the
+// addresses the lanes actually used. Each lane stores its lane id to words
+// lane and 32+lane, then overwrites word lane before any read; lanes 0–15
+// load word lane back through an address register, and every lane loads
+// word 32 through RZ. So the first stores are dead, and words 16–31 and
+// 33–63 are stored but never read: only words 0–15 and 32 are ever live —
+// checked against the oracle at every site of every cycle, and pinned.
+func TestIntervalsSmemShapes(t *testing.T) {
+	prog := &isa.Program{Name: "smem", NumRegs: 4, Code: []isa.Instr{
+		{Op: isa.OpS2R, Dst: 0, Special: isa.SRLaneID},
+		{Op: isa.OpSHL, Dst: 1, SrcA: 0, BImm: true, Imm: 2},
+		{Op: isa.OpISETP, PDst: p0, Cmp: isa.CmpLT, SrcA: 0, BImm: true, Imm: 16},
+		{Op: isa.OpSTS, SrcA: 1, SrcB: 0},
+		{Op: isa.OpSTS, SrcA: 1, SrcB: 0, Imm: 128},
+		{Op: isa.OpSTS, SrcA: 1, SrcB: 1},
+		{Op: isa.OpLDS, Dst: 2, SrcA: 1, Pred: p0},
+		{Op: isa.OpLDS, Dst: 3, SrcA: isa.RZ, Imm: 128},
+		{Op: isa.OpEXIT},
+	}}
+	build := func() *device.Job {
+		job := oneWarpJob(prog, 256)
+		job.Steps[0].Launch.SmemBytes = 256
+		return job
+	}
+	lt := checkLifetimes(t, build, 0, everyCycle)
+	if lt.res.Err != nil || lt.res.TimedOut {
+		t.Fatalf("run failed: %v timeout=%v", lt.res.Err, lt.res.TimedOut)
+	}
+	var live []int
+	for w := 0; w < 64; w++ {
+		for c := int64(1); c <= lt.end; c++ {
+			if lt.iv.LiveSmem(0, 4*w, c) {
+				live = append(live, w)
+				break
+			}
+		}
+	}
+	want := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 32}
+	if !slices.Equal(live, want) {
+		t.Errorf("live words %v, want %v", live, want)
 	}
 }

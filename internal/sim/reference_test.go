@@ -67,8 +67,11 @@ func cycleSMReference(r *runner, sm *SM, ks *KernelStats) (int, error) {
 		e.lines = e.lines[:0]
 		sm.markWarpRF(cta, w)
 
-		info := exec.Step(cta.warps[w], cta.prog, e)
-		r.noteIssue(cta, w, &info)
+		var env exec.Env = e
+		if lifeOracle != nil {
+			env = oracleEnv{e}
+		}
+		info := exec.Step(cta.warps[w], cta.prog, env)
 		if tr := r.opts.SchedTrace; tr != nil && info.Kind != exec.StepFault && info.Instr != nil {
 			tr.OnIssue(cta.schedID, w, int(info.PC), info.ActiveMask, e.selPicksA(info.Instr, info.ActiveMask), r.cycle)
 		}
@@ -141,7 +144,7 @@ func (e *simEnv) regIndex(lane int, reg isa.Reg) int {
 
 func (e *simEnv) ReadReg(lane int, reg isa.Reg) uint32 {
 	idx := e.regIndex(lane, reg)
-	if o := rfOracle; o != nil {
+	if o := lifeOracle; o != nil {
 		o.access(e.sm.ID, idx, false)
 	}
 	return e.sm.RF[idx]
@@ -149,7 +152,7 @@ func (e *simEnv) ReadReg(lane int, reg isa.Reg) uint32 {
 
 func (e *simEnv) WriteReg(lane int, reg isa.Reg, v uint32) {
 	idx := e.regIndex(lane, reg)
-	if o := rfOracle; o != nil {
+	if o := lifeOracle; o != nil {
 		o.access(e.sm.ID, idx, true)
 	}
 	e.sm.RF[idx] = v

@@ -20,10 +20,17 @@ type placeEvent struct {
 	cycle                                            int64
 }
 
+type sharedEvent struct {
+	cta, word int
+	store     bool
+	cycle     int64
+}
+
 // recTracer records the full deterministic schedule of a run.
 type recTracer struct {
 	issues  []issueEvent
 	places  []placeEvent
+	shared  []sharedEvent
 	retires []placeEvent // cta+cycle only; other fields zero
 }
 
@@ -35,14 +42,38 @@ func (r *recTracer) OnIssue(cta, w, pc int, mask, selA uint32, cycle int64) {
 	r.issues = append(r.issues, issueEvent{cta, w, pc, mask, selA, cycle})
 }
 
+func (r *recTracer) OnShared(cta, word int, store bool, cycle int64) {
+	r.shared = append(r.shared, sharedEvent{cta, word, store, cycle})
+}
+
 func (r *recTracer) OnCTARetire(cta int, cycle int64) {
 	r.retires = append(r.retires, placeEvent{cta: cta, cycle: cycle})
+}
+
+// sameSuffix requires got to be the events of golden strictly after the
+// snapshot cycle at (snapshots capture end-of-cycle state).
+func sameSuffix[E comparable](t *testing.T, what string, at int64, golden, got []E, cycle func(E) int64) {
+	t.Helper()
+	var want []E
+	for _, e := range golden {
+		if cycle(e) > at {
+			want = append(want, e)
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("resume from cycle %d: %d %s, want %d", at, len(got), what, len(want))
+	}
+	for k := range want {
+		if got[k] != want[k] {
+			t.Fatalf("resume from cycle %d: %s %d = %+v, want %+v", at, what, k, got[k], want[k])
+		}
+	}
 }
 
 // TestRestoreScheduleDeterminism: a run resumed from a snapshot must replay
 // the golden run's schedule suffix exactly — same CTA ids (dense placement
 // order survives restore via the snapshotted id counter), same issue order,
-// same active masks, same cycles. This is the property that makes schedule
+// same active masks, same shared-memory accesses, same cycles. This is the property that makes schedule
 // traces from forked runs comparable to golden traces, and it regresses
 // silently if restore rebuilds scheduler state (CTA ids, issue pointers,
 // warp metadata) in any other order than capture saved it. Run under -race
@@ -67,8 +98,8 @@ func TestRestoreScheduleDeterminism(t *testing.T) {
 			if ref.Err != nil || ref.TimedOut {
 				t.Fatalf("traced run failed: %v timeout=%v", ref.Err, ref.TimedOut)
 			}
-			if snaps.Len() < 2 {
-				t.Fatalf("only %d snapshots captured", snaps.Len())
+			if snaps.Len() < 2 || len(golden.shared) == 0 {
+				t.Fatalf("%d snapshots captured, %d shared-memory accesses traced", snaps.Len(), len(golden.shared))
 			}
 			for i := 0; i < snaps.Len(); i++ {
 				s := snaps.Snap(i)
@@ -77,54 +108,12 @@ func TestRestoreScheduleDeterminism(t *testing.T) {
 				if res.Err != nil || res.TimedOut {
 					t.Fatalf("resume from cycle %d failed: %v timeout=%v", s.Cycle(), res.Err, res.TimedOut)
 				}
-				// The golden suffix: events strictly after the snapshot cycle
-				// (snapshots capture end-of-cycle state). Placements of CTAs
-				// already resident at the snapshot do not replay.
-				var wantIssues []issueEvent
-				for _, e := range golden.issues {
-					if e.cycle > s.Cycle() {
-						wantIssues = append(wantIssues, e)
-					}
-				}
-				if len(got.issues) != len(wantIssues) {
-					t.Fatalf("resume from cycle %d: %d issues, want %d", s.Cycle(), len(got.issues), len(wantIssues))
-				}
-				for k := range wantIssues {
-					if got.issues[k] != wantIssues[k] {
-						t.Fatalf("resume from cycle %d: issue %d = %+v, want %+v",
-							s.Cycle(), k, got.issues[k], wantIssues[k])
-					}
-				}
-				var wantPlaces []placeEvent
-				for _, e := range golden.places {
-					if e.cycle > s.Cycle() {
-						wantPlaces = append(wantPlaces, e)
-					}
-				}
-				if len(got.places) != len(wantPlaces) {
-					t.Fatalf("resume from cycle %d: %d placements, want %d", s.Cycle(), len(got.places), len(wantPlaces))
-				}
-				for k := range wantPlaces {
-					if got.places[k] != wantPlaces[k] {
-						t.Fatalf("resume from cycle %d: placement %d = %+v, want %+v",
-							s.Cycle(), k, got.places[k], wantPlaces[k])
-					}
-				}
-				var wantRetires []placeEvent
-				for _, e := range golden.retires {
-					if e.cycle > s.Cycle() {
-						wantRetires = append(wantRetires, e)
-					}
-				}
-				if len(got.retires) != len(wantRetires) {
-					t.Fatalf("resume from cycle %d: %d retirements, want %d", s.Cycle(), len(got.retires), len(wantRetires))
-				}
-				for k := range wantRetires {
-					if got.retires[k] != wantRetires[k] {
-						t.Fatalf("resume from cycle %d: retirement %d = %+v, want %+v",
-							s.Cycle(), k, got.retires[k], wantRetires[k])
-					}
-				}
+				// Placements of CTAs already resident at the snapshot do not
+				// replay.
+				sameSuffix(t, "issues", s.Cycle(), golden.issues, got.issues, func(e issueEvent) int64 { return e.cycle })
+				sameSuffix(t, "placements", s.Cycle(), golden.places, got.places, func(e placeEvent) int64 { return e.cycle })
+				sameSuffix(t, "shared-memory accesses", s.Cycle(), golden.shared, got.shared, func(e sharedEvent) int64 { return e.cycle })
+				sameSuffix(t, "retirements", s.Cycle(), golden.retires, got.retires, func(e placeEvent) int64 { return e.cycle })
 			}
 		})
 	}

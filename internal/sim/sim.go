@@ -238,7 +238,7 @@ type Machine struct {
 	L2  *mem.Cache
 	Mem *device.Memory
 
-	r *runner // the run the machine belongs to, for the one-site watch
+	r *runner // the run the machine belongs to, for the cache watch
 }
 
 // warpMeta is the scoreboard state of one warp.
@@ -278,8 +278,8 @@ type ctaRT struct {
 
 	// smTrack routes the CTA's LDS and STS through runner.noteShared: set
 	// while a fault-free run records stored (one bit per shared-memory word
-	// the CTA has stored since placement) or while the one-site watch follows
-	// a byte of its allocation. Never snapshotted: a restored CTA has neither.
+	// the CTA has stored since placement) or while a SchedTracer listens.
+	// Never snapshotted: a restored CTA has no stored record.
 	smTrack bool
 	stored  []uint64
 }
@@ -352,7 +352,7 @@ type Result struct {
 	// that completed when storage a retired CTA frees is dead: every program
 	// the job launches is clean under flow.Lint's uninit-read rule, and no
 	// LDS read a shared-memory word its CTA had not stored since placement.
-	// The one-site watch and the interval pruners rely on it (watch.go).
+	// The register-file and shared-memory pruners rely on it (watch.go).
 	FreeDead bool
 	// Stepped counts the cycles this run actually executed, from cycle 0 or
 	// from the snapshot it resumed; the rest of its simulated cycles were idle
@@ -364,12 +364,12 @@ type Result struct {
 
 // SchedTracer observes the deterministic schedule of a run: every CTA
 // placement and retirement with its physical register-file and shared-memory
-// allocation, and every warp instruction issue with its post-predication
-// active lane mask. CTAs are identified by a dense id assigned in placement
-// order (unique across the whole run). Signatures use only basic types and
-// *isa.Program so analysis packages can implement the interface structurally
-// without importing sim. Implementations must be fast; OnIssue runs once per
-// issued instruction on the hot loop.
+// allocation, every warp instruction issue with its post-predication active
+// lane mask, and every shared-memory access. CTAs are identified by a dense
+// id assigned in placement order (unique across the whole run). Signatures
+// use only basic types and *isa.Program so analysis packages can implement
+// the interface structurally without importing sim. Implementations must be
+// fast; OnIssue runs once per issued instruction on the hot loop.
 type SchedTracer interface {
 	// OnCTAPlace fires when a CTA lands on an SM: phys allocations are
 	// [rfBase, rfBase+rfSize) registers and [smBase, smBase+smSize) bytes.
@@ -381,6 +381,12 @@ type SchedTracer interface {
 	// (the others read SrcB); it is 0 for every other instruction. An
 	// instruction that faults does not fire OnIssue.
 	OnIssue(cta, warp, pc int, mask, selA uint32, cycle int64)
+	// OnShared fires for each lane of an LDS or STS as the lane accesses
+	// shared-memory word `word` (its CTA-relative byte address / 4) of the
+	// CTA, in execution order and before the instruction's OnIssue. An
+	// instruction that faults has reported the accesses its lanes made
+	// before the fault.
+	OnShared(cta, word int, store bool, cycle int64)
 	// OnCTARetire fires when the CTA's allocations are released.
 	OnCTARetire(cta int, cycle int64)
 }
@@ -509,12 +515,10 @@ type runner struct {
 	// never snapshotted or compared.
 	lastDiff diffProbe
 
-	// watch is the one-site watch (watch.go). freeDead is the converge set's
-	// guard: storage a retiring CTA frees is dead, so a watched entry in it
-	// is too. recordSmem marks a fault-free run, which records the
-	// shared-memory half of that guard; smemUninit is what it found.
-	watch      siteWatch
-	freeDead   bool
+	// watch is the cache watch's verdict. recordSmem marks a fault-free
+	// run, which records the shared-memory half of the FreeDead guard;
+	// smemUninit is what it found (both in watch.go).
+	watch      mem.WatchState
 	recordSmem bool
 	smemUninit bool
 
@@ -606,7 +610,6 @@ func newRunner(job *device.Job, cfg gpu.Config, opts Options) *runner {
 		}
 	}
 	r.env.r = r
-	r.freeDead = opts.Converge != nil && opts.Converge.freeDead
 	r.recordSmem = opts.AtCycle <= 0 && opts.Resume == nil
 	return r
 }
@@ -729,9 +732,6 @@ func (r *runner) runSteps() *Result {
 		r.res.DUEFlag = true
 	}
 	r.res.FreeDead = r.freeDeadVerdict()
-	if ck := r.opts.Checkpoint; ck != nil {
-		ck.freeDead = r.res.FreeDead
-	}
 	return r.res
 }
 
@@ -891,14 +891,14 @@ func (r *runner) runLaunch() error {
 		// so the grid compare would fail; a dead one joins right here.
 		if r.cycle == cvDue {
 			cvDue = cv.nextGrid(r.cycle)
-			if s := cv.at(r.cycle); r.fired && s != nil && r.watch.state != mem.WatchLive && r.matches(s) {
+			if s := cv.at(r.cycle); r.fired && s != nil && r.watch != mem.WatchLive && r.matches(s) {
 				if joinHook != nil {
 					joinHook(r)
 				}
 				return errSimConverged
 			}
 		}
-		if r.watch.state.Dead() {
+		if r.watch.Dead() {
 			if joinHook != nil {
 				joinHook(r)
 			}
@@ -1045,7 +1045,7 @@ func (r *runner) tryPlace(sm *SM, l *device.Launch, prog *isa.Program, p *pendin
 		threads: threads,
 		schedID: r.schedNext,
 	}
-	cta.smTrack = cta.stored != nil
+	cta.smTrack = cta.stored != nil || r.opts.SchedTrace != nil
 	r.schedNext++
 	nWarps := (threads + 31) / 32
 	for w := 0; w < nWarps; w++ {
@@ -1069,7 +1069,7 @@ func (r *runner) tryPlace(sm *SM, l *device.Launch, prog *isa.Program, p *pendin
 
 // joinHook is nil in every binary except this package's own test binary,
 // where a test can observe every join: the run's watch state tells a grid
-// join from a watch join and the watch's verdict. Nothing outside _test
+// join from a cache-watch join and the watch's verdict. Nothing outside _test
 // files assigns it.
 var joinHook func(r *runner)
 
@@ -1132,7 +1132,6 @@ func (r *runner) cycleSM(sm *SM, ks *KernelStats) (int, error) {
 		}
 
 		info, u := r.stepFast(cta.warps[w], cta.uprog, e)
-		r.noteIssue(cta, w, &info)
 		if tr := r.opts.SchedTrace; tr != nil && info.Kind != exec.StepFault && info.Instr != nil {
 			tr.OnIssue(cta.schedID, w, int(info.PC), info.ActiveMask, selPicksA(u, info.Instr, cta.preds[e.f.TBase:], info.ActiveMask), r.cycle)
 		}
@@ -1232,7 +1231,6 @@ func (r *runner) retireCTA(sm *SM, cta *ctaRT) {
 	if tr := r.opts.SchedTrace; tr != nil {
 		tr.OnCTARetire(cta.schedID, r.cycle)
 	}
-	r.noteRetire(cta)
 	sm.rfAlloc.release(cta.rfBase, cta.rfSize)
 	sm.smAlloc.release(cta.smBase, cta.smSize)
 	sm.threadsUsed -= cta.threads

@@ -385,6 +385,7 @@ func (r *runner) restoreCTA(src *ctaSnap) *ctaRT {
 		smSize:  src.smSize,
 		threads: src.threads,
 		schedID: src.schedID,
+		smTrack: r.opts.SchedTrace != nil,
 	}
 	for i := range src.warps {
 		ws := &src.warps[i]
@@ -578,11 +579,6 @@ type SnapshotSet struct {
 	snaps   []*Snapshot
 	bytes   int64
 	evicted int64
-
-	// freeDead is the capturing run's Result.FreeDead: a run converging on
-	// the set may treat the storage a retiring CTA frees as dead (see
-	// watch.go).
-	freeDead bool
 }
 
 // NewSnapshotSet creates a set capturing every stride-th cycle, retaining at

@@ -781,8 +781,8 @@ func (s *Study) KernelAVF(appName, kernel string, hardened bool) (metrics.Breakd
 // metrics.ChipAVF recombines with, so precision is spent where it moves the
 // chip AVF most). Per-structure tallies are deterministic prefixes of the
 // corresponding fixed-n campaigns and are stored in the memo, so later Tally
-// calls for these points reuse them. RF and SMEM runs are pruned when the
-// study's checkpoint spec is enabled (Study.Checkpoint).
+// calls for these points reuse them. Provably dead RF, SMEM and cache draws
+// are pruned when the study's checkpoint spec is enabled (Study.Checkpoint).
 func (s *Study) KernelAVFStratified(appName, kernel string, hardened bool, pol adaptive.StratifiedPolicy) (metrics.Breakdown, []metrics.StructAVF, []adaptive.StratumResult, error) {
 	spec := PointSpec{Layer: LayerMicro, App: appName, Kernel: kernel, Hardened: hardened,
 		Sampling: &SamplingPolicy{Margin: pol.Margin, Batch: pol.Batch}}
