@@ -21,18 +21,17 @@ import (
 )
 
 // cheapExperiment is near-free so the benchmark measures dispatch cost,
-// not injection cost.
+// not injection cost. Its outcome is the run's first draw, so equal tallies
+// mean the dispatch paths handed each run the same stream.
 func cheapExperiment(run int, rng *rand.Rand) faults.Result {
-	if run%97 == 0 {
-		return faults.Result{Outcome: faults.SDC}
-	}
-	return faults.Result{Outcome: faults.Masked}
+	return faults.Result{Outcome: faults.Outcome(rng.Intn(int(faults.NumOutcomes)))}
 }
 
 // runMutexQueue is the pre-optimisation dispatcher over [0, opts.Runs): a
 // mutex-guarded next counter. Kept test-only as the "before" side of the
 // benchmark; it intentionally does NOT reuse the production pool, that is
-// the point of the comparison.
+// the point of the comparison. It seeds each run as RunRange does, so the
+// two sides differ in dispatch only.
 func runMutexQueue(opts Options, fn Experiment) Tally {
 	workers := opts.Workers
 	if workers <= 0 {
@@ -60,7 +59,7 @@ func runMutexQueue(opts Options, fn Experiment) Tally {
 				if i >= opts.Runs {
 					break
 				}
-				local.Add(fn(i, rand.New(rand.NewSource(opts.Seed+int64(i)))))
+				local.Add(fn(i, runRand(opts.Seed+int64(i))))
 			}
 			mu.Lock()
 			t.Merge(local)
@@ -117,13 +116,21 @@ func workersLabel(w int) string { return "workers=" + strconv.Itoa(w) }
 
 // TestQueueEquivalence pins the three dispatch paths — the old mutex
 // queue, the atomic Run, and RunRange split at an arbitrary boundary and
-// merged — to the same tally, so the benchmark comparison stays
-// apples-to-apples and the service's chunked resume invariant holds.
+// merged — to the tally of a plain loop that gives run i
+// rand.New(rand.NewSource(Seed+i)), so the benchmark comparison stays
+// apples-to-apples, the service's chunked resume invariant holds, and every
+// run draws the stream the package documents.
 func TestQueueEquivalence(t *testing.T) {
 	opts := Options{Runs: 5000, Seed: 7, Workers: 8}
-	want := runMutexQueue(opts, cheapExperiment)
+	var want Tally
+	for i := range opts.Runs {
+		want.Add(cheapExperiment(i, rand.New(rand.NewSource(opts.Seed+int64(i)))))
+	}
+	if got := runMutexQueue(opts, cheapExperiment); got != want {
+		t.Errorf("mutex dispatch disagrees with the plain loop:\n%+v\n%+v", want, got)
+	}
 	if got := Run(opts, cheapExperiment); got != want {
-		t.Errorf("mutex and atomic dispatch disagree:\n%+v\n%+v", want, got)
+		t.Errorf("atomic dispatch disagrees with the plain loop:\n%+v\n%+v", want, got)
 	}
 	for _, split := range []int{0, 1, 1234, 4999, 5000} {
 		head := RunRange(opts, 0, split, cheapExperiment)

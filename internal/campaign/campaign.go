@@ -141,13 +141,15 @@ type Options struct {
 }
 
 // Run executes the campaign. Results are deterministic for a given seed:
-// run i always uses rand.NewSource(Seed + i), independent of scheduling.
+// run i draws the stream of rand.NewSource(Seed + i), independent of
+// scheduling.
 func Run(opts Options, fn Experiment) Tally {
 	return RunRange(opts, 0, opts.Runs, fn)
 }
 
 // RunRange executes the half-open run-index range [from, to) of the
-// campaign. Run i always uses rand.NewSource(Seed + i), so
+// campaign. Run i draws the stream of rand.NewSource(Seed + i) (from a
+// source seeded in O(1), see runSource), so
 // RunRange(o, 0, k, fn) merged with RunRange(o, k, n, fn) is identical to
 // Run over n runs — the invariant checkpoint/resume in internal/service
 // relies on. Ranges outside [0, Runs) are clamped.
@@ -172,7 +174,7 @@ func RunRange(opts Options, from, to int, fn Experiment) Tally {
 	if workers <= 1 {
 		var t Tally
 		for i := from; i < to; i++ {
-			t.Add(fn(i, rand.New(rand.NewSource(opts.Seed+int64(i)))))
+			t.Add(fn(i, runRand(opts.Seed+int64(i))))
 		}
 		return t
 	}
@@ -196,7 +198,7 @@ func RunRange(opts Options, from, to int, fn Experiment) Tally {
 				if i >= to {
 					break
 				}
-				local.Add(fn(i, rand.New(rand.NewSource(opts.Seed+int64(i)))))
+				local.Add(fn(i, runRand(opts.Seed+int64(i))))
 			}
 			mu.Lock()
 			t.Merge(local)

@@ -4,7 +4,7 @@ import "sort"
 
 // Partial is the tally of one completed half-open run-index range [From, To)
 // of a campaign — the unit of work a distributed executor (a fleet worker, a
-// scheduler lane) reports back. Because run i always draws from
+// scheduler lane) reports back. Because run i draws the stream of
 // rand.NewSource(Seed+i), a Partial is a pure function of (spec, From, To):
 // two executors that run the same range report bit-identical partials, which
 // is what makes merging idempotent by range.

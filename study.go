@@ -414,8 +414,9 @@ func (p PointSpec) identity() string {
 
 // PointSeed derives the campaign seed of a point from a base seed, exactly
 // as Study's memoised tallies always have: base + FNV-1a of the point's
-// identity string. Run i of the point then uses rand.NewSource(seed+i)
-// (campaign.RunRange), which is what makes points resumable anywhere.
+// identity string. Run i of the point then draws the stream of
+// rand.NewSource(seed+i) (campaign.RunRange), which is what makes points
+// resumable anywhere.
 func PointSeed(base int64, spec PointSpec) int64 {
 	return base + int64(hashKey(spec.identity()))
 }
