@@ -178,10 +178,12 @@ func TestAdaptivePointStopsHonestly(t *testing.T) {
 	}
 }
 
-// TestCachePruneEqualsBruteForce: the default study prunes cache flips into
-// frames the golden run held invalid, and every run — pruned or simulated —
-// classifies as the brute-force study's run of the same seed does, result
-// for result. K-Means is the one app that uses L1T; BFS has host steps that
+// TestCachePruneEqualsBruteForce: the default study prunes cache flips that
+// the golden run never reads before a store, a fill or the end of the job
+// kills them, and every run — pruned or simulated — classifies as the
+// brute-force study's run of the same seed does, result for result. K-Means
+// is the one app that uses L1T, and it reads no texture line again in a
+// cycle after its fill, so every L1T draw prunes; BFS has host steps that
 // write (invalidating every cache) and host steps that do not; SRADv1 has
 // six launches; VA is hardened, so its vote kernel's window counts too.
 func TestCachePruneEqualsBruteForce(t *testing.T) {
@@ -208,8 +210,8 @@ func TestCachePruneEqualsBruteForce(t *testing.T) {
 				}
 			}
 		}
-		if pruned, simulated := def.Counters.Pruned.Load(), def.Counters.Simulated.Load(); pruned == 0 || simulated == 0 {
-			t.Errorf("%v: %d runs pruned, %d simulated; want some of each", st, pruned, simulated)
+		if pruned, simulated := def.Counters.Pruned.Load(), def.Counters.Simulated.Load(); pruned == 0 || (simulated == 0) != (st == gpu.L1T) {
+			t.Errorf("%v: %d runs pruned, %d simulated; want some of each, and no L1T run simulated", st, pruned, simulated)
 		} else {
 			t.Logf("%v: %d runs pruned, %d simulated", st, pruned, simulated)
 		}

@@ -21,10 +21,10 @@
 // memory access needs) is a warning.
 //
 // -avf-bounds traces the job fault-free with the flow interval engine and
-// the cache frame record and prints, per kernel, the static AVF bracket
+// the cache data record and prints, per kernel, the static AVF bracket
 // [lower, upper] for each storage structure: RF and SMEM come from the
 // dead/live intervals, L1D, L1T and L2 from the share of draws that land
-// in a valid cache line.
+// on a cache byte read before its next kill.
 package main
 
 import (
@@ -248,8 +248,8 @@ func printSites(w io.Writer, appName string, job *device.Job, progs map[string]*
 // printBounds prints, from a fault-free trace of the job, each kernel's
 // static AVF bracket per storage structure. The upper bound is the expected
 // share of the injector's draws over the kernel's injection windows that
-// land in live state: a live register or shared-memory entry, a valid cache
-// line. The lower bound is 0 (the engine proves deadness, not ACE-ness).
+// land in live state: a live register or shared-memory entry, a cache byte
+// read before its next kill. The lower bound is 0 (the engine proves deadness, not ACE-ness).
 func printBounds(w io.Writer, appName string, si *microfi.StaticIntervals, names []string) {
 	fmt.Fprintf(w, "%s: static AVF bounds (%d traced cycles)\n", appName, si.Cycles)
 	for _, name := range names {

@@ -14,8 +14,9 @@ import (
 // and prints its cycle count and cycle-weighted live fractions, so besides
 // the disassembler, the CFG builder, the linter and the site inventory it
 // witnesses that event-driven time moved no simulated cycle. Its L1D, L1T
-// and L2 rows were regenerated once when the cache frame record gave caches
-// a bracket of their own; its cycle count and RF/SMEM rows are unchanged.
+// and L2 rows were regenerated when the cache frame record gave caches a
+// bracket of their own, and again when that record began to log reads and
+// kills; its cycle count and RF/SMEM rows are unchanged.
 func TestGpudisGolden(t *testing.T) {
 	for _, c := range []struct {
 		golden string

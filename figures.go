@@ -3,6 +3,7 @@ package gpurel
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -479,29 +480,39 @@ func Figure12() (reuse.Analysis, string) {
 
 // SpeedComparison quantifies the paper's footnote-1 observation: the
 // software-level method is faster than cross-layer simulation by a large
-// factor. It times n runs of each engine on the given app.
+// factor. It runs each engine once untimed on the given app, then times n
+// runs of each one by one and returns each engine's median.
 func (s *Study) SpeedComparison(appName string, n int) (microPerRun, softPerRun time.Duration, err error) {
 	job, err := s.plainJob(appName)
 	if err != nil {
 		return 0, 0, err
 	}
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		r := sim.Run(job, s.Cfg, sim.Options{})
-		if r.Err != nil {
-			return 0, 0, r.Err
-		}
+	if microPerRun, err = medianRun(n, func() error { return sim.Run(job, s.Cfg, sim.Options{}).Err }); err != nil {
+		return 0, 0, err
 	}
-	microPerRun = time.Since(start) / time.Duration(n)
-	start = time.Now()
-	for i := 0; i < n; i++ {
-		r := funcsim.Run(job, funcsim.Options{})
-		if r.Err != nil {
-			return 0, 0, r.Err
-		}
+	if softPerRun, err = medianRun(n, func() error { return funcsim.Run(job, funcsim.Options{}).Err }); err != nil {
+		return 0, 0, err
 	}
-	softPerRun = time.Since(start) / time.Duration(n)
 	return microPerRun, softPerRun, nil
+}
+
+// medianRun calls run once to warm it up, then n times (at least once),
+// and returns the median of those calls' durations (the upper one for even
+// n).
+func medianRun(n int, run func() error) (time.Duration, error) {
+	if err := run(); err != nil {
+		return 0, err
+	}
+	ds := make([]time.Duration, max(n, 1))
+	for i := range ds {
+		start := time.Now()
+		if err := run(); err != nil {
+			return 0, err
+		}
+		ds[i] = time.Since(start)
+	}
+	slices.Sort(ds)
+	return ds[len(ds)/2], nil
 }
 
 // ACEComparison contrasts the three points on the paper's accuracy/speed

@@ -44,7 +44,6 @@ func (t Transient) Arm(m *sim.Machine, s gpu.Structure, rng *rand.Rand) (Applier
 		return nil, false
 	}
 	site.flip(t.WordBits(), 1)
-	site.watch(m)
 	return nil, true
 }
 
@@ -57,7 +56,6 @@ func (t Transient) Arm(m *sim.Machine, s gpu.Structure, rng *rand.Rand) (Applier
 func (t Transient) FlipAt(m *sim.Machine, s gpu.Structure, sm, idx int, off uint32, bit uint) {
 	site := siteAt(m, s, sm, idx, off, bit)
 	site.flip(t.WordBits(), 1)
-	site.watch(m)
 }
 
 // StuckAt is a permanent defect: one cell forced to V (0 or 1) from the
@@ -248,17 +246,6 @@ func (st storageSite) flip(width, lines int) {
 				st.cache.FlipBit(st.idx+l, st.off, uint8(st.bit)+uint8(w))
 			}
 		}
-	}
-}
-
-// watch hands a cache byte that a one-shot flip touched alone to the run's
-// one-site watch, which joins the run to golden as soon as the byte is
-// overwritten, refilled or invalidated before anything reads it. Register
-// and shared-memory flips are not watched: the pruners decide from the
-// golden run's interval map whether they are dead.
-func (st storageSite) watch(m *sim.Machine) {
-	if st.cache != nil {
-		m.WatchCache(st.cache, st.idx, st.off)
 	}
 }
 

@@ -11,10 +11,11 @@ package mem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
-	"sort"
 
 	"gpurel/internal/device"
 )
@@ -69,45 +70,12 @@ type Cache struct {
 	// reset — marks its set; lookup only reads and marks nothing.
 	sdirty []uint64
 
-	// The one-site watch (see Watch): the watched line, the byte offset
-	// within it, and where the verdict goes. wline is nil while disarmed, so
-	// every data path pays one pointer compare for it.
-	wline *Line
-	woff  uint32
-	wst   *WatchState
-
-	// frames, when set, is the validity record a fault-free run keeps
-	// (RecordFrames). Only the miss path and InvalidateAll consult it.
+	// frames, when set, is the data record a fault-free run keeps
+	// (RecordFrames). Every data path pays one nil compare for it.
 	frames *FrameLog
 
 	Stats Stats
 }
-
-// WatchState is the verdict of a one-site watch: the checkpoint engine arms
-// one after a transient flip of a single cache data byte and joins the
-// faulty run to golden as soon as the byte is dead.
-type WatchState uint8
-
-// Watch states. Off is terminal and is also the state of a disarmed watch;
-// the dead states, terminal too, say why the entry stopped mattering.
-const (
-	// WatchOff: the entry may have been read (or nothing is watched); the
-	// run falls back to comparing state at snapshot-grid cycles.
-	WatchOff WatchState = iota
-	// WatchLive: the entry is still the run's only difference from golden.
-	WatchLive
-	// WatchStored: a store overwrote the entry before anything read it.
-	WatchStored
-	// WatchRefilled: the entry's cache frame was refilled.
-	WatchRefilled
-	// WatchInvalid: the entry's cache line was invalidated, or was invalid
-	// when the flip landed.
-	WatchInvalid
-)
-
-// Dead reports whether the entry no longer differs from golden in any way
-// a continuation can observe.
-func (s WatchState) Dead() bool { return s >= WatchStored }
 
 // NewCache builds a cache of totalBytes capacity.
 func NewCache(name string, totalBytes, lineSize, ways, mshrs int) *Cache {
@@ -165,119 +133,179 @@ func (c *Cache) SetBit(i int, off uint32, b uint8, v bool) {
 	c.markSet(i / c.ways)
 }
 
-// Watch follows data byte off of line i after a flip there and reports into
-// st, which must be WatchLive: a load hit covering the byte, an L1 fill
-// copying the line or a write-back of it sets WatchOff; a store covering
-// the byte sets WatchStored, a refill of the line's frame WatchRefilled and
-// InvalidateAll WatchInvalid. A line that is already invalid is dead at
-// once (StateEqual ignores its data, and only a fill, which overwrites it,
-// can make it valid); a pruning injector that holds the golden run's
-// FrameLog classifies such flips without a run, so only unpruned runs get
-// here with one. The first verdict disarms the watch; LoadState and Reset
-// disarm it too.
-func (c *Cache) Watch(i int, off uint32, st *WatchState) {
-	if !c.lines[i].Valid {
-		*st = WatchInvalid
-		return
-	}
-	c.wline, c.woff, c.wst = &c.lines[i], off, st
-}
-
-// settle records the watch's verdict and disarms it.
-func (c *Cache) settle(v WatchState) {
-	*c.wst = v
-	c.wline, c.wst = nil, nil
-}
-
-// noteRead records that n bytes of ln from off were read (or copied out).
-func (c *Cache) noteRead(ln *Line, off, n uint32) {
-	if ln == c.wline && c.woff-off < n {
-		c.settle(WatchOff)
-	}
-}
-
-// noteStore records that a store overwrote n bytes of ln from off.
-func (c *Cache) noteStore(ln *Line, off, n uint32) {
-	if ln == c.wline && c.woff-off < n {
-		c.settle(WatchStored)
-	}
-}
-
-// noteFill records that ln's frame is being refilled.
-func (c *Cache) noteFill(ln *Line) {
-	if ln == c.wline {
-		c.settle(WatchRefilled)
-	}
-}
-
-// FrameLog is the validity record of one cache over a fault-free run: for
-// every frame (line slot), the cycles from which a flip there lands in a
-// valid line. A fill of an invalid frame during cycle t makes it valid for
-// flips at cycles >= t+1; InvalidateAll at cycle t (between cycles t and
-// t+1) makes every frame invalid from t+1 on. No other event changes a
-// frame's valid bit: a fill of a valid frame replaces its line in place.
+// FrameLog is the data record of one cache over a fault-free run: for every
+// 4-byte word of every frame (line slot), the injection cycles at which a
+// flip of one of its bytes reaches a read. The run logs each frame's data
+// events in execution order, each during the cycle it happens in:
+//   - reads: a load hit covering the word, an L1 fill copying an L2 line,
+//     and the write-back of a dirty line, at an eviction or a flush;
+//   - kills: a store covering the word, and a fill of the frame.
+//
+// A flip at the top of cycle c reaches a read exactly when the word's first
+// event at or after cycle c is a read. Until that read the faulty run's
+// cache events are golden's, so a flip whose first event is a kill, or that
+// meets no event before the job ends, leaves a run equal to golden's.
+// InvalidateAll needs no event: only a fill, itself a kill, makes an
+// invalid frame readable again, so a flip into an invalid frame is dead
+// too. Loads and stores are word-aligned, so all four bytes of a word share
+// one record.
 type FrameLog struct {
-	// edges holds, per frame, the ascending cycles at which its valid bit
-	// flips, starting invalid: valid from edges[0], invalid from edges[1],
-	// and so on. An odd count leaves the frame valid to the end of the run.
-	edges [][]int64
+	words int // words per frame
+	// While recording: per word, frame-major, the cycle of its last event
+	// and its live intervals so far. nil once sealed.
+	track []wordTrack
+	// Once sealed: bit w of used[i] is set when word w of frame i has live
+	// intervals. Those words are in enc[off[i]:off[i+1]], in word order,
+	// each a uvarint byte length followed by that many bytes of uvarint
+	// pairs (gap from the previous interval's hi, length). An interval
+	// (lo, hi] marks flips at cycles lo < c <= hi.
+	used []uint64
+	off  []int32
+	enc  []byte
 }
 
-// RecordFrames attaches a new validity record to the cache and returns it.
-// The cache must not have been accessed since NewCache or Reset (every
-// frame invalid). Reset and LoadState detach the record.
+// wordTrack is one word's recording state.
+type wordTrack struct {
+	last int64
+	ivs  []struct{ lo, hi int64 }
+}
+
+// RecordFrames attaches a new data record to the cache and returns it. The
+// cache must not have been accessed since NewCache or Reset (every frame
+// invalid), and the record is queried only once sealed. Reset and LoadState
+// detach it. Lines of at most 256 bytes can be recorded.
 func (c *Cache) RecordFrames() *FrameLog {
-	c.frames = &FrameLog{edges: make([][]int64, len(c.lines))}
+	words := int(c.lineSize / 4)
+	if words > 64 {
+		panic(fmt.Sprintf("mem: cannot record %s: %d-byte lines", c.Name, c.lineSize))
+	}
+	c.frames = &FrameLog{words: words, track: make([]wordTrack, len(c.lines)*words)}
 	return c.frames
 }
 
-// fill records that frame i is filled during cycle t.
-func (l *FrameLog) fill(i int, t int64) {
-	if e := l.edges[i]; len(e)%2 == 0 {
-		l.edges[i] = append(e, t+1)
+// noteRead logs that n bytes of ln from off, a word-aligned span, are read
+// or copied out during cycle now.
+func (c *Cache) noteRead(ln *Line, off, n uint32, now int64) {
+	if c.frames != nil {
+		c.record(ln, off, n, now, true)
 	}
 }
 
-// invalidate records InvalidateAll at cycle t. A frame filled during
-// cycle t itself was never valid for a flip, so its edge is withdrawn.
-func (l *FrameLog) invalidate(t int64) {
-	for i, e := range l.edges {
-		if len(e)%2 == 0 {
-			continue
-		}
-		if e[len(e)-1] == t+1 {
-			l.edges[i] = e[:len(e)-1]
-		} else {
-			l.edges[i] = append(e, t+1)
-		}
+// noteKill logs that n bytes of ln from off, a word-aligned span, are
+// overwritten during cycle now.
+func (c *Cache) noteKill(ln *Line, off, n uint32, now int64) {
+	if c.frames != nil {
+		c.record(ln, off, n, now, false)
 	}
+}
+
+// record applies one event during cycle t to the words of ln that bytes
+// [off, off+n) cover. A read exposes the stored value to every flip after
+// the word's previous event; a kill ends the value.
+func (c *Cache) record(ln *Line, off, n uint32, t int64, read bool) {
+	i := int(ln.set) * c.ways // ln's frame index, found within its set
+	for &c.lines[i] != ln {
+		i++
+	}
+	l := c.frames
+	base := i * l.words
+	for k := base + int(off/4); k < base+int((off+n)/4); k++ {
+		w := &l.track[k]
+		if read && t > w.last {
+			if m := len(w.ivs); m > 0 && w.ivs[m-1].hi == w.last {
+				w.ivs[m-1].hi = t
+			} else {
+				w.ivs = append(w.ivs, struct{ lo, hi int64 }{w.last, t})
+			}
+		}
+		w.last = t
+	}
+}
+
+// Seal freezes the record into its compact form once the run has ended.
+func (l *FrameLog) Seal() {
+	frames := len(l.track) / l.words
+	l.used, l.off = make([]uint64, frames), make([]int32, frames+1)
+	var ivs []byte
+	for i := range l.used {
+		for w, t := range l.track[i*l.words : (i+1)*l.words] {
+			if len(t.ivs) == 0 {
+				continue
+			}
+			ivs = ivs[:0]
+			var prev int64
+			for _, v := range t.ivs {
+				ivs = binary.AppendUvarint(ivs, uint64(v.lo-prev))
+				ivs = binary.AppendUvarint(ivs, uint64(v.hi-v.lo))
+				prev = v.hi
+			}
+			l.used[i] |= 1 << w
+			l.enc = binary.AppendUvarint(l.enc, uint64(len(ivs)))
+			l.enc = append(l.enc, ivs...)
+		}
+		l.off[i+1] = int32(len(l.enc))
+	}
+	l.enc = slices.Clip(l.enc)
+	l.track = nil
 }
 
 // NumFrames returns the number of frames recorded, the cache's line count.
-func (l *FrameLog) NumFrames() int { return len(l.edges) }
+func (l *FrameLog) NumFrames() int { return len(l.used) }
 
-// Valid reports whether frame i holds a valid line at the top of cycle c,
-// where a flip at cycle c lands.
-func (l *FrameLog) Valid(i int, c int64) bool {
-	e := l.edges[i]
-	return sort.Search(len(e), func(k int) bool { return e[k] > c })%2 == 1
+// next splits the first word off enc, a run of encoded words, and returns
+// its intervals and the rest.
+func next(enc []byte) (ivs, rest []byte) {
+	n, k := binary.Uvarint(enc)
+	return enc[k : k+int(n)], enc[k+int(n):]
 }
 
-// ValidCycles returns how many of the cycles in [from, to) frame i is
-// valid at.
-func (l *FrameLog) ValidCycles(i int, from, to int64) int64 {
-	e := l.edges[i]
-	var n int64
-	for k := 0; k < len(e); k += 2 {
-		lo, hi := max(e[k], from), to
-		if k+1 < len(e) {
-			hi = min(e[k+1], to)
+// Live reports whether a flip of byte off of frame i at the top of cycle c
+// reaches a read; false means the flip is provably Masked.
+func (l *FrameLog) Live(i int, off uint32, c int64) bool {
+	bit := uint64(1) << (off / 4)
+	if l.used[i]&bit == 0 {
+		return false
+	}
+	var ivs []byte
+	rest := l.enc[l.off[i]:l.off[i+1]]
+	for k := bits.OnesCount64(l.used[i] & (bit - 1)); k >= 0; k-- {
+		ivs, rest = next(rest)
+	}
+	var hi int64
+	for len(ivs) > 0 {
+		gap, n := binary.Uvarint(ivs)
+		length, m := binary.Uvarint(ivs[n:])
+		ivs = ivs[n+m:]
+		lo := hi + int64(gap)
+		if c <= lo {
+			return false
 		}
-		if hi > lo {
-			n += hi - lo
+		if hi = lo + int64(length); c <= hi {
+			return true
 		}
 	}
-	return n
+	return false
+}
+
+// LiveCycles returns the byte-cycles of cycles [from, to) at which a flip
+// reaches a read, and all byte-cycles of those cycles.
+func (l *FrameLog) LiveCycles(from, to int64) (live, all int64) {
+	for rest := l.enc; len(rest) > 0; {
+		var ivs []byte
+		ivs, rest = next(rest)
+		var hi int64
+		for len(ivs) > 0 {
+			gap, n := binary.Uvarint(ivs)
+			length, m := binary.Uvarint(ivs[n:])
+			ivs = ivs[n+m:]
+			lo := hi + int64(gap)
+			hi = lo + int64(length)
+			if d := min(hi+1, to) - max(lo+1, from); d > 0 {
+				live += 4 * d
+			}
+		}
+	}
+	return live, int64(l.NumFrames()) * int64(l.words) * 4 * max(to-from, 0)
 }
 
 func (c *Cache) markSet(s int) { c.sdirty[s>>6] |= 1 << (s & 63) }
@@ -317,10 +345,9 @@ func (c *Cache) lookup(lineAddr uint32) *Line {
 	return nil
 }
 
-// victim picks the LRU way of the set for lineAddr, which the caller fills
-// during cycle now: the set is marked, and the fill is recorded when the
-// cache keeps a FrameLog.
-func (c *Cache) victim(lineAddr uint32, now int64) *Line {
+// victim picks the LRU way of the set for lineAddr, which the caller fills,
+// and marks the set.
+func (c *Cache) victim(lineAddr uint32) *Line {
 	set := c.setOf(lineAddr)
 	c.markSet(set)
 	best := set * c.ways
@@ -333,9 +360,6 @@ func (c *Cache) victim(lineAddr uint32, now int64) *Line {
 		if ln.LRU < c.lines[best].LRU {
 			best = i
 		}
-	}
-	if c.frames != nil {
-		c.frames.fill(best, now)
 	}
 	return &c.lines[best]
 }
@@ -488,7 +512,6 @@ func (c *Cache) LoadState(st, base *CacheState) {
 	c.fills = append(c.fills[:0], st.fills...)
 	c.lruTick = st.lruTick
 	c.Stats = st.stats
-	c.wline, c.wst = nil, nil
 	c.frames = nil
 }
 
@@ -558,21 +581,14 @@ func (c *Cache) Reset() {
 	c.lruTick = 0
 	c.Stats = Stats{}
 	c.markAllSets()
-	c.wline, c.wst = nil, nil
 	c.frames = nil
 }
 
-// InvalidateAll drops every line at cycle now, between cycles now and now+1.
-// Dirty data is lost, so only call it on write-through caches or after
-// FlushTo. It marks the sets of the lines it changes; a set whose lines are
-// all invalid and clean already is left as is.
-func (c *Cache) InvalidateAll(now int64) {
-	if c.wline != nil {
-		c.settle(WatchInvalid)
-	}
-	if c.frames != nil {
-		c.frames.invalidate(now)
-	}
+// InvalidateAll drops every line. Dirty data is lost, so only call it on
+// write-through caches or after FlushTo. It marks the sets of the lines it
+// changes; a set whose lines are all invalid and clean already is left as
+// is.
+func (c *Cache) InvalidateAll() {
 	for i := range c.lines {
 		ln := &c.lines[i]
 		if ln.Valid || ln.Dirty {
@@ -583,13 +599,13 @@ func (c *Cache) InvalidateAll(now int64) {
 	c.fills = c.fills[:0]
 }
 
-// FlushTo writes every dirty line back to DRAM and cleans it, marking the
-// sets of the lines it cleans.
-func (c *Cache) FlushTo(dram *device.Memory) {
+// FlushTo writes every dirty line back to DRAM during cycle now and cleans
+// it, marking the sets of the lines it cleans.
+func (c *Cache) FlushTo(dram *device.Memory, now int64) {
 	for i := range c.lines {
 		ln := &c.lines[i]
 		if ln.Valid && ln.Dirty {
-			c.noteRead(ln, 0, c.lineSize)
+			c.noteRead(ln, 0, c.lineSize, now)
 			dram.WriteAt(ln.Addr, ln.Data)
 			ln.Dirty = false
 			c.markSet(int(ln.set))
@@ -620,13 +636,13 @@ func (h *Hierarchy) readLineL2(dram *device.Memory, lineAddr uint32, now int64) 
 	}
 	h.L2.Stats.Misses++
 	lat, _ := h.L2.trackFill(lineAddr, now, h.DRAMLat)
-	v := h.L2.victim(lineAddr, now)
+	v := h.L2.victim(lineAddr)
 	if v.Valid && v.Dirty {
-		h.L2.noteRead(v, 0, h.L2.lineSize)
+		h.L2.noteRead(v, 0, h.L2.lineSize, now)
 		dram.WriteAt(v.Addr, v.Data)
 		*h.DRAMWrite += int64(h.L2.lineSize)
 	}
-	h.L2.noteFill(v)
+	h.L2.noteKill(v, 0, h.L2.lineSize, now)
 	copy(v.Data, dram.PeekBytes(lineAddr, h.L2.lineSize))
 	*h.DRAMRead += int64(h.L2.lineSize)
 	v.Addr, v.Valid, v.Dirty = lineAddr, true, false
@@ -647,7 +663,7 @@ func (h *Hierarchy) Load(dram *device.Memory, addr uint32, tex bool, first bool,
 	off := addr - lineAddr
 	if !first {
 		if ln := l1.lookup(lineAddr); ln != nil {
-			l1.noteRead(ln, off, 4)
+			l1.noteRead(ln, off, 4, now)
 			return le32(ln.Data[off:]), 0
 		}
 		// The line was filled and already evicted within one instruction
@@ -656,16 +672,16 @@ func (h *Hierarchy) Load(dram *device.Memory, addr uint32, tex bool, first bool,
 	l1.Stats.Accesses++
 	if ln := l1.lookup(lineAddr); ln != nil {
 		l1.touch(ln)
-		l1.noteRead(ln, off, 4)
+		l1.noteRead(ln, off, 4, now)
 		return le32(ln.Data[off:]), h.L1Lat
 	}
 	l1.Stats.Misses++
 	l2ln, lat := h.readLineL2(dram, lineAddr, now)
 	fillLat, pending := l1.trackFill(lineAddr, now, lat)
-	v := l1.victim(lineAddr, now)
+	v := l1.victim(lineAddr)
 	// L1 lines are never dirty (write-through), so eviction is silent.
-	h.L2.noteRead(l2ln, 0, h.L2.lineSize)
-	l1.noteFill(v)
+	h.L2.noteRead(l2ln, 0, h.L2.lineSize, now)
+	l1.noteKill(v, 0, l1.lineSize, now)
 	copy(v.Data, l2ln.Data)
 	v.Addr, v.Valid, v.Dirty = lineAddr, true, false
 	l1.touch(v)
@@ -684,7 +700,7 @@ func (h *Hierarchy) Store(dram *device.Memory, addr uint32, val uint32, first bo
 		lat = h.L1Lat
 	}
 	if ln := h.L1D.lookup(lineAddr); ln != nil {
-		h.L1D.noteStore(ln, off, 4)
+		h.L1D.noteKill(ln, off, 4, now)
 		putLE32(ln.Data[off:], val)
 		h.L1D.touch(ln)
 	} else if first {
@@ -700,7 +716,7 @@ func (h *Hierarchy) Store(dram *device.Memory, addr uint32, val uint32, first bo
 			l2ln, _ = h.readLineL2(dram, lineAddr, now)
 		}
 	}
-	h.L2.noteStore(l2ln, off, 4)
+	h.L2.noteKill(l2ln, off, 4, now)
 	putLE32(l2ln.Data[off:], val)
 	l2ln.Dirty = true
 	h.L2.markSet(int(l2ln.set)) // a non-first store hit skips touch

@@ -59,7 +59,7 @@ func TestWriteThroughNoAllocate(t *testing.T) {
 	if dram.PeekU32(0x2000) == 7 {
 		t.Error("write-back L2 must not eagerly update DRAM")
 	}
-	h.L2.FlushTo(dram)
+	h.L2.FlushTo(dram, 0)
 	if dram.PeekU32(0x2000) != 7 {
 		t.Error("flush must write the dirty line back")
 	}
@@ -98,7 +98,7 @@ func TestCorruptedCleanLineMasking(t *testing.T) {
 		t.Fatalf("corrupted hit should observe the flip, got %#x", v)
 	}
 	// evict by invalidation (write-through lines are never dirty)
-	h.L1D.InvalidateAll(0)
+	h.L1D.InvalidateAll()
 	v, _ = h.Load(dram, 0x4000, false, true, 20)
 	if v != 0x55 {
 		t.Errorf("after eviction the corruption must be masked, got %#x", v)
@@ -116,7 +116,7 @@ func TestCorruptedDirtyL2Propagates(t *testing.T) {
 			h.L2.FlipBit(i, 0, 7)
 		}
 	}
-	h.L2.FlushTo(dram)
+	h.L2.FlushTo(dram, 0)
 	if dram.PeekU32(0x5000) != 0x0F^0x80 {
 		t.Errorf("dirty corrupted line must propagate to DRAM, got %#x", dram.PeekU32(0x5000))
 	}
@@ -199,7 +199,7 @@ func TestCoherenceProperty(t *testing.T) {
 			}
 		}
 		// after a full flush, DRAM must agree with the reference
-		h.L2.FlushTo(dram)
+		h.L2.FlushTo(dram, 0)
 		for a, v := range ref {
 			if dram.PeekU32(a) != v {
 				return false
@@ -337,6 +337,15 @@ func dirtySets(c *Cache) []int {
 // dirty and invalid lines, with every snapshot bit cleared.
 func warmHier() (*Hierarchy, *device.Memory) {
 	h, dram, _, _ := newHier()
+	warm(h, dram)
+	for _, c := range []*Cache{h.L1D, h.L1T, h.L2} {
+		c.ClearPageDirty()
+	}
+	return h, dram
+}
+
+// warm fills the caches of h during cycles up to 0x1400.
+func warm(h *Hierarchy, dram *device.Memory) {
 	for a := uint32(0x1000); a < 0x1800; a += 4 {
 		dram.PokeU32(a, a*3)
 	}
@@ -344,11 +353,7 @@ func warmHier() (*Hierarchy, *device.Memory) {
 		h.Load(dram, a, false, true, int64(a))
 		h.Load(dram, a+0x400, true, true, int64(a))
 	}
-	h.Store(dram, 0x1040, 7, true, 1)
-	for _, c := range []*Cache{h.L1D, h.L1T, h.L2} {
-		c.ClearPageDirty()
-	}
-	return h, dram
+	h.Store(dram, 0x1040, 7, true, 0x1400)
 }
 
 // lineOf returns the index of the valid line holding addr, or -1.
@@ -395,10 +400,10 @@ func TestMutationsMarkTheirSet(t *testing.T) {
 			func(h *Hierarchy, dram *device.Memory) { h.L1D.SetBit(6, 2, 1, true) },
 			func(h *Hierarchy) []int { return []int{6 / h.L1D.ways} }},
 		{"invalidate", func(h *Hierarchy) *Cache { return h.L1D },
-			func(h *Hierarchy, dram *device.Memory) { h.L1D.InvalidateAll(0) },
+			func(h *Hierarchy, dram *device.Memory) { h.L1D.InvalidateAll() },
 			func(h *Hierarchy) []int { return []int{0, 1, 2, 3} }},
 		{"flush", func(h *Hierarchy) *Cache { return h.L2 },
-			func(h *Hierarchy, dram *device.Memory) { h.L2.FlushTo(dram) },
+			func(h *Hierarchy, dram *device.Memory) { h.L2.FlushTo(dram, 0) },
 			func(h *Hierarchy) []int { return []int{set(h.L2, 0x1040)} }},
 		{"reset", func(h *Hierarchy) *Cache { return h.L1T },
 			func(h *Hierarchy, dram *device.Memory) { h.L1T.Reset() },
@@ -474,68 +479,121 @@ func TestSaveSharesUnmarkedSets(t *testing.T) {
 	}
 }
 
-// TestWatchVerdicts: the one-site watch on a cache data byte settles on the
-// first event that reads or replaces the byte, and on nothing else.
-func TestWatchVerdicts(t *testing.T) {
+// TestFrameLogEvents: the data record of a cache classes a flip of a byte
+// by the first event that reads or kills the byte at or after the flip's
+// cycle. Each case makes one event during cycle T and queries flips at T-1,
+// T and T+1: a read is seen by flips at T-1 and T, not by a flip at T+1; a
+// kill ends flips at T-1 and T, and a flip at T+1 reaches a read the test
+// adds at T+2 when the frame is still valid then.
+func TestFrameLogEvents(t *testing.T) {
+	const T = 10000
 	// evict refills set lines of c through readLineL2 (L2) or loads (L1D)
 	// until the line holding a is gone.
 	evict := func(h *Hierarchy, dram *device.Memory, c *Cache, a uint32) {
 		stride := c.lineSize * uint32(c.sets)
 		for n := uint32(1); lineOf(c, a) >= 0; n++ {
 			if c == h.L2 {
-				h.readLineL2(dram, 0x8000+a%stride+n*stride, 0)
+				h.readLineL2(dram, 0x8000+a%stride+n*stride, T)
 			} else {
-				h.Load(dram, 0x8000+a%stride+n*stride, false, true, 0)
+				h.Load(dram, 0x8000+a%stride+n*stride, false, true, T)
 			}
 		}
 	}
+	const read, kill, none = "read", "kill", "none"
 	cases := []struct {
 		name  string
 		cache func(*Hierarchy) *Cache
 		addr  uint32
 		act   func(*Hierarchy, *device.Memory)
-		want  WatchState
+		event string
 	}{
-		{"load hit covering", l1d, 0x1002, func(h *Hierarchy, d *device.Memory) { h.Load(d, 0x1000, false, true, 0) }, WatchOff},
-		{"coalesced load hit covering", l1d, 0x1003, func(h *Hierarchy, d *device.Memory) { h.Load(d, 0x1000, false, false, 0) }, WatchOff},
-		{"load hit elsewhere", l1d, 0x1002, func(h *Hierarchy, d *device.Memory) { h.Load(d, 0x1004, false, true, 0) }, WatchLive},
-		{"L1 fill copies the L2 line", l2, 0x1404, func(h *Hierarchy, d *device.Memory) { h.Load(d, 0x1400, true, true, 0) }, WatchOff},
-		{"dirty L2 eviction writes back", l2, 0x1040, func(h *Hierarchy, d *device.Memory) { evict(h, d, h.L2, 0x1040) }, WatchOff},
-		{"clean L2 refill", l2, 0x1000, func(h *Hierarchy, d *device.Memory) { evict(h, d, h.L2, 0x1000) }, WatchRefilled},
-		{"L1 refill", l1d, 0x1000, func(h *Hierarchy, d *device.Memory) { evict(h, d, h.L1D, 0x1000) }, WatchRefilled},
-		{"L1D store covering", l1d, 0x1001, func(h *Hierarchy, d *device.Memory) { h.Store(d, 0x1000, 1, true, 0) }, WatchStored},
-		{"L1D store elsewhere", l1d, 0x1001, func(h *Hierarchy, d *device.Memory) { h.Store(d, 0x1004, 1, true, 0) }, WatchLive},
-		{"L2 store covering", l2, 0x1002, func(h *Hierarchy, d *device.Memory) { h.Store(d, 0x1000, 1, false, 0) }, WatchStored},
-		{"InvalidateAll", l1d, 0x1000, func(h *Hierarchy, d *device.Memory) { h.L1D.InvalidateAll(0) }, WatchInvalid},
-		{"flush of the dirty line", l2, 0x1041, func(h *Hierarchy, d *device.Memory) { h.L2.FlushTo(d) }, WatchOff},
-		{"flush of a clean line", l2, 0x1001, func(h *Hierarchy, d *device.Memory) { h.L2.FlushTo(d) }, WatchLive},
-		{"restore disarms", l1d, 0x1000, func(h *Hierarchy, d *device.Memory) {
-			var st CacheState
-			h.L1D.SaveState(&st, nil)
-			h.L1D.LoadState(&st, nil)
-			h.Store(d, 0x1000, 1, true, 0)
-		}, WatchLive},
+		{"load hit covering", l1d, 0x1002, func(h *Hierarchy, d *device.Memory) { h.Load(d, 0x1000, false, true, T) }, read},
+		{"coalesced load hit covering", l1d, 0x1003, func(h *Hierarchy, d *device.Memory) { h.Load(d, 0x1000, false, false, T) }, read},
+		{"load hit elsewhere", l1d, 0x1002, func(h *Hierarchy, d *device.Memory) { h.Load(d, 0x1004, false, true, T) }, none},
+		{"L1 fill reads the L2 line", l2, 0x143c, func(h *Hierarchy, d *device.Memory) { h.Load(d, 0x1400, true, true, T) }, read},
+		{"dirty L2 eviction writes back", l2, 0x1040, func(h *Hierarchy, d *device.Memory) { evict(h, d, h.L2, 0x1040) }, read},
+		{"clean L2 refill", l2, 0x1000, func(h *Hierarchy, d *device.Memory) { evict(h, d, h.L2, 0x1000) }, kill},
+		{"L1 refill", l1d, 0x1000, func(h *Hierarchy, d *device.Memory) { evict(h, d, h.L1D, 0x1000) }, kill},
+		{"L1D store covering", l1d, 0x1001, func(h *Hierarchy, d *device.Memory) { h.Store(d, 0x1000, 1, true, T) }, kill},
+		{"L1D store elsewhere in the line", l1d, 0x1001, func(h *Hierarchy, d *device.Memory) { h.Store(d, 0x1004, 1, true, T) }, none},
+		{"L2 store covering", l2, 0x1002, func(h *Hierarchy, d *device.Memory) { h.Store(d, 0x1000, 1, false, T) }, kill},
+		{"L2 store elsewhere in the line", l2, 0x1002, func(h *Hierarchy, d *device.Memory) { h.Store(d, 0x1020, 1, false, T) }, none},
+		{"InvalidateAll", l1d, 0x1000, func(h *Hierarchy, d *device.Memory) { h.L1D.InvalidateAll() }, kill},
+		{"refill after InvalidateAll", l1d, 0x1000, func(h *Hierarchy, d *device.Memory) {
+			h.L1D.InvalidateAll()
+			h.Load(d, 0x1000, false, true, T)
+		}, kill},
+		{"flush of the dirty line", l2, 0x1041, func(h *Hierarchy, d *device.Memory) { h.L2.FlushTo(d, T) }, read},
+		{"flush of a clean line", l2, 0x1001, func(h *Hierarchy, d *device.Memory) { h.L2.FlushTo(d, T) }, none},
 	}
 	for _, tc := range cases {
-		h, dram := warmHier()
+		h, dram, _, _ := newHier()
+		logs := []*FrameLog{h.L1D.RecordFrames(), h.L1T.RecordFrames(), h.L2.RecordFrames()}
+		warm(h, dram)
 		c := tc.cache(h)
-		i := lineOf(c, tc.addr)
+		i, off := lineOf(c, tc.addr), tc.addr%c.lineSize
 		if i < 0 {
 			t.Fatalf("%s: %#x is not cached", tc.name, tc.addr)
 		}
-		st := WatchLive
-		c.Watch(i, tc.addr%c.lineSize, &st)
 		tc.act(h, dram)
-		if st != tc.want {
-			t.Errorf("%s: watch %d, want %d", tc.name, st, tc.want)
+		probed := tc.event == kill && c.lines[i].Valid
+		if probed {
+			c.noteRead(&c.lines[i], off&^3, 4, T+2)
+		}
+		for _, l := range logs {
+			l.Seal()
+		}
+		log := logs[2]
+		if c != h.L2 {
+			log = logs[0]
+		}
+		for cycle, want := range map[int64]bool{T - 1: tc.event == read, T: tc.event == read, T + 1: probed} {
+			if got := log.Live(i, off, cycle); got != want {
+				t.Errorf("%s: flip at %d live=%v, want %v", tc.name, cycle-T, got, want)
+			}
 		}
 	}
-	h, _ := warmHier()
-	st := WatchLive
-	h.L1D.InvalidateAll(0)
-	h.L1D.Watch(0, 0, &st)
-	if st != WatchInvalid {
-		t.Errorf("flip into an invalid line: watch %d, want %d", st, WatchInvalid)
+}
+
+// TestFrameLogLiveCycles: LiveCycles counts the byte-cycles Live answers
+// true for, over any span of cycles.
+func TestFrameLogLiveCycles(t *testing.T) {
+	h, dram, _, _ := newHier()
+	logs := []*FrameLog{h.L1D.RecordFrames(), h.L1T.RecordFrames(), h.L2.RecordFrames()}
+	warm(h, dram)
+	rng := rand.New(rand.NewSource(1))
+	for now := int64(0x1400); now < 0x1600; now++ {
+		a := 0x1000 + uint32(rng.Intn(0x800/4))*4
+		switch rng.Intn(4) {
+		case 0:
+			h.Store(dram, a, uint32(now), rng.Intn(2) == 0, now)
+		case 1:
+			h.L2.FlushTo(dram, now)
+		default:
+			h.Load(dram, a, rng.Intn(3) == 0, rng.Intn(2) == 0, now)
+		}
+	}
+	for _, l := range logs {
+		l.Seal()
+		for _, span := range [][2]int64{{0x13f0, 0x1610}, {0x1450, 0x1451}, {0x1500, 0x1400}} {
+			var want int64
+			for i := 0; i < l.NumFrames(); i++ {
+				for off := uint32(0); off < 64; off++ {
+					for c := span[0]; c < span[1]; c++ {
+						if l.Live(i, off, c) {
+							want++
+						}
+					}
+				}
+			}
+			live, all := l.LiveCycles(span[0], span[1])
+			if live != want || all != int64(l.NumFrames())*64*max(span[1]-span[0], 0) {
+				t.Errorf("span %v: LiveCycles %d of %d, Live says %d", span, live, all, want)
+			}
+			if span[0] == 0x13f0 && live == 0 {
+				t.Error("nothing live over the recorded run")
+			}
+		}
 	}
 }
 

@@ -32,8 +32,9 @@ import (
 // memory it also needs the timeline's allocation kills to be sound — no CTA
 // reads a register or shared-memory word before writing it — which the
 // golden run's guard decides (sim.Result.FreeDead); a golden run without it
-// prunes nothing there. Caches need no guard: a flip into a frame that holds
-// no valid line is dead for any program (see injectCache).
+// prunes nothing there. Caches need no guard: the golden run's cache data
+// record (mem.FrameLog) sees every read and kill of a cache word, including
+// the fill that ends a flip into an invalid frame (see injectCache).
 
 // timeline is what a pruner knows about one allocated storage array of the
 // golden run: the blocks an injection at a cycle would find allocated on
@@ -88,8 +89,8 @@ func InjectPruned(job *device.Job, g *GoldenRun, lv *ace.Liveness, t Target, rng
 
 // InjectStatic is Inject with dead draws pruned against the golden run's
 // interval map: register-file and shared-memory sites outside every live
-// interval, and cache flips into a frame that held no valid line at the
-// injection cycle. A nil map, control structures, non-transient models, and
+// interval, and cache flips that no read meets before the byte is killed or
+// the job ends. A nil map, control structures, non-transient models, and
 // ECC-screened or empty-window runs fall through to the exact Inject
 // behaviour with pruned=false.
 func InjectStatic(job *device.Job, g *GoldenRun, si *StaticIntervals, t Target, rng *rand.Rand) (faults.Result, bool) {
@@ -114,12 +115,12 @@ func (t Target) Prunable() bool {
 
 // injectCache replays the transient model's cache draws — the SM (L1D and
 // L1T only), then line, byte offset and bit: the faultmodel.pickStorageSite
-// order — and simulates only when the drawn frame held a valid line at the
-// injection cycle in the golden run. A flip into an invalid frame is dead
-// for any program: no lookup, write-back or flush reads an invalid line's
-// data, and only a fill, which overwrites the whole line, makes the frame
-// valid again. The run therefore equals golden, and classifies Masked
-// exactly as the dead-site join of a simulated run does.
+// order — and simulates only when the golden run reads the drawn byte
+// before a store, a fill or the end of the job kills it. Until that read
+// the faulty run's cache events are golden's, so an unread flip leaves a
+// run equal to golden in output and cycle count: Masked, as brute force
+// classifies it. A flip into an invalid frame is one such flip, since only
+// the fill that overwrites the line makes the frame readable again.
 func injectCache(job *device.Job, g *GoldenRun, fr *sim.FrameRecord, t Target, rng *rand.Rand) (faults.Result, bool) {
 	tr, ok := t.model().(faultmodel.Transient)
 	if !ok {
@@ -138,7 +139,7 @@ func injectCache(job *device.Job, g *GoldenRun, fr *sim.FrameRecord, t Target, r
 	line := rng.Intn(frames.NumFrames())
 	off := uint32(rng.Intn(g.Cfg.LineSize))
 	bit := uint(rng.Intn(8))
-	if !frames.Valid(line, cycle) {
+	if !frames.Live(line, off, cycle) {
 		return faults.Result{Outcome: faults.Masked}, true
 	}
 	return injectRun(job, g, cycle, false, func(m *sim.Machine) (faultmodel.Applier, bool) {

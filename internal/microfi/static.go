@@ -17,10 +17,11 @@ var _ sim.SchedTracer = (*flow.Recorder)(nil)
 
 // StaticIntervals is the ACE-interval map of one job: the flow interval
 // engine's per-site dead/live intervals of the register file and shared
-// memory over the deterministic scheduled trace, the validity record of
-// every cache frame, and the launch spans needed to scope queries to a
-// kernel. Computed once per job by TraceStatic (one fault-free run) and
-// shared by every injection thereafter.
+// memory over the deterministic scheduled trace, the data record of every
+// cache frame (when a flip into each word reaches a read), and the launch
+// spans needed to scope queries to a kernel. Computed once per job by
+// TraceStatic (one fault-free run) and shared by every injection
+// thereafter.
 type StaticIntervals struct {
 	IV     *flow.Intervals
 	Frames *sim.FrameRecord
@@ -29,7 +30,7 @@ type StaticIntervals struct {
 }
 
 // TraceStatic runs the job fault-free with the flow interval recorder and
-// the cache frame record attached and returns the finalized static map.
+// the cache data record attached and returns the finalized static map.
 func TraceStatic(job *device.Job, cfg gpu.Config) (*StaticIntervals, error) {
 	rec := flow.NewRecorder()
 	frames := &sim.FrameRecord{}
@@ -67,21 +68,21 @@ func (si *StaticIntervals) Bounds(st gpu.Structure, kernel string) flow.Bounds {
 }
 
 // cacheBounds is the static AVF bracket of a cache: Upper is the share of
-// the injector's draws — a uniform cycle of the windows, a uniform frame
-// over every copy of the cache — that land in a valid frame. Every other
-// draw is provably Masked. Lower is 0.
+// the injector's draws — a uniform cycle of the windows, a uniform byte
+// over every copy of the cache — that land on a byte the golden run reads
+// before its next kill. Every other draw is provably Masked (injectCache).
+// Lower is 0.
 func cacheBounds(logs []*mem.FrameLog, ws []flow.Window) flow.Bounds {
-	var valid, draws int64
+	var live, draws int64
 	for _, l := range logs {
 		for _, w := range ws {
-			for i := 0; i < l.NumFrames(); i++ {
-				valid += l.ValidCycles(i, w.Start+1, w.End+1)
-			}
-			draws += int64(l.NumFrames()) * (w.End - w.Start)
+			n, all := l.LiveCycles(w.Start+1, w.End+1)
+			live += n
+			draws += all
 		}
 	}
 	if draws == 0 {
 		return flow.Bounds{Supported: true}
 	}
-	return flow.Bounds{Supported: true, Upper: float64(valid) / float64(draws)}
+	return flow.Bounds{Supported: true, Upper: float64(live) / float64(draws)}
 }

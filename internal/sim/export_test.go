@@ -21,9 +21,10 @@ var TraceOracle = traceOracle
 var AuditDirty = auditDirty
 
 // CountJoins runs f with every join of a converging run observed and
-// returns how many happened by cause (see join_hook_test.go).
+// returns how many happened (see join_hook_test.go).
 var CountJoins = countJoins
 
-// CycleOf returns the cycle the machine's run is in, for hooks that sample
-// the machine at chosen cycles.
-func CycleOf(m *Machine) int64 { return m.r.cycle }
+// TraceCacheOracle runs a job on the reference core and returns the cache
+// data record its global-memory accesses and the caches' states derive (see
+// cache_oracle_test.go) with the run's result.
+var TraceCacheOracle = traceCacheOracle

@@ -17,11 +17,12 @@ import (
 	"gpurel/internal/sim"
 )
 
-// Dead-site joins (watch.go): a converging run joins golden as soon as its
-// flipped cache byte is overwritten, refilled or invalidated, and at a grid
-// cycle whose snapshot its state matches. These tests hold every such join
-// to a run that never joins, run for run rather than in the tally, and
-// check that each kind of join actually happens.
+// Joins: a converging run joins golden at a grid cycle whose snapshot its
+// state matches. These tests hold every join to a run that never joins, run
+// for run rather than in the tally, and check that joins happen. They
+// inject through Inject, so a flip that is dead before anything reads it,
+// which InjectStatic decides from the golden run's interval map without a
+// run, runs here too and joins at a grid cycle like any other.
 
 // joinRuns is the number of runs per (job, structure) point.
 const joinRuns = 20
@@ -67,10 +68,10 @@ func goldens(t *testing.T, job *device.Job) (brute, fork, ck *microfi.GoldenRun)
 
 // TestDeadSiteJoinEquivalence: on every app, plain and TMR, and every
 // storage structure, each run against a converging checkpointed golden
-// classifies exactly like the same run forked without joins, and every
-// cause of a join fires. (Brute force itself would take twice as long.)
-// Every shipped app must pass the FreeDead guard, which the register-file
-// and shared-memory pruners rely on.
+// classifies exactly like the same run forked without joins, and grid joins
+// happen. (Brute force itself would take twice as long.) Every shipped app
+// must pass the FreeDead guard, which the register-file and shared-memory
+// pruners rely on.
 func TestDeadSiteJoinEquivalence(t *testing.T) {
 	type point struct {
 		name     string
@@ -93,9 +94,9 @@ func TestDeadSiteJoinEquivalence(t *testing.T) {
 			points = append(points, p)
 		}
 	}
-	got := map[string]int64{}
+	var joins int64
 	for _, st := range gpu.Structures {
-		joins := sim.CountJoins(func() {
+		joins += sim.CountJoins(func() {
 			t.Run(st.String(), func(t *testing.T) {
 				for _, p := range points {
 					p := p
@@ -106,16 +107,10 @@ func TestDeadSiteJoinEquivalence(t *testing.T) {
 				}
 			})
 		})
-		got["cache store"] += joins.Stored
-		got["cache refill"] += joins.Refilled
-		got["invalid line"] += joins.Invalid
-		got["grid join"] += joins.Grid
 	}
-	t.Logf("joins by cause: %v", got)
-	for _, c := range []string{"cache store", "cache refill", "invalid line", "grid join"} {
-		if got[c] == 0 {
-			t.Errorf("no run joined by %s", c)
-		}
+	t.Logf("grid joins: %d", joins)
+	if joins == 0 {
+		t.Error("no run joined")
 	}
 }
 
@@ -162,7 +157,7 @@ func TestDeadSiteJoinGuardFails(t *testing.T) {
 	joins := sim.CountJoins(func() {
 		tally = perRunEquivalence(t, job, brute, ck, microfi.Target{Structure: gpu.RF}, 60)
 	})
-	t.Logf("tally %v, joins %+v", tally, joins)
+	t.Logf("tally %v, joins %d", tally, joins)
 	if tally[faults.SDC] == 0 {
 		t.Error("no run reached a leftover register: the test exercises nothing")
 	}

@@ -311,8 +311,7 @@ func TestReferenceParityBruteForce(t *testing.T) {
 // TestReferenceParityCheckpointed: the checkpointed fork-and-join path, with
 // the golden run and its snapshots captured by the core that then resumes,
 // restores, compares and joins on them, must classify every run identically
-// across structures × fault models, and join it at the same cycle — grid
-// joins and one-site watch joins alike.
+// across structures × fault models, and join it at the same cycle.
 func TestReferenceParityCheckpointed(t *testing.T) {
 	cfg := gpu.Volta()
 	for _, cs := range campaignCases {
@@ -376,13 +375,14 @@ func checkpointedRuns(job *device.Job, g *microfi.GoldenRun, tgt microfi.Target)
 
 // TestReferenceParityStaticPrune: the static-interval pruning injector must
 // agree on both cores, on the register file and on every cache — same prune
-// decisions (the intervals come from a schedule trace and the frame record
-// from the cache events of the same run, identical by the sim-level parity)
-// and same outcomes for the runs that do simulate. PathFinder reads nothing
-// through L1T, so every L1T draw must prune on both.
+// decisions (the intervals come from a schedule trace and the cache data
+// record from the cache events of the same run, identical by the sim-level
+// parity) and same outcomes for the runs that do simulate. K-Means reads
+// its features through L1T, but each texture line is evicted before any
+// cycle after its fill reads it again, so every L1T draw must prune on both.
 func TestReferenceParityStaticPrune(t *testing.T) {
 	cfg := gpu.Volta()
-	job := buildApp(t, "PathFinder")
+	job := buildApp(t, "K-Means")
 	type traced struct {
 		static *microfi.StaticIntervals
 		g      *microfi.GoldenRun

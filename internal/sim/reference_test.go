@@ -68,7 +68,7 @@ func cycleSMReference(r *runner, sm *SM, ks *KernelStats) (int, error) {
 		sm.markWarpRF(cta, w)
 
 		var env exec.Env = e
-		if lifeOracle != nil {
+		if lifeOracle != nil || cacheOracle != nil {
 			env = oracleEnv{e}
 		}
 		info := exec.Step(cta.warps[w], cta.prog, env)

@@ -230,14 +230,15 @@ func (o *liveOracle) LiveCycles() int64 {
 	return n
 }
 
-// oracleEnv is the reference core's exec.Env while the oracle listens:
+// oracleEnv is the reference core's exec.Env while an oracle listens:
 // every shared-memory access exec.Step makes that succeeds reaches the
-// oracle with the physical bytes it touched.
+// lifetime oracle with the physical bytes it touched, and every global
+// access reaches the cache oracle (cache_oracle_test.go).
 type oracleEnv struct{ *simEnv }
 
 func (e oracleEnv) LoadShared(lane int, addr uint32) (uint32, error) {
 	v, err := e.simEnv.LoadShared(lane, addr)
-	if err == nil {
+	if err == nil && lifeOracle != nil {
 		lifeOracle.shared(e.sm.ID, e.cta.smBase+int(addr), false, e.r.cycle)
 	}
 	return v, err
@@ -245,7 +246,7 @@ func (e oracleEnv) LoadShared(lane int, addr uint32) (uint32, error) {
 
 func (e oracleEnv) StoreShared(lane int, addr uint32, v uint32) error {
 	err := e.simEnv.StoreShared(lane, addr, v)
-	if err == nil {
+	if err == nil && lifeOracle != nil {
 		lifeOracle.shared(e.sm.ID, e.cta.smBase+int(addr), true, e.r.cycle)
 	}
 	return err

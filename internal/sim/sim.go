@@ -237,8 +237,6 @@ type Machine struct {
 	SMs []*SM
 	L2  *mem.Cache
 	Mem *device.Memory
-
-	r *runner // the run the machine belongs to, for the cache watch
 }
 
 // warpMeta is the scoreboard state of one warp.
@@ -352,7 +350,7 @@ type Result struct {
 	// that completed when storage a retired CTA frees is dead: every program
 	// the job launches is clean under flow.Lint's uninit-read rule, and no
 	// LDS read a shared-memory word its CTA had not stored since placement.
-	// The register-file and shared-memory pruners rely on it (watch.go).
+	// The register-file and shared-memory pruners rely on it (freedead.go).
 	FreeDead bool
 	// Stepped counts the cycles this run actually executed, from cycle 0 or
 	// from the snapshot it resumed; the rest of its simulated cycles were idle
@@ -416,9 +414,9 @@ type Options struct {
 	// snapshot), but a resumed run only reports events from the snapshot
 	// cycle on — OnCTAPlace for already-resident CTAs does not replay.
 	SchedTrace SchedTracer
-	// Frames, when set on a fault-free run from cycle 0, receives the
-	// validity record of every cache frame. Runs with an injection hook or
-	// a snapshot to resume must leave it nil.
+	// Frames, when set on a fault-free run from cycle 0, receives the data
+	// record of every cache frame, sealed when the run ends. Runs with an
+	// injection hook or a snapshot to resume must leave it nil.
 	Frames *FrameRecord
 
 	// Checkpoint, when set, captures a machine snapshot into the set at the
@@ -439,8 +437,9 @@ type Options struct {
 	Pool *RunPool
 }
 
-// FrameRecord is the validity record of every cache of a fault-free run
-// (Options.Frames): when each frame holds a valid line (mem.FrameLog).
+// FrameRecord is the data record of every cache of a fault-free run
+// (Options.Frames): when a flip into each frame's words reaches a read
+// (mem.FrameLog).
 type FrameRecord struct {
 	L1D, L1T []*mem.FrameLog // indexed by SM
 	L2       *mem.FrameLog
@@ -465,6 +464,13 @@ func (f *FrameRecord) Logs(s gpu.Structure) []*mem.FrameLog {
 func Run(job *device.Job, cfg gpu.Config, opts Options) *Result {
 	r := newRunner(job, cfg, opts)
 	res := r.run()
+	if f := opts.Frames; f != nil {
+		f.L2.Seal()
+		for sm := range f.L1D {
+			f.L1D[sm].Seal()
+			f.L1T[sm].Seal()
+		}
+	}
 	if opts.Pool != nil {
 		opts.Pool.put(r)
 	}
@@ -515,10 +521,9 @@ type runner struct {
 	// never snapshotted or compared.
 	lastDiff diffProbe
 
-	// watch is the cache watch's verdict. recordSmem marks a fault-free
-	// run, which records the shared-memory half of the FreeDead guard;
-	// smemUninit is what it found (both in watch.go).
-	watch      mem.WatchState
+	// recordSmem marks a fault-free run, which records the shared-memory
+	// half of the FreeDead guard; smemUninit is what it found (both in
+	// freedead.go).
 	recordSmem bool
 	smemUninit bool
 
@@ -633,7 +638,7 @@ func (r *runner) machine() *Machine {
 	// Memoized: EachCycle hooks call this every cycle, and the referenced
 	// state (SM slice, caches, memory image) is fixed for the runner's life.
 	if r.mach == nil {
-		r.mach = &Machine{Cfg: r.cfg, SMs: r.sms, L2: r.l2, Mem: r.mem, r: r}
+		r.mach = &Machine{Cfg: r.cfg, SMs: r.sms, L2: r.l2, Mem: r.mem}
 	}
 	return r.mach
 }
@@ -738,12 +743,12 @@ func (r *runner) runSteps() *Result {
 // flushCaches writes dirty L2 lines to DRAM; when invalidate is set the L1s
 // and L2 are dropped as well (host-coherence points).
 func (r *runner) flushCaches(invalidate bool) {
-	r.l2.FlushTo(r.mem)
+	r.l2.FlushTo(r.mem, r.cycle)
 	if invalidate {
-		r.l2.InvalidateAll(r.cycle)
+		r.l2.InvalidateAll()
 		for _, sm := range r.sms {
-			sm.L1D.InvalidateAll(r.cycle)
-			sm.L1T.InvalidateAll(r.cycle)
+			sm.L1D.InvalidateAll()
+			sm.L1T.InvalidateAll()
 		}
 	}
 }
@@ -786,8 +791,8 @@ func (r *runner) beginLaunch(l *device.Launch) error {
 
 	// Per-kernel-launch L1 state: Volta flushes L1s between kernels.
 	for _, sm := range r.sms {
-		sm.L1D.InvalidateAll(r.cycle)
-		sm.L1T.InvalidateAll(r.cycle)
+		sm.L1D.InvalidateAll()
+		sm.L1T.InvalidateAll()
 	}
 	r.cur = cur
 	return nil
@@ -887,22 +892,14 @@ func (r *runner) runLaunch() error {
 			ck.offer(r)
 			ckDue = ck.nextGrid(r.cycle) // offer may have widened the stride
 		}
-		// A live watch means the flipped entry still differs from golden,
-		// so the grid compare would fail; a dead one joins right here.
 		if r.cycle == cvDue {
 			cvDue = cv.nextGrid(r.cycle)
-			if s := cv.at(r.cycle); r.fired && s != nil && r.watch != mem.WatchLive && r.matches(s) {
+			if s := cv.at(r.cycle); r.fired && s != nil && r.matches(s) {
 				if joinHook != nil {
-					joinHook(r)
+					joinHook()
 				}
 				return errSimConverged
 			}
-		}
-		if r.watch.Dead() {
-			if joinHook != nil {
-				joinHook(r)
-			}
-			return errSimConverged
 		}
 
 		// Jump over the idle cycles that follow, if any. Two cases must step
@@ -1068,10 +1065,9 @@ func (r *runner) tryPlace(sm *SM, l *device.Launch, prog *isa.Program, p *pendin
 }
 
 // joinHook is nil in every binary except this package's own test binary,
-// where a test can observe every join: the run's watch state tells a grid
-// join from a cache-watch join and the watch's verdict. Nothing outside _test
-// files assigns it.
-var joinHook func(r *runner)
+// where a test can count every join. Nothing outside _test files assigns
+// it.
+var joinHook func()
 
 // cycleOracle is nil in every binary except this package's own test binary,
 // where reference_test.go can point it at the reference core (the

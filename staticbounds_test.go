@@ -44,7 +44,7 @@ type staticBoundsRow struct {
 
 // TestStaticBoundsArtifact is the acceptance artifact test: for every app
 // and every storage structure — RF and SMEM from the interval map, L1D, L1T
-// and L2 from the cache frame record — the static bracket must contain the
+// and L2 from the cache data record — the static bracket must contain the
 // measured AVF — lower ≤ measured ≤ upper. The measured AVF is the campaign
 // failure rate (non-Masked fraction); the campaign runs through the
 // interval prune, whose tallies are property-tested bit-identical to brute

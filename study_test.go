@@ -104,9 +104,9 @@ func TestSoftCheckpointCounts(t *testing.T) {
 // campaign (VA/K1/RF, 300 runs, campaign seed 1) by fork-and-join with dead
 // draws pruned, and tallies what brute force does. The anchor's pruned draws
 // are exactly its 254 Masked runs, so every run it simulates fails and none
-// joins. The VA/K1/L2 campaign that follows prunes its flips into invalid
-// frames; an SRADv1/K1/L1D campaign, whose simulated flips are refilled or
-// invalidated before the run ends, does join.
+// joins. The VA/K1/L2 campaign that follows prunes its flips that nothing
+// reads; an NW/K1/L2 campaign, some of whose read flips are masked and then
+// overwritten before a grid cycle, does join.
 func TestNewStudyForksAndJoins(t *testing.T) {
 	s := NewStudy(300, 1)
 	s.Counters = &adaptive.Counters{}
@@ -130,7 +130,7 @@ func TestNewStudyForksAndJoins(t *testing.T) {
 		t.Errorf("the L2 campaign pruned nothing: %d simulated", s.Counters.Simulated.Load())
 	}
 	s.Counters = &adaptive.Counters{}
-	if fn, err = s.PointExperiment(PointSpec{Layer: LayerMicro, App: "SRADv1", Kernel: "K1", Structure: gpu.L1D}); err != nil {
+	if fn, err = s.PointExperiment(PointSpec{Layer: LayerMicro, App: "NW", Kernel: "K1", Structure: gpu.L2}); err != nil {
 		t.Fatal(err)
 	}
 	campaign.Run(opts, fn)
