@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -44,13 +45,13 @@ type daemon struct {
 }
 
 // startDaemon runs gpureld on a loopback port with the job journal at path
-// and waits until it listens.
-func startDaemon(t *testing.T, journal string) *daemon {
+// and any extra flags, and waits until it listens.
+func startDaemon(t *testing.T, journal string, extra ...string) *daemon {
 	t.Helper()
 	ctx, stop := context.WithCancel(context.Background())
 	d := &daemon{stop: stop, code: make(chan int, 1), stdout: &syncBuffer{}, stderr: &syncBuffer{}}
-	args := []string{"-addr", "127.0.0.1:0", "-checkpoint", journal, "-checkpoint-interval", "50ms",
-		"-chunk", "20", "-workers", "1", "-fleet-checkpoint", ""}
+	args := append([]string{"-addr", "127.0.0.1:0", "-checkpoint", journal, "-checkpoint-interval", "50ms",
+		"-chunk", "20", "-workers", "1", "-fleet-checkpoint", ""}, extra...)
 	go func() { d.code <- run(ctx, args, d.stdout, d.stderr) }()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
@@ -91,28 +92,43 @@ func (d *daemon) drain(t *testing.T) {
 // TestDrainRestartBitIdentical: a job submitted over HTTP, drained mid-run
 // and finished by a second daemon on the same journal tallies exactly as a
 // one-shot campaign.Run of the same spec — the VA/K1/RF anchor, Counts
-// [254,29,0,17].
+// [254,29,0,17]. The first daemon executes nothing itself (-no-local): the
+// test is its fleet worker, and reports part of a lease before the drain, so
+// the job is mid-run however fast the machine is.
 func TestDrainRestartBitIdentical(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "ckpt.json")
 	spec := service.JobSpec{Layer: "micro", App: "VA", Kernel: "K1", Structure: "RF", Runs: 300, Seed: 1}
+	opts := campaign.Options{Runs: spec.Runs, Seed: spec.Seed, Workers: 1}
 	ctx := context.Background()
+	exp, err := service.NewStudySource(gpurel.NewStudy(0, 1))(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	first := startDaemon(t, journal)
+	first := startDaemon(t, journal, "-no-local")
 	st, err := first.cl.SubmitJob(ctx, spec)
 	if err != nil {
 		first.drain(t)
 		t.Fatal(err)
 	}
-	for st.Done == 0 && !st.State.Terminal() {
-		time.Sleep(5 * time.Millisecond)
-		if st, err = first.cl.GetJob(ctx, st.ID); err != nil {
-			first.drain(t)
-			t.Fatal(err)
-		}
+	const reported = 40
+	ls, ok, err := first.cl.Lease(ctx, service.LeaseRequest{Worker: "test", MaxRuns: 100})
+	if err == nil && !ok {
+		err = errors.New("no lease granted")
+	}
+	if err == nil {
+		_, err = first.cl.ReportLease(ctx, ls.ID, service.LeaseReport{Worker: "test", From: ls.From,
+			To: ls.From + reported, Tally: campaign.RunRange(opts, ls.From, ls.From+reported, exp)})
+	}
+	if err == nil {
+		st, err = first.cl.GetJob(ctx, st.ID)
 	}
 	first.drain(t)
-	if st.State.Terminal() {
-		t.Fatalf("the job finished before the drain: %+v", st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ls.JobID != st.ID || ls.From != 0 || st.Done != reported || st.State != service.StateRunning {
+		t.Fatalf("lease %+v; job before the drain %s with %d runs done, want running with %d", ls, st.State, st.Done, reported)
 	}
 
 	second := startDaemon(t, journal)
@@ -125,11 +141,7 @@ func TestDrainRestartBitIdentical(t *testing.T) {
 		t.Fatalf("resumed job ended %s: %s", got.State, got.Error)
 	}
 
-	exp, err := service.NewStudySource(gpurel.NewStudy(0, 1))(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := campaign.Run(campaign.Options{Runs: spec.Runs, Seed: spec.Seed, Workers: 1}, exp)
+	want := campaign.Run(opts, exp)
 	if got.Tally != want || want.Counts != [4]int{254, 29, 0, 17} {
 		t.Errorf("drained and resumed tally %+v, one-shot %+v (anchor Counts [254 29 0 17])", got.Tally, want)
 	}

@@ -29,12 +29,15 @@ type Partial struct {
 type PrefixMerger struct {
 	to    int
 	tally Tally
-	stash map[int]Partial // keyed by From; disjoint; every range starts >= to
+	// stash is keyed by From; disjoint; every range starts >= to. It is
+	// made by the first Offer and released (nil) by Seed and DropStash: a
+	// map keeps its buckets after its last delete.
+	stash map[int]Partial
 }
 
 // NewPrefixMerger returns an empty merger (prefix [0, 0)).
 func NewPrefixMerger() *PrefixMerger {
-	return &PrefixMerger{stash: map[int]Partial{}}
+	return &PrefixMerger{}
 }
 
 // Seed resets the merger to a checkpointed prefix: tally t covering exactly
@@ -42,7 +45,7 @@ func NewPrefixMerger() *PrefixMerger {
 func (m *PrefixMerger) Seed(to int, t Tally) {
 	m.to = to
 	m.tally = t
-	m.stash = map[int]Partial{}
+	m.stash = nil
 }
 
 // Offer adds one completed partial to the stash. It reports false — and
@@ -56,6 +59,9 @@ func (m *PrefixMerger) Offer(p Partial) bool {
 		if p.From < q.To && q.From < p.To {
 			return false
 		}
+	}
+	if m.stash == nil {
+		m.stash = map[int]Partial{}
 	}
 	m.stash[p.From] = p
 	return true
@@ -107,8 +113,10 @@ func (m *PrefixMerger) StashRanges() [][2]int {
 	return out
 }
 
-// DropStash discards every stashed partial — used when an adaptive stop rule
-// fires at a prefix boundary and the work beyond it is no longer wanted.
+// DropStash discards every stashed partial and releases the stash's memory —
+// used when a job finishes: an adaptive stop rule fired at a prefix boundary
+// and the work beyond it is no longer wanted, or the prefix covers the whole
+// campaign.
 func (m *PrefixMerger) DropStash() {
-	m.stash = map[int]Partial{}
+	m.stash = nil
 }

@@ -23,6 +23,9 @@ import (
 // claim is still charged, so the fair-share *shares* converge regardless;
 // and what each run measures never depends on who claimed it.)
 //
+// A claim reads only the live index (Scheduler.live), never the whole job
+// table, so finished jobs resident in the daemon cost it nothing.
+//
 // Virtual-time bookkeeping lives in Scheduler.vtime, guarded by s.mu. A
 // tenant's entry is created when it first has claimable work — seeded at the
 // minimum virtual time of the other active tenants so newcomers start level
@@ -38,14 +41,15 @@ type claimCandidate struct {
 	idx    int // submission order
 }
 
-// claimPlan snapshots the eligible jobs grouped per tenant, in service
-// order, and settles the vtime table (s.mu held).
+// claimPlanLocked drops the jobs that have turned terminal from the live
+// index, settles the vtime table and returns the tenants with a live job in
+// service order (s.mu held).
 func (s *Scheduler) claimPlanLocked() []string {
 	// Tenants with a non-terminal job, first-seen (submission) order.
 	active := map[string]bool{}
 	var tenants []string
-	for _, id := range s.order {
-		j := s.jobs[id]
+	live := s.live[:0]
+	for _, j := range s.live {
 		// Lock order: s.mu before j.mu. Nothing takes s.mu while holding
 		// j.mu (chargeClaim runs after the job unlock for exactly this
 		// reason), so the brief nested acquisition here is safe. The state
@@ -54,13 +58,16 @@ func (s *Scheduler) claimPlanLocked() []string {
 		terminal := j.state.Terminal()
 		j.mu.Unlock()
 		if terminal {
-			continue
+			continue // for good: no job leaves a terminal state
 		}
+		live = append(live, j)
 		if t := j.spec.tenantName(); !active[t] {
 			active[t] = true
 			tenants = append(tenants, t)
 		}
 	}
+	clear(s.live[len(live):])
+	s.live = live
 	// Prune virtual time of tenants that no longer own any non-terminal job.
 	for t := range s.vtime {
 		if !active[t] {
@@ -90,17 +97,16 @@ func (s *Scheduler) claimPlanLocked() []string {
 	return tenants
 }
 
-// tenantJobsLocked lists a tenant's jobs in within-tenant service order:
-// priority descending, then submission order (s.mu held).
+// tenantJobsLocked lists a tenant's live campaign jobs in within-tenant
+// service order: priority descending, then submission order (s.mu held).
 func (s *Scheduler) tenantJobsLocked(tenant string) []claimCandidate {
 	var cands []claimCandidate
-	for idx, id := range s.order {
-		j := s.jobs[id]
+	for _, j := range s.live {
 		if j.spec.tenantName() != tenant || j.spec.Advise != nil {
 			continue // an advise job holds no runs to claim
 		}
 		cands = append(cands, claimCandidate{
-			j: j, tenant: tenant, weight: j.spec.weight(), prio: j.spec.weight(), idx: idx,
+			j: j, tenant: tenant, weight: j.spec.weight(), prio: j.spec.weight(), idx: j.seq,
 		})
 	}
 	sort.SliceStable(cands, func(i, k int) bool {

@@ -287,3 +287,41 @@ func TestReclaimWork(t *testing.T) {
 		t.Error("ReclaimWork accepted an unknown job")
 	}
 }
+
+// BenchmarkClaimWork: one claim against two live jobs, one per tenant, with
+// 0, 1 000 and 10 000 finished jobs resident across the same two tenants.
+// The finished jobs are set up once per size, so the figure is the steady
+// claim cost.
+func BenchmarkClaimWork(b *testing.B) {
+	for _, finished := range []int{0, 1000, 10000} {
+		sched, err := service.NewScheduler(service.Config{Source: fakeSource(0), DisableLocalExec: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		tenants := []string{"alice", "bob"}
+		for i := 0; i < finished; i++ {
+			spec := service.JobSpec{Layer: "micro", App: "fake", Kernel: "K1", Runs: 1, Seed: 1, Tenant: tenants[i%2]}
+			st, err := sched.Submit(spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if st, _, err = sched.ReportWork(st.ID, 0, 1, synthRange(spec, 0, 1)); err != nil || st.State != service.StateDone {
+				b.Fatalf("finished job %s: %v", st.State, err)
+			}
+		}
+		for _, tenant := range tenants {
+			if _, err := sched.Submit(service.JobSpec{Layer: "micro", App: "fake", Kernel: "K1",
+				Runs: 1 << 30, Seed: 1, Tenant: tenant}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.Run(fmt.Sprintf("finished=%d", finished), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, ok := sched.ClaimWork(1); !ok {
+					b.Fatal("no work to claim")
+				}
+			}
+		})
+		sched.Close()
+	}
+}

@@ -432,6 +432,7 @@ type job struct {
 	id      string
 	spec    JobSpec
 	created time.Time
+	seq     int // submission sequence: the job's index in Scheduler.order
 
 	mu        sync.Mutex
 	state     JobState

@@ -136,7 +136,6 @@ func (s *Scheduler) report(j *job, from, to int, tl campaign.Tally, dForks, dCon
 		if adaptive && end < j.spec.Runs && end%batch == 0 && pol.StopSatisfied(tally) {
 			j.early = true
 			saved := j.spec.Runs - end
-			j.merger.DropStash()
 			s.finishLocked(j, StateDone, "")
 			s.metrics.runsSaved.Add(int64(saved))
 			if s.cfg.Counters != nil {

@@ -108,7 +108,13 @@ type Scheduler struct {
 
 	mu    sync.Mutex
 	jobs  map[string]*job
-	order []string // submission order, for listing and within-tenant fairness
+	order []string // submission order, for listing, the journal and status
+	// live indexes the jobs not yet terminal, campaign and advise, in
+	// submission order: the only jobs a claim can reach. A job enters with
+	// its table entry and leaves at the first claim plan that sees it
+	// terminal (fairshare.go), so a claim costs O(live jobs), however many
+	// finished jobs stay resident.
+	live []*job
 	// vtime is the weighted fair-share virtual time per active tenant — see
 	// fairshare.go.
 	vtime map[string]float64
@@ -180,8 +186,7 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 					advises = append(advises, j)
 				}
 			}
-			s.jobs[j.id] = j
-			s.order = append(s.order, j.id)
+			s.enterLocked(j)
 		}
 		for _, j := range advises {
 			s.startAdvise(j)
@@ -239,21 +244,33 @@ func (s *Scheduler) admit(id string, spec JobSpec, bounded bool) (*job, error) {
 		return j, nil
 	}
 	j := newJob(id, spec, s.cfg.Now())
+	if spec.Advise == nil && bounded && s.waiting.Load() >= int64(s.cfg.QueueDepth) {
+		return nil, fmt.Errorf("%w (depth %d)", errQueueFull, s.cfg.QueueDepth)
+	}
+	s.enterLocked(j)
 	if spec.Advise != nil {
 		s.startAdvise(j)
-	} else if bounded && s.waiting.Load() >= int64(s.cfg.QueueDepth) {
-		return nil, fmt.Errorf("%w (depth %d)", errQueueFull, s.cfg.QueueDepth)
 	} else {
 		if j.waiting = bounded; bounded {
 			s.waiting.Add(1)
 		}
 		s.signal()
 	}
-	s.jobs[id] = j
-	s.order = append(s.order, id)
 	s.metrics.jobsSubmitted.Add(1)
 	s.dirty.Store(true)
 	return j, nil
+}
+
+// enterLocked adds a job no other goroutine holds yet to the table, the
+// submission order and, unless it is already terminal (restored so from the
+// journal), the live index (s.mu held, or before the scheduler is shared).
+func (s *Scheduler) enterLocked(j *job) {
+	j.seq = len(s.order)
+	s.jobs[j.id] = j
+	s.order = append(s.order, j.id)
+	if !j.state.Terminal() {
+		s.live = append(s.live, j)
+	}
 }
 
 // Get returns a job's status.
@@ -325,11 +342,14 @@ func (s *Scheduler) jobsInOrder() []*job {
 	return js
 }
 
-// stateGauges counts current jobs per state for /metrics.
+// stateGauges counts current jobs per state for /metrics, each read under
+// its own lock.
 func (s *Scheduler) stateGauges() map[string]int {
 	g := map[string]int{}
-	for _, st := range s.List() {
-		g[string(st.State)]++
+	for _, j := range s.jobsInOrder() {
+		j.mu.Lock()
+		g[string(j.state)]++
+		j.mu.Unlock()
 	}
 	return g
 }
@@ -402,7 +422,14 @@ func (s *Scheduler) runChunk(w WorkAssignment) {
 }
 
 // finishLocked moves a job to a terminal state, dropping its unexecuted and
-// in-flight runs (j.mu held).
+// in-flight runs (j.mu held). A done job also releases its merger's stash:
+// past a full prefix it is empty, past an adaptive stop its runs are not
+// wanted, and no report is offered to a terminal job.
+//
+// Terminal is forever: nothing moves a job out of a terminal state (a drain
+// parks only unfinished jobs, a resumed journal re-queues only unfinished
+// ones). That is what lets the claim plan drop a terminal job from the live
+// index for good.
 func (s *Scheduler) finishLocked(j *job, st JobState, errmsg string) {
 	s.leaveQueueLocked(j)
 	j.state = st
@@ -410,6 +437,9 @@ func (s *Scheduler) finishLocked(j *job, st JobState, errmsg string) {
 	j.finished = s.cfg.Now()
 	j.pending = nil
 	j.claimed = nil
+	if st == StateDone {
+		j.merger.DropStash()
+	}
 	s.dirty.Store(true)
 	switch st {
 	case StateDone:
