@@ -1,20 +1,21 @@
 package flow
 
 import (
-	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
-	"slices"
 	"sort"
 
 	"gpurel/internal/isa"
+	"gpurel/internal/live"
 )
 
 // This file is the cycle-interval ACE engine, the repository's one record of
 // register lifetime: it turns the deterministic scheduler's execution order
-// into per-physical-register and per-shared-memory-word dead/live intervals,
-// from which liveness pruning, ACE AVF (ace.AnalyzeRF) and static AVF
-// bounds are all derived.
+// into per-physical-register and per-shared-memory-word dead/live intervals
+// (the live package's record, one site per register or word), from which
+// liveness pruning, ACE AVF (ace.AnalyzeRF) and static AVF bounds are all
+// derived.
 //
 // The Recorder implements sim.SchedTracer structurally (the signatures use
 // only basic types and *isa.Program), so flow stays decoupled from sim. Per
@@ -58,33 +59,9 @@ func NewRecorder() *Recorder {
 	}
 }
 
-// Iv is a live interval: injections at cycles c with Lo < c <= Hi can reach
-// a future read of the stored value.
-type Iv struct{ Lo, Hi int64 }
-
 // Blk is a contiguous allocated region of a storage array (registers or
 // shared-memory bytes), mirroring sim.RFBlock.
 type Blk struct{ Base, Size int }
-
-// track is one site's recording state: the cycle of the most recent event
-// and the merged live intervals so far.
-type track struct {
-	last int64
-	ivs  []Iv
-}
-
-// read exposes the stored value: any injection after the previous event and
-// at or before this read would have been consumed.
-func (t *track) read(cycle int64) {
-	if cycle > t.last {
-		if n := len(t.ivs); n > 0 && t.ivs[n-1].Hi == t.last {
-			t.ivs[n-1].Hi = cycle
-		} else {
-			t.ivs = append(t.ivs, Iv{Lo: t.last, Hi: cycle})
-		}
-		t.last = cycle
-	}
-}
 
 // span is one CTA's allocated region with its visibility window
 // (release = -1 while open).
@@ -93,98 +70,39 @@ type span struct {
 	alloc, release int64
 }
 
-// smemSpan is one CTA's shared-memory block: the span and one track per
-// word, encoded once the CTA retires or the recording ends.
-type smemSpan struct {
-	span
-	words []track // nil once encoded
-	ivs   sites   // words, encoded
+// holds reports whether an injection at cycle finds the span allocated.
+func (sp span) holds(cycle int64) bool {
+	return sp.alloc < cycle && (sp.release < 0 || cycle <= sp.release)
 }
 
-// encode freezes the span's word tracks.
-func (s *smemSpan) encode() {
-	if s.words != nil {
-		s.ivs, s.words = encodeSites(s.words), nil
+// smemWords is one CTA's shared-memory block: one track per word, sealed
+// once the CTA retires or the recording ends.
+type smemWords struct {
+	words []live.Track // nil once sealed
+	sites live.Sites
+}
+
+func (w *smemWords) seal() {
+	if w.words != nil {
+		w.sites, w.words = live.Encode(w.words), nil
 	}
 }
 
 // smRecord is the per-SM recording state.
 type smRecord struct {
-	regs    []track     // per physical register; nil once finalized
-	rf      sites       // regs, finalized
-	rfSpans []span      // CTA placement order
-	smSpans []*smemSpan // CTA placement order
-}
-
-// sites is a finalized array of site tracks (the registers of one SM, the
-// words of one shared-memory block), kept compact because a pruning front
-// end keeps the map for the life of its golden runs: site i's live
-// intervals are uvarint pairs (gap from the previous interval's Hi, length)
-// in enc[off[i]:off[i+1]], about three bytes an interval where a track's
-// slice takes sixteen and more.
-type sites struct {
-	off []int32
-	enc []byte
-}
-
-func encodeSites(ts []track) sites {
-	e := sites{off: make([]int32, len(ts)+1)}
-	for i := range ts {
-		var prev int64
-		for _, v := range ts[i].ivs {
-			e.enc = binary.AppendUvarint(e.enc, uint64(v.Lo-prev))
-			e.enc = binary.AppendUvarint(e.enc, uint64(v.Hi-v.Lo))
-			prev = v.Hi
-		}
-		e.off[i+1] = int32(len(e.enc))
-	}
-	e.enc = slices.Clip(e.enc)
-	return e
-}
-
-// n returns the number of sites.
-func (e sites) n() int { return len(e.off) - 1 }
-
-// ivs appends site i's live intervals, in time order, to dst.
-func (e sites) ivs(i int, dst []Iv) []Iv {
-	enc := e.enc[e.off[i]:e.off[i+1]]
-	var prev int64
-	for len(enc) > 0 {
-		gap, n := binary.Uvarint(enc)
-		length, m := binary.Uvarint(enc[n:])
-		enc = enc[n+m:]
-		dst = append(dst, Iv{Lo: prev + int64(gap), Hi: prev + int64(gap+length)})
-		prev = dst[len(dst)-1].Hi
-	}
-	return dst
-}
-
-// live reports whether an injection at cycle lands inside one of site i's
-// live intervals, decoding them in time order only as far as the cycle.
-func (e sites) live(i int, cycle int64) bool {
-	enc := e.enc[e.off[i]:e.off[i+1]]
-	var hi int64
-	for len(enc) > 0 {
-		gap, n := binary.Uvarint(enc)
-		length, m := binary.Uvarint(enc[n:])
-		enc = enc[n+m:]
-		lo := hi + int64(gap)
-		if cycle <= lo {
-			return false
-		}
-		if hi = lo + int64(length); cycle <= hi {
-			return true
-		}
-	}
-	return false
+	regs    []live.Track // per physical register; nil once finalized
+	rf      live.Sites   // regs, finalized
+	rfSpans []span       // CTA placement order
+	smSpans []span       // CTA placement order
+	smem    []smemWords  // smSpans' words, index for index
 }
 
 // ctaRec is one resident CTA's placement, keyed by the tracer's CTA id.
 type ctaRec struct {
 	sm, rfBase, smBase, threads int
 	eff                         *progEffects
-	rfSpan                      int       // index into sms[sm].rfSpans, -1 if rfSize == 0
-	smem                        *smemSpan // nil if smSize == 0
+	rfSpan                      int // index into sms[sm].rfSpans, -1 if rfSize == 0
+	smSpan                      int // index into sms[sm].smSpans and smem, -1 if smSize == 0
 }
 
 // pcEffect is the register effect of one instruction: registers read and
@@ -252,25 +170,27 @@ func (r *Recorder) sm(id int) *smRecord {
 // OnCTAPlace implements the sim.SchedTracer shape.
 func (r *Recorder) OnCTAPlace(cta, sm, rfBase, rfSize, smBase, smSize, threads int, prog *isa.Program, cycle int64) {
 	s := r.sm(sm)
-	rec := &ctaRec{sm: sm, rfBase: rfBase, smBase: smBase, threads: threads, eff: r.effectsOf(prog), rfSpan: -1}
+	rec := &ctaRec{sm: sm, rfBase: rfBase, smBase: smBase, threads: threads, eff: r.effectsOf(prog), rfSpan: -1, smSpan: -1}
 	if rfSize > 0 {
 		for len(s.regs) < rfBase+rfSize {
-			s.regs = append(s.regs, track{})
+			s.regs = append(s.regs, live.Track{})
 		}
 		rec.rfSpan = len(s.rfSpans)
 		s.rfSpans = append(s.rfSpans, span{base: rfBase, size: rfSize, alloc: cycle, release: -1})
 		// Allocation kills leftover values of the previous occupant (sound
 		// under the golden run's guard, see the top of this file).
 		for i := rfBase; i < rfBase+rfSize; i++ {
-			s.regs[i].last = cycle
+			s.regs[i].Kill(cycle)
 		}
 	}
 	if smSize > 0 {
-		rec.smem = &smemSpan{span: span{base: smBase, size: smSize, alloc: cycle, release: -1}, words: make([]track, smSize/4)}
-		for i := range rec.smem.words {
-			rec.smem.words[i].last = cycle
+		words := make([]live.Track, smSize/4)
+		for i := range words {
+			words[i].Kill(cycle)
 		}
-		s.smSpans = append(s.smSpans, rec.smem)
+		rec.smSpan = len(s.smSpans)
+		s.smSpans = append(s.smSpans, span{base: smBase, size: smSize, alloc: cycle, release: -1})
+		s.smem = append(s.smem, smemWords{words: words})
 	}
 	r.ctas[cta] = rec
 }
@@ -293,7 +213,7 @@ func (r *Recorder) OnIssue(cta, warp, pc int, mask, selA uint32, cycle int64) {
 		lane := bits.TrailingZeros32(m)
 		base := rec.rfBase + (warp*32+lane)*numRegs
 		for _, reg := range pe.reads {
-			s.regs[base+int(reg)].read(cycle)
+			s.regs[base+int(reg)].Read(cycle)
 		}
 		if pe.sel {
 			picked := pe.selB
@@ -301,11 +221,11 @@ func (r *Recorder) OnIssue(cta, warp, pc int, mask, selA uint32, cycle int64) {
 				picked = pe.selA
 			}
 			if picked != isa.RZ {
-				s.regs[base+int(picked)].read(cycle)
+				s.regs[base+int(picked)].Read(cycle)
 			}
 		}
 		if pe.hasKill {
-			s.regs[base+int(pe.kill)].last = cycle
+			s.regs[base+int(pe.kill)].Kill(cycle)
 		}
 	}
 }
@@ -317,10 +237,10 @@ func (r *Recorder) OnShared(cta, word int, store bool, cycle int64) {
 	if rec == nil {
 		return
 	}
-	if t := &rec.smem.words[word]; store {
-		t.last = cycle
+	if t := &r.sms[rec.sm].smem[rec.smSpan].words[word]; store {
+		t.Kill(cycle)
 	} else {
-		t.read(cycle)
+		t.Read(cycle)
 	}
 }
 
@@ -336,12 +256,12 @@ func (r *Recorder) OnCTARetire(cta int, cycle int64) {
 		sp := &s.rfSpans[rec.rfSpan]
 		sp.release = cycle
 		for i := sp.base; i < sp.base+sp.size; i++ {
-			s.regs[i].last = cycle
+			s.regs[i].Kill(cycle)
 		}
 	}
-	if rec.smem != nil {
-		rec.smem.release = cycle
-		rec.smem.encode()
+	if rec.smSpan >= 0 {
+		s.smSpans[rec.smSpan].release = cycle
+		s.smem[rec.smSpan].seal()
 	}
 	delete(r.ctas, cta)
 }
@@ -357,11 +277,9 @@ type Intervals struct {
 // cycle count.
 func (r *Recorder) Finalize(cycles int64) *Intervals {
 	for _, s := range r.sms {
-		if s.regs != nil {
-			s.rf, s.regs = encodeSites(s.regs), nil
-		}
-		for _, sp := range s.smSpans {
-			sp.encode()
+		s.rf, s.regs = live.Encode(s.regs), nil
+		for i := range s.smem {
+			s.smem[i].seal()
 		}
 	}
 	return &Intervals{sms: r.sms, Cycles: cycles}
@@ -373,10 +291,10 @@ func (iv *Intervals) NumSMs() int { return len(iv.sms) }
 // LiveRF reports whether an injection into physical register (sm, phys) at
 // the cycle can reach a future read — false means provably dead.
 func (iv *Intervals) LiveRF(sm, phys int, cycle int64) bool {
-	if sm >= len(iv.sms) || phys >= iv.sms[sm].rf.n() {
+	if sm >= len(iv.sms) || phys >= iv.sms[sm].rf.Len() {
 		return false
 	}
-	return iv.sms[sm].rf.live(phys, cycle)
+	return iv.sms[sm].rf.Live(phys, cycle)
 }
 
 // RFLiveCycles sums the lengths of every register's live intervals: the
@@ -386,11 +304,7 @@ func (iv *Intervals) LiveRF(sm, phys int, cycle int64) bool {
 func (iv *Intervals) RFLiveCycles() int64 {
 	var n int64
 	for _, s := range iv.sms {
-		for i := 0; i < s.rf.n(); i++ {
-			for _, v := range s.rf.ivs(i, nil) {
-				n += v.Hi - v.Lo
-			}
-		}
+		n += s.rf.LiveCycles(math.MinInt64, math.MaxInt64)
 	}
 	return n
 }
@@ -403,15 +317,13 @@ func (iv *Intervals) LiveSmem(sm, idx int, cycle int64) bool {
 	if sm >= len(iv.sms) {
 		return false
 	}
-	for _, sp := range iv.sms[sm].smSpans {
-		if idx < sp.base || idx >= sp.base+sp.size {
-			continue
-		}
-		if !(sp.alloc < cycle && (sp.release < 0 || cycle <= sp.release)) {
+	s := iv.sms[sm]
+	for i, sp := range s.smSpans {
+		if idx < sp.base || idx >= sp.base+sp.size || !sp.holds(cycle) {
 			continue
 		}
 		w := (idx - sp.base) / 4
-		return w < sp.ivs.n() && sp.ivs.live(w, cycle)
+		return w < s.smem[i].sites.Len() && s.smem[i].sites.Live(w, cycle)
 	}
 	return false
 }
@@ -423,12 +335,7 @@ func (iv *Intervals) RFBlocksAt(sm int, cycle int64, dst []Blk) []Blk {
 	if sm >= len(iv.sms) {
 		return dst
 	}
-	for _, sp := range iv.sms[sm].rfSpans {
-		if sp.alloc < cycle && (sp.release < 0 || cycle <= sp.release) {
-			dst = append(dst, Blk{Base: sp.base, Size: sp.size})
-		}
-	}
-	return dst
+	return blocksAt(iv.sms[sm].rfSpans, cycle, dst)
 }
 
 // SmemBlocksAt is RFBlocksAt for the shared-memory allocation timeline
@@ -437,8 +344,12 @@ func (iv *Intervals) SmemBlocksAt(sm int, cycle int64, dst []Blk) []Blk {
 	if sm >= len(iv.sms) {
 		return dst
 	}
-	for _, sp := range iv.sms[sm].smSpans {
-		if sp.alloc < cycle && (sp.release < 0 || cycle <= sp.release) {
+	return blocksAt(iv.sms[sm].smSpans, cycle, dst)
+}
+
+func blocksAt(spans []span, cycle int64, dst []Blk) []Blk {
+	for _, sp := range spans {
+		if sp.holds(cycle) {
 			dst = append(dst, Blk{Base: sp.base, Size: sp.size})
 		}
 	}
@@ -446,26 +357,16 @@ func (iv *Intervals) SmemBlocksAt(sm int, cycle int64, dst []Blk) []Blk {
 }
 
 // Check validates the structural invariants of the interval map: every
-// interval is non-empty (Lo < Hi) and within the traced run, intervals of
-// one site are sorted and non-overlapping, and allocation spans are in
-// chronological placement order with sane visibility windows. It returns
-// the first violation found, or nil. Fuzzing and property tests call this;
-// a violation means the Recorder itself is broken, not the traced program.
+// site record passes live.Sites.Check over the traced run, and allocation
+// spans are in chronological placement order with sane visibility windows.
+// It returns the first violation found, or nil. Fuzzing and property tests
+// call this; a violation means the Recorder itself is broken, not the
+// traced program. A map finalized without a run length (Cycles <= 0)
+// bounds no interval's end.
 func (iv *Intervals) Check() error {
-	checkTrack := func(sm int, what string, idx int, ivs []Iv) error {
-		for i, v := range ivs {
-			if v.Lo >= v.Hi {
-				return fmt.Errorf("sm%d %s %d: interval %d is empty or inverted: (%d, %d]", sm, what, idx, i, v.Lo, v.Hi)
-			}
-			if v.Lo < 0 || (iv.Cycles > 0 && v.Hi > iv.Cycles) {
-				return fmt.Errorf("sm%d %s %d: interval %d (%d, %d] escapes the traced run of %d cycles", sm, what, idx, i, v.Lo, v.Hi, iv.Cycles)
-			}
-			if i > 0 && v.Lo < ivs[i-1].Hi {
-				return fmt.Errorf("sm%d %s %d: intervals %d and %d overlap: (%d, %d] then (%d, %d]",
-					sm, what, idx, i-1, i, ivs[i-1].Lo, ivs[i-1].Hi, v.Lo, v.Hi)
-			}
-		}
-		return nil
+	end := iv.Cycles
+	if end <= 0 {
+		end = math.MaxInt64
 	}
 	checkSpan := func(sm int, what string, i int, sp span, prevAlloc int64) error {
 		if sp.size <= 0 || sp.base < 0 {
@@ -480,10 +381,8 @@ func (iv *Intervals) Check() error {
 		return nil
 	}
 	for smID, s := range iv.sms {
-		for i := 0; i < s.rf.n(); i++ {
-			if err := checkTrack(smID, "reg", i, s.rf.ivs(i, nil)); err != nil {
-				return err
-			}
+		if err := s.rf.Check(end); err != nil {
+			return fmt.Errorf("sm%d registers: %w", smID, err)
 		}
 		prev := int64(-1)
 		for i, sp := range s.rfSpans {
@@ -494,14 +393,12 @@ func (iv *Intervals) Check() error {
 		}
 		prev = -1
 		for i, sp := range s.smSpans {
-			if err := checkSpan(smID, "smem", i, sp.span, prev); err != nil {
+			if err := checkSpan(smID, "smem", i, sp, prev); err != nil {
 				return err
 			}
 			prev = sp.alloc
-			for w := 0; w < sp.ivs.n(); w++ {
-				if err := checkTrack(smID, "smem word at byte", sp.base+4*w, sp.ivs.ivs(w, nil)); err != nil {
-					return err
-				}
+			if err := s.smem[i].sites.Check(end); err != nil {
+				return fmt.Errorf("sm%d smem span %d, words from byte %d: %w", smID, i, sp.base, err)
 			}
 		}
 	}
@@ -541,7 +438,7 @@ func (iv *Intervals) RFBounds(ws []Window) Bounds {
 		for _, sp := range s.rfSpans {
 			ds = appendSpanDeltas(ds, sp)
 		}
-		ds = appendLiveDeltas(ds, s.rf, 1)
+		ds = appendLiveDeltas(ds, &s.rf, 1)
 	}
 	return sweepBounds(ds, ws)
 }
@@ -551,9 +448,9 @@ func (iv *Intervals) RFBounds(ws []Window) Bounds {
 func (iv *Intervals) SmemBounds(ws []Window) Bounds {
 	var ds []delta
 	for _, s := range iv.sms {
-		for _, sp := range s.smSpans {
-			ds = appendSpanDeltas(ds, sp.span)
-			ds = appendLiveDeltas(ds, sp.ivs, 4)
+		for i, sp := range s.smSpans {
+			ds = appendSpanDeltas(ds, sp)
+			ds = appendLiveDeltas(ds, &s.smem[i].sites, 4)
 		}
 	}
 	return sweepBounds(ds, ws)
@@ -571,9 +468,11 @@ func appendSpanDeltas(ds []delta, sp span) []delta {
 
 // appendLiveDeltas emits the live-mass steps of every site's intervals,
 // mass each.
-func appendLiveDeltas(ds []delta, e sites, mass int64) []delta {
-	for i := 0; i < e.n(); i++ {
-		for _, v := range e.ivs(i, nil) {
+func appendLiveDeltas(ds []delta, e *live.Sites, mass int64) []delta {
+	var ivs []live.Iv
+	for i := 0; i < e.Len(); i++ {
+		ivs = e.Ivs(i, ivs[:0])
+		for _, v := range ivs {
 			ds = append(ds, delta{v.Lo + 1, mass, false}, delta{v.Hi + 1, -mass, false})
 		}
 	}

@@ -11,13 +11,12 @@ package mem
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 
 	"gpurel/internal/device"
+	"gpurel/internal/live"
 )
 
 // Line is one cache line with real data storage.
@@ -148,38 +147,21 @@ func (c *Cache) SetBit(i int, off uint32, b uint8, v bool) {
 // InvalidateAll needs no event: only a fill, itself a kill, makes an
 // invalid frame readable again, so a flip into an invalid frame is dead
 // too. Loads and stores are word-aligned, so all four bytes of a word share
-// one record.
+// one record: the live package's, word w of frame i being site
+// i*words + w.
 type FrameLog struct {
-	words int // words per frame
-	// While recording: per word, frame-major, the cycle of its last event
-	// and its live intervals so far. nil once sealed.
-	track []wordTrack
-	// Once sealed: bit w of used[i] is set when word w of frame i has live
-	// intervals. Those words are in enc[off[i]:off[i+1]], in word order,
-	// each a uvarint byte length followed by that many bytes of uvarint
-	// pairs (gap from the previous interval's hi, length). An interval
-	// (lo, hi] marks flips at cycles lo < c <= hi.
-	used []uint64
-	off  []int32
-	enc  []byte
-}
-
-// wordTrack is one word's recording state.
-type wordTrack struct {
-	last int64
-	ivs  []struct{ lo, hi int64 }
+	words int          // words per frame
+	track []live.Track // while recording; nil once sealed
+	sites live.Sites   // track, sealed
 }
 
 // RecordFrames attaches a new data record to the cache and returns it. The
 // cache must not have been accessed since NewCache or Reset (every frame
 // invalid), and the record is queried only once sealed. Reset and LoadState
-// detach it. Lines of at most 256 bytes can be recorded.
+// detach it.
 func (c *Cache) RecordFrames() *FrameLog {
 	words := int(c.lineSize / 4)
-	if words > 64 {
-		panic(fmt.Sprintf("mem: cannot record %s: %d-byte lines", c.Name, c.lineSize))
-	}
-	c.frames = &FrameLog{words: words, track: make([]wordTrack, len(c.lines)*words)}
+	c.frames = &FrameLog{words: words, track: make([]live.Track, len(c.lines)*words)}
 	return c.frames
 }
 
@@ -200,8 +182,7 @@ func (c *Cache) noteKill(ln *Line, off, n uint32, now int64) {
 }
 
 // record applies one event during cycle t to the words of ln that bytes
-// [off, off+n) cover. A read exposes the stored value to every flip after
-// the word's previous event; a kill ends the value.
+// [off, off+n) cover.
 func (c *Cache) record(ln *Line, off, n uint32, t int64, read bool) {
 	i := int(ln.set) * c.ways // ln's frame index, found within its set
 	for &c.lines[i] != ln {
@@ -210,103 +191,35 @@ func (c *Cache) record(ln *Line, off, n uint32, t int64, read bool) {
 	l := c.frames
 	base := i * l.words
 	for k := base + int(off/4); k < base+int((off+n)/4); k++ {
-		w := &l.track[k]
-		if read && t > w.last {
-			if m := len(w.ivs); m > 0 && w.ivs[m-1].hi == w.last {
-				w.ivs[m-1].hi = t
-			} else {
-				w.ivs = append(w.ivs, struct{ lo, hi int64 }{w.last, t})
-			}
+		if read {
+			l.track[k].Read(t)
+		} else {
+			l.track[k].Kill(t)
 		}
-		w.last = t
 	}
 }
 
 // Seal freezes the record into its compact form once the run has ended.
-func (l *FrameLog) Seal() {
-	frames := len(l.track) / l.words
-	l.used, l.off = make([]uint64, frames), make([]int32, frames+1)
-	var ivs []byte
-	for i := range l.used {
-		for w, t := range l.track[i*l.words : (i+1)*l.words] {
-			if len(t.ivs) == 0 {
-				continue
-			}
-			ivs = ivs[:0]
-			var prev int64
-			for _, v := range t.ivs {
-				ivs = binary.AppendUvarint(ivs, uint64(v.lo-prev))
-				ivs = binary.AppendUvarint(ivs, uint64(v.hi-v.lo))
-				prev = v.hi
-			}
-			l.used[i] |= 1 << w
-			l.enc = binary.AppendUvarint(l.enc, uint64(len(ivs)))
-			l.enc = append(l.enc, ivs...)
-		}
-		l.off[i+1] = int32(len(l.enc))
-	}
-	l.enc = slices.Clip(l.enc)
-	l.track = nil
-}
+func (l *FrameLog) Seal() { l.sites, l.track = live.Encode(l.track), nil }
 
 // NumFrames returns the number of frames recorded, the cache's line count.
-func (l *FrameLog) NumFrames() int { return len(l.used) }
-
-// next splits the first word off enc, a run of encoded words, and returns
-// its intervals and the rest.
-func next(enc []byte) (ivs, rest []byte) {
-	n, k := binary.Uvarint(enc)
-	return enc[k : k+int(n)], enc[k+int(n):]
-}
+func (l *FrameLog) NumFrames() int { return l.sites.Len() / l.words }
 
 // Live reports whether a flip of byte off of frame i at the top of cycle c
 // reaches a read; false means the flip is provably Masked.
 func (l *FrameLog) Live(i int, off uint32, c int64) bool {
-	bit := uint64(1) << (off / 4)
-	if l.used[i]&bit == 0 {
-		return false
-	}
-	var ivs []byte
-	rest := l.enc[l.off[i]:l.off[i+1]]
-	for k := bits.OnesCount64(l.used[i] & (bit - 1)); k >= 0; k-- {
-		ivs, rest = next(rest)
-	}
-	var hi int64
-	for len(ivs) > 0 {
-		gap, n := binary.Uvarint(ivs)
-		length, m := binary.Uvarint(ivs[n:])
-		ivs = ivs[n+m:]
-		lo := hi + int64(gap)
-		if c <= lo {
-			return false
-		}
-		if hi = lo + int64(length); c <= hi {
-			return true
-		}
-	}
-	return false
+	return l.sites.Live(i*l.words+int(off/4), c)
 }
 
 // LiveCycles returns the byte-cycles of cycles [from, to) at which a flip
 // reaches a read, and all byte-cycles of those cycles.
 func (l *FrameLog) LiveCycles(from, to int64) (live, all int64) {
-	for rest := l.enc; len(rest) > 0; {
-		var ivs []byte
-		ivs, rest = next(rest)
-		var hi int64
-		for len(ivs) > 0 {
-			gap, n := binary.Uvarint(ivs)
-			length, m := binary.Uvarint(ivs[n:])
-			ivs = ivs[n+m:]
-			lo := hi + int64(gap)
-			hi = lo + int64(length)
-			if d := min(hi+1, to) - max(lo+1, from); d > 0 {
-				live += 4 * d
-			}
-		}
-	}
-	return live, int64(l.NumFrames()) * int64(l.words) * 4 * max(to-from, 0)
+	return 4 * l.sites.LiveCycles(from, to), int64(l.sites.Len()) * 4 * max(to-from, 0)
 }
+
+// Check validates the sealed record of a run of the given number of cycles
+// (live.Sites.Check).
+func (l *FrameLog) Check(cycles int64) error { return l.sites.Check(cycles) }
 
 func (c *Cache) markSet(s int) { c.sdirty[s>>6] |= 1 << (s & 63) }
 

@@ -36,44 +36,6 @@ import (
 // record (mem.FrameLog) sees every read and kill of a cache word, including
 // the fill that ends a flip into an invalid frame (see injectCache).
 
-// timeline is what a pruner knows about one allocated storage array of the
-// golden run: the blocks an injection at a cycle would find allocated on
-// each SM, in the injector's enumeration order, and whether a value stored
-// in an entry at that cycle can still reach a read.
-type timeline interface {
-	numSMs() int
-	blocksAt(sm int, cycle int64, dst []sim.RFBlock) []sim.RFBlock
-	live(sm, idx int, cycle int64) bool
-}
-
-// intervalTimeline is the register file, or shared memory when smem is set,
-// as recorded by the interval engine.
-type intervalTimeline struct {
-	iv   *flow.Intervals
-	smem bool
-}
-
-func (s intervalTimeline) numSMs() int { return s.iv.NumSMs() }
-func (s intervalTimeline) blocksAt(sm int, cycle int64, dst []sim.RFBlock) []sim.RFBlock {
-	var scratch [8]flow.Blk
-	blocks := scratch[:0]
-	if s.smem {
-		blocks = s.iv.SmemBlocksAt(sm, cycle, blocks)
-	} else {
-		blocks = s.iv.RFBlocksAt(sm, cycle, blocks)
-	}
-	for _, b := range blocks {
-		dst = append(dst, sim.RFBlock(b))
-	}
-	return dst
-}
-func (s intervalTimeline) live(sm, idx int, cycle int64) bool {
-	if s.smem {
-		return s.iv.LiveSmem(sm, idx, cycle)
-	}
-	return s.iv.LiveRF(sm, idx, cycle)
-}
-
 // InjectPruned is InjectStatic restricted to the register file: the same
 // interval map, wrapped as ace.Liveness. The second return value reports
 // whether the run was pruned (classified analytically). Structures other
@@ -84,7 +46,7 @@ func InjectPruned(job *device.Job, g *GoldenRun, lv *ace.Liveness, t Target, rng
 	if lv == nil || t.Structure != gpu.RF {
 		return Inject(job, g, t, rng), false
 	}
-	return injectPruned(job, g, intervalTimeline{iv: lv.Intervals}, t, rng)
+	return injectPruned(job, g, lv.Intervals, t, rng)
 }
 
 // InjectStatic is Inject with dead draws pruned against the golden run's
@@ -97,7 +59,7 @@ func InjectStatic(job *device.Job, g *GoldenRun, si *StaticIntervals, t Target, 
 	switch {
 	case si == nil:
 	case t.Structure == gpu.RF || t.Structure == gpu.SMEM:
-		return injectPruned(job, g, intervalTimeline{iv: si.IV, smem: t.Structure == gpu.SMEM}, t, rng)
+		return injectPruned(job, g, si.IV, t, rng)
 	case !t.Structure.IsControl():
 		return injectCache(job, g, si.Frames, t, rng)
 	}
@@ -148,11 +110,12 @@ func injectCache(job *device.Job, g *GoldenRun, fr *sim.FrameRecord, t Target, r
 	}), false
 }
 
-// injectPruned replays the transient model's site selection from the
-// recorded allocation timeline — SMs in index order, blocks in CTA placement
-// order, then the (entry, bit) draws: the faultmodel.pickAllocated
-// enumeration — and simulates only when the drawn entry is live.
-func injectPruned(job *device.Job, g *GoldenRun, tl timeline, t Target, rng *rand.Rand) (faults.Result, bool) {
+// injectPruned replays the transient model's register-file or shared-memory
+// site selection from the interval map's allocation timeline — SMs in index
+// order, blocks in CTA placement order, then the (entry, bit) draws: the
+// faultmodel.pickAllocated enumeration — and simulates only when the drawn
+// entry is live.
+func injectPruned(job *device.Job, g *GoldenRun, iv *flow.Intervals, t Target, rng *rand.Rand) (faults.Result, bool) {
 	// The timeline lets each allocation kill what the previous occupant
 	// left behind, which holds only when the golden run proved free storage
 	// dead (sim.Result.FreeDead); otherwise every run simulates.
@@ -164,15 +127,20 @@ func injectPruned(job *device.Job, g *GoldenRun, tl timeline, t Target, rng *ran
 	if done {
 		return r, false
 	}
+	smem := t.Structure == gpu.SMEM
 	var (
-		blockScratch [8]sim.RFBlock
+		blockScratch [8]flow.Blk
 		smScratch    [8]int
 		total        int
 	)
 	blocks, smOf := blockScratch[:0], smScratch[:0]
-	for sm := 0; sm < tl.numSMs(); sm++ {
+	for sm := 0; sm < iv.NumSMs(); sm++ {
 		n := len(blocks)
-		blocks = tl.blocksAt(sm, cycle, blocks)
+		if smem {
+			blocks = iv.SmemBlocksAt(sm, cycle, blocks)
+		} else {
+			blocks = iv.RFBlocksAt(sm, cycle, blocks)
+		}
 		for _, b := range blocks[n:] {
 			smOf = append(smOf, sm)
 			total += b.Size
@@ -185,7 +153,7 @@ func injectPruned(job *device.Job, g *GoldenRun, tl timeline, t Target, rng *ran
 	}
 	// RF entries are 32-bit registers, SMEM entries are bytes.
 	bits := 32
-	if t.Structure == gpu.SMEM {
+	if smem {
 		bits = 8
 	}
 	k := rng.Intn(total)
@@ -196,7 +164,7 @@ func injectPruned(job *device.Job, g *GoldenRun, tl timeline, t Target, rng *ran
 			continue
 		}
 		sm, idx := smOf[i], b.Base+k
-		if !tl.live(sm, idx, cycle) {
+		if smem && !iv.LiveSmem(sm, idx, cycle) || !smem && !iv.LiveRF(sm, idx, cycle) {
 			// Provably dead: the corrupted value is never consumed.
 			return faults.Result{Outcome: faults.Masked}, true
 		}

@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"gpurel/internal/device"
 	"gpurel/internal/gpu"
+	"gpurel/internal/kasm"
 	"gpurel/internal/mem"
 	"gpurel/internal/microfi"
 	"gpurel/internal/sim"
@@ -21,12 +23,15 @@ import (
 // and at two more cycles, taken in turn from 17 spread over each launch.
 // Every L1 frame is sampled, and every L2 frame of one set in eight. BFS has host steps
 // that write (invalidating every cache) and host steps that do not; K-Means
-// is the one app whose kernels read through L1T. Under -race the TMR
+// is the one app whose kernels read through L1T; cacheEventsJob evicts dirty
+// L2 lines and reads an L1D word after a store hit. Every record also
+// passes its structural check (sim.FrameRecord.Check). Under -race the TMR
 // variants are skipped.
 func TestFrameRecordOracle(t *testing.T) {
 	cfg := gpu.Volta()
 	var checks, live int
-	for j, pj := range parityJobs(t) {
+	jobs := append(parityJobs(t), parityJob{"CacheEvents", func() *device.Job { return cacheEventsJob(cfg) }})
+	for j, pj := range jobs {
 		j := j
 		t.Run(pj.name, func(t *testing.T) {
 			if raceDetector && strings.HasSuffix(pj.name, "-TMR") {
@@ -41,6 +46,9 @@ func TestFrameRecordOracle(t *testing.T) {
 			o, res := sim.TraceCacheOracle(pj.build(), cfg)
 			if res.Err != nil || res.TimedOut || res.Cycles != si.Cycles {
 				t.Fatalf("reference run: err=%v timeout=%v, %d cycles, traced %d", res.Err, res.TimedOut, res.Cycles, si.Cycles)
+			}
+			if err := si.Frames.Check(si.Cycles); err != nil {
+				t.Fatalf("cache record: %v", err)
 			}
 			var spread []int64
 			for _, sp := range si.Spans {
@@ -94,4 +102,35 @@ func TestFrameRecordOracle(t *testing.T) {
 		t.Fatalf("degenerate check: %d of %d sampled flips live", live, checks)
 	}
 	t.Logf("%d of %d sampled flips live", live, checks)
+}
+
+// cacheEventsJob is a one-thread job for two cache events no application
+// makes. It stores to nine lines of each of eight consecutive L2 sets, the
+// lines of a set one way-size apart, so the ninth store to a set evicts a
+// dirty line and writes it back. Then it loads one word through L1D, stores
+// to it while the line is in L1D, and loads it again in a later cycle.
+func cacheEventsJob(cfg gpu.Config) *device.Job {
+	way := cfg.L2Bytes / cfg.L2Ways // lines this far apart share an L2 set
+	b := kasm.New("cacheEvents")
+	buf, out := b.Param(0), b.Param(1)
+	i := b.MovI(0)
+	b.ForI(i, 9*8, 1, func() {
+		line := b.IAdd(b.IMulI(b.Shr(i, 3), int32(way)), b.IMulI(b.AndI(i, 7), int32(cfg.LineSize)))
+		b.Stg(b.IAdd(buf, line), 0, i)
+	})
+	w := b.IAddI(buf, int32(9*way))
+	v := b.Ldg(w, 0)
+	b.Stg(w, 0, b.IAddI(v, 1))
+	b.Stg(out, 0, b.Ldg(w, 0))
+	m := device.NewMemory(1 << 20)
+	bufAddr, outAddr := m.Alloc("buf", 10*way), m.Alloc("out", 4)
+	return &device.Job{
+		Name: "CacheEvents",
+		Mem:  m,
+		Steps: []device.Step{{Launch: &device.Launch{
+			Kernel: b.MustBuild(), GridX: 1, GridY: 1, BlockX: 1, BlockY: 1,
+			Params: []uint32{bufAddr, outAddr}, ParamIsPtr: []bool{true, true},
+		}}},
+		Outputs: []device.Output{{Name: "out", Addr: outAddr, Size: 4}},
+	}
 }

@@ -460,6 +460,19 @@ func (f *FrameRecord) Logs(s gpu.Structure) []*mem.FrameLog {
 	return nil
 }
 
+// Check validates every cache record of a sealed run of the given number of
+// cycles (mem.FrameLog.Check) and returns the first violation, or nil.
+func (f *FrameRecord) Check(cycles int64) error {
+	for _, s := range []gpu.Structure{gpu.L1D, gpu.L1T, gpu.L2} {
+		for sm, l := range f.Logs(s) {
+			if err := l.Check(cycles); err != nil {
+				return fmt.Errorf("%v%d: %w", s, sm, err)
+			}
+		}
+	}
+	return nil
+}
+
 // Run simulates the job on a chip with configuration cfg.
 func Run(job *device.Job, cfg gpu.Config, opts Options) *Result {
 	r := newRunner(job, cfg, opts)
