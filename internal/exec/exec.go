@@ -80,9 +80,9 @@ func (w *Warp) Reset() {
 func (w *Warp) Done() bool { return w.Exited == w.FullMask }
 
 // Normalize pops entries that have reached their reconvergence point or
-// whose lanes have all exited. Exported for the µop executors in
-// internal/sim and internal/funcsim, which mirror Step's control flow on
-// compiled programs.
+// whose lanes have all exited. Exported for uop.(*Program).Issue, the one
+// control half both simulators run on compiled programs, which mirrors
+// Step's control flow.
 func (w *Warp) Normalize() { w.normalize() }
 
 // normalize pops entries that have reached their reconvergence point or
@@ -131,9 +131,10 @@ func (e *ErrBadPC) Error() string { return fmt.Sprintf("invalid PC %d", e.PC) }
 // inactive — undefined behaviour on real hardware, a DUE here.
 var ErrBarrierDivergence = fmt.Errorf("barrier reached by diverged warp")
 
-// AdvancePastBarrier moves the warp past a BAR it is blocked on. The caller
-// (the CTA barrier logic) invokes it once all warps have arrived.
-func (w *Warp) AdvancePastBarrier() {
+// Advance moves the warp past the instruction it stands on: a BAR it is
+// blocked on, once its CTA's barrier logic sees every warp arrived, or a data
+// µop its executor has run (uop.Data).
+func (w *Warp) Advance() {
 	w.Stack[len(w.Stack)-1].PC++
 }
 

@@ -62,7 +62,7 @@ func run(t *testing.T, code []isa.Instr, env *testEnv, lanes int) *Warp {
 		case StepFault:
 			t.Fatalf("unexpected fault: %v", info.Fault)
 		case StepBarrier:
-			w.AdvancePastBarrier()
+			w.Advance()
 		}
 	}
 	t.Fatalf("program did not terminate")
@@ -320,7 +320,7 @@ func TestBarrierDivergenceFault(t *testing.T) {
 			t.Fatal("expected a barrier-divergence fault")
 		}
 		if info.Kind == StepBarrier {
-			w.AdvancePastBarrier()
+			w.Advance()
 		}
 	}
 	t.Fatal("no fault observed")

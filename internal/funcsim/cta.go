@@ -13,23 +13,23 @@ import (
 
 // The CTA executor: one loop for every kind of run. It executes the kernel's
 // compiled µops (uop.Cached) over the CTA's own register, predicate and
-// shared-memory arrays. The register-only kinds go through uop.Fns, the
-// handler table shared with the cycle simulator; the control half (stack
-// normalisation, guard, BRA / EXIT / BAR) and the eight kinds that reach
-// outside the register file are this package's own, as they are sim's.
+// shared-memory arrays. Each instruction issues through
+// uop.(*Program).Issue, the control half (stack normalisation, guard, BRA /
+// EXIT / BAR) the cycle simulator runs too; a data µop goes through uop.Fns,
+// the handler table shared with it, or through this package's handlers for
+// the kinds that reach memory — a flat device.Memory here — or fault. What
+// stays here besides is the injector's bookkeeping.
 
 // ctaState is the one CTA in flight: its registers, predicates and shared
-// memory, the warps' SIMT stacks, and what the environment µops need of the
-// launch. It lives on the runner and is cleared, not reallocated, per CTA.
+// memory, the warps' SIMT stacks, and what S2R and LDC read of the launch.
+// It lives on the runner and is cleared, not reallocated, per CTA.
 type ctaState struct {
+	uop.CTA
 	// f spans the whole CTA's registers (threads × stride) and predicate
 	// bytes; RBase and TBase select the warp being stepped.
-	f      uop.Frame
-	smem   []byte
-	warps  []exec.Warp
-	params []uint32
-	l      *device.Launch
-	cx, cy int
+	f     uop.Frame
+	smem  []byte
+	warps []exec.Warp
 }
 
 // cleared returns s[:n] zeroed, reallocating only to grow.
@@ -60,8 +60,8 @@ func (r *runner) runCTA(l *device.Launch, cta int) error {
 	threads, stride := l.ThreadsPerCTA(), l.Kernel.NumRegs
 	perGrid := l.GridX * l.GridY
 	c := &r.cta
-	c.l, c.params = l, l.ParamsFor(cta/perGrid)
-	c.cy, c.cx = cta%perGrid/l.GridX, cta%l.GridX
+	c.CTA = uop.CTA{Launch: l, Params: l.ParamsFor(cta / perGrid), X: cta % l.GridX, Y: cta % perGrid / l.GridX}
+	c.f.CTA = &c.CTA
 	c.f.Regs = cleared(c.f.Regs, threads*stride)
 	c.f.Preds = cleared(c.f.Preds, threads)
 	c.f.Stride = stride
@@ -98,7 +98,7 @@ func (r *runner) runCTA(l *device.Launch, cta int) error {
 		// Every warp still alive is now waiting at the barrier.
 		for w := range c.warps {
 			if wp := &c.warps[w]; !wp.Done() {
-				wp.AdvancePastBarrier()
+				wp.Advance()
 			}
 		}
 	}
@@ -106,72 +106,21 @@ func (r *runner) runCTA(l *device.Launch, cta int) error {
 }
 
 // runWarp steps w until it exits or arrives at a barrier (nil) or faults.
-// The control half follows exec.Step as sim's stepFast does: same stack
-// normalisation, same guard evaluation, same lane order.
 func (r *runner) runWarp(w *exec.Warp, cp *uop.Program, kc *KernelCounts) error {
 	f, res := &r.cta.f, r.res
 	for {
-		w.Normalize()
-		if len(w.Stack) == 0 {
-			if w.Done() {
-				return nil
-			}
-			return &exec.ErrBadPC{PC: -1}
-		}
-		top := &w.Stack[len(w.Stack)-1]
-		pc := top.PC
-		if pc < 0 || int(pc) >= len(cp.Ops) {
+		pc, mask, st := cp.Issue(w, f)
+		n := int64(bits.OnesCount32(mask))
+		switch st {
+		case uop.BadPC:
 			return &exec.ErrBadPC{PC: pc}
-		}
-		u := &cp.Ops[pc]
-		effective := top.Mask &^ w.Exited
-
-		execMask := effective
-		if gb := u.GuardBit; gb != 0 {
-			execMask = 0
-			for lane, m := 0, effective; m != 0; lane, m = lane+1, m>>1 {
-				if m&1 != 0 && (f.Preds[f.TBase+lane]&gb != 0) != u.GuardNeg {
-					execMask |= 1 << lane
-				}
-			}
-		} else if u.GuardNeg {
-			execMask = 0 // "@!PT": constant-false guard
-		}
-		n := int64(bits.OnesCount32(execMask))
-
-		stop := false
-		switch u.Kind {
-		case uop.KBra:
-			taken, notTaken := execMask, effective&^execMask
-			switch {
-			case taken == 0:
-				top.PC = pc + 1
-			case notTaken == 0:
-				top.PC = u.Target
-			default:
-				top.PC = u.Reconv
-				w.Stack = append(w.Stack,
-					exec.Ent{Mask: notTaken, PC: pc + 1, RPC: u.Reconv},
-					exec.Ent{Mask: taken, PC: u.Target, RPC: u.Reconv},
-				)
-			}
-		case uop.KExit:
-			w.Exited |= execMask
-			top.PC = pc + 1
-			w.Normalize()
-			stop = w.Done()
-		case uop.KBar:
-			if execMask != w.FullMask&^w.Exited {
-				return exec.ErrBarrierDivergence
-			}
-			stop = true
-		case uop.KNop:
-			top.PC = pc + 1
-		default:
-			if err := r.data(cp, pc, execMask, n); err != nil {
+		case uop.Diverged:
+			return exec.ErrBarrierDivergence
+		case uop.Data:
+			if err := r.data(cp, pc, mask, n); err != nil {
 				return err
 			}
-			top.PC = pc + 1
+			w.Advance()
 		}
 
 		res.DynInstrs += n
@@ -179,7 +128,7 @@ func (r *runner) runWarp(w *exec.Warp, cp *uop.Program, kc *KernelCounts) error 
 		if r.opts.MaxDynInstrs > 0 && res.DynInstrs > r.opts.MaxDynInstrs {
 			return errTimeout
 		}
-		if stop {
+		if st == uop.Exited || st == uop.Barrier {
 			return nil
 		}
 	}
@@ -197,10 +146,8 @@ func (r *runner) runWarp(w *exec.Warp, cp *uop.Program, kc *KernelCounts) error 
 func (r *runner) data(cp *uop.Program, pc int32, mask uint32, n int64) error {
 	res, f, u := r.res, &r.cta.f, &cp.Ops[pc]
 	uses := n * int64(u.NSrc)
-	sel := u.Kind == uop.KSel || u.Kind == uop.KSelImm ||
-		u.Kind == uop.KDrop && cp.Src.Code[pc].Op == isa.OpSEL
-	if sel {
-		uses = r.selUses(u, cp.Src.Code[pc].BImm, mask)
+	if cp.Sel(pc) {
+		uses = selUses(u, cp.Src.Code[pc].BImm, u.PicksA(f, mask), mask)
 	}
 
 	var err error
@@ -231,16 +178,10 @@ func (r *runner) data(cp *uop.Program, pc int32, mask uint32, n int64) error {
 	return nil
 }
 
-// selUses counts the register reads of a SEL: each lane reads only the side
-// its predicate selects, and RZ or an immediate on that side is no read.
-func (r *runner) selUses(u *uop.Op, bimm bool, mask uint32) int64 {
-	f := &r.cta.f
-	var a uint32 // lanes that select A
-	for lane, m := 0, mask; m != 0; lane, m = lane+1, m>>1 {
-		if m&1 != 0 && u.SelectsA(f.Preds[f.TBase+lane]) {
-			a |= 1 << lane
-		}
-	}
+// selUses counts the register reads of a SEL whose lanes in a, of mask,
+// pick A: each lane reads only the side it picks, and RZ or an immediate on
+// that side is no read.
+func selUses(u *uop.Op, bimm bool, a, mask uint32) int64 {
 	uses := 0
 	if u.A >= 0 {
 		uses += bits.OnesCount32(a)
@@ -261,9 +202,10 @@ func (r *runner) flipDst(u *uop.Op, mask uint32, k int) {
 	f.Regs[f.RBase+bits.TrailingZeros32(mask)*f.Stride+int(u.Dst)] ^= r.flip
 }
 
-// exec runs one data µop on a frame: the register-only kinds through the
-// table shared with the cycle simulator, the environment kinds through this
-// package's own. A KDrop µop has neither: nothing to execute.
+// exec runs one data µop on a frame: the kinds that stay inside the frame
+// through the table shared with the cycle simulator, the memory kinds and
+// KBadOp through this package's own. A KDrop µop has neither: nothing to
+// execute.
 func (r *runner) exec(f *uop.Frame, u *uop.Op, mask uint32) error {
 	if fn := uop.Fns[u.Kind]; fn != nil {
 		fn(f, u, mask)
@@ -429,7 +371,7 @@ func (r *runner) execFlipped(u *uop.Op, lane, lb int, read []uint8, hit int) err
 	if u.WritesReg {
 		su.Dst = opDst
 	}
-	sf := uop.Frame{Regs: scratch[:], Preds: f.Preds, TBase: f.TBase}
+	sf := uop.Frame{Regs: scratch[:], Preds: f.Preds, TBase: f.TBase, CTA: f.CTA}
 	if err := r.exec(&sf, &su, 1<<lane); err != nil {
 		return err
 	}
@@ -439,15 +381,13 @@ func (r *runner) execFlipped(u *uop.Op, lane, lb int, read []uint8, hit int) err
 	return nil
 }
 
-// envFn executes one environment µop — one that reaches outside the register
-// file — for the lanes in mask, reading and writing registers through f.
-// These are the kinds funcsim does not share with the cycle simulator:
-// memory here is a flat device.Memory with no hierarchy and no timing.
+// envFn executes one memory µop, or the out-of-ISA fault, for the lanes in
+// mask, reading and writing registers through f. These are the kinds funcsim
+// does not share with the cycle simulator: memory here is a flat
+// device.Memory with no hierarchy and no timing.
 type envFn func(r *runner, f *uop.Frame, u *uop.Op, mask uint32) error
 
 var envFns = [uop.NumKinds]envFn{
-	uop.KS2R:   uS2R,
-	uop.KLdc:   uLdc,
 	uop.KLdg:   uLdg,
 	uop.KLdt:   uLdg,
 	uop.KStg:   uStg,
@@ -456,55 +396,7 @@ var envFns = [uop.NumKinds]envFn{
 	uop.KBadOp: uBadOp,
 }
 
-// Compile lowers S2R and LDC into RZ to KDrop, so both index Dst unchecked;
-// loads keep their kind (they can fault) and check it.
-
-func uS2R(r *runner, f *uop.Frame, u *uop.Op, mask uint32) error {
-	c := &r.cta
-	for lane, lb, m := 0, f.RBase, mask; m != 0; lane, lb, m = lane+1, lb+f.Stride, m>>1 {
-		if m&1 != 0 {
-			f.Regs[lb+int(u.Dst)] = c.special(f.TBase+lane, lane, u.Special)
-		}
-	}
-	return nil
-}
-
-func (c *ctaState) special(t, lane int, s isa.SReg) uint32 {
-	switch s {
-	case isa.SRTidX:
-		return uint32(t % c.l.BlockX)
-	case isa.SRTidY:
-		return uint32(t / c.l.BlockX)
-	case isa.SRCtaIDX:
-		return uint32(c.cx)
-	case isa.SRCtaIDY:
-		return uint32(c.cy)
-	case isa.SRNTidX:
-		return uint32(c.l.BlockX)
-	case isa.SRNTidY:
-		return uint32(c.l.BlockY)
-	case isa.SRNCtaX:
-		return uint32(c.l.GridX)
-	case isa.SRNCtaY:
-		return uint32(c.l.GridY)
-	case isa.SRLaneID:
-		return uint32(lane)
-	}
-	return 0
-}
-
-func uLdc(r *runner, f *uop.Frame, u *uop.Op, mask uint32) error {
-	var v uint32 // a parameter index out of range reads 0
-	if int(u.Imm) < len(r.cta.params) {
-		v = r.cta.params[u.Imm]
-	}
-	for lb, m := f.RBase, mask; m != 0; lb, m = lb+f.Stride, m>>1 {
-		if m&1 != 0 {
-			f.Regs[lb+int(u.Dst)] = v
-		}
-	}
-	return nil
-}
+// Loads into RZ keep their kind (they can fault) and check Dst.
 
 func uLdg(r *runner, f *uop.Frame, u *uop.Op, mask uint32) error {
 	for lb, m := f.RBase, mask; m != 0; lb, m = lb+f.Stride, m>>1 {

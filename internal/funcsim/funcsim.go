@@ -6,15 +6,16 @@
 // in the operand-transient ablation mode, the value seen by one source read).
 //
 // It executes the same compiled µops as the cycle-level simulator
-// (internal/uop) and shares with it the handlers of every register-only
-// kind, so an opcode's arithmetic is written once for both. It shares
-// nothing else: memory here is a flat device.Memory (no hierarchy, no
-// coalescing, no latency), CTAs run one after another and warps run to their
-// next barrier (no scheduler, no cycles), and the control half — SIMT stack,
-// guard, BRA / EXIT / BAR — is its own copy of some sixty lines, as is the
-// simulator's (cta.go; docs/perf.md has the measurement behind that). What
-// the injector counts and corrupts is arithmetic on the µop, not a test per
-// register access. The independent statement of the ISA both are checked
+// (internal/uop) and shares with it the control half of every step —
+// SIMT stack, guard, BRA / EXIT / BAR, uop.(*Program).Issue — and the
+// handlers of every kind that reaches nothing outside its frame (registers,
+// predicates, S2R, LDC), so an instruction's semantics is written once for
+// both. What stays its own is memory, a flat device.Memory here (no
+// hierarchy, no coalescing, no latency), the order of work — CTAs run one
+// after another and warps run to their next barrier (no scheduler, no
+// cycles) — and the injector's bookkeeping (cta.go). What the injector
+// counts and corrupts is arithmetic on the µop, not a test per register
+// access. The independent statement of the ISA both are checked
 // against, exec.Step, runs from test binaries only (reference_test.go).
 //
 // The speed gap between this executor and the cycle-level simulator is the

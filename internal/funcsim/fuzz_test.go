@@ -23,6 +23,7 @@ func FuzzFuncsimParity(f *testing.F) {
 	f.Add([]byte{3, 7, 11, 250, 128, 42, 9, 0, 200, 17, 66, 1, 2, 3, 4, 5})
 	f.Add(bytes.Repeat([]byte{0xA5, 0x17, 0xC3, 0x08}, 16))
 	f.Add([]byte("divergent branches and barriers"))
+	f.Add(fuzzprog.GuardedExit)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		prog := fuzzprog.Program(data)
 		if err := prog.Validate(); err != nil {

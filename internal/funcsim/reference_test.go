@@ -330,7 +330,7 @@ func runCTAReference(r *runner, l *device.Launch, cta int) error {
 				for w := 0; w < nWarps; w++ {
 					if !done[w] {
 						atBar[w] = false
-						warps[w].AdvancePastBarrier()
+						warps[w].Advance()
 					}
 				}
 				progress = true

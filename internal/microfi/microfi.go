@@ -17,6 +17,7 @@ import (
 	"gpurel/internal/faultmodel"
 	"gpurel/internal/faults"
 	"gpurel/internal/gpu"
+	"gpurel/internal/harden"
 	"gpurel/internal/sim"
 )
 
@@ -66,14 +67,11 @@ type Target struct {
 	Model faultmodel.Model
 }
 
-// VoteKernelName is the kernel name the TMR transform gives vote launches.
-const VoteKernelName = "vote"
-
 // spans returns the launch spans matching the target kernel.
 func (t Target) spans(g *GoldenRun) []sim.LaunchSpan {
 	var out []sim.LaunchSpan
 	for _, s := range g.Res.Spans {
-		if t.Kernel == "" || s.Kernel == t.Kernel || (t.IncludeVote && s.Kernel == VoteKernelName) {
+		if t.Kernel == "" || s.Kernel == t.Kernel || (t.IncludeVote && s.Kernel == harden.VoteKernelName) {
 			out = append(out, s)
 		}
 	}

@@ -175,6 +175,7 @@ func FuzzForkJoinParity(f *testing.F) {
 	f.Add([]byte{3, 7, 11, 250, 128, 42, 9, 0, 200, 17, 66, 1, 2, 3, 4, 5})
 	f.Add(bytes.Repeat([]byte{0xA5, 0x17, 0xC3, 0x08}, 16))
 	f.Add([]byte("shared memory left behind"))
+	f.Add(fuzzprog.GuardedExit)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		job := fuzzprog.Job(fuzzprog.Program(data))
 		cfg := gpu.Volta()

@@ -19,12 +19,13 @@ import (
 	"gpurel/internal/sim"
 )
 
-// Reference parity: the µop core (cycleSM → stepFast → the handler table)
-// against the reference core of reference_test.go. These tests live here,
-// not next to the injectors they drive, because the reference core exists
-// only in this package's test binary: an external test that imports microfi
-// is linked against the test-augmented sim, so sim.OnReference switches the
-// core underneath microfi.Inject and adaptive.Run too.
+// Reference parity: the µop core (cycleSM → uop.(*Program).Issue → the
+// handler tables) against the reference core of reference_test.go. These
+// tests live here, not next to the injectors they drive, because the
+// reference core exists only in this package's test binary: an external test
+// that imports microfi is linked against the test-augmented sim, so
+// sim.OnReference switches the core underneath microfi.Inject and
+// adaptive.Run too.
 
 // sameResult fails the test unless two runs agree in full: status, cycle
 // count, output bytes, launch spans and per-kernel statistics.

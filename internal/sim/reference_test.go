@@ -11,8 +11,9 @@ import (
 // CTA walk, no idle-skip) dispatching the generic interpreter exec.Step
 // through simEnv's per-access register and predicate accessors, with
 // instruction mix and latency classified from the architectural instruction.
-// It shares no issue-loop, decode or operand code with cycleSM / stepFast /
-// the µop handlers, which is what makes agreement between the two evidence.
+// It shares no issue-loop, decode, control-flow, operand or special-register
+// code with cycleSM / uop.(*Program).Issue / the µop handlers, which is what
+// makes agreement between the two evidence.
 // It exists in this package's test binary only, installed through
 // cycleOracle by onReference; a reference has to be right, not slow, so it
 // runs on the same snapshots, caches and memory as the µop core.
@@ -134,9 +135,12 @@ func (r *runner) instrLatency(info exec.StepInfo) int64 {
 	}
 }
 
-// The exec.Env register and predicate accessors. The µop handlers index the
-// same arrays directly; only exec.Step needs them, so simEnv implements
+// The exec.Env register, predicate, special-register and parameter
+// accessors. The µop handlers index the same arrays directly and read the
+// CTA through their frame; only exec.Step needs these, so simEnv implements
 // exec.Env in this test binary alone.
+
+func (e *simEnv) thread(lane int) int { return e.f.TBase + lane }
 
 func (e *simEnv) regIndex(lane int, reg isa.Reg) int {
 	return e.cta.rfBase + e.thread(lane)*e.cta.prog.NumRegs + int(reg)
@@ -184,4 +188,37 @@ func (e *simEnv) WritePred(lane int, p isa.Pred, v bool) {
 	} else {
 		e.cta.preds[e.thread(lane)] &^= 1 << (p - 1)
 	}
+}
+
+func (e *simEnv) Special(lane int, s isa.SReg) uint32 {
+	t := e.thread(lane)
+	l := e.cta.Launch
+	switch s {
+	case isa.SRTidX:
+		return uint32(t % l.BlockX)
+	case isa.SRTidY:
+		return uint32(t / l.BlockX)
+	case isa.SRCtaIDX:
+		return uint32(e.cta.X)
+	case isa.SRCtaIDY:
+		return uint32(e.cta.Y)
+	case isa.SRNTidX:
+		return uint32(l.BlockX)
+	case isa.SRNTidY:
+		return uint32(l.BlockY)
+	case isa.SRNCtaX:
+		return uint32(l.GridX)
+	case isa.SRNCtaY:
+		return uint32(l.GridY)
+	case isa.SRLaneID:
+		return uint32(lane)
+	}
+	return 0
+}
+
+func (e *simEnv) Param(idx int) uint32 {
+	if idx < 0 || idx >= len(e.cta.Params) {
+		return 0
+	}
+	return e.cta.Params[idx]
 }

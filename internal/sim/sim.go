@@ -248,11 +248,9 @@ type warpMeta struct {
 
 // ctaRT is a resident CTA.
 type ctaRT struct {
-	launch *device.Launch
-	prog   *isa.Program
-	uprog  *uop.Program // prog, pre-decoded
-	params []uint32
-	cx, cy int
+	uop.CTA // launch, replica parameters and grid position: what S2R and LDC read
+	prog    *isa.Program
+	uprog   *uop.Program // prog, pre-decoded
 
 	warps []*exec.Warp
 	meta  []warpMeta
@@ -1041,11 +1039,9 @@ func (r *runner) tryPlace(sm *SM, l *device.Launch, prog *isa.Program, p *pendin
 		return false
 	}
 	cta := &ctaRT{
-		launch: l,
-		prog:   prog,
-		uprog:  uop.Cached(prog),
-		params: l.ParamsFor(p.rep),
-		cx:     p.cx, cy: p.cy,
+		CTA:     uop.CTA{Launch: l, Params: l.ParamsFor(p.rep), X: p.cx, Y: p.cy},
+		prog:    prog,
+		uprog:   uop.Cached(prog),
 		preds:   make([]uint8, threads),
 		stored:  r.storedWords(l),
 		rfBase:  rfBase,
@@ -1132,6 +1128,7 @@ func (r *runner) cycleSM(sm *SM, ks *KernelStats) (int, error) {
 		e.f = uop.Frame{
 			Regs: sm.RF, Preds: cta.preds,
 			RBase: cta.rfBase + w*32*cta.prog.NumRegs, Stride: cta.prog.NumRegs, TBase: w * 32,
+			CTA: &cta.CTA,
 		}
 		e.lat = 0
 		e.lines = e.lines[:0]
@@ -1140,15 +1137,36 @@ func (r *runner) cycleSM(sm *SM, ks *KernelStats) (int, error) {
 			sl.rfMarked = true
 		}
 
-		info, u := r.stepFast(cta.warps[w], cta.uprog, e)
-		if tr := r.opts.SchedTrace; tr != nil && info.Kind != exec.StepFault && info.Instr != nil {
-			tr.OnIssue(cta.schedID, w, int(info.PC), info.ActiveMask, selPicksA(u, info.Instr, cta.preds[e.f.TBase:], info.ActiveMask), r.cycle)
+		cp, wp := cta.uprog, cta.warps[w]
+		pc, mask, st := cp.Issue(wp, &e.f)
+		switch st {
+		case uop.BadPC:
+			return finished, &exec.ErrBadPC{PC: pc}
+		case uop.Diverged:
+			return finished, exec.ErrBarrierDivergence
+		case uop.Data:
+			// The one dispatch through the tables, spelled out: a helper
+			// holding both indirect calls is over the inliner's budget.
+			u := &cp.Ops[pc]
+			if fn := uop.Fns[u.Kind]; fn != nil {
+				fn(&e.f, u, mask)
+			} else if fn := envFns[u.Kind]; fn != nil { // nil for KDrop
+				if err := fn(e, u, mask); err != nil {
+					return finished, err
+				}
+			}
+			wp.Advance()
 		}
-		switch info.Kind {
-		case exec.StepFault:
-			return finished, info.Fault
-		case exec.StepExit:
-			n := popcount(info.ActiveMask)
+		if tr := r.opts.SchedTrace; tr != nil && pc >= 0 { // pc -1: the warp had no lane left
+			var a uint32
+			if cp.Sel(pc) {
+				a = cp.Ops[pc].PicksA(&e.f, mask)
+			}
+			tr.OnIssue(cta.schedID, w, int(pc), mask, a, r.cycle)
+		}
+		switch st {
+		case uop.Exited:
+			n := popcount(mask)
 			ks.DynInstrs += int64(n)
 			m.done = true
 			cta.live--
@@ -1159,8 +1177,8 @@ func (r *runner) cycleSM(sm *SM, ks *KernelStats) (int, error) {
 				return finished, nil
 			}
 			r.releaseBarrierIfReady(cta)
-		case exec.StepBarrier:
-			n := popcount(info.ActiveMask)
+		case uop.Barrier:
+			n := popcount(mask)
 			ks.DynInstrs += int64(n)
 			m.ready = r.cycle + int64(r.cfg.ALULat)
 			m.atBar = true
@@ -1168,7 +1186,8 @@ func (r *runner) cycleSM(sm *SM, ks *KernelStats) (int, error) {
 		default:
 			// Class and counts come straight off the µop, no
 			// architectural-instruction dereference.
-			n := int64(popcount(info.ActiveMask))
+			u := &cp.Ops[pc]
+			n := int64(popcount(mask))
 			ks.DynInstrs += n
 			switch u.Kind {
 			case uop.KLdg, uop.KLdt:
@@ -1231,7 +1250,7 @@ func (r *runner) releaseBarrierIfReady(cta *ctaRT) {
 	for i := range cta.meta {
 		if !cta.meta[i].done {
 			cta.meta[i].atBar = false
-			cta.warps[i].AdvancePastBarrier()
+			cta.warps[i].Advance()
 		}
 	}
 }
@@ -1259,8 +1278,9 @@ func (r *runner) retireCTA(sm *SM, cta *ctaRT) {
 func popcount(m uint32) int { return bits.OnesCount32(m) }
 
 // simEnv is the issuing warp's view of the SM's physical storage. The µop
-// handlers index registers and predicates directly through the frame and
-// reach memory, special registers and parameters through the methods below.
+// handlers index registers and predicates directly through the frame, read
+// special registers and parameters through its CTA, and reach memory through
+// the methods below.
 type simEnv struct {
 	r   *runner
 	sm  *SM
@@ -1272,41 +1292,6 @@ type simEnv struct {
 	f     uop.Frame
 	lat   int64
 	lines []uint32
-}
-
-func (e *simEnv) thread(lane int) int { return e.f.TBase + lane }
-
-func (e *simEnv) Special(lane int, s isa.SReg) uint32 {
-	t := e.thread(lane)
-	l := e.cta.launch
-	switch s {
-	case isa.SRTidX:
-		return uint32(t % l.BlockX)
-	case isa.SRTidY:
-		return uint32(t / l.BlockX)
-	case isa.SRCtaIDX:
-		return uint32(e.cta.cx)
-	case isa.SRCtaIDY:
-		return uint32(e.cta.cy)
-	case isa.SRNTidX:
-		return uint32(l.BlockX)
-	case isa.SRNTidY:
-		return uint32(l.BlockY)
-	case isa.SRNCtaX:
-		return uint32(l.GridX)
-	case isa.SRNCtaY:
-		return uint32(l.GridY)
-	case isa.SRLaneID:
-		return uint32(lane)
-	}
-	return 0
-}
-
-func (e *simEnv) Param(idx int) uint32 {
-	if idx < 0 || idx >= len(e.cta.params) {
-		return 0
-	}
-	return e.cta.params[idx]
 }
 
 func (e *simEnv) firstLine(addr uint32) bool {

@@ -90,10 +90,8 @@ type smSnap struct {
 }
 
 type ctaSnap struct {
-	launch *device.Launch
-	prog   *isa.Program
-	params []uint32 // read-only during a run: shared, not copied
-	cx, cy int
+	uop.CTA // Params is read-only during a run: shared, not copied
+	prog    *isa.Program
 
 	warps []warpSnap
 	meta  []warpMeta
@@ -234,10 +232,8 @@ func captureSM(sm *SM, dst *smSnap, base *smSnap) {
 }
 
 func captureCTA(c *ctaRT, dst *ctaSnap) {
-	dst.launch = c.launch
+	dst.CTA = c.CTA
 	dst.prog = c.prog
-	dst.params = c.params
-	dst.cx, dst.cy = c.cx, c.cy
 	dst.warps = make([]warpSnap, len(c.warps))
 	for i, w := range c.warps {
 		dst.warps[i] = warpSnap{fullMask: w.FullMask, exited: w.Exited, stack: slices.Clone(w.Stack)}
@@ -370,12 +366,9 @@ func (r *runner) restoreSM(sm *SM, src *smSnap, base *smSnap) {
 
 func (r *runner) restoreCTA(src *ctaSnap) *ctaRT {
 	c := &ctaRT{
-		launch:  src.launch,
+		CTA:     src.CTA,
 		prog:    src.prog,
 		uprog:   uop.Cached(src.prog),
-		params:  src.params,
-		cx:      src.cx,
-		cy:      src.cy,
 		meta:    slices.Clone(src.meta),
 		preds:   slices.Clone(src.preds),
 		live:    src.live,
@@ -495,16 +488,16 @@ func (r *runner) smEqual(idx int, sm *SM, src *smSnap, base *smSnap) bool {
 }
 
 func ctaEqual(c *ctaRT, src *ctaSnap) bool {
-	if c.launch != src.launch || c.prog != src.prog || c.schedID != src.schedID {
+	if c.Launch != src.Launch || c.prog != src.prog || c.schedID != src.schedID {
 		return false
 	}
-	if c.cx != src.cx || c.cy != src.cy || c.live != src.live || c.threads != src.threads {
+	if c.X != src.X || c.Y != src.Y || c.live != src.live || c.threads != src.threads {
 		return false
 	}
 	if c.rfBase != src.rfBase || c.rfSize != src.rfSize || c.smBase != src.smBase || c.smSize != src.smSize {
 		return false
 	}
-	if !slices.Equal(c.params, src.params) {
+	if !slices.Equal(c.Params, src.Params) {
 		return false
 	}
 	if !slices.Equal(c.meta, src.meta) || !slices.Equal(c.preds, src.preds) {

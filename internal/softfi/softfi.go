@@ -17,6 +17,7 @@ import (
 	"gpurel/internal/device"
 	"gpurel/internal/faults"
 	"gpurel/internal/funcsim"
+	"gpurel/internal/harden"
 )
 
 // Mode selects the injection candidate set.
@@ -43,9 +44,6 @@ func (m Mode) String() string {
 	}
 	return "?"
 }
-
-// VoteKernelName mirrors microfi's constant.
-const VoteKernelName = "vote"
 
 // GoldenRun caches the fault-free functional execution and its CTA-boundary
 // checkpoints (Res.Checkpoints), which every Inject forks from and joins
@@ -141,7 +139,7 @@ func (t Target) windows(g *GoldenRun) []funcsim.Window {
 	var out []funcsim.Window
 	for _, name := range names {
 		kc := g.Res.PerKernel[name]
-		if t.Kernel != "" && name != t.Kernel && !(t.IncludeVote && name == VoteKernelName) {
+		if t.Kernel != "" && name != t.Kernel && !(t.IncludeVote && name == harden.VoteKernelName) {
 			continue
 		}
 		switch t.Mode {

@@ -1,10 +1,11 @@
-// The register-only µop handlers: every kind whose effect touches nothing but
-// registers and predicates, written once for both simulators. A handler runs
-// one µop for the lanes in mask, ascending, on a Frame the simulator fills per
-// issue; it cannot fail. The kinds that reach outside the register file —
-// special registers, parameters, global and shared memory, the out-of-ISA
-// fault — stay with each simulator, because a cache hierarchy with coalescing
-// and a flat device.Memory are exactly where the two differ. Scalar semantics
+// The µop handlers that touch nothing outside the CTA's own state: every kind
+// whose effect is on registers and predicates, plus S2R and LDC, which read
+// the CTA's launch through Frame.CTA. They are written once for both
+// simulators. A handler runs one µop for the lanes in mask, ascending, on a
+// Frame the simulator fills per issue; it cannot fail. The kinds that reach
+// memory — global and shared loads and stores — and the out-of-ISA fault stay
+// with each simulator, because a cache hierarchy with coalescing and a flat
+// device.Memory are exactly where the two differ. Scalar semantics
 // (saturating F2I, comparisons) come from exec's helpers, so exec.Step, the
 // test-only interpreter these handlers are checked against, shares them.
 
@@ -13,13 +14,15 @@ package uop
 import (
 	"math"
 
+	"gpurel/internal/device"
 	"gpurel/internal/exec"
 	"gpurel/internal/isa"
 )
 
 // Frame is the storage a handler works on: the issuing warp's window into a
-// register array and a predicate array. Thread t of the warp (lane t) owns
-// Regs[RBase+t*Stride : +Stride] and Preds[TBase+t]. A Stride of 0 aliases
+// register array and a predicate array, and the CTA it belongs to. Lane l of
+// the warp is thread TBase+l of the CTA and owns
+// Regs[RBase+l*Stride : +Stride] and Preds[TBase+l]. A Stride of 0 aliases
 // every lane onto one register window, which lets a simulator run a single
 // lane on a scratch copy of its operands (see funcsim).
 type Frame struct {
@@ -28,18 +31,55 @@ type Frame struct {
 	RBase  int
 	Stride int
 	TBase  int
+	CTA    *CTA
 }
 
-// Fn executes one register-only µop for the lanes in mask.
+// CTA is what S2R and LDC read of the CTA being executed: its launch, the
+// parameters of its replica, and its position in the grid.
+type CTA struct {
+	Launch *device.Launch
+	Params []uint32
+	X, Y   int
+}
+
+// special returns special register s of thread t, lane lane of its warp.
+func (c *CTA) special(t, lane int, s isa.SReg) uint32 {
+	l := c.Launch
+	switch s {
+	case isa.SRTidX:
+		return uint32(t % l.BlockX)
+	case isa.SRTidY:
+		return uint32(t / l.BlockX)
+	case isa.SRCtaIDX:
+		return uint32(c.X)
+	case isa.SRCtaIDY:
+		return uint32(c.Y)
+	case isa.SRNTidX:
+		return uint32(l.BlockX)
+	case isa.SRNTidY:
+		return uint32(l.BlockY)
+	case isa.SRNCtaX:
+		return uint32(l.GridX)
+	case isa.SRNCtaY:
+		return uint32(l.GridY)
+	case isa.SRLaneID:
+		return uint32(lane)
+	}
+	return 0
+}
+
+// Fn executes one µop for the lanes in mask.
 type Fn func(f *Frame, u *Op, mask uint32)
 
 // Fns is the handler table, indexed by Kind. It is non-nil for exactly the
-// register-only kinds: control kinds and KDrop need no handler, and the
-// environment kinds (KS2R, KLdc, KLdg, KLdt, KStg, KLds, KSts) and KBadOp
-// are each simulator's own.
+// kinds that reach nothing but the frame: control kinds are Issue's, KDrop
+// needs no handler, and the memory kinds (KLdg, KLdt, KStg, KLds, KSts) and
+// KBadOp are each simulator's own.
 var Fns = [NumKinds]Fn{
+	KS2R:      uS2R,
 	KMov:      uMov,
 	KMovImm:   uMovImm,
+	KLdc:      uLdc,
 	KIAdd:     uIAdd,
 	KIAddImm:  uIAddImm,
 	KISub:     uISub,
@@ -101,6 +141,28 @@ func fsrc(rf []uint32, lb int, r int16) float32 {
 
 // Compile guarantees Dst >= 0 for every kind handled here (RZ destinations
 // become KDrop), so the handlers index rf[lb+Dst] without a check.
+
+func uS2R(f *Frame, u *Op, mask uint32) {
+	rf, c := f.Regs, f.CTA
+	for lane, lb, m := 0, f.RBase, mask; m != 0; lane, lb, m = lane+1, lb+f.Stride, m>>1 {
+		if m&1 != 0 {
+			rf[lb+int(u.Dst)] = c.special(f.TBase+lane, lane, u.Special)
+		}
+	}
+}
+
+func uLdc(f *Frame, u *Op, mask uint32) {
+	var v uint32 // a parameter index out of range reads 0
+	if p := f.CTA.Params; u.Imm < uint32(len(p)) {
+		v = p[u.Imm]
+	}
+	rf := f.Regs
+	for lb, m := f.RBase, mask; m != 0; lb, m = lb+f.Stride, m>>1 {
+		if m&1 != 0 {
+			rf[lb+int(u.Dst)] = v
+		}
+	}
+}
 
 func uMov(f *Frame, u *Op, mask uint32) {
 	rf := f.Regs
@@ -567,6 +629,26 @@ func uFSetpImm(f *Frame, u *Op, mask uint32) {
 // predicate byte is pred (otherwise B or the immediate).
 func (u *Op) SelectsA(pred uint8) bool {
 	return (u.SelBit == 0 || pred&u.SelBit != 0) != u.SelNeg
+}
+
+// Sel reports whether the µop at pc is a SEL. A SEL into RZ lowers to KDrop
+// but keeps its predicate, and still reads the operand it picks.
+func (p *Program) Sel(pc int32) bool {
+	k := p.Ops[pc].Kind
+	return k == KSel || k == KSelImm || k == KDrop && p.Src.Code[pc].Op == isa.OpSEL
+}
+
+// PicksA returns the lanes of mask on which the SEL u picks its A operand:
+// the schedule trace and the software-level injector both need to know which
+// of the two operands each lane read.
+func (u *Op) PicksA(f *Frame, mask uint32) uint32 {
+	var a uint32
+	for lane, m := 0, mask; m != 0; lane, m = lane+1, m>>1 {
+		if m&1 != 0 && u.SelectsA(f.Preds[f.TBase+lane]) {
+			a |= 1 << lane
+		}
+	}
+	return a
 }
 
 func uSel(f *Frame, u *Op, mask uint32) {

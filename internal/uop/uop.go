@@ -1,12 +1,14 @@
 // Package uop lowers isa programs into the pre-decoded µop records both
-// simulators execute, and holds the handlers of every µop kind that touches
-// nothing but registers and predicates (handlers.go), so the cycle-level
-// simulator and the functional one state an opcode's arithmetic once. The
-// decode-and-switch in exec.Step pays for operand resolution (BImm vs
-// register, RZ special-casing, guard predicate lookup, latency
-// classification) on every warp-instruction; Compile pays it once per static
-// instruction and emits a flat record whose Kind is a dense dispatch index
-// into the handler tables.
+// simulators execute, and holds what the two share of executing them: the
+// control half of a SIMT step, (*Program).Issue (issue.go), and the handlers
+// of every µop kind that reaches nothing outside its frame — the register and
+// predicate kinds, S2R and LDC (handlers.go). So the cycle-level simulator
+// and the functional one state an instruction's semantics once and differ
+// only in memory, timing and bookkeeping. The decode-and-switch in exec.Step
+// pays for operand resolution (BImm vs register, RZ special-casing, guard
+// predicate lookup, latency classification) on every warp-instruction;
+// Compile pays it once per static instruction and emits a flat record whose
+// Kind is a dense dispatch index into the handler tables.
 //
 // Compiled programs carry a pointer back to the source program so the
 // executors can keep reporting *isa.Instr (the stats and trace layers key off
@@ -27,9 +29,9 @@ import (
 // operand without a per-lane branch.
 type Kind uint8
 
-// Dispatch kinds. Control kinds (KNop..KBar, KDrop) are handled inline by
-// each executor. Of the rest, the register-only kinds (KMov … KSelImm,
-// without KLdc) index Fns; KS2R, KLdc, the memory kinds and KBadOp index the
+// Dispatch kinds. The control kinds (KNop..KBar) are executed by Issue;
+// every other kind is a data µop the executor runs. KDrop has no effect; the
+// kinds from KS2R to KSelImm index Fns; the memory kinds and KBadOp index the
 // executor's own table.
 const (
 	KNop Kind = iota
