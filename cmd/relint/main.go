@@ -53,8 +53,11 @@ import (
 // caller's injected clock, never its own), the ACE liveness tracer, the shared
 // CLI plumbing and the wire client ride along: their outputs feed the same
 // deterministic pipelines, so wallclock or map-order dependence there is
-// just as much a replay hazard.
-const defaultPkgs = "internal/sim,internal/exec,internal/microfi,internal/faultmodel,internal/adaptive,internal/campaign,internal/flow,internal/service,internal/harden,internal/advisor,internal/fleet,internal/journal,internal/ace,internal/cliutil,internal/uop,client"
+// just as much a replay hazard. The storage the executors run on (device
+// memory, the caches, the copy-on-write page table and the live-interval
+// record) and the software-level executor and injector belong to the core
+// too: a run of either layer is a function of (job, seed) only if they are.
+const defaultPkgs = "internal/sim,internal/exec,internal/microfi,internal/faultmodel,internal/adaptive,internal/campaign,internal/flow,internal/service,internal/harden,internal/advisor,internal/fleet,internal/journal,internal/ace,internal/cliutil,internal/uop,internal/device,internal/mem,internal/pages,internal/live,internal/funcsim,internal/softfi,client"
 
 func main() {
 	pkgsFlag := flag.String("pkgs", defaultPkgs,

@@ -194,8 +194,8 @@ func TestCloneFootprint(t *testing.T) {
 	}
 	n := 0
 	c.DirtyPages(func(lo, hi uint32) { n++ })
-	if n != c.numPages() {
-		t.Errorf("a refilled copy has %d of %d pages dirty, want all", n, c.numPages())
+	if n != c.img.Dirty().Len() {
+		t.Errorf("a refilled copy has %d of %d pages dirty, want all", n, c.img.Dirty().Len())
 	}
 	if d := m.CloneFootprint(NewMemory(1 << 12)); d.Size() != m.Footprint() {
 		t.Errorf("a wrong-sized dst gave a %d-byte copy", d.Size())
@@ -217,7 +217,7 @@ func TestDirtyPages(t *testing.T) {
 		c.DirtyPages(func(lo, hi uint32) { out = append(out, [2]uint32{lo, hi}) })
 		return out
 	}
-	if got := pages(); len(got) != c.numPages() || got[len(got)-1][1] != c.Used() {
+	if got := pages(); len(got) != c.img.Dirty().Len() || got[len(got)-1][1] != c.Used() {
 		t.Fatalf("a fresh clone is dirty everywhere, up to the last partial page: %v", got)
 	}
 	c.ClearPageDirty()

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/binary"
-	"math/bits"
 	"slices"
 	"sort"
 
@@ -197,7 +196,6 @@ func (r *runner) resume(job *device.Job, cps *Checkpoints, k int) position {
 	r.winStart = [3]int64{b.dst, b.load, b.use}
 	if r.opts.Inject != nil {
 		r.shadow = bytes.Clone(image)
-		r.scan = make([]uint64, (len(image)+64*scanPage-1)/(64*scanPage))
 		r.mem.ClearPageDirty()
 	}
 	return b.pos
@@ -245,38 +243,25 @@ func (r *runner) probe(ord int, pos position) (joined, skip bool) {
 	return false, r.skippable(ord)
 }
 
-// scanPage is the granularity at which rediff compares memory.
-const scanPage = 4096
-
 // rediff brings the diff — the words where the run's memory differs from the
 // shadow — up to date after an executed step. A word can only have started
 // or stopped differing where the run wrote (its dirty pages), where the
 // record wrote (writes[from:to]) or where it differed before, so only those
-// pages are compared.
+// pages are compared: the memory's own dirty pages, with the other two
+// marked into them.
 func (r *runner) rediff(from, to int) {
-	scan := r.scan
-	mark := func(lo, hi uint32) {
-		for p := lo / scanPage; p <= (hi-1)/scanPage; p++ {
-			scan[p>>6] |= 1 << (p & 63)
-		}
-	}
-	r.mem.DirtyPages(mark)
-	r.mem.ClearPageDirty()
 	for _, w := range r.opts.Resume.writes[from:to] {
-		mark(w.addr, w.addr+w.n)
+		r.mem.MarkPages(w.addr, w.n)
 	}
 	for _, a := range r.diff {
-		mark(a, a+1)
+		r.mem.MarkPages(a, 4)
 	}
 	cur := r.mem.PeekBytes(0, uint32(r.mem.Size()))
 	r.diff = r.diff[:0]
-	for i, word := range scan {
-		for ; word != 0; word &= word - 1 {
-			lo := (i<<6 | bits.TrailingZeros64(word)) * scanPage
-			r.diff = appendDiff(r.diff, cur, r.shadow, lo, min(lo+scanPage, len(cur)))
-		}
-		scan[i] = 0
-	}
+	r.mem.DirtyPages(func(lo, hi uint32) {
+		r.diff = appendDiff(r.diff, cur, r.shadow, int(lo), int(hi))
+	})
+	r.mem.ClearPageDirty()
 }
 
 // appendDiff appends the address of every word of [lo, hi) where cur and old

@@ -298,10 +298,9 @@ type runner struct {
 	// A resumed injection run keeps diff, the sorted addresses of the words
 	// where its memory differs from the shadow, exact at every probed
 	// boundary; skipped says the last step came from the record, which
-	// brought shadow and diff up to date itself. scan and saved are scratch.
+	// brought shadow and diff up to date itself. saved is scratch.
 	diff    []uint32
 	skipped bool
-	scan    []uint64
 	saved   []uint32
 
 	// The injection site as the value its mode's candidate counter has when

@@ -326,7 +326,7 @@ func TestStateEqualIgnoresInvalidData(t *testing.T) {
 func dirtySets(c *Cache) []int {
 	var out []int
 	for s := 0; s < c.sets; s++ {
-		if c.setDirty(s) {
+		if c.dirty.Has(s) {
 			out = append(out, s)
 		}
 	}

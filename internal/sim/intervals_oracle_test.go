@@ -158,8 +158,11 @@ func TestIntervalsEqualOracle(t *testing.T) {
 }
 
 // TestIntervalsEqualOracleGenerated: programs from the FuzzUOpParity
-// generator, which write RZ, guard with @!PT, diverge, deadlock barriers
-// into the timeout and fault on wild addresses.
+// generator, which write RZ, guard with @!PT and fault on wild addresses.
+// None of them diverges: a random stream never splits a warp (guards read
+// predicates that start clear and registers that start at zero; none of
+// 20 000 streams did), so divergence reaches the interval oracle only
+// through FuzzIntervals' fuzzprog.GuardedExit seed and its mutations.
 func TestIntervalsEqualOracleGenerated(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	faulted, timedOut := 0, 0
