@@ -43,16 +43,18 @@ type Memory struct {
 	img    pages.Bytes
 	next   uint32
 	allocs []Alloc
+	// owner names, per 256-byte block of [0, next), the one allocation that
+	// may hold it (an index into allocs), or -1. Allocations are 256-byte
+	// aligned, so no two share a block, and an n-aligned access with n ≤ 256
+	// never crosses one: Valid is one lookup and one range test. Entries are
+	// only ever appended, so copies share the slice read-only, capped at
+	// their length.
+	owner []int32
 	// dirty tracks whether any (potentially) mutating access happened since
 	// the last ResetDirty. The timing simulator brackets host steps with it
 	// to decide whether GPU caches must be invalidated afterward: read-only
 	// host access (D2H) leaves them warm.
 	dirty bool
-	// lastHit memoizes the alloc index of the last successful Valid check:
-	// warp accesses are heavily clustered within one buffer, so this turns
-	// the per-lane validity scan into a single range test. Pure cache —
-	// never part of snapshotted or compared state.
-	lastHit int
 }
 
 // NewMemory creates a device memory of the given capacity in bytes.
@@ -79,9 +81,21 @@ func (m *Memory) Alloc(name string, size int) uint32 {
 	if int(addr)+size > len(m.img.Data) {
 		panic(fmt.Sprintf("device: out of memory allocating %q (%d bytes)", name, size))
 	}
-	m.allocs = append(m.allocs, Alloc{Name: name, Addr: addr, Size: uint32(size)})
+	m.addAlloc(Alloc{Name: name, Addr: addr, Size: uint32(size)})
 	m.next = addr + uint32(size)
 	return addr
+}
+
+// addAlloc appends a to the allocation table and its blocks to owner. a
+// starts on a 256-byte boundary at or above every earlier allocation's end.
+func (m *Memory) addAlloc(a Alloc) {
+	for len(m.owner) < int(a.Addr>>8) {
+		m.owner = append(m.owner, -1)
+	}
+	for b := a.Addr >> 8; b < (a.Addr+a.Size+255)>>8; b++ {
+		m.owner = append(m.owner, int32(len(m.allocs)))
+	}
+	m.allocs = append(m.allocs, a)
 }
 
 // Allocs returns the allocation table.
@@ -116,6 +130,7 @@ func (m *Memory) CloneFootprint(dst *Memory) *Memory {
 	copy(dst.img.Data, m.img.Data)
 	dst.next = m.next
 	dst.allocs = append(dst.allocs[:0], m.allocs...)
+	dst.owner = m.owner[:len(m.owner):len(m.owner)]
 	dst.img.Dirty().SetAll()
 	return dst
 }
@@ -136,6 +151,7 @@ type PagedState struct {
 	pages  pages.Table[pages.Block]
 	next   uint32
 	allocs []Alloc
+	owner  []int32
 }
 
 // Pages exposes the saved pages for retained-byte accounting. Callers must
@@ -160,6 +176,7 @@ func (m *Memory) SavePaged(st, prev *PagedState) {
 	st.pages = pages.Save(&m.img, prev.Pages())
 	st.next = m.next
 	st.allocs = append([]Alloc(nil), m.allocs...)
+	st.owner = m.owner[:len(m.owner):len(m.owner)]
 }
 
 // LoadPaged restores st into the memory, skipping the pages base, the
@@ -172,6 +189,7 @@ func (m *Memory) LoadPaged(st, base *PagedState) {
 	pages.Load(&m.img, st.pages, base.Pages())
 	m.next = st.next
 	m.allocs = append(m.allocs[:0], st.allocs...)
+	m.owner = st.owner
 }
 
 // PagedEqual reports whether the memory's current state equals st, skipping
@@ -196,7 +214,7 @@ func (m *Memory) Replicate(copies, extra int) (*Memory, uint32) {
 		off := uint32(c) * stride
 		copy(n.img.Data[off:], m.img.Data[:m.next])
 		for _, a := range m.allocs {
-			n.allocs = append(n.allocs, Alloc{
+			n.addAlloc(Alloc{
 				Name: fmt.Sprintf("%s#%d", a.Name, c),
 				Addr: a.Addr + off,
 				Size: a.Size,
@@ -221,21 +239,13 @@ func (e *AccessError) Error() string {
 }
 
 // Valid reports whether [addr, addr+n) lies inside some allocation and is
-// n-aligned.
+// n-aligned; n is a power of two no larger than 256.
 func (m *Memory) Valid(addr uint32, n uint32) bool {
-	if addr%n != 0 {
+	if addr%n != 0 || int(addr>>8) >= len(m.owner) {
 		return false
 	}
-	if i := m.lastHit; i < len(m.allocs) && m.allocs[i].holds(addr, n) {
-		return true
-	}
-	for i := range m.allocs {
-		if m.allocs[i].holds(addr, n) {
-			m.lastHit = i
-			return true
-		}
-	}
-	return false
+	i := m.owner[addr>>8]
+	return i >= 0 && m.allocs[i].holds(addr, n)
 }
 
 // holds reports whether [addr, addr+n) lies inside the allocation. The test

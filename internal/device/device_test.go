@@ -109,6 +109,60 @@ func TestValidAtTheEdges(t *testing.T) {
 	}
 }
 
+// scanValid is the allocation check as a linear scan of the table: the
+// definition Valid's block lookup must agree with.
+func scanValid(m *Memory, addr, n uint32) bool {
+	if addr%n != 0 {
+		return false
+	}
+	for i := range m.allocs {
+		if m.allocs[i].holds(addr, n) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestValidTableEqualsScan: the block table answers what a scan of the
+// allocation table answers, at both ends of every allocation, in the gaps
+// between them, across the null guard, at the top of the address space and
+// at misaligned addresses — on a fresh memory, a replicated one and a
+// footprint clone, and after the clone has allocated past the original.
+func TestValidTableEqualsScan(t *testing.T) {
+	m := NewMemory(1 << 16)
+	for _, size := range []int{4, 256, 257, 1, 0, 510, 4096, 12} {
+		m.Alloc("x", size)
+	}
+	r, _ := m.Replicate(3, 1024)
+	r.Alloc("flag", 4)
+	c := m.CloneFootprint(nil)
+	c.Alloc("late", 8)
+	probes := []uint32{0, 4, NullGuard - 4, NullGuard, NullGuard - 1, 0xFFFFFFFC, 0xFFFFFFFE, 0xFFFFFFFF, 0x7FFFFF00}
+	for _, mem := range []*Memory{m, r, c} {
+		for _, a := range mem.allocs {
+			for _, d := range []uint32{0, 1, 2, 3, 4, 5, 6, 8, 252, 253, 254, 255, 256, 260} {
+				probes = append(probes, a.Addr+d, a.Addr-d, a.Addr+a.Size-d, a.Addr+a.Size+d)
+			}
+		}
+		probes = append(probes, mem.Used(), mem.Used()+256, uint32(mem.Size()), uint32(mem.Size())-4)
+	}
+	checked := 0
+	for _, mem := range []*Memory{m, r, c} {
+		for _, a := range probes {
+			for _, n := range []uint32{1, 2, 4} {
+				if got, want := mem.Valid(a, n), scanValid(mem, a, n); got != want {
+					t.Errorf("Valid(%#x, %d) = %v, the scan says %v", a, n, got, want)
+				}
+				checked++
+			}
+		}
+	}
+	if !m.Valid(m.allocs[0].Addr, 4) || m.Valid(NullGuard-4, 4) || c.Valid(c.allocs[len(c.allocs)-1].Addr, 4) == m.Valid(c.allocs[len(c.allocs)-1].Addr, 4) {
+		t.Errorf("the probes miss a case: first word, null guard, or the clone's own allocation")
+	}
+	t.Logf("%d checks", checked)
+}
+
 func TestSliceHelpersRoundtrip(t *testing.T) {
 	f := func(vals []uint32) bool {
 		if len(vals) > 1000 {

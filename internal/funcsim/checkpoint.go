@@ -4,18 +4,20 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/binary"
+	"math/bits"
 	"slices"
 	"sort"
 
 	"gpurel/internal/device"
 )
 
-// Checkpoints is the log a recording run leaves behind: one boundary per CTA
-// start and host step. Memory is not copied per boundary; each boundary
-// holds only the bytes that changed since the previous one, so the log of a
-// whole application is a few tens of kilobytes where full images would be
-// megabytes. Read-only once the run returns, so any number of resumed runs
-// may share it.
+// Checkpoints is the log a recording run leaves behind: one boundary per step
+// start — a CTA, a warp of a launch stepped per warp, a host step — and one
+// at the end of the job, after its last step. Memory is not copied per
+// boundary; each boundary holds only the bytes that changed since the
+// previous one, so the log of a whole application is a few tens of
+// kilobytes where full images would be megabytes. Read-only once the run
+// returns, so any number of resumed runs may share it.
 type Checkpoints struct {
 	bounds []boundary
 	writes []write
@@ -24,17 +26,18 @@ type Checkpoints struct {
 	end    *Result // the recorded run itself: what a joined run inherits
 }
 
-// boundary is the executor state between two CTAs, memory aside.
+// boundary is the executor state between two steps, memory aside.
 type boundary struct {
 	pos                 position
 	dyn, dst, load, use int64
 	writes              int // writes[:writes] turn the job's image into memory here
-	// The CTA that starts here loaded the words of spans[loads:stores] and
-	// stored the words of spans[stores:end]. A host step has neither.
+	// The CTA or warp that starts here loaded the words of
+	// spans[loads:stores] and stored the words of spans[stores:end]. A host
+	// step and the end of the job have neither.
 	loads, stores, end int32
 }
 
-// span is the word-aligned byte range [lo, hi) of device memory. A CTA's
+// span is the word-aligned byte range [lo, hi) of device memory. A step's
 // footprint is a sorted list of disjoint, non-adjacent spans.
 type span struct{ lo, hi uint32 }
 
@@ -50,6 +53,9 @@ func (c *Checkpoints) DeltaBytes() int64 { return int64(len(c.data)) }
 // DynInstrsAt returns the thread-instructions the recorded run had executed
 // at boundary k: what resuming there skips.
 func (c *Checkpoints) DynInstrsAt(k int) int64 { return c.bounds[k].dyn }
+
+// BetweenWarps reports whether boundary k lies between two warps of one CTA.
+func (c *Checkpoints) BetweenWarps(k int) bool { return c.bounds[k].pos.warp > 0 }
 
 // candidates returns the counter an injection of the given mode indexes.
 func candidates(mode InjectMode, dst, load, use int64) int64 {
@@ -117,10 +123,11 @@ func (r *runner) record(pos position) {
 	})
 }
 
-// footprint collects the words the CTA a recording run is executing loads
-// and stores, one span per run of consecutive words: coalesced lanes touch
-// consecutive words, so merging into the last span as the words arrive keeps
-// the lists short.
+// footprint collects the words the step being executed loads and stores,
+// one span per run of consecutive words: coalesced lanes touch consecutive
+// words, so merging into the last span as the words arrive keeps the lists
+// short. A recording run files both lists per boundary; a resumed injection
+// run collects only the stores, the words its diff must look at.
 type footprint struct{ loads, stores []span }
 
 // addWord adds the word at a to a footprint list.
@@ -170,12 +177,6 @@ func (c *Checkpoints) stores(k int) []span {
 	return c.spans[c.bounds[k].stores:c.bounds[k].end]
 }
 
-// covers reports whether the word at a lies in one of the sorted spans.
-func covers(spans []span, a uint32) bool {
-	i := sort.Search(len(spans), func(i int) bool { return spans[i].hi > a })
-	return i < len(spans) && spans[i].lo <= a
-}
-
 // apply replays writes[from:to] onto an image.
 func (c *Checkpoints) apply(image []byte, from, to int) {
 	for _, w := range c.writes[from:to] {
@@ -196,6 +197,8 @@ func (r *runner) resume(job *device.Job, cps *Checkpoints, k int) position {
 	r.winStart = [3]int64{b.dst, b.load, b.use}
 	if r.opts.Inject != nil {
 		r.shadow = bytes.Clone(image)
+		r.diff = newWordSet(len(image))
+		r.foot = &footprint{}
 		r.mem.ClearPageDirty()
 	}
 	return b.pos
@@ -207,27 +210,25 @@ func (r *runner) resume(job *device.Job, cps *Checkpoints, k int) position {
 var diffAudit func(r *runner)
 
 // probe compares boundary ord of a resumed injection run with the record.
-// Executor state between CTAs is position, counters and memory. Once the
+// Executor state between steps is position, counters and memory. Once the
 // fault has fired the counters only feed the instruction budget, so equal
 // position (the step count included: it decides the schedule budget) and
 // equal memory — an empty diff — mean the rest of this run is the rest of
 // the recorded one, instruction for instruction, and the run joins. With a
-// diff left, probe reports whether the CTA starting here, if the step is
-// one, may be taken from the record instead (skippable). A run whose
-// schedule has left the recorded one (a host loop that iterates
+// diff left, probe reports whether the CTA or warp starting here, if the
+// step is one, may be taken from the record instead (skippable). A run
+// whose schedule has left the recorded one (a host loop that iterates
 // differently) is never probed again.
 func (r *runner) probe(ord int, pos position) (joined, skip bool) {
 	cps := r.opts.Resume
 	if ord >= len(cps.bounds) || cps.bounds[ord].pos != pos {
-		r.shadow = nil
+		r.shadow, r.foot = nil, nil
 		return false, false
 	}
 	if r.skipped {
 		r.skipped = false // skip has brought shadow and diff here already
 	} else {
-		from, to := cps.bounds[ord-1].writes, cps.bounds[ord].writes
-		cps.apply(r.shadow, from, to)
-		r.rediff(from, to)
+		r.rediff(cps.bounds[ord-1].writes, cps.bounds[ord].writes)
 	}
 	if diffAudit != nil {
 		diffAudit(r)
@@ -236,65 +237,64 @@ func (r *runner) probe(ord int, pos position) (joined, skip bool) {
 	if candidates(inj.Mode, res.DstCands, res.LoadCands, res.UseCands) <= inj.Index {
 		return false, false
 	}
-	if len(r.diff) == 0 {
+	if r.diff.n == 0 {
 		r.join(ord)
 		return true, false
 	}
 	return false, r.skippable(ord)
 }
 
-// rediff brings the diff — the words where the run's memory differs from the
-// shadow — up to date after an executed step. A word can only have started
-// or stopped differing where the run wrote (its dirty pages), where the
-// record wrote (writes[from:to]) or where it differed before, so only those
-// pages are compared: the memory's own dirty pages, with the other two
-// marked into them.
+// rediff brings shadow and diff up to date after an executed step: the
+// shadow takes the record's writes[from:to]. A word can only have started
+// or stopped differing where the record wrote or where the run wrote — the
+// step's stores, or the pages a host step dirtied — so only those words are
+// compared: the cost is what the step and the record wrote, never the size
+// of the diff.
 func (r *runner) rediff(from, to int) {
-	for _, w := range r.opts.Resume.writes[from:to] {
-		r.mem.MarkPages(w.addr, w.n)
-	}
-	for _, a := range r.diff {
-		r.mem.MarkPages(a, 4)
-	}
+	cps := r.opts.Resume
 	cur := r.mem.PeekBytes(0, uint32(r.mem.Size()))
-	r.diff = r.diff[:0]
-	r.mem.DirtyPages(func(lo, hi uint32) {
-		r.diff = appendDiff(r.diff, cur, r.shadow, int(lo), int(hi))
-	})
+	for _, w := range cps.writes[from:to] {
+		copy(r.shadow[w.addr:], cps.data[w.off:w.off+w.n])
+		r.remark(cur, w.addr, w.addr+w.n)
+	}
+	for _, s := range r.foot.stores {
+		r.remark(cur, s.lo, s.hi)
+	}
+	r.foot.stores = r.foot.stores[:0]
+	if r.hostRan {
+		r.mem.DirtyPages(func(lo, hi uint32) { r.remark(cur, lo, hi) })
+		r.hostRan = false
+	}
 	r.mem.ClearPageDirty()
 }
 
-// appendDiff appends the address of every word of [lo, hi) where cur and old
-// differ, in address order. lo and hi are word-aligned: device images are
-// whole words (allocations are 256-byte aligned, capacities multiples of a
-// page). Blocks are compared whole first: a page of the diff usually
-// differs in a word or two.
-func appendDiff(diff []uint32, cur, old []byte, lo, hi int) []uint32 {
-	const block = 128
-	for b := lo; b < hi; b += block {
-		e := min(b+block, hi)
-		if bytes.Equal(cur[b:e], old[b:e]) {
+// remark sets the diff membership of every word overlapping [lo, hi) to
+// whether the run's memory cur and the shadow differ there. An aligned
+// block of equal words leaves the diff in one step: most of a page a host
+// step dirtied is unchanged.
+func (r *runner) remark(cur []byte, lo, hi uint32) {
+	for a := lo &^ 3; a < hi; a += 4 {
+		if a%blockBytes == 0 && a+blockBytes <= hi && bytes.Equal(cur[a:a+blockBytes], r.shadow[a:a+blockBytes]) {
+			r.diff.clearBlock(a)
+			a += blockBytes - 4
 			continue
 		}
-		for a := b; a < e; a += 4 {
-			if binary.LittleEndian.Uint32(cur[a:]) != binary.LittleEndian.Uint32(old[a:]) {
-				diff = append(diff, uint32(a))
-			}
-		}
+		r.diff.set(a, binary.LittleEndian.Uint32(cur[a:]) != binary.LittleEndian.Uint32(r.shadow[a:]))
 	}
-	return diff
 }
 
-// skippable reports whether the CTA at boundary ord, with the fault fired and
-// a diff left, may be taken from the record. Registers, predicates and
-// shared memory are cleared per CTA, and its parameters and special
-// registers come from the position; so a CTA none of whose loads can return
-// a differing word loads and stores golden's addresses and values step for
-// step and executes golden's instruction count. The step after it must be a
-// recorded boundary (the job's last step always executes), no tracer may be
-// waiting for its events, and the instructions it takes over must fit the
-// budget, so that a run that times out does so inside an executed CTA, at
-// the count a replay reports.
+// skippable reports whether the CTA or warp at boundary ord, with the fault
+// fired and a diff left, may be taken from the record. Registers,
+// predicates and shared memory are cleared per step, and its parameters and
+// special registers come from the position; so a step none of whose loads
+// can return a differing word loads and stores golden's addresses and
+// values instruction for instruction and executes golden's instruction
+// count. The step after it must be a recorded boundary (every step has one
+// in a complete record: the end of the job is a boundary too), no tracer
+// may be waiting for its events, and the instructions it takes over must
+// fit the budget, so that a run that times out does so inside an executed
+// step, at the count a replay reports. The test is per load span, so it
+// costs the words the step loads, not the size of the diff.
 func (r *runner) skippable(ord int) bool {
 	cps := r.opts.Resume
 	if ord+1 >= len(cps.bounds) || r.opts.Trace != nil {
@@ -303,9 +303,8 @@ func (r *runner) skippable(ord int) bool {
 	if m := r.opts.MaxDynInstrs; m > 0 && r.res.DynInstrs+cps.bounds[ord+1].dyn-cps.bounds[ord].dyn > m {
 		return false
 	}
-	loads := cps.loads(ord)
-	for _, a := range r.diff {
-		if covers(loads, a) {
+	for _, s := range cps.loads(ord) {
+		if r.diff.any(s.lo, s.hi) {
 			r.res.ReadRefusals++
 			return false
 		}
@@ -313,32 +312,36 @@ func (r *runner) skippable(ord int) bool {
 	return true
 }
 
-// skip takes the CTA at boundary ord from the record: the record's writes up
-// to boundary ord+1 go into memory and shadow, the counters advance by the
-// recorded differences. A differing word the CTA stores now holds golden's
-// value and leaves the diff; one it does not store keeps the run's value —
-// the log's byte runs bridge gaps of unchanged bytes, which may hold it.
+// skip takes the CTA or warp at boundary ord from the record: the record's
+// writes up to boundary ord+1 go into shadow and memory, and the counters
+// advance by the recorded differences. A diff word keeps the run's value
+// against the log — the log's byte runs bridge gaps of unchanged bytes,
+// which may hold it — unless the step stores it: then it takes golden's
+// value from the shadow and leaves the diff. Every other word the log
+// writes was equal in both and stays so. The cost is the step's writes and
+// stores.
 func (r *runner) skip(ord int, l *device.Launch) {
 	cps, res := r.opts.Resume, r.res
 	b, next := &cps.bounds[ord], &cps.bounds[ord+1]
 	image := r.mem.Raw()
-	r.saved = r.saved[:0]
-	for _, a := range r.diff {
-		r.saved = append(r.saved, binary.LittleEndian.Uint32(image[a:]))
-	}
-	cps.apply(image, b.writes, next.writes)
-	cps.apply(r.shadow, b.writes, next.writes)
-	stores, n := cps.stores(ord), 0
-	for i, a := range r.diff {
-		if covers(stores, a) {
-			copy(image[a:a+4], r.shadow[a:a+4])
+	for _, w := range cps.writes[b.writes:next.writes] {
+		data, end := cps.data[w.off:w.off+w.n], w.addr+w.n
+		copy(r.shadow[w.addr:], data)
+		if !r.diff.any(w.addr&^3, end) {
+			copy(image[w.addr:], data)
 			continue
 		}
-		binary.LittleEndian.PutUint32(image[a:], r.saved[i])
-		r.diff[n] = a
-		n++
+		for a := w.addr; a < end; {
+			e := min(a&^3+4, end) // the rest of a's word
+			if !r.diff.has(a &^ 3) {
+				copy(image[a:e], data[a-w.addr:])
+			}
+			a = e
+		}
 	}
-	r.diff = r.diff[:n]
+	for _, s := range cps.stores(ord) {
+		r.diff.drop(s.lo, s.hi, func(a uint32) { copy(image[a:a+4], r.shadow[a:a+4]) })
+	}
 	r.mem.ClearPageDirty()
 	r.skipped = true
 
@@ -350,6 +353,10 @@ func (r *runner) skip(ord int, l *device.Launch) {
 	r.kernelCounts(l.Name()).DynInstrs += dyn
 	res.Skips++
 	res.SkipInstrs += dyn
+	res.LastSkip = ord
+	if r.perWarp {
+		res.WarpSkips++
+	}
 }
 
 // join ends the run at boundary ord, whose memory it shares: with the
@@ -357,7 +364,7 @@ func (r *runner) skip(ord int, l *device.Launch) {
 // pushed it over its budget.
 func (r *runner) join(ord int) {
 	cps, res := r.opts.Resume, r.res
-	res.Joined = true
+	res.Joined, res.JoinedAt = true, ord
 	res.JoinSkipped = cps.end.DynInstrs - cps.bounds[ord].dyn
 	res.DynInstrs += res.JoinSkipped
 	if r.opts.MaxDynInstrs > 0 && res.DynInstrs > r.opts.MaxDynInstrs {
@@ -365,4 +372,79 @@ func (r *runner) join(ord int) {
 		return
 	}
 	res.Output, res.DUEFlag = cps.end.Output, cps.end.DUEFlag
+}
+
+// blockBytes is the memory a word of a wordSet's bits covers: 64 words.
+const blockBytes = 256
+
+// wordSet is a set of word addresses of device memory: one bit per word and
+// the number of members.
+type wordSet struct {
+	bits []uint64
+	n    int
+}
+
+// newWordSet returns the empty set over a memory of size bytes.
+func newWordSet(size int) wordSet {
+	return wordSet{bits: make([]uint64, (size+blockBytes-1)/blockBytes)}
+}
+
+// has reports whether the word at a is a member.
+func (s *wordSet) has(a uint32) bool { return s.bits[a/blockBytes]>>(a/4%64)&1 != 0 }
+
+// set makes the word at a a member or not.
+func (s *wordSet) set(a uint32, in bool) {
+	w, m := &s.bits[a/blockBytes], uint64(1)<<(a/4%64)
+	switch {
+	case in && *w&m == 0:
+		*w |= m
+		s.n++
+	case !in && *w&m != 0:
+		*w &^= m
+		s.n--
+	}
+}
+
+// clearBlock removes the 64 words of the aligned block at a.
+func (s *wordSet) clearBlock(a uint32) {
+	w := &s.bits[a/blockBytes]
+	s.n -= bits.OnesCount64(*w)
+	*w = 0
+}
+
+// mask returns the bits of the words of [lo, hi) in bitset word i.
+func mask(i int, lo, hi uint32) uint64 {
+	first, last := max(int(lo/4), 64*i), min(int((hi+3)/4), 64*i+64) // word indices [first, last)
+	if first >= last {
+		return 0
+	}
+	return (^uint64(0) >> (64 - (last - first))) << (first - 64*i)
+}
+
+// any reports whether a word overlapping [lo, hi) is a member.
+func (s *wordSet) any(lo, hi uint32) bool {
+	if s.n == 0 || lo >= hi {
+		return false
+	}
+	for i := int(lo / blockBytes); i <= int((hi-1)/blockBytes); i++ {
+		if s.bits[i]&mask(i, lo, hi) != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// drop removes the members overlapping [lo, hi), calling fn with each.
+func (s *wordSet) drop(lo, hi uint32, fn func(a uint32)) {
+	if s.n == 0 || lo >= hi {
+		return
+	}
+	for i := int(lo / blockBytes); i <= int((hi-1)/blockBytes); i++ {
+		for m := s.bits[i] & mask(i, lo, hi); m != 0; m &= m - 1 {
+			fn(uint32(64*i+bits.TrailingZeros64(m)) * 4)
+		}
+		took := s.bits[i] & mask(i, lo, hi)
+		s.bits[i] &^= took
+		s.n -= bits.OnesCount64(took)
+	}
 }

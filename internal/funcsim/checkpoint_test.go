@@ -149,20 +149,29 @@ func TestNoJoinBeforeFault(t *testing.T) {
 }
 
 // TestForkPoint: the fork point is the last boundary whose counter, in the
-// injection's own candidate space, has not passed the site.
+// injection's own candidate space, has not passed the site. The square
+// kernel has no barrier and no shared memory, so each of its two CTAs of
+// two warps is two steps: the boundaries are the four warp starts and the
+// end of the job.
 func TestForkPoint(t *testing.T) {
-	job := squareJob(128) // one launch, two CTAs
+	job := squareJob(128) // one launch, two CTAs of two warps
 	g := Run(job, Options{Record: true})
 	cps := g.Checkpoints
-	if cps.Len() != 2 || cps.DynInstrsAt(0) != 0 || cps.DynInstrsAt(1) == 0 || cps.DeltaBytes() == 0 {
-		t.Fatalf("%d boundaries, %d thread-instructions at the second, %d delta bytes", cps.Len(), cps.DynInstrsAt(1), cps.DeltaBytes())
+	if cps.Len() != 5 || cps.DynInstrsAt(0) != 0 || cps.DynInstrsAt(1) == 0 || cps.DynInstrsAt(4) != g.DynInstrs || cps.DeltaBytes() == 0 {
+		t.Fatalf("%d boundaries, %d thread-instructions at the second, %d at the last (of %d), %d delta bytes",
+			cps.Len(), cps.DynInstrsAt(1), cps.DynInstrsAt(cps.Len()-1), g.DynInstrs, cps.DeltaBytes())
 	}
-	half := map[InjectMode]int64{InjectDst: g.DstCands / 2, InjectDstLoad: g.LoadCands / 2, InjectUse: g.UseCands / 2}
-	for mode, h := range half {
+	for k, between := range []bool{false, true, false, true, false} {
+		if cps.BetweenWarps(k) != between {
+			t.Errorf("boundary %d between two warps of a CTA: %v, want %v", k, cps.BetweenWarps(k), between)
+		}
+	}
+	quarter := map[InjectMode]int64{InjectDst: g.DstCands / 4, InjectDstLoad: g.LoadCands / 4, InjectUse: g.UseCands / 4}
+	for mode, q := range quarter {
 		for _, c := range []struct {
 			idx  int64
 			want int
-		}{{0, 0}, {h - 1, 0}, {h, 1}, {2*h - 1, 1}} {
+		}{{0, 0}, {q - 1, 0}, {q, 1}, {2*q - 1, 1}, {2 * q, 2}, {3 * q, 3}, {4*q - 1, 3}} {
 			if got := cps.ForkPoint(Injection{Mode: mode, Index: c.idx}); got != c.want {
 				t.Errorf("mode %d site %d: fork point %d, want %d", mode, c.idx, got, c.want)
 			}

@@ -22,7 +22,8 @@ import (
 
 // ctaState is the one CTA in flight: its registers, predicates and shared
 // memory, the warps' SIMT stacks, and what S2R and LDC read of the launch.
-// It lives on the runner and is cleared, not reallocated, per CTA.
+// It lives on the runner and is cleared, not reallocated, per step: the
+// whole CTA, or the one warp a step of a launch stepped per warp runs.
 type ctaState struct {
 	uop.CTA
 	// f spans the whole CTA's registers (threads × stride) and predicate
@@ -32,61 +33,89 @@ type ctaState struct {
 	warps []exec.Warp
 }
 
-// cleared returns s[:n] zeroed, reallocating only to grow.
-func cleared[T any](s []T, n int) []T {
+// sized returns s[:n], reallocating (zeroed) only to grow.
+func sized[T any](s []T, n int) []T {
 	if cap(s) < n {
 		return make([]T, n)
 	}
-	s = s[:n]
-	clear(s)
-	return s
+	return s[:n]
+}
+
+// perWarp reports whether launches of the program are stepped one warp at a
+// time: with no barrier and no shared-memory access its warps cannot meet,
+// so each runs to its exit before the next starts and they share nothing
+// but global memory.
+func perWarp(cp *uop.Program) bool {
+	for i := range cp.Ops {
+		switch cp.Ops[i].Kind {
+		case uop.KBar, uop.KLds, uop.KSts:
+			return false
+		}
+	}
+	return true
 }
 
 // ctaOracle is nil in every binary except this package's own test binary,
 // where reference_test.go can point it at the reference executor (exec.Step
 // over per-access register accessors) that runCTA is checked against.
 // Nothing outside _test files assigns it.
-var ctaOracle func(r *runner, l *device.Launch, cta int) error
+var ctaOracle func(r *runner, l *device.Launch, cta, from, to int) error
 
-// runCTA executes CTA number cta of the launch (replicas outermost, then
-// grid y, then grid x) on the kernel's compiled µops. Warps run one after
-// another, each until it exits or arrives at a barrier; when every live warp
-// has arrived the barrier opens and they go round again.
-func (r *runner) runCTA(l *device.Launch, cta int) error {
+// runCTA executes warps [from, to) of CTA number cta of the launch (replicas
+// outermost, then grid y, then grid x) on the kernel's compiled µops: the
+// whole CTA, or one warp of a launch stepped per warp. Only those warps'
+// registers and predicates are cleared, and shared memory only with the
+// CTA's first warp. Warps run one after another, each until it exits or
+// arrives at a barrier; when every live warp has arrived the barrier opens
+// and they go round again. A tracer sees the CTA start before its first
+// warp and end after its last, or after the warp that faulted.
+func (r *runner) runCTA(l *device.Launch, cta, from, to int) (err error) {
+	threads := l.ThreadsPerCTA()
+	nWarps := (threads + 31) / 32
+	if tr := r.opts.Trace; tr != nil {
+		if from == 0 {
+			tr.OnCTAStart(l, r.res.DynInstrs)
+		}
+		defer func() {
+			if err != nil || to == nWarps {
+				tr.OnCTAEnd(r.res.DynInstrs)
+			}
+		}()
+	}
 	if ctaOracle != nil {
-		return ctaOracle(r, l, cta)
+		return ctaOracle(r, l, cta, from, to)
 	}
 	cp := uop.Cached(l.Kernel)
-	threads, stride := l.ThreadsPerCTA(), l.Kernel.NumRegs
+	stride := l.Kernel.NumRegs
 	perGrid := l.GridX * l.GridY
 	c := &r.cta
 	c.CTA = uop.CTA{Launch: l, Params: l.ParamsFor(cta / perGrid), X: cta % l.GridX, Y: cta % perGrid / l.GridX}
 	c.f.CTA = &c.CTA
-	c.f.Regs = cleared(c.f.Regs, threads*stride)
-	c.f.Preds = cleared(c.f.Preds, threads)
+	lo, hi := from*32, min(to*32, threads)
+	c.f.Regs = sized(c.f.Regs, threads*stride)
+	clear(c.f.Regs[lo*stride : hi*stride])
+	c.f.Preds = sized(c.f.Preds, threads)
+	clear(c.f.Preds[lo:hi])
 	c.f.Stride = stride
-	c.smem = cleared(c.smem, l.SmemBytes)
-	nWarps := (threads + 31) / 32
-	if cap(c.warps) < nWarps {
-		c.warps = make([]exec.Warp, nWarps)
+	if from == 0 {
+		c.smem = sized(c.smem, l.SmemBytes)
+		clear(c.smem)
 	}
-	c.warps = c.warps[:nWarps]
-	for w := range c.warps {
-		c.warps[w].FullMask = uint32(uint64(1)<<min(threads-w*32, 32) - 1)
-		c.warps[w].Reset()
-	}
-	if tr := r.opts.Trace; tr != nil {
-		tr.OnCTAStart(l, r.res.DynInstrs)
-		defer func() { tr.OnCTAEnd(r.res.DynInstrs) }()
+	c.warps = sized(c.warps, nWarps)
+	warps := c.warps[from:to]
+	for i := range warps {
+		warps[i].FullMask = uint32(uint64(1)<<min(threads-(from+i)*32, 32) - 1)
+		warps[i].Reset()
 	}
 	kc := r.kernelCounts(l.Name())
 
-	for live := nWarps; live > 0; {
-		for w := range c.warps {
-			wp := &c.warps[w]
+	for live := len(warps); live > 0; {
+		for i := range warps {
+			wp := &warps[i]
 			if wp.Done() {
 				continue
 			}
+			w := from + i
 			c.f.TBase, c.f.RBase = w*32, w*32*stride
 			if err := r.runWarp(wp, cp, kc); err != nil {
 				return err
@@ -96,8 +125,8 @@ func (r *runner) runCTA(l *device.Launch, cta int) error {
 			}
 		}
 		// Every warp still alive is now waiting at the barrier.
-		for w := range c.warps {
-			if wp := &c.warps[w]; !wp.Done() {
+		for i := range warps {
+			if wp := &warps[i]; !wp.Done() {
 				wp.Advance()
 			}
 		}
@@ -408,7 +437,7 @@ func uLdg(r *runner, f *uop.Frame, u *uop.Op, mask uint32) error {
 		if err != nil {
 			return err
 		}
-		if r.foot != nil {
+		if r.opts.Record {
 			r.foot.loads = addWord(r.foot.loads, a)
 		}
 		if u.Dst >= 0 {

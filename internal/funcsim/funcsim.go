@@ -13,7 +13,8 @@
 // both. What stays its own is memory, a flat device.Memory here (no
 // hierarchy, no coalescing, no latency), the order of work — CTAs run one
 // after another and warps run to their next barrier (no scheduler, no
-// cycles) — and the injector's bookkeeping (cta.go). What the injector
+// cycles), a launch with no barrier and no shared memory one warp at a
+// time — and the injector's bookkeeping (cta.go). What the injector
 // counts and corrupts is arithmetic on the µop, not a test per register
 // access. The independent statement of the ISA both are checked
 // against, exec.Step, runs from test binaries only (reference_test.go).
@@ -27,6 +28,7 @@ import (
 	"fmt"
 
 	"gpurel/internal/device"
+	"gpurel/internal/uop"
 )
 
 // InjectMode selects what the injection corrupts.
@@ -93,18 +95,23 @@ type Result struct {
 	// Checkpoints is the boundary log of a run made with Options.Record.
 	Checkpoints *Checkpoints
 	// Joined reports that a resumed injection run met the recorded run's
-	// state at a later boundary and took its suffix from the record:
-	// Output and DUEFlag are the recorded run's, DynInstrs is extended by
-	// the JoinSkipped thread-instructions the recorded suffix executed.
+	// state at a later boundary, JoinedAt, and took its suffix from the
+	// record: Output and DUEFlag are the recorded run's, DynInstrs is
+	// extended by the JoinSkipped thread-instructions the recorded suffix
+	// executed.
 	Joined      bool
+	JoinedAt    int
 	JoinSkipped int64
-	// Skips counts the CTAs after the fault that a resumed injection run took
-	// from the record instead of executing, because none of their recorded
-	// loads reads a word where its memory differs from the record's;
-	// SkipInstrs is the thread-instructions they hold. ReadRefusals counts
-	// the CTAs it executed because one of those loads does.
-	Skips, ReadRefusals int
-	SkipInstrs          int64
+	// Skips counts the steps after the fault — CTAs, or warps of a launch
+	// stepped per warp — that a resumed injection run took from the record
+	// instead of executing, because none of their recorded loads reads a
+	// word where its memory differs from the record's; SkipInstrs is the
+	// thread-instructions they hold, WarpSkips how many of them were
+	// single warps and LastSkip the boundary of the last one (0: none).
+	// ReadRefusals counts the steps it executed because one of those loads
+	// does.
+	Skips, WarpSkips, LastSkip, ReadRefusals int
+	SkipInstrs                               int64
 }
 
 // Tracer observes a run access by access: the register liveness of PVF
@@ -161,7 +168,8 @@ type Options struct {
 	CollectWindows bool
 	// Trace, when set, receives every register, predicate and memory access.
 	Trace Tracer
-	// Record logs a checkpoint at every CTA start and host step into
+	// Record logs a checkpoint at every step start — CTA, warp of a launch
+	// stepped per warp, host step — and at the end of the job into
 	// Result.Checkpoints; it implies CollectWindows, because fork points are
 	// looked up by candidate counter.
 	Record bool
@@ -169,17 +177,18 @@ type Options struct {
 	// same job instead of at the beginning. With Inject set the run also
 	// joins: once the fault has fired, every later boundary is compared with
 	// the record and the first match ends the run (Result.Joined). Until
-	// then, a CTA that reads none of the words where memory differs from the
-	// record is taken from the record (Result.Skips).
+	// then, a CTA or warp that reads none of the words where memory differs
+	// from the record is taken from the record (Result.Skips).
 	Resume   *Checkpoints
 	ResumeAt int
 }
 
-// position is the executor's place in the schedule between two CTAs.
+// position is the executor's place in the schedule between two steps.
 type position struct {
 	si    int // schedule step
 	steps int // steps entered so far, counted against the schedule budget
 	cta   int // next CTA of the launch at si, replicas outermost, then y, x
+	warp  int // next warp of that CTA, in a launch stepped per warp
 }
 
 // Run executes the job functionally. The job's memory image is cloned (up to
@@ -188,7 +197,12 @@ type position struct {
 // CTAs run one after another, so between two of them the whole executor
 // state is the schedule position, the counters in Result and device memory:
 // registers, predicates, shared memory and warps are cleared at the start of
-// every runCTA. Record, Resume, the join and the skip all rest on that.
+// every CTA. A launch whose program has no barrier and no shared-memory
+// access is stepped one warp at a time (perWarp): its warps run to their
+// exits one after another and share nothing but global memory, so the same
+// holds between two of its warps, each warp's registers and predicates
+// being cleared as it starts. Record, Resume, the join and the skip all
+// rest on that.
 func Run(job *device.Job, opts Options) *Result {
 	if opts.Record {
 		opts.CollectWindows = true
@@ -199,6 +213,10 @@ func Run(job *device.Job, opts Options) *Result {
 	var pos position
 	if cps := opts.Resume; cps != nil {
 		pos = r.resume(job, cps, opts.ResumeAt)
+		if m := opts.MaxDynInstrs; m > 0 && res.DynInstrs > m {
+			res.TimedOut = true // the recorded prefix alone is over the budget
+			return res
+		}
 	} else {
 		r.mem = job.Mem.CloneFootprint(nil)
 	}
@@ -210,8 +228,8 @@ func Run(job *device.Job, opts Options) *Result {
 	}
 
 	maxSteps := job.MaxScheduleSteps()
-	for ord := opts.ResumeAt; pos.si < len(job.Steps); ord++ {
-		skip := false // the CTA at this boundary, if the step is one, comes from the record
+	for ord := opts.ResumeAt; ; ord++ {
+		skip := false // the CTA or warp at this boundary, if the step is one, comes from the record
 		switch {
 		case opts.Record:
 			r.record(pos)
@@ -221,8 +239,12 @@ func Run(job *device.Job, opts Options) *Result {
 				return res
 			}
 		}
+		if pos.si >= len(job.Steps) {
+			break
+		}
 		st := &job.Steps[pos.si]
-		if pos.cta == 0 {
+		entering := pos.cta == 0 && pos.warp == 0
+		if entering {
 			if pos.steps >= maxSteps {
 				res.TimedOut = true
 				return res
@@ -230,6 +252,7 @@ func Run(job *device.Job, opts Options) *Result {
 			pos.steps++
 		}
 		if st.Host != nil {
+			r.hostRan = true
 			if next := st.Host(r.mem, 0); next >= 0 {
 				pos.si = next
 			} else {
@@ -238,17 +261,25 @@ func Run(job *device.Job, opts Options) *Result {
 			continue
 		}
 		l := st.Launch
-		if pos.cta == 0 {
+		if entering {
 			if l.ThreadsPerCTA() == 0 || l.Kernel == nil {
 				res.Err = fmt.Errorf("launch %s: empty configuration", l.Name())
 				return res
 			}
 			r.winStart = [3]int64{res.DstCands, res.LoadCands, res.UseCands}
 		}
+		if l != r.launch {
+			r.launch, r.perWarp = l, perWarp(uop.Cached(l.Kernel))
+		}
 		if pos.cta < l.NumCTAs() {
+			warps := (l.ThreadsPerCTA() + 31) / 32
+			from, to := 0, warps
+			if r.perWarp {
+				from, to = pos.warp, pos.warp+1
+			}
 			if skip {
 				r.skip(ord, l)
-			} else if err := r.runCTA(l, pos.cta); err != nil {
+			} else if err := r.runCTA(l, pos.cta, from, to); err != nil {
 				if err == errTimeout {
 					res.TimedOut = true
 				} else {
@@ -256,7 +287,9 @@ func Run(job *device.Job, opts Options) *Result {
 				}
 				return res
 			}
-			pos.cta++
+			if pos.warp = to; to == warps {
+				pos.cta, pos.warp = pos.cta+1, 0
+			}
 		}
 		if pos.cta >= l.NumCTAs() {
 			if opts.CollectWindows {
@@ -293,15 +326,22 @@ type runner struct {
 	// recording run diffs against, and what a resumed injection run compares
 	// with to join. nil when neither applies (or the schedule diverged).
 	shadow []byte
-	// foot collects the current CTA's loads and stores in a recording run.
+	// foot collects the current step's loads and stores in a recording run,
+	// and its stores in a resumed injection run that is still probing.
 	foot *footprint
-	// A resumed injection run keeps diff, the sorted addresses of the words
-	// where its memory differs from the shadow, exact at every probed
-	// boundary; skipped says the last step came from the record, which
-	// brought shadow and diff up to date itself. saved is scratch.
-	diff    []uint32
+	// A resumed injection run keeps diff, the words where its memory
+	// differs from the shadow, exact at every probed boundary. hostRan says
+	// the last step was a host step, whose writes only the memory's page
+	// bits know; skipped says it came from the record, which brought shadow
+	// and diff up to date itself.
+	diff    wordSet
+	hostRan bool
 	skipped bool
-	saved   []uint32
+
+	// launch is the launch the schedule is in, perWarp whether it is stepped
+	// one warp at a time.
+	launch  *device.Launch
+	perWarp bool
 
 	// The injection site as the value its mode's candidate counter has when
 	// the fault fires; the other two (all three without Options.Inject) hold

@@ -203,8 +203,8 @@ func TestHostStepJump(t *testing.T) {
 	// resumed: the counter lives in memory, so a run picked up at any launch
 	// or host step of the loop still stops at 5
 	g := Run(job, Options{Record: true})
-	if g.Checkpoints.Len() != 10 {
-		t.Fatalf("%d boundaries, want 5 launches + 5 host steps", g.Checkpoints.Len())
+	if g.Checkpoints.Len() != 11 {
+		t.Fatalf("%d boundaries, want 5 launches + 5 host steps + the end", g.Checkpoints.Len())
 	}
 	for k := 0; k < g.Checkpoints.Len(); k++ {
 		r := Run(job, Options{Resume: g.Checkpoints, ResumeAt: k})

@@ -200,7 +200,7 @@ func (e *ctaEnv) Param(idx int) uint32 {
 func (e *ctaEnv) LoadGlobal(lane int, addr uint32, tex bool) (uint32, error) {
 	e.trace(lane, EvLoad, addr)
 	v, err := e.r.mem.Load4(addr)
-	if err == nil && e.r.foot != nil {
+	if err == nil && e.r.opts.Record {
 		e.r.foot.loads = addWord(e.r.foot.loads, addr)
 	}
 	return v, err
@@ -240,19 +240,15 @@ func putLE32(b []byte, v uint32) {
 	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
 }
 
-// runCTAReference executes CTA number cta of the launch (replicas outermost,
-// then grid y, then grid x), its warps stepped round-robin to honour
-// barriers.
-func runCTAReference(r *runner, l *device.Launch, cta int) error {
+// runCTAReference executes warps [from, to) of CTA number cta of the launch
+// (replicas outermost, then grid y, then grid x), stepped round-robin to
+// honour barriers.
+func runCTAReference(r *runner, l *device.Launch, cta, from, to int) error {
 	prog := l.Kernel
 	perGrid := l.GridX * l.GridY
 	params := l.ParamsFor(cta / perGrid)
 	cy, cx := cta%perGrid/l.GridX, cta%l.GridX
 	threads := l.ThreadsPerCTA()
-	if tr := r.opts.Trace; tr != nil {
-		tr.OnCTAStart(l, r.res.DynInstrs)
-		defer func() { tr.OnCTAEnd(r.res.DynInstrs) }()
-	}
 	env := &ctaEnv{
 		r:       r,
 		params:  params,
@@ -275,10 +271,11 @@ func runCTAReference(r *runner, l *device.Launch, cta int) error {
 			lanes = 32
 		}
 		warps[w] = exec.NewWarp(lanes)
+		done[w] = w < from || w >= to
 	}
 	kc := r.kernelCounts(l.Name())
 
-	remaining := nWarps
+	remaining := to - from
 	for remaining > 0 {
 		progress := false
 		for w := 0; w < nWarps; w++ {

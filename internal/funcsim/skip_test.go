@@ -3,7 +3,8 @@ package funcsim
 import (
 	"bytes"
 	"fmt"
-	"slices"
+	"math/bits"
+	"sort"
 	"sync/atomic"
 	"testing"
 
@@ -20,28 +21,46 @@ import (
 // auditDiffs checks, until the returned stop is called, every probed
 // boundary's diff against a whole-memory word-by-word comparison of the
 // run's memory with its shadow; stop returns the number of boundaries
-// checked.
+// checked. Equal blocks are compared whole: the audit runs at every warp
+// boundary of the parity tests.
 func auditDiffs(t *testing.T) (stop func() int) {
 	t.Helper()
 	var n atomic.Int64
 	diffAudit = func(r *runner) {
 		n.Add(1)
 		cur := r.mem.PeekBytes(0, uint32(r.mem.Size()))
-		var want []uint32
-		for a := 0; a < len(cur); a += 4 {
-			if !bytes.Equal(cur[a:a+4], r.shadow[a:a+4]) {
-				want = append(want, uint32(a))
+		var want uint64 // the block's differing words, one bit each
+		members, differing := 0, 0
+		for i, got := range r.diff.bits {
+			lo, hi := i*blockBytes, min(i*blockBytes+blockBytes, len(cur))
+			want = 0
+			if !bytes.Equal(cur[lo:hi], r.shadow[lo:hi]) {
+				for a := lo; a < hi; a += 4 {
+					if !bytes.Equal(cur[a:a+4], r.shadow[a:a+4]) {
+						want |= 1 << ((a - lo) / 4)
+					}
+				}
 			}
+			if got != want {
+				t.Errorf("boundary diff holds %016x at %#x, whole memory differs at %016x", got, lo, want)
+			}
+			members += bits.OnesCount64(got)
+			differing += bits.OnesCount64(want)
 		}
-		if !slices.Equal(r.diff, want) {
-			t.Errorf("boundary diff holds %d words (%x…), whole memory differs at %d (%x…)",
-				len(r.diff), r.diff[:min(len(r.diff), 4)], len(want), want[:min(len(want), 4)])
+		if r.diff.n != members || members != differing {
+			t.Errorf("boundary diff counts %d words and holds %d, whole memory differs at %d", r.diff.n, members, differing)
 		}
 	}
 	return func() int {
 		diffAudit = nil
 		return int(n.Load())
 	}
+}
+
+// covers reports whether the word at a lies in one of the sorted spans.
+func covers(spans []span, a uint32) bool {
+	i := sort.Search(len(spans), func(i int) bool { return spans[i].hi > a })
+	return i < len(spans) && spans[i].lo <= a
 }
 
 // strideKernel: thread t of CTA c stores 3·v+1, v = src[t·p2 + c·p3], at

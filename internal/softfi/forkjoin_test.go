@@ -183,19 +183,30 @@ func TestCheckpointCountsAddUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := g.CheckpointCounts()
-	if c.Boundaries != 2 || c.DeltaBytes == 0 || c.Forks != 0 || c.Joins != 0 {
+	// two launches of one barrier-free CTA of two warps: four warp steps,
+	// and the end of the job
+	if c.Boundaries != 5 || c.DeltaBytes == 0 || c.Forks != 0 || c.Joins != 0 {
 		t.Fatalf("fresh golden run: %+v", c)
 	}
 	const n = 50
+	k1, k2 := g.Res.PerKernel["K1"].DynInstrs, g.Res.PerKernel["K2"].DynInstrs
+	win := g.Res.PerKernel["K2"].DstWindows[0]
+	var want int64 // K1, and K2's first warp when the site lies in its second
+	tgt := Target{Kernel: "K2", Mode: SVF}
 	for seed := int64(0); seed < n; seed++ {
-		Inject(job, g, Target{Kernel: "K2", Mode: SVF}, rand.New(rand.NewSource(seed)))
+		inj, _ := tgt.draw(g, rand.New(rand.NewSource(seed)))
+		want += k1
+		if inj.Index >= win.Start+win.Len()/2 {
+			want += k2 / 2
+		}
+		Inject(job, g, tgt, rand.New(rand.NewSource(seed)))
 	}
 	c = g.CheckpointCounts()
 	if c.Forks != n {
-		t.Errorf("every K2 injection forks at the K2 boundary: %d of %d", c.Forks, n)
+		t.Errorf("every K2 injection forks at a K2 warp boundary: %d of %d", c.Forks, n)
 	}
-	if want := n * g.Res.PerKernel["K1"].DynInstrs; c.ForkInstrsSkipped != want {
-		t.Errorf("fork skipped %d thread-instructions, want %d (K1 × %d)", c.ForkInstrsSkipped, want, n)
+	if c.ForkInstrsSkipped != want {
+		t.Errorf("fork skipped %d thread-instructions, want %d", c.ForkInstrsSkipped, want)
 	}
 	var sum CheckpointCounts
 	sum.Add(c)

@@ -81,17 +81,19 @@ func TestSoftCheckpointCounts(t *testing.T) {
 		}
 	}
 	c := s.SoftCheckpointCounts()
-	// VA is 8 CTAs; TMR triples them and adds the voter's 16
-	if c.Boundaries != 8+40 || c.DeltaBytes == 0 {
+	// VA is 8 CTAs of 8 warps and the voter 16 of 4, all without barriers
+	// or shared memory, so each warp is a step; TMR triples VA's CTAs and
+	// adds the voter's; each job ends with one more boundary
+	if c.Boundaries != (8*8+1)+(3*8*8+16*4+1) || c.DeltaBytes == 0 {
 		t.Errorf("inventory: %+v", c)
 	}
 	if c.Forks == 0 || c.Forks > 80 || c.ForkInstrsSkipped == 0 || c.Joins == 0 || c.JoinInstrsSkipped == 0 {
-		t.Errorf("80 injections over 8 and 40 CTAs must fork and join: %+v", c)
+		t.Errorf("80 injections over 65 and 257 boundaries must fork and join: %+v", c)
 	}
 	// a corrupted output word of VA is read by no later CTA
 	for _, g := range []*softfi.GoldenRun{s.apps["VA"].SoftG, s.apps["VA"].SoftGTMR} {
 		if sk := g.CheckpointCounts(); sk.Skips == 0 || sk.SkipInstrsSkipped == 0 {
-			t.Errorf("no CTA taken from the record: %+v", sk)
+			t.Errorf("no step taken from the record: %+v", sk)
 		}
 	}
 	if m := s.CheckpointCounts(); m.ForkResumes != 0 || m.ForkCyclesSaved != 0 || m.ConvergeHits != 0 ||
