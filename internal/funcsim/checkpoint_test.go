@@ -2,10 +2,12 @@ package funcsim
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"gpurel/internal/device"
 	"gpurel/internal/harden"
+	"gpurel/internal/isa"
 	"gpurel/internal/kernels"
 )
 
@@ -18,10 +20,31 @@ func allJobs() []*device.Job {
 	return jobs
 }
 
+// stepCounter is a Tracer that counts the steps a run takes in launches:
+// one per CTA, or one per warp when the CTA's program has no barrier and no
+// shared-memory access.
+type stepCounter struct{ steps int }
+
+func (c *stepCounter) OnCTAStart(l *device.Launch, at int64) {
+	for _, ins := range l.Kernel.Code {
+		switch ins.Op {
+		case isa.OpBAR, isa.OpLDS, isa.OpSTS:
+			c.steps++
+			return
+		}
+	}
+	c.steps += (l.ThreadsPerCTA() + 31) / 32
+}
+func (c *stepCounter) On(Event)       {}
+func (c *stepCounter) OnCTAEnd(int64) {}
+
 // TestResumeEveryBoundary: a fault-free run picked up at any recorded
 // boundary of any job ends exactly where the recorded run ended — output,
 // thread-instructions and all three candidate counters — so a boundary holds
-// everything that crosses it.
+// everything that crosses it. The record has one boundary per step the run
+// takes — each CTA of a launch stepped per CTA, each warp of one stepped per
+// warp, each host step, counted by a traced run of the same job — and one
+// at the end.
 func TestResumeEveryBoundary(t *testing.T) {
 	boundaries := 0
 	for _, job := range allJobs() {
@@ -30,14 +53,18 @@ func TestResumeEveryBoundary(t *testing.T) {
 			t.Fatalf("%s: golden run failed: %v", job.Name, g.Err)
 		}
 		cps := g.Checkpoints
-		ctas := 0
-		for _, st := range job.Steps {
-			if st.Launch != nil {
-				ctas += st.Launch.NumCTAs()
+		counted, hosts := *job, 0
+		counted.Steps = slices.Clone(job.Steps)
+		for i, st := range counted.Steps {
+			if host := st.Host; host != nil {
+				counted.Steps[i].Host = func(m *device.Memory, off uint32) int { hosts++; return host(m, off) }
 			}
 		}
-		if cps.Len() < ctas {
-			t.Errorf("%s: %d boundaries for a schedule of %d CTAs", job.Name, cps.Len(), ctas)
+		var launched stepCounter
+		Run(&counted, Options{Trace: &launched})
+		want := launched.steps + hosts + 1
+		if cps.Len() != want {
+			t.Errorf("%s: %d boundaries, want %d (%d steps in launches, %d host steps and the end)", job.Name, cps.Len(), want, launched.steps, hosts)
 		}
 		for k := 0; k < cps.Len(); k++ {
 			r := Run(job, Options{CollectWindows: true, Resume: cps, ResumeAt: k})
@@ -54,9 +81,7 @@ func TestResumeEveryBoundary(t *testing.T) {
 		}
 		boundaries += cps.Len()
 	}
-	if boundaries < 22*4 {
-		t.Errorf("only %d boundaries over 22 jobs", boundaries)
-	}
+	t.Logf("%d boundaries over 22 jobs", boundaries)
 }
 
 // TestTrimmedMemoryMatchesFull: running on the footprint copy of an image

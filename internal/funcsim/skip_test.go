@@ -12,6 +12,7 @@ import (
 	"gpurel/internal/fuzzprog"
 	"gpurel/internal/isa"
 	"gpurel/internal/kasm"
+	"gpurel/internal/uop"
 )
 
 // The CTA skip of a resumed injection run (checkpoint.go: probe, skippable,
@@ -64,33 +65,43 @@ func covers(spans []span, a uint32) bool {
 }
 
 // strideKernel: thread t of CTA c stores 3·v+1, v = src[t·p2 + c·p3], at
-// dst[t·p4 + c·p5]; p0 and p1 are the addresses of src and dst.
-func strideKernel() *isa.Program {
+// dst[t·p4 + c·p5]; p0 and p1 are the addresses of src and dst. With bar
+// set its warps meet at a barrier before the load, so its launches are
+// stepped per CTA; without, per warp.
+func strideKernel(bar bool) *isa.Program {
 	b := kasm.New("stride")
 	t, c := b.S2R(isa.SRTidX), b.S2R(isa.SRCtaIDX)
 	si := b.IMad(t, b.Param(2), b.IMul(c, b.Param(3)))
 	di := b.IMad(t, b.Param(4), b.IMul(c, b.Param(5)))
+	if bar {
+		b.Barrier()
+	}
 	v := b.Ldg(b.IScAdd(si, b.Param(0), 2), 0)
 	b.Stg(b.IScAdd(di, b.Param(1), 2), 0, b.IAddI(b.IMulI(v, 3), 1))
 	return b.MustBuild()
 }
 
-// strideLaunch is a two-CTA, one-warp-each launch of strideKernel.
-func strideLaunch(name string, src, dst uint32, p2, p3, p4, p5 int32) device.Step {
+// strideStep is a launch of prog on grid CTAs of block threads with
+// strideKernel's parameters.
+func strideStep(name string, prog *isa.Program, grid, block int, src, dst uint32, p2, p3, p4, p5 int32) device.Step {
 	return device.Step{Launch: &device.Launch{
-		Kernel: strideKernel(), KernelName: name,
-		GridX: 2, GridY: 1, BlockX: 32, BlockY: 1,
+		Kernel: prog, KernelName: name,
+		GridX: grid, GridY: 1, BlockX: block, BlockY: 1,
 		Params:     []uint32{src, dst, uint32(p2), uint32(p3), uint32(p4), uint32(p5)},
 		ParamIsPtr: []bool{true, true, false, false, false, false},
 	}}
 }
 
-// noHost is a host step that does nothing: the job's last step, which
-// always executes, so that the CTA before it can be skipped.
+// strideLaunch is a two-CTA, one-warp-each launch of strideKernel.
+func strideLaunch(name string, src, dst uint32, p2, p3, p4, p5 int32) device.Step {
+	return strideStep(name, strideKernel(false), 2, 32, src, dst, p2, p3, p4, p5)
+}
+
+// noHost is a host step that does nothing; one after a skip executes.
 var noHost = device.Step{Host: func(*device.Memory, uint32) int { return -1 }}
 
 // strideJob allocates in (64 words whose bytes are all non-zero) and the
-// named 64-word buffers, zeroed, and hands their addresses to steps.
+// named 128-word buffers, zeroed, and hands their addresses to steps.
 func strideJob(name string, buffers []string, out string, steps func(in uint32, buf map[string]uint32) []device.Step) *device.Job {
 	m := device.NewMemory(1 << 16)
 	in := m.Alloc("in", 256)
@@ -99,10 +110,34 @@ func strideJob(name string, buffers []string, out string, steps func(in uint32, 
 	}
 	buf := map[string]uint32{}
 	for _, b := range buffers {
-		buf[b] = m.Alloc(b, 256)
+		buf[b] = m.Alloc(b, 512)
 	}
 	return &device.Job{Name: name, Mem: m, Steps: steps(in, buf),
-		Outputs: []device.Output{{Name: out, Addr: buf[out], Size: 256}}}
+		Outputs: []device.Output{{Name: out, Addr: buf[out], Size: 512}}}
+}
+
+// sharedKernel: thread t stores v = src[t] to shared word t, then reads
+// shared word t XOR 32 and stores it plus one at dst[t]. It has no barrier:
+// warp 0 runs to its exit first and reads words no thread has stored yet,
+// and warp 1 reads what warp 0 stored.
+func sharedKernel() *isa.Program {
+	b := kasm.New("shared")
+	t := b.S2R(isa.SRTidX)
+	sa := b.IMulI(t, 4)
+	b.Sts(sa, 0, b.Ldg(b.IScAdd(t, b.Param(0), 2), 0))
+	w := b.Lds(b.AndI(b.IAddI(sa, 128), 255), 0)
+	b.Stg(b.IScAdd(t, b.Param(1), 2), 0, b.IAddI(w, 1))
+	return b.MustBuild()
+}
+
+// stepSites returns a destination injection at every candidate of the
+// step at boundary k, each flipping bit.
+func stepSites(g *Result, k int, bit uint8) []Injection {
+	var out []Injection
+	for i := g.Checkpoints.bounds[k].dst; i < g.Checkpoints.bounds[k+1].dst; i++ {
+		out = append(out, Injection{Mode: InjectDst, Index: i, Bit: bit})
+	}
+	return out
 }
 
 // againstReplay runs inj forked from its checkpoint, with the join and the
@@ -134,14 +169,8 @@ func againstReplay(t *testing.T, job *device.Job, g *Result, inj Injection, budg
 }
 
 // firstCTASites returns a destination injection at every candidate of the
-// job's first CTA, each flipping bit.
-func firstCTASites(g *Result, bit uint8) []Injection {
-	var out []Injection
-	for i := range g.Checkpoints.bounds[1].dst {
-		out = append(out, Injection{Mode: InjectDst, Index: i, Bit: bit})
-	}
-	return out
-}
+// job's first step, each flipping bit.
+func firstCTASites(g *Result, bit uint8) []Injection { return stepSites(g, 0, bit) }
 
 // TestSkipAgainstReplay: each rule of the skip decides the outcome of some
 // run of a purpose-built job, and every run equals its replay.
@@ -235,6 +264,133 @@ func TestSkipAgainstReplay(t *testing.T) {
 			t.Fatalf("%d runs refused a CTA reading the host step's copy, %d timed out at the budget", refused, budgeted)
 		}
 	})
+
+	// One CTA of three warps over one buffer x: warp 0 loads x[32..63] and
+	// stores x[64..95], warp 1 loads those and stores x[32..63], warp 2
+	// loads x[96..127] and stores x[0..31]. A fault in warp 0's stored value
+	// is loaded by warp 1, which must execute, and not by warp 2, which is
+	// taken from the record. Kills a skip unit that stays the whole CTA
+	// (warp 2 executes) and a read test against the wrong step's loads
+	// (warp 1 is skipped and its copy of the fault lost).
+	threeWarps := func(in uint32, b map[string]uint32) []device.Step {
+		return []device.Step{strideStep("K1", strideKernel(false), 1, 96, b["x"]+32*4, b["x"]+95*4, 1, 0, -1, 0)}
+	}
+	t.Run("later warps of the fault CTA", func(t *testing.T) {
+		job := strideJob("warps", []string{"x"}, "x", threeWarps)
+		g := Run(job, Options{Record: true})
+		if cps := g.Checkpoints; cps.Len() != 4 || !cps.BetweenWarps(1) || !cps.BetweenWarps(2) {
+			t.Fatalf("%d boundaries for one CTA of three warps", cps.Len())
+		}
+		both := 0
+		defer auditDiffs(t)()
+		for _, inj := range firstCTASites(g, 9) {
+			forked, replay := againstReplay(t, job, g, inj, 0)
+			if forked.ReadRefusals == 1 && forked.Skips == 1 && forked.WarpSkips == 1 && forked.LastSkip == 2 &&
+				replay.Err == nil && !bytes.Equal(replay.Output, g.Output) {
+				both++
+			}
+		}
+		if both == 0 {
+			t.Fatal("no run executed warp 1 for its read and took warp 2 from the record")
+		}
+	})
+
+	// The same CTA forked at each of its warps: the boundaries between
+	// warps are resume points. Kills a position without the warp (a run
+	// resumed there restarts the CTA at warp 0 and counts it twice).
+	t.Run("fork between warps", func(t *testing.T) {
+		job := strideJob("warps", []string{"x"}, "x", threeWarps)
+		g := Run(job, Options{Record: true})
+		cps, inside := g.Checkpoints, 0
+		defer auditDiffs(t)()
+		for k := 1; k <= 2; k++ {
+			for _, inj := range stepSites(g, k, 17) {
+				againstReplay(t, job, g, inj, 0)
+				if fork := cps.ForkPoint(inj); fork == k && cps.BetweenWarps(fork) {
+					inside++
+				}
+			}
+		}
+		if inside == 0 {
+			t.Fatal("no injection forked at a boundary between two warps")
+		}
+	})
+
+	// Two CTAs of two warps, each thread storing 3·in[t]+1 at x[t]; the CTA
+	// index is multiplied by zero, so a flip of it is dead. Such a run's
+	// diff is empty after its warp, and it joins at the very next boundary,
+	// between two warps. Kills a probe that waits for the next CTA start.
+	t.Run("dead flip joins between warps", func(t *testing.T) {
+		job := strideJob("dead", []string{"x"}, "x", func(in uint32, b map[string]uint32) []device.Step {
+			return []device.Step{strideStep("K1", strideKernel(false), 2, 64, in, b["x"], 1, 0, 1, 0)}
+		})
+		g := Run(job, Options{Record: true})
+		joined := 0
+		defer auditDiffs(t)()
+		for _, inj := range firstCTASites(g, 5) {
+			forked, replay := againstReplay(t, job, g, inj, 0)
+			if forked.Joined && forked.JoinedAt == 1 && g.Checkpoints.BetweenWarps(1) && bytes.Equal(replay.Output, g.Output) {
+				joined++
+			}
+		}
+		if joined == 0 {
+			t.Fatal("no dead flip joined at the boundary after its warp")
+		}
+	})
+
+	// sharedKernel's warp 1 reads what warp 0 stored to shared memory, with
+	// no barrier between them, so each CTA is one step: resumed at warp 1 or
+	// with warp 0 taken from the record, warp 1 would read zeros. Kills a
+	// split rule without the shared-memory condition.
+	t.Run("shared memory keeps CTA steps", func(t *testing.T) {
+		job := strideJob("shared", []string{"x"}, "x", func(in uint32, b map[string]uint32) []device.Step {
+			st := strideStep("K1", sharedKernel(), 2, 64, in, b["x"], 0, 0, 0, 0)
+			st.Launch.SmemBytes = 256
+			return []device.Step{st}
+		})
+		g := Run(job, Options{Record: true})
+		if cps := g.Checkpoints; cps.Len() != 3 || cps.BetweenWarps(1) {
+			t.Fatalf("%d boundaries for two CTAs that share memory between their warps, want 3", cps.Len())
+		}
+		defer auditDiffs(t)()
+		for _, inj := range firstCTASites(g, 2) {
+			againstReplay(t, job, g, inj, 0)
+		}
+	})
+
+	// The job ends with a launch of two one-warp CTAs with a barrier, so
+	// its last step is CTA 1, which loads x[16..47] where CTA 0 stored
+	// x[0..31]. A fault CTA 0 stores below x[16] leaves CTA 1 to the record;
+	// one it stores above is loaded and CTA 1 executes. Kills a skip rule
+	// that leaves the job's last step to execute, as it had to while the
+	// end of the job was no boundary.
+	t.Run("last step", func(t *testing.T) {
+		job := strideJob("last", []string{"x"}, "x", func(in uint32, b map[string]uint32) []device.Step {
+			return []device.Step{strideStep("K1", strideKernel(true), 2, 32, b["x"]+16*4, b["x"], 1, 0, 1, 32)}
+		})
+		g := Run(job, Options{Record: true})
+		cps := g.Checkpoints
+		if cps.Len() != 3 {
+			t.Fatalf("%d boundaries for two CTAs and the end", cps.Len())
+		}
+		skipped, executed := 0, 0
+		defer auditDiffs(t)()
+		for _, inj := range firstCTASites(g, 11) {
+			forked, replay := againstReplay(t, job, g, inj, 0)
+			if replay.Err != nil || bytes.Equal(replay.Output, g.Output) {
+				continue
+			}
+			switch {
+			case forked.Skips == 1 && forked.LastSkip == cps.Len()-2 && forked.WarpSkips == 0:
+				skipped++
+			case forked.Skips == 0 && forked.ReadRefusals == 1:
+				executed++
+			}
+		}
+		if skipped == 0 || executed == 0 {
+			t.Fatalf("last CTA taken from the record %d times, executed for its read %d times", skipped, executed)
+		}
+	})
 }
 
 // skipFuzzJob wraps a generated program into two launches of four CTAs each
@@ -266,23 +422,41 @@ func skipFuzzJob(prog *isa.Program) *device.Job {
 	}
 }
 
+// doubleSeed is out[tid] = 2·in[tid] in each CTA's own quarters: faults that
+// corrupt a stored value leave words no later CTA of the launch reads. It
+// has no barrier and no shared memory, so its CTAs of two warps are stepped
+// per warp (TestDoubleSeedStepsPerWarp).
+var doubleSeed = []byte{7,
+	3, 1, 0, 0, 0, 0, 0, 0, 0, // S2R R1, tid.x
+	6, 2, 0, 0, 0, 0, 0, 0, 0, // LDC R2, param 0
+	11, 3, 1, 2, 0, 0, 0, 0, 2, // ISCADD R3, R1, R2, 2
+	31, 4, 3, 0, 0, 0, 0, 0, 0, // LDG R4, [R3]
+	7, 4, 4, 4, 0, 0, 0, 0, 0, // IADD R4, R4, R4
+	6, 5, 0, 0, 0, 0, 0, 0, 1, // LDC R5, param 1
+	11, 6, 1, 5, 0, 0, 0, 0, 2, // ISCADD R6, R1, R5, 2
+	32, 0, 6, 4, 0, 0, 0, 0, 0, // STG [R6], R4
+	9, 0, 0, 3}
+
+// TestDoubleSeedStepsPerWarp: FuzzSoftSkipParity's doubleSeed reaches the
+// warp steps: two launches of four CTAs of two warps are sixteen steps, and
+// the end of the job is the seventeenth boundary.
+func TestDoubleSeedStepsPerWarp(t *testing.T) {
+	prog := fuzzprog.Program(doubleSeed)
+	if !perWarp(uop.Cached(prog)) {
+		t.Fatal("the seed's program is not stepped per warp")
+	}
+	g := Run(skipFuzzJob(prog), Options{Record: true})
+	if g.Err != nil || g.Checkpoints.Len() != 2*4*2+1 || !g.Checkpoints.BetweenWarps(1) {
+		t.Fatalf("err %v, %d boundaries, want 17", g.Err, g.Checkpoints.Len())
+	}
+}
+
 // FuzzSoftSkipParity: on generated programs, every sampled injection, in all
 // three modes, forked with the join and the skip, reports what a replay from
 // the start of the job reports, with every probed diff audited.
 func FuzzSoftSkipParity(f *testing.F) {
 	f.Add([]byte{0})
-	// out[tid] = 2·in[tid] in each CTA's own quarters: faults that corrupt
-	// a stored value leave words no later CTA of the launch reads.
-	f.Add([]byte{7,
-		3, 1, 0, 0, 0, 0, 0, 0, 0, // S2R R1, tid.x
-		6, 2, 0, 0, 0, 0, 0, 0, 0, // LDC R2, param 0
-		11, 3, 1, 2, 0, 0, 0, 0, 2, // ISCADD R3, R1, R2, 2
-		31, 4, 3, 0, 0, 0, 0, 0, 0, // LDG R4, [R3]
-		7, 4, 4, 4, 0, 0, 0, 0, 0, // IADD R4, R4, R4
-		6, 5, 0, 0, 0, 0, 0, 0, 1, // LDC R5, param 1
-		11, 6, 1, 5, 0, 0, 0, 0, 2, // ISCADD R6, R1, R5, 2
-		32, 0, 6, 4, 0, 0, 0, 0, 0, // STG [R6], R4
-		9, 0, 0, 3})
+	f.Add(doubleSeed)
 	f.Add(bytes.Repeat([]byte{0x1F, 0x05, 0x21, 0x40}, 12))
 	f.Add([]byte("loads and stores across launches"))
 	f.Fuzz(func(t *testing.T, data []byte) {

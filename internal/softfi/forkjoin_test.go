@@ -65,7 +65,8 @@ func launches(res *funcsim.Result) map[string]int {
 }
 
 // TestSoftForkJoinEquivalence: Inject (fork from a checkpoint, take from
-// golden the CTAs that read no corrupted word, join back to golden) returns,
+// golden the CTAs and warps that read no corrupted word, join back to
+// golden) returns,
 // field for field, what classifying a replay of the whole job with the same
 // fault returns — on every application (and spinApp, for
 // the timeouts), whole-app and per-kernel targets, all three modes, plain and
@@ -89,6 +90,10 @@ func TestSoftForkJoinEquivalence(t *testing.T) {
 		forks, joins, timeouts, dues, sdcs int
 		ctrlJoin, diverged                 int
 		skips, refusals, skipJoin          int
+		// the warp steps: a fork between two warps of a CTA, a warp taken
+		// from the record, a join between two warps, and the job's last
+		// step taken from the record
+		warpFork, warpSkip, warpJoin, lastSkip int
 	}
 	for _, app := range append(kernels.All(), spinApp()) {
 		for _, tmr := range []bool{false, true} {
@@ -123,6 +128,8 @@ func TestSoftForkJoinEquivalence(t *testing.T) {
 						want               faults.Result
 						diverged, ctrlJoin bool
 						refused, skipJoin  bool
+						warpFork, warpSkip bool
+						warpJoin, lastSkip bool
 					}
 					ref := make([]replayed, opts.Runs)
 					campaign.Run(opts, func(run int, rng *rand.Rand) faults.Result {
@@ -135,6 +142,11 @@ func TestSoftForkJoinEquivalence(t *testing.T) {
 						r.ctrlJoin = r.want.CtrlAffected && fj.Joined
 						r.refused = fj.ReadRefusals > 0
 						r.skipJoin = fj.Skips > 0 && fj.Joined
+						cps := g.Res.Checkpoints
+						r.warpFork = cps.BetweenWarps(cps.ForkPoint(r.inj))
+						r.warpSkip = fj.WarpSkips > 0
+						r.warpJoin = fj.Joined && cps.BetweenWarps(fj.JoinedAt)
+						r.lastSkip = fj.LastSkip == cps.Len()-2
 						return r.want
 					})
 					for run, r := range ref {
@@ -161,6 +173,18 @@ func TestSoftForkJoinEquivalence(t *testing.T) {
 						if r.skipJoin {
 							saw.skipJoin++
 						}
+						if r.warpFork {
+							saw.warpFork++
+						}
+						if r.warpSkip {
+							saw.warpSkip++
+						}
+						if r.warpJoin {
+							saw.warpJoin++
+						}
+						if r.lastSkip {
+							saw.lastSkip++
+						}
 					}
 				}
 			}
@@ -168,7 +192,8 @@ func TestSoftForkJoinEquivalence(t *testing.T) {
 	}
 	t.Logf("saw %+v", saw)
 	if saw.forks == 0 || saw.joins == 0 || saw.timeouts == 0 || saw.dues == 0 || saw.sdcs == 0 ||
-		saw.ctrlJoin == 0 || saw.diverged == 0 || saw.skips == 0 || saw.refusals == 0 || saw.skipJoin == 0 {
+		saw.ctrlJoin == 0 || saw.diverged == 0 || saw.skips == 0 || saw.refusals == 0 || saw.skipJoin == 0 ||
+		saw.warpFork == 0 || saw.warpSkip == 0 || saw.warpJoin == 0 || saw.lastSkip == 0 {
 		t.Errorf("an axis of the matrix is vacuous: %+v", saw)
 	}
 }
