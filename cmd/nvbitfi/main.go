@@ -118,7 +118,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		tbl.AddFooter("adaptive sampling: %d runs saved (early stop, target ±%.2f%%)", s.Counters.Saved.Load(), 100*target)
 	}
 	ck := g.CheckpointCounts()
-	tbl.AddFooter("checkpointing: %d boundaries (%.1f KiB of deltas), %d fork resumes (%d thread-instructions skipped), %d joins (%d thread-instructions skipped), %d CTAs skipped (%d thread-instructions)",
+	tbl.AddFooter("checkpointing: %d boundaries (%.1f KiB of deltas), %d fork resumes (%d thread-instructions skipped), %d joins (%d thread-instructions skipped), %d steps skipped (%d thread-instructions)",
 		ck.Boundaries, float64(ck.DeltaBytes)/(1<<10),
 		ck.Forks, ck.ForkInstrsSkipped, ck.Joins, ck.JoinInstrsSkipped, ck.Skips, ck.SkipInstrsSkipped)
 	fmt.Fprint(stdout, tbl.String())

@@ -62,9 +62,9 @@ func NewMemory(capacity int) *Memory {
 	return &Memory{img: pages.NewBytes(make([]byte, capacity), pageBytes), next: NullGuard}
 }
 
-// MarkPages records a write to [addr, addr+n): the host dirty flag and the
+// markPages records a write to [addr, addr+n): the host dirty flag and the
 // snapshot page bits.
-func (m *Memory) MarkPages(addr, n uint32) {
+func (m *Memory) markPages(addr, n uint32) {
 	m.dirty = true
 	m.img.Dirty().MarkSpan(int(addr), min(int(addr)+int(n), m.Size()), pageBytes)
 }
@@ -270,7 +270,7 @@ func (m *Memory) Store4(addr uint32, v uint32) error {
 	if !m.Valid(addr, 4) {
 		return &AccessError{Addr: addr, Write: true}
 	}
-	m.MarkPages(addr, 4)
+	m.markPages(addr, 4)
 	binary.LittleEndian.PutUint32(m.img.Data[addr:], v)
 	return nil
 }
@@ -296,7 +296,7 @@ func (m *Memory) PeekBytes(addr, n uint32) []byte {
 // WriteAt copies b into the memory at addr with precise write tracking (the
 // cache model's line-writeback path).
 func (m *Memory) WriteAt(addr uint32, b []byte) {
-	m.MarkPages(addr, uint32(len(b)))
+	m.markPages(addr, uint32(len(b)))
 	copy(m.img.Data[addr:], b)
 }
 
@@ -314,7 +314,7 @@ func (m *Memory) PeekU32(addr uint32) uint32 {
 
 // PokeU32 writes a word without validity checking (host-side access).
 func (m *Memory) PokeU32(addr uint32, v uint32) {
-	m.MarkPages(addr, 4)
+	m.markPages(addr, 4)
 	binary.LittleEndian.PutUint32(m.img.Data[addr:], v)
 }
 

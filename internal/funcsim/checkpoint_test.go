@@ -81,7 +81,11 @@ func TestResumeEveryBoundary(t *testing.T) {
 		}
 		boundaries += cps.Len()
 	}
-	t.Logf("%d boundaries over 22 jobs", boundaries)
+	// 430 CTA starts and host steps; warp starts of the launches stepped per
+	// warp and the 22 ends of job make 2 746
+	if boundaries != 2746 {
+		t.Errorf("%d boundaries over 22 jobs, want 2746", boundaries)
+	}
 }
 
 // TestTrimmedMemoryMatchesFull: running on the footprint copy of an image

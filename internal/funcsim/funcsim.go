@@ -307,7 +307,6 @@ func Run(job *device.Job, opts Options) *Result {
 		res.DUEFlag = true
 	}
 	if opts.Record {
-		res.Checkpoints.closeFootprint(r.foot)
 		res.Checkpoints.end = res
 	}
 	return res

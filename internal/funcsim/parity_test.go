@@ -70,7 +70,7 @@ func sameOutcome(t *testing.T, name string, got, want *Result) {
 			got.DynInstrs, got.Joined, got.JoinSkipped, want.DynInstrs, want.Joined, want.JoinSkipped)
 	}
 	if got.Skips != want.Skips || got.SkipInstrs != want.SkipInstrs || got.ReadRefusals != want.ReadRefusals {
-		t.Fatalf("%s: %d CTAs skipped (+%d), %d refused, reference %d (+%d), %d", name,
+		t.Fatalf("%s: %d steps skipped (+%d), %d refused, reference %d (+%d), %d", name,
 			got.Skips, got.SkipInstrs, got.ReadRefusals, want.Skips, want.SkipInstrs, want.ReadRefusals)
 	}
 }

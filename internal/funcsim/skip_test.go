@@ -158,7 +158,7 @@ func againstReplay(t *testing.T, job *device.Job, g *Result, inj Injection, budg
 	// A joined run that times out counts the whole recorded suffix, where
 	// the replay stops at the instruction that crossed the budget.
 	if !(forked.Joined && forked.TimedOut) && forked.DynInstrs != replay.DynInstrs {
-		t.Fatalf("%s: forked %d thread-instructions (%d CTAs skipped), replay %d", name, forked.DynInstrs, forked.Skips, replay.DynInstrs)
+		t.Fatalf("%s: forked %d thread-instructions (%d steps skipped), replay %d", name, forked.DynInstrs, forked.Skips, replay.DynInstrs)
 	}
 	if !forked.Joined && forked.Err == nil && !forked.TimedOut &&
 		(forked.DstCands != replay.DstCands || forked.LoadCands != replay.LoadCands || forked.UseCands != replay.UseCands) {

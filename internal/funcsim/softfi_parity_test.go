@@ -89,7 +89,7 @@ func TestSoftForkJoinAgainstReference(t *testing.T) {
 		}
 	}
 	audited := stop()
-	t.Logf("%d forked, %d joined, %d CTAs skipped, %d boundaries audited, outcomes (masked, SDC, timeout, DUE) %v",
+	t.Logf("%d forked, %d joined, %d steps skipped, %d boundaries audited, outcomes (masked, SDC, timeout, DUE) %v",
 		forks, joins, skips, audited, outcomes)
 	if forks == 0 || joins == 0 || skips == 0 || audited == 0 ||
 		outcomes[faults.Masked] == 0 || outcomes[faults.SDC] == 0 || outcomes[faults.DUE] == 0 {

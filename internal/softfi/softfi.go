@@ -45,7 +45,7 @@ func (m Mode) String() string {
 	return "?"
 }
 
-// GoldenRun caches the fault-free functional execution and its CTA-boundary
+// GoldenRun caches the fault-free functional execution and its step-boundary
 // checkpoints (Res.Checkpoints), which every Inject forks from and joins
 // back to. The checkpoints are read-only; the counters are atomic, so one
 // GoldenRun serves any number of concurrent campaigns.
@@ -76,7 +76,8 @@ func Golden(job *device.Job) (*GoldenRun, error) {
 // CheckpointCounts reports a golden run's checkpoint inventory and the work
 // fork-and-join has saved the injections made against it so far.
 type CheckpointCounts struct {
-	// Boundaries counts recorded checkpoints (CTA starts and host steps);
+	// Boundaries counts recorded checkpoints (step starts — CTAs, warps of
+	// launches stepped per warp, host steps — and the end of the job);
 	// DeltaBytes is the memory log they share.
 	Boundaries int64 `json:"boundaries"`
 	DeltaBytes int64 `json:"delta_bytes"`
@@ -88,9 +89,10 @@ type CheckpointCounts struct {
 	// JoinInstrsSkipped the golden-suffix thread-instructions not executed.
 	Joins             int64 `json:"joins"`
 	JoinInstrsSkipped int64 `json:"join_instrs_skipped"`
-	// Skips counts CTAs after the fault that runs took from golden's record
-	// because they read no corrupted word, SkipInstrsSkipped the
-	// thread-instructions those CTAs did not execute.
+	// Skips counts steps after the fault — CTAs, or warps of launches
+	// stepped per warp — that runs took from golden's record because they
+	// read no corrupted word, SkipInstrsSkipped the thread-instructions
+	// those steps did not execute.
 	Skips             int64 `json:"skips"`
 	SkipInstrsSkipped int64 `json:"skip_instrs_skipped"`
 }
@@ -199,8 +201,8 @@ func (g *GoldenRun) budget() int64 { return g.Res.DynInstrs * 10 }
 
 // run executes one faulty run: forked from the last golden checkpoint before
 // the site, joined to golden at the first later boundary where memory
-// matches, and taking from golden every CTA in between that reads none of
-// the corrupted words.
+// matches, and taking from golden every CTA or warp in between that reads
+// none of the corrupted words.
 func (g *GoldenRun) run(job *device.Job, inj funcsim.Injection) *funcsim.Result {
 	cps := g.Res.Checkpoints
 	fork := cps.ForkPoint(inj)
